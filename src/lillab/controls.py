@@ -10,13 +10,13 @@ infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import simpson
 
-from .sde import DEATH, ExplosivePath, NumericalFailure, _philox, state_alive
+from .sde import OVERFLOW_GUARD, ExplosivePath, NumericalFailure, _philox
 
 
 def trivial_domain(x) -> bool:
@@ -98,10 +98,14 @@ class LimitOdeProblem:
     """Deterministic control ODE dg = limit_drift(g) dt + limit_diffusion(g) u dt.
 
     limit_drift maps (..., d) -> (..., d) and limit_diffusion (..., d) ->
-    (..., d, k); broadcasting over leading axes enables batched integration.
-    t_star <= 1 bounds the usable horizon. drift_jacobian (optional,
-    (..., d) -> (..., d, d)) and constant_diffusion (optional (d, k) array)
-    unlock the fast adjoint gradient path in the extremal optimizer.
+    (..., d, k). Callbacks must broadcast over leading axes: the integrator
+    calls them on a batch (B, d) of states and raises ValueError at the first
+    stage when the result is not (B, d), (B, d, k) or, for the optional
+    drift_jacobian, (B, d, d). t_star <= 1 bounds the usable horizon.
+    constant_diffusion (optional (d, k) array) stands in for limit_diffusion
+    during integration and unlocks the adjoint gradient in the extremal
+    optimizer, which uses drift_jacobian when given and central differences
+    of limit_drift otherwise.
     """
 
     dim_state: int
@@ -129,12 +133,93 @@ class LimitOdeProblem:
             object.__setattr__(self, "constant_diffusion", sig)
 
 
-def _rk4_step(rhs, x, h):
-    k1 = rhs(x)
-    k2 = rhs(x + 0.5 * h * k1)
-    k3 = rhs(x + 0.5 * h * k2)
-    k4 = rhs(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _cells(t_star: float, n_steps: int) -> list:
+    """(control cell, width) of each RK4 step on [0, t_star].
+
+    One step per control cell of width 1 / n_steps; a trailing partial cell
+    gets its own step.
+    """
+    h = 1.0 / n_steps
+    n_full = int(math.floor(t_star / h + 1e-12))
+    steps = [(i, h) for i in range(n_full)]
+    partial = t_star - n_full * h
+    if partial > 1e-12:
+        steps.append((n_full, partial))
+    return steps
+
+
+def _expect_shape(name: str, out: np.ndarray, shape: tuple) -> None:
+    if out.shape != shape:
+        raise ValueError(
+            f"{name} returned shape {out.shape}, expected {shape}: callbacks "
+            "must broadcast over leading axes"
+        )
+
+
+def _control_rhs(problem: LimitOdeProblem, y: np.ndarray, u: np.ndarray,
+                 check: bool = False) -> np.ndarray:
+    """limit_drift(y) + limit_diffusion(y) u for states y (B, d), controls u (B, k)."""
+    b = np.asarray(problem.limit_drift(y), dtype=float)
+    if check:
+        _expect_shape("limit_drift", b, y.shape)
+    sig = problem.constant_diffusion
+    if sig is not None:
+        return b + u @ sig.T
+    s = np.asarray(problem.limit_diffusion(y), dtype=float)
+    if check:
+        _expect_shape("limit_diffusion", s, y.shape + (problem.dim_control,))
+    return b + np.einsum("bdk,bk->bd", s, u)
+
+
+def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray):
+    """Integrate the control ODE for a batch of controls u_batch (B, n_steps, k).
+
+    One classical RK4 step per control cell (see _cells). Returns (times,
+    states, first_dead): states has shape (n_nodes, B, d). A row whose state
+    leaves the domain or turns non-finite or beyond OVERFLOW_GUARD at node j
+    has first_dead = j and keeps its last live state from there on; rows that
+    survive have first_dead = n_nodes. The callbacks' shapes are checked at
+    the first stage.
+    """
+    batch, n_steps, _ = u_batch.shape
+    steps = _cells(problem.t_star, n_steps)
+    times = np.concatenate([[0.0], np.cumsum([h for _, h in steps])])
+    states = np.empty((len(times), batch, problem.dim_state))
+    states[0] = problem.x0
+    first_dead = np.full(batch, len(times))
+    alive = np.ones(batch, dtype=bool)
+    check_domain = problem.domain_contains is not trivial_domain
+    x = states[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for node, (cell, h) in enumerate(steps, start=1):
+            u = u_batch[:, cell, :]
+            k1 = _control_rhs(problem, x, u, check=node == 1)
+            k2 = _control_rhs(problem, x + 0.5 * h * k1, u)
+            k3 = _control_rhs(problem, x + 0.5 * h * k2, u)
+            k4 = _control_rhs(problem, x + h * k3, u)
+            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # max propagates nan, and nan or inf fail the comparison
+            ok = np.max(np.abs(x_new), axis=1) <= OVERFLOW_GUARD
+            if check_domain:
+                for b in np.nonzero(ok & alive)[0]:
+                    ok[b] = bool(problem.domain_contains(x_new[b]))
+            first_dead[alive & ~ok] = node
+            alive &= ok
+            x = states[node] = np.where(alive[:, None], x_new, x)
+            if not alive.any():
+                states[node:] = x  # every row is frozen from here on
+                break
+    return times, states, first_dead
+
+
+def _row_path(times: np.ndarray, states: np.ndarray, first_dead: np.ndarray,
+              row: int) -> ExplosivePath:
+    """Row `row` of an _integrate result as an ExplosivePath (nan from death)."""
+    end = int(first_dead[row])
+    x = states[:, row].copy()
+    x[end:] = np.nan
+    return ExplosivePath(times=times.copy(), states=x,
+                         explosion_index=end if end < len(times) else None)
 
 
 def solve_control_ode(problem: LimitOdeProblem, control: ControlGrid
@@ -143,46 +228,14 @@ def solve_control_ode(problem: LimitOdeProblem, control: ControlGrid
 
     Integration runs on [0, t_star]; a trailing partial cell gets its own
     step. Domain exit or a non-finite state at a grid node kills the path at
-    that node, matching the SDE explosion convention.
+    that node, matching the SDE explosion convention. This is the one-row
+    case of the batched integrator the extremal optimizer uses.
     """
     if control.dim != problem.dim_control:
         raise ValueError("control dimension does not match the problem")
-    n = control.n_steps
-    h_cell = 1.0 / n
-    n_full = int(math.floor(problem.t_star / h_cell + 1e-12))
-    partial = problem.t_star - n_full * h_cell
-    steps = [(i, h_cell) for i in range(n_full)]
-    if partial > 1e-12:
-        steps.append((n_full, partial))
-
-    times = np.zeros(len(steps) + 1)
-    states = np.full((len(steps) + 1, problem.dim_state), np.nan)
-    x = problem.x0.copy()
-    if not problem.domain_contains(x):
+    if not problem.domain_contains(problem.x0):
         raise ValueError("x0 outside the domain")
-    states[0] = x
-    explosion = None
-    for row, (cell, h) in enumerate(steps):
-        u = control.values[cell]
-
-        def rhs(y):
-            # A non-finite stage means the step is already blowing up; push the
-            # state to infinity so the explosion check below catches it.
-            b = np.asarray(problem.limit_drift(y), dtype=float)
-            sig = np.asarray(problem.limit_diffusion(y), dtype=float)
-            if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
-                return np.full(problem.dim_state, np.inf)
-            return b + sig @ u
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = _rk4_step(rhs, x, h)
-        times[row + 1] = times[row] + h
-        if not state_alive(x, problem.domain_contains):
-            explosion = row + 1
-            times[row + 2:] = times[row + 1] + h_cell * np.arange(1, len(steps) - row)
-            break
-        states[row + 1] = x
-    return ExplosivePath(times=times, states=states, explosion_index=explosion)
+    return _row_path(*_integrate(problem, control.values[None]), 0)
 
 
 def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath,
@@ -242,16 +295,19 @@ def limit_set_sample(problem: LimitOdeProblem, n_samples: int, seed: int,
                      n_steps: int = 256, tolerance: float = 1e-3) -> list:
     """Sample limit-set candidate paths from random feasible controls.
 
-    Each sample solves the control ODE for a random band-limited control
-    projected into the unit energy ball; the recovered energy is asserted
-    feasible up to tolerance.
+    Each sample is the control ODE's path for a random band-limited control
+    projected into the unit energy ball, all integrated as one batch; the
+    recovered energy is asserted feasible up to tolerance.
     """
+    u = np.empty((n_samples, n_steps, problem.dim_control))
+    for i in range(n_samples):
+        u[i] = ControlGrid.random_bandlimited(
+            n_steps, problem.dim_control, seed, stream=i
+        ).project(1.0).values
+    result = _integrate(problem, u)
     out = []
     for i in range(n_samples):
-        grid = ControlGrid.random_bandlimited(
-            n_steps, problem.dim_control, seed, stream=i
-        ).project(1.0)
-        path = solve_control_ode(problem, grid)
+        path = _row_path(*result, i)
         energy = cramer_transform(problem, path, tolerance=max(tolerance, 1e-5))
         if not energy <= 1.0 + tolerance:
             raise NumericalFailure(

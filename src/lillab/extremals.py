@@ -5,19 +5,23 @@ piecewise-constant control, with deterministic multi-start. Gradients come
 from a continuous adjoint sweep (one forward + one backward integration) when
 the functional exposes a terminal gradient and the diffusion is constant;
 central finite differences otherwise. Both modes are selectable.
+
+Every control, single or batched, goes through the one batched RK4 loop of
+lillab.controls (solve_control_ode is its one-row case); the adjoint's
+backward sweep runs on the node states that loop returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
-from .controls import (ControlGrid, LimitOdeProblem, solve_control_ode,
-                       trivial_domain)
-from .sde import DEATH, OVERFLOW_GUARD, ExplosivePath
+from .controls import (ControlGrid, LimitOdeProblem, _cells, _expect_shape,
+                       _integrate, _row_path, solve_control_ode)
+from .sde import DEATH, ExplosivePath
 
 
 # ---------------------------------------------------------------------------
@@ -97,47 +101,14 @@ class CallableFunctional:
 
 
 # ---------------------------------------------------------------------------
-# Batched integration of the control ODE (one RK4 step per cell)
+# Functional values and drift Jacobians on batches
 
-def _cells(problem: LimitOdeProblem, n_steps: int):
-    h = 1.0 / n_steps
-    n_full = int(math.floor(problem.t_star / h + 1e-12))
-    steps = [(i, h) for i in range(n_full)]
-    partial = problem.t_star - n_full * h
-    if partial > 1e-12:
-        steps.append((n_full, partial))
-    return steps
-
-
-def _batch_call(fn, y, out_shape):
-    """Call a coefficient callback on a batch, tolerating scalar-only callbacks."""
-    try:
-        out = np.asarray(fn(y), dtype=float)
-        if out.shape == out_shape:
-            return out
-    except Exception:
-        pass
-    return np.stack([np.asarray(fn(row), dtype=float) for row in y])
-
-
-def _drift_batch(problem, y):
-    return _batch_call(problem.limit_drift, y, y.shape)
-
-
-def _sigma_term(problem, y, u):
-    """limit_diffusion(y) @ u for a batch of states and controls."""
-    sig = problem.constant_diffusion
-    if sig is not None:
-        return u @ sig.T
-    s = _batch_call(problem.limit_diffusion, y,
-                    y.shape + (problem.dim_control,))
-    return np.einsum("bdk,bk->bd", s, u)
-
-
-def _jacobian_batch(problem, y, fd_delta=1e-6):
+def _jacobian_batch(problem, y, check=False, fd_delta=1e-6):
     if problem.drift_jacobian is not None:
-        return _batch_call(problem.drift_jacobian, y,
-                           y.shape + (problem.dim_state,))
+        jac = np.asarray(problem.drift_jacobian(y), dtype=float)
+        if check:
+            _expect_shape("drift_jacobian", jac, y.shape + (problem.dim_state,))
+        return jac
     d = y.shape[-1]
     jac = np.empty(y.shape + (d,))
     for j in range(d):
@@ -146,82 +117,27 @@ def _jacobian_batch(problem, y, fd_delta=1e-6):
         yp[..., j] += delta[..., 0]
         ym = y.copy()
         ym[..., j] -= delta[..., 0]
-        jac[..., j] = (_drift_batch(problem, yp) - _drift_batch(problem, ym)) / (
-            2.0 * delta
-        )
+        jac[..., j] = (np.asarray(problem.limit_drift(yp), dtype=float)
+                       - np.asarray(problem.limit_drift(ym), dtype=float)
+                       ) / (2.0 * delta)
     return jac
-
-
-def _integrate_batch(problem: LimitOdeProblem, u_batch: np.ndarray,
-                     store_trajectory: bool = False, functional=None):
-    """Integrate a batch of controls; returns (terminal, alive, traj, acc).
-
-    u_batch has shape (B, n_steps, k). When functional has an `accumulate`
-    method its running statistic is tracked per node. Dead rows (domain exit
-    or non-finite) are frozen and flagged.
-    """
-    batch, n_steps, _ = u_batch.shape
-    steps = _cells(problem, n_steps)
-    x = np.broadcast_to(problem.x0, (batch, problem.dim_state)).copy()
-    alive = np.ones(batch, dtype=bool)
-    check_domain = problem.domain_contains is not trivial_domain
-    traj = None
-    if store_trajectory:
-        traj = np.empty((len(steps) + 1, batch, problem.dim_state))
-        traj[0] = x
-    acc = None
-    if functional is not None and hasattr(functional, "accumulate"):
-        acc = functional.accumulate(None, x)
-
-    for row, (cell, h) in enumerate(steps):
-        u = u_batch[:, cell, :]
-
-        def rhs(y):
-            return _drift_batch(problem, y) + _sigma_term(problem, y, u)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h * k2)
-            k4 = rhs(x + h * k3)
-            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ok = np.all(np.isfinite(x_new), axis=1)
-        ok &= np.max(np.abs(np.where(np.isfinite(x_new), x_new, 0.0)), axis=1) <= OVERFLOW_GUARD
-        if check_domain:
-            for b in np.nonzero(ok & alive)[0]:
-                if not problem.domain_contains(x_new[b]):
-                    ok[b] = False
-        newly_dead = alive & ~ok
-        if np.any(newly_dead):
-            x_new[newly_dead] = x[newly_dead]  # freeze; row is flagged dead
-            alive = alive & ok
-        x = np.where(alive[:, None], x_new, x)
-        if store_trajectory:
-            traj[row + 1] = x
-        if acc is not None:
-            acc = functional.accumulate(acc, x)
-    return x, alive, traj, acc
 
 
 def _functional_values(problem, functional, u_batch):
     """Functional values for a batch of controls; nan on dead rows."""
+    times, states, first_dead = _integrate(problem, u_batch)
     if hasattr(functional, "terminal_value"):
-        terminal, alive, _, _ = _integrate_batch(problem, u_batch)
-        vals = functional.terminal_value(terminal)
+        vals = functional.terminal_value(states[-1])
     elif hasattr(functional, "accumulate"):
-        terminal, alive, _, acc = _integrate_batch(
-            problem, u_batch, functional=functional
-        )
+        acc = None
+        for node in states:
+            acc = functional.accumulate(acc, node)
         vals = functional.running_value(acc)
     else:
-        vals = np.empty(u_batch.shape[0])
-        alive = np.ones(u_batch.shape[0], dtype=bool)
-        for b in range(u_batch.shape[0]):
-            path = solve_control_ode(problem, ControlGrid(u_batch[b]))
-            vals[b] = functional.evaluate(path)
-            alive[b] = path.explosion_index is None
+        vals = [functional.evaluate(_row_path(times, states, first_dead, b))
+                for b in range(u_batch.shape[0])]
     vals = np.asarray(vals, dtype=float)
-    vals[~alive] = np.nan
+    vals[first_dead < len(times)] = np.nan
     return vals
 
 
@@ -242,15 +158,14 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
     if not hasattr(functional, "terminal_gradient"):
         raise ValueError("functional does not expose a terminal gradient")
     batch, n_steps, dim_k = u_batch.shape
-    steps = _cells(problem, n_steps)
-    terminal, alive, traj, _ = _integrate_batch(problem, u_batch,
-                                                store_trajectory=True)
-    lam = functional.terminal_gradient(terminal)
+    steps = _cells(problem.t_star, n_steps)
+    _, traj, first_dead = _integrate(problem, u_batch)
+    lam = functional.terminal_gradient(traj[-1])
     sig_t = problem.constant_diffusion.T
     grad = np.zeros_like(u_batch)
 
-    def jt_lam(y, vec):
-        jac = _jacobian_batch(problem, y)
+    def jt_lam(y, vec, check=False):
+        jac = _jacobian_batch(problem, y, check)
         return np.einsum("bij,bi->bj", jac, vec)
 
     for row in range(len(steps) - 1, -1, -1):
@@ -259,13 +174,13 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
         g_lo = traj[row]
         g_mid = 0.5 * (g_hi + g_lo)
         lam_hi = lam
-        m1 = jt_lam(g_hi, lam)
+        m1 = jt_lam(g_hi, lam, check=row == len(steps) - 1)
         m2 = jt_lam(g_mid, lam + 0.5 * h * m1)
         m3 = jt_lam(g_mid, lam + 0.5 * h * m2)
         m4 = jt_lam(g_lo, lam + h * m3)
         lam = lam + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
         grad[:, cell, :] += 0.5 * h * (lam_hi + lam) @ sig_t.T
-    grad[~alive] = 0.0
+    grad[first_dead < len(traj)] = 0.0
     return grad
 
 
@@ -291,6 +206,13 @@ def fd_gradient(problem: LimitOdeProblem, functional, u: np.ndarray,
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings of optimize_extremal.
+
+    The start bank holds the extra_starts, the constant control and its
+    negative, then band-limited random controls up to n_restarts, so
+    n_restarts_used = max(n_restarts, len(extra_starts) + 2).
+    """
+
     n_steps: int = 1024
     n_restarts: int = 16
     max_iters: int = 500
@@ -352,7 +274,7 @@ def _initial_bank(problem, config) -> np.ndarray:
         grid = ControlGrid.random_bandlimited(n, k, config.seed, stream=stream)
         starts.append(grid.project(config.max_energy).values)
         stream += 1
-    return np.stack(starts[: max(config.n_restarts, len(starts))])
+    return np.stack(starts)
 
 
 def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from lillab.controls import (ControlGrid, LimitOdeProblem, cramer_transform,
                              limit_set_distance, limit_set_sample,
                              linear_kernel_oracle, solve_control_ode)
 from lillab.examples import get_example
+from lillab.extremals import TerminalLinearFunctional, adjoint_gradient
 from lillab.sde import ExplosivePath
 
 
@@ -118,15 +120,49 @@ def test_limit_set_distance_member_vs_outsider():
     assert limit_set_distance(far, samples) > 1.0
 
 
-def test_control_ode_explosion_marks_path():
+def _blowup_problem(**changes):
     # scalar dy = y^2 dt + 0 du from y(0) = 2 blows up at t = 0.5
     problem = LimitOdeProblem(
         dim_state=1, dim_control=1,
         limit_drift=lambda y: np.asarray(y) ** 2,
-        limit_diffusion=lambda y: np.zeros((1, 1)),
+        limit_diffusion=lambda y: np.zeros(np.shape(y) + (1,)),
         x0=np.array([2.0]),
     )
+    return replace(problem, **changes)
+
+
+def test_control_ode_explosion_marks_path():
     u = ControlGrid(np.zeros((4096, 1)))
-    path = solve_control_ode(problem, u)
+    path = solve_control_ode(_blowup_problem(), u)
     assert path.explosion_index is not None
     assert path.explosion_time == pytest.approx(0.5, abs=0.02)
+
+
+def test_exploded_path_keeps_the_time_grid():
+    # t_star = 0.7 ends in a partial cell of the 64-cell grid; a path that
+    # dies before it must still end at t_star, like a surviving path
+    u = ControlGrid(np.zeros((64, 1)))
+    dead = solve_control_ode(_blowup_problem(t_star=0.7), u)
+    alive = solve_control_ode(_blowup_problem(t_star=0.7, x0=np.zeros(1)), u)
+    assert dead.explosion_index is not None and alive.explosion_index is None
+    assert np.array_equal(dead.times, alive.times)
+    assert dead.horizon == pytest.approx(0.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("limit_drift", lambda y: np.zeros(1)),
+    ("limit_diffusion", lambda y: np.zeros((1, 1))),
+    ("drift_jacobian", lambda y: np.zeros((1, 1))),
+])
+def test_callback_shapes_are_checked(name, bad):
+    # callbacks that ignore the batch axis (the limit_diffusion case is this
+    # file's old explosion fixture) are rejected at the first stage
+    adjoint = name == "drift_jacobian"
+    problem = _blowup_problem(
+        constant_diffusion=np.ones((1, 1)) if adjoint else None, **{name: bad})
+    u = np.zeros((1, 8, 1))
+    with pytest.raises(ValueError, match=name + r" returned shape .* expected"):
+        if adjoint:
+            adjoint_gradient(problem, TerminalLinearFunctional([1.0]), u)
+        else:
+            solve_control_ode(problem, ControlGrid(u[0]))
