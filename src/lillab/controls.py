@@ -133,19 +133,19 @@ class LimitOdeProblem:
             object.__setattr__(self, "constant_diffusion", sig)
 
 
-def _cells(t_star: float, n_steps: int) -> list:
-    """(control cell, width) of each RK4 step on [0, t_star].
+def _widths(t_star: float, n_steps: int) -> np.ndarray:
+    """Widths of the RK4 steps on [0, t_star]; step i integrates control cell i.
 
     One step per control cell of width 1 / n_steps; a trailing partial cell
     gets its own step.
     """
     h = 1.0 / n_steps
     n_full = int(math.floor(t_star / h + 1e-12))
-    steps = [(i, h) for i in range(n_full)]
+    widths = [h] * n_full
     partial = t_star - n_full * h
     if partial > 1e-12:
-        steps.append((n_full, partial))
-    return steps
+        widths.append(partial)
+    return np.asarray(widths)
 
 
 def _expect_shape(name: str, out: np.ndarray, shape: tuple) -> None:
@@ -156,44 +156,47 @@ def _expect_shape(name: str, out: np.ndarray, shape: tuple) -> None:
         )
 
 
-def _control_rhs(problem: LimitOdeProblem, y: np.ndarray, u: np.ndarray,
-                 check: bool = False) -> np.ndarray:
+def _control_rhs(problem: LimitOdeProblem, y: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
     """limit_drift(y) + limit_diffusion(y) u for states y (B, d), controls u (B, k)."""
     b = np.asarray(problem.limit_drift(y), dtype=float)
-    if check:
-        _expect_shape("limit_drift", b, y.shape)
+    _expect_shape("limit_drift", b, y.shape)
     sig = problem.constant_diffusion
     if sig is not None:
         return b + u @ sig.T
     s = np.asarray(problem.limit_diffusion(y), dtype=float)
-    if check:
-        _expect_shape("limit_diffusion", s, y.shape + (problem.dim_control,))
+    _expect_shape("limit_diffusion", s, y.shape + (problem.dim_control,))
     return b + np.einsum("bdk,bk->bd", s, u)
 
 
-def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray):
+def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
     """Integrate the control ODE for a batch of controls u_batch (B, n_steps, k).
 
-    One classical RK4 step per control cell (see _cells). Returns (times,
-    states, first_dead): states has shape (n_nodes, B, d). A row whose state
-    leaves the domain or turns non-finite or beyond OVERFLOW_GUARD at node j
-    has first_dead = j and keeps its last live state from there on; rows that
-    survive have first_dead = n_nodes. The callbacks' shapes are checked at
-    the first stage.
+    One classical RK4 step per control cell (see _widths), keeping only the
+    current states (B, d); visit, when given, is called with them at every
+    node from x0 on. Returns (widths, terminal states, first_dead). A row
+    whose state leaves the domain or turns non-finite or beyond
+    OVERFLOW_GUARD at node j has first_dead = j and keeps its last live state
+    from there on; rows that survive have first_dead = len(widths) + 1.
+    Raises ValueError for an x0 outside the domain and, at the first stage,
+    for callbacks that return the wrong shape.
     """
+    if not problem.domain_contains(problem.x0):
+        raise ValueError("x0 outside the domain")
     batch, n_steps, _ = u_batch.shape
-    steps = _cells(problem.t_star, n_steps)
-    times = np.concatenate([[0.0], np.cumsum([h for _, h in steps])])
-    states = np.empty((len(times), batch, problem.dim_state))
-    states[0] = problem.x0
-    first_dead = np.full(batch, len(times))
+    widths = _widths(problem.t_star, n_steps)
+    x = np.broadcast_to(problem.x0, (batch, problem.dim_state)).copy()
+    first_dead = np.full(batch, len(widths) + 1)
     alive = np.ones(batch, dtype=bool)
     check_domain = problem.domain_contains is not trivial_domain
-    x = states[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for node, (cell, h) in enumerate(steps, start=1):
-            u = u_batch[:, cell, :]
-            k1 = _control_rhs(problem, x, u, check=node == 1)
+        for node, h in enumerate(widths, start=1):
+            if visit is not None:
+                visit(x)
+            if not alive.any():
+                continue  # every row is frozen
+            u = u_batch[:, node - 1, :]
+            k1 = _control_rhs(problem, x, u)
             k2 = _control_rhs(problem, x + 0.5 * h * k1, u)
             k3 = _control_rhs(problem, x + 0.5 * h * k2, u)
             k4 = _control_rhs(problem, x + h * k3, u)
@@ -205,20 +208,27 @@ def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray):
                     ok[b] = bool(problem.domain_contains(x_new[b]))
             first_dead[alive & ~ok] = node
             alive &= ok
-            x = states[node] = np.where(alive[:, None], x_new, x)
-            if not alive.any():
-                states[node:] = x  # every row is frozen from here on
-                break
-    return times, states, first_dead
+            x = np.where(alive[:, None], x_new, x)
+    if visit is not None:
+        visit(x)
+    return widths, x, first_dead
 
 
-def _row_path(times: np.ndarray, states: np.ndarray, first_dead: np.ndarray,
+def _node_states(problem: LimitOdeProblem, u_batch: np.ndarray):
+    """_integrate keeping every node: (widths, states (n_nodes, B, d), first_dead)."""
+    nodes = []
+    widths, _, first_dead = _integrate(problem, u_batch, nodes.append)
+    return widths, np.stack(nodes), first_dead
+
+
+def _row_path(widths: np.ndarray, states: np.ndarray, first_dead: np.ndarray,
               row: int) -> ExplosivePath:
-    """Row `row` of an _integrate result as an ExplosivePath (nan from death)."""
+    """Row `row` of a _node_states result as an ExplosivePath (nan from death)."""
+    times = np.concatenate([[0.0], np.cumsum(widths)])
     end = int(first_dead[row])
     x = states[:, row].copy()
     x[end:] = np.nan
-    return ExplosivePath(times=times.copy(), states=x,
+    return ExplosivePath(times=times, states=x,
                          explosion_index=end if end < len(times) else None)
 
 
@@ -233,9 +243,7 @@ def solve_control_ode(problem: LimitOdeProblem, control: ControlGrid
     """
     if control.dim != problem.dim_control:
         raise ValueError("control dimension does not match the problem")
-    if not problem.domain_contains(problem.x0):
-        raise ValueError("x0 outside the domain")
-    return _row_path(*_integrate(problem, control.values[None]), 0)
+    return _row_path(*_node_states(problem, control.values[None]), 0)
 
 
 def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath,
@@ -304,7 +312,7 @@ def limit_set_sample(problem: LimitOdeProblem, n_samples: int, seed: int,
         u[i] = ControlGrid.random_bandlimited(
             n_steps, problem.dim_control, seed, stream=i
         ).project(1.0).values
-    result = _integrate(problem, u)
+    result = _node_states(problem, u)
     out = []
     for i in range(n_samples):
         path = _row_path(*result, i)

@@ -7,8 +7,9 @@ the functional exposes a terminal gradient and the diffusion is constant;
 central finite differences otherwise. Both modes are selectable.
 
 Every control, single or batched, goes through the one batched RK4 loop of
-lillab.controls (solve_control_ode is its one-row case); the adjoint's
-backward sweep runs on the node states that loop returns.
+lillab.controls (solve_control_ode is its one-row case). Terminal and running
+functional values keep only the current states; the adjoint's backward sweep
+runs on the node states that loop stores for it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .controls import (ControlGrid, LimitOdeProblem, _cells, _expect_shape,
-                       _integrate, _row_path, solve_control_ode)
+from .controls import (ControlGrid, LimitOdeProblem, _expect_shape,
+                       _integrate, _node_states, _row_path, solve_control_ode)
 from .sde import DEATH, ExplosivePath
 
 
@@ -103,11 +104,10 @@ class CallableFunctional:
 # ---------------------------------------------------------------------------
 # Functional values and drift Jacobians on batches
 
-def _jacobian_batch(problem, y, check=False, fd_delta=1e-6):
+def _jacobian_batch(problem, y, fd_delta=1e-6):
     if problem.drift_jacobian is not None:
         jac = np.asarray(problem.drift_jacobian(y), dtype=float)
-        if check:
-            _expect_shape("drift_jacobian", jac, y.shape + (problem.dim_state,))
+        _expect_shape("drift_jacobian", jac, y.shape + (problem.dim_state,))
         return jac
     d = y.shape[-1]
     jac = np.empty(y.shape + (d,))
@@ -124,20 +124,30 @@ def _jacobian_batch(problem, y, check=False, fd_delta=1e-6):
 
 
 def _functional_values(problem, functional, u_batch):
-    """Functional values for a batch of controls; nan on dead rows."""
-    times, states, first_dead = _integrate(problem, u_batch)
+    """Functional values for a batch of controls; nan on dead rows.
+
+    Terminal and running functionals keep only the current states (B, d);
+    a CallableFunctional needs every node's states to build its paths.
+    """
     if hasattr(functional, "terminal_value"):
-        vals = functional.terminal_value(states[-1])
+        widths, terminal, first_dead = _integrate(problem, u_batch)
+        vals = functional.terminal_value(terminal)
     elif hasattr(functional, "accumulate"):
         acc = None
-        for node in states:
-            acc = functional.accumulate(acc, node)
+
+        def fold(x):
+            nonlocal acc
+            acc = functional.accumulate(acc, x)
+
+        widths, _, first_dead = _integrate(problem, u_batch, fold)
         vals = functional.running_value(acc)
     else:
-        vals = [functional.evaluate(_row_path(times, states, first_dead, b))
+        result = _node_states(problem, u_batch)
+        widths, _, first_dead = result
+        vals = [functional.evaluate(_row_path(*result, b))
                 for b in range(u_batch.shape[0])]
     vals = np.asarray(vals, dtype=float)
-    vals[first_dead < len(times)] = np.nan
+    vals[first_dead <= len(widths)] = np.nan
     return vals
 
 
@@ -157,24 +167,22 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
         raise ValueError("adjoint gradient requires constant_diffusion")
     if not hasattr(functional, "terminal_gradient"):
         raise ValueError("functional does not expose a terminal gradient")
-    batch, n_steps, dim_k = u_batch.shape
-    steps = _cells(problem.t_star, n_steps)
-    _, traj, first_dead = _integrate(problem, u_batch)
+    widths, traj, first_dead = _node_states(problem, u_batch)
     lam = functional.terminal_gradient(traj[-1])
     sig_t = problem.constant_diffusion.T
     grad = np.zeros_like(u_batch)
 
-    def jt_lam(y, vec, check=False):
-        jac = _jacobian_batch(problem, y, check)
+    def jt_lam(y, vec):
+        jac = _jacobian_batch(problem, y)
         return np.einsum("bij,bi->bj", jac, vec)
 
-    for row in range(len(steps) - 1, -1, -1):
-        cell, h = steps[row]
-        g_hi = traj[row + 1]
-        g_lo = traj[row]
+    for cell in range(len(widths) - 1, -1, -1):
+        h = widths[cell]
+        g_hi = traj[cell + 1]
+        g_lo = traj[cell]
         g_mid = 0.5 * (g_hi + g_lo)
         lam_hi = lam
-        m1 = jt_lam(g_hi, lam, check=row == len(steps) - 1)
+        m1 = jt_lam(g_hi, lam)
         m2 = jt_lam(g_mid, lam + 0.5 * h * m1)
         m3 = jt_lam(g_mid, lam + 0.5 * h * m2)
         m4 = jt_lam(g_lo, lam + h * m3)

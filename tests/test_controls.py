@@ -138,6 +138,14 @@ def test_control_ode_explosion_marks_path():
     assert path.explosion_time == pytest.approx(0.5, abs=0.02)
 
 
+def test_x0_outside_the_domain_is_rejected():
+    problem = _blowup_problem(domain_contains=lambda y: bool(y[0] < 1.0))
+    with pytest.raises(ValueError, match="x0 outside the domain"):
+        limit_set_sample(problem, n_samples=2, seed=0, n_steps=8)
+    with pytest.raises(ValueError, match="x0 outside the domain"):
+        solve_control_ode(problem, ControlGrid(np.zeros((8, 1))))
+
+
 def test_exploded_path_keeps_the_time_grid():
     # t_star = 0.7 ends in a partial cell of the 64-cell grid; a path that
     # dies before it must still end at t_star, like a surviving path

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from lillab.controls import ControlGrid, solve_control_ode
 from lillab.examples import get_example
 from lillab.extremals import (OptimizerConfig, RunningMaxAbsFunctional,
-                              TerminalLinearFunctional, adjoint_gradient,
-                              fd_gradient, optimize_extremal)
+                              TerminalLinearFunctional, _functional_values,
+                              adjoint_gradient, fd_gradient, optimize_extremal)
 
 QUICK = OptimizerConfig(n_steps=256, n_restarts=6, max_iters=200)
 
@@ -134,3 +135,19 @@ def test_probe_start_improves_lorenz_min():
     result = optimize_extremal(lz.limit_problem, lz.functionals["J3"], "min",
                                config)
     assert result.value < 0.0
+
+
+@pytest.mark.parametrize("functional", ["terminal", "running_max"])
+def test_functional_values_keep_only_the_current_states(functional):
+    # terminal and running functionals must not store the (n + 1, B, d) node
+    # states: here they would take 256 * 1025 * 8 bytes = 2.1 MB
+    br = get_example("brownian")
+    u = np.full((256, 1024, 1), 0.5)
+    tracemalloc.start()
+    try:
+        vals = _functional_values(br.limit_problem, br.functionals[functional], u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(vals))
+    assert peak < 0.25e6

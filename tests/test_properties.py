@@ -14,7 +14,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from lillab.controls import ControlGrid, _integrate, solve_control_ode  # noqa: E402
+from lillab.controls import (ControlGrid, _integrate, _node_states,  # noqa: E402
+                             solve_control_ode)
 from lillab.examples import get_example, list_examples  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -46,10 +47,13 @@ def _draw(case):
 @given(cases)
 def test_batched_rows_equal_single_row_runs(case):
     problem, u = _draw(case)
-    times, states, first_dead = _integrate(problem, u)
+    widths, states, first_dead = _node_states(problem, u)
+    _, terminal, dead = _integrate(problem, u)
+    assert np.array_equal(terminal, states[-1])
+    assert np.array_equal(dead, first_dead)
     for b in range(u.shape[0]):
-        t1, s1, d1 = _integrate(problem, u[b : b + 1])
-        assert np.array_equal(t1, times)
+        w1, s1, d1 = _node_states(problem, u[b : b + 1])
+        assert np.array_equal(w1, widths)
         assert np.array_equal(s1[:, 0], states[:, b])
         assert d1[0] == first_dead[b]
 
@@ -58,9 +62,10 @@ def test_batched_rows_equal_single_row_runs(case):
 @given(cases)
 def test_solve_control_ode_is_row_zero(case):
     problem, u = _draw(case)
-    times, states, first_dead = _integrate(problem, u)
+    widths, states, first_dead = _node_states(problem, u)
     path = solve_control_ode(problem, ControlGrid(u[0]))
     end = first_dead[0]
+    times = np.concatenate([[0.0], np.cumsum(widths)])
     assert np.array_equal(path.times, times)
     assert np.array_equal(path.states[:end], states[:end, 0])
     assert np.all(np.isnan(path.states[end:]))
@@ -75,10 +80,10 @@ def test_kolmogorov_matches_exact_recursion(case):
     case = dict(case, example="iterated_kolmogorov",
                 scales=[3.0] * len(case["scales"]))
     problem, u = _draw(case)
-    times, states, first_dead = _integrate(problem, u)
-    assert np.all(first_dead == len(times))
+    widths, states, first_dead = _node_states(problem, u)
+    assert np.all(first_dead == len(widths) + 1)
     x = np.zeros((u.shape[0], 2))
-    for j, h in enumerate(np.diff(times)):
+    for j, h in enumerate(widths):
         uj = u[:, j, 0]
         x = np.column_stack([x[:, 0] + x[:, 1] * h + uj * h * h / 2.0,
                              x[:, 1] + uj * h])
