@@ -16,12 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .sde import OVERFLOW_GUARD, ExplosivePath, NumericalFailure, _philox
-
-
-def trivial_domain(x) -> bool:
-    """Default domain predicate: the whole space."""
-    return True
+from .sde import (OVERFLOW_GUARD, ExplosivePath, NumericalFailure,
+                  _expect_shape, _philox, trivial_domain)
 
 
 @dataclass(frozen=True)
@@ -146,14 +142,6 @@ def _widths(t_star: float, n_steps: int) -> np.ndarray:
     if partial > 1e-12:
         widths.append(partial)
     return np.asarray(widths)
-
-
-def _expect_shape(name: str, out: np.ndarray, shape: tuple) -> None:
-    if out.shape != shape:
-        raise ValueError(
-            f"{name} returned shape {out.shape}, expected {shape}: callbacks "
-            "must broadcast over leading axes"
-        )
 
 
 def _control_rhs(problem: LimitOdeProblem, y: np.ndarray,

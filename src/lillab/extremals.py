@@ -20,9 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .controls import (ControlGrid, LimitOdeProblem, _expect_shape,
-                       _integrate, _node_states, _row_path, solve_control_ode)
-from .sde import DEATH, ExplosivePath
+from .controls import (ControlGrid, LimitOdeProblem, _integrate,
+                       _node_states, _row_path, solve_control_ode)
+from .sde import DEATH, ExplosivePath, _expect_shape
 
 
 # ---------------------------------------------------------------------------

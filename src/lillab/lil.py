@@ -14,7 +14,8 @@ Noise coupling across scales:
     path); reports say noise_coupling = "consistent".
   * nonlinear systems ("euler"): re-simulation per scale with nested seeds,
     which approximates but does not realize a single driving path; reports
-    say noise_coupling = "nested".
+    say noise_coupling = "nested".  Each level steps all paths at once
+    through the batched Euler kernel sde.euler_batch.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 
 from .examples import ExampleSystem
 from .scaling import eval_index, rescale_path
-from .sde import _philox, brownian_path, equilibrated_cholesky, simulate_sde
+from .sde import (_philox, _row_path, brownian_path, equilibrated_cholesky,
+                  euler_batch)
 
 
 @dataclass(frozen=True)
@@ -218,23 +220,27 @@ def _euler_values(example, functional, js, eps, t_star, config,
                   path_range=None):
     """Re-simulate per scale with nested seeds and evaluate on the full path.
 
-    path_range selects rows [lo, hi) of the value table; seeds depend on the
-    absolute path id, so slices computed separately agree with a full run.
+    Each level is one euler_batch run over all rows of the slice. path_range
+    selects rows [lo, hi) of the value table; seeds depend on the absolute
+    path id, so slices computed separately agree with a full run.
     """
     lo, hi = path_range if path_range is not None else (0, config.n_paths)
     phi, psi = example.contraction, example.index
-    x0 = phi.center
+    x0 = np.broadcast_to(phi.center, (hi - lo, example.sde.dim_state))
     n_steps = max(1, int(round(t_star / config.dt_rel)))
     values = np.full((hi - lo, len(eps)), np.nan)
-    for row, p in enumerate(range(lo, hi)):
-        for level, j in enumerate(js):
-            e = float(eps[level])
-            horizon = e * t_star
-            noise = brownian_path(config.seed, dt=horizon / n_steps,
-                                  horizon=horizon,
-                                  dim_noise=example.sde.dim_noise,
-                                  path_index=(p << 20) | int(j))
-            path = simulate_sde(example.sde, x0, noise)
+    for level, j in enumerate(js):
+        e = float(eps[level])
+        horizon = e * t_star
+        dt = horizon / n_steps
+        increments = np.stack([
+            brownian_path(config.seed, dt=dt, horizon=horizon,
+                          dim_noise=example.sde.dim_noise,
+                          path_index=(p << 20) | int(j)).increments
+            for p in range(lo, hi)])
+        states, first_dead = euler_batch(example.sde, x0, increments, dt)
+        for row in range(hi - lo):
+            path = _row_path(dt, states, first_dead, row)
             values[row, level] = functional.evaluate(
                 rescale_path(path, phi, psi, e))
     return values

@@ -52,6 +52,22 @@ OVERFLOW_GUARD = 1e100
 _UINT64_MASK = (1 << 64) - 1
 
 
+def trivial_domain(x) -> bool:
+    """Default domain predicate: the whole space.
+
+    Integrators compare against this function to skip per-row domain tests.
+    """
+    return True
+
+
+def _expect_shape(name: str, out: np.ndarray, shape: tuple) -> None:
+    if out.shape != shape:
+        raise ValueError(
+            f"{name} returned shape {out.shape}, expected {shape}: callbacks "
+            "must broadcast over leading axes"
+        )
+
+
 def state_alive(x: np.ndarray, domain_contains) -> bool:
     return (np.all(np.isfinite(x))
             and float(np.max(np.abs(x))) <= OVERFLOW_GUARD
@@ -179,19 +195,31 @@ def equilibrated_cholesky(cov: np.ndarray):
 class SdeSystem:
     """SDE dx = drift(x) dt + diffusion(x) dB on an open domain of R^d.
 
-    drift maps (d,) -> (d,); diffusion maps (d,) -> (d, k). domain_contains
-    returns True on the open set where the dynamics live. linear carries the
-    affine representation when one exists (enables the exact transition
-    sampler).
+    drift maps (..., d) -> (..., d) and diffusion (..., d) -> (..., d, k).
+    Callbacks must broadcast over leading axes: the Euler kernel calls them
+    on a batch (B, d) of states and raises ValueError at the first step when
+    the result is not (B, d) or (B, d, k). domain_contains takes one state
+    (d,) and returns True on the open set where the dynamics live. linear
+    carries the affine representation when one exists (enables the exact
+    transition sampler). constant_diffusion (optional (d, k) array) stands in
+    for diffusion during Euler integration, as in LimitOdeProblem.
     """
 
     dim_state: int
     dim_noise: int
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
-    domain_contains: Callable[[np.ndarray], bool] = lambda x: True
+    domain_contains: Callable[[np.ndarray], bool] = trivial_domain
     label: str = ""
     linear: Optional[LinearSpec] = None
+    constant_diffusion: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.constant_diffusion is not None:
+            sig = np.asarray(self.constant_diffusion, dtype=float)
+            if sig.shape != (self.dim_state, self.dim_noise):
+                raise ValueError("constant_diffusion shape must be (d, k)")
+            object.__setattr__(self, "constant_diffusion", sig)
 
 
 @dataclass(frozen=True)
@@ -361,6 +389,102 @@ def _check_coeff(value: np.ndarray, what: str, state: np.ndarray, step: int):
         )
 
 
+def euler_batch(system: SdeSystem, x0, increments, dt: float):
+    """Euler-Maruyama for a batch of B paths, each driven by its own noise.
+
+    x0 (B, d) holds the starting states and increments (B, n, k) the
+    Brownian increments of every row on a uniform grid of step dt. Returns
+    (states (n + 1, B, d), first_dead (B,)). A row whose state leaves the
+    domain or turns non-finite or beyond OVERFLOW_GUARD at node j has
+    first_dead = j and keeps its last live state from there on; rows that
+    survive have first_dead = n + 1. With constant_diffusion set, sigma dB
+    comes from one matrix product and diffusion is not called per step.
+
+    Raises ValueError for an x0 row that is not finite or not in the domain
+    and, at the first step, for callbacks that return the wrong shape. When
+    a row first turns non-finite, drift and diffusion are evaluated again at
+    its last live state; a non-finite value there raises NumericalFailure
+    with that state and step, as a one-row run of the same row would.
+    """
+    x = np.array(x0, dtype=float)
+    inc = np.asarray(increments, dtype=float)
+    if x.ndim != 2 or x.shape[1] != system.dim_state:
+        raise ValueError("x0 must have shape (B, dim_state)")
+    batch = x.shape[0]
+    if inc.ndim != 3 or inc.shape[0] != batch \
+            or inc.shape[2] != system.dim_noise:
+        raise ValueError("increments must have shape (B, n_steps, dim_noise)")
+    check_domain = system.domain_contains is not trivial_domain
+    if not np.all(np.isfinite(x)) or (
+            check_domain and not all(system.domain_contains(r) for r in x)):
+        raise ValueError("x0 must be a finite state inside the domain")
+    n = inc.shape[1]
+    states = np.empty((n + 1, batch, system.dim_state))
+    states[0] = x
+    first_dead = np.full(batch, n + 1)
+    alive = np.ones(batch, dtype=bool)
+    sig = system.constant_diffusion
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sigma dB for every step up front, laid out (n, B, d)
+        sig_db = (None if sig is None
+                  else np.matmul(inc.transpose(1, 0, 2), sig.T))
+        for i in range(n):
+            b = np.asarray(system.drift(x), dtype=float)
+            if i == 0:
+                _expect_shape("drift", b, x.shape)
+            if sig_db is None:
+                s = np.asarray(system.diffusion(x), dtype=float)
+                if i == 0:
+                    _expect_shape("diffusion", s,
+                                  x.shape + (system.dim_noise,))
+                db = np.einsum("bdk,bk->bd", s, inc[:, i])
+            else:
+                db = sig_db[i]
+            x_new = x + b * dt + db
+            # max propagates nan, and nan or inf fail the comparison
+            ok = np.abs(x_new).max(axis=1) <= OVERFLOW_GUARD
+            ok &= alive
+            if check_domain:
+                for r in np.nonzero(ok)[0]:
+                    ok[r] = bool(system.domain_contains(x_new[r]))
+            if not ok.all():
+                died = alive & ~ok
+                for r in np.nonzero(died)[0]:
+                    if not np.all(np.isfinite(x_new[r])):
+                        _check_row_coefficients(system, x[r].copy(), i)
+                first_dead[died] = i + 1
+                alive = ok
+                if not alive.any():
+                    states[i + 1:] = x
+                    break
+                x_new = np.where(alive[:, None], x_new, x)
+            x = x_new
+            states[i + 1] = x
+    return states, first_dead
+
+
+def _check_row_coefficients(system: SdeSystem, state: np.ndarray, step: int):
+    """Raise NumericalFailure if drift or diffusion is non-finite at state."""
+    _check_coeff(np.asarray(system.drift(state), dtype=float), "drift",
+                 state, step)
+    _check_coeff(np.asarray(system.diffusion(state), dtype=float),
+                 "diffusion", state, step)
+
+
+def _row_path(dt: float, states: np.ndarray, first_dead: np.ndarray,
+              row: int) -> ExplosivePath:
+    """Row `row` of a euler_batch result as an ExplosivePath (nan from death).
+
+    The path views the row in place: its nodes from first_dead on are
+    overwritten with nan in `states` itself.
+    """
+    end = int(first_dead[row])
+    x = states[:, row]
+    x[end:] = np.nan
+    return ExplosivePath(times=dt * np.arange(len(x)), states=x,
+                         explosion_index=end if end < len(x) else None)
+
+
 def simulate_sde(system: SdeSystem, x0, noise: NoisePath, scheme: str = "euler",
                  horizon: Optional[float] = None) -> ExplosivePath:
     """Simulate the system along the given noise.
@@ -382,7 +506,8 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath, scheme: str = "euler",
 
     Explosion is declared at the first grid point whose state is outside the
     domain or non-finite; later rows are nan. Non-finite coefficient values
-    at an in-domain state raise NumericalFailure.
+    at an in-domain state raise NumericalFailure. The "euler" scheme is the
+    one-row case of euler_batch.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dim_state,):
@@ -398,27 +523,18 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath, scheme: str = "euler",
         raise ValueError("horizon exceeds the noise horizon")
 
     dt = noise.dt
+    if scheme == "euler":
+        if noise.dim_noise != system.dim_noise:
+            raise ValueError("noise dimension does not match system.dim_noise")
+        states, first_dead = euler_batch(system, x0[None],
+                                         noise.increments[None, :n], dt)
+        return _row_path(dt, states, first_dead, 0)
+
     times = dt * np.arange(n + 1)
     states = np.full((n + 1, system.dim_state), np.nan)
     states[0] = x0
     explosion = None
-
-    if scheme == "euler":
-        if noise.dim_noise != system.dim_noise:
-            raise ValueError("noise dimension does not match system.dim_noise")
-        x = x0.copy()
-        for i in range(n):
-            with np.errstate(over="ignore", invalid="ignore"):
-                b = np.asarray(system.drift(x), dtype=float)
-                _check_coeff(b, "drift", x, i)
-                sig = np.asarray(system.diffusion(x), dtype=float)
-                _check_coeff(sig, "diffusion", x, i)
-                x = x + b * dt + sig @ noise.increments[i]
-            if not state_alive(x, system.domain_contains):
-                explosion = i + 1
-                break
-            states[i + 1] = x
-    elif scheme == "exact_linear":
+    if scheme == "exact_linear":
         lin = system.linear
         if lin is None:
             raise ValueError("exact_linear requires a system with linear structure")

@@ -79,6 +79,26 @@ def test_rerun_byte_identical(tmp_path):
     assert ma == mb
 
 
+def test_rerun_into_the_same_out_creates_fresh_artifacts(tmp_path):
+    # a rerun replaces each artifact with a new file (new inode) of the same
+    # bytes; the old file is never truncated in place, and unrelated files
+    # in the directory are left alone
+    out = tmp_path / "sim"
+    argv = ["simulate", "--example", "quadratic", "--dt", "1e-2",
+            "--horizon", "0.5", "--seed", "3", "--out", str(out)]
+    assert run(argv) == 0
+    first = (out / "path.csv").read_bytes()
+    # a second link keeps the old inode allocated, so it cannot be reused
+    os.link(out / "path.csv", tmp_path / "old.csv")
+    (out / "notes.txt").write_text("keep me")
+    assert run(argv) == 0
+    assert (out / "path.csv").read_bytes() == first
+    assert (tmp_path / "old.csv").read_bytes() == first
+    assert os.stat(out / "path.csv").st_ino != \
+        os.stat(tmp_path / "old.csv").st_ino
+    assert (out / "notes.txt").read_text() == "keep me"
+
+
 def test_config_file_and_flag_override(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[lil-verify]\nexample = brownian\n"

@@ -121,6 +121,29 @@ def test_euler_workers_parity():
     assert one.to_csv_string() == two.to_csv_string()
 
 
+def test_euler_table_matches_per_path_simulation():
+    # each level runs all paths as one batch; the table must equal, bit for
+    # bit, one simulate_sde per (path, level) on the same nested streams
+    quad = get_example("quadratic")
+    phi, psi = quad.contraction, quad.index
+    config = LilExperimentConfig(j_min=0, j_max=4, n_paths=3, scheme="euler")
+    report = run_lil_experiment(quad, "J2", config)
+    t_star = quad.limit_problem.t_star
+    n_steps = max(1, round(t_star / config.dt_rel))
+    expected = np.empty((config.n_paths, 5))
+    for p in range(config.n_paths):
+        for level, (j, eps) in enumerate(zip(config.j_grid(),
+                                             config.eps_grid())):
+            horizon = float(eps) * t_star
+            noise = brownian_path(config.seed, dt=horizon / n_steps,
+                                  horizon=horizon, dim_noise=1,
+                                  path_index=(p << 20) | int(j))
+            path = simulate_sde(quad.sde, phi.center, noise)
+            expected[p, level] = quad.functionals["J2"].evaluate(
+                rescale_path(path, phi, psi, float(eps)))
+    assert np.array_equal(report.values, expected)
+
+
 def test_euler_and_exact_statistics_agree():
     # same law up to discretization: compare level std on the linear system
     ik = get_example("iterated_kolmogorov", d=2)

@@ -1,9 +1,12 @@
-"""Property tests of the control-ODE integrator (needs hypothesis).
+"""Property tests of the batched integrators (needs hypothesis).
 
 The batched RK4 loop is the only integrator of the limit control ODE:
 solve_control_ode is its one-row case and the optimizer runs it on batches
-of controls. Rows of a batch must not influence each other, and on the
-iterated Kolmogorov chain RK4 is exact for piecewise-constant controls.
+of controls. The batched Euler kernel euler_batch is the only SDE Euler
+loop: simulate_sde is its one-row case and lil-verify runs it on all paths
+of a level; a per-step single-row loop is kept here as its reference. Rows
+of a batch must not influence each other, and on the iterated Kolmogorov
+chain RK4 is exact for piecewise-constant controls.
 """
 
 from dataclasses import replace
@@ -17,6 +20,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from lillab.controls import (ControlGrid, _integrate, _node_states,  # noqa: E402
                              solve_control_ode)
 from lillab.examples import get_example, list_examples  # noqa: E402
+from lillab.sde import (NoisePath, NumericalFailure, SdeSystem,  # noqa: E402
+                        euler_batch, simulate_sde, state_alive)
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
 
@@ -88,3 +93,146 @@ def test_kolmogorov_matches_exact_recursion(case):
         x = np.column_stack([x[:, 0] + x[:, 1] * h + uj * h * h / 2.0,
                              x[:, 1] + uj * h])
         assert np.allclose(states[j + 1], x, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Euler kernel. One increment scale per row, so B = len(scales); at the
+# larger scales quadratic and lorenz96 rows explode, brownian and the
+# Kolmogorov chains pass the overflow guard, and the domain-restricted
+# quadratic rows leave x1 < 1.5, so batches mix dead and live rows.
+
+def _sde(name):
+    if name == "quadratic_x1_below_1.5":
+        quad = get_example("quadratic")
+        return (replace(quad.sde, domain_contains=lambda x: x[0] < 1.5),
+                quad.contraction.center)
+    example = get_example(name)
+    return example.sde, example.contraction.center
+
+
+euler_cases = st.fixed_dictionaries({
+    "system": st.sampled_from(list_examples() + ["quadratic_x1_below_1.5"]),
+    "scales": st.lists(st.sampled_from([0.1, 3.0, 1e60, 1e200]), min_size=1,
+                       max_size=8),
+    "n_steps": st.integers(1, 64),
+    "dt": st.sampled_from([1e-3, 0.05]),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def _increments(case, dim_noise):
+    scales = np.asarray(case["scales"])
+    rng = np.random.default_rng(case["seed"])
+    return scales[:, None, None] * rng.standard_normal(
+        (len(scales), case["n_steps"], dim_noise))
+
+
+def _draw_euler(case):
+    system, center = _sde(case["system"])
+    inc = _increments(case, system.dim_noise)
+    return system, np.broadcast_to(center, (len(inc), system.dim_state)), inc
+
+
+def _reference_euler(system, x0, inc, dt):
+    """One row stepped with every check at every step: (states, explosion).
+
+    The loop euler_batch replaced, kept as the reference: rows after the
+    explosion index are nan, and a non-finite coefficient at a live state
+    raises NumericalFailure before the step is taken.
+    """
+    states = np.full((len(inc) + 1, len(x0)), np.nan)
+    states[0] = x = x0
+    for i in range(len(inc)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = np.asarray(system.drift(x), dtype=float)
+            sig = np.asarray(system.diffusion(x), dtype=float)
+            for what, value in (("drift", b), ("diffusion", sig)):
+                if not np.all(np.isfinite(value)):
+                    raise NumericalFailure(
+                        f"{what} evaluated to non-finite values at step {i}",
+                        state=x, step=i)
+            x = x + b * dt + sig @ inc[i]
+        if not state_alive(x, system.domain_contains):
+            return states, i + 1
+        states[i + 1] = x
+    return states, None
+
+
+@SETTINGS
+@given(euler_cases)
+def test_euler_batch_rows_equal_single_runs(case):
+    system, x0, inc = _draw_euler(case)
+    dt = case["dt"]
+    states, first_dead = euler_batch(system, x0, inc, dt)
+    n = inc.shape[1]
+    assert states.shape == (n + 1,) + x0.shape
+    for b in range(len(x0)):
+        ref, explosion = _reference_euler(system, x0[b], inc[b], dt)
+        end = first_dead[b]
+        assert explosion == (end if end <= n else None)
+        assert np.array_equal(ref[:end], states[:end, b])
+        # dead rows stay frozen at their last live state
+        assert np.all(states[end:, b] == states[end - 1, b])
+        path = simulate_sde(system, x0[b], NoisePath(0, dt, inc[b]))
+        assert np.array_equal(path.states, ref, equal_nan=True)
+        assert path.explosion_index == explosion
+
+
+@SETTINGS
+@given(euler_cases)
+def test_constant_diffusion_gives_the_same_bits(case):
+    system, x0, inc = _draw_euler(case)
+    assert system.constant_diffusion is not None
+    fast = euler_batch(system, x0, inc, case["dt"])
+    slow = euler_batch(replace(system, constant_diffusion=None), x0, inc,
+                       case["dt"])
+    assert np.array_equal(fast[0], slow[0])
+    assert np.array_equal(fast[1], slow[1])
+
+
+def _partly_singular(which, constant):
+    # finite coefficients for x1 <= 1, nan beyond; drift -x/2, noise (1, 1/2)
+    sig = np.array([[1.0], [0.5]])
+
+    def drift(x):
+        x = np.asarray(x, dtype=float)
+        bad = x[..., :1] > 1.0 if which == "drift" else False
+        return np.where(bad, np.nan, -0.5 * x)
+
+    def diffusion(x):
+        x = np.asarray(x, dtype=float)
+        out = np.broadcast_to(sig, x.shape + (1,))
+        if which == "diffusion":
+            out = np.where(x[..., :1, None] > 1.0, np.nan, out)
+        return out
+
+    return SdeSystem(2, 1, drift, diffusion,
+                     constant_diffusion=sig if constant else None)
+
+
+@SETTINGS
+@given(euler_cases, st.sampled_from(["drift", "diffusion"]), st.booleans())
+def test_numerical_failure_matches_single_runs(case, which, constant):
+    constant = constant and which == "drift"
+    system = _partly_singular(which, constant)
+    inc = _increments(case, 1)
+    x0 = np.zeros((len(inc), 2))
+    dt = case["dt"]
+    single = []   # (step, row, failure) for every row that fails alone
+    for b in range(len(x0)):
+        try:
+            _reference_euler(system, x0[b], inc[b], dt)
+        except NumericalFailure as exc:
+            single.append((exc.step, b, exc))
+            with pytest.raises(NumericalFailure) as info:
+                simulate_sde(system, x0[b], NoisePath(0, dt, inc[b]))
+            assert info.value.step == exc.step
+    if not single:
+        euler_batch(system, x0, inc, dt)
+        return
+    step, _, expected = min(single, key=lambda t: t[:2])
+    with pytest.raises(NumericalFailure) as info:
+        euler_batch(system, x0, inc, dt)
+    assert info.value.step == step
+    assert np.array_equal(info.value.state, expected.state)
+    assert str(info.value) == str(expected)

@@ -195,6 +195,27 @@ def test_rescaled_system_damps_driver():
     assert np.allclose(sim.diffusion(y), expect, rtol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["brownian", "iterated_kolmogorov",
+                                  "quadratic", "lorenz96"])
+def test_rescaled_systems_carry_constant_diffusion(name):
+    # the Euler kernel uses constant_diffusion in place of diffusion(y):
+    # both must hold the same bits, and a trivial domain stays trivial
+    example = get_example(name)
+    eps = 1e-4
+    y = np.linspace(-1.0, 1.0, 3 * example.sde.dim_state).reshape(
+        3, example.sde.dim_state)
+    for system in (
+            transformed_coefficients(example.sde, example.contraction,
+                                     example.index, eps),
+            rescaled_sde_system(example.sde, example.contraction,
+                                example.index, eps)):
+        assert np.array_equal(
+            np.broadcast_to(system.constant_diffusion,
+                            (3,) + system.constant_diffusion.shape),
+            system.diffusion(y))
+        assert system.domain_contains is example.sde.domain_contains
+
+
 def test_transformed_coefficients_rejects_detrended():
     sk = get_example("shifted_kolmogorov")
     with pytest.raises(ValueError):

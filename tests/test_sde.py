@@ -1,13 +1,15 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lillab.sde import (DEATH, ExplosivePath, LinearSpec, NoisePath,
-                        brownian_path, equilibrated_cholesky, path_distance,
-                        path_from_csv, path_from_json_dict, path_to_csv_string,
+                        SdeSystem, brownian_path, equilibrated_cholesky,
+                        euler_batch, path_distance, path_from_csv,
+                        path_from_json_dict, path_to_csv_string,
                         path_to_json_dict, simulate_sde, state_alive)
 from lillab.examples import get_example
 
@@ -198,3 +200,38 @@ def test_simulate_rejects_bad_start():
         simulate_sde(ik.sde, np.array([np.inf, 0.0]), noise)
     with pytest.raises(ValueError):
         simulate_sde(ik.sde, np.zeros(3), noise)
+
+
+def test_euler_batch_checks_callback_shapes():
+    # callbacks must broadcast over the batch axis; a single-vector drift
+    # or diffusion is named with the shape it should have returned
+    sig = np.array([[0.0], [1.0]])
+    x0 = np.zeros((3, 2))
+    inc = np.zeros((3, 4, 1))
+    flat_drift = SdeSystem(2, 1, drift=lambda x: np.zeros(2),
+                           diffusion=lambda x: sig, constant_diffusion=sig)
+    with pytest.raises(ValueError, match=r"drift .*expected \(3, 2\)"):
+        euler_batch(flat_drift, x0, inc, 0.1)
+    flat_sigma = SdeSystem(2, 1, drift=lambda x: np.zeros_like(x),
+                           diffusion=lambda x: sig)
+    with pytest.raises(ValueError,
+                       match=r"diffusion .*expected \(3, 2, 1\)"):
+        euler_batch(flat_sigma, x0, inc, 0.1)
+
+
+def test_constant_diffusion_shape_is_checked():
+    with pytest.raises(ValueError, match="constant_diffusion"):
+        SdeSystem(2, 1, drift=lambda x: x, diffusion=lambda x: x,
+                  constant_diffusion=np.ones((2, 2)))
+
+
+def test_euler_batch_freezes_dead_rows():
+    # row 0 leaves x < 1 at node 1; its next increment would bring it back
+    # inside, but a dead row stays dead and frozen at its last live state
+    br = get_example("brownian")
+    system = replace(br.sde, domain_contains=lambda x: x[0] < 1.0)
+    inc = np.array([[[2.0], [-2.0], [0.0]], [[0.1], [0.1], [0.1]]])
+    states, first_dead = euler_batch(system, np.zeros((2, 1)), inc, 0.1)
+    assert first_dead.tolist() == [1, 4]
+    assert np.all(states[:, 0, 0] == 0.0)
+    assert np.allclose(states[:, 1, 0], [0.0, 0.1, 0.2, 0.3])
