@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .sde import (OVERFLOW_GUARD, ExplosivePath, NumericalFailure,
-                  _expect_shape, _philox, trivial_domain)
+                  _expect_shape, _philox, _row_path, trivial_domain)
 
 
 @dataclass(frozen=True)
@@ -209,15 +209,9 @@ def _node_states(problem: LimitOdeProblem, u_batch: np.ndarray):
     return widths, np.stack(nodes), first_dead
 
 
-def _row_path(widths: np.ndarray, states: np.ndarray, first_dead: np.ndarray,
-              row: int) -> ExplosivePath:
-    """Row `row` of a _node_states result as an ExplosivePath (nan from death)."""
-    times = np.concatenate([[0.0], np.cumsum(widths)])
-    end = int(first_dead[row])
-    x = states[:, row].copy()
-    x[end:] = np.nan
-    return ExplosivePath(times=times, states=x,
-                         explosion_index=end if end < len(times) else None)
+def _times(widths: np.ndarray) -> np.ndarray:
+    """Node times 0, w_1, w_1 + w_2, ... of a grid with the given step widths."""
+    return np.concatenate([[0.0], np.cumsum(widths)])
 
 
 def solve_control_ode(problem: LimitOdeProblem, control: ControlGrid
@@ -231,7 +225,8 @@ def solve_control_ode(problem: LimitOdeProblem, control: ControlGrid
     """
     if control.dim != problem.dim_control:
         raise ValueError("control dimension does not match the problem")
-    return _row_path(*_node_states(problem, control.values[None]), 0)
+    widths, states, first_dead = _node_states(problem, control.values[None])
+    return _row_path(_times(widths), states, first_dead, 0)
 
 
 def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath,
@@ -300,10 +295,11 @@ def limit_set_sample(problem: LimitOdeProblem, n_samples: int, seed: int,
         u[i] = ControlGrid.random_bandlimited(
             n_steps, problem.dim_control, seed, stream=i
         ).project(1.0).values
-    result = _node_states(problem, u)
+    widths, states, first_dead = _node_states(problem, u)
+    times = _times(widths)
     out = []
     for i in range(n_samples):
-        path = _row_path(*result, i)
+        path = _row_path(times, states, first_dead, i)
         energy = cramer_transform(problem, path, tolerance=max(tolerance, 1e-5))
         if not energy <= 1.0 + tolerance:
             raise NumericalFailure(

@@ -81,7 +81,6 @@ def _make_brownian(d: int = 1) -> ExampleSystem:
         diffusion=_const_diffusion(eye),
         label=f"brownian(d={d})",
         linear=LinearSpec(np.zeros((d, d)), eye),
-        constant_diffusion=eye,
     )
     limit = LimitOdeProblem(
         dim_state=d, dim_control=d,
@@ -122,7 +121,6 @@ def _make_iterated_kolmogorov(d: int = 2) -> ExampleSystem:
         diffusion=_const_diffusion(sig),
         label=f"iterated_kolmogorov(d={d})",
         linear=LinearSpec(a, sig),
-        constant_diffusion=sig,
     )
     limit = LimitOdeProblem(
         dim_state=d, dim_control=1,
@@ -166,7 +164,6 @@ def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
         diffusion=_const_diffusion(sig),
         label=f"shifted_kolmogorov(x0={tuple(x0)})",
         linear=LinearSpec(a, sig),
-        constant_diffusion=sig,
     )
     limit = LimitOdeProblem(
         dim_state=2, dim_control=1,
@@ -199,7 +196,6 @@ def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
             drift=limit.limit_drift,
             diffusion=limit.limit_diffusion,
             label=f"shifted_kolmogorov rescaled(eps={eps:g})",
-            constant_diffusion=sig,
         )
 
     return ExampleSystem(
@@ -229,7 +225,6 @@ def _make_quadratic() -> ExampleSystem:
         drift=_quadratic_drift,
         diffusion=_const_diffusion(sig),
         label="quadratic",
-        constant_diffusion=sig,
     )
 
     def limit_drift(y):
@@ -325,7 +320,6 @@ def _make_lorenz96() -> ExampleSystem:
         drift=_lorenz_drift,
         diffusion=_const_diffusion(sig),
         label="lorenz96(d=5)",
-        constant_diffusion=sig,
     )
     limit = LimitOdeProblem(
         dim_state=5, dim_control=2,

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .controls import (ControlGrid, LimitOdeProblem, _integrate,
-                       _node_states, _row_path, solve_control_ode)
-from .sde import DEATH, ExplosivePath, _expect_shape
+                       _node_states, _times, solve_control_ode)
+from .sde import DEATH, ExplosivePath, _expect_shape, _row_path
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +142,9 @@ def _functional_values(problem, functional, u_batch):
         widths, _, first_dead = _integrate(problem, u_batch, fold)
         vals = functional.running_value(acc)
     else:
-        result = _node_states(problem, u_batch)
-        widths, _, first_dead = result
-        vals = [functional.evaluate(_row_path(*result, b))
+        widths, states, first_dead = _node_states(problem, u_batch)
+        times = _times(widths)
+        vals = [functional.evaluate(_row_path(times, states, first_dead, b))
                 for b in range(u_batch.shape[0])]
     vals = np.asarray(vals, dtype=float)
     vals[first_dead <= len(widths)] = np.nan

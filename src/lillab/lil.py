@@ -14,8 +14,8 @@ Noise coupling across scales:
     path); reports say noise_coupling = "consistent".
   * nonlinear systems ("euler"): re-simulation per scale with nested seeds,
     which approximates but does not realize a single driving path; reports
-    say noise_coupling = "nested".  Each level steps all paths at once
-    through the batched Euler kernel sde.euler_batch.
+    say noise_coupling = "nested".  Each level steps its paths in batches
+    of bounded memory through the Euler kernel sde.euler_batch.
 """
 
 from __future__ import annotations
@@ -30,6 +30,13 @@ from .examples import ExampleSystem
 from .scaling import eval_index, rescale_path
 from .sde import (_philox, _row_path, brownian_path, equilibrated_cholesky,
                   euler_batch)
+
+
+# Row-nodes, rows x (n_steps + 1), per euler_batch call in _euler_values.
+# The kernel keeps states (d doubles) and increments (k doubles) for every
+# row-node of a chunk, so one level holds about (d + k) * 8 bytes times this
+# whatever n_paths and dt_rel are.
+_EULER_CHUNK_NODES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -220,29 +227,37 @@ def _euler_values(example, functional, js, eps, t_star, config,
                   path_range=None):
     """Re-simulate per scale with nested seeds and evaluate on the full path.
 
-    Each level is one euler_batch run over all rows of the slice. path_range
-    selects rows [lo, hi) of the value table; seeds depend on the absolute
-    path id, so slices computed separately agree with a full run.
+    Each level runs euler_batch over the rows of the slice, in chunks of at
+    most _EULER_CHUNK_NODES row-nodes. path_range selects rows [lo, hi) of
+    the value table; seeds depend on the absolute path id, so slices and
+    chunks computed separately agree with a full run.
     """
     lo, hi = path_range if path_range is not None else (0, config.n_paths)
     phi, psi = example.contraction, example.index
-    x0 = np.broadcast_to(phi.center, (hi - lo, example.sde.dim_state))
+    d, k = example.sde.dim_state, example.sde.dim_noise
     n_steps = max(1, int(round(t_star / config.dt_rel)))
+    chunk = max(1, _EULER_CHUNK_NODES // (n_steps + 1))
     values = np.full((hi - lo, len(eps)), np.nan)
     for level, j in enumerate(js):
         e = float(eps[level])
         horizon = e * t_star
         dt = horizon / n_steps
-        increments = np.stack([
-            brownian_path(config.seed, dt=dt, horizon=horizon,
-                          dim_noise=example.sde.dim_noise,
-                          path_index=(p << 20) | int(j)).increments
-            for p in range(lo, hi)])
-        states, first_dead = euler_batch(example.sde, x0, increments, dt)
-        for row in range(hi - lo):
-            path = _row_path(dt, states, first_dead, row)
-            values[row, level] = functional.evaluate(
-                rescale_path(path, phi, psi, e))
+        times = dt * np.arange(n_steps + 1)
+        for first in range(lo, hi, chunk):
+            rows = range(first, min(first + chunk, hi))
+            increments = np.empty((len(rows), n_steps, k))
+            for r, p in enumerate(rows):
+                increments[r] = brownian_path(
+                    config.seed, dt=dt, horizon=horizon, dim_noise=k,
+                    path_index=(p << 20) | int(j)).increments
+            states, first_dead = euler_batch(
+                example.sde, np.broadcast_to(phi.center, (len(rows), d)),
+                increments, dt)
+            for r, p in enumerate(rows):
+                path = _row_path(times, states, first_dead, r)
+                values[p - lo, level] = functional.evaluate(
+                    rescale_path(path, phi, psi, e))
+            del increments, states  # before the next chunk allocates its own
     return values
 
 

@@ -169,8 +169,8 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
     row by row, with alpha = psi(eps). The rescaled SDE is driven by
     sigma_eps / sqrt(loglog(1/eps)); see rescaled_sde_system. Only the
     diagonal kinds are accepted: the detrended family is time dependent and
-    has no autonomous coefficient transform. A constant_diffusion is scaled
-    along with diffusion, and a trivial domain stays trivial.
+    has no autonomous coefficient transform. A trivial domain stays trivial,
+    so the Euler kernel skips its per-row domain test.
     """
     if phi.kind == "affine_detrended":
         raise ValueError("transformed_coefficients requires a diagonal kind")
@@ -191,7 +191,6 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
     def domain(y):
         return system.domain_contains(pullback(y))
 
-    sig = system.constant_diffusion
     return SdeSystem(
         dim_state=system.dim_state,
         dim_noise=system.dim_noise,
@@ -201,9 +200,6 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
                          if system.domain_contains is trivial_domain
                          else domain),
         label=f"{system.label}|rescaled(eps={eps:g})",
-        # same operations as sigma_eps, so the bits agree
-        constant_diffusion=(None if sig is None
-                            else noise_gain * sig / alpha[:, None]),
     )
 
 
@@ -223,8 +219,6 @@ def rescaled_sde_system(system: SdeSystem, phi: ContractionFamily,
         diffusion=sigma,
         domain_contains=base.domain_contains,
         label=base.label + "|driven",
-        constant_diffusion=(None if base.constant_diffusion is None
-                            else damp * base.constant_diffusion),
     )
 
 

@@ -201,8 +201,7 @@ class SdeSystem:
     the result is not (B, d) or (B, d, k). domain_contains takes one state
     (d,) and returns True on the open set where the dynamics live. linear
     carries the affine representation when one exists (enables the exact
-    transition sampler). constant_diffusion (optional (d, k) array) stands in
-    for diffusion during Euler integration, as in LimitOdeProblem.
+    transition sampler).
     """
 
     dim_state: int
@@ -212,14 +211,6 @@ class SdeSystem:
     domain_contains: Callable[[np.ndarray], bool] = trivial_domain
     label: str = ""
     linear: Optional[LinearSpec] = None
-    constant_diffusion: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.constant_diffusion is not None:
-            sig = np.asarray(self.constant_diffusion, dtype=float)
-            if sig.shape != (self.dim_state, self.dim_noise):
-                raise ValueError("constant_diffusion shape must be (d, k)")
-            object.__setattr__(self, "constant_diffusion", sig)
 
 
 @dataclass(frozen=True)
@@ -397,8 +388,7 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
     (states (n + 1, B, d), first_dead (B,)). A row whose state leaves the
     domain or turns non-finite or beyond OVERFLOW_GUARD at node j has
     first_dead = j and keeps its last live state from there on; rows that
-    survive have first_dead = n + 1. With constant_diffusion set, sigma dB
-    comes from one matrix product and diffusion is not called per step.
+    survive have first_dead = n + 1.
 
     Raises ValueError for an x0 row that is not finite or not in the domain
     and, at the first step, for callbacks that return the wrong shape. When
@@ -423,24 +413,14 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
     states[0] = x
     first_dead = np.full(batch, n + 1)
     alive = np.ones(batch, dtype=bool)
-    sig = system.constant_diffusion
     with np.errstate(over="ignore", invalid="ignore"):
-        # sigma dB for every step up front, laid out (n, B, d)
-        sig_db = (None if sig is None
-                  else np.matmul(inc.transpose(1, 0, 2), sig.T))
         for i in range(n):
             b = np.asarray(system.drift(x), dtype=float)
+            s = np.asarray(system.diffusion(x), dtype=float)
             if i == 0:
                 _expect_shape("drift", b, x.shape)
-            if sig_db is None:
-                s = np.asarray(system.diffusion(x), dtype=float)
-                if i == 0:
-                    _expect_shape("diffusion", s,
-                                  x.shape + (system.dim_noise,))
-                db = np.einsum("bdk,bk->bd", s, inc[:, i])
-            else:
-                db = sig_db[i]
-            x_new = x + b * dt + db
+                _expect_shape("diffusion", s, x.shape + (system.dim_noise,))
+            x_new = x + b * dt + np.einsum("bdk,bk->bd", s, inc[:, i])
             # max propagates nan, and nan or inf fail the comparison
             ok = np.abs(x_new).max(axis=1) <= OVERFLOW_GUARD
             ok &= alive
@@ -471,18 +451,19 @@ def _check_row_coefficients(system: SdeSystem, state: np.ndarray, step: int):
                  "diffusion", state, step)
 
 
-def _row_path(dt: float, states: np.ndarray, first_dead: np.ndarray,
+def _row_path(times: np.ndarray, states: np.ndarray, first_dead: np.ndarray,
               row: int) -> ExplosivePath:
-    """Row `row` of a euler_batch result as an ExplosivePath (nan from death).
+    """Row `row` of a batched integration as an ExplosivePath on `times`.
 
-    The path views the row in place: its nodes from first_dead on are
-    overwritten with nan in `states` itself.
+    states (n + 1, B, d) and first_dead (B,) come from euler_batch or the
+    control-ODE integrator; the row is copied and set to nan from its
+    first_dead node on.
     """
     end = int(first_dead[row])
-    x = states[:, row]
+    x = states[:, row].copy()
     x[end:] = np.nan
-    return ExplosivePath(times=dt * np.arange(len(x)), states=x,
-                         explosion_index=end if end < len(x) else None)
+    return ExplosivePath(times=times, states=x,
+                         explosion_index=end if end < len(times) else None)
 
 
 def simulate_sde(system: SdeSystem, x0, noise: NoisePath, scheme: str = "euler",
@@ -523,14 +504,14 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath, scheme: str = "euler",
         raise ValueError("horizon exceeds the noise horizon")
 
     dt = noise.dt
+    times = dt * np.arange(n + 1)
     if scheme == "euler":
         if noise.dim_noise != system.dim_noise:
             raise ValueError("noise dimension does not match system.dim_noise")
         states, first_dead = euler_batch(system, x0[None],
                                          noise.increments[None, :n], dt)
-        return _row_path(dt, states, first_dead, 0)
+        return _row_path(times, states, first_dead, 0)
 
-    times = dt * np.arange(n + 1)
     states = np.full((n + 1, system.dim_state), np.nan)
     states[0] = x0
     explosion = None

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lillab import lil
 from lillab.examples import get_example
 from lillab.lil import (LilExperimentConfig, LilReport, run_lil_experiment,
                         running_extremes)
@@ -121,15 +123,20 @@ def test_euler_workers_parity():
     assert one.to_csv_string() == two.to_csv_string()
 
 
-def test_euler_table_matches_per_path_simulation():
-    # each level runs all paths as one batch; the table must equal, bit for
-    # bit, one simulate_sde per (path, level) on the same nested streams
+@pytest.mark.parametrize("rows_per_chunk", [None, 1, 2])
+def test_euler_table_matches_per_path_simulation(rows_per_chunk, monkeypatch):
+    # each level runs its paths in batches (all 3 at once, or chunks of 1 or
+    # 2 rows); the table must equal, bit for bit, one simulate_sde per
+    # (path, level) on the same nested streams
     quad = get_example("quadratic")
     phi, psi = quad.contraction, quad.index
     config = LilExperimentConfig(j_min=0, j_max=4, n_paths=3, scheme="euler")
-    report = run_lil_experiment(quad, "J2", config)
     t_star = quad.limit_problem.t_star
     n_steps = max(1, round(t_star / config.dt_rel))
+    if rows_per_chunk is not None:
+        monkeypatch.setattr(lil, "_EULER_CHUNK_NODES",
+                            rows_per_chunk * (n_steps + 1))
+    report = run_lil_experiment(quad, "J2", config)
     expected = np.empty((config.n_paths, 5))
     for p in range(config.n_paths):
         for level, (j, eps) in enumerate(zip(config.j_grid(),
@@ -142,6 +149,23 @@ def test_euler_table_matches_per_path_simulation():
             expected[p, level] = quad.functionals["J2"].evaluate(
                 rescale_path(path, phi, psi, float(eps)))
     assert np.array_equal(report.values, expected)
+
+
+def test_euler_memory_does_not_grow_with_paths(monkeypatch):
+    # chunks of 4 rows: the kernel's states for all 64 paths of the level
+    # (64 x 1001 nodes x 2 doubles, 1 MB) are never held at once
+    quad = get_example("quadratic")
+    config = LilExperimentConfig(j_min=0, j_max=0, n_paths=64,
+                                 scheme="euler", dt_rel=1e-3)
+    n_steps = max(1, round(quad.limit_problem.t_star / config.dt_rel))
+    monkeypatch.setattr(lil, "_EULER_CHUNK_NODES", 4 * (n_steps + 1))
+    tracemalloc.start()
+    try:
+        run_lil_experiment(quad, "J2", config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_euler_and_exact_statistics_agree():

@@ -178,19 +178,7 @@ def test_euler_batch_rows_equal_single_runs(case):
         assert path.explosion_index == explosion
 
 
-@SETTINGS
-@given(euler_cases)
-def test_constant_diffusion_gives_the_same_bits(case):
-    system, x0, inc = _draw_euler(case)
-    assert system.constant_diffusion is not None
-    fast = euler_batch(system, x0, inc, case["dt"])
-    slow = euler_batch(replace(system, constant_diffusion=None), x0, inc,
-                       case["dt"])
-    assert np.array_equal(fast[0], slow[0])
-    assert np.array_equal(fast[1], slow[1])
-
-
-def _partly_singular(which, constant):
+def _partly_singular(which):
     # finite coefficients for x1 <= 1, nan beyond; drift -x/2, noise (1, 1/2)
     sig = np.array([[1.0], [0.5]])
 
@@ -206,15 +194,13 @@ def _partly_singular(which, constant):
             out = np.where(x[..., :1, None] > 1.0, np.nan, out)
         return out
 
-    return SdeSystem(2, 1, drift, diffusion,
-                     constant_diffusion=sig if constant else None)
+    return SdeSystem(2, 1, drift, diffusion)
 
 
 @SETTINGS
-@given(euler_cases, st.sampled_from(["drift", "diffusion"]), st.booleans())
-def test_numerical_failure_matches_single_runs(case, which, constant):
-    constant = constant and which == "drift"
-    system = _partly_singular(which, constant)
+@given(euler_cases, st.sampled_from(["drift", "diffusion"]))
+def test_numerical_failure_matches_single_runs(case, which):
+    system = _partly_singular(which)
     inc = _increments(case, 1)
     x0 = np.zeros((len(inc), 2))
     dt = case["dt"]

@@ -209,7 +209,7 @@ def test_euler_batch_checks_callback_shapes():
     x0 = np.zeros((3, 2))
     inc = np.zeros((3, 4, 1))
     flat_drift = SdeSystem(2, 1, drift=lambda x: np.zeros(2),
-                           diffusion=lambda x: sig, constant_diffusion=sig)
+                           diffusion=lambda x: sig)
     with pytest.raises(ValueError, match=r"drift .*expected \(3, 2\)"):
         euler_batch(flat_drift, x0, inc, 0.1)
     flat_sigma = SdeSystem(2, 1, drift=lambda x: np.zeros_like(x),
@@ -217,12 +217,6 @@ def test_euler_batch_checks_callback_shapes():
     with pytest.raises(ValueError,
                        match=r"diffusion .*expected \(3, 2, 1\)"):
         euler_batch(flat_sigma, x0, inc, 0.1)
-
-
-def test_constant_diffusion_shape_is_checked():
-    with pytest.raises(ValueError, match="constant_diffusion"):
-        SdeSystem(2, 1, drift=lambda x: x, diffusion=lambda x: x,
-                  constant_diffusion=np.ones((2, 2)))
 
 
 def test_euler_batch_freezes_dead_rows():
