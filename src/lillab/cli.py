@@ -125,7 +125,6 @@ _SPECS = {
         "paths": (int, 2000, "Monte Carlo sample paths"),
         "scheme": (str, "exact_linear", "exact_linear | euler"),
         "dt_rel": (float, 1e-2, "per-scale step relative to eps_j (euler)"),
-        "workers": (int, 1, "process pool size for euler paths"),
     },
     "regularity": {
         **_COMMON,
@@ -384,8 +383,7 @@ def _run_lil(opts: dict):
             eps0=opts["eps0"], n_paths=opts["paths"], scheme=opts["scheme"],
             seed=opts["seed"], dt_rel=opts["dt_rel"],
         )
-        report = run_lil_experiment(example, opts["functional"], config,
-                                    workers=opts["workers"])
+        report = run_lil_experiment(example, opts["functional"], config)
     except ValueError as err:
         raise CliError(str(err), EXIT_CONFIG)
     summary = report.to_json_dict()

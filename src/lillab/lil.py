@@ -7,15 +7,10 @@ constants is loglog slow, so reports carry bracket statistics calibrated by
 pilot runs instead of tight targets; see the acceptance tests for the
 registered brackets.
 
-Noise coupling across scales:
-  * linear systems ("exact_linear"): one Gaussian path per sample, evaluated
-    exactly at every needed time by conditional refinement from the coarsest
-    scale down (the value table is a genuine function of a single driving
-    path); reports say noise_coupling = "consistent".
-  * nonlinear systems ("euler"): re-simulation per scale with nested seeds,
-    which approximates but does not realize a single driving path; reports
-    say noise_coupling = "nested".  Each level steps its paths in batches
-    of bounded memory through the Euler kernel sde.euler_batch.
+Noise coupling across scales (noise_coupling = "consistent"): each row is
+one driving path seen at every scale, refined coarse to fine.  Linear systems
+("exact_linear") refine the state by its Gaussian bridge law; "euler" refines
+the Brownian path onto every level grid and steps it with sde.euler_batch.
 """
 
 from __future__ import annotations
@@ -28,14 +23,13 @@ import numpy as np
 
 from .examples import ExampleSystem
 from .scaling import eval_index, rescale_path
-from .sde import (_philox, _row_path, brownian_path, equilibrated_cholesky,
-                  euler_batch)
+from .sde import _philox, _row_path, equilibrated_cholesky, euler_batch
 
 
-# Row-nodes, rows x (n_steps + 1), per euler_batch call in _euler_values.
-# The kernel keeps states (d doubles) and increments (k doubles) for every
-# row-node of a chunk, so one level holds about (d + k) * 8 bytes times this
-# whatever n_paths and dt_rel are.
+# Row-nodes per chunk of rows in _euler_values.  A row counts n_steps + 1
+# kernel nodes (states, W, increments: d + 2k doubles) and n_steps / (1 - c)
+# + 3 bridge nodes, the most merged times a level can have (W, known W and a
+# temporary: 3k doubles), so a level's memory does not grow with n_paths.
 _EULER_CHUNK_NODES = 1 << 20
 
 
@@ -223,67 +217,86 @@ def _exact_values(example, functional, js, eps, t_star, config):
     return values
 
 
-def _euler_values(example, functional, js, eps, t_star, config,
-                  path_range=None):
-    """Re-simulate per scale with nested seeds and evaluate on the full path.
+def _bridged_brownian(seed, rows, js, grids, k):
+    """Yield W (n + 1, len(rows), k) on each level's grid, coarse first.
 
-    Each level runs euler_batch over the rows of the slice, in chunks of at
-    most _EULER_CHUNK_NODES row-nodes. path_range selects rows [lo, hi) of
-    the value table; seeds depend on the absolute path id, so slices and
-    chunks computed separately agree with a full run.
+    W starts known at time 0.  Each level merges its grid into the known
+    times (a time within 1e-9 steps of a known one is that one; grids need
+    not nest), draws free Brownian motion B there and adds the linear
+    interpolation of W - B between known times, pinning B at both ends of
+    each known interval (Levy-Ciesielski); it keeps the times up to the next
+    horizon (0 after the last level) and the first beyond.  Row p draws
+    level j from Philox stream (p << 20) | j: chunks agree with a full run.
     """
-    lo, hi = path_range if path_range is not None else (0, config.n_paths)
+    known_t, known_w = np.zeros(1), np.zeros((1, len(rows), k))
+    for j, times, nxt in zip(js, grids, grids[1:] + [grids[0][:1]]):
+        at = np.interp(times, known_t, np.arange(len(known_t)))
+        near = known_t[np.rint(at).astype(int)]
+        times = np.where(abs(times - near) <= 1e-9 * times[1], near, times)
+        merged = np.union1d(known_t, times)
+        w = np.zeros((len(merged), len(rows), k))
+        for r, p in enumerate(rows):
+            w[1:, r] = _philox(seed, (p << 20) | int(j)).standard_normal(
+                (len(merged) - 1, k))
+        w[1:] *= np.sqrt(np.diff(merged))[:, None, None]
+        np.cumsum(w, axis=0, out=w)
+        at_known = np.searchsorted(merged, known_t)
+        offset = known_w - w[at_known]
+        at = np.interp(merged, known_t, np.arange(len(known_t)))
+        left = at.astype(int)
+        w += offset[left]
+        offset = np.diff(offset, axis=0, append=offset[-1:])[left]
+        w += offset * (at - left)[:, None, None]
+        w[at_known] = known_w
+        keep = np.searchsorted(merged, nxt[-1]) + 1
+        known_t, known_w = merged[:keep], w[:keep].copy()
+        # hold no merged-grid array while the caller steps the kernel
+        w, offset = w[np.searchsorted(merged, times)], None
+        yield w
+
+
+def _euler_values(example, functional, js, eps, t_star, config):
+    """Euler values at every level, each row driven by one Brownian path.
+
+    Chunks of rows under the _EULER_CHUNK_NODES budget run their levels coarse
+    to fine, each one euler_batch on its increments from _bridged_brownian.
+    """
     phi, psi = example.contraction, example.index
     d, k = example.sde.dim_state, example.sde.dim_noise
     n_steps = max(1, int(round(t_star / config.dt_rel)))
-    chunk = max(1, _EULER_CHUNK_NODES // (n_steps + 1))
-    values = np.full((hi - lo, len(eps)), np.nan)
-    for level, j in enumerate(js):
-        e = float(eps[level])
-        horizon = e * t_star
-        dt = horizon / n_steps
-        times = dt * np.arange(n_steps + 1)
-        for first in range(lo, hi, chunk):
-            rows = range(first, min(first + chunk, hi))
-            increments = np.empty((len(rows), n_steps, k))
-            for r, p in enumerate(rows):
-                increments[r] = brownian_path(
-                    config.seed, dt=dt, horizon=horizon, dim_noise=k,
-                    path_index=(p << 20) | int(j)).increments
-            states, first_dead = euler_batch(
-                example.sde, np.broadcast_to(phi.center, (len(rows), d)),
-                increments, dt)
+    grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
+             for e in eps]
+    row_nodes = n_steps + 1 + int(n_steps / (1.0 - config.c)) + 3
+    chunk = max(1, _EULER_CHUNK_NODES // row_nodes)
+    values = np.full((config.n_paths, len(eps)), np.nan)
+    for first in range(0, config.n_paths, chunk):
+        rows = range(first, min(first + chunk, config.n_paths))
+        x0 = np.broadcast_to(phi.center, (len(rows), d))
+        levels = _bridged_brownian(config.seed, rows, js, grids, k)
+        for level, times in enumerate(grids):
+            w = next(levels)  # not zip: its reused tuple would keep the last w
+            states, first_dead = euler_batch(example.sde, x0, np.diff(
+                w, axis=0).transpose(1, 0, 2), times[1])
             for r, p in enumerate(rows):
                 path = _row_path(times, states, first_dead, r)
-                values[p - lo, level] = functional.evaluate(
-                    rescale_path(path, phi, psi, e))
-            del increments, states  # before the next chunk allocates its own
+                values[p, level] = functional.evaluate(
+                    rescale_path(path, phi, psi, float(eps[level])))
+            del w, states  # before the next level allocates its own
     return values
 
 
-def _euler_rows(args):
-    """Worker entry: rebuild the example in-process and fill a row slice."""
-    name, params, functional_name, cfg_kwargs, lo, hi = args
-    from .examples import get_example
-    example = get_example(name, **params)
-    config = LilExperimentConfig(**cfg_kwargs)
-    functional = example.functionals[functional_name]
-    return _euler_values(example, functional, config.j_grid(),
-                         config.eps_grid(), example.limit_problem.t_star,
-                         config, path_range=(lo, hi))
-
-
 def run_lil_experiment(example: ExampleSystem, functional_name: str,
-                       config: Optional[LilExperimentConfig] = None,
-                       workers: int = 1) -> LilReport:
+                       config: Optional[LilExperimentConfig] = None
+                       ) -> LilReport:
     """Run the grid experiment and collect running extremes per path.
 
-    Deterministic given (config, seed), including under workers > 1: paths
-    are independent under the euler scheme and carry absolute seeds, so a
-    sliced run merges to the single-process table bit for bit.  The
-    exact_linear scheme is level-batched across all paths already and
-    ignores workers.  Explosions enter the table as nan and only flag the
-    report when their fraction exceeds the configured threshold.
+    Deterministic given (config, seed).  Each row is one driving path seen at
+    every scale: the exact_linear scheme refines the Gaussian state and the
+    euler scheme the Brownian path, both coarse to fine, so the running
+    extremes are pathwise limsup/liminf estimates.  A table at a smaller
+    j_max is a prefix of the deeper one.  Explosions enter the table as nan
+    and only flag the report when their fraction exceeds the configured
+    threshold.
     """
     config = config or LilExperimentConfig()
     if functional_name not in example.functionals:
@@ -308,20 +321,8 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
                 "exact_linear sampling evaluates terminal functionals only; "
                 "use scheme='euler' for path functionals")
         values = _exact_values(example, functional, js, eps, t_star, config)
-        coupling = "consistent"
-    elif workers > 1 and config.n_paths > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        n_chunks = min(workers, config.n_paths)
-        edges = np.linspace(0, config.n_paths, n_chunks + 1).astype(int)
-        jobs = [(example.name, example.params, functional_name,
-                 asdict(config), int(edges[i]), int(edges[i + 1]))
-                for i in range(n_chunks) if edges[i] < edges[i + 1]]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = np.vstack(list(pool.map(_euler_rows, jobs)))
-        coupling = "nested"
     else:
         values = _euler_values(example, functional, js, eps, t_star, config)
-        coupling = "nested"
 
     running_max = np.fmax.accumulate(values, axis=1)
     running_min = np.fmin.accumulate(values, axis=1)
@@ -363,7 +364,7 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
         explosion_count=explosion_count,
         explosion_fraction=explosion_fraction,
         flagged=explosion_fraction > config.explosion_flag_threshold,
-        noise_coupling=coupling,
+        noise_coupling="consistent",
         reference=reference,
         soft_flags=tuple(soft),
     )

@@ -9,7 +9,7 @@ from lillab.examples import get_example
 from lillab.lil import (LilExperimentConfig, LilReport, run_lil_experiment,
                         running_extremes)
 from lillab.scaling import rescale_path
-from lillab.sde import brownian_path, simulate_sde
+from lillab.sde import NoisePath, brownian_path, euler_batch, simulate_sde
 
 SMALL = dict(j_min=0, j_max=6, n_paths=200)
 
@@ -76,18 +76,29 @@ def test_exact_levels_match_transition_kernel():
         assert got == pytest.approx(want, rel=0.08)
 
 
-def test_adjacent_levels_positively_coupled():
-    # consistent coupling: the same Brownian path at nested scales, so
-    # adjacent-level values correlate strongly
+@pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
+def test_adjacent_levels_positively_coupled(scheme):
+    # consistent coupling: one Brownian path observed at every scale, so
+    # adjacent-level values correlate strongly under both schemes
     ik = get_example("iterated_kolmogorov", d=2)
     report = run_lil_experiment(ik, "J1",
                                 LilExperimentConfig(j_min=0, j_max=4,
-                                                    n_paths=2000))
+                                                    n_paths=2000,
+                                                    scheme=scheme))
     assert report.noise_coupling == "consistent"
     for level in range(4):
         r = np.corrcoef(report.values[:, level],
                         report.values[:, level + 1])[0, 1]
         assert r > 0.5
+
+
+@pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
+def test_shallow_levels_do_not_depend_on_depth(scheme):
+    ik = get_example("iterated_kolmogorov", d=2)
+    shallow, deep = (run_lil_experiment(
+        ik, "J1", LilExperimentConfig(j_max=j_max, n_paths=50, scheme=scheme))
+        for j_max in (4, 6))
+    assert np.array_equal(shallow.values, deep.values[:, :5])
 
 
 def test_trivial_single_level_single_path():
@@ -113,41 +124,36 @@ def test_unknown_functional():
         run_lil_experiment(br, "J7", LilExperimentConfig(**SMALL))
 
 
-def test_euler_workers_parity():
-    quad = get_example("quadratic")
-    config = LilExperimentConfig(j_min=0, j_max=2, n_paths=60,
-                                 scheme="euler", dt_rel=1e-2)
-    one = run_lil_experiment(quad, "J2", config, workers=1)
-    two = run_lil_experiment(quad, "J2", config, workers=2)
-    assert np.array_equal(one.values, two.values)
-    assert one.to_csv_string() == two.to_csv_string()
-
-
 @pytest.mark.parametrize("rows_per_chunk", [None, 1, 2])
 def test_euler_table_matches_per_path_simulation(rows_per_chunk, monkeypatch):
     # each level runs its paths in batches (all 3 at once, or chunks of 1 or
     # 2 rows); the table must equal, bit for bit, one simulate_sde per
-    # (path, level) on the same nested streams
+    # (path, level) on that level's increments of the path's bridged W
     quad = get_example("quadratic")
     phi, psi = quad.contraction, quad.index
     config = LilExperimentConfig(j_min=0, j_max=4, n_paths=3, scheme="euler")
     t_star = quad.limit_problem.t_star
     n_steps = max(1, round(t_star / config.dt_rel))
+    batches = []
+    monkeypatch.setattr(lil, "euler_batch", lambda sde, x0, inc, dt: (
+        batches.append(len(x0)) or euler_batch(sde, x0, inc, dt)))
     if rows_per_chunk is not None:
+        row_nodes = n_steps + 1 + int(n_steps / (1.0 - config.c)) + 3
         monkeypatch.setattr(lil, "_EULER_CHUNK_NODES",
-                            rows_per_chunk * (n_steps + 1))
+                            rows_per_chunk * row_nodes)
     report = run_lil_experiment(quad, "J2", config)
+    assert max(batches) == (rows_per_chunk or config.n_paths)
+    grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
+             for e in config.eps_grid()]
     expected = np.empty((config.n_paths, 5))
     for p in range(config.n_paths):
-        for level, (j, eps) in enumerate(zip(config.j_grid(),
-                                             config.eps_grid())):
-            horizon = float(eps) * t_star
-            noise = brownian_path(config.seed, dt=horizon / n_steps,
-                                  horizon=horizon, dim_noise=1,
-                                  path_index=(p << 20) | int(j))
+        levels = lil._bridged_brownian(config.seed, [p], config.j_grid(),
+                                       grids, 1)
+        for level, (times, w) in enumerate(zip(grids, levels)):
+            noise = NoisePath(config.seed, times[1], np.diff(w[:, 0], axis=0))
             path = simulate_sde(quad.sde, phi.center, noise)
-            expected[p, level] = quad.functionals["J2"].evaluate(
-                rescale_path(path, phi, psi, float(eps)))
+            expected[p, level] = quad.functionals["J2"].evaluate(rescale_path(
+                path, phi, psi, float(config.eps_grid()[level])))
     assert np.array_equal(report.values, expected)
 
 

@@ -6,7 +6,9 @@ of controls. The batched Euler kernel euler_batch is the only SDE Euler
 loop: simulate_sde is its one-row case and lil-verify runs it on all paths
 of a level; a per-step single-row loop is kept here as its reference. Rows
 of a batch must not influence each other, and on the iterated Kolmogorov
-chain RK4 is exact for piecewise-constant controls.
+chain RK4 is exact for piecewise-constant controls. The Euler LIL scheme
+refines one Brownian path per row onto every level grid; each level must see
+the same path, with Brownian increments.
 """
 
 from dataclasses import replace
@@ -20,6 +22,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from lillab.controls import (ControlGrid, _integrate, _node_states,  # noqa: E402
                              solve_control_ode)
 from lillab.examples import get_example, list_examples  # noqa: E402
+from lillab.lil import _bridged_brownian  # noqa: E402
 from lillab.sde import (NoisePath, NumericalFailure, SdeSystem,  # noqa: E402
                         euler_batch, simulate_sde, state_alive)
 
@@ -222,3 +225,44 @@ def test_numerical_failure_matches_single_runs(case, which):
     assert info.value.step == step
     assert np.array_equal(info.value.state, expected.state)
     assert str(info.value) == str(expected)
+
+
+# ---------------------------------------------------------------------------
+# Bridge refinement: W on the grids eps_j * [0, 1] of n steps, eps_j = c^j.
+# Grids nest for c = 1/2 only; c = 0.6 and 0.75 share some times, a generic
+# c shares only 0.
+
+def _bridge_levels(c, n, k, rows, n_levels=6):
+    grids = [(c ** j / n) * np.arange(n + 1) for j in range(n_levels)]
+    return grids, list(_bridged_brownian(5, rows, np.arange(n_levels),
+                                         grids, k))
+
+
+@SETTINGS
+@given(st.one_of(st.sampled_from([0.5, 0.6, 0.75]), st.floats(0.1, 0.9)),
+       st.integers(1, 64), st.sampled_from([1, 2]))
+def test_bridge_levels_see_one_path(c, n, k):
+    grids, ws = _bridge_levels(c, n, k, range(3))
+    for a, (times, w) in enumerate(zip(grids, ws)):
+        assert w.shape == (n + 1, 3, k)
+        assert np.all(w[0] == 0.0)
+        assert np.allclose(np.diff(w, axis=0).sum(axis=0), w[-1],
+                           rtol=0.0, atol=1e-12)
+        for b in range(a + 1, len(grids)):
+            shared = np.abs(times[:, None] - grids[b][None, :]) \
+                <= 1e-9 * grids[b][1]
+            at_a, at_b = np.nonzero(shared)
+            assert np.array_equal(w[at_a], ws[b][at_b])
+
+
+def test_bridge_increments_are_brownian():
+    # c = 0.7: the grids do not nest, so most times are bridged from both
+    # sides. Increment variance is dt_j at every step, and the ends of
+    # adjacent levels covary as W(h_j) W(h_j+1) does, E = h_j+1.
+    grids, ws = _bridge_levels(0.7, 8, 2, range(4000))
+    for times, w in zip(grids, ws):
+        var = np.diff(w, axis=0).var(axis=1)
+        assert np.allclose(var / times[1], 1.0, rtol=0.0, atol=0.1)
+    for a in range(len(grids) - 1):
+        cov = np.mean(ws[a][-1] * ws[a + 1][-1], axis=0)
+        assert np.allclose(cov / grids[a + 1][-1], 1.0, rtol=0.0, atol=0.1)
