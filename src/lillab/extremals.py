@@ -16,19 +16,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
 
 from .controls import (ControlGrid, LimitOdeProblem, _integrate,
                        _node_states, _times, solve_control_ode)
-from .sde import DEATH, ExplosivePath, _expect_shape, _row_path
+from .sde import ExplosivePath, _expect_shape, _row_path
 
 
 # ---------------------------------------------------------------------------
 # Path functionals
 
-class TerminalLinearFunctional:
+def node_values(functional, nodes: np.ndarray) -> np.ndarray:
+    """Values on node states (n, B, d): terminal_value of the last node, or
+    accumulate folded over all nodes, then running_value. No death mask."""
+    if hasattr(functional, "terminal_value"):
+        return functional.terminal_value(nodes[-1])
+    return functional.running_value(reduce(functional.accumulate, nodes, None))
+
+
+class _NodeFunctional:
+    def evaluate(self, path: ExplosivePath) -> float:
+        """One-row case of node_values; nan once the path has exploded."""
+        if path.explosion_index is not None:
+            return math.nan
+        return float(node_values(self, path.states[:, None])[0])
+
+
+class TerminalLinearFunctional(_NodeFunctional):
     """F(g) = weights . g(t_end) + offset (linear in the terminal state)."""
 
     def __init__(self, weights, offset: float = 0.0, label: str = ""):
@@ -36,31 +53,20 @@ class TerminalLinearFunctional:
         self.offset = float(offset)
         self.label = label
 
-    def evaluate(self, path: ExplosivePath) -> float:
-        g = path.state_at(path.horizon)
-        if g is DEATH:
-            return math.nan
-        return float(self.weights @ g) + self.offset
-
     def terminal_value(self, terminal: np.ndarray) -> np.ndarray:
-        return terminal @ self.weights + self.offset
+        # a row sum, not a matmul: gemv rounds a row by the batch around it
+        return np.sum(terminal * self.weights, axis=-1) + self.offset
 
     def terminal_gradient(self, terminal: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.weights, terminal.shape).copy()
 
 
-class QuadraticMissFunctional:
+class QuadraticMissFunctional(_NodeFunctional):
     """F(g) = |g(t_end) - target|^2, for reachability searches."""
 
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
         self.label = "terminal_miss_sq"
-
-    def evaluate(self, path: ExplosivePath) -> float:
-        g = path.state_at(path.horizon)
-        if g is DEATH:
-            return math.nan
-        return float(np.sum((g - self.target) ** 2))
 
     def terminal_value(self, terminal: np.ndarray) -> np.ndarray:
         return np.sum((terminal - self.target) ** 2, axis=-1)
@@ -69,18 +75,12 @@ class QuadraticMissFunctional:
         return 2.0 * (terminal - self.target)
 
 
-class RunningMaxAbsFunctional:
+class RunningMaxAbsFunctional(_NodeFunctional):
     """F(g) = max_t |g_coord(t)| over the grid (no terminal gradient)."""
 
     def __init__(self, coord: int = 0):
         self.coord = int(coord)
         self.label = f"running_max_abs_x{self.coord + 1}"
-
-    def evaluate(self, path: ExplosivePath) -> float:
-        times, states = path.alive_slice()
-        if path.explosion_index is not None:
-            return math.nan
-        return float(np.max(np.abs(states[:, self.coord])))
 
     def accumulate(self, acc, states_node):
         cur = np.abs(states_node[:, self.coord])

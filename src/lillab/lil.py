@@ -1,11 +1,11 @@
 """Monte Carlo check of the iterated-logarithm envelope on a geometric grid.
 
-Each sampled driving path is evaluated at scales eps_j = eps0 * c^j, the
-rescaled path is fed to a registered functional, and per-path running
-extremes track the empirical limsup/liminf.  Convergence to the extremal
-constants is loglog slow, so reports carry bracket statistics calibrated by
-pilot runs instead of tight targets; see the acceptance tests for the
-registered brackets.
+Each sampled driving path is observed at scales eps_j = eps0 * c^j; a
+registered functional is evaluated on the rescaled states of a whole level
+at once (scaling.rescale_states, extremals.node_values), and per-path
+running extremes track the empirical limsup/liminf.  Convergence to the
+extremal constants is loglog slow, so reports carry bracket statistics
+calibrated by pilot runs; see the acceptance tests for the brackets.
 
 Noise coupling across scales (noise_coupling = "consistent"): each row is
 one driving path seen at every scale, refined coarse to fine.  Linear systems
@@ -22,14 +22,16 @@ from typing import Optional
 import numpy as np
 
 from .examples import ExampleSystem
-from .scaling import eval_index, rescale_path
-from .sde import _philox, _row_path, equilibrated_cholesky, euler_batch
+from .extremals import node_values
+from .scaling import eval_index, rescale_states
+from .sde import _philox, equilibrated_cholesky, euler_batch
 
 
 # Row-nodes per chunk of rows in _euler_values.  A row counts n_steps + 1
-# kernel nodes (states, W, increments: d + 2k doubles) and n_steps / (1 - c)
-# + 3 bridge nodes, the most merged times a level can have (W, known W and a
-# temporary: 3k doubles), so a level's memory does not grow with n_paths.
+# kernel nodes (states, W, increments, and for a running functional its
+# rescaled states: up to 2d + 2k doubles) and n_steps / (1 - c) + 3 bridge
+# nodes, the most merged times a level can have (W, known W and a temporary:
+# 3k doubles), so a level's memory does not grow with n_paths.
 _EULER_CHUNK_NODES = 1 << 20
 
 
@@ -160,14 +162,6 @@ def running_extremes(values):
     return np.maximum.accumulate(values), np.minimum.accumulate(values)
 
 
-def _terminal_rescale(phi, alpha, eps, t_star, x_batch):
-    # Spatial action of the contraction at rescaled time t_star; the trend
-    # terms vanish for the diagonal kinds (drift_vector is zero there).
-    base = phi.center + t_star * phi.drift_vector
-    inner = x_batch - phi.center - (eps * t_star) * phi.drift_vector
-    return base + inner / alpha
-
-
 def _exact_values(example, functional, js, eps, t_star, config):
     """Evaluate a terminal functional at every scale from one Gaussian path.
 
@@ -211,7 +205,7 @@ def _exact_values(example, functional, js, eps, t_star, config):
         mean = spec.propagator(t) @ x0 + spec.drift_integral(t)
         x = mean[None, :] + g_hat * d_s[None, :]
         alpha = eval_index(example.index, float(eps[level]))
-        y = _terminal_rescale(phi, alpha, float(eps[level]), t_star, x)
+        y = rescale_states(phi, alpha, float(eps[level]), t_star, x)
         values[:, level] = functional.terminal_value(y)
         d_prev, r_prev, t_prev = d_s, r_s, t
     return values
@@ -259,7 +253,8 @@ def _euler_values(example, functional, js, eps, t_star, config):
     """Euler values at every level, each row driven by one Brownian path.
 
     Chunks of rows under the _EULER_CHUNK_NODES budget run their levels coarse
-    to fine, each one euler_batch on its increments from _bridged_brownian.
+    to fine: one euler_batch on increments from _bridged_brownian, then one
+    node_values on the rescaled nodes (terminal: the last only); dead rows nan.
     """
     phi, psi = example.contraction, example.index
     d, k = example.sde.dim_state, example.sde.dim_noise
@@ -268,20 +263,21 @@ def _euler_values(example, functional, js, eps, t_star, config):
              for e in eps]
     row_nodes = n_steps + 1 + int(n_steps / (1.0 - config.c)) + 3
     chunk = max(1, _EULER_CHUNK_NODES // row_nodes)
+    last = -1 if hasattr(functional, "terminal_value") else 0
     values = np.full((config.n_paths, len(eps)), np.nan)
     for first in range(0, config.n_paths, chunk):
         rows = range(first, min(first + chunk, config.n_paths))
         x0 = np.broadcast_to(phi.center, (len(rows), d))
         levels = _bridged_brownian(config.seed, rows, js, grids, k)
-        for level, times in enumerate(grids):
+        for level, (times, e) in enumerate(zip(grids, eps)):
             w = next(levels)  # not zip: its reused tuple would keep the last w
             states, first_dead = euler_batch(example.sde, x0, np.diff(
                 w, axis=0).transpose(1, 0, 2), times[1])
-            for r, p in enumerate(rows):
-                path = _row_path(times, states, first_dead, r)
-                values[p, level] = functional.evaluate(
-                    rescale_path(path, phi, psi, float(eps[level])))
-            del w, states  # before the next level allocates its own
+            y = rescale_states(phi, eval_index(psi, e), e, times[last:] / e,
+                               states[last:])
+            values[rows, level] = np.where(first_dead <= n_steps, np.nan,
+                                           node_values(functional, y))
+            del w, states, y  # before the next level allocates its own
     return values
 
 
@@ -312,14 +308,13 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     eval_index(example.index, float(eps[-1]))
     t_star = example.limit_problem.t_star
 
+    kinds = ["terminal_value"] + ["accumulate"] * (config.scheme == "euler")
+    if not any(hasattr(functional, kind) for kind in kinds):
+        raise ValueError(f"scheme {config.scheme} needs {' or '.join(kinds)}")
     if config.scheme == "exact_linear":
         if example.sde.linear is None:
             raise ValueError(
                 "exact_linear scheme needs a linear SDE representation")
-        if not hasattr(functional, "terminal_value"):
-            raise ValueError(
-                "exact_linear sampling evaluates terminal functionals only; "
-                "use scheme='euler' for path functionals")
         values = _exact_values(example, functional, js, eps, t_star, config)
     else:
         values = _euler_values(example, functional, js, eps, t_star, config)

@@ -137,20 +137,29 @@ class ContractionFamily:
         return self.center + (y - self.center) * alpha
 
 
+def rescale_states(phi: ContractionFamily, alpha, eps: float, t, x):
+    """States x at time eps * t mapped by Phi_alpha to rescaled time t.
+
+    t broadcasts over the leading axes of x. The trend center + t * v of the
+    affine_detrended kind is removed at scale eps and restored at scale 1.
+    """
+    t = np.reshape(t, np.shape(t) + (1,) * (np.ndim(x) - np.ndim(t)))
+    base = phi.center + t * phi.drift_vector
+    inner = x - phi.center - (eps * t) * phi.drift_vector
+    return base + inner / alpha
+
+
 def rescale_path(path: ExplosivePath, phi: ContractionFamily,
                  psi: AsymptoticIndex, eps: float) -> ExplosivePath:
     """Map x on [0, horizon] to y_t = Phi_{psi(eps)}(x_{eps t}) on [0, horizon/eps].
 
-    For the affine_detrended kind the deterministic trend center + t * v is
-    subtracted at the original time scale and restored at the rescaled one.
-    Explosion carries over at the same grid index.
+    Every node goes through rescale_states. Explosion carries over at the
+    same grid index.
     """
-    alpha = eval_index(psi, eps)
     t_out = path.times / eps
-    trend_out = np.outer(t_out, phi.drift_vector)
-    trend_in = eps * trend_out
     with np.errstate(invalid="ignore"):
-        states = phi.center + trend_out + (path.states - phi.center - trend_in) / alpha
+        states = rescale_states(phi, eval_index(psi, eps), eps, t_out,
+                                path.states)
     if path.explosion_index is not None:
         states[path.explosion_index:] = np.nan
     return ExplosivePath(times=t_out, states=states,

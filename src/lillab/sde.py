@@ -340,11 +340,6 @@ class ExplosivePath:
             [np.interp(t, self.times, self.states[:, j]) for j in range(self.dim)]
         )
 
-    def alive_slice(self) -> "tuple[np.ndarray, np.ndarray]":
-        """(times, states) restricted to the grid points before explosion."""
-        end = len(self.times) if self.explosion_index is None else self.explosion_index
-        return self.times[:end], self.states[:end]
-
 
 def path_distance(g: ExplosivePath, h: ExplosivePath, s: float) -> float:
     """Uniform distance sup_{u <= s} |g_u - h_u|, infinite past either explosion.

@@ -1,11 +1,14 @@
 import math
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lillab import lil
 from lillab.examples import get_example
+from lillab.extremals import CallableFunctional
 from lillab.lil import (LilExperimentConfig, LilReport, run_lil_experiment,
                         running_extremes)
 from lillab.scaling import rescale_path
@@ -116,6 +119,12 @@ def test_exact_route_rejects_path_functionals():
     with pytest.raises(ValueError):
         run_lil_experiment(br, "running_max",
                            LilExperimentConfig(j_min=0, j_max=1, n_paths=2))
+    # the euler scheme needs terminal_value or accumulate
+    custom = replace(br, functionals=dict(
+        br.functionals, custom=CallableFunctional(lambda path: 0.0)))
+    with pytest.raises(ValueError):
+        run_lil_experiment(custom, "custom", LilExperimentConfig(
+            j_min=0, j_max=1, n_paths=2, scheme="euler"))
 
 
 def test_unknown_functional():
@@ -155,6 +164,78 @@ def test_euler_table_matches_per_path_simulation(rows_per_chunk, monkeypatch):
             expected[p, level] = quad.functionals["J2"].evaluate(rescale_path(
                 path, phi, psi, float(config.eps_grid()[level])))
     assert np.array_equal(report.values, expected)
+
+
+def _per_path_table(example, functional_name, config):
+    """Euler LIL table from one simulate_sde + rescale_path per (path, level).
+
+    Each level steps that level's increments of the path's bridged W; the
+    functional is written out on the rescaled states: weights . y(end) +
+    offset for a terminal linear one, max |y_1| for running_max, nan once
+    the path exploded.
+    """
+    phi, psi = example.contraction, example.index
+    functional = example.functionals[functional_name]
+    t_star = example.limit_problem.t_star
+    n_steps = max(1, round(t_star / config.dt_rel))
+    grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
+             for e in config.eps_grid()]
+    expected = np.empty((config.n_paths, len(grids)))
+    for p in range(config.n_paths):
+        levels = lil._bridged_brownian(config.seed, [p], config.j_grid(),
+                                       grids, example.sde.dim_noise)
+        for level, (times, w) in enumerate(zip(grids, levels)):
+            noise = NoisePath(config.seed, times[1], np.diff(w[:, 0], axis=0))
+            path = simulate_sde(example.sde, phi.center, noise)
+            y = rescale_path(path, phi, psi, float(config.eps_grid()[level]))
+            if y.explosion_index is not None:
+                expected[p, level] = math.nan
+            elif functional_name == "running_max":
+                expected[p, level] = np.max(np.abs(y.states[:, 0]))
+            else:
+                expected[p, level] = (functional.weights @ y.states[-1]
+                                      + functional.offset)
+    return expected
+
+
+@pytest.mark.parametrize("rows_per_chunk", [None, 1, 2])
+@pytest.mark.parametrize("name, functional", [
+    ("quadratic", "running_max"), ("brownian", "running_max"),
+    ("shifted_kolmogorov", "J1")])
+def test_euler_running_and_detrended_tables_match_per_path_simulation(
+        name, functional, rows_per_chunk, monkeypatch):
+    # a running functional folds over every rescaled node (quadratic's x1
+    # falls monotonically, so brownian is the case where the maximum is not
+    # at the last node); shifted_kolmogorov is the affine_detrended kind,
+    # whose rescaling depends on the node time
+    example = get_example(name)
+    config = LilExperimentConfig(j_min=0, j_max=4, n_paths=3, scheme="euler")
+    if rows_per_chunk is not None:
+        n_steps = max(1, round(example.limit_problem.t_star / config.dt_rel))
+        row_nodes = n_steps + 1 + int(n_steps / (1.0 - config.c)) + 3
+        monkeypatch.setattr(lil, "_EULER_CHUNK_NODES",
+                            rows_per_chunk * row_nodes)
+    report = run_lil_experiment(example, functional, config)
+    assert np.array_equal(report.values,
+                          _per_path_table(example, functional, config))
+
+
+@pytest.mark.parametrize("functional", ["J2", "running_max"])
+def test_euler_explosions_are_masked_like_single_paths(functional):
+    # a cubic blow-up drift kills some paths inside a level: their cells are
+    # nan exactly where the per-path simulation explodes, and the batched
+    # evaluation of the frozen dead rows raises no floating-point warning
+    quad = get_example("quadratic")
+    blowup = replace(quad, sde=replace(
+        quad.sde, drift=lambda x: 1e4 * x * np.abs(x) ** 2))
+    config = LilExperimentConfig(j_min=0, j_max=6, n_paths=300,
+                                 scheme="euler", dt_rel=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_lil_experiment(blowup, functional, config)
+    expected = _per_path_table(blowup, functional, config)
+    assert 0 < report.explosion_count < report.values.size
+    assert np.array_equal(report.values, expected, equal_nan=True)
 
 
 def test_euler_memory_does_not_grow_with_paths(monkeypatch):

@@ -8,7 +8,8 @@ of a level; a per-step single-row loop is kept here as its reference. Rows
 of a batch must not influence each other, and on the iterated Kolmogorov
 chain RK4 is exact for piecewise-constant controls. The Euler LIL scheme
 refines one Brownian path per row onto every level grid; each level must see
-the same path, with Brownian increments.
+the same path, with Brownian increments. Functional values on a batch of node
+states (node_values, masked at first_dead) equal each row's evaluate.
 """
 
 from dataclasses import replace
@@ -22,9 +23,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from lillab.controls import (ControlGrid, _integrate, _node_states,  # noqa: E402
                              solve_control_ode)
 from lillab.examples import get_example, list_examples  # noqa: E402
+from lillab.extremals import (QuadraticMissFunctional,  # noqa: E402
+                              RunningMaxAbsFunctional,
+                              TerminalLinearFunctional, node_values)
 from lillab.lil import _bridged_brownian  # noqa: E402
 from lillab.sde import (NoisePath, NumericalFailure, SdeSystem,  # noqa: E402
-                        euler_batch, simulate_sde, state_alive)
+                        _row_path, euler_batch, simulate_sde, state_alive)
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
 
@@ -266,3 +270,28 @@ def test_bridge_increments_are_brownian():
     for a in range(len(grids) - 1):
         cov = np.mean(ws[a][-1] * ws[a + 1][-1], axis=0)
         assert np.allclose(cov / grids[a + 1][-1], 1.0, rtol=0.0, atol=0.1)
+
+
+# ---------------------------------------------------------------------------
+# Functional values on node states: node_values over a batch (n, B, d),
+# masked where first_dead < n, is each row's evaluate on its ExplosivePath.
+
+@SETTINGS
+@given(st.integers(1, 16), st.integers(1, 8), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_node_values_equal_single_row_evaluate(n, batch, d, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((n, batch, d)) * 10.0 ** rng.integers(
+        -3, 4, size=(1, batch, 1))
+    first_dead = rng.integers(1, n, size=batch, endpoint=True)
+    times = np.linspace(0.0, rng.uniform(0.1, 2.0), n)
+    for functional in (
+            TerminalLinearFunctional(rng.standard_normal(d),
+                                     offset=rng.standard_normal()),
+            QuadraticMissFunctional(rng.standard_normal(d)),
+            RunningMaxAbsFunctional(int(rng.integers(d)))):
+        vals = np.where(first_dead < n, np.nan,
+                        node_values(functional, states))
+        rows = [functional.evaluate(_row_path(times, states, first_dead, b))
+                for b in range(batch)]
+        assert np.array_equal(vals, rows, equal_nan=True)
