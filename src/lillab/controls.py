@@ -5,6 +5,12 @@ Controls are piecewise-constant derivatives u = df/dt on a uniform grid over
 limit_diffusion(g) u(t) dt maps a control to a path; the energy recovery map
 inverts it per grid cell by least squares and prices unreachable paths at
 infinity.
+
+One windowed RK4 sweep (_rk4_window) integrates the control ODE for every
+caller, one step per control cell: it evaluates the stages of a whole window
+of cells at once and repeats until the nodes settle bit for bit, which the
+nilpotent limit drifts of the rescaling do after at most d + 1 passes. The
+extremal optimizer's adjoint runs the same sweep backward.
 """
 
 from __future__ import annotations
@@ -95,9 +101,10 @@ class LimitOdeProblem:
 
     limit_drift maps (..., d) -> (..., d) and limit_diffusion (..., d) ->
     (..., d, k). Callbacks must broadcast over leading axes: the integrator
-    calls them on a batch (B, d) of states and raises ValueError at the first
-    stage when the result is not (B, d), (B, d, k) or, for the optional
-    drift_jacobian, (B, d, d). t_star <= 1 bounds the usable horizon.
+    calls them on states (w, B, d), a window of w cells of B rows, and raises
+    ValueError at the first stage when the result is not (w, B, d),
+    (w, B, d, k) or, for the optional drift_jacobian, (w, B, d, d). t_star
+    <= 1 bounds the usable horizon.
     constant_diffusion (optional (d, k) array) stands in for limit_diffusion
     during integration and unlocks the adjoint gradient in the extremal
     optimizer, which uses drift_jacobian when given and central differences
@@ -144,69 +151,146 @@ def _widths(t_star: float, n_steps: int) -> np.ndarray:
     return np.asarray(widths)
 
 
-def _control_rhs(problem: LimitOdeProblem, y: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
-    """limit_drift(y) + limit_diffusion(y) u for states y (B, d), controls u (B, k)."""
-    b = np.asarray(problem.limit_drift(y), dtype=float)
-    _expect_shape("limit_drift", b, y.shape)
+def _control_rhs(problem: LimitOdeProblem, u: np.ndarray):
+    """The slopes y -> limit_drift(y) + limit_diffusion(y) u of the control
+    ODE at controls u (..., k), as an rhs(stage, y) of _rk4_window."""
     sig = problem.constant_diffusion
-    if sig is not None:
-        return b + u @ sig.T
-    s = np.asarray(problem.limit_diffusion(y), dtype=float)
-    _expect_shape("limit_diffusion", s, y.shape + (problem.dim_control,))
-    return b + np.einsum("bdk,bk->bd", s, u)
+    forcing = None if sig is None else u @ sig.T
+
+    def rhs(stage, y):
+        b = np.asarray(problem.limit_drift(y), dtype=float)
+        _expect_shape("limit_drift", b, y.shape)
+        if forcing is not None:
+            return b + forcing
+        s = np.asarray(problem.limit_diffusion(y), dtype=float)
+        _expect_shape("limit_diffusion", s, y.shape + (problem.dim_control,))
+        return b + np.einsum("...dk,...k->...d", s, u)
+
+    return rhs
+
+
+# Values (cells x rows x d) of one RK4 window; a window has at least one cell.
+_WINDOW_VALUES = 2 ** 11
+
+
+def _window_cells(rows: int, dim: int) -> int:
+    return max(1, _WINDOW_VALUES // max(1, rows * dim))
+
+
+def _rk4_window(rhs, x: np.ndarray, widths: np.ndarray, passes: int):
+    """Classical RK4 over a window of w cells at once, from exact states x (B, d).
+
+    rhs(stage, y) returns the slopes of RK4 stage 0-3 at states y (w, B, d),
+    one entry per cell of the window. Each pass evaluates the four stages of
+    every cell from the nodes of the previous pass (at first, x everywhere)
+    and rebuilds the nodes as np.cumsum of [x, (h/6)(k1 + 2k2 + 2k3 + k4)];
+    cumsum adds in sequence, so a node computed from an exact node is
+    bitwise the per-cell loop's x + (h/6)(...). Node j is exact after j
+    passes, and a pass that gives back the previous nodes proves them all
+    exact: a nilpotent drift of depth L does so after L + 1 passes. Returns
+    (nodes (w + 1, B, d), number of leading cells whose end nodes are exact),
+    which is w unless passes ran out first.
+    """
+    w = len(widths)
+    h = widths[:, None, None]
+    half, sixth = 0.5 * h, h / 6.0
+    steps = np.empty((w + 1,) + x.shape)
+    steps[0] = x
+    nodes = np.broadcast_to(x, steps.shape)
+    for done in range(1, passes + 1):
+        y = nodes[:-1]
+        k = rhs(0, y)
+        acc = k.copy()   # k1 + 2 k2 + 2 k3 + k4, summed in that order
+        k = rhs(1, y + half * k)
+        acc += 2.0 * k
+        k = rhs(2, y + half * k)
+        acc += 2.0 * k
+        acc += rhs(3, y + h * k)
+        steps[1:] = sixth * acc
+        new = np.cumsum(steps, axis=0)
+        # the nan-aware comparison only where a nan can make the difference
+        if (done >= w or (new == nodes).all() or (
+                np.isnan(new).any()
+                and np.array_equal(new, nodes, equal_nan=True))):
+            return new, w
+        nodes = new
+    return nodes, passes
 
 
 def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
     """Integrate the control ODE for a batch of controls u_batch (B, n_steps, k).
 
-    One classical RK4 step per control cell (see _widths), keeping only the
-    current states (B, d); visit, when given, is called with them at every
-    node from x0 on. Returns (widths, terminal states, first_dead). A row
+    One classical RK4 step per control cell (see _widths), taken a window of
+    cells at a time by _rk4_window and kept only for the current window;
+    visit, when given, is called with the states (m, B, d) of consecutive
+    nodes, from x0 on. Returns (widths, terminal states, first_dead). A row
     whose state leaves the domain or turns non-finite or beyond
     OVERFLOW_GUARD at node j has first_dead = j and keeps its last live state
-    from there on; rows that survive have first_dead = len(widths) + 1.
-    Raises ValueError for an x0 outside the domain and, at the first stage,
-    for callbacks that return the wrong shape.
+    from there on; rows that survive have first_dead = len(widths) + 1. Dead
+    rows are not stepped again. A window that does not settle within d + 1
+    passes (a drift that is not nilpotent) advances by its exact cells, and
+    the rest of the call steps one cell per window. Raises ValueError for an
+    x0 outside the domain and, at the first stage, for callbacks that return
+    the wrong shape.
     """
     if not problem.domain_contains(problem.x0):
         raise ValueError("x0 outside the domain")
     batch, n_steps, _ = u_batch.shape
+    dim = problem.dim_state
     widths = _widths(problem.t_star, n_steps)
-    x = np.broadcast_to(problem.x0, (batch, problem.dim_state)).copy()
-    first_dead = np.full(batch, len(widths) + 1)
-    alive = np.ones(batch, dtype=bool)
+    n = len(widths)
+    x = np.broadcast_to(problem.x0, (batch, dim)).copy()
+    first_dead = np.full(batch, n + 1)
+    live = np.arange(batch)
     check_domain = problem.domain_contains is not trivial_domain
-    with np.errstate(over="ignore", invalid="ignore"):
-        for node, h in enumerate(widths, start=1):
-            if visit is not None:
-                visit(x)
-            if not alive.any():
-                continue  # every row is frozen
-            u = u_batch[:, node - 1, :]
-            k1 = _control_rhs(problem, x, u)
-            k2 = _control_rhs(problem, x + 0.5 * h * k1, u)
-            k3 = _control_rhs(problem, x + 0.5 * h * k2, u)
-            k4 = _control_rhs(problem, x + h * k3, u)
-            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # max propagates nan, and nan or inf fail the comparison
-            ok = np.max(np.abs(x_new), axis=1) <= OVERFLOW_GUARD
-            if check_domain:
-                for b in np.nonzero(ok & alive)[0]:
-                    ok[b] = bool(problem.domain_contains(x_new[b]))
-            first_dead[alive & ~ok] = node
-            alive &= ok
-            x = np.where(alive[:, None], x_new, x)
     if visit is not None:
-        visit(x)
+        visit(x[None].copy())
+    start, cap = 0, _window_cells(batch, dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < n and live.size:
+            # a slice while every row lives: views, where an index array copies
+            rows = live if live.size < batch else slice(None)
+            cells = slice(start, min(n, start + cap))
+            u = u_batch[rows, cells].transpose(1, 0, 2)
+            nodes, done = _rk4_window(_control_rhs(problem, u), x[rows],
+                                      widths[cells], dim + 1)
+            if done < len(u):
+                cap = 1
+            new = nodes[1 : done + 1]
+            # max propagates nan, and nan or inf fail the comparison
+            ok = np.max(np.abs(new), axis=2) <= OVERFLOW_GUARD
+            first_bad = np.where(ok.all(axis=0), done, np.argmin(ok, axis=0))
+            if check_domain:
+                for r, end in enumerate(first_bad):
+                    for j in range(end):
+                        if not problem.domain_contains(new[j, r]):
+                            first_bad[r] = j
+                            break
+            dies = first_bad < done
+            if dies.any():
+                # freeze each dying row at its last live state
+                np.copyto(new, nodes[first_bad, np.arange(live.size)],
+                          where=(np.arange(done)[:, None] >= first_bad)[..., None])
+                first_dead[live[dies]] = start + 1 + first_bad[dies]
+            if visit is not None:
+                block = new
+                if live.size < batch:
+                    block = np.repeat(x[None], done, axis=0)
+                    block[:, live] = new
+                visit(block)
+            x[rows] = new[-1]
+            live = live[~dies]
+            start += done
+    if visit is not None and start < n:
+        visit(np.broadcast_to(x, (n - start, batch, dim)))  # every row is frozen
     return widths, x, first_dead
 
 
 def _node_states(problem: LimitOdeProblem, u_batch: np.ndarray):
     """_integrate keeping every node: (widths, states (n_nodes, B, d), first_dead)."""
-    nodes = []
-    widths, _, first_dead = _integrate(problem, u_batch, nodes.append)
-    return widths, np.stack(nodes), first_dead
+    blocks = []
+    widths, _, first_dead = _integrate(problem, u_batch, blocks.append)
+    return widths, np.concatenate(blocks), first_dead
 
 
 def _times(widths: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,11 +24,16 @@ from .sde import LinearSpec, SdeSystem
 
 
 def _const_diffusion(sigma: np.ndarray) -> Callable:
+    """sigma broadcast over the batch axes of y, as a read-only view cached
+    per batch shape (euler_batch asks for it once per step)."""
     sigma = np.asarray(sigma, dtype=float)
 
+    @lru_cache(maxsize=8)
+    def view(batch_shape):
+        return np.broadcast_to(sigma, batch_shape + sigma.shape)
+
     def diffusion(y):
-        y = np.asarray(y, dtype=float)
-        return np.broadcast_to(sigma, y.shape[:-1] + sigma.shape)
+        return view(np.shape(y)[:-1])
 
     return diffusion
 

@@ -6,10 +6,11 @@ from a continuous adjoint sweep (one forward + one backward integration) when
 the functional exposes a terminal gradient and the diffusion is constant;
 central finite differences otherwise. Both modes are selectable.
 
-Every control, single or batched, goes through the one batched RK4 loop of
+Every control, single or batched, goes through the one windowed RK4 sweep of
 lillab.controls (solve_control_ode is its one-row case). Terminal and running
-functional values keep only the current states; the adjoint's backward sweep
-runs on the node states that loop stores for it.
+functional values keep only the states of the current window; the adjoint
+runs the same sweep backward over reversed cells, on the node states the
+forward sweep stores for it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .controls import (ControlGrid, LimitOdeProblem, _integrate,
-                       _node_states, _times, solve_control_ode)
+                       _node_states, _rk4_window, _times, _window_cells,
+                       solve_control_ode)
 from .sde import ExplosivePath, _expect_shape, _row_path
 
 
@@ -135,9 +137,9 @@ def _functional_values(problem, functional, u_batch):
     elif hasattr(functional, "accumulate"):
         acc = None
 
-        def fold(x):
+        def fold(block):
             nonlocal acc
-            acc = functional.accumulate(acc, x)
+            acc = reduce(functional.accumulate, block, acc)
 
         widths, _, first_dead = _integrate(problem, u_batch, fold)
         vals = functional.running_value(acc)
@@ -159,36 +161,39 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
     """dF/du via one forward and one backward RK4 sweep per batch row.
 
     Requires a terminal-gradient functional and constant diffusion. The
-    backward equation lambda' = -J_b(g)^T lambda is integrated on the stored
-    forward trajectory (states at cell midpoints are interpolated linearly);
-    the cell gradient is sigma^T times the trapezoidal average of lambda.
+    backward equation lambda' = -J_b(g)^T lambda is integrated by
+    _rk4_window over reversed cells on the stored forward trajectory, with
+    stage slopes J^T lambda at the cell's upper node, its midpoint (the
+    mean of the two nodes, twice) and its lower node; the cell gradient is
+    sigma^T times the trapezoidal average of lambda.
     """
     if problem.constant_diffusion is None:
         raise ValueError("adjoint gradient requires constant_diffusion")
     if not hasattr(functional, "terminal_gradient"):
         raise ValueError("functional does not expose a terminal gradient")
     widths, traj, first_dead = _node_states(problem, u_batch)
-    lam = functional.terminal_gradient(traj[-1])
-    sig_t = problem.constant_diffusion.T
+    n, dim = len(widths), problem.dim_state
+    lam = np.empty_like(traj)
+    lam[n] = functional.terminal_gradient(traj[n])
+    end, cap = n, _window_cells(traj.shape[1], dim)
+    while end > 0:
+        lo = max(0, end - cap)
+        g = traj[lo : end + 1][::-1]
+        jac = _jacobian_batch(problem, g)
+        j_mid = _jacobian_batch(problem, 0.5 * (g[:-1] + g[1:]))
+        stage_jac = (jac[:-1], j_mid, j_mid, jac[1:])
+        nodes, done = _rk4_window(
+            lambda stage, y: np.einsum("...ij,...i->...j", stage_jac[stage], y),
+            lam[end], widths[lo:end][::-1], dim + 1)
+        if done < end - lo:
+            cap = 1
+        lam[end - done : end + 1] = nodes[done::-1]
+        end -= done
     grad = np.zeros_like(u_batch)
-
-    def jt_lam(y, vec):
-        jac = _jacobian_batch(problem, y)
-        return np.einsum("bij,bi->bj", jac, vec)
-
-    for cell in range(len(widths) - 1, -1, -1):
-        h = widths[cell]
-        g_hi = traj[cell + 1]
-        g_lo = traj[cell]
-        g_mid = 0.5 * (g_hi + g_lo)
-        lam_hi = lam
-        m1 = jt_lam(g_hi, lam)
-        m2 = jt_lam(g_mid, lam + 0.5 * h * m1)
-        m3 = jt_lam(g_mid, lam + 0.5 * h * m2)
-        m4 = jt_lam(g_lo, lam + h * m3)
-        lam = lam + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-        grad[:, cell, :] += 0.5 * h * (lam_hi + lam) @ sig_t.T
-    grad[first_dead < len(traj)] = 0.0
+    # += on zeros, as the per-cell loop did: -0.0 cell gradients become 0.0
+    grad[:, :n] += ((0.5 * widths)[:, None, None] * (lam[1:] + lam[:-1])
+                    @ problem.constant_diffusion).transpose(1, 0, 2)
+    grad[first_dead <= n] = 0.0
     return grad
 
 

@@ -1,18 +1,24 @@
 """Property tests of the batched integrators (needs hypothesis).
 
-The batched RK4 loop is the only integrator of the limit control ODE:
-solve_control_ode is its one-row case and the optimizer runs it on batches
-of controls. The batched Euler kernel euler_batch is the only SDE Euler
-loop: simulate_sde is its one-row case and lil-verify runs it on all paths
-of a level; a per-step single-row loop is kept here as its reference. Rows
-of a batch must not influence each other, and on the iterated Kolmogorov
-chain RK4 is exact for piecewise-constant controls. The Euler LIL scheme
-refines one Brownian path per row onto every level grid; each level must see
-the same path, with Brownian increments. Functional values on a batch of node
-states (node_values, masked at first_dead) equal each row's evaluate.
+The windowed RK4 sweep (controls._rk4_window) is the only integrator of the
+limit control ODE and of its adjoint: solve_control_ode is its one-row case,
+the optimizer runs it on batches of controls, and adjoint_gradient runs it
+backward over reversed cells. A per-cell RK4 loop and a per-cell backward
+loop are kept here as its references; every window size, from one cell to
+the whole grid, must reproduce them bit for bit, drifts that are not
+nilpotent included. The batched Euler kernel euler_batch is the only SDE
+Euler loop: simulate_sde is its one-row case and lil-verify runs it on all
+paths of a level; a per-step single-row loop is kept here as its reference.
+Rows of a batch must not influence each other, and on the iterated
+Kolmogorov chain RK4 is exact for piecewise-constant controls. The Euler LIL
+scheme refines one Brownian path per row onto every level grid; each level
+must see the same path, with Brownian increments. Functional values on a
+batch of node states (node_values, masked at first_dead) equal each row's
+evaluate.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,15 +26,20 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from lillab.controls import (ControlGrid, _integrate, _node_states,  # noqa: E402
+from lillab import controls  # noqa: E402
+from lillab.controls import (ControlGrid, LimitOdeProblem,  # noqa: E402
+                             _integrate, _node_states, _widths,
                              solve_control_ode)
 from lillab.examples import get_example, list_examples  # noqa: E402
 from lillab.extremals import (QuadraticMissFunctional,  # noqa: E402
                               RunningMaxAbsFunctional,
-                              TerminalLinearFunctional, node_values)
+                              TerminalLinearFunctional, _jacobian_batch,
+                              adjoint_gradient, fd_gradient, node_values)
 from lillab.lil import _bridged_brownian  # noqa: E402
-from lillab.sde import (NoisePath, NumericalFailure, SdeSystem,  # noqa: E402
-                        _row_path, euler_batch, simulate_sde, state_alive)
+from lillab.sde import (OVERFLOW_GUARD, NoisePath,  # noqa: E402
+                        NumericalFailure, SdeSystem, _row_path, euler_batch,
+                        simulate_sde, state_alive, trivial_domain)
+from test_controls import _blowup_problem  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
 
@@ -45,14 +56,17 @@ cases = st.fixed_dictionaries({
 })
 
 
+def _controls(case, dim_control):
+    scales = np.asarray(case["scales"])
+    rng = np.random.default_rng(case["seed"])
+    return scales[:, None, None] * rng.standard_normal(
+        (len(scales), case["n_steps"], dim_control))
+
+
 def _draw(case):
     problem = replace(get_example(case["example"]).limit_problem,
                       t_star=case["t_star"])
-    scales = np.asarray(case["scales"])
-    rng = np.random.default_rng(case["seed"])
-    u = scales[:, None, None] * rng.standard_normal(
-        (len(scales), case["n_steps"], problem.dim_control))
-    return problem, u
+    return problem, _controls(case, problem.dim_control)
 
 
 @SETTINGS
@@ -100,6 +114,179 @@ def test_kolmogorov_matches_exact_recursion(case):
         x = np.column_stack([x[:, 0] + x[:, 1] * h + uj * h * h / 2.0,
                              x[:, 1] + uj * h])
         assert np.allclose(states[j + 1], x, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Windowed RK4 sweep against per-cell loops. The window holds cells x B x d
+# values: one cell, three cells or the whole grid. Besides the registered
+# (nilpotent) examples: IK(2) in the ball |y| < 0.3, which rows leave, and
+# two drifts that never settle, y' = y^2 (blows up at t = 0.5 from
+# y(0) = 2) and y' = -y + u.
+
+def _decay_problem(**changes):
+    return replace(LimitOdeProblem(
+        dim_state=1, dim_control=1,
+        limit_drift=lambda y: -np.asarray(y),
+        limit_diffusion=lambda y: np.ones(np.shape(y) + (1,)),
+        x0=np.array([1.0])), **changes)
+
+
+NOT_NILPOTENT = {"blowup": _blowup_problem, "decay": _decay_problem}
+SWEEP_PROBLEMS = sorted(NOT_NILPOTENT) + ["kolmogorov_in_ball"] + list_examples()
+
+
+def _sweep_problem(name, t_star):
+    if name in NOT_NILPOTENT:
+        return NOT_NILPOTENT[name](t_star=t_star)
+    if name == "kolmogorov_in_ball":
+        return replace(get_example("iterated_kolmogorov").limit_problem,
+                       t_star=t_star,
+                       domain_contains=lambda y: bool(np.linalg.norm(y) < 0.3))
+    return replace(get_example(name).limit_problem, t_star=t_star)
+
+
+def _window(cells, problem, rows):
+    values = 2**62 if cells is None else cells * rows * problem.dim_state
+    return mock.patch.object(controls, "_WINDOW_VALUES", values)
+
+
+def _reference_rk4(problem, u_batch):
+    """The per-cell RK4 loop the windowed sweep replaced: (widths, states
+    (n + 1, B, d), first_dead), with dead rows frozen at their last live
+    state."""
+    if not problem.domain_contains(problem.x0):
+        raise ValueError("x0 outside the domain")
+    batch, n_steps, _ = u_batch.shape
+    widths = _widths(problem.t_star, n_steps)
+    x = np.broadcast_to(problem.x0, (batch, problem.dim_state)).copy()
+    first_dead = np.full(batch, len(widths) + 1)
+    alive = np.ones(batch, dtype=bool)
+    check_domain = problem.domain_contains is not trivial_domain
+    states = [x]
+
+    def rhs(y, u):
+        b = problem.limit_drift(y)
+        if problem.constant_diffusion is not None:
+            return b + u @ problem.constant_diffusion.T
+        return b + np.einsum("bdk,bk->bd", problem.limit_diffusion(y), u)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for node, h in enumerate(widths, start=1):
+            u = u_batch[:, node - 1, :]
+            k1 = rhs(x, u)
+            k2 = rhs(x + 0.5 * h * k1, u)
+            k3 = rhs(x + 0.5 * h * k2, u)
+            k4 = rhs(x + h * k3, u)
+            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ok = np.max(np.abs(x_new), axis=1) <= OVERFLOW_GUARD
+            if check_domain:
+                for b in np.nonzero(ok & alive)[0]:
+                    ok[b] = bool(problem.domain_contains(x_new[b]))
+            first_dead[alive & ~ok] = node
+            alive &= ok
+            x = np.where(alive[:, None], x_new, x)
+            states.append(x)
+    return widths, np.stack(states), first_dead
+
+
+def _reference_adjoint(problem, functional, u_batch):
+    """The per-cell backward loop adjoint_gradient replaced."""
+    widths, traj, first_dead = _reference_rk4(problem, u_batch)
+    lam = functional.terminal_gradient(traj[-1])
+    sig_t = problem.constant_diffusion.T
+    grad = np.zeros_like(u_batch)
+
+    def jt_lam(y, vec):
+        return np.einsum("bij,bi->bj", _jacobian_batch(problem, y), vec)
+
+    for cell in range(len(widths) - 1, -1, -1):
+        h = widths[cell]
+        g_hi = traj[cell + 1]
+        g_lo = traj[cell]
+        g_mid = 0.5 * (g_hi + g_lo)
+        lam_hi = lam
+        m1 = jt_lam(g_hi, lam)
+        m2 = jt_lam(g_mid, lam + 0.5 * h * m1)
+        m3 = jt_lam(g_mid, lam + 0.5 * h * m2)
+        m4 = jt_lam(g_lo, lam + h * m3)
+        lam = lam + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+        grad[:, cell, :] += 0.5 * h * (lam_hi + lam) @ sig_t.T
+    grad[first_dead < len(traj)] = 0.0
+    return grad
+
+
+WINDOW_CELLS = st.sampled_from([1, 3, None])
+
+
+@SETTINGS
+@given(cases, st.sampled_from(SWEEP_PROBLEMS), WINDOW_CELLS)
+def test_forward_sweep_equals_per_cell_loop(case, name, cells):
+    problem = _sweep_problem(name, case["t_star"])
+    u = _controls(case, problem.dim_control)
+    widths, states, first_dead = _reference_rk4(problem, u)
+    with _window(cells, problem, len(u)):
+        w1, s1, d1 = _node_states(problem, u)
+        _, terminal, d2 = _integrate(problem, u)
+    assert np.array_equal(w1, widths)
+    assert np.array_equal(s1, states)
+    assert np.array_equal(d1, first_dead) and np.array_equal(d2, first_dead)
+    assert np.array_equal(terminal, states[-1])
+
+
+@pytest.mark.parametrize("name", sorted(NOT_NILPOTENT))
+def test_drifts_that_do_not_settle_step_one_cell_per_window(name):
+    # the first window runs out of passes (d + 1 = 2) and advances by its
+    # exact cells; every later window is one cell
+    problem = NOT_NILPOTENT[name]()
+    u = np.random.default_rng(3).standard_normal((4, 64, 1))
+    with mock.patch.object(controls, "_rk4_window",
+                           wraps=controls._rk4_window) as spy:
+        widths, states, first_dead = _node_states(problem, u)
+    cells = [len(call.args[2]) for call in spy.call_args_list]
+    assert cells[0] > 2 and set(cells[1:]) == {1}
+    ref = _reference_rk4(problem, u)
+    assert np.array_equal(states, ref[1])
+    assert np.array_equal(first_dead, ref[2])
+
+
+@SETTINGS
+@given(cases, WINDOW_CELLS, st.booleans())
+def test_adjoint_equals_per_cell_loop(case, cells, linear):
+    problem, u = _draw(case)
+    rng = np.random.default_rng(case["seed"])
+    functional = (TerminalLinearFunctional(rng.standard_normal(problem.dim_state))
+                  if linear else
+                  QuadraticMissFunctional(rng.standard_normal(problem.dim_state)))
+    ref = _reference_adjoint(problem, functional, u)
+    with _window(cells, problem, len(u)):
+        grad = adjoint_gradient(problem, functional, u)
+    assert np.array_equal(grad, ref)
+
+
+@pytest.mark.parametrize("cells", [1, 3, None])
+@pytest.mark.parametrize("name, functional", [
+    ("iterated_kolmogorov", "J1"), ("quadratic", "J2"), ("lorenz96", "J3")])
+def test_adjoint_matches_fd_gradient(name, functional, cells):
+    # RK4 and the trapezoidal cell average are exact on IK(2), so there the
+    # adjoint is the gradient of the discrete functional up to the rounding
+    # of the central differences. On the nonlinear examples it is the
+    # gradient of the continuous functional: the gap to the discrete one is
+    # O(h^2) and shrinks about fourfold when the grid is refined twofold.
+    example = get_example(name)
+    problem, f = example.limit_problem, example.functionals[functional]
+    gaps = []
+    for n in (32, 64):
+        u = ControlGrid.random_bandlimited(n, problem.dim_control, seed=10,
+                                           energy=0.7).values
+        with _window(cells, problem, 1):
+            adj = adjoint_gradient(problem, f, u[None])[0]
+        with _window(cells, problem, 2 * u.size):
+            fd = fd_gradient(problem, f, u)
+        gaps.append(np.max(np.abs(adj - fd)) / np.max(np.abs(fd)))
+    if name == "iterated_kolmogorov":
+        assert max(gaps) < 1e-6
+    else:
+        assert 3.0 < gaps[0] / gaps[1] < 5.0
 
 
 # ---------------------------------------------------------------------------
