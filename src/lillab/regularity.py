@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq, linprog
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .controls import ControlGrid, LimitOdeProblem
@@ -34,6 +34,10 @@ from .sde import NumericalFailure, SdeSystem, _philox
 class DomainSpec:
     """Open set V given implicitly: implicit_fn < 0 inside, = 0 on the boundary.
 
+    implicit_fn maps points (..., d) to values (...), broadcasting over
+    leading axes like LimitOdeProblem.limit_drift: the boundary ray casts
+    and the cone probe call it once on a whole batch of points, and raise
+    ValueError when the result does not have the batch's shape.
     gradient_fn returns an outward direction (unnormalized) on the boundary.
     bounding_box is a (d, 2) array of [low, high] per coordinate and must
     contain V with its corners outside; interior_point witnesses the sign
@@ -41,7 +45,7 @@ class DomainSpec:
     in polygonalize.
     """
 
-    implicit_fn: Callable[[np.ndarray], float]
+    implicit_fn: Callable[[np.ndarray], np.ndarray]
     gradient_fn: Callable[[np.ndarray], np.ndarray]
     bounding_box: np.ndarray
     convex_flag: bool = False
@@ -84,8 +88,9 @@ class DomainSpec:
         else:
             vol = None
         return cls(
-            implicit_fn=lambda x: float(
-                np.sum((np.asarray(x, dtype=float) - center) ** 2) - radius**2),
+            implicit_fn=lambda x: np.sum(
+                (np.asarray(x, dtype=float) - center) ** 2,
+                axis=-1) - radius**2,
             gradient_fn=lambda x: 2.0 * (np.asarray(x, dtype=float) - center),
             bounding_box=box,
             convex_flag=True,
@@ -201,16 +206,14 @@ def cone_criterion(system: SdeSystem, domain: DomainSpec, x,
         rng = _philox(20240117, 5)
         rays = np.vstack([np.eye(d), np.ones((1, d)),
                           rng.uniform(0.1, 1.0, size=(8, d))])
-        for lam in rays:
-            w = basis_mat @ lam
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                continue
-            for s in (1e-6, 1e-3, 1e-1):
-                p = x + (s * diam / nw) * w
-                if float(domain.implicit_fn(p)) < -boundary_tolerance:
-                    raise ValueError(
-                        "cone ray enters the domain; not an exterior cone")
+        w = np.matmul(basis_mat, rays[:, :, None])[:, :, 0]
+        nw = _row_norms(w)
+        w, nw = w[nw != 0.0], nw[nw != 0.0]
+        steps = np.array([1e-6, 1e-3, 1e-1]) * diam / nw[:, None]
+        probes = x + steps[:, :, None] * w[:, None, :]
+        if np.any(_implicit_values(domain, probes) < -boundary_tolerance):
+            raise ValueError(
+                "cone ray enters the domain; not an exterior cone")
 
     range_basis = _range_basis(np.asarray(system.diffusion(x), dtype=float))
     rank = range_basis.shape[1]
@@ -304,10 +307,8 @@ def _energy_certificate(problem: LimitOdeProblem, z: np.ndarray,
     rng = _philox(981127, 3)
     cloud = rng.uniform(-2.0, 2.0, size=(128, problem.dim_state))
     cloud = np.vstack([cloud, problem.x0[None, :], z[None, :]])
-    sup = np.zeros(problem.dim_state)
-    for y in cloud:
-        sup = np.maximum(sup, np.abs(np.asarray(problem.limit_drift(y),
-                                                dtype=float)))
+    sup = np.max(np.abs(np.asarray(problem.limit_drift(cloud), dtype=float)),
+                 axis=0)
     for i in range(problem.dim_state):
         if sup[i] > 1e-12:
             continue
@@ -369,59 +370,155 @@ def reach_target(problem: LimitOdeProblem, z, t: float,
 _CURVE_NODES = 8192     # d=2 boundary polyline resolution
 _SPHERE_SUBDIV = 4      # d=3 icosphere subdivision level
 
+_BRENT_XTOL = 1e-14     # boundary ray tolerances, as brentq's xtol, rtol
+_BRENT_RTOL = 1e-15
+_BRENT_MAXITER = 100    # brentq's default iteration cap
+
 _boundary_tables: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _ray_root(domain: DomainSpec, direction: np.ndarray) -> float:
-    """Distance from the interior witness to the boundary along direction."""
+def _implicit_values(domain: DomainSpec, points: np.ndarray) -> np.ndarray:
+    """implicit_fn on a batch of points (..., d), checked to return (...)."""
+    vals = np.asarray(domain.implicit_fn(points), dtype=float)
+    if vals.shape != points.shape[:-1]:
+        raise ValueError(
+            f"implicit_fn must map points (..., d) to values (...): got "
+            f"shape {vals.shape} for a batch of shape {points.shape}")
+    return vals
+
+
+def _ray_roots(domain: DomainSpec, dirs: np.ndarray) -> np.ndarray:
+    """Distance from the interior witness to the boundary along each dirs row.
+
+    scipy's brentq (Brent 1973, ch. 4, as in scipy's brentq.c) run in
+    lockstep over all rays: the same flip, swap, interpolate, extrapolate and
+    bisect branches, the same +-delta minimum step and tolerances, so every
+    root has brentq's bits.  A ray leaves the active set when it converges,
+    and each iteration calls implicit_fn once on the active rays' points.
+    """
     c = domain.interior_point
     box = domain.bounding_box
     # the boundary lies before the box surface in every direction
     s_hi = float(np.linalg.norm(box[:, 1] - box[:, 0]))
-    f = lambda s: float(domain.implicit_fn(c + s * direction))
-    if f(s_hi) <= 0.0:
+    m = dirs.shape[0]
+
+    def f(s, u):
+        vals = _implicit_values(domain, c + s[:, None] * u)
+        if np.isnan(vals).any():
+            raise ValueError("implicit_fn is nan on a ray; solver cannot "
+                             "continue")
+        return vals
+
+    xcur = np.full(m, s_hi)
+    fcur = f(xcur, dirs)
+    if np.any(fcur <= 0.0):
         raise NumericalFailure("bounding box does not contain the domain")
-    return brentq(f, 0.0, s_hi, xtol=1e-14, rtol=1e-15)
+    xpre = np.zeros(m)
+    fpre = f(xpre, dirs)
+    if not np.all(fpre < 0.0):
+        raise ValueError("implicit_fn must be negative at the witness")
+    xblk, fblk, spre, scur = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m)
+    roots = np.empty(m)
+    act = np.arange(m)
+    for _ in range(_BRENT_MAXITER):
+        flip = (fpre != 0.0) & (fcur != 0.0) \
+            & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre),
+                            np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre),
+                            np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[act[done]] = xcur[done]
+            keep = ~done
+            act = act[keep]
+            (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+             sbis) = (v[keep] for v in (xpre, xcur, xblk, fpre, fcur, fblk,
+                                        spre, scur, delta, sbis))
+        if act.size == 0:
+            return roots
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) \
+                / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) \
+            & (2 * np.abs(stry) < np.minimum(np.abs(spre),
+                                             3 * np.abs(sbis) - delta))
+        spre = np.where(short, scur, sbis)
+        scur = np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur, dirs[act])
+    raise RuntimeError(
+        f"boundary ray failed to converge after {_BRENT_MAXITER} iterations")
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v (m, d), bitwise np.linalg.norm(row).
+
+    A stacked (1, d) @ (d, 1) matmul takes the dot-product path that
+    norm(row) takes; einsum and norm(axis=1) sum in another order and
+    differ from it in the last bit on some rows.
+    """
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
 def _icosphere(subdiv: int):
-    """Subdivided icosahedron directions and faces on the unit sphere."""
+    """Subdivided icosahedron directions and faces on the unit sphere.
+
+    Each level splits every face (a, b, c) into (a, ab, ca), (b, bc, ab),
+    (c, ca, bc), (ab, bc, ca) and numbers each new edge midpoint in the
+    order its edge first appears in the face list, scanning ab, bc, ca.
+    """
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array([
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
         (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
         (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
     ], dtype=float)
-    faces = [
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
+    ], dtype=int)
     verts = _unit_rows(verts)
-    vlist = [tuple(v) for v in verts]
-    cache = {}
-
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in cache:
-            m = _unit_rows(0.5 * (np.array(vlist[i]) + np.array(vlist[j])))
-            cache[key] = len(vlist)
-            vlist.append(tuple(m))
-        return cache[key]
-
     for _ in range(subdiv):
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-        cache.clear()
-    return np.array(vlist), np.array(faces, dtype=int)
+        edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys = edges.min(axis=1) * len(verts) + edges.max(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        ends = edges[first[order]]
+        mids = len(verts) + rank[inverse].reshape(-1, 3)
+        verts = np.vstack([verts, _unit_rows(
+            0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]]))])
+        (a, b, c), (ab, bc, ca) = faces.T, mids.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+    return verts, faces
 
 
 def _boundary_table(domain: DomainSpec) -> dict:
@@ -434,7 +531,7 @@ def _boundary_table(domain: DomainSpec) -> dict:
     if d == 2:
         theta = 2.0 * math.pi * np.arange(_CURVE_NODES + 1) / _CURVE_NODES
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        radii = np.array([_ray_root(domain, u) for u in dirs[:-1]])
+        radii = _ray_roots(domain, dirs[:-1])
         radii = np.append(radii, radii[0])
         pts = c + radii[:, None] * dirs
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -445,7 +542,7 @@ def _boundary_table(domain: DomainSpec) -> dict:
         table = {"points": pts, "cumlen": cumlen, "quad_volume": area}
     elif d == 3:
         dirs, faces = _icosphere(_SPHERE_SUBDIV)
-        radii = np.array([_ray_root(domain, u) for u in dirs])
+        radii = _ray_roots(domain, dirs)
         pts = c + radii[:, None] * dirs
         p0, p1, p2 = pts[faces[:, 0]], pts[faces[:, 1]], pts[faces[:, 2]]
         cross = np.cross(p1 - p0, p2 - p0)
@@ -467,15 +564,11 @@ def _sample_boundary(domain: DomainSpec, n: int, seed: int) -> np.ndarray:
     rng = _philox(seed, 97)
     c = domain.interior_point
     if domain.dim == 2:
-        u = rng.uniform(0.0, table["cumlen"][-1], size=n)
-        pts = np.empty((n, 2))
-        for row, s in enumerate(u):
-            idx = int(np.searchsorted(table["cumlen"], s) - 1)
-            idx = min(max(idx, 0), len(table["points"]) - 2)
-            frac = (s - table["cumlen"][idx]) / (
-                table["cumlen"][idx + 1] - table["cumlen"][idx])
-            pts[row] = (1 - frac) * table["points"][idx] \
-                + frac * table["points"][idx + 1]
+        cumlen, nodes = table["cumlen"], table["points"]
+        s = rng.uniform(0.0, cumlen[-1], size=n)
+        idx = np.clip(np.searchsorted(cumlen, s) - 1, 0, len(nodes) - 2)
+        frac = ((s - cumlen[idx]) / (cumlen[idx + 1] - cumlen[idx]))[:, None]
+        pts = (1 - frac) * nodes[idx] + frac * nodes[idx + 1]
     else:
         faces = table["faces"]
         pick = np.searchsorted(table["area_cdf"], rng.uniform(size=n))
@@ -487,15 +580,12 @@ def _sample_boundary(domain: DomainSpec, n: int, seed: int) -> np.ndarray:
         tri = table["points"][faces[pick]]
         pts = np.einsum("nk,nkd->nd", w, tri)
     # chordal interpolation lands slightly inside; push back to the boundary
-    out = np.empty_like(pts)
-    for row, p in enumerate(pts):
-        u = p - c
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            raise NumericalFailure("sample collapsed onto the witness point")
-        u = u / norm
-        out[row] = c + _ray_root(domain, u) * u
-    return out
+    u = pts - c
+    norm = _row_norms(u)
+    if np.any(norm == 0.0):
+        raise NumericalFailure("sample collapsed onto the witness point")
+    u = u / norm[:, None]
+    return c + _ray_roots(domain, u)[:, None] * u
 
 
 @dataclass(frozen=True, eq=False)

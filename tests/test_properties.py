@@ -14,7 +14,10 @@ Kolmogorov chain RK4 is exact for piecewise-constant controls. The Euler LIL
 scheme refines one Brownian path per row onto every level grid; each level
 must see the same path, with Brownian increments. Functional values on a
 batch of node states (node_values, masked at first_dead) equal each row's
-evaluate.
+evaluate. Boundary rays are solved by one lockstep Brent iteration
+(regularity._ray_roots); per-ray brentq, the per-row sampling loop, the
+per-face icosphere subdivision and the per-ray cone probe are kept here as
+its references and must be matched bit for bit.
 """
 
 from dataclasses import replace
@@ -22,6 +25,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -36,9 +40,14 @@ from lillab.extremals import (QuadraticMissFunctional,  # noqa: E402
                               TerminalLinearFunctional, _jacobian_batch,
                               adjoint_gradient, fd_gradient, node_values)
 from lillab.lil import _bridged_brownian  # noqa: E402
+from lillab.regularity import (_CURVE_NODES, _SPHERE_SUBDIV,  # noqa: E402
+                               DomainSpec, _boundary_table,
+                               _energy_certificate, _icosphere, _ray_roots,
+                               _sample_boundary, _unit_rows, cone_criterion)
 from lillab.sde import (OVERFLOW_GUARD, NoisePath,  # noqa: E402
-                        NumericalFailure, SdeSystem, _row_path, euler_batch,
-                        simulate_sde, state_alive, trivial_domain)
+                        NumericalFailure, SdeSystem, _philox, _row_path,
+                        euler_batch, simulate_sde, state_alive,
+                        trivial_domain)
 from test_controls import _blowup_problem  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -482,3 +491,248 @@ def test_node_values_equal_single_row_evaluate(n, batch, d, seed):
         rows = [functional.evaluate(_row_path(times, states, first_dead, b))
                 for b in range(batch)]
         assert np.array_equal(vals, rows, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# Boundary ray casting: _ray_roots runs brentq's iteration in lockstep over
+# all rays, so every root, boundary table, sample and icosphere must equal
+# the per-ray, per-row and per-face scalar code bit for bit.
+
+def _reference_ray_root(domain, direction):
+    c, box = domain.interior_point, domain.bounding_box
+    s_hi = float(np.linalg.norm(box[:, 1] - box[:, 0]))
+    return brentq(lambda s: float(domain.implicit_fn(c + s * direction)),
+                  0.0, s_hi, xtol=1e-14, rtol=1e-15)
+
+
+def _quartic_body(center, axes):
+    """Convex superellipse sum(((x - c) / a)^4) < 1, quartic along rays."""
+    return DomainSpec(
+        implicit_fn=lambda x: np.sum(
+            ((np.asarray(x, dtype=float) - center) / axes) ** 4,
+            axis=-1) - 1.0,
+        gradient_fn=lambda x: 4.0 * ((np.asarray(x, dtype=float) - center)
+                                     / axes) ** 3 / axes,
+        bounding_box=np.stack([center - 1.25 * axes, center + 1.25 * axes],
+                              axis=1),
+        convex_flag=True, interior_point=center)
+
+
+def _steep_ball(center, radius, k):
+    """The ball |x - c| < r through expm1: far from linear along a ray, so
+    Brent falls back to bisection often."""
+    ball = DomainSpec.ball(center, radius)
+    return replace(ball, implicit_fn=lambda x: np.expm1(
+        k * (np.sum((np.asarray(x, dtype=float) - center) ** 2, axis=-1)
+             / radius**2 - 1.0)))
+
+
+domains = st.fixed_dictionaries({
+    "d": st.sampled_from([2, 3]),
+    "shape": st.sampled_from(["ball", "quartic", "steep"]),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def _domain(case):
+    rng = np.random.default_rng(case["seed"])
+    d = case["d"]
+    center = rng.uniform(-3.0, 3.0, size=d)
+    if case["shape"] == "ball":
+        return DomainSpec.ball(center, float(rng.uniform(0.05, 4.0))), rng
+    if case["shape"] == "steep":
+        return _steep_ball(center, float(rng.uniform(0.05, 4.0)),
+                           float(rng.uniform(1.0, 40.0))), rng
+    return _quartic_body(center, rng.uniform(0.1, 3.0, size=d)), rng
+
+
+@SETTINGS
+@given(domains, st.integers(1, 40))
+def test_ray_roots_equal_brentq(case, m):
+    domain, rng = _domain(case)
+    dirs = _unit_rows(rng.standard_normal((m, case["d"])))
+    roots = _ray_roots(domain, dirs)
+    assert roots.shape == (m,)
+    assert np.array_equal(roots,
+                          [_reference_ray_root(domain, u) for u in dirs])
+
+
+def _reference_sample_boundary(domain, n, seed):
+    table = _boundary_table(domain)
+    rng = _philox(seed, 97)
+    c = domain.interior_point
+    if domain.dim == 2:
+        u = rng.uniform(0.0, table["cumlen"][-1], size=n)
+        pts = np.empty((n, 2))
+        for row, s in enumerate(u):
+            idx = int(np.searchsorted(table["cumlen"], s) - 1)
+            idx = min(max(idx, 0), len(table["points"]) - 2)
+            frac = (s - table["cumlen"][idx]) / (
+                table["cumlen"][idx + 1] - table["cumlen"][idx])
+            pts[row] = (1 - frac) * table["points"][idx] \
+                + frac * table["points"][idx + 1]
+    else:
+        faces = table["faces"]
+        pick = np.searchsorted(table["area_cdf"], rng.uniform(size=n))
+        pick = np.clip(pick, 0, len(faces) - 1)
+        b = rng.uniform(size=(n, 2))
+        flip = b.sum(axis=1) > 1.0
+        b[flip] = 1.0 - b[flip]
+        w = np.stack([1.0 - b.sum(axis=1), b[:, 0], b[:, 1]], axis=1)
+        pts = np.einsum("nk,nkd->nd", w, table["points"][faces[pick]])
+    out = np.empty_like(pts)
+    for row, p in enumerate(pts):
+        u = p - c
+        u = u / float(np.linalg.norm(u))
+        out[row] = c + _reference_ray_root(domain, u) * u
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_boundary_table_equals_per_ray_brentq(d):
+    domain = _quartic_body(np.arange(1.0, d + 1.0), np.linspace(0.5, 2.0, d))
+    c = domain.interior_point
+    table = _boundary_table(domain)
+    if d == 2:
+        # the closing node reuses the first root along direction 2 pi
+        theta = 2.0 * np.pi * np.arange(_CURVE_NODES + 1) / _CURVE_NODES
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        radii = [_reference_ray_root(domain, u) for u in dirs[:-1]]
+        radii.append(radii[0])
+    else:
+        dirs = _icosphere(_SPHERE_SUBDIV)[0]
+        radii = [_reference_ray_root(domain, u) for u in dirs]
+    assert np.array_equal(table["points"],
+                          c + np.array(radii)[:, None] * dirs)
+
+
+@SETTINGS
+@given(domains, st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_sample_boundary_equals_per_row_loop(case, n, seed):
+    domain, _ = _domain(case)
+    assert np.array_equal(_sample_boundary(domain, n, seed),
+                          _reference_sample_boundary(domain, n, seed))
+
+
+def _reference_icosphere(subdiv):
+    verts, faces = _icosphere(0)
+    vlist = [tuple(v) for v in verts]
+    faces = [tuple(f) for f in faces]
+    cache = {}
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in cache:
+            m = _unit_rows(0.5 * (np.array(vlist[i]) + np.array(vlist[j])))
+            cache[key] = len(vlist)
+            vlist.append(tuple(m))
+        return cache[key]
+
+    for _ in range(subdiv):
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+        cache.clear()
+    return np.array(vlist), np.array(faces, dtype=int)
+
+
+@pytest.mark.parametrize("subdiv", range(_SPHERE_SUBDIV + 1))
+def test_icosphere_equals_per_face_loop(subdiv):
+    verts, faces = _icosphere(subdiv)
+    ref_verts, ref_faces = _reference_icosphere(subdiv)
+    assert np.array_equal(verts, ref_verts)
+    assert faces.dtype == ref_faces.dtype
+    assert np.array_equal(faces, ref_faces)
+    assert len(verts) == 10 * 4**subdiv + 2
+
+
+# ---------------------------------------------------------------------------
+# The cone probe and the energy certificate make one batched call where the
+# scalar code looped; the probe points and the verdicts must not change.
+
+def _reference_cone_probe(domain, x, basis_mat, boundary_tolerance=1e-8):
+    d = domain.dim
+    diam = float(np.max(domain.bounding_box[:, 1] - domain.bounding_box[:, 0]))
+    rng = _philox(20240117, 5)
+    rays = np.vstack([np.eye(d), np.ones((1, d)),
+                      rng.uniform(0.1, 1.0, size=(8, d))])
+    points, enters = [], False
+    for lam in rays:
+        w = basis_mat @ lam
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            continue
+        for s in (1e-6, 1e-3, 1e-1):
+            p = x + (s * diam / nw) * w
+            points.append(p)
+            enters |= float(domain.implicit_fn(p)) < -boundary_tolerance
+    return np.array(points), enters
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_cone_probe_equals_per_ray_loop(d, seed):
+    rng = np.random.default_rng(seed)
+    ball = DomainSpec.ball(rng.uniform(-1.0, 1.0, size=d),
+                           float(rng.uniform(0.5, 2.0)))
+    normal = _unit_rows(rng.standard_normal(d))
+    x = ball.interior_point + float(_ray_roots(ball, normal[None])[0]) * normal
+    # edges scattered around the outward normal: about half the cones
+    # have a ray that enters the ball
+    basis = normal[:, None] + rng.uniform(-2.0, 2.0, size=(d, d))
+    seen = []
+
+    def spy(points):
+        seen.append(np.array(points))
+        return ball.implicit_fn(points)
+
+    spied = replace(ball, implicit_fn=spy)
+    ref_points, ref_enters = _reference_cone_probe(ball, x, basis)
+    sde = get_example("quadratic").sde if d == 2 \
+        else get_example("iterated_kolmogorov", d=3).sde
+    try:
+        cone_criterion(sde, spied, x, basis)
+        enters = False
+    except ValueError as err:
+        if "linearly dependent" in str(err):
+            return
+        assert "cone ray enters" in str(err)
+        enters = True
+    assert enters == ref_enters
+    assert np.array_equal(seen[-1].reshape(-1, d), ref_points)
+
+
+def _reference_energy_certificate(problem, z, t):
+    sigma = problem.constant_diffusion
+    if sigma is None:
+        return None
+    rng = _philox(981127, 3)
+    cloud = rng.uniform(-2.0, 2.0, size=(128, problem.dim_state))
+    cloud = np.vstack([cloud, problem.x0[None, :], z[None, :]])
+    sup = np.zeros(problem.dim_state)
+    for y in cloud:
+        sup = np.maximum(sup, np.abs(np.asarray(problem.limit_drift(y),
+                                                dtype=float)))
+    for i in range(problem.dim_state):
+        if sup[i] > 1e-12:
+            continue
+        bound = float(np.linalg.norm(sigma[i])) * np.sqrt(2.0 * t)
+        gap = abs(float(z[i] - problem.x0[i]))
+        if gap > bound * (1.0 + 1e-12):
+            return {"kind": "drift_free_coordinate_energy_bound",
+                    "coordinate": i, "reach_band": bound,
+                    "target_offset": gap}
+    return None
+
+
+@pytest.mark.parametrize("name", list_examples())
+def test_energy_certificate_equals_per_row_loop(name):
+    problem = get_example(name).limit_problem
+    rng = np.random.default_rng(7)
+    for scale in (0.1, 1.0, 10.0, 100.0):
+        z = problem.x0 + scale * rng.standard_normal(problem.dim_state)
+        for t in (0.25, 1.0):
+            assert _energy_certificate(problem, z, t) \
+                == _reference_energy_certificate(problem, z, t)

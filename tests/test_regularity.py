@@ -204,6 +204,24 @@ def test_polygonalize_guards():
         polygonalize(open_box, np.array([0.0, 1.0]), 16, seed=0)
 
 
+def test_scalar_only_implicit_fn_fails_loudly():
+    # a callback that collapses a batch to one value must not be broadcast
+    # over every ray or probe point
+    scalar_disc = DomainSpec(
+        implicit_fn=lambda x: float(np.sum(np.asarray(x) ** 2)) - 1.0,
+        gradient_fn=lambda x: 2.0 * np.asarray(x),
+        bounding_box=np.array([[-1.25, 1.25], [-1.25, 1.25]]),
+        convex_flag=True,
+        interior_point=np.zeros(2),
+    )
+    with pytest.raises(ValueError, match="implicit_fn"):
+        polygonalize(scalar_disc, np.array([0.0, 1.0]), 16, seed=0)
+    quad = get_example("quadratic")
+    basis = np.column_stack([[1.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(ValueError, match="implicit_fn"):
+        cone_criterion(quad.sde, scalar_disc, np.array([0.0, 1.0]), basis)
+
+
 def test_face_parallel_square_counterexample():
     # axis-aligned square: the two horizontal edges contain e1
     verts = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
