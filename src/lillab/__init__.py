@@ -14,7 +14,7 @@ from .scaling import (AsymptoticIndex, ContractionFamily, PropertyReport,
 from .controls import (ControlGrid, LimitOdeProblem, cramer_transform,
                        limit_set_distance, limit_set_sample,
                        linear_kernel_oracle, solve_control_ode)
-from .extremals import (CallableFunctional, ExtremalResult, OptimizerConfig,
+from .extremals import (ExtremalResult, OptimizerConfig,
                         QuadraticMissFunctional, RunningMaxAbsFunctional,
                         TerminalLinearFunctional, adjoint_gradient,
                         fd_gradient, optimize_extremal)

@@ -297,15 +297,24 @@ def _control_csv(control: ControlGrid) -> str:
 # ---------------------------------------------------------------------------
 # Subcommand handlers: return (artifacts, stdout_summary, exit_code)
 
+def _simulated(example, opts: dict, start, dt: float, horizon: float):
+    """One path of the example's SDE from start under opts' scheme and seed.
+
+    The exact_linear scheme draws one standard normal per state coordinate
+    and step, the euler scheme one Brownian increment per noise coordinate.
+    """
+    dim_noise = (example.sde.dim_state if opts["scheme"] == "exact_linear"
+                 else example.sde.dim_noise)
+    noise = brownian_path(opts["seed"], dt=dt, horizon=horizon,
+                          dim_noise=dim_noise, path_index=opts["path_index"])
+    return simulate_sde(example.sde, start, noise, scheme=opts["scheme"])
+
+
 def _run_simulate(opts: dict):
     example = _example_from(opts)
     start = np.asarray(opts["start"], dtype=float) if opts["start"] is not None \
         else example.contraction.center
-    dim_noise = (example.sde.dim_state if opts["scheme"] == "exact_linear"
-                 else example.sde.dim_noise)
-    noise = brownian_path(opts["seed"], dt=opts["dt"], horizon=opts["horizon"],
-                          dim_noise=dim_noise, path_index=opts["path_index"])
-    path = simulate_sde(example.sde, start, noise, scheme=opts["scheme"])
+    path = _simulated(example, opts, start, opts["dt"], opts["horizon"])
     summary = {
         "example": example.name,
         "scheme": opts["scheme"],
@@ -324,12 +333,8 @@ def _run_simulate(opts: dict):
 def _run_rescale(opts: dict):
     example = _example_from(opts)
     eps = opts["eps"]
-    noise = brownian_path(opts["seed"], dt=eps * opts["dt"],
-                          horizon=eps * opts["horizon"],
-                          dim_noise=example.sde.dim_noise,
-                          path_index=opts["path_index"])
-    path = simulate_sde(example.sde, example.contraction.center, noise,
-                        scheme=opts["scheme"])
+    path = _simulated(example, opts, example.contraction.center,
+                      eps * opts["dt"], eps * opts["horizon"])
     rescaled = rescale_path(path, example.contraction, example.index, eps)
     summary = {
         "example": example.name,
@@ -377,15 +382,12 @@ def _run_optimize(opts: dict):
 def _run_lil(opts: dict):
     example = _example_from(opts)
     _functional_from(example, opts)
-    try:
-        config = LilExperimentConfig(
-            c=opts["c"], j_min=opts["j_min"], j_max=opts["depth"],
-            eps0=opts["eps0"], n_paths=opts["paths"], scheme=opts["scheme"],
-            seed=opts["seed"], dt_rel=opts["dt_rel"],
-        )
-        report = run_lil_experiment(example, opts["functional"], config)
-    except ValueError as err:
-        raise CliError(str(err), EXIT_CONFIG)
+    config = LilExperimentConfig(
+        c=opts["c"], j_min=opts["j_min"], j_max=opts["depth"],
+        eps0=opts["eps0"], n_paths=opts["paths"], scheme=opts["scheme"],
+        seed=opts["seed"], dt_rel=opts["dt_rel"],
+    )
+    report = run_lil_experiment(example, opts["functional"], config)
     summary = report.to_json_dict()
     artifacts = [("lil.csv", report.to_csv_string()),
                  ("lil.json", _json_text(summary))]
@@ -401,18 +403,14 @@ def _run_regularity(opts: dict, action: str):
         domain = DomainSpec.ball(center, opts["ball_radius"])
         _require(opts, "point")
         point = np.asarray(opts["point"], dtype=float)
-        try:
-            if action == "sphere":
-                tol = opts["tolerance"] if opts["tolerance"] is not None else 1e-6
-                verdict = sphere_criterion(example.sde, domain, point, tol)
-            else:
-                _require(opts, "cone_basis")
-                basis = np.column_stack(
-                    [np.asarray(col, dtype=float) for col in opts["cone_basis"]])
-                tol = opts["tolerance"] if opts["tolerance"] is not None else 1e-6
-                verdict = cone_criterion(example.sde, domain, point, basis, tol)
-        except ValueError as err:
-            raise CliError(str(err), EXIT_CONFIG)
+        tol = opts["tolerance"] if opts["tolerance"] is not None else 1e-6
+        if action == "sphere":
+            verdict = sphere_criterion(example.sde, domain, point, tol)
+        else:
+            _require(opts, "cone_basis")
+            basis = np.column_stack(
+                [np.asarray(col, dtype=float) for col in opts["cone_basis"]])
+            verdict = cone_criterion(example.sde, domain, point, basis, tol)
         summary = verdict.to_json_dict()
         return [("verdict.json", _json_text(summary))], summary, EXIT_OK
     if action == "reach":
@@ -421,12 +419,9 @@ def _run_regularity(opts: dict, action: str):
         tol = opts["tolerance"] if opts["tolerance"] is not None else 1e-3
         config = OptimizerConfig(n_steps=256, n_restarts=6, max_iters=200,
                                  seed=opts["seed"])
-        try:
-            report = reach_target(example.limit_problem,
-                                  np.asarray(opts["target"], dtype=float),
-                                  opts["t"], config=config, tolerance=tol)
-        except ValueError as err:
-            raise CliError(str(err), EXIT_CONFIG)
+        report = reach_target(example.limit_problem,
+                              np.asarray(opts["target"], dtype=float),
+                              opts["t"], config=config, tolerance=tol)
         summary = report.to_json_dict()
         return [("reach.json", _json_text(summary))], summary, EXIT_OK
     # polygonalize

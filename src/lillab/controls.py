@@ -25,6 +25,8 @@ from scipy.integrate import simpson
 from .sde import (OVERFLOW_GUARD, ExplosivePath, NumericalFailure,
                   _expect_shape, _philox, _row_path, trivial_domain)
 
+_BANDLIMITED_MODES = 6   # modes of ControlGrid.random_bandlimited
+
 
 @dataclass(frozen=True)
 class ControlGrid:
@@ -77,14 +79,13 @@ class ControlGrid:
 
     @staticmethod
     def random_bandlimited(n_steps: int, dim: int, seed: int, stream: int = 0,
-                           n_modes: int = 6, energy: Optional[float] = None
-                           ) -> "ControlGrid":
+                           energy: Optional[float] = None) -> "ControlGrid":
         """Low-frequency random control, deterministic in (seed, stream)."""
         rng = _philox(seed, stream)
         mids = (np.arange(n_steps) + 0.5) / n_steps
         vals = np.zeros((n_steps, dim))
-        coeff = rng.standard_normal((n_modes, dim, 2))
-        for m in range(n_modes):
+        coeff = rng.standard_normal((_BANDLIMITED_MODES, dim, 2))
+        for m in range(_BANDLIMITED_MODES):
             vals += coeff[m, :, 0] * np.cos(math.pi * m * mids)[:, None]
             vals += coeff[m, :, 1] * np.sin(math.pi * (m + 1) * mids)[:, None]
         grid = ControlGrid(vals)
@@ -106,9 +107,9 @@ class LimitOdeProblem:
     (w, B, d, k) or, for the optional drift_jacobian, (w, B, d, d). t_star
     <= 1 bounds the usable horizon.
     constant_diffusion (optional (d, k) array) stands in for limit_diffusion
-    during integration and unlocks the adjoint gradient in the extremal
-    optimizer, which uses drift_jacobian when given and central differences
-    of limit_drift otherwise.
+    during integration. The extremal optimizer's adjoint gradient needs both
+    constant_diffusion and drift_jacobian; without them it differentiates
+    the functional by central differences.
     """
 
     dim_state: int

@@ -3,8 +3,9 @@
 optimize_extremal runs projected gradient ascent/descent on the
 piecewise-constant control, with deterministic multi-start. Gradients come
 from a continuous adjoint sweep (one forward + one backward integration) when
-the functional exposes a terminal gradient and the diffusion is constant;
-central finite differences otherwise. Both modes are selectable.
+the functional exposes a terminal gradient and the problem a constant
+diffusion and a drift_jacobian; central finite differences otherwise. Both
+modes are selectable.
 
 Every control, single or batched, goes through the one windowed RK4 sweep of
 lillab.controls (solve_control_ode is its one-row case). Terminal and running
@@ -18,14 +19,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .controls import (ControlGrid, LimitOdeProblem, _integrate,
-                       _node_states, _rk4_window, _times, _window_cells,
+                       _node_states, _rk4_window, _window_cells,
                        solve_control_ode)
-from .sde import ExplosivePath, _expect_shape, _row_path
+from .sde import ExplosivePath, _expect_shape
+
+# The paper's unit energy ball {(1/2) int |u|^2 <= MAX_ENERGY}.
+MAX_ENERGY = 1.0
+_FD_STEP = 1e-6       # relative step of the central differences
+_TOL_VALUE = 1e-12    # relative gain below which an iteration stalls
+_STEP_INIT = 1.0      # first line-search step of every restart
 
 
 # ---------------------------------------------------------------------------
@@ -92,36 +99,12 @@ class RunningMaxAbsFunctional(_NodeFunctional):
         return acc
 
 
-class CallableFunctional:
-    """Wrap an arbitrary path -> float callback (forces finite differences)."""
-
-    def __init__(self, fn: Callable[[ExplosivePath], float], label: str = ""):
-        self.fn = fn
-        self.label = label
-
-    def evaluate(self, path: ExplosivePath) -> float:
-        return float(self.fn(path))
-
-
 # ---------------------------------------------------------------------------
 # Functional values and drift Jacobians on batches
 
-def _jacobian_batch(problem, y, fd_delta=1e-6):
-    if problem.drift_jacobian is not None:
-        jac = np.asarray(problem.drift_jacobian(y), dtype=float)
-        _expect_shape("drift_jacobian", jac, y.shape + (problem.dim_state,))
-        return jac
-    d = y.shape[-1]
-    jac = np.empty(y.shape + (d,))
-    for j in range(d):
-        delta = fd_delta * (1.0 + np.abs(y[..., j : j + 1]))
-        yp = y.copy()
-        yp[..., j] += delta[..., 0]
-        ym = y.copy()
-        ym[..., j] -= delta[..., 0]
-        jac[..., j] = (np.asarray(problem.limit_drift(yp), dtype=float)
-                       - np.asarray(problem.limit_drift(ym), dtype=float)
-                       ) / (2.0 * delta)
+def _jacobian_batch(problem, y):
+    jac = np.asarray(problem.drift_jacobian(y), dtype=float)
+    _expect_shape("drift_jacobian", jac, y.shape + (problem.dim_state,))
     return jac
 
 
@@ -129,7 +112,8 @@ def _functional_values(problem, functional, u_batch):
     """Functional values for a batch of controls; nan on dead rows.
 
     Terminal and running functionals keep only the current states (B, d);
-    a CallableFunctional needs every node's states to build its paths.
+    a functional with neither terminal_value nor accumulate raises
+    ValueError.
     """
     if hasattr(functional, "terminal_value"):
         widths, terminal, first_dead = _integrate(problem, u_batch)
@@ -144,10 +128,7 @@ def _functional_values(problem, functional, u_batch):
         widths, _, first_dead = _integrate(problem, u_batch, fold)
         vals = functional.running_value(acc)
     else:
-        widths, states, first_dead = _node_states(problem, u_batch)
-        times = _times(widths)
-        vals = [functional.evaluate(_row_path(times, states, first_dead, b))
-                for b in range(u_batch.shape[0])]
+        raise ValueError("functional needs terminal_value or accumulate")
     vals = np.asarray(vals, dtype=float)
     vals[first_dead <= len(widths)] = np.nan
     return vals
@@ -160,15 +141,17 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
                      u_batch: np.ndarray) -> np.ndarray:
     """dF/du via one forward and one backward RK4 sweep per batch row.
 
-    Requires a terminal-gradient functional and constant diffusion. The
-    backward equation lambda' = -J_b(g)^T lambda is integrated by
-    _rk4_window over reversed cells on the stored forward trajectory, with
-    stage slopes J^T lambda at the cell's upper node, its midpoint (the
-    mean of the two nodes, twice) and its lower node; the cell gradient is
-    sigma^T times the trapezoidal average of lambda.
+    Requires a terminal-gradient functional, constant diffusion and a
+    drift_jacobian. The backward equation lambda' = -J_b(g)^T lambda is
+    integrated by _rk4_window over reversed cells on the stored forward
+    trajectory, with stage slopes J^T lambda at the cell's upper node, its
+    midpoint (the mean of the two nodes, twice) and its lower node; the
+    cell gradient is sigma^T times the trapezoidal average of lambda.
     """
     if problem.constant_diffusion is None:
         raise ValueError("adjoint gradient requires constant_diffusion")
+    if problem.drift_jacobian is None:
+        raise ValueError("adjoint gradient requires drift_jacobian")
     if not hasattr(functional, "terminal_gradient"):
         raise ValueError("functional does not expose a terminal gradient")
     widths, traj, first_dead = _node_states(problem, u_batch)
@@ -197,13 +180,13 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
     return grad
 
 
-def fd_gradient(problem: LimitOdeProblem, functional, u: np.ndarray,
-                fd_step: float = 1e-6) -> np.ndarray:
+def fd_gradient(problem: LimitOdeProblem, functional,
+                u: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of the functional in the control."""
     n_steps, dim_k = u.shape
     m = n_steps * dim_k
     flat = u.reshape(-1)
-    h = fd_step * (1.0 + np.abs(flat))
+    h = _FD_STEP * (1.0 + np.abs(flat))
     pert = np.repeat(flat[None, :], 2 * m, axis=0)
     idx = np.arange(m)
     pert[2 * idx, idx] += h
@@ -229,12 +212,8 @@ class OptimizerConfig:
     n_steps: int = 1024
     n_restarts: int = 16
     max_iters: int = 500
-    tol_value: float = 1e-12
-    fd_step: float = 1e-6
     gradient: str = "auto"  # auto | adjoint | fd
     seed: int = 424243
-    step_init: float = 1.0
-    max_energy: float = 1.0
     extra_starts: tuple = ()
 
 
@@ -263,11 +242,11 @@ class ExtremalResult:
         }
 
 
-def _project_batch(u_batch: np.ndarray, max_energy: float) -> np.ndarray:
+def _project_batch(u_batch: np.ndarray) -> np.ndarray:
     n = u_batch.shape[1]
     energy = 0.5 * np.sum(u_batch**2, axis=(1, 2)) / n
-    scale = np.where(energy > max_energy,
-                     np.sqrt(max_energy / np.maximum(energy, 1e-300)), 1.0)
+    scale = np.where(energy > MAX_ENERGY,
+                     np.sqrt(MAX_ENERGY / np.maximum(energy, 1e-300)), 1.0)
     return u_batch * scale[:, None, None]
 
 
@@ -277,27 +256,28 @@ def _initial_bank(problem, config) -> np.ndarray:
     for grid in config.extra_starts:
         if grid.n_steps != n or grid.dim != k:
             raise ValueError("extra start has wrong shape")
-        starts.append(grid.project(config.max_energy).values)
+        starts.append(grid.project(MAX_ENERGY).values)
     const = np.ones((n, k)) / math.sqrt(k)
-    const *= math.sqrt(2.0 * 0.9 * config.max_energy)  # energy 0.9 * cap
+    const *= math.sqrt(2.0 * 0.9 * MAX_ENERGY)  # energy 0.9 * cap
     starts.append(const)
     starts.append(-const)
     stream = 0
     while len(starts) < config.n_restarts:
         grid = ControlGrid.random_bandlimited(n, k, config.seed, stream=stream)
-        starts.append(grid.project(config.max_energy).values)
+        starts.append(grid.project(MAX_ENERGY).values)
         stream += 1
     return np.stack(starts)
 
 
 def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
                       config: Optional[OptimizerConfig] = None) -> ExtremalResult:
-    """Extremize a path functional over {energy <= max_energy} controls.
+    """Extremize a path functional over {energy <= MAX_ENERGY} controls.
 
     Projected gradient ascent (sense "max") or descent ("min") with monotone
     backtracking line search and deterministic multi-start. gradient mode
     "auto" picks the adjoint sweep when the functional and problem support it
-    and central finite differences otherwise.
+    (see adjoint_gradient) and central finite differences otherwise. A
+    functional with neither terminal_value nor accumulate raises ValueError.
 
     The reported value is recomputed from a single solve_control_ode run at
     the returned control, so value == functional(argext) exactly.
@@ -309,17 +289,18 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
 
     mode = config.gradient
     adjoint_ok = (problem.constant_diffusion is not None
+                  and problem.drift_jacobian is not None
                   and hasattr(functional, "terminal_gradient"))
     if mode == "auto":
         mode = "adjoint" if adjoint_ok else "fd"
     if mode == "adjoint" and not adjoint_ok:
         raise ValueError("problem/functional pair does not support adjoint mode")
 
-    u = _project_batch(_initial_bank(problem, config), config.max_energy)
+    u = _project_batch(_initial_bank(problem, config))
     batch = u.shape[0]
     val = sgn * _functional_values(problem, functional, u)
     val = np.where(np.isnan(val), -np.inf, val)
-    step = np.full(batch, config.step_init)
+    step = np.full(batch, _STEP_INIT)
     active = np.ones(batch, dtype=bool)
     stall = np.zeros(batch, dtype=int)
 
@@ -328,8 +309,7 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
             return sgn * adjoint_gradient(problem, functional, u_now)
         out = np.empty_like(u_now)
         for b in range(batch):
-            out[b] = sgn * fd_gradient(problem, functional, u_now[b],
-                                       config.fd_step)
+            out[b] = sgn * fd_gradient(problem, functional, u_now[b])
         return np.nan_to_num(out)
 
     grad = gradients(u)
@@ -343,8 +323,7 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
             pending = active & ~improved
             if not np.any(pending):
                 break
-            cand = _project_batch(u + trial[:, None, None] * grad,
-                                  config.max_energy)
+            cand = _project_batch(u + trial[:, None, None] * grad)
             cand_val = np.full(batch, -np.inf)
             cand_val[pending] = sgn * _functional_values(
                 problem, functional, cand[pending]
@@ -358,19 +337,19 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
             improved |= good
             trial[pending & ~good] *= 0.5
         rel_gain = gain / (1.0 + np.abs(val))
-        stall = np.where(improved & (rel_gain >= config.tol_value), 0, stall + 1)
+        stall = np.where(improved & (rel_gain >= _TOL_VALUE), 0, stall + 1)
         active &= stall < 4
         if np.any(active):
             grad = gradients(u)
 
     best = int(np.argmax(val))
-    argext = ControlGrid(u[best]).project(config.max_energy)
+    argext = ControlGrid(u[best]).project(MAX_ENERGY)
     final_path = solve_control_ode(problem, argext)
     final_value = functional.evaluate(final_path)
 
     # projected-gradient norm at the exit point, measured along the feasible set
     probe = 1e-7
-    moved = _project_batch((u[best] + probe * grad[best])[None], config.max_energy)[0]
+    moved = _project_batch((u[best] + probe * grad[best])[None])[0]
     pg_norm = float(np.linalg.norm(moved - u[best]) / probe)
 
     return ExtremalResult(

@@ -202,7 +202,7 @@ def _exact_values(example, functional, js, eps, t_star, config):
             cond = 0.5 * (cond + cond.T)
             d_c, chol_c = equilibrated_cholesky(cond)
             g_hat = g_hat @ gain.T + (z @ chol_c.T) * d_c[None, :]
-        mean = spec.propagator(t) @ x0 + spec.drift_integral(t)
+        mean = spec.propagator(t) @ x0
         x = mean[None, :] + g_hat * d_s[None, :]
         alpha = eval_index(example.index, float(eps[level]))
         y = rescale_states(phi, alpha, float(eps[level]), t_star, x)

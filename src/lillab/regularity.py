@@ -179,8 +179,7 @@ def sphere_criterion(system: SdeSystem, domain: DomainSpec, x,
 
 def cone_criterion(system: SdeSystem, domain: DomainSpec, x,
                    cone_basis, tolerance: float = 1e-6,
-                   boundary_tolerance: float = 1e-8,
-                   probe_exterior: bool = True) -> RegularityVerdict:
+                   boundary_tolerance: float = 1e-8) -> RegularityVerdict:
     """Exterior cone test via a max-margin linear program.
 
     cone_basis columns span Cone(x; x_1..x_d) = {x + sum lambda_i x_i,
@@ -189,8 +188,8 @@ def cone_criterion(system: SdeSystem, domain: DomainSpec, x,
     under the scale normalization sum lambda = 1 and the verdict needs the
     attained margin >= tolerance (margins are O(1) after normalization, so
     solver feasibility noise cannot fake a certificate).  The caller
-    asserts the cone lies outside the closure of V; probe_exterior samples
-    a few rays and rejects blatant violations.
+    asserts the cone lies outside the closure of V; a probe along a few
+    rays rejects blatant violations with ValueError.
     """
     x = np.asarray(x, dtype=float)
     _boundary_normal(domain, x, boundary_tolerance)  # validates the point
@@ -201,19 +200,17 @@ def cone_criterion(system: SdeSystem, domain: DomainSpec, x,
     if abs(np.linalg.det(basis_mat)) < 1e-12 * np.linalg.norm(basis_mat) ** d:
         raise ValueError("cone_basis vectors are linearly dependent")
 
-    if probe_exterior:
-        diam = float(np.max(domain.bounding_box[:, 1] - domain.bounding_box[:, 0]))
-        rng = _philox(20240117, 5)
-        rays = np.vstack([np.eye(d), np.ones((1, d)),
-                          rng.uniform(0.1, 1.0, size=(8, d))])
-        w = np.matmul(basis_mat, rays[:, :, None])[:, :, 0]
-        nw = _row_norms(w)
-        w, nw = w[nw != 0.0], nw[nw != 0.0]
-        steps = np.array([1e-6, 1e-3, 1e-1]) * diam / nw[:, None]
-        probes = x + steps[:, :, None] * w[:, None, :]
-        if np.any(_implicit_values(domain, probes) < -boundary_tolerance):
-            raise ValueError(
-                "cone ray enters the domain; not an exterior cone")
+    diam = float(np.max(domain.bounding_box[:, 1] - domain.bounding_box[:, 0]))
+    rng = _philox(20240117, 5)
+    rays = np.vstack([np.eye(d), np.ones((1, d)),
+                      rng.uniform(0.1, 1.0, size=(8, d))])
+    w = np.matmul(basis_mat, rays[:, :, None])[:, :, 0]
+    nw = _row_norms(w)
+    w, nw = w[nw != 0.0], nw[nw != 0.0]
+    steps = np.array([1e-6, 1e-3, 1e-1]) * diam / nw[:, None]
+    probes = x + steps[:, :, None] * w[:, None, :]
+    if np.any(_implicit_values(domain, probes) < -boundary_tolerance):
+        raise ValueError("cone ray enters the domain; not an exterior cone")
 
     range_basis = _range_basis(np.asarray(system.diffusion(x), dtype=float))
     rank = range_basis.shape[1]
@@ -373,6 +370,8 @@ _SPHERE_SUBDIV = 4      # d=3 icosphere subdivision level
 _BRENT_XTOL = 1e-14     # boundary ray tolerances, as brentq's xtol, rtol
 _BRENT_RTOL = 1e-15
 _BRENT_MAXITER = 100    # brentq's default iteration cap
+
+_HULL_RETRIES = 5       # seeds polygonalize tries before giving up
 
 _boundary_tables: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -599,7 +598,7 @@ class PolygonApprox:
     """
 
     vertices: np.ndarray
-    hull_facets: list
+    hull_facets: list          # vertex indices (ints) of each facet
     facet_normals: np.ndarray
     volume: float
     domain_volume: float
@@ -611,7 +610,7 @@ class PolygonApprox:
     def to_json_dict(self) -> dict:
         return {
             "vertices": self.vertices.tolist(),
-            "hull_facets": [list(map(int, f)) for f in self.hull_facets],
+            "hull_facets": self.hull_facets,
             "facet_normals": self.facet_normals.tolist(),
             "volume": float(self.volume),
             "domain_volume": float(self.domain_volume),
@@ -623,9 +622,7 @@ class PolygonApprox:
 
     def to_csv_string(self) -> str:
         d = self.vertices.shape[1]
-        hull_set = set()
-        for f in self.hull_facets:
-            hull_set.update(int(i) for i in f)
+        hull_set = {i for f in self.hull_facets for i in f}
         header = ",".join(f"x{i+1}" for i in range(d)) + ",on_hull"
         lines = [header]
         for idx, p in enumerate(self.vertices):
@@ -649,7 +646,7 @@ def _hull_from_points(points: np.ndarray, direction: np.ndarray,
     audit = np.abs(normals @ v)
     return PolygonApprox(
         vertices=points,
-        hull_facets=[list(map(int, f)) for f in hull.simplices],
+        hull_facets=hull.simplices.tolist(),
         facet_normals=normals,
         volume=float(hull.volume),
         domain_volume=float(domain_volume),
@@ -660,14 +657,14 @@ def _hull_from_points(points: np.ndarray, direction: np.ndarray,
     )
 
 
-def polygonalize(domain: DomainSpec, v, n: int, seed: int,
-                 max_retries: int = 5) -> PolygonApprox:
+def polygonalize(domain: DomainSpec, v, n: int, seed: int) -> PolygonApprox:
     """Convex hull of n boundary-measure samples of a convex body, d in {2,3}.
 
     Sampling inverts cumulative arc length (d=2) or draws area-weighted
     triangles of a ray-cast icosphere mesh (d=3); every sample is then
     re-projected onto the exact boundary along its ray.  A degenerate hull
-    (affinely dependent samples) retries with an incremented seed.
+    (affinely dependent samples) retries with an incremented seed, up to
+    _HULL_RETRIES seeds.
     """
     if not domain.convex_flag:
         raise ValueError("polygonalize requires a convex domain")
@@ -679,14 +676,14 @@ def polygonalize(domain: DomainSpec, v, n: int, seed: int,
     if vol is None:
         vol = _boundary_table(domain)["quad_volume"]
     last_err = None
-    for attempt in range(max_retries):
+    for attempt in range(_HULL_RETRIES):
         points = _sample_boundary(domain, n, seed + attempt)
         try:
             return _hull_from_points(points, v, vol)
         except QhullError as err:   # affinely dependent sample set
             last_err = err
     raise NumericalFailure(
-        f"hull construction failed after {max_retries} seeds: {last_err}")
+        f"hull construction failed after {_HULL_RETRIES} seeds: {last_err}")
 
 
 def face_parallel_check(poly: PolygonApprox, v=None,

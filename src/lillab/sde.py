@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -83,11 +82,15 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class LinearSpec:
-    """Affine SDE data dx = (A x + offset) dt + sigma dW with constant sigma."""
+    """Linear SDE data dx = A x dt + sigma dW with constant sigma.
+
+    The transition law is Gaussian with mean propagator(h) @ x and
+    covariance(h), in closed form when A is nilpotent (the chained
+    integrators of the registry) and by matrix exponentials otherwise.
+    """
 
     a_matrix: np.ndarray
     sigma: np.ndarray
-    offset: Optional[np.ndarray] = None
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
@@ -96,13 +99,8 @@ class LinearSpec:
             raise ValueError("a_matrix must be square")
         if s.shape[0] != a.shape[0]:
             raise ValueError("sigma row count must match state dimension")
-        off = self.offset
-        off = np.zeros(a.shape[0]) if off is None else np.asarray(off, dtype=float)
-        if off.shape != (a.shape[0],):
-            raise ValueError("offset must have shape (d,)")
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "sigma", s)
-        object.__setattr__(self, "offset", off)
 
     @property
     def dim(self) -> int:
@@ -127,22 +125,6 @@ class LinearSpec:
         out = np.zeros_like(self.a_matrix)
         for j, p in enumerate(powers):
             out += p * (h**j / math.factorial(j))
-        return out
-
-    def drift_integral(self, h: float) -> np.ndarray:
-        """int_0^h exp(A s) ds @ offset (deterministic mean increment)."""
-        if not np.any(self.offset):
-            return np.zeros(self.dim)
-        powers = self._nilpotent_powers()
-        if powers is None:
-            # Append the offset as an extra frozen coordinate and exponentiate.
-            aug = np.zeros((self.dim + 1, self.dim + 1))
-            aug[: self.dim, : self.dim] = self.a_matrix
-            aug[: self.dim, self.dim] = self.offset
-            return scipy.linalg.expm(aug * h)[: self.dim, self.dim]
-        out = np.zeros(self.dim)
-        for j, p in enumerate(powers):
-            out += (p @ self.offset) * (h ** (j + 1) / math.factorial(j + 1))
         return out
 
     def covariance(self, h: float) -> np.ndarray:
@@ -244,15 +226,6 @@ class NoisePath:
     @property
     def horizon(self) -> float:
         return self.n_steps * self.dt
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
-
-    def cumulative(self) -> np.ndarray:
-        """Brownian positions on the grid, starting at 0."""
-        out = np.zeros((self.n_steps + 1, self.dim_noise))
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out
 
     def standard_normals(self) -> np.ndarray:
         return self.increments / math.sqrt(self.dt)
@@ -461,9 +434,9 @@ def _row_path(times: np.ndarray, states: np.ndarray, first_dead: np.ndarray,
                          explosion_index=end if end < len(times) else None)
 
 
-def simulate_sde(system: SdeSystem, x0, noise: NoisePath, scheme: str = "euler",
-                 horizon: Optional[float] = None) -> ExplosivePath:
-    """Simulate the system along the given noise.
+def simulate_sde(system: SdeSystem, x0, noise: NoisePath,
+                 scheme: str = "euler") -> ExplosivePath:
+    """Simulate the system along the given noise, over its whole horizon.
 
     Parameters
     ----------
@@ -477,8 +450,6 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath, scheme: str = "euler",
         d-vector per step (dim_noise = system.dim_state, increments scaled
         by sqrt(dt) as usual); the step is an exact draw from the Gaussian
         transition kernel.
-    horizon : float, optional
-        Defaults to the noise horizon; must not exceed it.
 
     Explosion is declared at the first grid point whose state is outside the
     domain or non-finite; later rows are nan. Non-finite coefficient values
@@ -490,21 +461,13 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath, scheme: str = "euler",
         raise ValueError("x0 has wrong shape")
     if not np.all(np.isfinite(x0)) or not system.domain_contains(x0):
         raise ValueError("x0 must be a finite state inside the domain")
-    if horizon is None:
-        horizon = noise.horizon
-    n = int(round(horizon / noise.dt))
-    if n < 1 or abs(n * noise.dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be an integer multiple of noise.dt")
-    if n > noise.n_steps:
-        raise ValueError("horizon exceeds the noise horizon")
-
-    dt = noise.dt
+    n, dt = noise.n_steps, noise.dt
     times = dt * np.arange(n + 1)
     if scheme == "euler":
         if noise.dim_noise != system.dim_noise:
             raise ValueError("noise dimension does not match system.dim_noise")
         states, first_dead = euler_batch(system, x0[None],
-                                         noise.increments[None, :n], dt)
+                                         noise.increments[None], dt)
         return _row_path(times, states, first_dead, 0)
 
     states = np.full((n + 1, system.dim_state), np.nan)
@@ -520,12 +483,11 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath, scheme: str = "euler",
                 "supply noise with dim_noise = dim_state"
             )
         prop = lin.propagator(dt)
-        mean_inc = lin.drift_integral(dt)
         d_scale, chol = equilibrated_cholesky(lin.covariance(dt))
         z = noise.standard_normals()
         x = x0.copy()
         for i in range(n):
-            x = prop @ x + mean_inc + d_scale * (chol @ z[i])
+            x = prop @ x + d_scale * (chol @ z[i])
             if not state_alive(x, system.domain_contains):
                 explosion = i + 1
                 break
@@ -611,6 +573,3 @@ def path_to_csv_string(path: ExplosivePath) -> str:
     path_to_csv(path, buf)
     return buf.getvalue()
 
-
-def path_to_json_string(path: ExplosivePath) -> str:
-    return json.dumps(path_to_json_dict(path), sort_keys=True)

@@ -10,8 +10,10 @@ import pytest
 
 import lillab
 from lillab.cli import run
-from lillab.examples import list_examples
-from lillab.sde import path_from_csv
+from lillab.examples import get_example, list_examples
+from lillab.scaling import rescale_path
+from lillab.sde import (brownian_path, path_from_csv, path_to_csv_string,
+                        simulate_sde)
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -176,6 +178,58 @@ def test_rescale_artifacts(tmp_path):
                 "--dt", "1e-2", "--out", str(out)]) == 0
     path = path_from_csv(str(out / "rescaled.csv"))
     assert path.horizon == pytest.approx(1.0)
+
+
+def test_rescale_exact_linear_draws_one_normal_per_state_coordinate(tmp_path):
+    # IK(2) has one noise coordinate and two state coordinates
+    out = tmp_path / "resc"
+    assert run(["rescale", "--example", "iterated_kolmogorov", "--d", "2",
+                "--scheme", "exact_linear", "--eps", "1e-4", "--dt", "1e-2",
+                "--seed", "5", "--out", str(out)]) == 0
+    ik = get_example("iterated_kolmogorov", d=2)
+    noise = brownian_path(5, dt=1e-4 * 1e-2, horizon=1e-4 * 1.0, dim_noise=2)
+    path = simulate_sde(ik.sde, ik.contraction.center, noise,
+                        scheme="exact_linear")
+    expected = rescale_path(path, ik.contraction, ik.index, 1e-4)
+    assert (out / "rescaled.csv").read_bytes() == \
+        path_to_csv_string(expected).encode()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lil-verify", "--example", "brownian", "--functional", "terminal",
+      "--c", "2"], "grid ratio c must lie in (0, 1)"),
+    (["regularity", "reach", "--example", "iterated_kolmogorov", "--d", "2",
+      "--target", "0,1", "--t", "5"], "time must lie in (0, t_star]"),
+])
+def test_library_value_error_exit_2(argv, message, capsys):
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": {"message": message, "exit_code": 2,
+                             "subcommand": argv[0]}}
+
+
+def test_regularity_reach_certifies_a_far_target(tmp_path):
+    # the README call: |x2(1)| <= sqrt(2) on the energy ball, so x2 = 10
+    # is out of reach whatever the optimizer returns
+    out = tmp_path / "reach"
+    assert run(["regularity", "reach", "--example", "iterated_kolmogorov",
+                "--d", "2", "--target", "0,10", "--t", "1",
+                "--out", str(out)]) == 0
+    doc = read_json(out / "reach.json")
+    assert doc["status"] == "unreachable"
+    assert doc["certificate"]["kind"] == "drift_free_coordinate_energy_bound"
+    assert doc["certificate"]["coordinate"] == 1
+    assert doc["control"] is None
+
+
+def test_regularity_reach_hits_a_near_target(capsys):
+    assert run(["regularity", "reach", "--example", "iterated_kolmogorov",
+                "--d", "2", "--target", "0.1,0.4", "--t", "0.7"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "reachable"
+    assert doc["miss"] <= 1e-3
+    assert doc["certificate"] is None
+    assert len(doc["control"]) == 256
 
 
 def test_examples_subcommand(capsys):

@@ -1,9 +1,12 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from lillab import extremals
 from lillab.controls import ControlGrid, solve_control_ode
 from lillab.examples import get_example
 from lillab.extremals import (OptimizerConfig, RunningMaxAbsFunctional,
@@ -151,3 +154,32 @@ def test_functional_values_keep_only_the_current_states(functional):
         tracemalloc.stop()
     assert np.all(np.isfinite(vals))
     assert peak < 0.25e6
+
+
+def test_adjoint_needs_a_drift_jacobian():
+    # without drift_jacobian the adjoint is refused and auto runs fd
+    ik = get_example("iterated_kolmogorov", d=2)
+    problem = replace(ik.limit_problem, drift_jacobian=None)
+    j1 = ik.functionals["J1"]
+    with pytest.raises(ValueError, match="requires drift_jacobian"):
+        adjoint_gradient(problem, j1, np.zeros((1, 16, 1)))
+    config = OptimizerConfig(n_steps=16, n_restarts=2, max_iters=20)
+    with pytest.raises(ValueError, match="adjoint"):
+        optimize_extremal(problem, j1, "max",
+                          replace(config, gradient="adjoint"))
+    with mock.patch.object(extremals, "adjoint_gradient") as adjoint, \
+            mock.patch.object(extremals, "fd_gradient",
+                              wraps=extremals.fd_gradient) as fd:
+        auto = optimize_extremal(problem, j1, "max", config)
+    assert fd.called and not adjoint.called
+    forced = optimize_extremal(ik.limit_problem, j1, "max",
+                               replace(config, gradient="fd"))
+    assert auto.value == forced.value
+    assert np.array_equal(auto.argext.values, forced.argext.values)
+
+
+def test_functional_without_values_is_rejected():
+    ik = get_example("iterated_kolmogorov", d=2)
+    config = OptimizerConfig(n_steps=16, n_restarts=2, max_iters=5)
+    with pytest.raises(ValueError, match="terminal_value or accumulate"):
+        optimize_extremal(ik.limit_problem, object(), "max", config)

@@ -8,7 +8,6 @@ import pytest
 
 from lillab import lil
 from lillab.examples import get_example
-from lillab.extremals import CallableFunctional
 from lillab.lil import (LilExperimentConfig, LilReport, run_lil_experiment,
                         running_extremes)
 from lillab.scaling import rescale_path
@@ -120,8 +119,7 @@ def test_exact_route_rejects_path_functionals():
         run_lil_experiment(br, "running_max",
                            LilExperimentConfig(j_min=0, j_max=1, n_paths=2))
     # the euler scheme needs terminal_value or accumulate
-    custom = replace(br, functionals=dict(
-        br.functionals, custom=CallableFunctional(lambda path: 0.0)))
+    custom = replace(br, functionals=dict(br.functionals, custom=object()))
     with pytest.raises(ValueError):
         run_lil_experiment(custom, "custom", LilExperimentConfig(
             j_min=0, j_max=1, n_paths=2, scheme="euler"))

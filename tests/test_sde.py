@@ -2,6 +2,7 @@ import io
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,6 +192,36 @@ def test_equilibrated_cholesky_tiny_scales():
     d, chol = equilibrated_cholesky(cov)
     rebuilt = np.outer(d, d) * (chol @ chol.T)
     assert np.allclose(rebuilt, cov, rtol=1e-10)
+
+
+def test_scalar_ou_transition_uses_matrix_exponentials():
+    # A = [[-1]] is not nilpotent: expm gives the mean factor e^{-h} and
+    # Van Loan's augmented exponential the variance (1 - e^{-2h}) / 2
+    ou = LinearSpec(np.array([[-1.0]]), np.array([[1.0]]))
+    assert ou._nilpotent_powers() is None
+    for h in (1e-3, 0.1, 1.0, 5.0):
+        assert ou.propagator(h)[0, 0] == pytest.approx(math.exp(-h),
+                                                       rel=1e-14)
+        assert ou.covariance(h)[0, 0] == pytest.approx(
+            -math.expm1(-2.0 * h) / 2.0, rel=1e-14)
+
+
+def test_general_branch_matches_closed_form_on_ik3():
+    # forced onto expm / Van Loan, IK(3) keeps the closed-form law
+    # Cov_ij = t^(p_i + p_j + 1) / ((p_i + p_j + 1) p_i! p_j!), coordinate i
+    # being the p_i-fold integral of B, down to t = 1e-10
+    spec = get_example("iterated_kolmogorov", d=3).sde.linear
+    p = (2, 1, 0)
+    with mock.patch.object(LinearSpec, "_nilpotent_powers",
+                           return_value=None):
+        for t in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+            cov = np.array([[t ** (a + b + 1) / ((a + b + 1) * math.factorial(a)
+                                                 * math.factorial(b))
+                             for b in p] for a in p])
+            prop = np.array([[t ** (j - i) / math.factorial(j - i) if j >= i
+                              else 0.0 for j in range(3)] for i in range(3)])
+            assert np.max(np.abs(spec.covariance(t) / cov - 1.0)) < 2e-15
+            assert np.allclose(spec.propagator(t), prop, rtol=1e-15, atol=0.0)
 
 
 def test_simulate_rejects_bad_start():
