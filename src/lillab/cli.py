@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -39,8 +40,8 @@ from .controls import ControlGrid
 from .examples import describe_example, deviation_table, get_example, list_examples
 from .extremals import OptimizerConfig, optimize_extremal
 from .lil import LilExperimentConfig, run_lil_experiment
-from .regularity import (DomainSpec, cone_criterion, polygonalize,
-                         reach_target, sphere_criterion)
+from .regularity import (REACH_CONFIG, DomainSpec, cone_criterion,
+                         polygonalize, reach_target, sphere_criterion)
 from .scaling import (check_asymptotic_index, check_contraction_family,
                       default_family_probes, eval_index, rescale_path)
 from .sde import (NumericalFailure, brownian_path, path_to_csv_string,
@@ -254,15 +255,14 @@ def _require(opts: dict, *keys: str):
                            EXIT_CONFIG)
 
 
-def _example_from(opts: dict):
+def _example_from(opts: dict, build=get_example):
+    """build(opts["example"], d=..., x0=...) with the parameters opts sets,
+    mapping an unknown name to exit 3 and bad parameters to exit 2."""
     _require(opts, "example")
-    params = {}
-    if opts.get("d") is not None:
-        params["d"] = opts["d"]
-    if opts.get("x0") is not None:
-        params["x0"] = opts["x0"]
+    params = {key: opts[key] for key in ("d", "x0")
+              if opts.get(key) is not None}
     try:
-        return get_example(opts["example"], **params)
+        return build(opts["example"], **params)
     except KeyError as err:
         raise CliError(str(err.args[0]), EXIT_UNKNOWN)
     except (TypeError, ValueError) as err:
@@ -395,6 +395,8 @@ def _run_lil(opts: dict):
 
 
 def _run_regularity(opts: dict, action: str):
+    # the criterion's own default unless the user set one
+    tol = {} if opts["tolerance"] is None else {"tolerance": opts["tolerance"]}
     if action in ("sphere", "cone"):
         example = _example_from(opts)
         dim = example.sde.dim_state
@@ -403,25 +405,23 @@ def _run_regularity(opts: dict, action: str):
         domain = DomainSpec.ball(center, opts["ball_radius"])
         _require(opts, "point")
         point = np.asarray(opts["point"], dtype=float)
-        tol = opts["tolerance"] if opts["tolerance"] is not None else 1e-6
         if action == "sphere":
-            verdict = sphere_criterion(example.sde, domain, point, tol)
+            verdict = sphere_criterion(example.sde, domain, point, **tol)
         else:
             _require(opts, "cone_basis")
             basis = np.column_stack(
                 [np.asarray(col, dtype=float) for col in opts["cone_basis"]])
-            verdict = cone_criterion(example.sde, domain, point, basis, tol)
+            verdict = cone_criterion(example.sde, domain, point, basis, **tol)
         summary = verdict.to_json_dict()
         return [("verdict.json", _json_text(summary))], summary, EXIT_OK
     if action == "reach":
         example = _example_from(opts)
         _require(opts, "target")
-        tol = opts["tolerance"] if opts["tolerance"] is not None else 1e-3
-        config = OptimizerConfig(n_steps=256, n_restarts=6, max_iters=200,
-                                 seed=opts["seed"])
         report = reach_target(example.limit_problem,
                               np.asarray(opts["target"], dtype=float),
-                              opts["t"], config=config, tolerance=tol)
+                              opts["t"],
+                              config=replace(REACH_CONFIG, seed=opts["seed"]),
+                              **tol)
         summary = report.to_json_dict()
         return [("reach.json", _json_text(summary))], summary, EXIT_OK
     # polygonalize
@@ -444,17 +444,7 @@ def _run_examples(opts: dict, action: str, name):
         return [("examples.json", _json_text(summary))], summary, EXIT_OK
     if name is None:
         raise CliError("examples describe needs a name", EXIT_CONFIG)
-    params = {}
-    if opts.get("d") is not None:
-        params["d"] = opts["d"]
-    if opts.get("x0") is not None:
-        params["x0"] = opts["x0"]
-    try:
-        summary = describe_example(name, **params)
-    except KeyError as err:
-        raise CliError(str(err.args[0]), EXIT_UNKNOWN)
-    except (TypeError, ValueError) as err:
-        raise CliError(f"bad example parameters: {err}", EXIT_CONFIG)
+    summary = _example_from(dict(opts, example=name), describe_example)
     return [("example.json", _json_text(summary))], summary, EXIT_OK
 
 

@@ -22,9 +22,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .sde import (OVERFLOW_GUARD, ExplosivePath, NumericalFailure,
-                  _expect_shape, _philox, _row_path, trivial_domain)
+from .sde import (ExplosivePath, NumericalFailure, _expect_shape, _philox,
+                  _row_path, alive, trivial_domain)
 
+# The paper's unit energy ball {(1/2) int |u|^2 <= MAX_ENERGY}.
+MAX_ENERGY = 1.0
 _BANDLIMITED_MODES = 6   # modes of ControlGrid.random_bandlimited
 
 
@@ -63,12 +65,12 @@ class ControlGrid:
         np.cumsum(self.values / self.n_steps, axis=0, out=out[1:])
         return out
 
-    def project(self, max_energy: float = 1.0) -> "ControlGrid":
-        """Euclidean projection onto {energy <= max_energy} (radial shrink)."""
+    def project(self) -> "ControlGrid":
+        """Euclidean projection onto {energy <= MAX_ENERGY} (radial shrink)."""
         e = self.energy()
-        if e <= max_energy:
+        if e <= MAX_ENERGY:
             return self
-        return ControlGrid(self.values * math.sqrt(max_energy / e))
+        return ControlGrid(self.values * math.sqrt(MAX_ENERGY / e))
 
     @staticmethod
     def from_function(fn, n_steps: int, dim: int = 1) -> "ControlGrid":
@@ -104,8 +106,9 @@ class LimitOdeProblem:
     (..., d, k). Callbacks must broadcast over leading axes: the integrator
     calls them on states (w, B, d), a window of w cells of B rows, and raises
     ValueError at the first stage when the result is not (w, B, d),
-    (w, B, d, k) or, for the optional drift_jacobian, (w, B, d, d). t_star
-    <= 1 bounds the usable horizon.
+    (w, B, d, k) or, for the optional drift_jacobian, (w, B, d, d).
+    domain_contains maps (..., d) to bools (...) and is checked the same
+    way (see sde.alive). t_star <= 1 bounds the usable horizon.
     constant_diffusion (optional (d, k) array) stands in for limit_diffusion
     during integration. The extremal optimizer's adjoint gradient needs both
     constant_diffusion and drift_jacobian; without them it differentiates
@@ -117,7 +120,7 @@ class LimitOdeProblem:
     limit_drift: Callable
     limit_diffusion: Callable
     x0: np.ndarray
-    domain_contains: Callable[[np.ndarray], bool] = trivial_domain
+    domain_contains: Callable[[np.ndarray], np.ndarray] = trivial_domain
     t_star: float = 1.0
     drift_jacobian: Optional[Callable] = None
     constant_diffusion: Optional[np.ndarray] = None
@@ -225,16 +228,15 @@ def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
     cells at a time by _rk4_window and kept only for the current window;
     visit, when given, is called with the states (m, B, d) of consecutive
     nodes, from x0 on. Returns (widths, terminal states, first_dead). A row
-    whose state leaves the domain or turns non-finite or beyond
-    OVERFLOW_GUARD at node j has first_dead = j and keeps its last live state
-    from there on; rows that survive have first_dead = len(widths) + 1. Dead
-    rows are not stepped again. A window that does not settle within d + 1
-    passes (a drift that is not nilpotent) advances by its exact cells, and
-    the rest of the call steps one cell per window. Raises ValueError for an
-    x0 outside the domain and, at the first stage, for callbacks that return
-    the wrong shape.
+    whose state is not alive (see sde.alive) at node j has first_dead = j
+    and keeps its last live state from there on; rows that survive have
+    first_dead = len(widths) + 1. Dead rows are not stepped again. A window
+    that does not settle within d + 1 passes (a drift that is not nilpotent)
+    advances by its exact cells, and the rest of the call steps one cell per
+    window. Raises ValueError for an x0 that is not alive and for callbacks
+    that return the wrong shape.
     """
-    if not problem.domain_contains(problem.x0):
+    if not alive(problem.x0, problem.domain_contains):
         raise ValueError("x0 outside the domain")
     batch, n_steps, _ = u_batch.shape
     dim = problem.dim_state
@@ -243,7 +245,6 @@ def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
     x = np.broadcast_to(problem.x0, (batch, dim)).copy()
     first_dead = np.full(batch, n + 1)
     live = np.arange(batch)
-    check_domain = problem.domain_contains is not trivial_domain
     if visit is not None:
         visit(x[None].copy())
     start, cap = 0, _window_cells(batch, dim)
@@ -258,15 +259,8 @@ def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
             if done < len(u):
                 cap = 1
             new = nodes[1 : done + 1]
-            # max propagates nan, and nan or inf fail the comparison
-            ok = np.max(np.abs(new), axis=2) <= OVERFLOW_GUARD
+            ok = alive(new, problem.domain_contains)
             first_bad = np.where(ok.all(axis=0), done, np.argmin(ok, axis=0))
-            if check_domain:
-                for r, end in enumerate(first_bad):
-                    for j in range(end):
-                        if not problem.domain_contains(new[j, r]):
-                            first_bad[r] = j
-                            break
             dies = first_bad < done
             if dies.any():
                 # freeze each dying row at its last live state
@@ -319,30 +313,29 @@ def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath,
     """Minimal control energy needed to generate the path, or inf.
 
     Per grid cell the control is recovered by least squares
-    u = sigma(g_mid)^+ (dg/dt - b(g_mid)) at the midpoint state; if the
-    residual outside the diffusion range exceeds tolerance anywhere the path
-    is unreachable and the value is inf. Cells at or after explosion
-    contribute zero (the control is frozen at the cemetery).
+    u = sigma(g_mid)^+ (dg/dt - b(g_mid)) at the midpoint state, all cells
+    at once; if the residual outside the diffusion range exceeds tolerance
+    anywhere the path is unreachable and the value is inf. Cells at or
+    after explosion contribute zero (the control is frozen at the cemetery).
     """
     if path.dim != problem.dim_state:
         raise ValueError("path dimension does not match the problem")
     end = path.explosion_index if path.explosion_index is not None else len(path.times)
-    total = 0.0
-    scale = 1.0 + float(np.max(np.abs(path.states[:end]))) if end > 0 else 1.0
-    for i in range(end - 1):
-        h = path.times[i + 1] - path.times[i]
-        g0, g1 = path.states[i], path.states[i + 1]
-        mid = 0.5 * (g0 + g1)
-        rate = (g1 - g0) / h
-        b = np.asarray(problem.limit_drift(mid), dtype=float)
-        sig = np.atleast_2d(np.asarray(problem.limit_diffusion(mid), dtype=float))
-        target = rate - b
-        u, *_ = np.linalg.lstsq(sig, target, rcond=1e-12)
-        residual = float(np.max(np.abs(sig @ u - target)))
-        if residual > tolerance * scale:
-            return math.inf
-        total += 0.5 * float(u @ u) * h
-    return total
+    if end < 2:
+        return 0.0
+    g = path.states[:end]
+    h = np.diff(path.times[:end])
+    mid = 0.5 * (g[:-1] + g[1:])
+    b = np.asarray(problem.limit_drift(mid), dtype=float)
+    _expect_shape("limit_drift", b, mid.shape)
+    sig = np.asarray(problem.limit_diffusion(mid), dtype=float)
+    _expect_shape("limit_diffusion", sig, mid.shape + (problem.dim_control,))
+    target = (np.diff(g, axis=0) / h[:, None] - b)[..., None]
+    u = np.linalg.pinv(sig, rcond=1e-12) @ target
+    residual = float(np.max(np.abs(sig @ u - target)))
+    if residual > tolerance * (1.0 + float(np.max(np.abs(g)))):
+        return math.inf
+    return 0.5 * float(np.sum(np.sum(u[..., 0] ** 2, axis=-1) * h))
 
 
 def linear_kernel_oracle(kernel, n_quad: int = 4096,
@@ -379,14 +372,14 @@ def limit_set_sample(problem: LimitOdeProblem, n_samples: int, seed: int,
     for i in range(n_samples):
         u[i] = ControlGrid.random_bandlimited(
             n_steps, problem.dim_control, seed, stream=i
-        ).project(1.0).values
+        ).project().values
     widths, states, first_dead = _node_states(problem, u)
     times = _times(widths)
     out = []
     for i in range(n_samples):
         path = _row_path(times, states, first_dead, i)
         energy = cramer_transform(problem, path, tolerance=max(tolerance, 1e-5))
-        if not energy <= 1.0 + tolerance:
+        if not energy <= MAX_ENERGY + tolerance:
             raise NumericalFailure(
                 f"sampled control produced energy {energy:g} > 1 + tolerance"
             )

@@ -313,7 +313,7 @@ def lorenz_probe_controls(n_steps: int) -> list:
     half_energy = 0.5 * (25.0 * (0.5 + math.sin(10.0) / 20.0)
                          + (0.5 + math.sin(2.0) / 4.0))
     s = math.sqrt(1.0 / half_energy)
-    probe = ControlGrid(s * u).project(1.0)
+    probe = ControlGrid(s * u).project()
     return [probe, ControlGrid(-probe.values)]
 
 
@@ -445,18 +445,15 @@ def functional_value(name: str, f_samples, d: Optional[int] = None) -> float:
 
 def coefficient_deviation(example: ExampleSystem, eps: float,
                           points: np.ndarray) -> dict:
-    """Sup deviation of (b_eps, sigma_eps) from the limit pair on sample points."""
+    """Sup deviation of (b_eps, sigma_eps) from the limit pair on sample
+    points (n, d), each coefficient evaluated once on the whole cloud."""
     res = example.rescaled_coefficients(eps)
     limit = example.limit_problem
-    drift_dev = 0.0
-    diff_dev = 0.0
-    for y in np.asarray(points, dtype=float):
-        drift_dev = max(drift_dev, float(np.max(np.abs(
-            np.asarray(res.drift(y)) - np.asarray(limit.limit_drift(y))))))
-        diff_dev = max(diff_dev, float(np.max(np.abs(
-            np.asarray(res.diffusion(y)) - np.asarray(limit.limit_diffusion(y))))))
-    return {"eps": eps, "drift_deviation": drift_dev,
-            "diffusion_deviation": diff_dev}
+    y = np.asarray(points, dtype=float)
+    drift_dev = np.max(np.abs(res.drift(y) - limit.limit_drift(y)))
+    diff_dev = np.max(np.abs(res.diffusion(y) - limit.limit_diffusion(y)))
+    return {"eps": eps, "drift_deviation": float(drift_dev),
+            "diffusion_deviation": float(diff_dev)}
 
 
 def deviation_table(example: ExampleSystem, eps_list, n_samples: int = 64,

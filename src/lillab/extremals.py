@@ -23,13 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import (ControlGrid, LimitOdeProblem, _integrate,
+from .controls import (MAX_ENERGY, ControlGrid, LimitOdeProblem, _integrate,
                        _node_states, _rk4_window, _window_cells,
                        solve_control_ode)
 from .sde import ExplosivePath, _expect_shape
 
-# The paper's unit energy ball {(1/2) int |u|^2 <= MAX_ENERGY}.
-MAX_ENERGY = 1.0
 _FD_STEP = 1e-6       # relative step of the central differences
 _TOL_VALUE = 1e-12    # relative gain below which an iteration stalls
 _STEP_INIT = 1.0      # first line-search step of every restart
@@ -137,23 +135,32 @@ def _functional_values(problem, functional, u_batch):
 # ---------------------------------------------------------------------------
 # Gradients
 
+def _adjoint_obstacle(problem: LimitOdeProblem, functional) -> Optional[str]:
+    """Why adjoint_gradient cannot differentiate this pair, or None."""
+    if problem.constant_diffusion is None:
+        return "adjoint gradient requires constant_diffusion"
+    if problem.drift_jacobian is None:
+        return "adjoint gradient requires drift_jacobian"
+    if not hasattr(functional, "terminal_gradient"):
+        return "functional does not expose a terminal gradient"
+    return None
+
+
 def adjoint_gradient(problem: LimitOdeProblem, functional,
                      u_batch: np.ndarray) -> np.ndarray:
     """dF/du via one forward and one backward RK4 sweep per batch row.
 
     Requires a terminal-gradient functional, constant diffusion and a
-    drift_jacobian. The backward equation lambda' = -J_b(g)^T lambda is
-    integrated by _rk4_window over reversed cells on the stored forward
-    trajectory, with stage slopes J^T lambda at the cell's upper node, its
-    midpoint (the mean of the two nodes, twice) and its lower node; the
-    cell gradient is sigma^T times the trapezoidal average of lambda.
+    drift_jacobian (see _adjoint_obstacle). The backward equation
+    lambda' = -J_b(g)^T lambda is integrated by _rk4_window over reversed
+    cells on the stored forward trajectory, with stage slopes J^T lambda at
+    the cell's upper node, its midpoint (the mean of the two nodes, twice)
+    and its lower node; the cell gradient is sigma^T times the trapezoidal
+    average of lambda.
     """
-    if problem.constant_diffusion is None:
-        raise ValueError("adjoint gradient requires constant_diffusion")
-    if problem.drift_jacobian is None:
-        raise ValueError("adjoint gradient requires drift_jacobian")
-    if not hasattr(functional, "terminal_gradient"):
-        raise ValueError("functional does not expose a terminal gradient")
+    obstacle = _adjoint_obstacle(problem, functional)
+    if obstacle is not None:
+        raise ValueError(obstacle)
     widths, traj, first_dead = _node_states(problem, u_batch)
     n, dim = len(widths), problem.dim_state
     lam = np.empty_like(traj)
@@ -256,7 +263,7 @@ def _initial_bank(problem, config) -> np.ndarray:
     for grid in config.extra_starts:
         if grid.n_steps != n or grid.dim != k:
             raise ValueError("extra start has wrong shape")
-        starts.append(grid.project(MAX_ENERGY).values)
+        starts.append(grid.project().values)
     const = np.ones((n, k)) / math.sqrt(k)
     const *= math.sqrt(2.0 * 0.9 * MAX_ENERGY)  # energy 0.9 * cap
     starts.append(const)
@@ -264,7 +271,7 @@ def _initial_bank(problem, config) -> np.ndarray:
     stream = 0
     while len(starts) < config.n_restarts:
         grid = ControlGrid.random_bandlimited(n, k, config.seed, stream=stream)
-        starts.append(grid.project(MAX_ENERGY).values)
+        starts.append(grid.project().values)
         stream += 1
     return np.stack(starts)
 
@@ -288,12 +295,10 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     sgn = 1.0 if sense == "max" else -1.0
 
     mode = config.gradient
-    adjoint_ok = (problem.constant_diffusion is not None
-                  and problem.drift_jacobian is not None
-                  and hasattr(functional, "terminal_gradient"))
+    obstacle = _adjoint_obstacle(problem, functional)
     if mode == "auto":
-        mode = "adjoint" if adjoint_ok else "fd"
-    if mode == "adjoint" and not adjoint_ok:
+        mode = "adjoint" if obstacle is None else "fd"
+    if mode == "adjoint" and obstacle is not None:
         raise ValueError("problem/functional pair does not support adjoint mode")
 
     u = _project_batch(_initial_bank(problem, config))
@@ -343,7 +348,7 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
             grad = gradients(u)
 
     best = int(np.argmax(val))
-    argext = ControlGrid(u[best]).project(MAX_ENERGY)
+    argext = ControlGrid(u[best]).project()
     final_path = solve_control_ode(problem, argext)
     final_value = functional.evaluate(final_path)
 

@@ -321,6 +321,10 @@ def _energy_certificate(problem: LimitOdeProblem, z: np.ndarray,
     return None
 
 
+# Optimizer settings of reach_target when the caller passes none.
+REACH_CONFIG = OptimizerConfig(n_steps=256, n_restarts=6, max_iters=200)
+
+
 def reach_target(problem: LimitOdeProblem, z, t: float,
                  config: Optional[OptimizerConfig] = None,
                  tolerance: float = 1e-3) -> ReachabilityReport:
@@ -338,8 +342,7 @@ def reach_target(problem: LimitOdeProblem, z, t: float,
         raise ValueError("target must be finite")
     if not 0.0 < t <= problem.t_star:
         raise ValueError("time must lie in (0, t_star]")
-    config = config or OptimizerConfig(n_steps=256, n_restarts=6,
-                                       max_iters=200)
+    config = config or REACH_CONFIG
     clipped = replace(problem, t_star=float(t))
     result = optimize_extremal(clipped, QuadraticMissFunctional(z),
                                sense="min", config=config)

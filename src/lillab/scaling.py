@@ -179,7 +179,7 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
     sigma_eps / sqrt(loglog(1/eps)); see rescaled_sde_system. Only the
     diagonal kinds are accepted: the detrended family is time dependent and
     has no autonomous coefficient transform. A trivial domain stays trivial,
-    so the Euler kernel skips its per-row domain test.
+    so sde.alive skips the domain call.
     """
     if phi.kind == "affine_detrended":
         raise ValueError("transformed_coefficients requires a diagonal kind")

@@ -54,7 +54,7 @@ _UINT64_MASK = (1 << 64) - 1
 def trivial_domain(x) -> bool:
     """Default domain predicate: the whole space.
 
-    Integrators compare against this function to skip per-row domain tests.
+    alive compares against this function to skip the domain call.
     """
     return True
 
@@ -67,10 +67,22 @@ def _expect_shape(name: str, out: np.ndarray, shape: tuple) -> None:
         )
 
 
-def state_alive(x: np.ndarray, domain_contains) -> bool:
-    return (np.all(np.isfinite(x))
-            and float(np.max(np.abs(x))) <= OVERFLOW_GUARD
-            and bool(domain_contains(x)))
+def alive(x, domain_contains) -> np.ndarray:
+    """Which states x (..., d) are alive, as bools (...).
+
+    The exit rule of every integrator: a state is alive when no coordinate
+    exceeds OVERFLOW_GUARD in magnitude (which also rejects nan) and
+    domain_contains, which maps (..., d) to (...), holds there. Only
+    trivial_domain is not called. Raises ValueError when domain_contains
+    returns the wrong shape.
+    """
+    # max propagates nan, and nan or inf fail the comparison
+    ok = np.abs(x).max(axis=-1) <= OVERFLOW_GUARD
+    if domain_contains is not trivial_domain:
+        inside = np.asarray(domain_contains(x), dtype=bool)
+        _expect_shape("domain_contains", inside, np.shape(ok))
+        ok = ok & inside
+    return ok
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
@@ -180,17 +192,17 @@ class SdeSystem:
     drift maps (..., d) -> (..., d) and diffusion (..., d) -> (..., d, k).
     Callbacks must broadcast over leading axes: the Euler kernel calls them
     on a batch (B, d) of states and raises ValueError at the first step when
-    the result is not (B, d) or (B, d, k). domain_contains takes one state
-    (d,) and returns True on the open set where the dynamics live. linear
-    carries the affine representation when one exists (enables the exact
-    transition sampler).
+    the result is not (B, d) or (B, d, k). domain_contains maps (..., d)
+    to bools (...), True on the open set where the dynamics live, and is
+    checked the same way (see alive). linear carries the affine
+    representation when one exists (enables the exact transition sampler).
     """
 
     dim_state: int
     dim_noise: int
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
-    domain_contains: Callable[[np.ndarray], bool] = trivial_domain
+    domain_contains: Callable[[np.ndarray], np.ndarray] = trivial_domain
     label: str = ""
     linear: Optional[LinearSpec] = None
 
@@ -353,13 +365,12 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
 
     x0 (B, d) holds the starting states and increments (B, n, k) the
     Brownian increments of every row on a uniform grid of step dt. Returns
-    (states (n + 1, B, d), first_dead (B,)). A row whose state leaves the
-    domain or turns non-finite or beyond OVERFLOW_GUARD at node j has
-    first_dead = j and keeps its last live state from there on; rows that
-    survive have first_dead = n + 1.
+    (states (n + 1, B, d), first_dead (B,)). A row whose state is not alive
+    at node j has first_dead = j and keeps its last live state from there
+    on; rows that survive have first_dead = n + 1.
 
-    Raises ValueError for an x0 row that is not finite or not in the domain
-    and, at the first step, for callbacks that return the wrong shape. When
+    Raises ValueError for an x0 row that is not alive and for callbacks that
+    return the wrong shape (drift and diffusion at the first step). When
     a row first turns non-finite, drift and diffusion are evaluated again at
     its last live state; a non-finite value there raises NumericalFailure
     with that state and step, as a one-row run of the same row would.
@@ -372,15 +383,14 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
     if inc.ndim != 3 or inc.shape[0] != batch \
             or inc.shape[2] != system.dim_noise:
         raise ValueError("increments must have shape (B, n_steps, dim_noise)")
-    check_domain = system.domain_contains is not trivial_domain
-    if not np.all(np.isfinite(x)) or (
-            check_domain and not all(system.domain_contains(r) for r in x)):
+    domain = system.domain_contains
+    if not alive(x, domain).all():
         raise ValueError("x0 must be a finite state inside the domain")
     n = inc.shape[1]
     states = np.empty((n + 1, batch, system.dim_state))
     states[0] = x
     first_dead = np.full(batch, n + 1)
-    alive = np.ones(batch, dtype=bool)
+    live = np.ones(batch, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
             b = np.asarray(system.drift(x), dtype=float)
@@ -389,23 +399,19 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
                 _expect_shape("drift", b, x.shape)
                 _expect_shape("diffusion", s, x.shape + (system.dim_noise,))
             x_new = x + b * dt + np.einsum("bdk,bk->bd", s, inc[:, i])
-            # max propagates nan, and nan or inf fail the comparison
-            ok = np.abs(x_new).max(axis=1) <= OVERFLOW_GUARD
-            ok &= alive
-            if check_domain:
-                for r in np.nonzero(ok)[0]:
-                    ok[r] = bool(system.domain_contains(x_new[r]))
+            ok = alive(x_new, domain)
+            ok &= live
             if not ok.all():
-                died = alive & ~ok
+                died = live & ~ok
                 for r in np.nonzero(died)[0]:
                     if not np.all(np.isfinite(x_new[r])):
                         _check_row_coefficients(system, x[r].copy(), i)
                 first_dead[died] = i + 1
-                alive = ok
-                if not alive.any():
+                live = ok
+                if not live.any():
                     states[i + 1:] = x
                     break
-                x_new = np.where(alive[:, None], x_new, x)
+                x_new = np.where(live[:, None], x_new, x)
             x = x_new
             states[i + 1] = x
     return states, first_dead
@@ -451,15 +457,15 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath,
         by sqrt(dt) as usual); the step is an exact draw from the Gaussian
         transition kernel.
 
-    Explosion is declared at the first grid point whose state is outside the
-    domain or non-finite; later rows are nan. Non-finite coefficient values
-    at an in-domain state raise NumericalFailure. The "euler" scheme is the
-    one-row case of euler_batch.
+    Explosion is declared at the first grid point whose state is not alive
+    (outside the domain, non-finite or beyond OVERFLOW_GUARD); later rows
+    are nan. Non-finite coefficient values at an in-domain state raise
+    NumericalFailure. The "euler" scheme is the one-row case of euler_batch.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dim_state,):
         raise ValueError("x0 has wrong shape")
-    if not np.all(np.isfinite(x0)) or not system.domain_contains(x0):
+    if not alive(x0, system.domain_contains):
         raise ValueError("x0 must be a finite state inside the domain")
     n, dt = noise.n_steps, noise.dt
     times = dt * np.arange(n + 1)
@@ -468,12 +474,7 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath,
             raise ValueError("noise dimension does not match system.dim_noise")
         states, first_dead = euler_batch(system, x0[None],
                                          noise.increments[None], dt)
-        return _row_path(times, states, first_dead, 0)
-
-    states = np.full((n + 1, system.dim_state), np.nan)
-    states[0] = x0
-    explosion = None
-    if scheme == "exact_linear":
+    elif scheme == "exact_linear":
         lin = system.linear
         if lin is None:
             raise ValueError("exact_linear requires a system with linear structure")
@@ -485,17 +486,17 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath,
         prop = lin.propagator(dt)
         d_scale, chol = equilibrated_cholesky(lin.covariance(dt))
         z = noise.standard_normals()
-        x = x0.copy()
-        for i in range(n):
-            x = prop @ x + d_scale * (chol @ z[i])
-            if not state_alive(x, system.domain_contains):
-                explosion = i + 1
-                break
-            states[i + 1] = x
+        states = np.empty((n + 1, 1, system.dim_state))
+        states[0, 0] = x = x0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n):
+                x = prop @ x + d_scale * (chol @ z[i])
+                states[i + 1, 0] = x
+            ok = alive(states[1:], system.domain_contains)
+        first_dead = 1 + np.where(ok.all(axis=0), n, np.argmin(ok, axis=0))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-
-    return ExplosivePath(times=times, states=states, explosion_index=explosion)
+    return _row_path(times, states, first_dead, 0)
 
 
 # ---------------------------------------------------------------------------

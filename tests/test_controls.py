@@ -23,14 +23,14 @@ def test_control_grid_energy_piecewise_exact():
 def test_control_grid_projection():
     rng = np.random.default_rng(0)
     u = ControlGrid(rng.normal(size=(32, 1)) * 5.0)
-    p = u.project(1.0)
+    p = u.project()
     assert p.energy() <= 1.0 + 1e-12
     # idempotent
-    pp = p.project(1.0)
+    pp = p.project()
     assert np.allclose(pp.values, p.values, rtol=0, atol=1e-14)
     # feasible controls pass through untouched
     small = ControlGrid(np.full((8, 1), 0.1))
-    assert np.array_equal(small.project(1.0).values, small.values)
+    assert np.array_equal(small.project().values, small.values)
 
 
 def test_control_grid_f_values_integrates():
@@ -139,7 +139,7 @@ def test_control_ode_explosion_marks_path():
 
 
 def test_x0_outside_the_domain_is_rejected():
-    problem = _blowup_problem(domain_contains=lambda y: bool(y[0] < 1.0))
+    problem = _blowup_problem(domain_contains=lambda y: y[..., 0] < 1.0)
     with pytest.raises(ValueError, match="x0 outside the domain"):
         limit_set_sample(problem, n_samples=2, seed=0, n_steps=8)
     with pytest.raises(ValueError, match="x0 outside the domain"):
@@ -161,10 +161,11 @@ def test_exploded_path_keeps_the_time_grid():
     ("limit_drift", lambda y: np.zeros(1)),
     ("limit_diffusion", lambda y: np.zeros((1, 1))),
     ("drift_jacobian", lambda y: np.zeros((1, 1))),
+    ("domain_contains", lambda y: bool(np.all(y < 1e3))),
 ])
 def test_callback_shapes_are_checked(name, bad):
     # callbacks that ignore the batch axis (the limit_diffusion case is this
-    # file's old explosion fixture) are rejected at the first stage
+    # file's old explosion fixture) are rejected at their first batch call
     adjoint = name == "drift_jacobian"
     problem = _blowup_problem(
         constant_diffusion=np.ones((1, 1)) if adjoint else None, **{name: bad})

@@ -10,9 +10,12 @@ nilpotent included. The batched Euler kernel euler_batch is the only SDE
 Euler loop: simulate_sde is its one-row case and lil-verify runs it on all
 paths of a level; a per-step single-row loop is kept here as its reference.
 Rows of a batch must not influence each other, and on the iterated
-Kolmogorov chain RK4 is exact for piecewise-constant controls. The Euler LIL
-scheme refines one Brownian path per row onto every level grid; each level
-must see the same path, with Brownian increments. Functional values on a
+Kolmogorov chain RK4 is exact for piecewise-constant controls. Both
+integrators and the exact-linear sampler kill states with one batched exit
+rule, sde.alive; the per-state rule it replaced is kept here as its
+reference and must agree row by row. The Euler LIL scheme refines one
+Brownian path per row onto every level grid; each level must see the same
+path, with Brownian increments. Functional values on a
 batch of node states (node_values, masked at first_dead) equal each row's
 evaluate. Boundary rays are solved by one lockstep Brent iteration
 (regularity._ray_roots); per-ray brentq, the per-row sampling loop, the
@@ -29,6 +32,7 @@ from scipy.optimize import brentq
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lillab import controls  # noqa: E402
 from lillab.controls import (ControlGrid, LimitOdeProblem,  # noqa: E402
@@ -46,8 +50,7 @@ from lillab.regularity import (_CURVE_NODES, _SPHERE_SUBDIV,  # noqa: E402
                                _sample_boundary, _unit_rows, cone_criterion)
 from lillab.sde import (OVERFLOW_GUARD, NoisePath,  # noqa: E402
                         NumericalFailure, SdeSystem, _philox, _row_path,
-                        euler_batch, simulate_sde, state_alive,
-                        trivial_domain)
+                        alive, euler_batch, simulate_sde, trivial_domain)
 from test_controls import _blowup_problem  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -150,7 +153,8 @@ def _sweep_problem(name, t_star):
     if name == "kolmogorov_in_ball":
         return replace(get_example("iterated_kolmogorov").limit_problem,
                        t_star=t_star,
-                       domain_contains=lambda y: bool(np.linalg.norm(y) < 0.3))
+                       domain_contains=lambda y:
+                           np.linalg.norm(y, axis=-1) < 0.3)
     return replace(get_example(name).limit_problem, t_star=t_star)
 
 
@@ -307,7 +311,7 @@ def test_adjoint_matches_fd_gradient(name, functional, cells):
 def _sde(name):
     if name == "quadratic_x1_below_1.5":
         quad = get_example("quadratic")
-        return (replace(quad.sde, domain_contains=lambda x: x[0] < 1.5),
+        return (replace(quad.sde, domain_contains=lambda x: x[..., 0] < 1.5),
                 quad.contraction.center)
     example = get_example(name)
     return example.sde, example.contraction.center
@@ -336,6 +340,36 @@ def _draw_euler(case):
     return system, np.broadcast_to(center, (len(inc), system.dim_state)), inc
 
 
+def _reference_alive(x, domain_contains):
+    """The per-state exit rule sde.alive replaced."""
+    return bool(np.all(np.isfinite(x))
+                and float(np.max(np.abs(x))) <= OVERFLOW_GUARD
+                and bool(domain_contains(x)))
+
+
+DOMAINS = {"whole_space": trivial_domain,
+           "x1_below_1": lambda x: x[..., 0] < 1.0,
+           "ball": lambda x: np.linalg.norm(x, axis=-1) < 2.0}
+
+states_arrays = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
+    elements=st.sampled_from([0.0, 0.5, -1.5, 3.0, 1e100, -1e100, 1e101,
+                              1e300, np.inf, -np.inf, np.nan]))
+
+
+@SETTINGS
+@given(states_arrays, st.sampled_from(sorted(DOMAINS)))
+def test_alive_equals_the_per_state_rule(x, domain):
+    # one call on states (..., d), a single state (d,) included
+    contains = DOMAINS[domain]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = alive(x, contains)
+        want = [_reference_alive(r, contains)
+                for r in x.reshape(-1, x.shape[-1])]
+    assert np.shape(got) == x.shape[:-1]
+    assert np.reshape(got, -1).tolist() == want
+
+
 def _reference_euler(system, x0, inc, dt):
     """One row stepped with every check at every step: (states, explosion).
 
@@ -355,7 +389,7 @@ def _reference_euler(system, x0, inc, dt):
                         f"{what} evaluated to non-finite values at step {i}",
                         state=x, step=i)
             x = x + b * dt + sig @ inc[i]
-        if not state_alive(x, system.domain_contains):
+        if not _reference_alive(x, system.domain_contains):
             return states, i + 1
         states[i + 1] = x
     return states, None

@@ -198,7 +198,7 @@ def test_rescaled_system_damps_driver():
 @pytest.mark.parametrize("name", ["brownian", "iterated_kolmogorov",
                                   "quadratic", "lorenz96"])
 def test_rescaled_systems_keep_the_trivial_domain(name):
-    # the Euler kernel skips its per-row domain test only for trivial_domain
+    # sde.alive skips the domain call only for trivial_domain
     example = get_example(name)
     assert example.sde.domain_contains is trivial_domain
     eps = 1e-4

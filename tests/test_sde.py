@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from lillab.sde import (DEATH, ExplosivePath, LinearSpec, NoisePath,
-                        SdeSystem, brownian_path, equilibrated_cholesky,
-                        euler_batch, path_distance, path_from_csv,
-                        path_from_json_dict, path_to_csv_string,
-                        path_to_json_dict, simulate_sde, state_alive)
+                        SdeSystem, alive, brownian_path,
+                        equilibrated_cholesky, euler_batch, path_distance,
+                        path_from_csv, path_from_json_dict,
+                        path_to_csv_string, path_to_json_dict, simulate_sde,
+                        trivial_domain)
 from lillab.examples import get_example
 
 
@@ -124,12 +125,19 @@ def test_euler_strong_convergence_additive_noise():
     assert slope >= 0.9
 
 
-def test_state_alive_guard():
-    inside = lambda x: True
-    assert state_alive(np.zeros(2), inside)
-    assert not state_alive(np.array([np.nan, 0.0]), inside)
-    assert not state_alive(np.array([1e120, 0.0]), inside)
-    assert not state_alive(np.zeros(2), lambda x: False)
+def test_alive_on_a_batch_and_on_one_state():
+    below_one = lambda x: x[..., 0] < 1.0
+    batch = np.array([[0.0, 0.0], [np.nan, 0.0], [1e120, 0.0], [2.0, 0.0],
+                      [0.0, -1e100]])
+    assert alive(batch, below_one).tolist() == [True, False, False, False,
+                                                True]
+    assert alive(batch, trivial_domain).tolist() == [True, False, False,
+                                                     True, True]
+    assert alive(batch[None], below_one).shape == (1, 5)
+    assert alive(np.zeros(2), below_one)
+    assert not alive(np.array([np.nan, 0.0]), below_one)
+    assert not alive(np.array([1e120, 0.0]), below_one)
+    assert not alive(np.array([2.0, 0.0]), below_one)
 
 
 def test_path_distance_basic():
@@ -248,15 +256,40 @@ def test_euler_batch_checks_callback_shapes():
     with pytest.raises(ValueError,
                        match=r"diffusion .*expected \(3, 2, 1\)"):
         euler_batch(flat_sigma, x0, inc, 0.1)
+    flat_domain = SdeSystem(2, 1, drift=lambda x: np.zeros_like(x),
+                            diffusion=lambda x: np.broadcast_to(
+                                sig, x.shape + (1,)),
+                            domain_contains=lambda x: bool(np.all(x < 1.0)))
+    with pytest.raises(ValueError,
+                       match=r"domain_contains .*expected \(3,\)"):
+        euler_batch(flat_domain, x0, inc, 0.1)
 
 
 def test_euler_batch_freezes_dead_rows():
     # row 0 leaves x < 1 at node 1; its next increment would bring it back
     # inside, but a dead row stays dead and frozen at its last live state
     br = get_example("brownian")
-    system = replace(br.sde, domain_contains=lambda x: x[0] < 1.0)
+    system = replace(br.sde, domain_contains=lambda x: x[..., 0] < 1.0)
     inc = np.array([[[2.0], [-2.0], [0.0]], [[0.1], [0.1], [0.1]]])
     states, first_dead = euler_batch(system, np.zeros((2, 1)), inc, 0.1)
     assert first_dead.tolist() == [1, 4]
     assert np.all(states[:, 0, 0] == 0.0)
     assert np.allclose(states[:, 1, 0], [0.0, 0.1, 0.2, 0.3])
+
+
+def test_exact_linear_path_dies_at_its_first_node_outside_the_domain():
+    # Brownian motion, sampled exactly, crosses x < 1 at node 3 and comes
+    # back inside at node 4: the path is dead from node 3 on
+    br = get_example("brownian")
+    system = replace(br.sde, domain_contains=lambda x: x[..., 0] < 1.0)
+    inc = np.array([[0.3], [0.3], [0.6], [-0.9], [0.1]])
+    path = simulate_sde(system, np.zeros(1), NoisePath(0, 0.25, inc),
+                        scheme="exact_linear")
+    assert path.explosion_index == 3
+    assert path.explosion_time == 0.75
+    assert np.allclose(path.states[:3, 0], [0.0, 0.3, 0.6], atol=1e-15)
+    assert np.all(np.isnan(path.states[3:]))
+    free = simulate_sde(br.sde, np.zeros(1), NoisePath(0, 0.25, inc),
+                        scheme="exact_linear")
+    assert free.explosion_index is None
+    assert np.array_equal(free.states[:3], path.states[:3])
