@@ -44,8 +44,7 @@ from .regularity import (REACH_CONFIG, DomainSpec, cone_criterion,
                          polygonalize, reach_target, sphere_criterion)
 from .scaling import (check_asymptotic_index, check_contraction_family,
                       default_family_probes, eval_index, rescale_path)
-from .sde import (NumericalFailure, brownian_path, path_to_csv_string,
-                  path_to_json_dict, simulate_sde)
+from .sde import NumericalFailure, brownian_path, path_texts, simulate_sde
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -325,8 +324,8 @@ def _run_simulate(opts: dict):
         "terminal": None if path.explosion_index is not None
         else [float(v) for v in path.states[-1]],
     }
-    artifacts = [("path.csv", path_to_csv_string(path)),
-                 ("path.json", _json_text(path_to_json_dict(path)))]
+    csv_text, json_text = path_texts(path)
+    artifacts = [("path.csv", csv_text), ("path.json", json_text)]
     return artifacts, summary, EXIT_OK
 
 
@@ -342,8 +341,8 @@ def _run_rescale(opts: dict):
         "alpha": [float(a) for a in eval_index(example.index, eps)],
         "exploded": rescaled.explosion_index is not None,
     }
-    artifacts = [("rescaled.csv", path_to_csv_string(rescaled)),
-                 ("rescaled.json", _json_text(path_to_json_dict(rescaled)))]
+    csv_text, json_text = path_texts(rescaled)
+    artifacts = [("rescaled.csv", csv_text), ("rescaled.json", json_text)]
     return artifacts, summary, EXIT_OK
 
 

@@ -15,6 +15,7 @@ the Brownian path onto every level grid and steps it with sde.euler_batch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -119,18 +120,17 @@ class LilReport:
         return self.values.shape[1]
 
     def to_csv_string(self) -> str:
-        lines = ["path_id,j,eps,value,running_max,running_min"]
-        for p in range(self.n_paths):
-            for idx in range(self.n_levels):
-                lines.append(",".join((
-                    str(p),
-                    str(int(self.j_values[idx])),
-                    repr(float(self.eps_values[idx])),
-                    repr(float(self.values[p, idx])),
-                    repr(float(self.running_max[p, idx])),
-                    repr(float(self.running_min[p, idx])),
-                )))
-        return "\n".join(lines) + "\n"
+        # a path at a time, by columns: each cell is formatted once, and only
+        # one path's cells are Python objects at a time
+        keys = [f",{j},{e!r}," for j, e in zip(
+            self.j_values.astype(int).tolist(), self.eps_values.tolist())]
+        line = "{}{}{!r},{!r},{!r}\n".format
+        body = "".join([
+            "".join(map(line, itertools.repeat(p), keys, v.tolist(),
+                        mx.tolist(), mn.tolist()))
+            for p, (v, mx, mn) in enumerate(zip(
+                self.values, self.running_max, self.running_min))])
+        return "path_id,j,eps,value,running_max,running_min\n" + body
 
     def to_json_dict(self) -> dict:
         return {

@@ -186,9 +186,10 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
     alpha = eval_index(psi, eps)
     noise_gain = math.sqrt(eps * rate_scale(eps))
     center = phi.center
+    center_alpha = center * alpha
 
     def pullback(y):
-        return center + np.asarray(y, dtype=float) * alpha - center * alpha
+        return center + np.asarray(y, dtype=float) * alpha - center_alpha
 
     def b_eps(y):
         return eps * np.asarray(system.drift(pullback(y)), dtype=float) / alpha

@@ -8,7 +8,7 @@ as a formal death state; distances to a dead time horizon are infinite.
 from __future__ import annotations
 
 import csv
-import io
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -43,12 +43,19 @@ class _DeathState:
 DEATH = _DeathState()
 
 # States with any coordinate beyond this magnitude count as having left every
-# compact subset of the domain: the path is killed rather than allowed to
-# overflow inside coefficient callbacks (polynomial drifts up to cubic stay
-# representable at the guard).
+# compact subset of the domain: the path is killed, and its states from that
+# node on are not returned (polynomial drifts up to cubic stay representable
+# at the guard). euler_batch kills once per block of nodes, so callbacks may
+# still see a dead row's states, overflowing ones included, up to the end of
+# that block; it evaluates them under np.errstate.
 OVERFLOW_GUARD = 1e100
 
 _UINT64_MASK = (1 << 64) - 1
+
+# Nodes that euler_batch steps between two liveness checks. One alive call
+# per block replaces one per step, whose fixed cost weighs most at small
+# batch sizes.
+_BLOCK = 256
 
 
 def trivial_domain(x) -> bool:
@@ -194,8 +201,12 @@ class SdeSystem:
     on a batch (B, d) of states and raises ValueError at the first step when
     the result is not (B, d) or (B, d, k). domain_contains maps (..., d)
     to bools (...), True on the open set where the dynamics live, and is
-    checked the same way (see alive). linear carries the affine
-    representation when one exists (enables the exact transition sampler).
+    checked the same way (see alive). The Euler kernel may call all three
+    on a row's states after its death, up to the end of the block of nodes
+    it classifies at once (see euler_batch), so they must not raise on
+    states outside the domain or non-finite ones; floating-point warnings
+    are suppressed there. linear carries the affine representation when one
+    exists (enables the exact transition sampler).
     """
 
     dim_state: int
@@ -369,11 +380,22 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
     at node j has first_dead = j and keeps its last live state from there
     on; rows that survive have first_dead = n + 1.
 
+    The live rows are stepped through blocks of _BLOCK nodes, and alive
+    classifies each block in one call. A row's nodes depend only on its own
+    earlier nodes, so this finds the first dead node a check after every
+    step would find, and the returned states are the same. Within the block
+    where a row dies, drift, diffusion and domain_contains are also called
+    on its states after its death (under np.errstate, so overflow and
+    invalid values raise no warning); rows dead in an earlier block are not
+    stepped again.
+
     Raises ValueError for an x0 row that is not alive and for callbacks that
     return the wrong shape (drift and diffusion at the first step). When
     a row first turns non-finite, drift and diffusion are evaluated again at
     its last live state; a non-finite value there raises NumericalFailure
-    with that state and step, as a one-row run of the same row would.
+    with that state and step, as a one-row run of the same row would. Rows
+    are checked in the order of their first dead node, the lowest row first
+    on ties, so the failure raised is the one of the earliest step.
     """
     x = np.array(x0, dtype=float)
     inc = np.asarray(increments, dtype=float)
@@ -390,30 +412,45 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
     states = np.empty((n + 1, batch, system.dim_state))
     states[0] = x
     first_dead = np.full(batch, n + 1)
-    live = np.ones(batch, dtype=bool)
+    rows = np.arange(batch)     # the rows alive at the start of the block
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            b = np.asarray(system.drift(x), dtype=float)
-            s = np.asarray(system.diffusion(x), dtype=float)
-            if i == 0:
-                _expect_shape("drift", b, x.shape)
-                _expect_shape("diffusion", s, x.shape + (system.dim_noise,))
-            x_new = x + b * dt + np.einsum("bdk,bk->bd", s, inc[:, i])
-            ok = alive(x_new, domain)
-            ok &= live
-            if not ok.all():
-                died = live & ~ok
-                for r in np.nonzero(died)[0]:
-                    if not np.all(np.isfinite(x_new[r])):
-                        _check_row_coefficients(system, x[r].copy(), i)
-                first_dead[died] = i + 1
-                live = ok
-                if not live.any():
-                    states[i + 1:] = x
+        for i0 in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - i0)
+            if len(rows) == batch:
+                block = states[i0 + 1:i0 + 1 + m]
+                noise = inc[:, i0:i0 + m]
+            else:
+                block = np.empty((m, len(rows), system.dim_state))
+                noise = inc[rows, i0:i0 + m]
+            start = x
+            for j in range(m):
+                b = np.asarray(system.drift(x), dtype=float)
+                s = np.asarray(system.diffusion(x), dtype=float)
+                if i0 + j == 0:
+                    _expect_shape("drift", b, x.shape)
+                    _expect_shape("diffusion", s, x.shape + (system.dim_noise,))
+                x = x + b * dt + np.einsum("bdk,bk->bd", s, noise[:, j])
+                block[j] = x
+            if len(rows) < batch:
+                states[i0 + 1:i0 + 1 + m, rows] = block
+            ok = alive(block, domain)
+            died = ~ok.all(axis=0)
+            if died.any():
+                dead = np.nonzero(died)[0]
+                first = np.argmin(ok[:, dead], axis=0)
+                for j, r in sorted(zip(first.tolist(), dead.tolist())):
+                    if not np.all(np.isfinite(block[j, r])):
+                        last = block[j - 1, r] if j else start[r]
+                        _check_row_coefficients(system, last.copy(), i0 + j)
+                first_dead[rows[dead]] = i0 + 1 + first
+                rows = rows[~died]
+                if not len(rows):
                     break
-                x_new = np.where(live[:, None], x_new, x)
-            x = x_new
-            states[i + 1] = x
+                x = x[~died]
+    if (first_dead <= n).any():
+        frozen = np.arange(n + 1)[:, None] >= first_dead
+        last = states[first_dead - 1, np.arange(batch)]
+        np.copyto(states, last, where=frozen[..., None])
     return states, first_dead
 
 
@@ -502,24 +539,46 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath,
 # ---------------------------------------------------------------------------
 # Serialization: CSV columns t, x1..xd, exploded; JSON mirrors the fields.
 
+def path_texts(path: ExplosivePath) -> tuple:
+    """The CSV and JSON texts of a path: (csv_text, json_text).
+
+    csv_text is what csv.writer writes for the columns t, x1..xd, exploded
+    (CRLF line ends, empty state fields on dead rows), and json_text is
+    json.dumps(path_to_json_dict(path), sort_keys=True, indent=2) and a
+    newline. Every number is formatted once, by repr, and both texts are
+    joined from the same per-row strings.
+    """
+    n, d = path.states.shape
+    end = n if path.explosion_index is None else path.explosion_index
+    times = list(map(repr, path.times.tolist()))
+    rows = [",".join(map(repr, r)) for r in path.states[:end].tolist()]
+    header = ",".join(["t"] + [f"x{j + 1}" for j in range(d)] + ["exploded"])
+    csv_text = "".join([
+        header, "\r\n",
+        "".join(map("{},{},0\r\n".format, times, rows)),
+        "".join(map(("{}" + "," * (d + 1) + "1\r\n").format, times[end:])),
+    ])
+    # ";" joins rows so that the value separators can be indented first
+    live = ";".join(rows).replace(",", ",\n      ").replace(
+        ";", "\n    ],\n    [\n      ")
+    json_text = "".join([
+        '{\n  "explosion_index": ', json.dumps(path.explosion_index),
+        ',\n  "states": [\n    [\n      ', live, "\n    ]",
+        ",\n    null" * (n - end),
+        '\n  ],\n  "times": [\n    ', ",\n    ".join(times), "\n  ]\n}\n",
+    ])
+    # json spells the non-finite floats that repr writes as inf and nan
+    # Infinity and NaN; no other token of the text contains either word
+    return csv_text, json_text.replace("inf", "Infinity").replace("nan", "NaN")
+
+
 def path_to_csv(path: ExplosivePath, fp) -> None:
-    close = False
+    text = path_texts(path)[0]
     if isinstance(fp, (str, bytes)):
-        fp = open(fp, "w", newline="", encoding="utf-8")
-        close = True
-    try:
-        writer = csv.writer(fp)
-        writer.writerow(["t"] + [f"x{j + 1}" for j in range(path.dim)] + ["exploded"])
-        expl = path.explosion_index
-        for i, t in enumerate(path.times):
-            dead = expl is not None and i >= expl
-            row = [repr(float(t))]
-            row += ["" if dead else repr(float(v)) for v in path.states[i]]
-            row.append("1" if dead else "0")
-            writer.writerow(row)
-    finally:
-        if close:
-            fp.close()
+        with open(fp, "w", newline="", encoding="utf-8") as out:
+            out.write(text)
+    else:
+        fp.write(text)
 
 
 def path_from_csv(fp) -> ExplosivePath:
@@ -570,7 +629,4 @@ def path_from_json_dict(doc: dict) -> ExplosivePath:
 
 
 def path_to_csv_string(path: ExplosivePath) -> str:
-    buf = io.StringIO()
-    path_to_csv(path, buf)
-    return buf.getvalue()
-
+    return path_texts(path)[0]

@@ -16,6 +16,7 @@ from lillab.sde import (brownian_path, path_from_csv, path_to_csv_string,
                         simulate_sde)
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def read_json(path):
@@ -64,6 +65,20 @@ def test_simulate_writes_loadable_artifacts(tmp_path):
     assert manifest["subcommand"] == "simulate"
     assert manifest["config"]["dt"] == 1e-3
     assert manifest["seed"] == 424242
+
+
+@pytest.mark.parametrize("golden, extra", [
+    ("simulate_quadratic", []),
+    ("simulate_quadratic_exploding", ["--start", "30,0"]),   # dies at node 13
+])
+def test_simulate_artifacts_equal_the_golden_files(tmp_path, golden, extra):
+    # path.csv and path.json are a file format: a change to the simulation
+    # or to the writers must leave these bytes as they are
+    out = tmp_path / golden
+    assert run(["simulate", "--example", "quadratic", "--dt", "1e-2",
+                "--seed", "7", *extra, "--out", str(out)]) == 0
+    for name in ("path.csv", "path.json"):
+        assert (out / name).read_bytes() == (DATA / golden / name).read_bytes()
 
 
 def test_rerun_byte_identical(tmp_path):

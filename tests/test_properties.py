@@ -8,7 +8,8 @@ loop are kept here as its references; every window size, from one cell to
 the whole grid, must reproduce them bit for bit, drifts that are not
 nilpotent included. The batched Euler kernel euler_batch is the only SDE
 Euler loop: simulate_sde is its one-row case and lil-verify runs it on all
-paths of a level; a per-step single-row loop is kept here as its reference.
+paths of a level; a per-step single-row loop is kept here as its reference,
+and every block size of its liveness check must reproduce it.
 Rows of a batch must not influence each other, and on the iterated
 Kolmogorov chain RK4 is exact for piecewise-constant controls. Both
 integrators and the exact-linear sampler kill states with one batched exit
@@ -34,7 +35,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from lillab import controls  # noqa: E402
+from lillab import controls, sde  # noqa: E402
 from lillab.controls import (ControlGrid, LimitOdeProblem,  # noqa: E402
                              _integrate, _node_states, _widths,
                              solve_control_ode)
@@ -395,21 +396,54 @@ def _reference_euler(system, x0, inc, dt):
     return states, None
 
 
-@SETTINGS
-@given(euler_cases)
-def test_euler_batch_rows_equal_single_runs(case):
-    system, x0, inc = _draw_euler(case)
-    dt = case["dt"]
+def _assert_euler_batch_matches_reference(system, x0, inc, dt):
+    """euler_batch against _reference_euler, row by row.
+
+    Either no row fails alone, and every row has the reference's states up
+    to its first dead node and its last live state from there on, or
+    euler_batch raises the NumericalFailure of the earliest failing step,
+    the lowest row on ties. Returns first_dead or the failure.
+    """
+    refs, failures = [], []   # failures: (step, row, exception)
+    for b in range(len(x0)):
+        try:
+            refs.append(_reference_euler(system, x0[b], inc[b], dt))
+        except NumericalFailure as exc:
+            failures.append((exc.step, b, exc))
+    if failures:
+        expected = min(failures, key=lambda t: t[:2])[2]
+        with pytest.raises(NumericalFailure) as info:
+            euler_batch(system, x0, inc, dt)
+        assert info.value.step == expected.step
+        assert np.array_equal(info.value.state, expected.state)
+        assert str(info.value) == str(expected)
+        return info.value
     states, first_dead = euler_batch(system, x0, inc, dt)
     n = inc.shape[1]
     assert states.shape == (n + 1,) + x0.shape
-    for b in range(len(x0)):
-        ref, explosion = _reference_euler(system, x0[b], inc[b], dt)
+    for b, (ref, explosion) in enumerate(refs):
         end = first_dead[b]
         assert explosion == (end if end <= n else None)
         assert np.array_equal(ref[:end], states[:end, b])
         # dead rows stay frozen at their last live state
         assert np.all(states[end:, b] == states[end - 1, b])
+    return first_dead
+
+
+# euler_batch checks liveness once per block of sde._BLOCK nodes; small
+# blocks make the 1-64 step cases cross many block edges
+BLOCKS = st.sampled_from([1, 2, 3, 7, sde._BLOCK])
+
+
+@SETTINGS
+@given(euler_cases, BLOCKS)
+def test_euler_batch_rows_equal_single_runs(case, block):
+    system, x0, inc = _draw_euler(case)
+    dt = case["dt"]
+    with mock.patch.object(sde, "_BLOCK", block):
+        _assert_euler_batch_matches_reference(system, x0, inc, dt)
+    for b in range(len(x0)):
+        ref, explosion = _reference_euler(system, x0[b], inc[b], dt)
         path = simulate_sde(system, x0[b], NoisePath(0, dt, inc[b]))
         assert np.array_equal(path.states, ref, equal_nan=True)
         assert path.explosion_index == explosion
@@ -435,30 +469,94 @@ def _partly_singular(which):
 
 
 @SETTINGS
-@given(euler_cases, st.sampled_from(["drift", "diffusion"]))
-def test_numerical_failure_matches_single_runs(case, which):
+@given(euler_cases, st.sampled_from(["drift", "diffusion"]), BLOCKS)
+def test_numerical_failure_matches_single_runs(case, which, block):
     system = _partly_singular(which)
     inc = _increments(case, 1)
     x0 = np.zeros((len(inc), 2))
     dt = case["dt"]
-    single = []   # (step, row, failure) for every row that fails alone
+    with mock.patch.object(sde, "_BLOCK", block):
+        _assert_euler_batch_matches_reference(system, x0, inc, dt)
     for b in range(len(x0)):
         try:
             _reference_euler(system, x0[b], inc[b], dt)
         except NumericalFailure as exc:
-            single.append((exc.step, b, exc))
             with pytest.raises(NumericalFailure) as info:
                 simulate_sde(system, x0[b], NoisePath(0, dt, inc[b]))
             assert info.value.step == exc.step
-    if not single:
-        euler_batch(system, x0, inc, dt)
-        return
-    step, _, expected = min(single, key=lambda t: t[:2])
-    with pytest.raises(NumericalFailure) as info:
-        euler_batch(system, x0, inc, dt)
-    assert info.value.step == step
-    assert np.array_equal(info.value.state, expected.state)
-    assert str(info.value) == str(expected)
+
+
+def _jumps(n, jumps, seed, scale=0.01):
+    """Increments (rows, n, 1) of small noise. Row r with jumps[r] = (s, j)
+    also jumps by j into node s and by -2 j out of it, so that a row killed
+    at node s would come back if it were stepped on; (None, 0) adds none."""
+    inc = scale * np.random.default_rng(seed).standard_normal(
+        (len(jumps), n, 1))
+    for row, (node, size) in enumerate(jumps):
+        if node is not None:
+            inc[row, node - 1] += size
+            if node < n:
+                inc[row, node] -= 2.0 * size
+    return inc
+
+
+def _block_deaths(m, n):
+    """Dead nodes in the first block, on the first and last nodes of blocks
+    and mid-block, within [1, n], and a row that survives."""
+    nodes = [1, m, m + 1, 2 * m, 2 * m + 1, m + 2, n]
+    return sorted({v for v in nodes if 1 <= v <= n}) + [None]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, None])
+def test_euler_batch_kills_each_row_once_across_blocks(block):
+    # brownian in x < 1: a jump of 2 kills a row at a chosen node, and the
+    # jump of -4 after it would bring a row stepped on after its death back
+    # inside. None is the real block size, with n = 2 * block + 1.
+    m = sde._BLOCK if block is None else block
+    n = 2 * m + 1 if block is None else 4 * m + 1
+    deaths = _block_deaths(m, n)
+    system = replace(get_example("brownian").sde,
+                     domain_contains=lambda x: x[..., 0] < 1.0)
+    inc = _jumps(n, [(v, 2.0 if v else 0.0) for v in deaths], seed=m)
+    x0 = np.zeros((len(deaths), 1))
+    with mock.patch.object(sde, "_BLOCK", m):
+        first_dead = _assert_euler_batch_matches_reference(system, x0, inc,
+                                                           0.1)
+    assert first_dead.tolist() == [n + 1 if v is None else v for v in deaths]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_euler_batch_all_rows_dead_mid_block(block):
+    # every row dies, the last in the middle of block 1 (at its first node
+    # when the block has one or two nodes); later blocks run no steps and
+    # the frozen tails reach node n
+    n = 4 * block + 1
+    deaths = [1, block + 1, block + (block + 1) // 2]
+    system = replace(get_example("brownian").sde,
+                     domain_contains=lambda x: x[..., 0] < 1.0)
+    inc = _jumps(n, [(v, 2.0) for v in deaths], seed=block)
+    with mock.patch.object(sde, "_BLOCK", block):
+        first_dead = _assert_euler_batch_matches_reference(
+            system, np.zeros((3, 1)), inc, 0.1)
+    assert first_dead.tolist() == deaths
+
+
+@pytest.mark.parametrize("which", ["drift", "diffusion"])
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_numerical_failure_of_the_earliest_step_in_a_block(block, which):
+    # x1 > 1 makes the coefficient nan: a row that jumps past 1 at node s
+    # turns non-finite at node s + 1 and fails at step s. Rows 1 and 2 turn
+    # non-finite at the first node of block 1, row 0 at its last node; row
+    # 1 must win (row 0 when block = 1, where all three tie).
+    n = 3 * block + 1
+    system = _partly_singular(which)
+    inc = _jumps(n, [(2 * block - 1, 2.0), (block, 3.0), (block, 4.0)],
+                 seed=0, scale=0.0)
+    with mock.patch.object(sde, "_BLOCK", block):
+        failure = _assert_euler_batch_matches_reference(
+            system, np.zeros((3, 2)), inc, 0.1)
+    assert failure.step == block
+    assert failure.state.tolist() == ([3.0, 1.5] if block > 1 else [2.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -6,13 +7,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lillab.sde import (DEATH, ExplosivePath, LinearSpec, NoisePath,
                         SdeSystem, alive, brownian_path,
                         equilibrated_cholesky, euler_batch, path_distance,
-                        path_from_csv, path_from_json_dict,
-                        path_to_csv_string, path_to_json_dict, simulate_sde,
-                        trivial_domain)
+                        path_from_csv, path_from_json_dict, path_texts,
+                        path_to_csv, path_to_csv_string, path_to_json_dict,
+                        simulate_sde, trivial_domain)
 from lillab.examples import get_example
 
 
@@ -190,6 +193,65 @@ def test_json_round_trip():
     assert np.array_equal(back.times, path.times)
     assert np.array_equal(back.states, path.states)
     assert back.explosion_index is None
+
+
+def _reference_csv(path):
+    """The csv.writer loop path_texts replaced, kept as its reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t"] + [f"x{j + 1}" for j in range(path.dim)]
+                    + ["exploded"])
+    expl = path.explosion_index
+    for i, t in enumerate(path.times):
+        dead = expl is not None and i >= expl
+        row = [repr(float(t))]
+        row += ["" if dead else repr(float(v)) for v in path.states[i]]
+        row.append("1" if dead else "0")
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def _reference_json(path):
+    return json.dumps(path_to_json_dict(path), sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def explosive_paths(draw):
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 12))
+    steps = draw(hnp.arrays(np.float64, n - 1,
+                            elements=st.floats(1e-3, 1e3)))
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e100, 1e300, -1e300,
+                         np.inf, -np.inf, np.nan]),
+        st.floats(allow_nan=True, allow_infinity=True))
+    states = draw(hnp.arrays(np.float64, (n, d), elements=values))
+    explosion = draw(st.sampled_from([None, 1, n - 1]))
+    return ExplosivePath(times, states, explosion)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(explosive_paths())
+def test_path_texts_equal_the_reference_writers(path):
+    # byte for byte: nan, inf, -0.0 and subnormal coordinates, and empty
+    # fields (csv) or null rows (json) from the explosion index on
+    csv_text, json_text = path_texts(path)
+    assert csv_text == _reference_csv(path)
+    assert json_text == _reference_json(path)
+    assert path_to_csv_string(path) == csv_text
+    buf = io.StringIO()
+    path_to_csv(path, buf)
+    assert buf.getvalue() == csv_text
+
+
+def test_path_to_csv_writes_crlf_lines_to_a_file(tmp_path):
+    t = np.linspace(0.0, 0.5, 6)
+    x = np.array([0.0, -0.0, 5e-324, np.inf, 1.0, 2.0])
+    path = ExplosivePath(t, np.column_stack([t, x]), explosion_index=4)
+    path_to_csv(path, str(tmp_path / "p.csv"))
+    assert (tmp_path / "p.csv").read_bytes() == \
+        _reference_csv(path).encode()
 
 
 def test_equilibrated_cholesky_tiny_scales():
