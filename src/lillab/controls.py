@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .sde import (ExplosivePath, NumericalFailure, _expect_shape, _philox,
                   _row_path, alive, trivial_domain)
@@ -348,6 +347,7 @@ def linear_kernel_oracle(kernel, n_quad: int = 4096,
     value is sqrt(2) * ||K||_2, attained at df/dt proportional to K.
     Composite quadrature on n_quad+1 nodes.
     """
+    from scipy.integrate import simpson
     if n_quad < 16:
         raise ValueError("n_quad too small")
     s = np.linspace(0.0, 1.0, n_quad + 1)

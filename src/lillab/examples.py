@@ -3,7 +3,9 @@
 Each entry bundles the SDE, its contraction family and asymptotic index, the
 limit control ODE, named path functionals, and reference constants with the
 method that produced them. Control-space functionals (J1/J2/J3/running_max)
-are also evaluable directly by quadrature via functional_value.
+are also evaluable directly by quadrature via functional_value. lorenz96's
+sine-probe constant is such a quadrature value, stored as a literal so that
+building the example runs none; a test recomputes it bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .controls import LimitOdeProblem, ControlGrid, linear_kernel_oracle
 from .extremals import RunningMaxAbsFunctional, TerminalLinearFunctional
@@ -306,13 +307,19 @@ def _lorenz_limit_jacobian(y):
     return jac
 
 
+# Half energy (1/2) int |df/dt|^2 of the sine pair f = (sin 5t, sin t) on
+# [0, 1], and its J3 value: functional_value("J3", ...) of the pair on 20001
+# uniform samples, stored so that building lorenz96 runs no quadrature.
+_SINE_PAIR_HALF_ENERGY = 0.5 * (25.0 * (0.5 + math.sin(10.0) / 20.0)
+                                + (0.5 + math.sin(2.0) / 4.0))
+_SINE_PAIR_J3 = -0.006049458337850757
+
+
 def lorenz_probe_controls(n_steps: int) -> list:
     """Deterministic probe starts: the scaled sine pair f = s(sin 5t, sin t)."""
     mids = (np.arange(n_steps) + 0.5) / n_steps
     u = np.column_stack([5.0 * np.cos(5.0 * mids), np.cos(mids)])
-    half_energy = 0.5 * (25.0 * (0.5 + math.sin(10.0) / 20.0)
-                         + (0.5 + math.sin(2.0) / 4.0))
-    s = math.sqrt(1.0 / half_energy)
+    s = math.sqrt(1.0 / _SINE_PAIR_HALF_ENERGY)
     probe = ControlGrid(s * u).project()
     return [probe, ControlGrid(-probe.values)]
 
@@ -341,17 +348,10 @@ def _make_lorenz96() -> ExampleSystem:
             np.array([0.0, 0.0, 0.0, 0.0, 1.0]), label="J3"
         ),
     }
-    probe = functional_value(
-        "J3",
-        np.column_stack([np.sin(5.0 * np.linspace(0, 1, 20001)),
-                         np.sin(np.linspace(0, 1, 20001))]),
-    )
-    half_energy = 0.5 * (25.0 * (0.5 + math.sin(10.0) / 20.0)
-                         + (0.5 + math.sin(2.0) / 4.0))
     reference = {
-        "J3_sine_probe": {"value": probe,
+        "J3_sine_probe": {"value": _SINE_PAIR_J3,
                           "method": "composite quadrature, sine pair"},
-        "J3_min_bound": {"value": probe / half_energy**2,
+        "J3_min_bound": {"value": _SINE_PAIR_J3 / _SINE_PAIR_HALF_ENERGY**2,
                          "method": "rescaled feasible point"},
     }
     return ExampleSystem(
@@ -409,6 +409,7 @@ def functional_value(name: str, f_samples, d: Optional[int] = None) -> float:
     Composite Simpson quadrature with cumulative inner integrals, so the cost
     stays linear in m.
     """
+    from scipy.integrate import cumulative_simpson, simpson
     f = np.asarray(f_samples, dtype=float)
     if f.ndim == 1:
         f = f[:, None]

@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from .controls import ControlGrid, LimitOdeProblem
 from .extremals import OptimizerConfig, QuadraticMissFunctional, optimize_extremal
@@ -235,6 +233,7 @@ def cone_criterion(system: SdeSystem, domain: DomainSpec, x,
     cost = np.zeros(n_var)
     cost[-1] = -1.0
     bounds = [(None, None)] * rank + [(0.0, 1.0)] * d + [(0.0, 1.0)]
+    from scipy.optimize import linprog
     res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(d), A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     margin = float(res.x[-1]) if res.status == 0 else 0.0
@@ -636,6 +635,7 @@ class PolygonApprox:
 
 def _hull_from_points(points: np.ndarray, direction: np.ndarray,
                       domain_volume: float) -> PolygonApprox:
+    from scipy.spatial import ConvexHull
     hull = ConvexHull(points)
     normals = hull.equations[:, :-1]
     offsets = hull.equations[:, -1]
@@ -678,6 +678,7 @@ def polygonalize(domain: DomainSpec, v, n: int, seed: int) -> PolygonApprox:
     vol = domain.volume
     if vol is None:
         vol = _boundary_table(domain)["quad_volume"]
+    from scipy.spatial import QhullError
     last_err = None
     for attempt in range(_HULL_RETRIES):
         points = _sample_boundary(domain, n, seed + attempt)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalFailure(RuntimeError):
@@ -140,7 +139,8 @@ class LinearSpec:
         """exp(A h), in closed form when A is nilpotent."""
         powers = self._nilpotent_powers()
         if powers is None:
-            return scipy.linalg.expm(self.a_matrix * h)
+            from scipy.linalg import expm
+            return expm(self.a_matrix * h)
         out = np.zeros_like(self.a_matrix)
         for j, p in enumerate(powers):
             out += p * (h**j / math.factorial(j))
@@ -154,13 +154,14 @@ class LinearSpec:
         """
         powers = self._nilpotent_powers()
         if powers is None:
+            from scipy.linalg import expm
             d = self.dim
             q = self.sigma @ self.sigma.T
             aug = np.zeros((2 * d, 2 * d))
             aug[:d, :d] = -self.a_matrix
             aug[:d, d:] = q
             aug[d:, d:] = self.a_matrix.T
-            f = scipy.linalg.expm(aug * h)
+            f = expm(aug * h)
             return f[d:, d:].T @ f[:d, d:]
         mats = [p @ self.sigma for p in powers]
         cov = np.zeros((self.dim, self.dim))

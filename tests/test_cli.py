@@ -304,6 +304,11 @@ def run_entry_point(args, cwd):
     module, func = target.split(":")
     code = (f"import sys; sys.argv[0] = 'lillab'; "
             f"from {module} import {func}; {func}()")
+    return run_python(code, args, cwd)
+
+
+def run_python(code, args, cwd):
+    """Run code in a fresh interpreter that imports this session's lillab."""
     src = str(Path(lillab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -327,6 +332,49 @@ def test_console_script_end_to_end(tmp_path):
     assert proc.returncode == 3
     assert json.loads(proc.stderr)["error"]["exit_code"] == 3
     assert list(tmp_path.iterdir()) == []
+
+
+# Runs the given CLI argument lists in one fresh interpreter, after building
+# every registered example, and prints the exit codes and the scipy
+# subpackages then loaded.
+_LOADED_AFTER_RUNS = """
+import json, sys
+from lillab.cli import run
+from lillab.examples import get_example, list_examples
+for name in list_examples():
+    get_example(name)
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+subpackages = ("scipy.linalg", "scipy.integrate", "scipy.optimize",
+               "scipy.spatial")
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in subpackages if m in sys.modules]}))
+"""
+
+
+def loaded_after_runs(runs, cwd):
+    proc = run_python(_LOADED_AFTER_RUNS, [json.dumps(runs)], cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_common_runs_load_no_scipy_subpackage(tmp_path):
+    # the paper's examples simulate and optimize on numpy alone
+    doc = loaded_after_runs(
+        [["simulate", "--example", "quadratic", "--dt", "1e-2",
+          "--out", "sim"],
+         ["optimize", "--example", "lorenz96", "--functional", "J3",
+          "--n-steps", "32", "--restarts", "2", "--out", "opt"]], tmp_path)
+    assert doc == {"codes": [0, 0], "loaded": []}
+    assert read_json(tmp_path / "opt" / "result.json")["value"] > 0.0
+
+
+def test_polygonalize_loads_scipy_spatial_when_it_runs(tmp_path):
+    doc = loaded_after_runs(
+        [["regularity", "polygonalize", "--dim", "3", "--out", "poly"]],
+        tmp_path)
+    assert doc["codes"] == [0]
+    assert "scipy.spatial" in doc["loaded"]   # which itself loads scipy.linalg
+    assert read_json(tmp_path / "poly" / "polygon.json")["volume"] > 3.0
 
 
 @pytest.mark.skipif(shutil.which("lillab") is None,

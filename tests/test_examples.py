@@ -80,13 +80,27 @@ def test_functional_value_guards():
         functional_value("J2", t[:2])      # too few samples
 
 
+def sine_pair(m):
+    t = np.linspace(0.0, 1.0, m)
+    return np.column_stack([np.sin(5.0 * t), np.sin(t)])
+
+
 def test_lorenz_sine_probe_value():
-    t = np.linspace(0.0, 1.0, 2001)
-    f = np.column_stack([np.sin(5.0 * t), np.sin(t)])
-    val = functional_value("J3", f)
-    lz = get_example("lorenz96")
-    assert val == pytest.approx(lz.reference["J3_sine_probe"]["value"],
-                                abs=1e-7)
+    ref = get_example("lorenz96").reference
+    probe = ref["J3_sine_probe"]["value"]
+    # the stored constant is the quadrature its method names, bit for bit
+    assert ref["J3_sine_probe"]["method"] == "composite quadrature, sine pair"
+    assert probe == functional_value("J3", sine_pair(20001))
+    assert probe == pytest.approx(functional_value("J3", sine_pair(2001)),
+                                  abs=1e-7)
+    # (1/2) int |df/dt|^2 of f = (sin 5t, sin t), in closed form
+    half_energy = 0.5 * (25.0 * (0.5 + math.sin(10.0) / 20.0)
+                         + (0.5 + math.sin(2.0) / 4.0))
+    mids = (np.arange(20000) + 0.5) / 20000
+    du = np.column_stack([5.0 * np.cos(5.0 * mids), np.cos(mids)])
+    assert half_energy == pytest.approx(0.5 * np.mean(np.sum(du**2, axis=1)),
+                                        rel=1e-7)
+    assert ref["J3_min_bound"]["value"] == probe / half_energy**2
 
 
 def test_lorenz_probe_controls_feasible_and_opposed():

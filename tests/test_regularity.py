@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from lillab import regularity
 from lillab.examples import get_example
 from lillab.extremals import OptimizerConfig
 from lillab.regularity import (DomainSpec, PolygonApprox, cone_criterion,
                                face_parallel_check, polygonalize,
                                reach_target, sphere_criterion)
+from lillab.sde import NumericalFailure
 
 
 def unit_ball(d=2):
@@ -187,6 +189,41 @@ def test_polygonalize_sphere_3d():
     assert poly.volume <= ball.volume
     assert poly.deficit < 0.25
     assert poly.volume > 3.8
+
+
+def degenerate_boundary(monkeypatch, bad_seeds):
+    """Make _sample_boundary return collinear points for the given seeds;
+    returns the list of seeds it was called with."""
+    sample = regularity._sample_boundary
+    calls = []
+
+    def patched(domain, n, seed):
+        calls.append(seed)
+        if seed in bad_seeds:
+            return np.column_stack([np.linspace(-1.0, 1.0, n), np.zeros(n)])
+        return sample(domain, n, seed)
+
+    monkeypatch.setattr(regularity, "_sample_boundary", patched)
+    return calls
+
+
+def test_polygonalize_retries_a_degenerate_sample(monkeypatch):
+    ball = unit_ball()
+    v = np.array([0.0, 1.0])
+    expected = polygonalize(ball, v, 32, seed=22)
+    calls = degenerate_boundary(monkeypatch, {21})
+    poly = polygonalize(ball, v, 32, seed=21)
+    assert calls == [21, 22]
+    assert poly.to_json_dict() == expected.to_json_dict()
+
+
+def test_polygonalize_gives_up_after_its_retries(monkeypatch):
+    seeds = list(range(40, 40 + regularity._HULL_RETRIES))
+    calls = degenerate_boundary(monkeypatch, set(seeds))
+    with pytest.raises(NumericalFailure,
+                       match=f"after {regularity._HULL_RETRIES} seeds"):
+        polygonalize(unit_ball(), np.array([0.0, 1.0]), 32, seed=40)
+    assert calls == seeds
 
 
 def test_polygonalize_guards():
