@@ -124,7 +124,7 @@ _SPECS = {
         "eps0": (float, 1e-2, "starting scale"),
         "paths": (int, 2000, "Monte Carlo sample paths"),
         "scheme": (str, "exact_linear", "exact_linear | euler"),
-        "dt_rel": (float, 1e-2, "per-scale step relative to eps_j (euler)"),
+        "dt_rel": (float, 1e-2, "per-scale step relative to eps_j"),
     },
     "regularity": {
         **_COMMON,

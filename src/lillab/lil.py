@@ -8,9 +8,9 @@ extremal constants is loglog slow, so reports carry bracket statistics
 calibrated by pilot runs; see the acceptance tests for the brackets.
 
 Noise coupling across scales (noise_coupling = "consistent"): each row is
-one driving path seen at every scale, refined coarse to fine.  Linear systems
-("exact_linear") refine the state by its Gaussian bridge law; "euler" refines
-the Brownian path onto every level grid and steps it with sde.euler_batch.
+one Gauss-Markov path, refined coarse to fine onto every level grid by one
+bridge (_bridge).  exact_linear bridges the state of a linear system and
+takes it as the states; euler bridges W and steps it with sde.euler_batch.
 """
 
 from __future__ import annotations
@@ -25,23 +25,27 @@ import numpy as np
 from .examples import ExampleSystem
 from .extremals import node_values
 from .scaling import eval_index, rescale_states
-from .sde import _philox, equilibrated_cholesky, euler_batch
+from .sde import LinearSpec, alive, euler_batch, row_normals
 
 
-# Row-nodes per chunk of rows in _euler_values.  A row counts n_steps + 1
-# kernel nodes (states, W, increments, and for a running functional its
-# rescaled states: up to 2d + 2k doubles) and n_steps / (1 - c) + 3 bridge
-# nodes, the most merged times a level can have (W, known W and a temporary:
-# 3k doubles), so a level's memory does not grow with n_paths.
-_EULER_CHUNK_NODES = 1 << 20
+# Row-nodes per chunk of rows in _table, so memory does not grow with paths:
+# a row counts n_steps + 1 level nodes (states, increments, rescaled states)
+# and twice the most merged bridge times of a level (the merged process, its
+# normals, a step's output, gather and product, and the known values that
+# stay live beside the level's nodes).
+_CHUNK_NODES = 1 << 20
+# New times per stacked spec.bridge call: a whole table of one-step levels at
+# once, a bounded transient on fine grids.
+_BRIDGE_TIMES = 256
 
 
 @dataclass(frozen=True)
 class LilExperimentConfig:
     """Geometric grid eps_j = eps0 * c^j for j in [j_min, j_max].
 
-    dt_rel only matters for the euler scheme (per-scale step eps_j * dt_rel,
-    so every scale resolves the same number of steps per unit rescaled time).
+    dt_rel is the per-scale step eps_j * dt_rel of every path (every scale
+    resolves the same number of steps per unit rescaled time) except for a
+    terminal functional under exact_linear, which needs one step per scale.
     A report whose explosion fraction exceeds explosion_flag_threshold is
     flagged, not failed.
     """
@@ -162,122 +166,121 @@ def running_extremes(values):
     return np.maximum.accumulate(values), np.minimum.accumulate(values)
 
 
-def _exact_values(example, functional, js, eps, t_star, config):
-    """Evaluate a terminal functional at every scale from one Gaussian path.
+def _bridge_plan(spec, grids):
+    """Per level (size, at_known, at_grid, keep, steps): what _bridge does.
 
-    The linear transition law gives the state at the coarsest needed time
-    directly; deeper scales are drawn from the conditional (bridge) law of
-    the earlier time given the later one, so all levels of one row belong to
-    the same driving path.  All covariance algebra runs in sqrt(diag)
-    equilibrated coordinates: raw transition covariances of chained
-    integrators are numerically singular below eps ~ 1e-6 while their
-    correlation matrices stay tame.
+    A level merges its grid into the known times (within 1e-9 steps of a
+    known time is that time: grids need not nest). A new last time steps
+    forward; the others come in passes, the middle new time of each known
+    interval given its two known neighbours, independent given the known
+    values. Each step is [new, left, right, from_a, from_b, noise] (right
+    = left and from_b = 0 forward). The times up to the next grid's horizon
+    and the first beyond stay known (0 after the last level).
     """
-    spec = example.sde.linear
-    d = spec.dim
-    phi = example.contraction
-    x0 = phi.center
-    times = eps * t_star
-    values = np.empty((config.n_paths, len(eps)))
-
-    g_hat = None  # fluctuation about the mean, scaled by 1/sqrt(diag cov)
-    d_prev = r_prev = None
-    t_prev = None
-    for level, t in enumerate(times):
-        t = float(t)
-        cov = spec.covariance(t)
-        d_s, corr_chol = equilibrated_cholesky(cov)
-        r_s = cov / np.outer(d_s, d_s)
-        z = _philox(config.seed, int(js[level])).standard_normal(
-            (config.n_paths, d))
-        if g_hat is None:
-            g_hat = z @ corr_chol.T
-        else:
-            prop = spec.propagator(t_prev - t)
-            # gain K and conditional covariance of x(t) given x(t_prev),
-            # both in equilibrated coordinates
-            p_hat = prop * (d_s[None, :] / d_prev[:, None])
-            gain = r_s @ np.linalg.solve(r_prev, p_hat).T
-            cond = r_s - gain @ p_hat @ r_s
-            cond = 0.5 * (cond + cond.T)
-            d_c, chol_c = equilibrated_cholesky(cond)
-            g_hat = g_hat @ gain.T + (z @ chol_c.T) * d_c[None, :]
-        mean = spec.propagator(t) @ x0
-        x = mean[None, :] + g_hat * d_s[None, :]
-        alpha = eval_index(example.index, float(eps[level]))
-        y = rescale_states(phi, alpha, float(eps[level]), t_star, x)
-        values[:, level] = functional.terminal_value(y)
-        d_prev, r_prev, t_prev = d_s, r_s, t
-    return values
-
-
-def _bridged_brownian(seed, rows, js, grids, k):
-    """Yield W (n + 1, len(rows), k) on each level's grid, coarse first.
-
-    W starts known at time 0.  Each level merges its grid into the known
-    times (a time within 1e-9 steps of a known one is that one; grids need
-    not nest), draws free Brownian motion B there and adds the linear
-    interpolation of W - B between known times, pinning B at both ends of
-    each known interval (Levy-Ciesielski); it keeps the times up to the next
-    horizon (0 after the last level) and the first beyond.  Row p draws
-    level j from Philox stream (p << 20) | j: chunks agree with a full run.
-    """
-    known_t, known_w = np.zeros(1), np.zeros((1, len(rows), k))
-    for j, times, nxt in zip(js, grids, grids[1:] + [grids[0][:1]]):
-        at = np.interp(times, known_t, np.arange(len(known_t)))
-        near = known_t[np.rint(at).astype(int)]
+    plan, known, pending = [], np.zeros(1), []
+    for times, nxt in zip(grids, grids[1:] + [grids[0][:1]]):
+        at = np.interp(times, known, np.arange(len(known)))
+        near = known[np.rint(at).astype(int)]
         times = np.where(abs(times - near) <= 1e-9 * times[1], near, times)
-        merged = np.union1d(known_t, times)
-        w = np.zeros((len(merged), len(rows), k))
-        for r, p in enumerate(rows):
-            w[1:, r] = _philox(seed, (p << 20) | int(j)).standard_normal(
-                (len(merged) - 1, k))
-        w[1:] *= np.sqrt(np.diff(merged))[:, None, None]
-        np.cumsum(w, axis=0, out=w)
-        at_known = np.searchsorted(merged, known_t)
-        offset = known_w - w[at_known]
-        at = np.interp(merged, known_t, np.arange(len(known_t)))
-        left = at.astype(int)
-        w += offset[left]
-        offset = np.diff(offset, axis=0, append=offset[-1:])[left]
-        w += offset * (at - left)[:, None, None]
-        w[at_known] = known_w
+        merged = np.union1d(known, times)
+        pos, end, steps = np.arange(len(merged)), len(merged), []
+        done = np.zeros(end, dtype=bool)
+        done[np.searchsorted(merged, known)] = True
+        while not done.all():
+            left = np.maximum.accumulate(np.where(done, pos, -1))
+            right = np.minimum.accumulate(np.where(done, pos, end)[::-1])[::-1]
+            if right[-1] == end:
+                new = pos[-1:]
+                steps.append([new, left[new], left[new], *spec.bridge(
+                    merged[new] - merged[left[new]])])
+            else:
+                new = np.flatnonzero(~done & (pos == (left + right) // 2))
+                steps.append([new, left[new], right[new]])
+                pending.append((steps[-1], merged[new] - merged[left[new]],
+                                merged[right[new]] - merged[new]))
+            done[new] = True
         keep = np.searchsorted(merged, nxt[-1]) + 1
-        known_t, known_w = merged[:keep], w[:keep].copy()
-        # hold no merged-grid array while the caller steps the kernel
-        w, offset = w[np.searchsorted(merged, times)], None
-        yield w
+        plan.append((end, np.searchsorted(merged, known), slice(None)
+                     if len(times) == end else np.searchsorted(merged, times),
+                     keep, steps))  # a grid of every merged time is a view
+        known = merged[:keep]
+    if pending:  # the bridge factors of every level, in stacked calls
+        steps, left, right = zip(*pending)
+        left, right = np.concatenate(left), np.concatenate(right)
+        factors = np.empty((3, len(left), spec.dim, spec.dim))
+        for i in range(0, len(left), _BRIDGE_TIMES):
+            factors[:, i:i + _BRIDGE_TIMES] = spec.bridge(
+                left[i:i + _BRIDGE_TIMES], right[i:i + _BRIDGE_TIMES])
+        cut = np.cumsum([len(step[0]) for step in steps])[:-1]
+        for step, f in zip(steps, np.split(factors, cut, axis=1)):
+            step += list(f)
+    return plan
 
 
-def _euler_values(example, functional, js, eps, t_star, config):
-    """Euler values at every level, each row driven by one Brownian path.
+def _apply(mat, x, out):
+    """Add mat (..., d, d) times each row of x (..., B, d) to out in a fixed
+    order of sums, so that a row's bits do not depend on the rows around it."""
+    for j in range(x.shape[-1]):
+        out += mat[..., None, :, j] * x[..., j, None]
 
-    Chunks of rows under the _EULER_CHUNK_NODES budget run their levels coarse
-    to fine: one euler_batch on increments from _bridged_brownian, then one
-    node_values on the rescaled nodes (terminal: the last only); dead rows nan.
-    """
-    phi, psi = example.contraction, example.index
-    d, k = example.sde.dim_state, example.sde.dim_noise
-    n_steps = max(1, int(round(t_star / config.dt_rel)))
+
+def _bridge(plan, x0, normals):
+    """Yield, for plan = _bridge_plan(spec, grids), the process from x0
+    (B, d) at time 0 on each grid, (n + 1, B, d), coarse first.
+    normals(level, count) gives (B, count) standard normals, which the new
+    times take in step order, coordinate fastest."""
+    known = np.asarray(x0, dtype=float)[None]
+    for level, (size, at_known, at_grid, keep, steps) in enumerate(plan):
+        n_new, (batch, dim) = sum(len(s[0]) for s in steps), known.shape[1:]
+        z = normals(level, n_new * dim).reshape(batch, n_new, dim)
+        x = np.empty((size, batch, dim))
+        x[at_known] = known
+        for new, left, right, from_a, from_b, noise in steps:
+            out = np.zeros((len(new), batch, dim))
+            _apply(noise, z[:, :len(new)].transpose(1, 0, 2), out)
+            _apply(from_a, x[left], out)
+            _apply(from_b, x[right], out)
+            x[new], z = out, z[:, len(new):]
+        grid, known = [x[at_grid]], x[:keep].copy()
+        del x, z, out  # hold no merged-grid array while the caller uses grid,
+        yield grid.pop()  # nor grid once the caller lets go of it
+
+
+def _table(example, functional, js, eps, t_star, config):
+    """Values (n_paths, levels): chunks of rows run their levels coarse to
+    fine, each one rescale_states and one node_values on the chunk's nodes
+    (the last only for a terminal functional), nan where a row died. All
+    but a terminal functional under exact_linear (one step) run dt_rel."""
+    sde, phi, k = example.sde, example.contraction, example.sde.dim_noise
+    exact = config.scheme == "exact_linear"
+    last = -1 if hasattr(functional, "terminal_value") else 0
+    n_steps = 1 if exact and last else max(1, round(t_star / config.dt_rel))
     grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
              for e in eps]
-    row_nodes = n_steps + 1 + int(n_steps / (1.0 - config.c)) + 3
-    chunk = max(1, _EULER_CHUNK_NODES // row_nodes)
-    last = -1 if hasattr(functional, "terminal_value") else 0
+    spec, start = ((sde.linear, phi.center) if exact else
+                   (LinearSpec(np.zeros((k, k)), np.eye(k)), np.zeros(k)))
+    plan = _bridge_plan(spec, grids)
+    chunk = max(1, _CHUNK_NODES // (n_steps + 1 + 2 * max(p[0] for p in plan)))
     values = np.full((config.n_paths, len(eps)), np.nan)
     for first in range(0, config.n_paths, chunk):
         rows = range(first, min(first + chunk, config.n_paths))
-        x0 = np.broadcast_to(phi.center, (len(rows), d))
-        levels = _bridged_brownian(config.seed, rows, js, grids, k)
+        levels = _bridge(plan, np.broadcast_to(start, (len(rows), len(start))),
+                         lambda level, n: row_normals(config.seed, js[level],
+                                                      rows, n))
         for level, (times, e) in enumerate(zip(grids, eps)):
-            w = next(levels)  # not zip: its reused tuple would keep the last w
-            states, first_dead = euler_batch(example.sde, x0, np.diff(
-                w, axis=0).transpose(1, 0, 2), times[1])
-            y = rescale_states(phi, eval_index(psi, e), e, times[last:] / e,
-                               states[last:])
-            values[rows, level] = np.where(first_dead <= n_steps, np.nan,
-                                           node_values(functional, y))
-            del w, states, y  # before the next level allocates its own
+            x = next(levels)  # not zip: its reused tuple would keep the last x
+            if exact:
+                dead = ~alive(x[1:], sde.domain_contains).all(axis=0)
+            else:  # x is W: keep only its increments while they are stepped
+                x = np.diff(x, axis=0).transpose(1, 0, 2)
+                x, first_dead = euler_batch(sde, np.broadcast_to(
+                    phi.center, (len(rows), sde.dim_state)), x, times[1])
+                dead = first_dead <= n_steps
+            y = rescale_states(phi, eval_index(example.index, e), e,
+                               times[last:] / e, x[last:])
+            values[first:rows.stop, level] = np.where(
+                dead, np.nan, node_values(functional, y))
+            del x, y  # before the next level allocates its own
     return values
 
 
@@ -308,16 +311,12 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     eval_index(example.index, float(eps[-1]))
     t_star = example.limit_problem.t_star
 
-    kinds = ["terminal_value"] + ["accumulate"] * (config.scheme == "euler")
-    if not any(hasattr(functional, kind) for kind in kinds):
-        raise ValueError(f"scheme {config.scheme} needs {' or '.join(kinds)}")
-    if config.scheme == "exact_linear":
-        if example.sde.linear is None:
-            raise ValueError(
-                "exact_linear scheme needs a linear SDE representation")
-        values = _exact_values(example, functional, js, eps, t_star, config)
-    else:
-        values = _euler_values(example, functional, js, eps, t_star, config)
+    if not any(hasattr(functional, kind)
+               for kind in ("terminal_value", "accumulate")):
+        raise ValueError("functional needs terminal_value or accumulate")
+    if config.scheme == "exact_linear" and example.sde.linear is None:
+        raise ValueError("exact_linear scheme needs a linear SDE representation")
+    values = _table(example, functional, js, eps, t_star, config)
 
     running_max = np.fmax.accumulate(values, axis=1)
     running_min = np.fmin.accumulate(values, axis=1)

@@ -98,6 +98,19 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _powers(h, n: int) -> np.ndarray:
+    """h**j for j < n, shaped (*h.shape, n, 1, 1).
+
+    A scalar h takes Python's float power, which numpy's differs from in
+    the last bit, so scalar widths keep the bits they had before widths
+    could be arrays.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.ndim == 0:
+        return np.array([float(h) ** j for j in range(n)])[:, None, None]
+    return (h[..., None] ** np.arange(n))[..., None, None]
+
+
 @dataclass(frozen=True)
 class LinearSpec:
     """Linear SDE data dx = A x dt + sigma dW with constant sigma.
@@ -135,22 +148,27 @@ class LinearSpec:
             powers.append(m)
         return None
 
-    def propagator(self, h: float) -> np.ndarray:
-        """exp(A h), in closed form when A is nilpotent."""
+    def propagator(self, h) -> np.ndarray:
+        """exp(A h), in closed form when A is nilpotent.
+
+        h may be an array of widths; the result is then (*h.shape, d, d).
+        """
         powers = self._nilpotent_powers()
         if powers is None:
             from scipy.linalg import expm
-            return expm(self.a_matrix * h)
-        out = np.zeros_like(self.a_matrix)
+            return expm(self.a_matrix
+                        * np.asarray(h, dtype=float)[..., None, None])
+        hj = _powers(h, len(powers))
+        out = np.zeros(hj.shape[:-3] + self.a_matrix.shape)
         for j, p in enumerate(powers):
-            out += p * (h**j / math.factorial(j))
+            out += p * (hj[..., j, :, :] / math.factorial(j))
         return out
 
-    def covariance(self, h: float) -> np.ndarray:
+    def covariance(self, h) -> np.ndarray:
         """Transition covariance int_0^h exp(As) sigma sigma^T exp(A^T s) ds.
 
         Closed-form polynomial in h for nilpotent A; Van Loan's augmented
-        exponential otherwise.
+        exponential otherwise. h may be an array of widths, as in propagator.
         """
         powers = self._nilpotent_powers()
         if powers is None:
@@ -161,15 +179,50 @@ class LinearSpec:
             aug[:d, :d] = -self.a_matrix
             aug[:d, d:] = q
             aug[d:, d:] = self.a_matrix.T
-            f = expm(aug * h)
-            return f[d:, d:].T @ f[:d, d:]
+            f = expm(aug * np.asarray(h, dtype=float)[..., None, None])
+            return np.swapaxes(f[..., d:, d:], -1, -2) @ f[..., :d, d:]
         mats = [p @ self.sigma for p in powers]
-        cov = np.zeros((self.dim, self.dim))
+        hj = _powers(h, 2 * len(mats))
+        cov = np.zeros(hj.shape[:-3] + self.a_matrix.shape)
         for i, mi in enumerate(mats):
             for j, mj in enumerate(mats):
-                w = h ** (i + j + 1) / ((i + j + 1) * math.factorial(i) * math.factorial(j))
+                w = hj[..., i + j + 1, :, :] / (
+                    (i + j + 1) * math.factorial(i) * math.factorial(j))
                 cov += w * (mi @ mj.T)
-        return 0.5 * (cov + cov.T)
+        return 0.5 * (cov + np.swapaxes(cov, -1, -2))
+
+    def bridge(self, left, right=None):
+        """Law of x(a + l) given x(a) and, unless right is None, x(a + l + r).
+
+        x(a + l) = from_a x(a) + from_b x(b) + noise z, z standard normal,
+        stacked over the arrays l = left and r = right; returns (from_a,
+        from_b, noise), from_b = 0 without a right end (the transition).
+        In square-root form: x(a + l) = Phi(l) x(a) + L(l) u and x(b) =
+        Phi(r) x(a + l) + L(r) v, (u, v) standard normal and L the
+        equilibrated Cholesky factors, and (u, v) is conditioned on
+        M (u, v) = x(b) - Phi(l + r) x(a), M = [Phi(r) L(l), L(r)], by one
+        QR factorization of M^T with unit rows. No covariance is
+        differenced, so the law stays accurate with a near either end and
+        where chained integrators' covariances are numerically singular.
+        """
+        d = self.dim
+        if right is None:
+            prop = self.propagator(left)
+            scale, chol = equilibrated_cholesky(self.covariance(left))
+            return prop, np.zeros_like(prop), scale[..., :, None] * chol
+        phi_l, phi_r, phi_lr = self.propagator(
+            np.stack([left, right, left + right]))
+        scale, chol = equilibrated_cholesky(
+            self.covariance(np.stack([left, right])))
+        root_l, root_r = scale[..., :, None] * chol
+        m = np.concatenate([phi_r @ root_l, root_r], axis=-1)
+        norm = np.linalg.norm(m, axis=-1)
+        q, r = np.linalg.qr(np.swapaxes(m / norm[..., :, None], -1, -2),
+                            mode="complete")
+        from_b = (root_l @ q[..., :d, :d]
+                  @ np.linalg.inv(np.swapaxes(r[..., :d, :], -1, -2))
+                  / norm[..., None, :])
+        return phi_l - from_b @ phi_lr, from_b, root_l @ q[..., :d, d:]
 
 
 def equilibrated_cholesky(cov: np.ndarray):
@@ -177,16 +230,18 @@ def equilibrated_cholesky(cov: np.ndarray):
 
     Transition covariances of chained integrators have diagonal entries
     spanning many orders of magnitude (t^{2p+1} per coordinate); rescaling by
-    sqrt(diag) keeps the Cholesky well conditioned.
+    sqrt(diag) keeps the Cholesky well conditioned. cov may be a stack
+    (..., d, d); D comes back as (..., d), and a jitter needed by one matrix
+    is added to all of them.
     """
     cov = np.asarray(cov, dtype=float)
-    diag = np.diag(cov).copy()
+    diag = np.diagonal(cov, axis1=-2, axis2=-1)
     d = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    scaled = cov / np.outer(d, d)
+    scaled = cov / (d[..., :, None] * d[..., None, :])
     jitter = 0.0
     for _ in range(6):
         try:
-            chol = np.linalg.cholesky(scaled + jitter * np.eye(len(d)))
+            chol = np.linalg.cholesky(scaled + jitter * np.eye(d.shape[-1]))
             return d, chol
         except np.linalg.LinAlgError:
             jitter = max(jitter * 100.0, 1e-14)
@@ -281,6 +336,30 @@ def brownian_path(seed: int, dt: float, horizon: float, dim_noise: int = 1,
     rng = _philox(seed, path_index)
     inc = rng.standard_normal((n, dim_noise)) * math.sqrt(dt)
     return NoisePath(seed=seed, dt=dt, increments=inc, path_index=path_index)
+
+
+def row_normals(seed: int, stream: int, rows: range, count: int) -> np.ndarray:
+    """count standard normals for each of a range of rows, (len(rows), count).
+
+    Row p owns the counter blocks [p b, (p + 1) b) of Philox (seed, stream),
+    whose 4 b uniforms (random() takes one 64-bit word per double) give the
+    normals by Box-Muller: any split of the rows draws the same normals.
+    """
+    half = -(-count // 2)
+    blocks = -(-half // 2)
+    rng = _philox(seed, stream)
+    rng.bit_generator.advance(rows.start * blocks)
+    u = rng.random((len(rows), 4 * blocks))
+    # in place: radius and angle, then the normals, cosines first, then sines
+    radius, angle = u[:, :half], u[:, half:2 * half]
+    np.log1p(np.negative(radius, out=radius), out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    cos = np.cos(angle)
+    np.multiply(radius, np.sin(angle, out=angle), out=angle)
+    radius *= cos
+    return u[:, :count]
 
 
 @dataclass

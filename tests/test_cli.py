@@ -166,6 +166,16 @@ def test_lil_verify_trivial_single_row(tmp_path):
     assert len(lines) == 2
 
 
+def test_lil_verify_exact_scheme_takes_running_max(tmp_path):
+    out = tmp_path / "rmax"
+    assert run(["lil-verify", "--scheme", "exact_linear", "--functional",
+                "running_max", "--example", "iterated_kolmogorov", "--d", "2",
+                "--out", str(out)]) == 0
+    doc = read_json(out / "lil.json")
+    assert doc["explosion_count"] == 0
+    assert doc["n_paths"] * doc["n_levels"] == 2000 * 28
+
+
 def test_optimize_reference_value(tmp_path):
     out = tmp_path / "opt"
     code = run(["optimize", "--example", "iterated_kolmogorov", "--d", "2",

@@ -10,8 +10,9 @@ from lillab import lil
 from lillab.examples import get_example
 from lillab.lil import (LilExperimentConfig, LilReport, run_lil_experiment,
                         running_extremes)
-from lillab.scaling import rescale_path
-from lillab.sde import NoisePath, brownian_path, euler_batch, simulate_sde
+from lillab.scaling import eval_index, rescale_path
+from lillab.sde import (LinearSpec, NoisePath, brownian_path, euler_batch,
+                        row_normals, simulate_sde)
 
 SMALL = dict(j_min=0, j_max=6, n_paths=200)
 
@@ -58,11 +59,13 @@ def test_running_columns_are_monotone():
         float(np.max(report.values)))
 
 
-def test_exact_levels_match_transition_kernel():
+@pytest.mark.parametrize("d, j_max", [(2, 4), (3, 27)])
+def test_exact_levels_match_transition_kernel(d, j_max):
     # per-level marginals of the refinement must agree with the
-    # unconditional transition covariance at t = eps * t_star
-    ik = get_example("iterated_kolmogorov", d=2)
-    config = LilExperimentConfig(j_min=0, j_max=4, n_paths=4000)
+    # unconditional transition covariance at t = eps * t_star; at depth 27
+    # IK(3)'s covariance entries go down to about 1e-53
+    ik = get_example("iterated_kolmogorov", d=d)
+    config = LilExperimentConfig(j_min=0, j_max=j_max, n_paths=4000)
     report = run_lil_experiment(ik, "J1", config)
     spec = ik.sde.linear
     psi_w = ik.functionals["J1"].weights
@@ -70,7 +73,6 @@ def test_exact_levels_match_transition_kernel():
         cov = spec.covariance(eps)
         # J1 is linear in the terminal state, so the rescaled value is
         # Gaussian with variance w' cov w / alpha_scale^2; compare std
-        from lillab.scaling import eval_index
         alpha = eval_index(ik.index, eps)
         scaled_cov = cov / np.outer(alpha, alpha)
         want = math.sqrt(float(psi_w @ scaled_cov @ psi_w))
@@ -79,19 +81,26 @@ def test_exact_levels_match_transition_kernel():
 
 
 @pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
-def test_adjacent_levels_positively_coupled(scheme):
-    # consistent coupling: one Brownian path observed at every scale, so
-    # adjacent-level values correlate strongly under both schemes
-    ik = get_example("iterated_kolmogorov", d=2)
-    report = run_lil_experiment(ik, "J1",
-                                LilExperimentConfig(j_min=0, j_max=4,
+@pytest.mark.parametrize("c", [0.5, 0.7])
+@pytest.mark.parametrize("name, functional, closed_form", [
+    ("brownian", "terminal", lambda c: math.sqrt(c)),
+    ("iterated_kolmogorov", "J1", lambda c: math.sqrt(c) * (3.0 - c) / 2.0),
+])
+def test_adjacent_levels_coupled_as_one_path(name, functional, closed_form,
+                                             c, scheme):
+    # one driving path observed at every scale: adjacent levels correlate
+    # as W(t) and W(ct) do (sqrt c), or as int_0^t W and int_0^ct W do
+    # (sqrt(c) (3 - c) / 2), within 4 Fisher-z standard errors
+    report = run_lil_experiment(get_example(name), functional,
+                                LilExperimentConfig(c=c, j_min=0, j_max=4,
                                                     n_paths=2000,
                                                     scheme=scheme))
     assert report.noise_coupling == "consistent"
+    want = math.atanh(closed_form(c))
     for level in range(4):
         r = np.corrcoef(report.values[:, level],
                         report.values[:, level + 1])[0, 1]
-        assert r > 0.5
+        assert abs(math.atanh(r) - want) < 4.0 / math.sqrt(2000 - 3)
 
 
 @pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
@@ -113,22 +122,58 @@ def test_trivial_single_level_single_path():
     assert len(lines) == 2
 
 
-def test_exact_route_rejects_path_functionals():
+@pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
+def test_functional_needs_terminal_value_or_accumulate(scheme):
     br = get_example("brownian")
-    with pytest.raises(ValueError):
-        run_lil_experiment(br, "running_max",
-                           LilExperimentConfig(j_min=0, j_max=1, n_paths=2))
-    # the euler scheme needs terminal_value or accumulate
     custom = replace(br, functionals=dict(br.functionals, custom=object()))
     with pytest.raises(ValueError):
         run_lil_experiment(custom, "custom", LilExperimentConfig(
-            j_min=0, j_max=1, n_paths=2, scheme="euler"))
+            j_min=0, j_max=1, n_paths=2, scheme=scheme))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_both_schemes_bridge_one_path(d):
+    # exact_linear bridges brownian's state and euler bridges W, with the
+    # same law and normals, and euler's x_1 = 0 + 0 dt + 1.0 W_1: the
+    # one-step terminal tables agree bit for bit, and exact_linear takes
+    # running_max, equal to euler's up to the rounding of the Euler sum
+    br = get_example("brownian", d=d)
+
+    def tables(functional, dt_rel):
+        return [run_lil_experiment(br, functional, LilExperimentConfig(
+            j_min=0, j_max=8, n_paths=50, scheme=scheme, dt_rel=dt_rel)).values
+            for scheme in ("exact_linear", "euler")]
+
+    assert np.array_equal(*tables("terminal", 1.0))
+    assert np.allclose(*tables("running_max", 1e-2), rtol=1e-12, atol=0.0)
 
 
 def test_unknown_functional():
     br = get_example("brownian")
     with pytest.raises(KeyError):
         run_lil_experiment(br, "J7", LilExperimentConfig(**SMALL))
+
+
+def _force_chunk_rows(monkeypatch, rows):
+    """Budget _CHUNK_NODES for chunks of `rows` rows, each counting its
+    level's n_steps + 1 nodes and twice the largest merged bridge grid."""
+    make_plan = lil._bridge_plan
+
+    def plan(spec, grids):
+        levels = make_plan(spec, grids)
+        monkeypatch.setattr(lil, "_CHUNK_NODES", rows * (
+            len(grids[0]) + 2 * max(level[0] for level in levels)))
+        return levels
+
+    monkeypatch.setattr(lil, "_bridge_plan", plan)
+
+
+def _bridged_w(config, grids, k, p):
+    """W (n + 1, 1, k) of path p on every level grid, as the euler scheme
+    bridges it."""
+    plan = lil._bridge_plan(LinearSpec(np.zeros((k, k)), np.eye(k)), grids)
+    return lil._bridge(plan, np.zeros((1, k)), lambda level, n: row_normals(
+        config.seed, config.j_grid()[level], range(p, p + 1), n))
 
 
 @pytest.mark.parametrize("rows_per_chunk", [None, 1, 2])
@@ -145,17 +190,14 @@ def test_euler_table_matches_per_path_simulation(rows_per_chunk, monkeypatch):
     monkeypatch.setattr(lil, "euler_batch", lambda sde, x0, inc, dt: (
         batches.append(len(x0)) or euler_batch(sde, x0, inc, dt)))
     if rows_per_chunk is not None:
-        row_nodes = n_steps + 1 + int(n_steps / (1.0 - config.c)) + 3
-        monkeypatch.setattr(lil, "_EULER_CHUNK_NODES",
-                            rows_per_chunk * row_nodes)
+        _force_chunk_rows(monkeypatch, rows_per_chunk)
     report = run_lil_experiment(quad, "J2", config)
     assert max(batches) == (rows_per_chunk or config.n_paths)
     grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
              for e in config.eps_grid()]
     expected = np.empty((config.n_paths, 5))
     for p in range(config.n_paths):
-        levels = lil._bridged_brownian(config.seed, [p], config.j_grid(),
-                                       grids, 1)
+        levels = _bridged_w(config, grids, 1, p)
         for level, (times, w) in enumerate(zip(grids, levels)):
             noise = NoisePath(config.seed, times[1], np.diff(w[:, 0], axis=0))
             path = simulate_sde(quad.sde, phi.center, noise)
@@ -180,8 +222,7 @@ def _per_path_table(example, functional_name, config):
              for e in config.eps_grid()]
     expected = np.empty((config.n_paths, len(grids)))
     for p in range(config.n_paths):
-        levels = lil._bridged_brownian(config.seed, [p], config.j_grid(),
-                                       grids, example.sde.dim_noise)
+        levels = _bridged_w(config, grids, example.sde.dim_noise, p)
         for level, (times, w) in enumerate(zip(grids, levels)):
             noise = NoisePath(config.seed, times[1], np.diff(w[:, 0], axis=0))
             path = simulate_sde(example.sde, phi.center, noise)
@@ -209,13 +250,30 @@ def test_euler_running_and_detrended_tables_match_per_path_simulation(
     example = get_example(name)
     config = LilExperimentConfig(j_min=0, j_max=4, n_paths=3, scheme="euler")
     if rows_per_chunk is not None:
-        n_steps = max(1, round(example.limit_problem.t_star / config.dt_rel))
-        row_nodes = n_steps + 1 + int(n_steps / (1.0 - config.c)) + 3
-        monkeypatch.setattr(lil, "_EULER_CHUNK_NODES",
-                            rows_per_chunk * row_nodes)
+        _force_chunk_rows(monkeypatch, rows_per_chunk)
     report = run_lil_experiment(example, functional, config)
     assert np.array_equal(report.values,
                           _per_path_table(example, functional, config))
+
+
+@pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
+@pytest.mark.parametrize("functional", ["J1", "running_max"])
+def test_chunks_of_rows_agree_with_a_full_run(functional, scheme,
+                                              monkeypatch):
+    # c = 0.7: grids that do not nest, so levels bridge in several passes
+    ik = get_example("iterated_kolmogorov", d=2)
+    config = LilExperimentConfig(c=0.7, j_min=0, j_max=5, n_paths=5,
+                                 scheme=scheme)
+    full = run_lil_experiment(ik, functional, config).values
+    chunks, draw = [], lil.row_normals
+    monkeypatch.setattr(lil, "row_normals", lambda seed, j, rows, n: (
+        chunks.append(len(rows)) or draw(seed, j, rows, n)))
+    for rows_per_chunk in (1, 2):
+        _force_chunk_rows(monkeypatch, rows_per_chunk)
+        assert np.array_equal(
+            run_lil_experiment(ik, functional, config).values, full)
+        assert max(chunks) == rows_per_chunk
+        chunks.clear()
 
 
 @pytest.mark.parametrize("functional", ["J2", "running_max"])
@@ -236,17 +294,21 @@ def test_euler_explosions_are_masked_like_single_paths(functional):
     assert np.array_equal(report.values, expected, equal_nan=True)
 
 
-def test_euler_memory_does_not_grow_with_paths(monkeypatch):
-    # chunks of 4 rows: the kernel's states for all 64 paths of the level
+@pytest.mark.parametrize("scheme, name, functional", [
+    ("euler", "quadratic", "J2"),
+    ("exact_linear", "iterated_kolmogorov", "running_max")])
+def test_memory_does_not_grow_with_paths(scheme, name, functional,
+                                         monkeypatch):
+    # chunks of a few rows: the states of all 64 paths of the level
     # (64 x 1001 nodes x 2 doubles, 1 MB) are never held at once
-    quad = get_example("quadratic")
+    example = get_example(name)
     config = LilExperimentConfig(j_min=0, j_max=0, n_paths=64,
-                                 scheme="euler", dt_rel=1e-3)
-    n_steps = max(1, round(quad.limit_problem.t_star / config.dt_rel))
-    monkeypatch.setattr(lil, "_EULER_CHUNK_NODES", 4 * (n_steps + 1))
+                                 scheme=scheme, dt_rel=1e-3)
+    n_steps = max(1, round(example.limit_problem.t_star / config.dt_rel))
+    monkeypatch.setattr(lil, "_CHUNK_NODES", 4 * (n_steps + 1))
     tracemalloc.start()
     try:
-        run_lil_experiment(quad, "J2", config)
+        run_lil_experiment(example, functional, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

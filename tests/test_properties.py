@@ -14,10 +14,11 @@ Rows of a batch must not influence each other, and on the iterated
 Kolmogorov chain RK4 is exact for piecewise-constant controls. Both
 integrators and the exact-linear sampler kill states with one batched exit
 rule, sde.alive; the per-state rule it replaced is kept here as its
-reference and must agree row by row. The Euler LIL scheme refines one
-Brownian path per row onto every level grid; each level must see the same
-path, with Brownian increments. Functional values on a
-batch of node states (node_values, masked at first_dead) equal each row's
+reference and must agree row by row. Both LIL schemes refine one
+Gauss-Markov path per row onto every level grid (W for euler, the state
+for exact_linear); each level must see the same path, with the transition
+law, and any split of the rows must draw it bit for bit. Functional values
+on a batch of node states (node_values, masked at first_dead) equal each row's
 evaluate. Boundary rays are solved by one lockstep Brent iteration
 (regularity._ray_roots); per-ray brentq, the per-row sampling loop, the
 per-face icosphere subdivision and the per-ray cone probe are kept here as
@@ -44,14 +45,15 @@ from lillab.extremals import (QuadraticMissFunctional,  # noqa: E402
                               RunningMaxAbsFunctional,
                               TerminalLinearFunctional, _jacobian_batch,
                               adjoint_gradient, fd_gradient, node_values)
-from lillab.lil import _bridged_brownian  # noqa: E402
+from lillab.lil import _bridge, _bridge_plan  # noqa: E402
 from lillab.regularity import (_CURVE_NODES, _SPHERE_SUBDIV,  # noqa: E402
                                DomainSpec, _boundary_table,
                                _energy_certificate, _icosphere, _ray_roots,
                                _sample_boundary, _unit_rows, cone_criterion)
-from lillab.sde import (OVERFLOW_GUARD, NoisePath,  # noqa: E402
-                        NumericalFailure, SdeSystem, _philox, _row_path,
-                        alive, euler_batch, simulate_sde, trivial_domain)
+from lillab.sde import (OVERFLOW_GUARD, LinearSpec,  # noqa: E402
+                        NoisePath, NumericalFailure, SdeSystem, _philox,
+                        _row_path, alive, euler_batch, row_normals,
+                        simulate_sde, trivial_domain)
 from test_controls import _blowup_problem  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -560,21 +562,26 @@ def test_numerical_failure_of_the_earliest_step_in_a_block(block, which):
 
 
 # ---------------------------------------------------------------------------
-# Bridge refinement: W on the grids eps_j * [0, 1] of n steps, eps_j = c^j.
-# Grids nest for c = 1/2 only; c = 0.6 and 0.75 share some times, a generic
-# c shares only 0.
+# Bridge refinement: a Gauss-Markov process on the grids eps_j * [0, 1] of n
+# steps, eps_j = c^j. Grids nest for c = 1/2 only; c = 0.6 and 0.75 share
+# some times, a generic c shares only 0.
 
-def _bridge_levels(c, n, k, rows, n_levels=6):
+def _brownian_spec(k):
+    return LinearSpec(np.zeros((k, k)), np.eye(k))
+
+
+def _bridge_levels(spec, c, n, rows, n_levels=6):
     grids = [(c ** j / n) * np.arange(n + 1) for j in range(n_levels)]
-    return grids, list(_bridged_brownian(5, rows, np.arange(n_levels),
-                                         grids, k))
+    return grids, list(_bridge(_bridge_plan(spec, grids),
+                               np.zeros((len(rows), spec.dim)),
+                               lambda level, n: row_normals(5, level, rows, n)))
 
 
 @SETTINGS
 @given(st.one_of(st.sampled_from([0.5, 0.6, 0.75]), st.floats(0.1, 0.9)),
        st.integers(1, 64), st.sampled_from([1, 2]))
 def test_bridge_levels_see_one_path(c, n, k):
-    grids, ws = _bridge_levels(c, n, k, range(3))
+    grids, ws = _bridge_levels(_brownian_spec(k), c, n, range(3))
     for a, (times, w) in enumerate(zip(grids, ws)):
         assert w.shape == (n + 1, 3, k)
         assert np.all(w[0] == 0.0)
@@ -587,17 +594,56 @@ def test_bridge_levels_see_one_path(c, n, k):
             assert np.array_equal(w[at_a], ws[b][at_b])
 
 
+@SETTINGS
+@given(st.one_of(st.sampled_from([0.5, 0.7]), st.floats(0.1, 0.9)),
+       st.integers(1, 16), st.sampled_from([1, 2, 3]),
+       st.lists(st.integers(1, 9), max_size=4))
+def test_bridge_rows_split_anywhere_reproduce_the_full_draw(c, n, d, cuts):
+    # each row draws from its own block of the level's Philox counter, so
+    # chunks of rows give the full draw bit for bit
+    spec = (get_example("iterated_kolmogorov", d=d).sde.linear if d > 1
+            else _brownian_spec(1))
+    _, full = _bridge_levels(spec, c, n, range(10))
+    edges = [0] + sorted(set(cuts)) + [10]
+    parts = [_bridge_levels(spec, c, n, range(lo, hi))[1]
+             for lo, hi in zip(edges, edges[1:]) if lo < hi]
+    for level, x in enumerate(full):
+        assert np.array_equal(
+            np.concatenate([part[level] for part in parts], axis=1), x)
+
+
 def test_bridge_increments_are_brownian():
     # c = 0.7: the grids do not nest, so most times are bridged from both
     # sides. Increment variance is dt_j at every step, and the ends of
     # adjacent levels covary as W(h_j) W(h_j+1) does, E = h_j+1.
-    grids, ws = _bridge_levels(0.7, 8, 2, range(4000))
+    grids, ws = _bridge_levels(_brownian_spec(2), 0.7, 8, range(4000))
     for times, w in zip(grids, ws):
         var = np.diff(w, axis=0).var(axis=1)
         assert np.allclose(var / times[1], 1.0, rtol=0.0, atol=0.1)
     for a in range(len(grids) - 1):
         cov = np.mean(ws[a][-1] * ws[a + 1][-1], axis=0)
         assert np.allclose(cov / grids[a + 1][-1], 1.0, rtol=0.0, atol=0.1)
+
+
+def test_bridged_states_have_the_transition_covariance():
+    # IK(2) from 0 at c = 0.7: every node's covariance is C(t), and the
+    # ends of adjacent levels covary as Phi(h_j - h_j+1) C(h_j+1), both in
+    # sqrt(diag) units, where C(t) spans t^3 to t
+    spec = get_example("iterated_kolmogorov", d=2).sde.linear
+    grids, xs = _bridge_levels(spec, 0.7, 8, range(4000))
+    for times, x in zip(grids, xs):
+        for t, node in zip(times[1:], x[1:]):
+            scale = np.sqrt(np.diag(spec.covariance(t)))
+            got = node.T @ node / len(node) / np.outer(scale, scale)
+            assert np.allclose(got, spec.covariance(t)
+                               / np.outer(scale, scale), rtol=0.0, atol=0.1)
+    for a in range(len(grids) - 1):
+        s, t = grids[a + 1][-1], grids[a][-1]
+        want = spec.propagator(t - s) @ spec.covariance(s)
+        scale = np.outer(np.sqrt(np.diag(spec.covariance(t))),
+                         np.sqrt(np.diag(spec.covariance(s))))
+        got = xs[a][-1].T @ xs[a + 1][-1] / 4000
+        assert np.allclose(got / scale, want / scale, rtol=0.0, atol=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,41 @@ def test_equilibrated_cholesky_tiny_scales():
     assert np.allclose(rebuilt, cov, rtol=1e-10)
 
 
+def test_bridge_factors_are_the_brownian_bridge():
+    # given W(a) and W(a + l + r), W(a + l) has mean (r W(a) + l W(b)) / L
+    # and variance l r / L, L = l + r; without a right end, the increment
+    spec = LinearSpec(np.zeros((1, 1)), np.eye(1))
+    left, right = np.array([0.3, 1e-9, 2.0]), np.array([0.7, 1.0, 1e-6])
+    from_a, from_b, noise = spec.bridge(left, right)
+    total = left + right
+    # weights to within rounding of 1: 1 - l / L cancels when r << l
+    assert np.allclose(from_a[:, 0, 0], right / total, rtol=0.0, atol=1e-15)
+    assert np.allclose(from_b[:, 0, 0], left / total, rtol=0.0, atol=1e-15)
+    assert np.allclose(noise[:, 0, 0] ** 2, left * right / total,
+                       rtol=1e-9, atol=0.0)
+    from_a, from_b, noise = spec.bridge(left)
+    assert np.all(from_a == 1.0) and np.all(from_b == 0.0)
+    assert np.allclose(noise[:, 0, 0] ** 2, left, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("total", [1e-2, 1e-12])
+@pytest.mark.parametrize("frac", [0.5, 3e-4, 1.0 - 3e-4, 1e-7, 1.0 - 1e-7])
+def test_bridge_factors_give_the_joint_law(d, total, frac):
+    # from x(a) = 0: x(a + l) = from_b x(b) + noise z must covary with x(b)
+    # as C(l) Phi(r)^T and have covariance C(l), in sqrt(diag) units, down
+    # to covariances near 1e-110 and with a + l close to either end
+    spec = get_example("iterated_kolmogorov", d=d).sde.linear
+    left, right = np.array([frac * total]), np.array([(1.0 - frac) * total])
+    _, from_b, noise = (f[0] for f in spec.bridge(left, right))
+    cov_l, cov_lr = spec.covariance(left[0]), spec.covariance(total)
+    s_l, s_lr = np.sqrt(np.diag(cov_l)), np.sqrt(np.diag(cov_lr))
+    cross = from_b @ cov_lr - cov_l @ spec.propagator(right[0]).T
+    assert np.abs(cross / np.outer(s_l, s_lr)).max() < 1e-10
+    var = noise @ noise.T + from_b @ cov_lr @ from_b.T - cov_l
+    assert np.abs(var / np.outer(s_l, s_l)).max() < 1e-10
+
+
 def test_scalar_ou_transition_uses_matrix_exponentials():
     # A = [[-1]] is not nilpotent: expm gives the mean factor e^{-h} and
     # Van Loan's augmented exponential the variance (1 - e^{-2h}) / 2
