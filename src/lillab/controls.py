@@ -2,9 +2,9 @@
 
 Controls are piecewise-constant derivatives u = df/dt on a uniform grid over
 [0, 1] with energy (1/2) int |u|^2. The limit ODE dg = limit_drift(g) dt +
-limit_diffusion(g) u(t) dt maps a control to a path; the energy recovery map
-inverts it per grid cell by least squares and prices unreachable paths at
-infinity.
+sigma u(t) dt, with a constant (d, k) matrix sigma, maps a control to a
+path; the energy recovery map inverts it per grid cell by least squares and
+prices unreachable paths at infinity.
 
 One windowed RK4 sweep (_rk4_window) integrates the control ODE for every
 caller, one step per control cell: it evaluates the stages of a whole window
@@ -99,44 +99,45 @@ class ControlGrid:
 
 @dataclass(frozen=True)
 class LimitOdeProblem:
-    """Deterministic control ODE dg = limit_drift(g) dt + limit_diffusion(g) u dt.
+    """Deterministic control ODE dg = limit_drift(g) dt + sigma u dt.
 
-    limit_drift maps (..., d) -> (..., d) and limit_diffusion (..., d) ->
-    (..., d, k). Callbacks must broadcast over leading axes: the integrator
-    calls them on states (w, B, d), a window of w cells of B rows, and raises
-    ValueError at the first stage when the result is not (w, B, d),
-    (w, B, d, k) or, for the optional drift_jacobian, (w, B, d, d).
+    limit_drift maps (..., d) -> (..., d) and drift_jacobian (..., d) ->
+    (..., d, d); constant_diffusion is sigma, a (d, k) array. Callbacks must
+    broadcast over leading axes: the integrator calls them on states
+    (w, B, d), a window of w cells of B rows, and raises ValueError at the
+    first stage when the result is not (w, B, d) or (w, B, d, d).
     domain_contains maps (..., d) to bools (...) and is checked the same
-    way (see sde.alive). t_star <= 1 bounds the usable horizon.
-    constant_diffusion (optional (d, k) array) stands in for limit_diffusion
-    during integration. The extremal optimizer's adjoint gradient needs both
-    constant_diffusion and drift_jacobian; without them it differentiates
-    the functional by central differences.
+    way (see sde.alive). t_star <= 1 bounds the usable horizon. The state
+    dimension d is read from x0 and the control dimension k from sigma.
     """
 
-    dim_state: int
-    dim_control: int
     limit_drift: Callable
-    limit_diffusion: Callable
+    drift_jacobian: Callable
+    constant_diffusion: np.ndarray
     x0: np.ndarray
     domain_contains: Callable[[np.ndarray], np.ndarray] = trivial_domain
     t_star: float = 1.0
-    drift_jacobian: Optional[Callable] = None
-    constant_diffusion: Optional[np.ndarray] = None
     label: str = ""
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
-        if x0.shape != (self.dim_state,):
-            raise ValueError("x0 shape must be (dim_state,)")
+        sig = np.asarray(self.constant_diffusion, dtype=float)
+        if x0.ndim != 1:
+            raise ValueError("x0 must be a state vector of shape (d,)")
+        if sig.ndim != 2 or sig.shape[0] != x0.shape[0]:
+            raise ValueError("constant_diffusion shape must be (d, k)")
         if not 0.0 < self.t_star <= 1.0:
             raise ValueError("t_star must lie in (0, 1]")
         object.__setattr__(self, "x0", x0)
-        if self.constant_diffusion is not None:
-            sig = np.asarray(self.constant_diffusion, dtype=float)
-            if sig.shape != (self.dim_state, self.dim_control):
-                raise ValueError("constant_diffusion shape must be (d, k)")
-            object.__setattr__(self, "constant_diffusion", sig)
+        object.__setattr__(self, "constant_diffusion", sig)
+
+    @property
+    def dim_state(self) -> int:
+        return self.x0.shape[0]
+
+    @property
+    def dim_control(self) -> int:
+        return self.constant_diffusion.shape[1]
 
 
 def _widths(t_star: float, n_steps: int) -> np.ndarray:
@@ -155,19 +156,14 @@ def _widths(t_star: float, n_steps: int) -> np.ndarray:
 
 
 def _control_rhs(problem: LimitOdeProblem, u: np.ndarray):
-    """The slopes y -> limit_drift(y) + limit_diffusion(y) u of the control
-    ODE at controls u (..., k), as an rhs(stage, y) of _rk4_window."""
-    sig = problem.constant_diffusion
-    forcing = None if sig is None else u @ sig.T
+    """The slopes y -> limit_drift(y) + sigma u of the control ODE at
+    controls u (..., k), as an rhs(stage, y) of _rk4_window."""
+    forcing = u @ problem.constant_diffusion.T
 
     def rhs(stage, y):
         b = np.asarray(problem.limit_drift(y), dtype=float)
         _expect_shape("limit_drift", b, y.shape)
-        if forcing is not None:
-            return b + forcing
-        s = np.asarray(problem.limit_diffusion(y), dtype=float)
-        _expect_shape("limit_diffusion", s, y.shape + (problem.dim_control,))
-        return b + np.einsum("...dk,...k->...d", s, u)
+        return b + forcing
 
     return rhs
 
@@ -178,6 +174,20 @@ _WINDOW_VALUES = 2 ** 11
 
 def _window_cells(rows: int, dim: int) -> int:
     return max(1, _WINDOW_VALUES // max(1, rows * dim))
+
+
+def _rk4_increment(rhs, y, h, half, sixth):
+    """sixth (k1 + 2 k2 + 2 k3 + k4), the increment of one classical RK4
+    step from states y with rhs(stage, y) as in _rk4_window; the widths h,
+    half = h / 2 and sixth = h / 6 broadcast against y."""
+    k = rhs(0, y)
+    acc = k.copy()   # k1 + 2 k2 + 2 k3 + k4, summed in that order
+    k = rhs(1, y + half * k)
+    acc += 2.0 * k
+    k = rhs(2, y + half * k)
+    acc += 2.0 * k
+    acc += rhs(3, y + h * k)
+    return sixth * acc
 
 
 def _rk4_window(rhs, x: np.ndarray, widths: np.ndarray, passes: int):
@@ -201,15 +211,7 @@ def _rk4_window(rhs, x: np.ndarray, widths: np.ndarray, passes: int):
     steps[0] = x
     nodes = np.broadcast_to(x, steps.shape)
     for done in range(1, passes + 1):
-        y = nodes[:-1]
-        k = rhs(0, y)
-        acc = k.copy()   # k1 + 2 k2 + 2 k3 + k4, summed in that order
-        k = rhs(1, y + half * k)
-        acc += 2.0 * k
-        k = rhs(2, y + half * k)
-        acc += 2.0 * k
-        acc += rhs(3, y + h * k)
-        steps[1:] = sixth * acc
+        steps[1:] = _rk4_increment(rhs, nodes[:-1], h, half, sixth)
         new = np.cumsum(steps, axis=0)
         # the nan-aware comparison only where a nan can make the difference
         if (done >= w or (new == nodes).all() or (
@@ -312,10 +314,12 @@ def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath,
     """Minimal control energy needed to generate the path, or inf.
 
     Per grid cell the control is recovered by least squares
-    u = sigma(g_mid)^+ (dg/dt - b(g_mid)) at the midpoint state, all cells
-    at once; if the residual outside the diffusion range exceeds tolerance
-    anywhere the path is unreachable and the value is inf. Cells at or
-    after explosion contribute zero (the control is frozen at the cemetery).
+    u = sigma^+ (dg/dt - b(g_mid)) at the midpoint state, all cells at once.
+    The path is unreachable, and the value inf, if one RK4 step of a cell's
+    recovered control from its left node misses its right node outside the
+    range of sigma by more than tolerance * (1 + max |g|) per unit time.
+    Cells at or after explosion contribute zero (the control is frozen at
+    the cemetery).
     """
     if path.dim != problem.dim_state:
         raise ValueError("path dimension does not match the problem")
@@ -323,18 +327,20 @@ def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath,
     if end < 2:
         return 0.0
     g = path.states[:end]
-    h = np.diff(path.times[:end])
+    h = np.diff(path.times[:end])[:, None]
     mid = 0.5 * (g[:-1] + g[1:])
     b = np.asarray(problem.limit_drift(mid), dtype=float)
     _expect_shape("limit_drift", b, mid.shape)
-    sig = np.asarray(problem.limit_diffusion(mid), dtype=float)
-    _expect_shape("limit_diffusion", sig, mid.shape + (problem.dim_control,))
-    target = (np.diff(g, axis=0) / h[:, None] - b)[..., None]
-    u = np.linalg.pinv(sig, rcond=1e-12) @ target
-    residual = float(np.max(np.abs(sig @ u - target)))
-    if residual > tolerance * (1.0 + float(np.max(np.abs(g)))):
+    sig = problem.constant_diffusion
+    sig_pinv = np.linalg.pinv(sig, rcond=1e-12)
+    u = (np.diff(g, axis=0) / h - b) @ sig_pinv.T
+    step = g[:-1] + _rk4_increment(_control_rhs(problem, u), g[:-1], h,
+                                   0.5 * h, h / 6.0)
+    off_range = np.eye(len(sig)) - sig @ sig_pinv
+    miss = float(np.max(np.abs((step - g[1:]) @ off_range.T) / h))
+    if not miss <= tolerance * (1.0 + float(np.max(np.abs(g)))):
         return math.inf
-    return 0.5 * float(np.sum(np.sum(u[..., 0] ** 2, axis=-1) * h))
+    return 0.5 * float(np.sum(np.sum(u**2, axis=-1) * h[:, 0]))
 
 
 def linear_kernel_oracle(kernel, n_quad: int = 4096,

@@ -90,12 +90,10 @@ def _make_brownian(d: int = 1) -> ExampleSystem:
         linear=LinearSpec(np.zeros((d, d)), eye),
     )
     limit = LimitOdeProblem(
-        dim_state=d, dim_control=d,
         limit_drift=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        limit_diffusion=_const_diffusion(eye),
-        x0=np.zeros(d),
         drift_jacobian=lambda y: np.zeros(np.asarray(y).shape + (d,)),
         constant_diffusion=eye,
+        x0=np.zeros(d),
         label="brownian limit",
     )
     w = np.zeros(d)
@@ -130,12 +128,10 @@ def _make_iterated_kolmogorov(d: int = 2) -> ExampleSystem:
         linear=LinearSpec(a, sig),
     )
     limit = LimitOdeProblem(
-        dim_state=d, dim_control=1,
         limit_drift=lambda y: np.asarray(y, dtype=float) @ a.T,
-        limit_diffusion=_const_diffusion(sig),
-        x0=np.zeros(d),
         drift_jacobian=lambda y: np.broadcast_to(a, np.asarray(y).shape + (d,)),
         constant_diffusion=sig,
+        x0=np.zeros(d),
         label=f"iterated_kolmogorov(d={d}) limit",
     )
     w = np.zeros(d)
@@ -173,12 +169,10 @@ def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
         linear=LinearSpec(a, sig),
     )
     limit = LimitOdeProblem(
-        dim_state=2, dim_control=1,
         limit_drift=lambda y: np.asarray(y, dtype=float) @ a.T,
-        limit_diffusion=_const_diffusion(sig),
-        x0=x0,
         drift_jacobian=lambda y: np.broadcast_to(a, np.asarray(y).shape + (2,)),
         constant_diffusion=sig,
+        x0=x0,
         label="shifted_kolmogorov limit",
     )
     # detrended first coordinate: y1(1) - x1(0) - x2(0) = int_0^1 f
@@ -201,7 +195,7 @@ def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
         return SdeSystem(
             dim_state=2, dim_noise=1,
             drift=limit.limit_drift,
-            diffusion=limit.limit_diffusion,
+            diffusion=sde.diffusion,
             label=f"shifted_kolmogorov rescaled(eps={eps:g})",
         )
 
@@ -247,12 +241,10 @@ def _make_quadratic() -> ExampleSystem:
         return jac
 
     limit = LimitOdeProblem(
-        dim_state=2, dim_control=1,
         limit_drift=limit_drift,
-        limit_diffusion=_const_diffusion(sig),
-        x0=np.zeros(2),
         drift_jacobian=limit_jac,
         constant_diffusion=sig,
+        x0=np.zeros(2),
         label="quadratic limit",
     )
     functionals = {
@@ -335,12 +327,10 @@ def _make_lorenz96() -> ExampleSystem:
         label="lorenz96(d=5)",
     )
     limit = LimitOdeProblem(
-        dim_state=5, dim_control=2,
         limit_drift=_lorenz_limit_drift,
-        limit_diffusion=_const_diffusion(sig),
-        x0=np.zeros(5),
         drift_jacobian=_lorenz_limit_jacobian,
         constant_diffusion=sig,
+        x0=np.zeros(5),
         label="lorenz96 limit",
     )
     functionals = {
@@ -452,7 +442,7 @@ def coefficient_deviation(example: ExampleSystem, eps: float,
     limit = example.limit_problem
     y = np.asarray(points, dtype=float)
     drift_dev = np.max(np.abs(res.drift(y) - limit.limit_drift(y)))
-    diff_dev = np.max(np.abs(res.diffusion(y) - limit.limit_diffusion(y)))
+    diff_dev = np.max(np.abs(res.diffusion(y) - limit.constant_diffusion))
     return {"eps": eps, "drift_deviation": float(drift_dev),
             "diffusion_deviation": float(diff_dev)}
 

@@ -3,9 +3,9 @@
 optimize_extremal runs projected gradient ascent/descent on the
 piecewise-constant control, with deterministic multi-start. Gradients come
 from a continuous adjoint sweep (one forward + one backward integration) when
-the functional exposes a terminal gradient and the problem a constant
-diffusion and a drift_jacobian; central finite differences otherwise. Both
-modes are selectable.
+the functional exposes a terminal gradient, and from central finite
+differences for running functionals, which have none. OptimizerConfig.gradient
+can force finite differences on a terminal functional too.
 
 Every control, single or batched, goes through the one windowed RK4 sweep of
 lillab.controls (solve_control_ode is its one-row case). Terminal and running
@@ -24,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .controls import (MAX_ENERGY, ControlGrid, LimitOdeProblem, _integrate,
-                       _node_states, _rk4_window, _window_cells,
-                       solve_control_ode)
+                       _node_states, _rk4_window, _window_cells)
 from .sde import ExplosivePath, _expect_shape
 
 _FD_STEP = 1e-6       # relative step of the central differences
@@ -135,32 +134,19 @@ def _functional_values(problem, functional, u_batch):
 # ---------------------------------------------------------------------------
 # Gradients
 
-def _adjoint_obstacle(problem: LimitOdeProblem, functional) -> Optional[str]:
-    """Why adjoint_gradient cannot differentiate this pair, or None."""
-    if problem.constant_diffusion is None:
-        return "adjoint gradient requires constant_diffusion"
-    if problem.drift_jacobian is None:
-        return "adjoint gradient requires drift_jacobian"
-    if not hasattr(functional, "terminal_gradient"):
-        return "functional does not expose a terminal gradient"
-    return None
-
-
 def adjoint_gradient(problem: LimitOdeProblem, functional,
                      u_batch: np.ndarray) -> np.ndarray:
     """dF/du via one forward and one backward RK4 sweep per batch row.
 
-    Requires a terminal-gradient functional, constant diffusion and a
-    drift_jacobian (see _adjoint_obstacle). The backward equation
+    Requires a functional with terminal_gradient. The backward equation
     lambda' = -J_b(g)^T lambda is integrated by _rk4_window over reversed
     cells on the stored forward trajectory, with stage slopes J^T lambda at
     the cell's upper node, its midpoint (the mean of the two nodes, twice)
     and its lower node; the cell gradient is sigma^T times the trapezoidal
     average of lambda.
     """
-    obstacle = _adjoint_obstacle(problem, functional)
-    if obstacle is not None:
-        raise ValueError(obstacle)
+    if not hasattr(functional, "terminal_gradient"):
+        raise ValueError("functional does not expose a terminal gradient")
     widths, traj, first_dead = _node_states(problem, u_batch)
     n, dim = len(widths), problem.dim_state
     lam = np.empty_like(traj)
@@ -282,12 +268,14 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
 
     Projected gradient ascent (sense "max") or descent ("min") with monotone
     backtracking line search and deterministic multi-start. gradient mode
-    "auto" picks the adjoint sweep when the functional and problem support it
-    (see adjoint_gradient) and central finite differences otherwise. A
-    functional with neither terminal_value nor accumulate raises ValueError.
+    "auto" picks the adjoint sweep when the functional has terminal_gradient
+    and central finite differences otherwise; "adjoint" on a functional
+    without terminal_gradient raises ValueError, as does a functional with
+    neither terminal_value nor accumulate.
 
-    The reported value is recomputed from a single solve_control_ode run at
-    the returned control, so value == functional(argext) exactly.
+    The reported value is recomputed at the returned control by the same
+    batched integration as every candidate, and equals
+    functional.evaluate(solve_control_ode(problem, argext)) exactly.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -295,10 +283,10 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     sgn = 1.0 if sense == "max" else -1.0
 
     mode = config.gradient
-    obstacle = _adjoint_obstacle(problem, functional)
+    adjoint_ok = hasattr(functional, "terminal_gradient")
     if mode == "auto":
-        mode = "adjoint" if obstacle is None else "fd"
-    if mode == "adjoint" and obstacle is not None:
+        mode = "adjoint" if adjoint_ok else "fd"
+    if mode == "adjoint" and not adjoint_ok:
         raise ValueError("problem/functional pair does not support adjoint mode")
 
     u = _project_batch(_initial_bank(problem, config))
@@ -349,8 +337,7 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
 
     best = int(np.argmax(val))
     argext = ControlGrid(u[best]).project()
-    final_path = solve_control_ode(problem, argext)
-    final_value = functional.evaluate(final_path)
+    final_value = _functional_values(problem, functional, argext.values[None])[0]
 
     # projected-gradient norm at the exit point, measured along the feasible set
     probe = 1e-7

@@ -289,7 +289,7 @@ class ReachabilityReport:
 
 def _energy_certificate(problem: LimitOdeProblem, z: np.ndarray,
                         t: float) -> Optional[dict]:
-    """Unreachability bound for drift-free coordinates with constant diffusion.
+    """Unreachability bound for drift-free coordinates.
 
     If coordinate i has limit_drift_i identically zero (probed on a sample
     cloud) then x_i(t) - x0_i = int_0^t (sigma u)_i ds, and Cauchy-Schwarz
@@ -298,8 +298,6 @@ def _energy_certificate(problem: LimitOdeProblem, z: np.ndarray,
     unreachable regardless of optimizer outcome.
     """
     sigma = problem.constant_diffusion
-    if sigma is None:
-        return None
     rng = _philox(981127, 3)
     cloud = rng.uniform(-2.0, 2.0, size=(128, problem.dim_state))
     cloud = np.vstack([cloud, problem.x0[None, :], z[None, :]])

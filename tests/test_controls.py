@@ -101,12 +101,18 @@ def test_kernel_oracle_closed_forms():
         pytest.approx(math.sqrt(4.0 / 15.0), rel=1e-8)
 
 
-def test_limit_set_samples_are_feasible():
-    ik = get_example("iterated_kolmogorov", d=2)
-    samples = limit_set_sample(ik.limit_problem, 8, seed=5, n_steps=128)
+@pytest.mark.parametrize("name, seed, n_steps", [
+    ("iterated_kolmogorov", 5, 128),
+    # the midpoint-rule residual of quadratic's drift at 16 cells once made
+    # the Cramer transform price these feasible samples at infinity
+    ("quadratic", 3, 16),
+])
+def test_limit_set_samples_are_feasible(name, seed, n_steps):
+    problem = get_example(name).limit_problem
+    samples = limit_set_sample(problem, 8, seed=seed, n_steps=n_steps)
     assert len(samples) == 8
     for path in samples:
-        lam = cramer_transform(ik.limit_problem, path)
+        lam = cramer_transform(problem, path)
         assert lam <= 1.0 + 1e-3
 
 
@@ -123,12 +129,56 @@ def test_limit_set_distance_member_vs_outsider():
 def _blowup_problem(**changes):
     # scalar dy = y^2 dt + 0 du from y(0) = 2 blows up at t = 0.5
     problem = LimitOdeProblem(
-        dim_state=1, dim_control=1,
         limit_drift=lambda y: np.asarray(y) ** 2,
-        limit_diffusion=lambda y: np.zeros(np.shape(y) + (1,)),
+        drift_jacobian=lambda y: 2.0 * np.asarray(y)[..., None],
+        constant_diffusion=np.zeros((1, 1)),
         x0=np.array([2.0]),
     )
     return replace(problem, **changes)
+
+
+def _decay_problem(**changes):
+    # scalar dy = -y dt + du from y(0) = 1: the drift acts on the driven
+    # coordinate and never settles in a windowed sweep
+    return replace(LimitOdeProblem(
+        limit_drift=lambda y: -np.asarray(y),
+        drift_jacobian=lambda y: -np.ones(np.shape(y) + (1,)),
+        constant_diffusion=np.ones((1, 1)),
+        x0=np.array([1.0])), **changes)
+
+
+def test_cramer_drift_in_a_driven_coordinate():
+    # the midpoint recovery of u is O(h^2) off, but sigma can absorb that
+    # miss, so the path stays feasible and its energy converges
+    problem = _decay_problem()
+    for n, gap in ((16, 1e-3), (256, 1e-5)):
+        u = ControlGrid.random_bandlimited(n, 1, seed=11).project()
+        lam = cramer_transform(problem, solve_control_ode(problem, u))
+        assert abs(lam - u.energy()) <= gap
+
+
+def test_limit_problem_contract():
+    # sigma and the drift Jacobian are required; d comes from x0, k from sigma
+    drift = _blowup_problem().limit_drift
+    jac = _blowup_problem().drift_jacobian
+    with pytest.raises(TypeError):
+        LimitOdeProblem(limit_drift=drift, drift_jacobian=jac, x0=np.zeros(2))
+    with pytest.raises(TypeError):
+        LimitOdeProblem(limit_drift=drift, constant_diffusion=np.ones((2, 1)),
+                        x0=np.zeros(2))
+    with pytest.raises(ValueError, match="constant_diffusion shape"):
+        LimitOdeProblem(drift, jac, np.ones((3, 1)), np.zeros(2))
+    with pytest.raises(ValueError, match="constant_diffusion shape"):
+        LimitOdeProblem(drift, jac, np.ones(2), np.zeros(2))
+    with pytest.raises(ValueError, match="x0 must be a state vector"):
+        LimitOdeProblem(drift, jac, np.ones((2, 1)), np.zeros((2, 1)))
+    problem = LimitOdeProblem(drift, jac, [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]],
+                              [0.5, 0.0])
+    assert (problem.dim_state, problem.dim_control) == (2, 3)
+    assert problem.constant_diffusion.dtype == float
+    assert problem.x0.dtype == float
+    clipped = replace(problem, t_star=0.5)
+    assert (clipped.dim_state, clipped.dim_control) == (2, 3)
 
 
 def test_control_ode_explosion_marks_path():
@@ -159,16 +209,14 @@ def test_exploded_path_keeps_the_time_grid():
 
 @pytest.mark.parametrize("name, bad", [
     ("limit_drift", lambda y: np.zeros(1)),
-    ("limit_diffusion", lambda y: np.zeros((1, 1))),
     ("drift_jacobian", lambda y: np.zeros((1, 1))),
     ("domain_contains", lambda y: bool(np.all(y < 1e3))),
 ])
 def test_callback_shapes_are_checked(name, bad):
-    # callbacks that ignore the batch axis (the limit_diffusion case is this
-    # file's old explosion fixture) are rejected at their first batch call
+    # callbacks that ignore the batch axis are rejected at their first
+    # batch call
     adjoint = name == "drift_jacobian"
-    problem = _blowup_problem(
-        constant_diffusion=np.ones((1, 1)) if adjoint else None, **{name: bad})
+    problem = _blowup_problem(**{name: bad})
     u = np.zeros((1, 8, 1))
     with pytest.raises(ValueError, match=name + r" returned shape .* expected"):
         if adjoint:

@@ -8,7 +8,7 @@ import pytest
 
 from lillab import extremals
 from lillab.controls import ControlGrid, solve_control_ode
-from lillab.examples import get_example
+from lillab.examples import get_example, list_examples
 from lillab.extremals import (OptimizerConfig, RunningMaxAbsFunctional,
                               TerminalLinearFunctional, _functional_values,
                               adjoint_gradient, fd_gradient, optimize_extremal)
@@ -156,26 +156,44 @@ def test_functional_values_keep_only_the_current_states(functional):
     assert peak < 0.25e6
 
 
-def test_adjoint_needs_a_drift_jacobian():
-    # without drift_jacobian the adjoint is refused and auto runs fd
-    ik = get_example("iterated_kolmogorov", d=2)
-    problem = replace(ik.limit_problem, drift_jacobian=None)
-    j1 = ik.functionals["J1"]
-    with pytest.raises(ValueError, match="requires drift_jacobian"):
-        adjoint_gradient(problem, j1, np.zeros((1, 16, 1)))
-    config = OptimizerConfig(n_steps=16, n_restarts=2, max_iters=20)
-    with pytest.raises(ValueError, match="adjoint"):
-        optimize_extremal(problem, j1, "max",
-                          replace(config, gradient="adjoint"))
-    with mock.patch.object(extremals, "adjoint_gradient") as adjoint, \
+def _registered_pairs():
+    return [(name, functional) for name in list_examples()
+            for functional in sorted(get_example(name).functionals)]
+
+
+@pytest.mark.parametrize("name, functional", _registered_pairs())
+def test_auto_gradient_is_the_adjoint_exactly_for_terminal_functionals(
+        name, functional):
+    # auto takes the adjoint when the functional has terminal_gradient and
+    # finite differences otherwise; adjoint mode without it is refused
+    example = get_example(name)
+    problem, f = example.limit_problem, example.functionals[functional]
+    config = OptimizerConfig(n_steps=8, n_restarts=2, max_iters=2)
+    with mock.patch.object(extremals, "adjoint_gradient",
+                           wraps=extremals.adjoint_gradient) as adjoint, \
             mock.patch.object(extremals, "fd_gradient",
                               wraps=extremals.fd_gradient) as fd:
-        auto = optimize_extremal(problem, j1, "max", config)
-    assert fd.called and not adjoint.called
-    forced = optimize_extremal(ik.limit_problem, j1, "max",
-                               replace(config, gradient="fd"))
-    assert auto.value == forced.value
-    assert np.array_equal(auto.argext.values, forced.argext.values)
+        optimize_extremal(problem, f, "max", config)
+    terminal = hasattr(f, "terminal_gradient")
+    assert adjoint.called == terminal and fd.called == (not terminal)
+    if not terminal:
+        with pytest.raises(ValueError, match="terminal gradient"):
+            adjoint_gradient(problem, f, np.zeros((1, 8, problem.dim_control)))
+        with pytest.raises(ValueError, match="adjoint"):
+            optimize_extremal(problem, f, "max",
+                              replace(config, gradient="adjoint"))
+
+
+@pytest.mark.parametrize("name, functional", _registered_pairs())
+def test_reported_value_is_the_functional_of_the_returned_control(
+        name, functional):
+    example = get_example(name)
+    problem, f = example.limit_problem, example.functionals[functional]
+    config = OptimizerConfig(n_steps=16, n_restarts=3, max_iters=10)
+    for sense in ("max", "min"):
+        result = optimize_extremal(problem, f, sense, config)
+        assert result.value == f.evaluate(solve_control_ode(problem,
+                                                            result.argext))
 
 
 def test_functional_without_values_is_rejected():

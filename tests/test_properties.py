@@ -11,7 +11,8 @@ Euler loop: simulate_sde is its one-row case and lil-verify runs it on all
 paths of a level; a per-step single-row loop is kept here as its reference,
 and every block size of its liveness check must reproduce it.
 Rows of a batch must not influence each other, and on the iterated
-Kolmogorov chain RK4 is exact for piecewise-constant controls. Both
+Kolmogorov chain RK4 is exact for piecewise-constant controls. The Cramer
+transform of a path the control ODE made is its control's energy. Both
 integrators and the exact-linear sampler kill states with one batched exit
 rule, sde.alive; the per-state rule it replaced is kept here as its
 reference and must agree row by row. Both LIL schemes refine one
@@ -37,8 +38,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lillab import controls, sde  # noqa: E402
-from lillab.controls import (ControlGrid, LimitOdeProblem,  # noqa: E402
-                             _integrate, _node_states, _widths,
+from lillab.controls import (ControlGrid, _integrate,  # noqa: E402
+                             _node_states, _widths, cramer_transform,
                              solve_control_ode)
 from lillab.examples import get_example, list_examples  # noqa: E402
 from lillab.extremals import (QuadraticMissFunctional,  # noqa: E402
@@ -50,11 +51,11 @@ from lillab.regularity import (_CURVE_NODES, _SPHERE_SUBDIV,  # noqa: E402
                                DomainSpec, _boundary_table,
                                _energy_certificate, _icosphere, _ray_roots,
                                _sample_boundary, _unit_rows, cone_criterion)
-from lillab.sde import (OVERFLOW_GUARD, LinearSpec,  # noqa: E402
-                        NoisePath, NumericalFailure, SdeSystem, _philox,
-                        _row_path, alive, euler_batch, row_normals,
+from lillab.sde import (OVERFLOW_GUARD, ExplosivePath,  # noqa: E402
+                        LinearSpec, NoisePath, NumericalFailure, SdeSystem,
+                        _philox, _row_path, alive, euler_batch, row_normals,
                         simulate_sde, trivial_domain)
-from test_controls import _blowup_problem  # noqa: E402
+from test_controls import _blowup_problem, _decay_problem  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
 
@@ -131,20 +132,30 @@ def test_kolmogorov_matches_exact_recursion(case):
         assert np.allclose(states[j + 1], x, rtol=0.0, atol=1e-12)
 
 
+@SETTINGS
+@given(st.sampled_from(list_examples()), st.integers(8, 256),
+       st.integers(0, 49))
+def test_cramer_transform_is_the_energy_of_feasible_paths(name, n, stream):
+    # a path the control ODE makes from u is priced at u's energy; the path
+    # (t, 0) breaks y1' = y2 on IK(2) and y1' = -y2^2 on quadratic
+    problem = get_example(name).limit_problem
+    u = ControlGrid.random_bandlimited(n, problem.dim_control, seed=11,
+                                       stream=stream).project()
+    lam = cramer_transform(problem, solve_control_ode(problem, u))
+    assert np.isfinite(lam) and lam >= 0.0
+    assert abs(lam - u.energy()) <= 1e-12
+    if name in ("iterated_kolmogorov", "quadratic"):
+        t = np.linspace(0.0, 1.0, n + 1)
+        bogus = ExplosivePath(t, np.column_stack([t, np.zeros_like(t)]))
+        assert cramer_transform(problem, bogus) == np.inf
+
+
 # ---------------------------------------------------------------------------
 # Windowed RK4 sweep against per-cell loops. The window holds cells x B x d
 # values: one cell, three cells or the whole grid. Besides the registered
 # (nilpotent) examples: IK(2) in the ball |y| < 0.3, which rows leave, and
 # two drifts that never settle, y' = y^2 (blows up at t = 0.5 from
 # y(0) = 2) and y' = -y + u.
-
-def _decay_problem(**changes):
-    return replace(LimitOdeProblem(
-        dim_state=1, dim_control=1,
-        limit_drift=lambda y: -np.asarray(y),
-        limit_diffusion=lambda y: np.ones(np.shape(y) + (1,)),
-        x0=np.array([1.0])), **changes)
-
 
 NOT_NILPOTENT = {"blowup": _blowup_problem, "decay": _decay_problem}
 SWEEP_PROBLEMS = sorted(NOT_NILPOTENT) + ["kolmogorov_in_ball"] + list_examples()
@@ -181,10 +192,7 @@ def _reference_rk4(problem, u_batch):
     states = [x]
 
     def rhs(y, u):
-        b = problem.limit_drift(y)
-        if problem.constant_diffusion is not None:
-            return b + u @ problem.constant_diffusion.T
-        return b + np.einsum("bdk,bk->bd", problem.limit_diffusion(y), u)
+        return problem.limit_drift(y) + u @ problem.constant_diffusion.T
 
     with np.errstate(over="ignore", invalid="ignore"):
         for node, h in enumerate(widths, start=1):
@@ -884,8 +892,6 @@ def test_cone_probe_equals_per_ray_loop(d, seed):
 
 def _reference_energy_certificate(problem, z, t):
     sigma = problem.constant_diffusion
-    if sigma is None:
-        return None
     rng = _philox(981127, 3)
     cloud = rng.uniform(-2.0, 2.0, size=(128, problem.dim_state))
     cloud = np.vstack([cloud, problem.x0[None, :], z[None, :]])
