@@ -38,7 +38,7 @@ import scipy
 from . import __version__
 from .controls import ControlGrid
 from .examples import describe_example, deviation_table, get_example, list_examples
-from .extremals import OptimizerConfig, optimize_extremal
+from .extremals import OptimizerConfig, is_terminal, optimize_extremal
 from .lil import LilExperimentConfig, run_lil_experiment
 from .regularity import (REACH_CONFIG, DomainSpec, cone_criterion,
                          polygonalize, reach_target, sphere_criterion)
@@ -113,7 +113,9 @@ _SPECS = {
         "n_steps": (int, 1024, "control grid cells"),
         "restarts": (int, 16, "multistart count"),
         "max_iters": (int, 500, "ascent iteration cap"),
-        "gradient": (str, "auto", "auto | adjoint | fd"),
+        "gradient": (str, "auto",
+                     "auto, or the gradient the functional takes "
+                     "(adjoint | fd)"),
     },
     "lil-verify": {
         **_COMMON,
@@ -294,7 +296,7 @@ def _control_csv(control: ControlGrid) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: return (artifacts, stdout_summary, exit_code)
+# Subcommand handlers (opts, ns): return (artifacts, stdout_summary, exit_code)
 
 def _simulated(example, opts: dict, start, dt: float, horizon: float):
     """One path of the example's SDE from start under opts' scheme and seed.
@@ -309,7 +311,7 @@ def _simulated(example, opts: dict, start, dt: float, horizon: float):
     return simulate_sde(example.sde, start, noise, scheme=opts["scheme"])
 
 
-def _run_simulate(opts: dict):
+def _run_simulate(opts: dict, ns):
     example = _example_from(opts)
     start = np.asarray(opts["start"], dtype=float) if opts["start"] is not None \
         else example.contraction.center
@@ -329,7 +331,7 @@ def _run_simulate(opts: dict):
     return artifacts, summary, EXIT_OK
 
 
-def _run_rescale(opts: dict):
+def _run_rescale(opts: dict, ns):
     example = _example_from(opts)
     eps = opts["eps"]
     path = _simulated(example, opts, example.contraction.center,
@@ -346,18 +348,24 @@ def _run_rescale(opts: dict):
     return artifacts, summary, EXIT_OK
 
 
-def _run_optimize(opts: dict):
+def _run_optimize(opts: dict, ns):
     example = _example_from(opts)
     functional = _functional_from(example, opts)
     if opts["sense"] not in ("max", "min"):
         raise CliError("--sense must be max or min", EXIT_CONFIG)
+    # the functional picks its gradient; --gradient only checks it
+    takes = "adjoint" if is_terminal(functional) else "fd"
+    if opts["gradient"] not in ("auto", takes):
+        raise CliError(
+            f"functional {opts['functional']!r} takes the {takes} gradient; "
+            f"--gradient must be auto or {takes}, not {opts['gradient']!r}",
+            EXIT_CONFIG)
     extra = ()
     if example.probe_starts is not None:
         extra = tuple(example.probe_starts(opts["n_steps"]))
     config = OptimizerConfig(
         n_steps=opts["n_steps"], n_restarts=opts["restarts"],
-        max_iters=opts["max_iters"], gradient=opts["gradient"],
-        seed=opts["seed"], extra_starts=extra,
+        max_iters=opts["max_iters"], seed=opts["seed"], extra_starts=extra,
     )
     result = optimize_extremal(example.limit_problem, functional,
                                opts["sense"], config)
@@ -378,7 +386,7 @@ def _run_optimize(opts: dict):
     return artifacts, summary, code
 
 
-def _run_lil(opts: dict):
+def _run_lil(opts: dict, ns):
     example = _example_from(opts)
     _functional_from(example, opts)
     config = LilExperimentConfig(
@@ -393,27 +401,10 @@ def _run_lil(opts: dict):
     return artifacts, summary, EXIT_OK
 
 
-def _run_regularity(opts: dict, action: str):
+def _run_regularity(opts: dict, ns):
     # the criterion's own default unless the user set one
     tol = {} if opts["tolerance"] is None else {"tolerance": opts["tolerance"]}
-    if action in ("sphere", "cone"):
-        example = _example_from(opts)
-        dim = example.sde.dim_state
-        center = np.asarray(opts["ball_center"], dtype=float) \
-            if opts["ball_center"] is not None else np.zeros(dim)
-        domain = DomainSpec.ball(center, opts["ball_radius"])
-        _require(opts, "point")
-        point = np.asarray(opts["point"], dtype=float)
-        if action == "sphere":
-            verdict = sphere_criterion(example.sde, domain, point, **tol)
-        else:
-            _require(opts, "cone_basis")
-            basis = np.column_stack(
-                [np.asarray(col, dtype=float) for col in opts["cone_basis"]])
-            verdict = cone_criterion(example.sde, domain, point, basis, **tol)
-        summary = verdict.to_json_dict()
-        return [("verdict.json", _json_text(summary))], summary, EXIT_OK
-    if action == "reach":
+    if ns.action == "reach":
         example = _example_from(opts)
         _require(opts, "target")
         report = reach_target(example.limit_problem,
@@ -423,31 +414,45 @@ def _run_regularity(opts: dict, action: str):
                               **tol)
         summary = report.to_json_dict()
         return [("reach.json", _json_text(summary))], summary, EXIT_OK
-    # polygonalize
-    dim = opts["dim"]
+    # sphere, cone and polygonalize take the ball, centred at the origin of
+    # the example's state space (or of R^dim) unless --ball-center is given
+    example = None if ns.action == "polygonalize" else _example_from(opts)
     center = np.asarray(opts["ball_center"], dtype=float) \
-        if opts["ball_center"] is not None else np.zeros(dim)
+        if opts["ball_center"] is not None else \
+        np.zeros(opts["dim"] if example is None else example.sde.dim_state)
     domain = DomainSpec.ball(center, opts["ball_radius"])
-    direction = np.asarray(opts["direction"], dtype=float) \
-        if opts["direction"] is not None else np.eye(len(center))[-1]
-    poly = polygonalize(domain, direction, opts["samples"], opts["seed"])
-    summary = poly.to_json_dict()
-    artifacts = [("polygon.json", _json_text(summary)),
-                 ("polygon.csv", poly.to_csv_string())]
-    return artifacts, summary, EXIT_OK
+    if example is None:
+        direction = np.asarray(opts["direction"], dtype=float) \
+            if opts["direction"] is not None else np.eye(len(center))[-1]
+        poly = polygonalize(domain, direction, opts["samples"], opts["seed"])
+        summary = poly.to_json_dict()
+        artifacts = [("polygon.json", _json_text(summary)),
+                     ("polygon.csv", poly.to_csv_string())]
+        return artifacts, summary, EXIT_OK
+    _require(opts, "point")
+    point = np.asarray(opts["point"], dtype=float)
+    if ns.action == "sphere":
+        verdict = sphere_criterion(example.sde, domain, point, **tol)
+    else:
+        _require(opts, "cone_basis")
+        basis = np.column_stack(
+            [np.asarray(col, dtype=float) for col in opts["cone_basis"]])
+        verdict = cone_criterion(example.sde, domain, point, basis, **tol)
+    summary = verdict.to_json_dict()
+    return [("verdict.json", _json_text(summary))], summary, EXIT_OK
 
 
-def _run_examples(opts: dict, action: str, name):
-    if action == "list":
+def _run_examples(opts: dict, ns):
+    if ns.action == "list":
         summary = {"examples": list_examples()}
         return [("examples.json", _json_text(summary))], summary, EXIT_OK
-    if name is None:
+    if ns.name is None:
         raise CliError("examples describe needs a name", EXIT_CONFIG)
-    summary = _example_from(dict(opts, example=name), describe_example)
+    summary = _example_from(dict(opts, example=ns.name), describe_example)
     return [("example.json", _json_text(summary))], summary, EXIT_OK
 
 
-def _run_check(opts: dict):
+def _run_check(opts: dict, ns):
     names = [opts["example"]] if opts["example"] else list_examples()
     results = {}
     all_ok = True
@@ -482,6 +487,17 @@ def _run_check(opts: dict):
     summary = {"checks": results, "passed": all_ok}
     code = EXIT_OK if all_ok else EXIT_NUMERICAL
     return [("check.json", _json_text(summary))], summary, code
+
+
+_HANDLERS = {
+    "simulate": _run_simulate,
+    "rescale": _run_rescale,
+    "optimize": _run_optimize,
+    "lil-verify": _run_lil,
+    "regularity": _run_regularity,
+    "examples": _run_examples,
+    "check": _run_check,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -523,23 +539,7 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     try:
         opts = _resolve(ns, spec)
-        if ns.subcommand == "simulate":
-            artifacts, summary, code = _run_simulate(opts)
-        elif ns.subcommand == "rescale":
-            artifacts, summary, code = _run_rescale(opts)
-        elif ns.subcommand == "optimize":
-            artifacts, summary, code = _run_optimize(opts)
-        elif ns.subcommand == "lil-verify":
-            artifacts, summary, code = _run_lil(opts)
-        elif ns.subcommand == "regularity":
-            artifacts, summary, code = _run_regularity(opts, ns.action)
-        elif ns.subcommand == "examples":
-            artifacts, summary, code = _run_examples(opts, ns.action, ns.name)
-        elif ns.subcommand == "check":
-            artifacts, summary, code = _run_check(opts)
-        else:  # pragma: no cover - argparse restricts choices
-            raise CliError(f"unknown subcommand {ns.subcommand!r}",
-                           EXIT_CONFIG)
+        artifacts, summary, code = _HANDLERS[ns.subcommand](opts, ns)
     except CliError as err:
         _emit_error(str(err), err.code, ns)
         return err.code

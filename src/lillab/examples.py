@@ -21,7 +21,7 @@ from .controls import LimitOdeProblem, ControlGrid, linear_kernel_oracle
 from .extremals import RunningMaxAbsFunctional, TerminalLinearFunctional
 from .scaling import (AsymptoticIndex, ContractionFamily, rate_scale,
                       transformed_coefficients)
-from .sde import LinearSpec, SdeSystem
+from .sde import LinearSpec, SdeSystem, _philox
 
 
 def _const_diffusion(sigma: np.ndarray) -> Callable:
@@ -75,27 +75,35 @@ def _ik_matrices(d: int):
     return a, _unit_column(d, d - 1)
 
 
+def _linear_system(a: np.ndarray, sigma: np.ndarray, x0: np.ndarray,
+                   label: str):
+    """The SDE dx = a x dt + sigma dW and its limit control problem
+    dy = a y dt + sigma u dt from x0: a linear system is its own limit."""
+    d, moving = a.shape[0], a.any()
+
+    def drift(x):
+        x = np.asarray(x, dtype=float)
+        # x @ 0 on a stacked batch costs a full matmul (Brownian motion)
+        return x @ a.T if moving else np.zeros_like(x)
+
+    sde = SdeSystem(dim_state=d, dim_noise=sigma.shape[1], drift=drift,
+                    diffusion=_const_diffusion(sigma), label=label,
+                    linear=LinearSpec(a, sigma))
+    limit = LimitOdeProblem(
+        limit_drift=drift,
+        drift_jacobian=lambda y: np.broadcast_to(a, np.asarray(y).shape + (d,)),
+        constant_diffusion=sigma, x0=x0, label=label + " limit")
+    return sde, limit
+
+
 def ik_reference_constant(d: int) -> float:
     """sup of the (d-1)-fold iterated time integral over the energy ball."""
     return math.sqrt(2.0 / (2 * d - 1)) / math.factorial(d - 1)
 
 
 def _make_brownian(d: int = 1) -> ExampleSystem:
-    eye = np.eye(d)
-    sde = SdeSystem(
-        dim_state=d, dim_noise=d,
-        drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        diffusion=_const_diffusion(eye),
-        label=f"brownian(d={d})",
-        linear=LinearSpec(np.zeros((d, d)), eye),
-    )
-    limit = LimitOdeProblem(
-        limit_drift=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        drift_jacobian=lambda y: np.zeros(np.asarray(y).shape + (d,)),
-        constant_diffusion=eye,
-        x0=np.zeros(d),
-        label="brownian limit",
-    )
+    sde, limit = _linear_system(np.zeros((d, d)), np.eye(d), np.zeros(d),
+                                f"brownian(d={d})")
     w = np.zeros(d)
     w[0] = 1.0
     functionals = {
@@ -119,21 +127,8 @@ def _make_brownian(d: int = 1) -> ExampleSystem:
 def _make_iterated_kolmogorov(d: int = 2) -> ExampleSystem:
     if d < 2:
         raise ValueError("iterated_kolmogorov needs d >= 2")
-    a, sig = _ik_matrices(d)
-    sde = SdeSystem(
-        dim_state=d, dim_noise=1,
-        drift=lambda x: np.asarray(x, dtype=float) @ a.T,
-        diffusion=_const_diffusion(sig),
-        label=f"iterated_kolmogorov(d={d})",
-        linear=LinearSpec(a, sig),
-    )
-    limit = LimitOdeProblem(
-        limit_drift=lambda y: np.asarray(y, dtype=float) @ a.T,
-        drift_jacobian=lambda y: np.broadcast_to(a, np.asarray(y).shape + (d,)),
-        constant_diffusion=sig,
-        x0=np.zeros(d),
-        label=f"iterated_kolmogorov(d={d}) limit",
-    )
+    sde, limit = _linear_system(*_ik_matrices(d), np.zeros(d),
+                                f"iterated_kolmogorov(d={d})")
     w = np.zeros(d)
     w[0] = 1.0
     m = ik_reference_constant(d)
@@ -160,21 +155,8 @@ def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,):
         raise ValueError("x0 must be a 2-vector")
-    a, sig = _ik_matrices(2)
-    sde = SdeSystem(
-        dim_state=2, dim_noise=1,
-        drift=lambda x: np.asarray(x, dtype=float) @ a.T,
-        diffusion=_const_diffusion(sig),
-        label=f"shifted_kolmogorov(x0={tuple(x0)})",
-        linear=LinearSpec(a, sig),
-    )
-    limit = LimitOdeProblem(
-        limit_drift=lambda y: np.asarray(y, dtype=float) @ a.T,
-        drift_jacobian=lambda y: np.broadcast_to(a, np.asarray(y).shape + (2,)),
-        constant_diffusion=sig,
-        x0=x0,
-        label="shifted_kolmogorov limit",
-    )
+    sde, limit = _linear_system(*_ik_matrices(2), x0,
+                                f"shifted_kolmogorov(x0={tuple(x0)})")
     # detrended first coordinate: y1(1) - x1(0) - x2(0) = int_0^1 f
     functionals = {
         "J1": TerminalLinearFunctional(
@@ -450,6 +432,6 @@ def coefficient_deviation(example: ExampleSystem, eps: float,
 def deviation_table(example: ExampleSystem, eps_list, n_samples: int = 64,
                     seed: int = 7, box: float = 1.5) -> list:
     """Coefficient deviation rows for each eps, on a shared random point cloud."""
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 11]))
+    rng = _philox(seed, 11)
     points = rng.uniform(-box, box, size=(n_samples, example.sde.dim_state))
     return [coefficient_deviation(example, float(e), points) for e in eps_list]

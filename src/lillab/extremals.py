@@ -1,11 +1,10 @@
 """Extremal values of path functionals over the unit energy ball.
 
 optimize_extremal runs projected gradient ascent/descent on the
-piecewise-constant control, with deterministic multi-start. Gradients come
-from a continuous adjoint sweep (one forward + one backward integration) when
-the functional exposes a terminal gradient, and from central finite
-differences for running functionals, which have none. OptimizerConfig.gradient
-can force finite differences on a terminal functional too.
+piecewise-constant control, with deterministic multi-start. The functional
+picks its gradient (is_terminal): a continuous adjoint sweep (one forward +
+one backward integration) for a terminal functional, central finite
+differences for a running one, which has no terminal gradient.
 
 Every control, single or batched, goes through the one windowed RK4 sweep of
 lillab.controls (solve_control_ode is its one-row case). Terminal and running
@@ -35,10 +34,25 @@ _STEP_INIT = 1.0      # first line-search step of every restart
 # ---------------------------------------------------------------------------
 # Path functionals
 
+def is_terminal(functional) -> bool:
+    """True for a terminal functional, False for a running one.
+
+    A terminal functional (terminal_value, terminal_gradient) is read on the
+    last node only and takes the adjoint gradient; a running one (accumulate,
+    running_value) is folded over every node and takes finite differences.
+    A functional with neither raises ValueError.
+    """
+    if hasattr(functional, "terminal_value"):
+        return True
+    if hasattr(functional, "accumulate"):
+        return False
+    raise ValueError("functional needs terminal_value or accumulate")
+
+
 def node_values(functional, nodes: np.ndarray) -> np.ndarray:
     """Values on node states (n, B, d): terminal_value of the last node, or
     accumulate folded over all nodes, then running_value. No death mask."""
-    if hasattr(functional, "terminal_value"):
+    if is_terminal(functional):
         return functional.terminal_value(nodes[-1])
     return functional.running_value(reduce(functional.accumulate, nodes, None))
 
@@ -108,14 +122,12 @@ def _jacobian_batch(problem, y):
 def _functional_values(problem, functional, u_batch):
     """Functional values for a batch of controls; nan on dead rows.
 
-    Terminal and running functionals keep only the current states (B, d);
-    a functional with neither terminal_value nor accumulate raises
-    ValueError.
+    Terminal and running functionals keep only the current states (B, d).
     """
-    if hasattr(functional, "terminal_value"):
+    if is_terminal(functional):
         widths, terminal, first_dead = _integrate(problem, u_batch)
         vals = functional.terminal_value(terminal)
-    elif hasattr(functional, "accumulate"):
+    else:
         acc = None
 
         def fold(block):
@@ -124,8 +136,6 @@ def _functional_values(problem, functional, u_batch):
 
         widths, _, first_dead = _integrate(problem, u_batch, fold)
         vals = functional.running_value(acc)
-    else:
-        raise ValueError("functional needs terminal_value or accumulate")
     vals = np.asarray(vals, dtype=float)
     vals[first_dead <= len(widths)] = np.nan
     return vals
@@ -138,14 +148,14 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
                      u_batch: np.ndarray) -> np.ndarray:
     """dF/du via one forward and one backward RK4 sweep per batch row.
 
-    Requires a functional with terminal_gradient. The backward equation
+    Requires a terminal functional (is_terminal). The backward equation
     lambda' = -J_b(g)^T lambda is integrated by _rk4_window over reversed
     cells on the stored forward trajectory, with stage slopes J^T lambda at
     the cell's upper node, its midpoint (the mean of the two nodes, twice)
     and its lower node; the cell gradient is sigma^T times the trapezoidal
     average of lambda.
     """
-    if not hasattr(functional, "terminal_gradient"):
+    if not is_terminal(functional):
         raise ValueError("functional does not expose a terminal gradient")
     widths, traj, first_dead = _node_states(problem, u_batch)
     n, dim = len(widths), problem.dim_state
@@ -205,7 +215,6 @@ class OptimizerConfig:
     n_steps: int = 1024
     n_restarts: int = 16
     max_iters: int = 500
-    gradient: str = "auto"  # auto | adjoint | fd
     seed: int = 424243
     extra_starts: tuple = ()
 
@@ -267,11 +276,10 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     """Extremize a path functional over {energy <= MAX_ENERGY} controls.
 
     Projected gradient ascent (sense "max") or descent ("min") with monotone
-    backtracking line search and deterministic multi-start. gradient mode
-    "auto" picks the adjoint sweep when the functional has terminal_gradient
-    and central finite differences otherwise; "adjoint" on a functional
-    without terminal_gradient raises ValueError, as does a functional with
-    neither terminal_value nor accumulate.
+    backtracking line search and deterministic multi-start. The gradient is
+    the adjoint sweep for a terminal functional and central finite
+    differences for a running one (is_terminal, which raises ValueError for
+    a functional that is neither).
 
     The reported value is recomputed at the returned control by the same
     batched integration as every candidate, and equals
@@ -281,13 +289,7 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
         raise ValueError("sense must be 'max' or 'min'")
     config = config or OptimizerConfig()
     sgn = 1.0 if sense == "max" else -1.0
-
-    mode = config.gradient
-    adjoint_ok = hasattr(functional, "terminal_gradient")
-    if mode == "auto":
-        mode = "adjoint" if adjoint_ok else "fd"
-    if mode == "adjoint" and not adjoint_ok:
-        raise ValueError("problem/functional pair does not support adjoint mode")
+    terminal = is_terminal(functional)
 
     u = _project_batch(_initial_bank(problem, config))
     batch = u.shape[0]
@@ -298,7 +300,7 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     stall = np.zeros(batch, dtype=int)
 
     def gradients(u_now):
-        if mode == "adjoint":
+        if terminal:
             return sgn * adjoint_gradient(problem, functional, u_now)
         out = np.empty_like(u_now)
         for b in range(batch):

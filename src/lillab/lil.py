@@ -18,12 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .examples import ExampleSystem
-from .extremals import node_values
+from .extremals import is_terminal, node_values
 from .scaling import eval_index, rescale_states
 from .sde import LinearSpec, alive, euler_batch, row_normals
 
@@ -85,7 +86,7 @@ class LilExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class LilReport:
-    """Per-path value table with running extremes and aggregate statistics.
+    """Per-path value table; every statistic is derived from it.
 
     values[p, level] is the functional of the rescaled path at eps_j for
     grid level j = j_min + level; nan marks an exploded sample.  running_max
@@ -93,27 +94,18 @@ class LilReport:
     are monotone in depth wherever defined).  aggregate_max/min are global
     extremes over the whole table; mean_running_max/min average the deepest
     running extreme over paths and are the statistics the pre-registered
-    acceptance brackets apply to.
+    acceptance brackets apply to.  All four are nan when every sample
+    exploded.  reference holds the example's constants for this functional.
     """
 
     example_name: str
     functional_name: str
     config: LilExperimentConfig
-    j_values: np.ndarray
-    eps_values: np.ndarray
     values: np.ndarray
-    running_max: np.ndarray
-    running_min: np.ndarray
-    aggregate_max: float
-    aggregate_min: float
-    mean_running_max: float
-    mean_running_min: float
-    explosion_count: int
-    explosion_fraction: float
-    flagged: bool
-    noise_coupling: str
     reference: dict
-    soft_flags: tuple = ()
+
+    # every row is one driving path observed at every scale (module doc)
+    noise_coupling = "consistent"
 
     @property
     def n_paths(self) -> int:
@@ -122,6 +114,68 @@ class LilReport:
     @property
     def n_levels(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def j_values(self) -> np.ndarray:
+        return self.config.j_grid()
+
+    @property
+    def eps_values(self) -> np.ndarray:
+        return self.config.eps_grid()
+
+    @cached_property
+    def running_max(self) -> np.ndarray:
+        return np.fmax.accumulate(self.values, axis=1)
+
+    @cached_property
+    def running_min(self) -> np.ndarray:
+        return np.fmin.accumulate(self.values, axis=1)
+
+    @cached_property
+    def explosion_count(self) -> int:
+        return int((~np.isfinite(self.values)).sum())
+
+    @property
+    def explosion_fraction(self) -> float:
+        return self.explosion_count / self.values.size
+
+    @property
+    def flagged(self) -> bool:
+        return self.explosion_fraction > self.config.explosion_flag_threshold
+
+    def _unless_all_dead(self, stat, values) -> float:
+        # the nan-skipping statistics warn on a table with no finite sample
+        if self.explosion_count == self.values.size:
+            return math.nan
+        return float(stat(values))
+
+    @property
+    def aggregate_max(self) -> float:
+        return self._unless_all_dead(np.nanmax, self.values)
+
+    @property
+    def aggregate_min(self) -> float:
+        return self._unless_all_dead(np.nanmin, self.values)
+
+    @property
+    def mean_running_max(self) -> float:
+        return self._unless_all_dead(np.nanmean, self.running_max[:, -1])
+
+    @property
+    def mean_running_min(self) -> float:
+        return self._unless_all_dead(np.nanmean, self.running_min[:, -1])
+
+    @property
+    def soft_flags(self) -> tuple:
+        """Warnings that do not fail the run: a mean running max beyond 1.5x
+        the theoretical extreme."""
+        ref = self.reference.get(self.functional_name + "_max")
+        mean = self.mean_running_max
+        if (ref is None or not np.isfinite(mean)
+                or abs(mean) <= 1.5 * abs(ref["value"]) + 1e-12):
+            return ()
+        return (f"mean running max {mean:.6g} exceeds 1.5x the "
+                f"theoretical extreme {ref['value']:.6g}",)
 
     def to_csv_string(self) -> str:
         # a path at a time, by columns: each cell is formatted once, and only
@@ -246,14 +300,16 @@ def _bridge(plan, x0, normals):
         yield grid.pop()  # nor grid once the caller lets go of it
 
 
-def _table(example, functional, js, eps, t_star, config):
+def _table(example, functional, config):
     """Values (n_paths, levels): chunks of rows run their levels coarse to
     fine, each one rescale_states and one node_values on the chunk's nodes
     (the last only for a terminal functional), nan where a row died. All
     but a terminal functional under exact_linear (one step) run dt_rel."""
     sde, phi, k = example.sde, example.contraction, example.sde.dim_noise
+    js, eps, t_star = (config.j_grid(), config.eps_grid(),
+                       example.limit_problem.t_star)
     exact = config.scheme == "exact_linear"
-    last = -1 if hasattr(functional, "terminal_value") else 0
+    last = -1 if is_terminal(functional) else 0
     n_steps = 1 if exact and last else max(1, round(t_star / config.dt_rel))
     grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
              for e in eps]
@@ -287,7 +343,7 @@ def _table(example, functional, js, eps, t_star, config):
 def run_lil_experiment(example: ExampleSystem, functional_name: str,
                        config: Optional[LilExperimentConfig] = None
                        ) -> LilReport:
-    """Run the grid experiment and collect running extremes per path.
+    """Run the grid experiment and return its table as a LilReport.
 
     Deterministic given (config, seed).  Each row is one driving path seen at
     every scale: the exact_linear scheme refines the Gaussian state and the
@@ -304,61 +360,19 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
             f"{example.name!r}; have {sorted(example.functionals)}"
         )
     functional = example.functionals[functional_name]
-    js = config.j_grid()
     eps = config.eps_grid()
     # fail early if either end of the grid leaves the index validity window
     eval_index(example.index, float(eps[0]))
     eval_index(example.index, float(eps[-1]))
-    t_star = example.limit_problem.t_star
-
-    if not any(hasattr(functional, kind)
-               for kind in ("terminal_value", "accumulate")):
-        raise ValueError("functional needs terminal_value or accumulate")
+    is_terminal(functional)  # ValueError unless terminal or running
     if config.scheme == "exact_linear" and example.sde.linear is None:
         raise ValueError("exact_linear scheme needs a linear SDE representation")
-    values = _table(example, functional, js, eps, t_star, config)
-
-    running_max = np.fmax.accumulate(values, axis=1)
-    running_min = np.fmin.accumulate(values, axis=1)
-    dead = ~np.isfinite(values)
-    explosion_count = int(dead.sum())
-    explosion_fraction = explosion_count / values.size
-    if np.all(dead):
-        agg_max = agg_min = mean_max = mean_min = math.nan
-    else:
-        agg_max = float(np.nanmax(values))
-        agg_min = float(np.nanmin(values))
-        mean_max = float(np.nanmean(running_max[:, -1]))
-        mean_min = float(np.nanmean(running_min[:, -1]))
-
     prefix = functional_name + "_"
-    reference = {k: v for k, v in example.reference.items()
-                 if k.startswith(prefix)}
-    soft = []
-    ref_max = reference.get(prefix + "max")
-    if ref_max is not None and np.isfinite(mean_max):
-        if abs(mean_max) > 1.5 * abs(ref_max["value"]) + 1e-12:
-            soft.append(
-                f"mean running max {mean_max:.6g} exceeds 1.5x the "
-                f"theoretical extreme {ref_max['value']:.6g}"
-            )
     return LilReport(
         example_name=example.name,
         functional_name=functional_name,
         config=config,
-        j_values=js,
-        eps_values=eps,
-        values=values,
-        running_max=running_max,
-        running_min=running_min,
-        aggregate_max=agg_max,
-        aggregate_min=agg_min,
-        mean_running_max=mean_max,
-        mean_running_min=mean_min,
-        explosion_count=explosion_count,
-        explosion_fraction=explosion_fraction,
-        flagged=explosion_fraction > config.explosion_flag_threshold,
-        noise_coupling="consistent",
-        reference=reference,
-        soft_flags=tuple(soft),
+        values=_table(example, functional, config),
+        reference={k: v for k, v in example.reference.items()
+                   if k.startswith(prefix)},
     )

@@ -46,8 +46,8 @@ class DomainSpec:
     implicit_fn: Callable[[np.ndarray], np.ndarray]
     gradient_fn: Callable[[np.ndarray], np.ndarray]
     bounding_box: np.ndarray
+    interior_point: np.ndarray
     convex_flag: bool = False
-    interior_point: Optional[np.ndarray] = None
     volume: Optional[float] = None
 
     def __post_init__(self):
@@ -55,8 +55,6 @@ class DomainSpec:
         if box.ndim != 2 or box.shape[1] != 2 or np.any(box[:, 0] >= box[:, 1]):
             raise ValueError("bounding_box must be (d, 2) with low < high")
         object.__setattr__(self, "bounding_box", box)
-        if self.interior_point is None:
-            raise ValueError("interior_point witness is required")
         w = np.asarray(self.interior_point, dtype=float)
         if w.shape != (box.shape[0],):
             raise ValueError("interior_point must be a d-vector")

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .sde import ExplosivePath, SdeSystem, trivial_domain
+from .sde import ExplosivePath, SdeSystem, _philox, trivial_domain
 
 # Validity ceiling for index evaluation: keeps the iterated logarithm
 # strictly above 1 so every power-log coordinate stays monotone near the edge.
@@ -255,7 +255,7 @@ class PropertyReport:
 def default_family_probes(dim: int, seed: int = 0, n_samples: int = 64,
                           n_alpha: int = 12, box: float = 2.0):
     """Random (y, z) sample pairs and comparable (alpha, beta) index pairs."""
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 77]))
+    rng = _philox(seed, 77)
     samples = rng.uniform(-box, box, size=(n_samples, 2, dim))
     beta = np.exp(rng.uniform(math.log(1e-3), 0.0, size=(n_alpha, dim)))
     ratio = np.exp(rng.uniform(0.0, math.log(20.0), size=(n_alpha, dim)))

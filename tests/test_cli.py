@@ -197,6 +197,32 @@ def test_optimize_nonconvergence_exit_5(tmp_path):
     assert code == 5
 
 
+@pytest.mark.parametrize("example, functional, gradient, takes", [
+    ("iterated_kolmogorov", "J1", "adjiont", "adjoint"),
+    ("iterated_kolmogorov", "J1", "fd", "adjoint"),
+    ("brownian", "running_max", "adjoint", "fd"),
+])
+def test_optimize_refuses_a_gradient_the_functional_does_not_take(
+        example, functional, gradient, takes, capsys):
+    # the functional picks its gradient; --gradient accepts auto or that one
+    code = run(["optimize", "--example", example, "--functional", functional,
+                "--gradient", gradient, "--n-steps", "16", "--restarts", "2"])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert repr(functional) in message and f"the {takes} gradient" in message
+
+
+def test_optimize_fd_on_a_running_functional_is_auto(tmp_path):
+    auto, fd = (tmp_path / "auto", tmp_path / "fd")
+    for gradient, out in (("auto", auto), ("fd", fd)):
+        assert run(["optimize", "--example", "brownian", "--functional",
+                    "running_max", "--gradient", gradient, "--n-steps", "16",
+                    "--restarts", "2", "--max-iters", "50",
+                    "--out", str(out)]) == 0
+    for name in ("result.json", "control.csv"):
+        assert (auto / name).read_bytes() == (fd / name).read_bytes()
+
+
 def test_rescale_artifacts(tmp_path):
     out = tmp_path / "resc"
     assert run(["rescale", "--example", "quadratic", "--eps", "1e-4",

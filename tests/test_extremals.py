@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -52,8 +51,7 @@ def test_quadratic_j2_max_degenerate():
 def test_running_max_brownian():
     # |f| is maximized by running straight: same value as the terminal sup
     br = get_example("brownian")
-    config = OptimizerConfig(n_steps=128, n_restarts=8, max_iters=300,
-                             gradient="fd")
+    config = OptimizerConfig(n_steps=128, n_restarts=8, max_iters=300)
     result = optimize_extremal(br.limit_problem,
                                br.functionals["running_max"], "max", config)
     assert result.value == pytest.approx(math.sqrt(2.0), rel=1e-2)
@@ -164,8 +162,9 @@ def _registered_pairs():
 @pytest.mark.parametrize("name, functional", _registered_pairs())
 def test_auto_gradient_is_the_adjoint_exactly_for_terminal_functionals(
         name, functional):
-    # auto takes the adjoint when the functional has terminal_gradient and
-    # finite differences otherwise; adjoint mode without it is refused
+    # the functional picks its gradient: the adjoint when it has
+    # terminal_gradient and finite differences otherwise, and the adjoint
+    # of a running functional is refused
     example = get_example(name)
     problem, f = example.limit_problem, example.functionals[functional]
     config = OptimizerConfig(n_steps=8, n_restarts=2, max_iters=2)
@@ -179,9 +178,6 @@ def test_auto_gradient_is_the_adjoint_exactly_for_terminal_functionals(
     if not terminal:
         with pytest.raises(ValueError, match="terminal gradient"):
             adjoint_gradient(problem, f, np.zeros((1, 8, problem.dim_control)))
-        with pytest.raises(ValueError, match="adjoint"):
-            optimize_extremal(problem, f, "max",
-                              replace(config, gradient="adjoint"))
 
 
 @pytest.mark.parametrize("name, functional", _registered_pairs())

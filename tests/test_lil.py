@@ -356,3 +356,55 @@ def test_report_serialization():
     assert len(doc["eps_values"]) == 4
     assert doc["explosion_fraction"] == 0.0
     assert isinstance(doc["mean_running_max"], float)
+
+
+@pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
+def test_a_table_where_every_sample_died_has_nan_statistics(scheme):
+    # a domain that holds only the start point kills every row at its first
+    # step: the statistics are nan, computed without a nan-skipping warning
+    br = get_example("brownian")
+    origin_only = replace(br, sde=replace(
+        br.sde, domain_contains=lambda x: np.all(np.asarray(x) == 0.0,
+                                                 axis=-1)))
+    config = LilExperimentConfig(j_min=0, j_max=3, n_paths=20, scheme=scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_lil_experiment(origin_only, "terminal", config)
+        doc = report.to_json_dict()
+    assert np.all(np.isnan(report.values))
+    assert report.explosion_count == report.values.size
+    assert report.explosion_fraction == 1.0 and report.flagged
+    for key in ("aggregate_max", "aggregate_min", "mean_running_max",
+                "mean_running_min"):
+        assert math.isnan(doc[key])
+    assert report.soft_flags == ()
+
+
+def test_a_report_past_the_explosion_threshold_is_flagged():
+    values = np.array([[1.0, np.nan], [0.5, 2.0], [np.nan, np.nan],
+                       [0.0, -1.0]])
+    config = LilExperimentConfig(j_min=0, j_max=1, n_paths=4,
+                                 explosion_flag_threshold=0.25)
+    report = LilReport("brownian", "terminal", config, values, {})
+    assert report.explosion_count == 3
+    assert report.explosion_fraction == 3 / 8 and report.flagged
+    assert not LilReport("brownian", "terminal", replace(
+        config, explosion_flag_threshold=3 / 8), values, {}).flagged
+    assert (report.aggregate_max, report.aggregate_min) == (2.0, -1.0)
+    assert report.mean_running_max == 1.0
+    assert report.mean_running_min == pytest.approx(1.0 / 6.0)
+
+
+@pytest.mark.parametrize("name, functional, flagged", [
+    ("quadratic", "J2", True), ("brownian", "terminal", False)])
+def test_soft_flags_name_a_mean_beyond_the_theoretical_extreme(
+        name, functional, flagged):
+    # quadratic/J2 against J2_max = 0: any nonzero mean running max is past
+    # 1.5x of it; brownian/terminal stays well inside sqrt(2)
+    report = run_lil_experiment(get_example(name), functional,
+                                LilExperimentConfig(j_min=0, j_max=4,
+                                                    n_paths=50,
+                                                    scheme="euler"))
+    want = (f"mean running max {report.mean_running_max:.6g} exceeds 1.5x "
+            f"the theoretical extreme 0",)
+    assert report.soft_flags == (want if flagged else ())

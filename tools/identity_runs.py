@@ -83,6 +83,12 @@ RUNS = [
     ("optimize_brownian_running_max_adjoint",
      ["optimize", "--example", "brownian", "--functional", "running_max",
       "--gradient", "adjoint", "--n-steps", "64", "--restarts", "2"]),
+    ("optimize_ik2_j1_fd", ["optimize", "--example", "iterated_kolmogorov",
+                            "--functional", "J1", "--gradient", "fd",
+                            "--n-steps", "16", "--restarts", "2"]),
+    ("optimize_unknown_gradient",
+     ["optimize", "--example", "iterated_kolmogorov", "--functional", "J1",
+      "--gradient", "adjiont", "--n-steps", "16", "--restarts", "2"]),
     # regularity
     ("regularity_sphere", ["regularity", "sphere", "--example", "quadratic",
                            "--point", "1,0", "--out", OUT]),
