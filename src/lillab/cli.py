@@ -12,9 +12,11 @@ line flags override file values.  The seed resolution order is
 flag > config file > LILLAB_SEED environment variable > built-in default.
 
 With --out DIR every run writes its data files plus a manifest.json echoing
-the resolved configuration, library versions, seed and wall time; data
-files are byte-identical across reruns of the same configuration and seed
-(the manifest's timing fields are the only exception, isolated there).
+the resolved configuration, library versions, seed, wall time and its split
+into timings.compute_s (the subcommand's computation) and timings.write_s
+(writing the data files); data files are byte-identical across reruns of
+the same configuration and seed (the manifest's timing fields are the only
+exception, isolated there).
 
 Exit codes: 0 success; 2 usage or configuration error; 3 unknown example
 or functional; 4 numerical failure; 5 optimizer non-convergence.
@@ -396,7 +398,7 @@ def _run_lil(opts: dict, ns):
     )
     report = run_lil_experiment(example, opts["functional"], config)
     summary = report.to_json_dict()
-    artifacts = [("lil.csv", report.to_csv_string()),
+    artifacts = [("lil.csv", report.csv_blocks()),
                  ("lil.json", _json_text(summary))]
     return artifacts, summary, EXIT_OK
 
@@ -502,7 +504,9 @@ _HANDLERS = {
 
 # ---------------------------------------------------------------------------
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text) -> None:
+    """Write text, a str or an iterable of str such as LilReport.csv_blocks(),
+    to a new file at path."""
     # Unlink, then create: truncating a file written moments before makes
     # filesystems with delayed allocation (ext4 auto_da_alloc) flush it
     # first, which costs tens of milliseconds per artifact on a rerun.
@@ -511,14 +515,10 @@ def _write_text(path: str, text: str) -> None:
     except FileNotFoundError:
         pass
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        fp.write(text)
+        fp.writelines([text] if isinstance(text, str) else text)
 
 
-def _write_outputs(out_dir, fmt: str, artifacts, manifest: dict,
-                   summary: dict):
-    if out_dir is None:
-        sys.stdout.write(_json_text(summary))
-        return
+def _write_artifacts(out_dir, fmt: str, artifacts):
     os.makedirs(out_dir, exist_ok=True)
     for name, text in artifacts:
         if fmt == "csv" and name.endswith(".json"):
@@ -526,7 +526,6 @@ def _write_outputs(out_dir, fmt: str, artifacts, manifest: dict,
         if fmt == "json" and name.endswith(".csv"):
             continue
         _write_text(os.path.join(out_dir, name), text)
-    _write_text(os.path.join(out_dir, "manifest.json"), _json_text(manifest))
 
 
 def run(argv=None) -> int:
@@ -539,6 +538,7 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     try:
         opts = _resolve(ns, spec)
+        handler_started = time.perf_counter()
         artifacts, summary, code = _HANDLERS[ns.subcommand](opts, ns)
     except CliError as err:
         _emit_error(str(err), err.code, ns)
@@ -549,6 +549,12 @@ def run(argv=None) -> int:
     except ValueError as err:
         _emit_error(str(err), EXIT_CONFIG, ns)
         return EXIT_CONFIG
+    computed = time.perf_counter()
+    if ns.out is None:
+        sys.stdout.write(_json_text(summary))
+        return code
+    _write_artifacts(ns.out, ns.fmt, artifacts)
+    written = time.perf_counter()
 
     manifest = {
         "subcommand": ns.subcommand,
@@ -561,10 +567,12 @@ def run(argv=None) -> int:
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
-        "wall_time_s": time.perf_counter() - started,
+        "wall_time_s": written - started,
+        "timings": {"compute_s": computed - handler_started,
+                    "write_s": written - computed},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _write_outputs(ns.out, ns.fmt, artifacts, manifest, summary)
+    _write_text(os.path.join(ns.out, "manifest.json"), _json_text(manifest))
     return code
 
 

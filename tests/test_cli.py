@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lillab
+from lillab import lil
 from lillab.cli import run
 from lillab.examples import get_example, list_examples
 from lillab.scaling import rescale_path
@@ -81,6 +82,30 @@ def test_simulate_artifacts_equal_the_golden_files(tmp_path, golden, extra):
         assert (out / name).read_bytes() == (DATA / golden / name).read_bytes()
 
 
+@pytest.mark.parametrize("block", [lil._CSV_PATHS, 4])
+def test_lil_artifacts_equal_the_golden_files(tmp_path, monkeypatch, block):
+    # lil.csv and lil.json are a file format: the files of 25 paths, written
+    # in one block or in blocks of 4 paths, keep these bytes
+    monkeypatch.setattr(lil, "_CSV_PATHS", block)
+    out = tmp_path / "lil"
+    assert run(["lil-verify", "--example", "brownian", "--functional",
+                "terminal", "--depth", "4", "--paths", "25", "--seed", "7",
+                "--out", str(out)]) == 0
+    golden = DATA / "lil_brownian_terminal"
+    for name in ("lil.csv", "lil.json"):
+        assert (out / name).read_bytes() == (golden / name).read_bytes()
+
+
+def test_manifest_times_the_computation_and_the_writing(tmp_path):
+    out = tmp_path / "lil"
+    assert run(["lil-verify", "--example", "brownian", "--functional",
+                "terminal", "--depth", "4", "--paths", "25",
+                "--out", str(out)]) == 0
+    timings = read_json(out / "manifest.json")["timings"]
+    assert sorted(timings) == ["compute_s", "write_s"]
+    assert all(t >= 0.0 for t in timings.values())
+
+
 def test_rerun_byte_identical(tmp_path):
     argv = ["lil-verify", "--example", "brownian", "--functional", "terminal",
             "--depth", "4", "--paths", "25"]
@@ -92,7 +117,7 @@ def test_rerun_byte_identical(tmp_path):
     # manifests agree once the isolated timing fields are dropped
     ma, mb = read_json(a / "manifest.json"), read_json(b / "manifest.json")
     for m in (ma, mb):
-        del m["wall_time_s"], m["timestamp"]
+        del m["wall_time_s"], m["timings"], m["timestamp"]
     assert ma == mb
 
 

@@ -395,16 +395,40 @@ def test_a_report_past_the_explosion_threshold_is_flagged():
     assert report.mean_running_min == pytest.approx(1.0 / 6.0)
 
 
-@pytest.mark.parametrize("name, functional, flagged", [
-    ("quadratic", "J2", True), ("brownian", "terminal", False)])
-def test_soft_flags_name_a_mean_beyond_the_theoretical_extreme(
-        name, functional, flagged):
-    # quadratic/J2 against J2_max = 0: any nonzero mean running max is past
-    # 1.5x of it; brownian/terminal stays well inside sqrt(2)
+@pytest.mark.parametrize("name, functional", [
+    ("quadratic", "J2"), ("brownian", "terminal")])
+def test_soft_flags_stay_quiet_below_the_theoretical_extreme(name, functional):
+    # quadratic/J2 has J2_max = 0 and a negative mean running max;
+    # brownian/terminal stays well inside sqrt(2)
     report = run_lil_experiment(get_example(name), functional,
                                 LilExperimentConfig(j_min=0, j_max=4,
                                                     n_paths=50,
                                                     scheme="euler"))
-    want = (f"mean running max {report.mean_running_max:.6g} exceeds 1.5x "
-            f"the theoretical extreme 0",)
+    assert report.soft_flags == ()
+
+
+@pytest.mark.parametrize("extreme, mean, flagged", [
+    (1.0, 1.5, False), (1.0, 1.6, True), (0.0, 1e-3, True), (0.0, -1.0, False),
+    (-1.0, -0.6, False), (-1.0, -0.4, True)])
+def test_soft_flags_name_a_mean_beyond_the_theoretical_extreme(
+        extreme, mean, flagged):
+    # signed: past the extreme by more than half its magnitude
+    config = LilExperimentConfig(j_min=0, j_max=0, n_paths=1)
+    report = LilReport("brownian", "terminal", config, np.array([[mean]]),
+                       {"terminal_max": {"value": extreme}})
+    want = (f"mean running max {mean:.6g} exceeds the theoretical extreme "
+            f"{extreme:.6g} by more than half its magnitude",)
     assert report.soft_flags == (want if flagged else ())
+
+
+@pytest.mark.parametrize("value, extreme", [
+    (2.0, 3.0), (-0.0, 0.0), (0.0, -0.0)])
+def test_csv_refuses_an_extreme_that_copies_no_value(value, extreme):
+    # every running extreme takes the text of a value it copies; one that
+    # copies none raises instead of printing another number
+    config = LilExperimentConfig(j_min=0, j_max=1, n_paths=1)
+    report = LilReport("brownian", "terminal", config,
+                       np.array([[1.0, value]]), {})
+    report.__dict__["running_max"] = np.array([[1.0, extreme]])
+    with pytest.raises(RuntimeError, match="no earlier value"):
+        report.to_csv_string()

@@ -14,16 +14,19 @@ Rows of a batch must not influence each other, and on the iterated
 Kolmogorov chain RK4 is exact for piecewise-constant controls. The Cramer
 transform of a path the control ODE made is its control's energy. Both
 integrators and the exact-linear sampler kill states with one batched exit
-rule, sde.alive; the per-state rule it replaced is kept here as its
-reference and must agree row by row. Both LIL schemes refine one
-Gauss-Markov path per row onto every level grid (W for euler, the state
-for exact_linear); each level must see the same path, with the transition
-law, and any split of the rows must draw it bit for bit. Functional values
+rule, sde.alive; the per-state rule and the max-reduction it replaced are
+kept here as its references and must agree row by row. Both LIL schemes
+refine one Gauss-Markov path per row onto every level grid (W for euler,
+the state for exact_linear); each level must see the same path, with the
+transition law, and any split of the rows must draw it bit for bit. Functional values
 on a batch of node states (node_values, masked at first_dead) equal each row's
 evaluate. Boundary rays are solved by one lockstep Brent iteration
 (regularity._ray_roots); per-ray brentq, the per-row sampling loop, the
 per-face icosphere subdivision and the per-ray cone probe are kept here as
-its references and must be matched bit for bit.
+its references and must be matched bit for bit. LilReport.csv_blocks writes
+lil.csv in blocks of paths, formatting each value once; a writer that
+formats every cell of every column is kept here as its reference and must
+be matched byte for byte on both sides of a block boundary.
 """
 
 from dataclasses import replace
@@ -37,7 +40,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from lillab import controls, sde  # noqa: E402
+from lillab import controls, lil, sde  # noqa: E402
 from lillab.controls import (ControlGrid, _integrate,  # noqa: E402
                              _node_states, _widths, cramer_transform,
                              solve_control_ode)
@@ -46,7 +49,8 @@ from lillab.extremals import (QuadraticMissFunctional,  # noqa: E402
                               RunningMaxAbsFunctional,
                               TerminalLinearFunctional, _jacobian_batch,
                               adjoint_gradient, fd_gradient, node_values)
-from lillab.lil import _bridge, _bridge_plan  # noqa: E402
+from lillab.lil import (LilExperimentConfig, LilReport, _bridge,  # noqa: E402
+                        _bridge_plan)
 from lillab.regularity import (_CURVE_NODES, _SPHERE_SUBDIV,  # noqa: E402
                                DomainSpec, _boundary_table,
                                _energy_certificate, _icosphere, _ray_roots,
@@ -364,21 +368,68 @@ DOMAINS = {"whole_space": trivial_domain,
 
 states_arrays = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
-    elements=st.sampled_from([0.0, 0.5, -1.5, 3.0, 1e100, -1e100, 1e101,
+    elements=st.sampled_from([0.0, -0.0, 0.5, -1.5, 3.0, OVERFLOW_GUARD,
+                              -OVERFLOW_GUARD,
+                              np.nextafter(OVERFLOW_GUARD, np.inf), 1e101,
                               1e300, np.inf, -np.inf, np.nan]))
 
 
 @SETTINGS
-@given(states_arrays, st.sampled_from(sorted(DOMAINS)))
-def test_alive_equals_the_per_state_rule(x, domain):
-    # one call on states (..., d), a single state (d,) included
+@given(states_arrays, st.sampled_from(sorted(DOMAINS)),
+       st.sampled_from([1, 3, sde._COLUMN_STATES]))
+def test_alive_equals_the_per_state_rule(x, domain, column_states):
+    # one call on states (..., d), a single state (d,) included, on either
+    # side of the column threshold; the batched max-reduction rule alive had
+    # before is a reference too
     contains = DOMAINS[domain]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            mock.patch.object(sde, "_COLUMN_STATES", column_states):
         got = alive(x, contains)
         want = [_reference_alive(r, contains)
                 for r in x.reshape(-1, x.shape[-1])]
+        reduced = np.abs(x).max(axis=-1) <= OVERFLOW_GUARD
+        if contains is not trivial_domain:
+            reduced = reduced & contains(x)
     assert np.shape(got) == x.shape[:-1]
     assert np.reshape(got, -1).tolist() == want
+    assert type(got) is type(reduced) and np.array_equal(got, reduced)
+
+
+def _reference_lil_csv(report):
+    """lil.csv formatted cell by cell: three reprs per cell."""
+    lines = ["path_id,j,eps,value,running_max,running_min\n"]
+    for p in range(report.n_paths):
+        for level, (j, e) in enumerate(zip(report.j_values.tolist(),
+                                           report.eps_values.tolist())):
+            v, mx, mn = (float(t[p, level]) for t in (
+                report.values, report.running_max, report.running_min))
+            lines.append(f"{p},{j},{e!r},{v!r},{mx!r},{mn!r}\n")
+    return "".join(lines)
+
+
+# ties, signed zeros, infinities and nan, plus any float
+table_cells = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf,
+                               np.nan]) | st.floats()
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.sampled_from(["one", "B-1", "B", "B+1"]),
+       st.integers(1, 5), st.data())
+def test_csv_blocks_equal_the_per_cell_reference(block, paths, levels, data):
+    # path counts on both sides of a block boundary (_CSV_PATHS = B)
+    n_paths = max(1, {"one": 1, "B-1": block - 1, "B": block,
+                      "B+1": block + 1}[paths])
+    row = st.lists(table_cells, min_size=levels, max_size=levels)
+    rows = data.draw(st.lists(row | st.just([np.nan] * levels),
+                              min_size=n_paths, max_size=n_paths))
+    config = LilExperimentConfig(j_min=3, j_max=2 + levels, n_paths=n_paths)
+    report = LilReport("brownian", "terminal", config,
+                       np.array(rows, dtype=float), {})
+    with mock.patch.object(lil, "_CSV_PATHS", block):
+        blocks = list(report.csv_blocks())
+    assert len(blocks) == 1 + -(-n_paths // block)
+    assert "".join(blocks) == _reference_lil_csv(report)
+    assert report.to_csv_string() == "".join(blocks)
 
 
 def _reference_euler(system, x0, inc, dt):

@@ -130,6 +130,9 @@ RUNS = [
                                 "--functional", "J2", "--scheme", "euler",
                                 "--paths", "200", "--depth", "10",
                                 "--out", OUT]),
+    ("lil_ik2_j1_exact_600_paths",  # blocks of 256, 256 and 88 paths
+     ["lil-verify", "--example", "iterated_kolmogorov", "--functional", "J1",
+      "--paths", "600", "--depth", "9", "--out", OUT]),
     ("lil_lorenz96_j3_euler", ["lil-verify", "--example", "lorenz96",
                                "--functional", "J3", "--scheme", "euler",
                                "--paths", "100", "--depth", "6",
