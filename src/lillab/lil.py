@@ -15,6 +15,7 @@ takes it as the states; euler bridges W and steps it with sde.euler_batch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -180,33 +181,23 @@ class LilReport:
                 "magnitude",)
 
     def csv_blocks(self):
-        """Yield lil.csv as text: the header, then blocks of _CSV_PATHS paths.
+        """lil.csv as an iterator of text: the header, then blocks of
+        _CSV_PATHS paths.
 
-        Only one block's cells are Python objects at a time, and each value
-        is formatted once: a running extreme takes the text of the cell it
-        copies (_copied_cells).
+        Each value is formatted once: a running extreme takes the text of the
+        value it copies (_copied_cells). Those values are found, and checked,
+        for the whole table before this returns, so a table that cannot be
+        written raises here and not halfway through a file; only the
+        formatting waits, one block's cells being Python objects at a time.
         """
-        yield "path_id,j,eps,value,running_max,running_min\n"
+        values = np.asarray(self.values, dtype=float)
+        copied = [_copied_cells(values, self.running_max),
+                  _copied_cells(values, self.running_min)]
         keys = [f",{j},{e!r}," for j, e in zip(
             self.j_values.astype(int).tolist(), self.eps_values.tolist())]
-        for first in range(0, self.n_paths, _CSV_PATHS):
-            rows = slice(first, first + _CSV_PATHS)
-            values = np.asarray(self.values[rows], dtype=float)
-            n = values.size
-            value_text = list(map(repr, values.ravel().tolist()))
-            text = np.array(value_text + ["nan"], dtype=object)  # -1: "nan"
-            fields = [None] * (8 * n)
-            paths = map(str, range(first, first + len(values)))
-            fields[0::8] = [p for p in paths for _ in keys]
-            fields[1::8] = keys * len(values)
-            fields[2::8] = value_text
-            fields[3::8] = fields[5::8] = [","] * n
-            fields[4::8] = text[_copied_cells(
-                values, self.running_max[rows])].tolist()
-            fields[6::8] = text[_copied_cells(
-                values, self.running_min[rows])].tolist()
-            fields[7::8] = ["\n"] * n
-            yield "".join(fields)
+        return itertools.chain(
+            ["path_id,j,eps,value,running_max,running_min\n"],
+            _csv_lines(values, copied, keys))
 
     def to_csv_string(self) -> str:
         return "".join(self.csv_blocks())
@@ -243,28 +234,47 @@ def running_extremes(values):
 
 def _copied_cells(values, extremes):
     """Flat indices into values (B, L) of the cells that extremes (B, L)
-    copy, -1 where an extreme is nan and copies none.
+    copy.
 
     np.fmax/np.fmin.accumulate return one of their operands, so each
     extreme has the bits of the last value, at or before it in its row,
-    that had the same bits as the extreme in that value's own column.
-    Raises RuntimeError where it does not: its text would be another
-    number's.
+    that had the same bits as the extreme in that value's own column (the
+    first column is copied as it is). Raises RuntimeError where it does
+    not: its text would be another number's.
     """
     extremes = np.asarray(extremes, dtype=float)
     pos = np.arange(values.size).reshape(values.shape)
     cells = np.maximum.accumulate(np.where(
         extremes.view(np.int64) == values.view(np.int64), pos, -1),
         axis=1).ravel()
-    got = np.where(cells < 0, np.nan, values.ravel()[cells])
-    want = extremes.ravel()
+    got, want = values.ravel()[cells], extremes.ravel()
     bad = np.flatnonzero((got.view(np.int64) != want.view(np.int64))
                          & ~(np.isnan(got) & np.isnan(want)))
     if bad.size:
         raise RuntimeError(f"running extreme {want[bad[0]]!r} at cell "
-                           f"{bad[0]} of its block is no earlier value of "
-                           "its row")
+                           f"{bad[0]} is no earlier value of its row")
     return cells
+
+
+def _csv_lines(values, copied, keys):
+    """The lines of lil.csv for values (B, L), one string per block of
+    _CSV_PATHS paths; copied holds the _copied_cells of the running max
+    and min, keys the ",j,eps," text of each level."""
+    for first in range(0, len(values), _CSV_PATHS):
+        block = values[first:first + _CSV_PATHS]
+        n, offset = block.size, first * len(keys)
+        value_text = list(map(repr, block.ravel().tolist()))
+        text = np.array(value_text, dtype=object)
+        fields = [None] * (8 * n)
+        paths = map(str, range(first, first + len(block)))
+        fields[0::8] = [p for p in paths for _ in keys]
+        fields[1::8] = keys * len(block)
+        fields[2::8] = value_text
+        fields[3::8] = fields[5::8] = [","] * n
+        for at, cells in zip((4, 6), copied):
+            fields[at::8] = text[cells[offset:offset + n] - offset].tolist()
+        fields[7::8] = ["\n"] * n
+        yield "".join(fields)
 
 
 def _bridge_plan(spec, grids):

@@ -48,10 +48,6 @@ DEATH = _DeathState()
 # still see a dead row's states, overflowing ones included, up to the end of
 # that block; it evaluates them under np.errstate.
 OVERFLOW_GUARD = 1e100
-# From this many states on, alive takes the maximum of the d columns of a
-# transposed copy: a max over a short last axis costs about 45 ns a state,
-# the copy and its d passes a few microseconds a call.
-_COLUMN_STATES = 128
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -86,15 +82,13 @@ def alive(x, domain_contains) -> np.ndarray:
     trivial_domain is not called. Raises ValueError when domain_contains
     returns the wrong shape.
     """
-    # max propagates nan, and nan or inf fail the comparison
+    # max propagates nan, and nan or inf fail the comparison. It runs over
+    # the leading axis of a (d, states) copy, d long vectorized passes: a max
+    # over the short last axis costs about 45 ns a state.
     states = np.asarray(x)
-    if states.size < _COLUMN_STATES * states.shape[-1]:
-        peak = np.abs(states).max(axis=-1)
-    else:  # the leading axis of a (d, states) copy: d long vectorized passes
-        columns = states.reshape(-1, states.shape[-1]).T
-        columns = np.abs(columns, out=np.empty(columns.shape))
-        peak = columns.max(axis=0).reshape(states.shape[:-1])
-    ok = peak <= OVERFLOW_GUARD
+    columns = states.reshape(-1, states.shape[-1]).T
+    columns = np.abs(columns, out=np.empty(columns.shape))
+    ok = columns.max(axis=0).reshape(states.shape[:-1]) <= OVERFLOW_GUARD
     if domain_contains is not trivial_domain:
         inside = np.asarray(domain_contains(x), dtype=bool)
         _expect_shape("domain_contains", inside, np.shape(ok))

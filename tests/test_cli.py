@@ -96,6 +96,20 @@ def test_lil_artifacts_equal_the_golden_files(tmp_path, monkeypatch, block):
         assert (out / name).read_bytes() == (golden / name).read_bytes()
 
 
+def test_a_lil_table_that_cannot_be_written_leaves_no_files(tmp_path,
+                                                            monkeypatch):
+    # the running extremes are matched to their values before lil.csv is
+    # opened, so a failed match leaves no partial file behind
+    def refuse(values, extremes):
+        raise RuntimeError("running extreme is no earlier value of its row")
+    monkeypatch.setattr(lil, "_copied_cells", refuse)
+    out = tmp_path / "lil"
+    with pytest.raises(RuntimeError, match="no earlier value"):
+        run(["lil-verify", "--example", "brownian", "--functional",
+             "terminal", "--depth", "4", "--paths", "25", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_manifest_times_the_computation_and_the_writing(tmp_path):
     out = tmp_path / "lil"
     assert run(["lil-verify", "--example", "brownian", "--functional",

@@ -425,10 +425,11 @@ def test_soft_flags_name_a_mean_beyond_the_theoretical_extreme(
     (2.0, 3.0), (-0.0, 0.0), (0.0, -0.0)])
 def test_csv_refuses_an_extreme_that_copies_no_value(value, extreme):
     # every running extreme takes the text of a value it copies; one that
-    # copies none raises instead of printing another number
+    # copies none raises instead of printing another number, and does so
+    # when the blocks are asked for, before any of them is written
     config = LilExperimentConfig(j_min=0, j_max=1, n_paths=1)
     report = LilReport("brownian", "terminal", config,
                        np.array([[1.0, value]]), {})
     report.__dict__["running_max"] = np.array([[1.0, extreme]])
     with pytest.raises(RuntimeError, match="no earlier value"):
-        report.to_csv_string()
+        report.csv_blocks()

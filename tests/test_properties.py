@@ -375,15 +375,12 @@ states_arrays = hnp.arrays(
 
 
 @SETTINGS
-@given(states_arrays, st.sampled_from(sorted(DOMAINS)),
-       st.sampled_from([1, 3, sde._COLUMN_STATES]))
-def test_alive_equals_the_per_state_rule(x, domain, column_states):
-    # one call on states (..., d), a single state (d,) included, on either
-    # side of the column threshold; the batched max-reduction rule alive had
-    # before is a reference too
+@given(states_arrays, st.sampled_from(sorted(DOMAINS)))
+def test_alive_equals_the_per_state_rule(x, domain):
+    # one call on states (..., d), a single state (d,) included; the batched
+    # max-reduction rule alive had before is a reference too
     contains = DOMAINS[domain]
-    with np.errstate(over="ignore", invalid="ignore"), \
-            mock.patch.object(sde, "_COLUMN_STATES", column_states):
+    with np.errstate(over="ignore", invalid="ignore"):
         got = alive(x, contains)
         want = [_reference_alive(r, contains)
                 for r in x.reshape(-1, x.shape[-1])]
