@@ -82,6 +82,23 @@ def test_simulate_artifacts_equal_the_golden_files(tmp_path, golden, extra):
         assert (out / name).read_bytes() == (DATA / golden / name).read_bytes()
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("optimize_lorenz96_j3",
+     ["--example", "lorenz96", "--functional", "J3", "--n-steps", "24"]),
+    ("optimize_brownian_running_max",     # finite-difference gradients
+     ["--example", "brownian", "--functional", "running_max",
+      "--n-steps", "16"]),
+])
+def test_optimize_artifacts_equal_the_golden_files(tmp_path, golden, argv):
+    # a faster line search or gradient schedule must accept the same trials:
+    # result.json and control.csv keep these bytes
+    out = tmp_path / golden
+    assert run(["optimize", *argv, "--restarts", "3", "--max-iters", "100",
+                "--seed", "7", "--out", str(out)]) == 0
+    for name in ("result.json", "control.csv"):
+        assert (out / name).read_bytes() == (DATA / golden / name).read_bytes()
+
+
 @pytest.mark.parametrize("block", [lil._CSV_PATHS, 4])
 def test_lil_artifacts_equal_the_golden_files(tmp_path, monkeypatch, block):
     # lil.csv and lil.json are a file format: the files of 25 paths, written
