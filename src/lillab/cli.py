@@ -14,9 +14,10 @@ flag > config file > LILLAB_SEED environment variable > built-in default.
 With --out DIR every run writes its data files plus a manifest.json echoing
 the resolved configuration, library versions, seed, wall time and its split
 into timings.compute_s (the subcommand's computation) and timings.write_s
-(writing the data files); data files are byte-identical across reruns of
-the same configuration and seed (the manifest's timing fields are the only
-exception, isolated there).
+(writing the data files), and for optimize the search's work counters
+(ExtremalResult.work) under counters; data files are byte-identical across
+reruns of the same configuration and seed (the manifest's timing fields are
+the only exception, isolated there).
 
 Exit codes: 0 success; 2 usage or configuration error; 3 unknown example
 or functional; 4 numerical failure; 5 optimizer non-convergence.
@@ -385,7 +386,7 @@ def _run_optimize(opts: dict, ns):
         ("control.csv", _control_csv(result.argext)),
     ]
     code = EXIT_OK if result.convergence_flag else EXIT_NOCONV
-    return artifacts, summary, code
+    return artifacts, summary, code, result.work
 
 
 def _run_lil(opts: dict, ns):
@@ -491,6 +492,8 @@ def _run_check(opts: dict, ns):
     return [("check.json", _json_text(summary))], summary, code
 
 
+# A handler returns (artifacts, summary, exit code) and, optionally, work
+# counters for the manifest.
 _HANDLERS = {
     "simulate": _run_simulate,
     "rescale": _run_rescale,
@@ -539,7 +542,8 @@ def run(argv=None) -> int:
     try:
         opts = _resolve(ns, spec)
         handler_started = time.perf_counter()
-        artifacts, summary, code = _HANDLERS[ns.subcommand](opts, ns)
+        artifacts, summary, code, *counters = _HANDLERS[ns.subcommand](
+            opts, ns)
     except CliError as err:
         _emit_error(str(err), err.code, ns)
         return err.code
@@ -572,6 +576,8 @@ def run(argv=None) -> int:
                     "write_s": written - computed},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    if counters:
+        manifest["counters"] = counters[0]
     _write_text(os.path.join(ns.out, "manifest.json"), _json_text(manifest))
     return code
 

@@ -29,6 +29,7 @@ from .sde import ExplosivePath, _expect_shape
 _FD_STEP = 1e-6       # relative step of the central differences
 _TOL_VALUE = 1e-12    # relative gain below which an iteration stalls
 _STEP_INIT = 1.0      # first line-search step of every restart
+_BACKTRACKS = 40      # trials per iteration: a step and its halvings
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,9 @@ class ExtremalResult:
     convergence_flag: bool
     gradient_norm_at_exit: float
     restart_values: list = field(default_factory=list)
+    # iterations, integrations, integrated_rows, gradient_rows; kept out of
+    # to_json_dict, so the result's data artifacts do not depend on it
+    work: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -271,6 +275,17 @@ def _initial_bank(problem, config) -> np.ndarray:
     return np.stack(starts)
 
 
+def _ladder(total: int):
+    """Rung counts of the backtracking rounds: each round prices as many
+    rungs as all earlier rounds together, at least one, up to total rungs
+    (1, 1, 2, 4, 8, 16, 8 for 40)."""
+    priced = 0
+    while priced < total:
+        count = min(max(priced, 1), total - priced)
+        yield count
+        priced += count
+
+
 def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
                       config: Optional[OptimizerConfig] = None) -> ExtremalResult:
     """Extremize a path functional over {energy <= MAX_ENERGY} controls.
@@ -281,65 +296,103 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     differences for a running one (is_terminal, which raises ValueError for
     a functional that is neither).
 
+    Each iteration a restart tries the step trial = step, trial / 2, ... (at
+    most _BACKTRACKS trials) along the projection arc and accepts the first
+    trial that raises its value; its next step is 1.5 times that one.
+    A round of the search prices a ladder of consecutive halvings for every
+    restart still searching in one batched integration, as many rungs as all
+    earlier rounds together (1, 1, 2, 4, 8, 16, 8), and each restart takes
+    its first passing rung. A row of the batched integration depends only
+    on its own control, and the rungs are built by repeated halving, so
+    every restart accepts the trial, value and step that trying one trial
+    per round would give, bit for bit; the ladder only prices, in the same
+    call, trials past the one accepted. After an iteration only the
+    restarts whose control moved get a new gradient: an unmoved control
+    keeps the gradient bits it had.
+
     The reported value is recomputed at the returned control by the same
     batched integration as every candidate, and equals
     functional.evaluate(solve_control_ode(problem, argext)) exactly.
+    result.work counts the search's iterations, the integrations that priced
+    its values (the start bank, the ladders and the returned control) and
+    their rows, and the gradient rows.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
     config = config or OptimizerConfig()
     sgn = 1.0 if sense == "max" else -1.0
     terminal = is_terminal(functional)
+    work = dict(iterations=0, integrations=0, integrated_rows=0,
+                gradient_rows=0)
+
+    def values(u_rows):
+        work["integrations"] += 1
+        work["integrated_rows"] += len(u_rows)
+        return _functional_values(problem, functional, u_rows)
+
+    def scores(u_rows):
+        """sgn times the values, -inf where nan: what the search raises."""
+        vals = sgn * values(u_rows)
+        return np.where(np.isnan(vals), -np.inf, vals)
+
+    def gradients(u_rows):
+        work["gradient_rows"] += len(u_rows)
+        if terminal:
+            return sgn * adjoint_gradient(problem, functional, u_rows)
+        out = np.empty_like(u_rows)
+        for b in range(len(u_rows)):
+            out[b] = sgn * fd_gradient(problem, functional, u_rows[b])
+        return np.nan_to_num(out)
 
     u = _project_batch(_initial_bank(problem, config))
     batch = u.shape[0]
-    val = sgn * _functional_values(problem, functional, u)
-    val = np.where(np.isnan(val), -np.inf, val)
+    val = scores(u)
     step = np.full(batch, _STEP_INIT)
     active = np.ones(batch, dtype=bool)
     stall = np.zeros(batch, dtype=int)
-
-    def gradients(u_now):
-        if terminal:
-            return sgn * adjoint_gradient(problem, functional, u_now)
-        out = np.empty_like(u_now)
-        for b in range(batch):
-            out[b] = sgn * fd_gradient(problem, functional, u_now[b])
-        return np.nan_to_num(out)
 
     grad = gradients(u)
     for _ in range(config.max_iters):
         if not np.any(active):
             break
+        work["iterations"] += 1
         improved = np.zeros(batch, dtype=bool)
         gain = np.zeros(batch)
-        trial = step.copy()
-        for _back in range(40):
-            pending = active & ~improved
-            if not np.any(pending):
+        trial = step.copy()   # each restart's first unpriced rung
+        for count in _ladder(_BACKTRACKS):
+            rows = (active & ~improved).nonzero()[0]
+            if not rows.size:
                 break
-            cand = _project_batch(u + trial[:, None, None] * grad)
-            cand_val = np.full(batch, -np.inf)
-            cand_val[pending] = sgn * _functional_values(
-                problem, functional, cand[pending]
-            )
-            cand_val = np.where(np.isnan(cand_val), -np.inf, cand_val)
-            good = pending & (cand_val > val + 1e-15 * (1.0 + np.abs(val)))
-            gain[good] = cand_val[good] - val[good]
-            u[good] = cand[good]
-            val[good] = cand_val[good]
-            step[good] = trial[good] * 1.5
-            improved |= good
-            trial[pending & ~good] *= 0.5
+            rungs = np.empty((count, rows.size))
+            rungs[0] = trial[rows]
+            for j in range(1, count):
+                rungs[j] = rungs[j - 1] * 0.5
+            cand = _project_batch(
+                (u[rows] + rungs[:, :, None, None] * grad[rows]).reshape(
+                    (count * rows.size,) + u.shape[1:]))
+            cand_val = scores(cand)
+            base = val[rows]
+            good = (cand_val.reshape(count, rows.size)
+                    > base + 1e-15 * (1.0 + np.abs(base)))
+            hit = good.any(axis=0).nonzero()[0]
+            # flat index of each hit's first passing rung in cand
+            pick = good[:, hit].argmax(axis=0) * rows.size + hit
+            took = rows[hit]
+            gain[took] = cand_val[pick] - base[hit]
+            u[took] = cand[pick]
+            val[took] = cand_val[pick]
+            step[took] = rungs.reshape(-1)[pick] * 1.5
+            improved[took] = True
+            trial[rows] = rungs[-1] * 0.5   # a hit leaves the search
         rel_gain = gain / (1.0 + np.abs(val))
         stall = np.where(improved & (rel_gain >= _TOL_VALUE), 0, stall + 1)
         active &= stall < 4
-        if np.any(active):
-            grad = gradients(u)
+        if np.any(active) and np.any(improved):
+            grad[improved] = gradients(u[improved])
 
     best = int(np.argmax(val))
     argext = ControlGrid(u[best]).project()
-    final_value = _functional_values(problem, functional, argext.values[None])[0]
+    final_value = values(argext.values[None])[0]
 
     # projected-gradient norm at the exit point, measured along the feasible set
     probe = 1e-7
@@ -354,4 +407,5 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
         convergence_flag=bool(not active[best]),
         gradient_norm_at_exit=pg_norm,
         restart_values=list(sgn * val),
+        work=work,
     )

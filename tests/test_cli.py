@@ -279,6 +279,23 @@ def test_optimize_fd_on_a_running_functional_is_auto(tmp_path):
         assert (auto / name).read_bytes() == (fd / name).read_bytes()
 
 
+def test_optimize_manifest_counts_the_search_work(tmp_path):
+    # the work counters go to manifest.json only, and reruns count the same
+    argv = ["optimize", "--example", "iterated_kolmogorov", "--functional",
+            "J1", "--n-steps", "16", "--restarts", "3", "--seed", "7"]
+    counters = []
+    for name in ("a", "b"):
+        assert run(argv + ["--out", str(tmp_path / name)]) == 0
+        counters.append(read_json(tmp_path / name / "manifest.json")
+                        ["counters"])
+        assert "counters" not in (tmp_path / name / "result.json").read_text()
+    assert counters[0] == counters[1]
+    assert sorted(counters[0]) == ["gradient_rows", "integrated_rows",
+                                   "integrations", "iterations"]
+    assert counters[0]["iterations"] > 0
+    assert counters[0]["gradient_rows"] >= 3
+
+
 def test_rescale_artifacts(tmp_path):
     out = tmp_path / "resc"
     assert run(["rescale", "--example", "quadratic", "--eps", "1e-4",

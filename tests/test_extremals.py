@@ -159,6 +159,44 @@ def _registered_pairs():
             for functional in sorted(get_example(name).functionals)]
 
 
+@pytest.mark.parametrize("name, functional", [
+    ("iterated_kolmogorov", "J1"), ("brownian", "running_max")])
+def test_work_counts_the_integrations_and_gradient_rows(name, functional):
+    # integrations count the search's own value batches (start bank, ladder
+    # rounds, returned control), not the fd gradient's; gradient_rows count
+    # the restarts each gradient call was given
+    example = get_example(name)
+    problem, f = example.limit_problem, example.functionals[functional]
+    config = OptimizerConfig(n_steps=8, n_restarts=3, max_iters=30)
+    searched, gradient_rows, in_fd = [], [], []
+
+    def values(problem, functional, u_batch):
+        if not in_fd:
+            searched.append(len(u_batch))
+        return _functional_values(problem, functional, u_batch)
+
+    def adjoint(problem, functional, u_batch):
+        gradient_rows.append(len(u_batch))
+        return adjoint_gradient(problem, functional, u_batch)
+
+    def fd(problem, functional, u):
+        gradient_rows.append(1)
+        in_fd.append(True)
+        try:
+            return fd_gradient(problem, functional, u)
+        finally:
+            in_fd.pop()
+
+    with mock.patch.object(extremals, "_functional_values", values), \
+            mock.patch.object(extremals, "adjoint_gradient", adjoint), \
+            mock.patch.object(extremals, "fd_gradient", fd):
+        work = optimize_extremal(problem, f, "max", config).work
+    assert work["integrations"] == len(searched)
+    assert work["integrated_rows"] == sum(searched)
+    assert work["gradient_rows"] == sum(gradient_rows)
+    assert 0 < work["iterations"] <= config.max_iters
+
+
 @pytest.mark.parametrize("name, functional", _registered_pairs())
 def test_auto_gradient_is_the_adjoint_exactly_for_terminal_functionals(
         name, functional):

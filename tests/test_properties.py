@@ -26,7 +26,12 @@ per-face icosphere subdivision and the per-ray cone probe are kept here as
 its references and must be matched bit for bit. LilReport.csv_blocks writes
 lil.csv in blocks of paths, formatting each value once; a writer that
 formats every cell of every column is kept here as its reference and must
-be matched byte for byte on both sides of a block boundary.
+be matched byte for byte on both sides of a block boundary. The optimizer's
+line search prices ladders of step halvings in one batch and refreshes only
+moved restarts' gradients; the loop of one trial per round it replaced is
+kept here as its reference and must be matched bit for bit. Coarsening a
+noise path twice equals coarsening it once by the product, and the
+contractions and their inverses undo each other, to stated tolerances.
 """
 
 from dataclasses import replace
@@ -37,29 +42,32 @@ import pytest
 from scipy.optimize import brentq
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from lillab import controls, lil, sde  # noqa: E402
+from lillab import controls, extremals, lil, sde  # noqa: E402
 from lillab.controls import (ControlGrid, _integrate,  # noqa: E402
                              _node_states, _widths, cramer_transform,
                              solve_control_ode)
 from lillab.examples import get_example, list_examples  # noqa: E402
 from lillab.extremals import (QuadraticMissFunctional,  # noqa: E402
                               RunningMaxAbsFunctional,
-                              TerminalLinearFunctional, _jacobian_batch,
-                              adjoint_gradient, fd_gradient, node_values)
+                              TerminalLinearFunctional, _functional_values,
+                              _jacobian_batch, adjoint_gradient, fd_gradient,
+                              is_terminal, node_values, optimize_extremal)
 from lillab.lil import (LilExperimentConfig, LilReport, _bridge,  # noqa: E402
                         _bridge_plan)
 from lillab.regularity import (_CURVE_NODES, _SPHERE_SUBDIV,  # noqa: E402
                                DomainSpec, _boundary_table,
                                _energy_certificate, _icosphere, _ray_roots,
                                _sample_boundary, _unit_rows, cone_criterion)
+from lillab.scaling import ContractionFamily  # noqa: E402
 from lillab.sde import (OVERFLOW_GUARD, ExplosivePath,  # noqa: E402
                         LinearSpec, NoisePath, NumericalFailure, SdeSystem,
                         _philox, _row_path, alive, euler_batch, row_normals,
                         simulate_sde, trivial_domain)
 from test_controls import _blowup_problem, _decay_problem  # noqa: E402
+from test_extremals import _registered_pairs  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
 
@@ -315,6 +323,129 @@ def test_adjoint_matches_fd_gradient(name, functional, cells):
         assert max(gaps) < 1e-6
     else:
         assert 3.0 < gaps[0] / gaps[1] < 5.0
+
+
+# ---------------------------------------------------------------------------
+# Line search. optimize_extremal prices a ladder of step halvings per round
+# and recomputes gradients only for restarts that moved; the loop it
+# replaced, one trial per round (trial *= 0.5) and gradients for the whole
+# batch after every iteration, is kept here as its reference.
+
+def _reference_optimize(problem, functional, sense, config):
+    """The one-trial-per-round search: (result fields, number of times a
+    restart used up all 40 halvings)."""
+    sgn = 1.0 if sense == "max" else -1.0
+    terminal = is_terminal(functional)
+    u = extremals._project_batch(extremals._initial_bank(problem, config))
+    batch = u.shape[0]
+    val = sgn * _functional_values(problem, functional, u)
+    val = np.where(np.isnan(val), -np.inf, val)
+    step = np.full(batch, extremals._STEP_INIT)
+    active = np.ones(batch, dtype=bool)
+    stall = np.zeros(batch, dtype=int)
+    exhausted = 0
+
+    def gradients(u_now):
+        if terminal:
+            return sgn * adjoint_gradient(problem, functional, u_now)
+        out = np.empty_like(u_now)
+        for b in range(batch):
+            out[b] = sgn * fd_gradient(problem, functional, u_now[b])
+        return np.nan_to_num(out)
+
+    grad = gradients(u)
+    for _ in range(config.max_iters):
+        if not np.any(active):
+            break
+        improved = np.zeros(batch, dtype=bool)
+        gain = np.zeros(batch)
+        trial = step.copy()
+        for _back in range(40):
+            pending = active & ~improved
+            if not np.any(pending):
+                break
+            cand = extremals._project_batch(u + trial[:, None, None] * grad)
+            cand_val = np.full(batch, -np.inf)
+            cand_val[pending] = sgn * _functional_values(
+                problem, functional, cand[pending])
+            cand_val = np.where(np.isnan(cand_val), -np.inf, cand_val)
+            good = pending & (cand_val > val + 1e-15 * (1.0 + np.abs(val)))
+            gain[good] = cand_val[good] - val[good]
+            u[good] = cand[good]
+            val[good] = cand_val[good]
+            step[good] = trial[good] * 1.5
+            improved |= good
+            trial[pending & ~good] *= 0.5
+        exhausted += int(np.sum(active & ~improved))
+        rel_gain = gain / (1.0 + np.abs(val))
+        stall = np.where(improved & (rel_gain >= extremals._TOL_VALUE), 0,
+                         stall + 1)
+        active &= stall < 4
+        if np.any(active):
+            grad = gradients(u)
+
+    best = int(np.argmax(val))
+    argext = ControlGrid(u[best]).project()
+    final_value = _functional_values(problem, functional, argext.values[None])[0]
+    probe = 1e-7
+    moved = extremals._project_batch((u[best] + probe * grad[best])[None])[0]
+    return dict(
+        value=float(final_value), argext=argext.values,
+        restart_values=list(sgn * val),
+        gradient_norm_at_exit=float(np.linalg.norm(moved - u[best]) / probe),
+        convergence_flag=bool(not active[best]), n_restarts_used=batch,
+    ), exhausted
+
+
+search_cases = st.fixed_dictionaries({
+    "pair": st.sampled_from(_registered_pairs()),
+    "sense": st.sampled_from(["max", "min"]),
+    "n_steps": st.integers(4, 24),
+    "restarts": st.integers(1, 5),
+    "max_iters": st.integers(1, 60),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+# IK(2)/J1 reaches its maximum well within 60 iterations; the restarts
+# then stall, each trying all 40 halvings before it stops
+# (test_the_exhausting_draw_uses_up_every_halving)
+EXHAUSTING = {"pair": ("iterated_kolmogorov", "J1"), "sense": "max",
+              "n_steps": 8, "restarts": 3, "max_iters": 60, "seed": 5}
+FD_DRAW = {"pair": ("brownian", "running_max"), "sense": "max",
+           "n_steps": 12, "restarts": 3, "max_iters": 40, "seed": 11}
+
+
+def _search(case):
+    name, functional = case["pair"]
+    example = get_example(name)
+    extra = (() if example.probe_starts is None
+             else tuple(example.probe_starts(case["n_steps"])))
+    config = extremals.OptimizerConfig(
+        n_steps=case["n_steps"], n_restarts=case["restarts"],
+        max_iters=case["max_iters"], seed=case["seed"], extra_starts=extra)
+    return (example.limit_problem, example.functionals[functional],
+            case["sense"], config)
+
+
+def test_the_exhausting_draw_uses_up_every_halving():
+    _, exhausted = _reference_optimize(*_search(EXHAUSTING))
+    assert exhausted > 0
+
+
+@SETTINGS
+@given(search_cases)
+@example(EXHAUSTING)
+@example(FD_DRAW)
+def test_ladder_line_search_equals_one_trial_per_round(case):
+    want, _ = _reference_optimize(*_search(case))
+    got = optimize_extremal(*_search(case))
+    assert np.array_equal(got.value, want["value"], equal_nan=True)
+    assert np.array_equal(got.argext.values, want["argext"])
+    assert np.array_equal(got.restart_values, want["restart_values"])
+    assert np.array_equal(got.gradient_norm_at_exit,
+                          want["gradient_norm_at_exit"], equal_nan=True)
+    assert got.convergence_flag == want["convergence_flag"]
+    assert got.n_restarts_used == want["n_restarts_used"]
 
 
 # ---------------------------------------------------------------------------
@@ -968,3 +1099,70 @@ def test_energy_certificate_equals_per_row_loop(name):
         for t in (0.25, 1.0):
             assert _energy_certificate(problem, z, t) \
                 == _reference_energy_certificate(problem, z, t)
+
+
+# ---------------------------------------------------------------------------
+# Noise coarsening and the contraction round trip. coarsen sums blocks of
+# increments, so coarsening twice equals coarsening once by the product up
+# to the rounding of the two summation orders; the contraction and its
+# inverse undo each other up to the conditioning of y -> c + (y - c) / alpha.
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal   # the spacing of underflowed results
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 8),
+       st.integers(1, 3), st.floats(1e-6, 1.0), st.integers(0, 2**32 - 1))
+def test_coarsen_twice_equals_coarsen_by_the_product(a, b, blocks, dim, dt,
+                                                      seed):
+    n = a * b * blocks
+    inc = np.random.default_rng(seed).standard_normal((n, dim)) * np.sqrt(dt)
+    fine = NoisePath(seed, dt, inc)
+    twice, once = fine.coarsen(a).coarsen(b), fine.coarsen(a * b)
+    assert twice.n_steps == once.n_steps == blocks
+    assert twice.dt == pytest.approx(once.dt, rel=2 * EPS)
+    # each sum of m terms is off by at most (m - 1) eps sum |x|
+    block_abs = np.abs(inc).reshape(blocks, a * b, dim).sum(axis=1)
+    assert np.all(np.abs(twice.increments - once.increments)
+                  <= 2 * a * b * EPS * block_abs)
+    # the horizon and the total increment are kept
+    for coarse in (twice, once):
+        assert coarse.horizon == pytest.approx(fine.horizon, rel=2 * EPS)
+        assert np.all(np.abs(coarse.increments.sum(axis=0) - inc.sum(axis=0))
+                      <= 2 * n * EPS * np.abs(inc).sum(axis=0))
+
+
+@SETTINGS
+@given(st.integers(1, 40), st.integers(-3, 60))
+def test_coarsen_rejects_a_factor_that_does_not_divide(n, factor):
+    fine = NoisePath(0, 0.1, np.ones((n, 1)))
+    if factor >= 1 and n % factor == 0:
+        assert fine.coarsen(factor).n_steps == n // factor
+    else:
+        with pytest.raises(ValueError, match="must divide"):
+            fine.coarsen(factor)
+
+
+@SETTINGS
+@given(st.sampled_from(["diagonal", "shifted_diagonal", "affine_detrended"]),
+       st.integers(1, 4), st.data())
+def test_contraction_round_trip(kind, dim, data):
+    coords = hnp.arrays(float, dim, elements=st.floats(-1e3, 1e3))
+    center = np.zeros(dim) if kind == "diagonal" else data.draw(coords)
+    phi = ContractionFamily(kind, center, data.draw(coords)
+                            if kind == "affine_detrended" else None)
+    y = data.draw(coords)
+    alpha = np.exp(data.draw(hnp.arrays(float, dim,
+                                        elements=st.floats(-30.0, 0.0))))
+    # apply_inverse rounds c + (y - c) alpha to within eps |c + (y - c) alpha|
+    # (or TINY, where it underflows), an error apply divides by alpha; each
+    # product and sum adds an eps
+    shrunk = phi.apply_inverse(alpha, y)
+    tol = (4 * EPS * (np.abs(shrunk) / alpha + np.abs(y - center) + np.abs(y))
+           + TINY / alpha)
+    assert np.all(np.abs(phi.apply(alpha, shrunk) - y) <= tol)
+    # the other way round nothing is divided: a few eps of |y| and |c|
+    back = phi.apply_inverse(alpha, phi.apply(alpha, y))
+    assert np.all(np.abs(back - y)
+                  <= 4 * EPS * (np.abs(y) + np.abs(center)) + TINY)

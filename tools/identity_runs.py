@@ -1,17 +1,20 @@
 """Run a fixed set of CLI commands and keep everything each one produced.
 
-    python tools/identity_runs.py OUT [--src DIR]
+    python tools/identity_runs.py OUT [--src DIR] [--against OLD]
 
 Each run is one fresh `python -m lillab.cli ... --seed 7` process with the
 package imported from DIR (default: this checkout's src). Run NAME writes
 its artifacts to OUT/NAME/out (when it passes --out) and its stdout,
-stderr and exit code to OUT/NAME/stdout, stderr and exit_code. Two trees
-made from two checkouts compare with
+stderr and exit code to OUT/NAME/stdout, stderr and exit_code.
 
-    diff -r --exclude manifest.json OUT_A OUT_B
+With --against OLD, a tree an earlier call wrote (from another checkout,
+say), each run is then compared with its namesake in OLD by
 
-since manifest.json (wall time, timestamp) is the only file allowed to
-differ between reruns.
+    diff -r --exclude manifest.json OLD/NAME OUT/NAME
+
+since manifest.json (wall time, timestamp, counters) is the only file
+allowed to differ between reruns; the runs that differ are listed, and
+the exit code is 1 if there are any.
 """
 
 from __future__ import annotations
@@ -162,13 +165,33 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parents[1] / "src",
                         help="directory holding the lillab package")
+    parser.add_argument("--against", type=Path,
+                        help="tree of earlier runs to compare OUT with")
     ns = parser.parse_args(argv)
+    if ns.against is not None and not ns.against.is_dir():
+        parser.error(f"--against {ns.against}: no such directory")
     ns.out.mkdir(parents=True, exist_ok=False)
     for name, args in RUNS:
         _run(ns.src.resolve(), ns.out.resolve(), name, args)
         code = (ns.out / name / "exit_code").read_text().strip()
         print(f"{name}: exit {code}", flush=True)
-    return 0
+    if ns.against is None:
+        return 0
+    differ = [name for name, _ in RUNS
+              if _differs(ns.against / name, ns.out / name)]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(RUNS) - len(differ)} of {len(RUNS)} runs identical "
+          f"to {ns.against}")
+    return 1 if differ else 0
+
+
+def _differs(old: Path, new: Path) -> bool:
+    proc = subprocess.run(["diff", "-r", "--exclude", "manifest.json",
+                           str(old), str(new)], capture_output=True)
+    if proc.returncode > 1:   # trouble, such as a missing OLD/NAME
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+    return proc.returncode != 0
 
 
 if __name__ == "__main__":
