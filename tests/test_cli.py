@@ -99,6 +99,20 @@ def test_optimize_artifacts_equal_the_golden_files(tmp_path, golden, argv):
         assert (out / name).read_bytes() == (DATA / golden / name).read_bytes()
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("polygonalize_2d", ["--samples", "32"]),
+    ("polygonalize_3d", ["--dim", "3", "--samples", "48"]),
+])
+def test_polygonalize_artifacts_equal_the_golden_files(tmp_path, golden, argv):
+    # polygon.json and polygon.csv are a file format: a change to the ray
+    # solve or to the hull must show here as a diff of these bytes
+    out = tmp_path / golden
+    assert run(["regularity", "polygonalize", *argv, "--seed", "7",
+                "--out", str(out)]) == 0
+    for name in ("polygon.json", "polygon.csv"):
+        assert (out / name).read_bytes() == (DATA / golden / name).read_bytes()
+
+
 @pytest.mark.parametrize("block", [lil._CSV_PATHS, 4])
 def test_lil_artifacts_equal_the_golden_files(tmp_path, monkeypatch, block):
     # lil.csv and lil.json are a file format: the files of 25 paths, written
