@@ -14,10 +14,10 @@ flag > config file > LILLAB_SEED environment variable > built-in default.
 With --out DIR every run writes its data files plus a manifest.json echoing
 the resolved configuration, library versions, seed, wall time and its split
 into timings.compute_s (the subcommand's computation) and timings.write_s
-(writing the data files), and for optimize the search's work counters
-(ExtremalResult.work) under counters; data files are byte-identical across
-reruns of the same configuration and seed (the manifest's timing fields are
-the only exception, isolated there).
+(writing the data files), and for optimize and regularity polygonalize
+the work counters (ExtremalResult.work, PolygonApprox.work) under counters;
+data files are byte-identical across reruns of the same configuration and
+seed (the manifest's timing fields are the only exception, isolated there).
 
 Exit codes: 0 success; 2 usage or configuration error; 3 unknown example
 or functional; 4 numerical failure; 5 optimizer non-convergence.
@@ -431,7 +431,7 @@ def _run_regularity(opts: dict, ns):
         summary = poly.to_json_dict()
         artifacts = [("polygon.json", _json_text(summary)),
                      ("polygon.csv", poly.to_csv_string())]
-        return artifacts, summary, EXIT_OK
+        return artifacts, summary, EXIT_OK, poly.work
     _require(opts, "point")
     point = np.asarray(opts["point"], dtype=float)
     if ns.action == "sphere":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -384,7 +384,9 @@ def _implicit_values(domain: DomainSpec, points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _ray_roots(domain: DomainSpec, dirs: np.ndarray) -> np.ndarray:
+def _ray_roots(domain: DomainSpec, dirs: np.ndarray, start=None,
+               work: Optional[dict] = None,
+               calls: Optional[str] = None) -> np.ndarray:
     """Distance from the interior witness to the boundary along each dirs row.
 
     scipy's brentq (Brent 1973, ch. 4, as in scipy's brentq.c) run in
@@ -392,6 +394,16 @@ def _ray_roots(domain: DomainSpec, dirs: np.ndarray) -> np.ndarray:
     bisect branches, the same +-delta minimum step and tolerances, so every
     root has brentq's bits.  A ray leaves the active set when it converges,
     and each iteration calls implicit_fn once on the active rays' points.
+
+    Every ray brackets its root by [0, s_hi], s_hi the box diagonal.  With
+    start (one distance per ray), a ray whose implicit_fn is negative at
+    c + start * u is solved from [start, s_hi] instead, a bracket that is
+    already tight when start is a chordal radius; every other ray, where
+    implicit_fn(c + start * u) >= 0 (a flat face or rounding put the point
+    on or over the boundary), keeps [0, s_hi].  Either way the root equals
+    brentq(f, a, s_hi, xtol=1e-14, rtol=1e-15) for the ray's lower end a.
+    With a work dict, each implicit_fn call adds one to work[calls] and the
+    number of its points to work["ray_points"].
     """
     c = domain.interior_point
     box = domain.bounding_box
@@ -404,6 +416,9 @@ def _ray_roots(domain: DomainSpec, dirs: np.ndarray) -> np.ndarray:
         if np.isnan(vals).any():
             raise ValueError("implicit_fn is nan on a ray; solver cannot "
                              "continue")
+        if work is not None:
+            work[calls] += 1
+            work["ray_points"] += len(s)
         return vals
 
     xcur = np.full(m, s_hi)
@@ -414,6 +429,11 @@ def _ray_roots(domain: DomainSpec, dirs: np.ndarray) -> np.ndarray:
     fpre = f(xpre, dirs)
     if not np.all(fpre < 0.0):
         raise ValueError("implicit_fn must be negative at the witness")
+    if start is not None:
+        fstart = f(start, dirs)
+        warm = fstart < 0.0
+        xpre = np.where(warm, start, xpre)
+        fpre = np.where(warm, fstart, fpre)
     xblk, fblk, spre, scur = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m)
     roots = np.empty(m)
     act = np.arange(m)
@@ -518,8 +538,12 @@ def _icosphere(subdiv: int):
     return verts, faces
 
 
-def _boundary_table(domain: DomainSpec) -> dict:
-    """Cached boundary discretization: polyline (d=2) or surface mesh (d=3)."""
+def _boundary_table(domain: DomainSpec, work: Optional[dict] = None) -> dict:
+    """Cached boundary discretization: polyline (d=2) or surface mesh (d=3).
+
+    Its rays start at the witness (bracket [0, s_hi]); a build counts its
+    implicit_fn calls in work["table_ray_calls"], a cache hit counts none.
+    """
     table = _boundary_tables.get(domain)
     if table is not None:
         return table
@@ -528,7 +552,8 @@ def _boundary_table(domain: DomainSpec) -> dict:
     if d == 2:
         theta = 2.0 * math.pi * np.arange(_CURVE_NODES + 1) / _CURVE_NODES
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        radii = _ray_roots(domain, dirs[:-1])
+        radii = _ray_roots(domain, dirs[:-1], work=work,
+                           calls="table_ray_calls")
         radii = np.append(radii, radii[0])
         pts = c + radii[:, None] * dirs
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -539,7 +564,7 @@ def _boundary_table(domain: DomainSpec) -> dict:
         table = {"points": pts, "cumlen": cumlen, "quad_volume": area}
     elif d == 3:
         dirs, faces = _icosphere(_SPHERE_SUBDIV)
-        radii = _ray_roots(domain, dirs)
+        radii = _ray_roots(domain, dirs, work=work, calls="table_ray_calls")
         pts = c + radii[:, None] * dirs
         p0, p1, p2 = pts[faces[:, 0]], pts[faces[:, 1]], pts[faces[:, 2]]
         cross = np.cross(p1 - p0, p2 - p0)
@@ -555,9 +580,19 @@ def _boundary_table(domain: DomainSpec) -> dict:
     return table
 
 
-def _sample_boundary(domain: DomainSpec, n: int, seed: int) -> np.ndarray:
-    """n points from the boundary measure, re-projected onto the boundary."""
-    table = _boundary_table(domain)
+def _sample_boundary(domain: DomainSpec, n: int, seed: int,
+                     work: Optional[dict] = None) -> np.ndarray:
+    """n points from the boundary measure, re-projected onto the boundary.
+
+    A sample first lands on a chord of the boundary table (a segment of the
+    polyline or a point of a mesh triangle), then moves along its ray from
+    the witness c to the boundary.  The table nodes are boundary points, so
+    for a convex body the chord lies in its closure: the chordal radius
+    |p - c| is at most the root, and the ray solve starts there.  Where the
+    chord point is on or over the boundary (a flat face, rounding), the
+    ray falls back to the full bracket from the witness (see _ray_roots).
+    """
+    table = _boundary_table(domain, work)
     rng = _philox(seed, 97)
     c = domain.interior_point
     if domain.dim == 2:
@@ -582,7 +617,9 @@ def _sample_boundary(domain: DomainSpec, n: int, seed: int) -> np.ndarray:
     if np.any(norm == 0.0):
         raise NumericalFailure("sample collapsed onto the witness point")
     u = u / norm[:, None]
-    return c + _ray_roots(domain, u)[:, None] * u
+    radii = _ray_roots(domain, u, start=norm, work=work,
+                       calls="sample_ray_calls")
+    return c + radii[:, None] * u
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,6 +641,10 @@ class PolygonApprox:
     direction: np.ndarray
     parallel_audit: np.ndarray
     max_halfspace_violation: float
+    # table_ray_calls, sample_ray_calls, ray_points, hull_attempts; kept out
+    # of to_json_dict and to_csv_string, so the data artifacts do not
+    # depend on it
+    work: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -661,9 +702,15 @@ def polygonalize(domain: DomainSpec, v, n: int, seed: int) -> PolygonApprox:
 
     Sampling inverts cumulative arc length (d=2) or draws area-weighted
     triangles of a ray-cast icosphere mesh (d=3); every sample is then
-    re-projected onto the exact boundary along its ray.  A degenerate hull
-    (affinely dependent samples) retries with an incremented seed, up to
-    _HULL_RETRIES seeds.
+    re-projected onto the exact boundary along its ray.  The table's rays
+    start at the witness; a sample's ray starts at its chordal radius,
+    which convexity puts at or inside the boundary (see _sample_boundary).
+    A degenerate hull (affinely dependent samples) retries with an
+    incremented seed, up to _HULL_RETRIES seeds.
+
+    The result's work counts the implicit_fn calls of the table build
+    (0 when the table is cached) and of the sample ray solves, the points
+    they evaluated, and the seeds tried.
     """
     if not domain.convex_flag:
         raise ValueError("polygonalize requires a convex domain")
@@ -671,15 +718,18 @@ def polygonalize(domain: DomainSpec, v, n: int, seed: int) -> PolygonApprox:
         raise ValueError("polygonalize supports d in {2, 3}")
     if n < domain.dim + 1:
         raise ValueError("need at least d + 1 samples")
+    work = dict(table_ray_calls=0, sample_ray_calls=0, ray_points=0,
+                hull_attempts=0)
     vol = domain.volume
     if vol is None:
-        vol = _boundary_table(domain)["quad_volume"]
+        vol = _boundary_table(domain, work)["quad_volume"]
     from scipy.spatial import QhullError
     last_err = None
     for attempt in range(_HULL_RETRIES):
-        points = _sample_boundary(domain, n, seed + attempt)
+        work["hull_attempts"] += 1
+        points = _sample_boundary(domain, n, seed + attempt, work)
         try:
-            return _hull_from_points(points, v, vol)
+            return replace(_hull_from_points(points, v, vol), work=work)
         except QhullError as err:   # affinely dependent sample set
             last_err = err
     raise NumericalFailure(

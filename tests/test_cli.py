@@ -310,6 +310,24 @@ def test_optimize_manifest_counts_the_search_work(tmp_path):
     assert counters[0]["gradient_rows"] >= 3
 
 
+def test_polygonalize_manifest_counts_the_ray_work(tmp_path):
+    # each CLI call builds its boundary table, and reruns count the same
+    argv = ["regularity", "polygonalize", "--dim", "3", "--samples", "24",
+            "--seed", "7"]
+    counters = []
+    for name in ("a", "b"):
+        assert run(argv + ["--out", str(tmp_path / name)]) == 0
+        counters.append(read_json(tmp_path / name / "manifest.json")
+                        ["counters"])
+        assert "ray" not in (tmp_path / name / "polygon.json").read_text()
+    assert counters[0] == counters[1]
+    assert sorted(counters[0]) == ["hull_attempts", "ray_points",
+                                   "sample_ray_calls", "table_ray_calls"]
+    assert counters[0]["table_ray_calls"] > 0
+    assert counters[0]["sample_ray_calls"] > 0
+    assert counters[0]["hull_attempts"] == 1
+
+
 def test_rescale_artifacts(tmp_path):
     out = tmp_path / "resc"
     assert run(["rescale", "--example", "quadratic", "--eps", "1e-4",

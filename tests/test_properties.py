@@ -45,7 +45,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from lillab import controls, extremals, lil, sde  # noqa: E402
+from lillab import controls, extremals, lil, regularity, sde  # noqa: E402
 from lillab.controls import (ControlGrid, _integrate,  # noqa: E402
                              _node_states, _widths, cramer_transform,
                              solve_control_ode)
@@ -60,7 +60,8 @@ from lillab.lil import (LilExperimentConfig, LilReport, _bridge,  # noqa: E402
 from lillab.regularity import (_CURVE_NODES, _SPHERE_SUBDIV,  # noqa: E402
                                DomainSpec, _boundary_table,
                                _energy_certificate, _icosphere, _ray_roots,
-                               _sample_boundary, _unit_rows, cone_criterion)
+                               _sample_boundary, _unit_rows, cone_criterion,
+                               polygonalize)
 from lillab.scaling import ContractionFamily  # noqa: E402
 from lillab.sde import (OVERFLOW_GUARD, ExplosivePath,  # noqa: E402
                         LinearSpec, NoisePath, NumericalFailure, SdeSystem,
@@ -863,11 +864,17 @@ def test_node_values_equal_single_row_evaluate(n, batch, d, seed):
 # all rays, so every root, boundary table, sample and icosphere must equal
 # the per-ray, per-row and per-face scalar code bit for bit.
 
-def _reference_ray_root(domain, direction):
+def _reference_ray_root(domain, direction, start=None):
+    """brentq on [start, s_hi] where implicit_fn is negative at start, and
+    on [0, s_hi] otherwise."""
     c, box = domain.interior_point, domain.bounding_box
     s_hi = float(np.linalg.norm(box[:, 1] - box[:, 0]))
-    return brentq(lambda s: float(domain.implicit_fn(c + s * direction)),
-                  0.0, s_hi, xtol=1e-14, rtol=1e-15)
+
+    def f(s):
+        return float(domain.implicit_fn(c + s * direction))
+
+    low = start if start is not None and f(start) < 0.0 else 0.0
+    return brentq(f, low, s_hi, xtol=1e-14, rtol=1e-15)
 
 
 def _quartic_body(center, axes):
@@ -892,9 +899,24 @@ def _steep_ball(center, radius, k):
              / radius**2 - 1.0)))
 
 
+def _box_body(center, axes):
+    """The max-norm box max |x_i - c_i| / a_i < 1.  Its flat faces hold
+    whole chords of its boundary table, so many chordal samples land on or
+    just over the boundary and their rays keep the bracket from the
+    witness."""
+    return DomainSpec(
+        implicit_fn=lambda x: np.max(
+            np.abs((np.asarray(x, dtype=float) - center) / axes),
+            axis=-1) - 1.0,
+        gradient_fn=None,       # the ray casts do not use it
+        bounding_box=np.stack([center - 1.25 * axes, center + 1.25 * axes],
+                              axis=1),
+        convex_flag=True, interior_point=center)
+
+
 domains = st.fixed_dictionaries({
     "d": st.sampled_from([2, 3]),
-    "shape": st.sampled_from(["ball", "quartic", "steep"]),
+    "shape": st.sampled_from(["ball", "quartic", "steep", "box"]),
     "seed": st.integers(0, 2**32 - 1),
 })
 
@@ -908,6 +930,8 @@ def _domain(case):
     if case["shape"] == "steep":
         return _steep_ball(center, float(rng.uniform(0.05, 4.0)),
                            float(rng.uniform(1.0, 40.0))), rng
+    if case["shape"] == "box":
+        return _box_body(center, rng.uniform(0.1, 3.0, size=d)), rng
     return _quartic_body(center, rng.uniform(0.1, 3.0, size=d)), rng
 
 
@@ -920,6 +944,13 @@ def test_ray_roots_equal_brentq(case, m):
     assert roots.shape == (m,)
     assert np.array_equal(roots,
                           [_reference_ray_root(domain, u) for u in dirs])
+    # lower ends inside, on and over the boundary, and at the witness
+    kind = rng.integers(0, 3, size=m)
+    start = np.where(kind == 0, roots * rng.uniform(0.0, 1.2, size=m),
+                     np.where(kind == 1, roots, 0.0))
+    assert np.array_equal(_ray_roots(domain, dirs, start=start),
+                          [_reference_ray_root(domain, u, s)
+                           for u, s in zip(dirs, start)])
 
 
 def _reference_sample_boundary(domain, n, seed):
@@ -948,8 +979,9 @@ def _reference_sample_boundary(domain, n, seed):
     out = np.empty_like(pts)
     for row, p in enumerate(pts):
         u = p - c
-        u = u / float(np.linalg.norm(u))
-        out[row] = c + _reference_ray_root(domain, u) * u
+        r = float(np.linalg.norm(u))
+        u = u / r
+        out[row] = c + _reference_ray_root(domain, u, r) * u
     return out
 
 
@@ -977,6 +1009,29 @@ def test_sample_boundary_equals_per_row_loop(case, n, seed):
     domain, _ = _domain(case)
     assert np.array_equal(_sample_boundary(domain, n, seed),
                           _reference_sample_boundary(domain, n, seed))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_flat_faces_send_chordal_samples_back_to_the_witness(d):
+    # chords on the box's faces put some chordal points on or over the
+    # boundary, so inside polygonalize both brackets run
+    domain = _box_body(np.arange(1.0, d + 1.0), np.linspace(0.5, 2.0, d))
+    c = domain.interior_point
+    at_start = []
+
+    def spy(domain, dirs, start=None, **kw):
+        if start is not None:
+            at_start.append(domain.implicit_fn(c + start[:, None] * dirs))
+        return ray_roots(domain, dirs, start=start, **kw)
+
+    ray_roots = regularity._ray_roots
+    with mock.patch.object(regularity, "_ray_roots", spy):
+        poly = polygonalize(domain, np.eye(d)[-1], 64, seed=3)
+    assert poly.work["hull_attempts"] == 1
+    vals = np.concatenate(at_start)
+    assert (vals >= 0.0).any() and (vals < 0.0).any()
+    assert np.array_equal(poly.vertices,
+                          _reference_sample_boundary(domain, 64, 3))
 
 
 def _reference_icosphere(subdiv):

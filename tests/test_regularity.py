@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,11 +199,11 @@ def degenerate_boundary(monkeypatch, bad_seeds):
     sample = regularity._sample_boundary
     calls = []
 
-    def patched(domain, n, seed):
+    def patched(domain, n, seed, work=None):
         calls.append(seed)
         if seed in bad_seeds:
             return np.column_stack([np.linspace(-1.0, 1.0, n), np.zeros(n)])
-        return sample(domain, n, seed)
+        return sample(domain, n, seed, work)
 
     monkeypatch.setattr(regularity, "_sample_boundary", patched)
     return calls
@@ -215,6 +217,37 @@ def test_polygonalize_retries_a_degenerate_sample(monkeypatch):
     poly = polygonalize(ball, v, 32, seed=21)
     assert calls == [21, 22]
     assert poly.to_json_dict() == expected.to_json_dict()
+
+
+def test_polygonalize_work_counts_the_ray_calls(monkeypatch):
+    # every implicit_fn call of the ray solves is counted once, as a table
+    # call while the table is built and as a sample call after that
+    evaluated = []
+    ball = unit_ball(3)
+
+    def spy(x):
+        evaluated.append(len(x))
+        return ball.implicit_fn(x)
+
+    body = replace(ball, implicit_fn=spy, volume=None)   # table volume
+    evaluated.clear()       # the constructor's own checks
+    v = np.array([0.0, 0.0, 1.0])
+    cold = polygonalize(body, v, 48, seed=2)
+    assert sorted(cold.work) == ["hull_attempts", "ray_points",
+                                 "sample_ray_calls", "table_ray_calls"]
+    assert cold.work["table_ray_calls"] + cold.work["sample_ray_calls"] \
+        == len(evaluated)
+    assert cold.work["ray_points"] == sum(evaluated)
+    assert cold.work["hull_attempts"] == 1
+    evaluated.clear()
+    warm = polygonalize(body, v, 48, seed=2)
+    assert warm.work == dict(cold.work, table_ray_calls=0,
+                             ray_points=sum(evaluated))
+    assert warm.work["sample_ray_calls"] == len(evaluated)
+    assert warm.to_json_dict() == cold.to_json_dict()
+    assert "ray" not in json.dumps(warm.to_json_dict()) + warm.to_csv_string()
+    degenerate_boundary(monkeypatch, {2})
+    assert polygonalize(body, v, 48, seed=2).work["hull_attempts"] == 2
 
 
 def test_polygonalize_gives_up_after_its_retries(monkeypatch):

@@ -8,18 +8,21 @@ its artifacts to OUT/NAME/out (when it passes --out) and its stdout,
 stderr and exit code to OUT/NAME/stdout, stderr and exit_code.
 
 With --against OLD, a tree an earlier call wrote (from another checkout,
-say), each run is then compared with its namesake in OLD by
-
-    diff -r --exclude manifest.json OLD/NAME OUT/NAME
-
-since manifest.json (wall time, timestamp, counters) is the only file
-allowed to differ between reruns; the runs that differ are listed, and
-the exit code is 1 if there are any.
+say), each run is then compared file by file with its namesake in OLD,
+all files but manifest.json (wall time, timestamp, counters), the only
+file allowed to differ between reruns. Each run that differs is listed
+with the files that differ; for a .json or .csv file the largest
+absolute difference over its numbers is printed, or "structure differs"
+when the two files do not hold numbers at the same places (other keys,
+lengths or text). The exit code is 1 if any run differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
+import math
 import os
 import subprocess
 import sys
@@ -177,21 +180,82 @@ def main(argv=None) -> int:
         print(f"{name}: exit {code}", flush=True)
     if ns.against is None:
         return 0
-    differ = [name for name, _ in RUNS
-              if _differs(ns.against / name, ns.out / name)]
-    for name in differ:
-        print(f"differs: {name}")
-    print(f"{len(RUNS) - len(differ)} of {len(RUNS)} runs identical "
+    differ = 0
+    for name, _ in RUNS:
+        notes = _differences(ns.against / name, ns.out / name)
+        if notes:
+            differ += 1
+            print(f"differs: {name}")
+            for note in notes:
+                print(f"  {note}")
+    print(f"{len(RUNS) - differ} of {len(RUNS)} runs identical "
           f"to {ns.against}")
     return 1 if differ else 0
 
 
-def _differs(old: Path, new: Path) -> bool:
-    proc = subprocess.run(["diff", "-r", "--exclude", "manifest.json",
-                           str(old), str(new)], capture_output=True)
-    if proc.returncode > 1:   # trouble, such as a missing OLD/NAME
-        sys.stderr.write(proc.stderr.decode(errors="replace"))
-    return proc.returncode != 0
+def _differences(old: Path, new: Path) -> list:
+    """One line per file that differs between two run directories."""
+    def files(root):
+        return {p.relative_to(root) for p in root.rglob("*")
+                if p.is_file() and p.name != "manifest.json"}
+
+    old_files, new_files = files(old), files(new)
+    notes = []
+    for rel in sorted(old_files | new_files):
+        if rel not in new_files:
+            notes.append(f"{rel}: only in {old}")
+        elif rel not in old_files:
+            notes.append(f"{rel}: only in {new}")
+        else:
+            a, b = (old / rel).read_bytes(), (new / rel).read_bytes()
+            if a != b:
+                notes.append(f"{rel}: {_numeric_gap(rel.suffix, a, b)}")
+    return notes
+
+
+def _numeric_gap(suffix: str, a: bytes, b: bytes) -> str:
+    """The largest absolute difference over the numbers of two .json or
+    .csv files of the same structure."""
+    if suffix not in (".json", ".csv"):
+        return "differs"
+    try:
+        pairs = _pair_numbers(*(_parse(suffix, x) for x in (a, b)))
+    except (ValueError, csv.Error):   # unreadable, or other keys or text
+        return "structure differs"
+    gap = max((0.0 if x == y or (math.isnan(x) and math.isnan(y))
+               else abs(x - y) for x, y in pairs), default=0.0)
+    return f"max abs difference {gap:.3g}"
+
+
+def _parse(suffix: str, data: bytes):
+    text = data.decode()
+    if suffix == ".json":
+        return json.loads(text)
+    return [[_number_or_text(cell) for cell in row]
+            for row in csv.reader(text.splitlines())]
+
+
+def _number_or_text(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _pair_numbers(x, y) -> list:
+    """(x, y) number pairs at the same places; ValueError where the two
+    documents differ in anything but their numbers."""
+    if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+        return [p for k in x for p in _pair_numbers(x[k], y[k])]
+    if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        return [p for u, v in zip(x, y) for p in _pair_numbers(u, v)]
+    numbers = (int, float)
+    if isinstance(x, numbers) and isinstance(y, numbers) \
+            and not isinstance(x, bool) and not isinstance(y, bool):
+        return [(float(x), float(y))]
+    if type(x) is type(y) and x == y:
+        return []
+    raise ValueError("structure differs")
 
 
 if __name__ == "__main__":
