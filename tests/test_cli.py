@@ -68,16 +68,20 @@ def test_simulate_writes_loadable_artifacts(tmp_path):
     assert manifest["seed"] == 424242
 
 
-@pytest.mark.parametrize("golden, extra", [
-    ("simulate_quadratic", []),
-    ("simulate_quadratic_exploding", ["--start", "30,0"]),   # dies at node 13
+@pytest.mark.parametrize("golden, argv", [
+    ("simulate_quadratic", ["--example", "quadratic"]),
+    ("simulate_quadratic_exploding",                         # dies at node 13
+     ["--example", "quadratic", "--start", "30,0"]),
+    ("simulate_lorenz96", ["--example", "lorenz96"]),
+    ("simulate_ik2", ["--example", "iterated_kolmogorov"]),  # Euler, one row
 ])
-def test_simulate_artifacts_equal_the_golden_files(tmp_path, golden, extra):
-    # path.csv and path.json are a file format: a change to the simulation
-    # or to the writers must leave these bytes as they are
+def test_simulate_artifacts_equal_the_golden_files(tmp_path, golden, argv):
+    # path.csv and path.json are a file format: a change to the simulation,
+    # to a drift's evaluation or to the writers must leave these bytes as
+    # they are
     out = tmp_path / golden
-    assert run(["simulate", "--example", "quadratic", "--dt", "1e-2",
-                "--seed", "7", *extra, "--out", str(out)]) == 0
+    assert run(["simulate", *argv, "--dt", "1e-2", "--seed", "7",
+                "--out", str(out)]) == 0
     for name in ("path.csv", "path.json"):
         assert (out / name).read_bytes() == (DATA / golden / name).read_bytes()
 
@@ -88,6 +92,9 @@ def test_simulate_artifacts_equal_the_golden_files(tmp_path, golden, extra):
     ("optimize_brownian_running_max",     # finite-difference gradients
      ["--example", "brownian", "--functional", "running_max",
       "--n-steps", "16"]),
+    ("optimize_ik3_j1",                   # a linear adjoint at d = 3
+     ["--example", "iterated_kolmogorov", "--d", "3", "--functional", "J1",
+      "--n-steps", "24"]),
 ])
 def test_optimize_artifacts_equal_the_golden_files(tmp_path, golden, argv):
     # a faster line search or gradient schedule must accept the same trials:
