@@ -34,6 +34,7 @@ import sys
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import cache
 
 import numpy as np
 import scipy
@@ -157,6 +158,7 @@ _ACTIONS = {"regularity": ("sphere", "cone", "reach", "polygonalize"),
             "examples": ("list", "describe")}
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lillab",

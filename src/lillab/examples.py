@@ -1,17 +1,20 @@
 """Registry of benchmark systems with their scaling data and functionals.
 
-Each entry bundles the SDE, its contraction family and asymptotic index, the
-limit control ODE, named path functionals, and reference constants with the
-method that produced them. Control-space functionals (J1/J2/J3/running_max)
-are also evaluable directly by quadrature via functional_value. lorenz96's
-sine-probe constant is such a quadrature value, stored as a literal so that
-building the example runs none; a test recomputes it bit for bit.
+Each example is one monomial table of its drift plus sigma and x0, from
+which one builder (_example) makes the SDE, the asymptotic index and the
+limit control ODE (scaling.derive_rescaling finds the last two). Each
+entry bundles these with the contraction family, named path functionals,
+and reference constants with the method that produced them. Control-space
+functionals (J1/J2/J3/running_max) are also evaluable directly by
+quadrature via functional_value. lorenz96's sine-probe constant is such a
+quadrature value, stored as a literal so that building the example runs
+none; a test recomputes it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -19,8 +22,8 @@ import numpy as np
 
 from .controls import LimitOdeProblem, ControlGrid, linear_kernel_oracle
 from .extremals import RunningMaxAbsFunctional, TerminalLinearFunctional
-from .scaling import (AsymptoticIndex, ContractionFamily, rate_scale,
-                      transformed_coefficients)
+from .scaling import (AsymptoticIndex, ContractionFamily, PolynomialDrift,
+                      derive_rescaling, rate_scale, transformed_coefficients)
 from .sde import LinearSpec, SdeSystem, _philox
 
 
@@ -43,6 +46,16 @@ def _unit_column(d: int, j: int) -> np.ndarray:
     out = np.zeros((d, 1))
     out[j, 0] = 1.0
     return out
+
+
+def _x(d: int, *js: int) -> tuple:
+    """Exponents of the monomial x_j1 * x_j2 * ... on R^d."""
+    return tuple(js.count(j) for j in range(d))
+
+
+def _chain_rows(d: int) -> tuple:
+    """The iterated Kolmogorov chain dx_i = x_{i+1} dt (i < d - 1)."""
+    return tuple(((1.0, _x(d, i + 1)),) for i in range(d - 1)) + ((),)
 
 
 @dataclass(frozen=True)
@@ -68,32 +81,31 @@ class ExampleSystem:
                                         self.index, eps)
 
 
-def _ik_matrices(d: int):
-    a = np.zeros((d, d))
-    for i in range(d - 1):
-        a[i, i + 1] = 1.0
-    return a, _unit_column(d, d - 1)
-
-
-def _linear_system(a: np.ndarray, sigma: np.ndarray, x0: np.ndarray,
-                   label: str):
-    """The SDE dx = a x dt + sigma dW and its limit control problem
-    dy = a y dt + sigma u dt from x0: a linear system is its own limit."""
-    d, moving = a.shape[0], a.any()
-
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        # x @ 0 on a stacked batch costs a full matmul (Brownian motion)
-        return x @ a.T if moving else np.zeros_like(x)
-
+def _example(name: str, params: dict, label: str, rows, sigma: np.ndarray,
+             x0, functionals: dict, reference: dict,
+             **extra) -> ExampleSystem:
+    """The example dx = b(x) dt + sigma dW from x0, b the monomial table
+    rows: its LinearSpec when b is linear, and the index and limit drift L
+    of dy = L(y) dt + sigma u dt from derive_rescaling, worked out at 0
+    (so only a linear b may start elsewhere). extra goes to ExampleSystem,
+    whose contraction is diagonal unless extra names another."""
+    d = len(rows)
+    drift = PolynomialDrift(d, rows)
+    if np.any(x0) and drift.matrix is None:
+        raise ValueError(f"{name}: a nonlinear drift is rescaled at 0 only")
+    index, limit_drift = derive_rescaling(drift, sigma)
     sde = SdeSystem(dim_state=d, dim_noise=sigma.shape[1], drift=drift,
                     diffusion=_const_diffusion(sigma), label=label,
-                    linear=LinearSpec(a, sigma))
-    limit = LimitOdeProblem(
-        limit_drift=drift,
-        drift_jacobian=lambda y: np.broadcast_to(a, np.asarray(y).shape + (d,)),
-        constant_diffusion=sigma, x0=x0, label=label + " limit")
-    return sde, limit
+                    linear=(None if drift.matrix is None
+                            else LinearSpec(drift.matrix, sigma)))
+    limit = LimitOdeProblem(limit_drift=limit_drift,
+                            drift_jacobian=limit_drift.jacobian,
+                            constant_diffusion=sigma, x0=x0,
+                            label=label + " limit")
+    extra.setdefault("contraction", ContractionFamily("diagonal", np.zeros(d)))
+    return ExampleSystem(name=name, params=params, sde=sde, index=index,
+                         limit_problem=limit, functionals=functionals,
+                         reference=reference, **extra)
 
 
 def ik_reference_constant(d: int) -> float:
@@ -102,8 +114,6 @@ def ik_reference_constant(d: int) -> float:
 
 
 def _make_brownian(d: int = 1) -> ExampleSystem:
-    sde, limit = _linear_system(np.zeros((d, d)), np.eye(d), np.zeros(d),
-                                f"brownian(d={d})")
     w = np.zeros(d)
     w[0] = 1.0
     functionals = {
@@ -116,19 +126,13 @@ def _make_brownian(d: int = 1) -> ExampleSystem:
         "terminal_min": {"value": -math.sqrt(2.0),
                          "method": "odd functional symmetry"},
     }
-    return ExampleSystem(
-        name="brownian", params={"d": d}, sde=sde,
-        contraction=ContractionFamily("diagonal", np.zeros(d)),
-        index=AsymptoticIndex(((1, 1),) * d),
-        limit_problem=limit, functionals=functionals, reference=reference,
-    )
+    return _example("brownian", {"d": d}, f"brownian(d={d})", ((),) * d,
+                    np.eye(d), np.zeros(d), functionals, reference)
 
 
 def _make_iterated_kolmogorov(d: int = 2) -> ExampleSystem:
     if d < 2:
         raise ValueError("iterated_kolmogorov needs d >= 2")
-    sde, limit = _linear_system(*_ik_matrices(d), np.zeros(d),
-                                f"iterated_kolmogorov(d={d})")
     w = np.zeros(d)
     w[0] = 1.0
     m = ik_reference_constant(d)
@@ -142,21 +146,16 @@ def _make_iterated_kolmogorov(d: int = 2) -> ExampleSystem:
         "running_max_limsup": {"value": m, "method": "kernel oracle closed form"},
         "running_max_liminf": {"value": 0.0, "method": "degenerate infimum"},
     }
-    exps = tuple((2 * (d - i) + 1, 1) for i in range(1, d + 1))
-    return ExampleSystem(
-        name="iterated_kolmogorov", params={"d": d}, sde=sde,
-        contraction=ContractionFamily("diagonal", np.zeros(d)),
-        index=AsymptoticIndex(exps),
-        limit_problem=limit, functionals=functionals, reference=reference,
-    )
+    return _example("iterated_kolmogorov", {"d": d},
+                    f"iterated_kolmogorov(d={d})", _chain_rows(d),
+                    _unit_column(d, d - 1), np.zeros(d), functionals,
+                    reference)
 
 
 def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,):
         raise ValueError("x0 must be a 2-vector")
-    sde, limit = _linear_system(*_ik_matrices(2), x0,
-                                f"shifted_kolmogorov(x0={tuple(x0)})")
     # detrended first coordinate: y1(1) - x1(0) - x2(0) = int_0^1 f
     functionals = {
         "J1": TerminalLinearFunctional(
@@ -169,6 +168,14 @@ def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
         "J1_max": {"value": m, "method": "kernel oracle closed form"},
         "J1_min": {"value": -m, "method": "odd functional symmetry"},
     }
+    example = _example(
+        "shifted_kolmogorov", {"x0": tuple(float(v) for v in x0)},
+        f"shifted_kolmogorov(x0={tuple(x0)})", _chain_rows(2),
+        _unit_column(2, 1), x0, functionals, reference,
+        contraction=ContractionFamily(
+            "affine_detrended", x0, drift_vector=np.array([x0[1], 0.0])
+        ),
+    )
 
     def constant_family(eps: float) -> SdeSystem:
         # the detrended change of coordinates reproduces the original
@@ -176,59 +183,15 @@ def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
         rate_scale(eps)  # validate eps range
         return SdeSystem(
             dim_state=2, dim_noise=1,
-            drift=limit.limit_drift,
-            diffusion=sde.diffusion,
+            drift=example.limit_problem.limit_drift,
+            diffusion=example.sde.diffusion,
             label=f"shifted_kolmogorov rescaled(eps={eps:g})",
         )
 
-    return ExampleSystem(
-        name="shifted_kolmogorov", params={"x0": tuple(float(v) for v in x0)},
-        sde=sde,
-        contraction=ContractionFamily(
-            "affine_detrended", x0, drift_vector=np.array([x0[1], 0.0])
-        ),
-        index=AsymptoticIndex(((3, 1), (1, 1))),
-        limit_problem=limit, functionals=functionals, reference=reference,
-        _coefficients_override=constant_family,
-    )
-
-
-def _quadratic_drift(x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    out[..., 0] = x[..., 0] ** 2 - x[..., 1] ** 2
-    out[..., 1] = 2.0 * x[..., 0] * x[..., 1]
-    return out
+    return replace(example, _coefficients_override=constant_family)
 
 
 def _make_quadratic() -> ExampleSystem:
-    sig = _unit_column(2, 1)
-    sde = SdeSystem(
-        dim_state=2, dim_noise=1,
-        drift=_quadratic_drift,
-        diffusion=_const_diffusion(sig),
-        label="quadratic",
-    )
-
-    def limit_drift(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        out[..., 0] = -(y[..., 1] ** 2)
-        return out
-
-    def limit_jac(y):
-        y = np.asarray(y, dtype=float)
-        jac = np.zeros(y.shape + (2,))
-        jac[..., 0, 1] = -2.0 * y[..., 1]
-        return jac
-
-    limit = LimitOdeProblem(
-        limit_drift=limit_drift,
-        drift_jacobian=limit_jac,
-        constant_diffusion=sig,
-        x0=np.zeros(2),
-        label="quadratic limit",
-    )
     functionals = {
         "J2": TerminalLinearFunctional(np.array([1.0, 0.0]), label="J2"),
         "running_max": RunningMaxAbsFunctional(0),
@@ -238,47 +201,10 @@ def _make_quadratic() -> ExampleSystem:
                    "method": "smallest Dirichlet-Neumann eigenvalue"},
         "J2_max": {"value": 0.0, "method": "degenerate supremum"},
     }
-    return ExampleSystem(
-        name="quadratic", params={}, sde=sde,
-        contraction=ContractionFamily("diagonal", np.zeros(2)),
-        index=AsymptoticIndex(((4, 2), (1, 1))),
-        limit_problem=limit, functionals=functionals, reference=reference,
-    )
-
-
-def _lorenz_drift(x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    x1, x2, x3, x4, x5 = (x[..., i] for i in range(5))
-    out[..., 0] = (x2 - x4) * x5 - x1
-    out[..., 1] = (x3 - x5) * x1 - x2
-    out[..., 2] = (x4 - x1) * x2 - x3
-    out[..., 3] = (x5 - x2) * x3 - x4
-    out[..., 4] = (x1 - x3) * x4 - x5
-    return out
-
-
-def _lorenz_limit_drift(y):
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    y1, y2, y3, y4 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    out[..., 2] = -y1 * y2
-    out[..., 3] = -y2 * y3
-    out[..., 4] = y1 * y4
-    return out
-
-
-def _lorenz_limit_jacobian(y):
-    y = np.asarray(y, dtype=float)
-    jac = np.zeros(y.shape + (5,))
-    y1, y2, y3, y4 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    jac[..., 2, 0] = -y2
-    jac[..., 2, 1] = -y1
-    jac[..., 3, 1] = -y3
-    jac[..., 3, 2] = -y2
-    jac[..., 4, 0] = y4
-    jac[..., 4, 3] = y1
-    return jac
+    # b(x) = (x0^2 - x1^2, 2 x0 x1), the complex square
+    rows = (((1.0, _x(2, 0, 0)), (-1.0, _x(2, 1, 1))), ((2.0, _x(2, 0, 1)),))
+    return _example("quadratic", {}, "quadratic", rows, _unit_column(2, 1),
+                    np.zeros(2), functionals, reference)
 
 
 # Half energy (1/2) int |df/dt|^2 of the sine pair f = (sin 5t, sin t) on
@@ -302,19 +228,6 @@ def _make_lorenz96() -> ExampleSystem:
     sig = np.zeros((5, 2))
     sig[0, 0] = 1.0
     sig[1, 1] = 1.0
-    sde = SdeSystem(
-        dim_state=5, dim_noise=2,
-        drift=_lorenz_drift,
-        diffusion=_const_diffusion(sig),
-        label="lorenz96(d=5)",
-    )
-    limit = LimitOdeProblem(
-        limit_drift=_lorenz_limit_drift,
-        drift_jacobian=_lorenz_limit_jacobian,
-        constant_diffusion=sig,
-        x0=np.zeros(5),
-        label="lorenz96 limit",
-    )
     functionals = {
         "J3": TerminalLinearFunctional(
             np.array([0.0, 0.0, 0.0, 0.0, 1.0]), label="J3"
@@ -326,13 +239,13 @@ def _make_lorenz96() -> ExampleSystem:
         "J3_min_bound": {"value": _SINE_PAIR_J3 / _SINE_PAIR_HALF_ENERGY**2,
                          "method": "rescaled feasible point"},
     }
-    return ExampleSystem(
-        name="lorenz96", params={}, sde=sde,
-        contraction=ContractionFamily("diagonal", np.zeros(5)),
-        index=AsymptoticIndex(((1, 1), (1, 1), (4, 2), (7, 3), (10, 4))),
-        limit_problem=limit, functionals=functionals, reference=reference,
-        probe_starts=lorenz_probe_controls,
-    )
+    # b_i(x) = (x_{i+1} - x_{i-2}) x_{i-1} - x_i, indices mod 5
+    rows = tuple(((1.0, _x(5, (i + 1) % 5, (i - 1) % 5)),
+                  (-1.0, _x(5, (i - 2) % 5, (i - 1) % 5)),
+                  (-1.0, _x(5, i))) for i in range(5))
+    return _example("lorenz96", {}, "lorenz96(d=5)", rows, sig, np.zeros(5),
+                    functionals, reference,
+                    probe_starts=lorenz_probe_controls)
 
 
 _REGISTRY = {

@@ -4,13 +4,15 @@ A contraction family shrinks space around a center point by a positive
 multi-index alpha; an asymptotic index turns the time scale eps into the
 spatial multi-index alpha = psi(eps). Together they map a path x on [0, eps]
 to the rescaled path y_t = Phi_{psi(eps)}(x_{eps t}) on [0, 1], and an SDE to
-its rescaled coefficient family.
+its rescaled coefficient family. For a polynomial drift, derive_rescaling
+finds the index and the limit drift from the drift's monomials.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -91,6 +93,128 @@ def eval_index(psi: AsymptoticIndex, eps: float) -> np.ndarray:
         )
     log_eps = math.log(eps)
     return np.array([power_log_from_log(l, k, log_eps) for l, k in psi.exponents])
+
+
+class PolynomialDrift:
+    """A polynomial vector field b on R^d, given as a table of monomials.
+
+    rows[i] is a tuple of (coef, exponents) pairs, and b_i(x) is the sum of
+    coef * prod_j x_j ** exponents[j] over them. Calling it maps states
+    (..., d) to (..., d); jacobian maps (..., d) to (..., d, d). matrix is
+    A when every monomial has degree 1 (b(x) = A x), else None.
+    """
+
+    def __init__(self, d: int, rows):
+        self.d = d
+        self.rows = tuple(tuple((float(c), tuple(int(m) for m in e))
+                                for c, e in row) for row in rows)
+        self._evaluate, self.jacobian, self.matrix = _compile(d, self.rows)
+
+    def __call__(self, x):
+        return self._evaluate(x)
+
+
+def _sum_source(terms) -> str:
+    """Source of the sum of coef * x^exps over terms, left to right, each
+    power a repeated product. The variable most terms share, when two or
+    more do, is pulled out of them at the place of the first, as in
+    (x1 - x3) * x4 - x0: the expression one would write, with its bits."""
+    shared = [sum(1 for _, e in terms if e[j])
+              for j in range(len(terms[0][1]))]
+    j = shared.index(max(shared))
+    pieces, group = [], []
+    for c, e in terms:
+        if shared[j] > 1 and e[j]:
+            if not group:
+                pieces.append(None)
+            group.append((c, e[:j] + (e[j] - 1,) + e[j + 1:]))
+            continue
+        factors = [f"x{i}" for i, m in enumerate(e) for _ in range(m)]
+        if abs(c) != 1.0 or not factors:
+            factors.insert(0, repr(abs(c)))
+        pieces.append((c < 0, " * ".join(factors)))
+    pieces = [(False, f"({_sum_source(group)}) * x{j}") if p is None else p
+              for p in pieces]
+    return ("-" if pieces[0][0] else "") + pieces[0][1] + "".join(
+        (" - " if neg else " + ") + text for neg, text in pieces[1:])
+
+
+def _function_source(name: str, alloc: str, entries) -> str:
+    """def name(x) that assigns each (target, terms) entry into out."""
+    used = sorted({j for _, terms in entries for _, e in terms
+                   for j, m in enumerate(e) if m})
+    return "\n    ".join(
+        [f"def {name}(x):", "x = np.asarray(x, dtype=float)"]
+        + [f"x{j} = x[..., {j}]" for j in used] + [f"out = {alloc}"]
+        + [f"out[{t}] = {_sum_source(terms)}" for t, terms in entries]
+        + ["return out"]) + "\n"
+
+
+@lru_cache(maxsize=64)
+def _compile(d: int, rows: tuple):
+    """(evaluate, jacobian, A) of a monomial table, run as straight-line
+    source generated once per table (as dataclasses writes __init__): an
+    interpreted loop over the terms costs 3-4x as much per call on
+    lorenz96. A linear table's Jacobian is a read-only broadcast view of
+    its A."""
+    source = _function_source(
+        "evaluate", "np.empty_like(x)" if all(rows) else "np.zeros_like(x)",
+        [(f"..., {i}", row) for i, row in enumerate(rows) if row])
+    source += _function_source("jacobian", f"np.zeros(x.shape + ({d},))", [
+        (f"..., {i}, {j}", terms) for i, row in enumerate(rows)
+        for j in range(d)
+        if (terms := [(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
+                      for c, e in row if e[j]])])
+    space = {"np": np}
+    exec(source, space)
+    evaluate, jacobian, a = space["evaluate"], space["jacobian"], None
+    if all(sum(e) == 1 for row in rows for _, e in row):
+        a = jacobian(np.zeros(d))
+        a.flags.writeable = False
+
+        def jacobian(x):
+            return np.broadcast_to(a, np.shape(x) + (d,))
+    return evaluate, jacobian, a
+
+
+def derive_rescaling(drift: PolynomialDrift, sigma):
+    """The asymptotic index and the limit drift of dx = b(x) dt + sigma dW
+    at x = 0 from the monomials of b, its weighted-homogeneous principal
+    part (Hermes 1991, SIAM Rev. 33:238).
+
+    A coordinate whose row of sigma is nonzero gets (l, k) = (1, 1). Any
+    other coordinate i gets l_i = 2 + min sum_j m_j l_j over the
+    non-constant monomials x^m of b_i (the least fixed point, relaxed from
+    l = inf) and k_i = max sum_j m_j k_j over the minimizers. At alpha =
+    psi(eps) the rescaled drift eps * b_i(alpha * y) / alpha_i scales x^m
+    by eps^((2 + m.l - l_i)/2) loglog(1/eps)^((m.k - k_i)/2), so the limit
+    keeps exactly the monomials with (m.l, m.k) = (l_i - 2, k_i). A
+    coordinate left at l = inf is reached from no noise: ValueError.
+    """
+    driven = np.any(np.asarray(sigma, dtype=float) != 0.0, axis=1)
+    rows, d = drift.rows, drift.d
+
+    def weight(exps, w):
+        return sum(m * w[j] for j, m in enumerate(exps) if m)
+
+    ell = [1 if driven[i] else math.inf for i in range(d)]
+    for _ in range(d):   # a minimizer's coordinates have smaller l
+        for i in np.flatnonzero(~driven):
+            ell[i] = min(ell[i], 2 + min(
+                (weight(e, ell) for _, e in rows[i] if any(e)),
+                default=math.inf))
+    lost = [i for i in range(d) if ell[i] == math.inf]
+    if lost:
+        raise ValueError(f"coordinates {lost} are reached from no "
+                         "noise-driven coordinate: no rescaling exists")
+    k = [1] * d
+    for i in sorted(np.flatnonzero(~driven), key=ell.__getitem__):
+        k[i] = max(weight(e, k) for _, e in rows[i]
+                   if any(e) and weight(e, ell) == ell[i] - 2)
+    limit = [tuple((c, e) for c, e in row if any(e) and weight(e, ell)
+                   == ell[i] - 2 and weight(e, k) == k[i])
+             for i, row in enumerate(rows)]
+    return AsymptoticIndex(tuple(zip(ell, k))), PolynomialDrift(d, limit)
 
 
 @dataclass(frozen=True)

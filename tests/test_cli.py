@@ -10,7 +10,7 @@ import pytest
 
 import lillab
 from lillab import lil
-from lillab.cli import run
+from lillab.cli import _build_parser, run
 from lillab.examples import get_example, list_examples
 from lillab.scaling import rescale_path
 from lillab.sde import (brownian_path, path_from_csv, path_to_csv_string,
@@ -32,6 +32,10 @@ def test_no_subcommand_is_usage_error(capsys):
     for name in ("simulate", "rescale", "optimize", "lil-verify", "regularity",
                  "examples", "check"):
         assert name in out
+
+
+def test_parser_is_built_once_per_process():
+    assert _build_parser() is _build_parser()
 
 
 def test_unknown_example_exit_3(capsys):
@@ -488,7 +492,7 @@ def test_console_script_end_to_end(tmp_path):
 # subpackages then loaded.
 _LOADED_AFTER_RUNS = """
 import json, sys
-from lillab.cli import run
+from lillab.cli import _build_parser, run
 from lillab.examples import get_example, list_examples
 for name in list_examples():
     get_example(name)

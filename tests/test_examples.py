@@ -139,3 +139,104 @@ def test_example_sde_simulates():
         path = simulate_sde(example.sde, example.contraction.center, noise)
         assert path.explosion_index is None
         assert np.all(np.isfinite(path.states))
+
+
+# Written-out drifts of the registry, the references for the drifts,
+# limit drifts and Jacobians the registry derives from its monomial tables
+# (tests/test_properties.py compares them on drawn states).
+
+def quadratic_drift(x):
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    out[..., 0] = x[..., 0] ** 2 - x[..., 1] ** 2
+    out[..., 1] = 2.0 * x[..., 0] * x[..., 1]
+    return out
+
+
+def quadratic_limit_drift(y):
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    out[..., 0] = -(y[..., 1] ** 2)
+    return out
+
+
+def quadratic_limit_jacobian(y):
+    y = np.asarray(y, dtype=float)
+    jac = np.zeros(y.shape + (2,))
+    jac[..., 0, 1] = -2.0 * y[..., 1]
+    return jac
+
+
+def lorenz_drift(x):
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    x1, x2, x3, x4, x5 = (x[..., i] for i in range(5))
+    out[..., 0] = (x2 - x4) * x5 - x1
+    out[..., 1] = (x3 - x5) * x1 - x2
+    out[..., 2] = (x4 - x1) * x2 - x3
+    out[..., 3] = (x5 - x2) * x3 - x4
+    out[..., 4] = (x1 - x3) * x4 - x5
+    return out
+
+
+def lorenz_limit_drift(y):
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    y1, y2, y3, y4 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+    out[..., 2] = -y1 * y2
+    out[..., 3] = -y2 * y3
+    out[..., 4] = y1 * y4
+    return out
+
+
+def lorenz_limit_jacobian(y):
+    y = np.asarray(y, dtype=float)
+    jac = np.zeros(y.shape + (5,))
+    y1, y2, y3, y4 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+    jac[..., 2, 0] = -y2
+    jac[..., 2, 1] = -y1
+    jac[..., 3, 1] = -y3
+    jac[..., 3, 2] = -y2
+    jac[..., 4, 0] = y4
+    jac[..., 4, 3] = y1
+    return jac
+
+
+def chain_matrix(d):
+    """A of the iterated Kolmogorov chain dx_i = x_{i+1} dt."""
+    return np.eye(d, k=1)
+
+
+def linear_references(a):
+    """The drift x @ a.T, and as limit drift and Jacobian of a linear
+    system (its own limit) the same drift and a broadcast a."""
+    def drift(x):
+        return np.asarray(x, dtype=float) @ a.T
+
+    def jacobian(y):
+        return np.broadcast_to(a, np.shape(y) + a.shape[:1])
+
+    return drift, drift, jacobian
+
+
+# (example, parameters, (drift, limit drift, limit Jacobian))
+WRITTEN_DRIFTS = [
+    ("quadratic", {}, (quadratic_drift, quadratic_limit_drift,
+                       quadratic_limit_jacobian)),
+    ("lorenz96", {}, (lorenz_drift, lorenz_limit_drift,
+                      lorenz_limit_jacobian)),
+    ("brownian", {"d": 1}, linear_references(np.zeros((1, 1)))),
+    ("brownian", {"d": 2}, linear_references(np.zeros((2, 2)))),
+    ("shifted_kolmogorov", {}, linear_references(chain_matrix(2))),
+] + [("iterated_kolmogorov", {"d": d}, linear_references(chain_matrix(d)))
+     for d in (2, 3, 5)]
+
+
+def test_linear_tables_give_the_linear_spec():
+    for name, params, (drift, _, _) in WRITTEN_DRIFTS:
+        linear = get_example(name, **params).sde.linear
+        if name in ("quadratic", "lorenz96"):
+            assert linear is None
+        else:
+            assert np.array_equal(linear.a_matrix,
+                                  drift(np.eye(linear.dim)).T)

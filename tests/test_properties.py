@@ -32,8 +32,14 @@ moved restarts' gradients; the loop of one trial per round it replaced is
 kept here as its reference and must be matched bit for bit. Coarsening a
 noise path twice equals coarsening it once by the product, and the
 contractions and their inverses undo each other, to stated tolerances.
+The registry's drifts, limit drifts and Jacobians are generated from
+monomial tables; they must equal the written-out ones of test_examples bit
+for bit, and on random tables the derived limit must be the
+weighted-homogeneous principal part and the Jacobian the drift's
+derivative.
 """
 
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -62,12 +68,14 @@ from lillab.regularity import (_CURVE_NODES, _SPHERE_SUBDIV,  # noqa: E402
                                _energy_certificate, _icosphere, _ray_roots,
                                _sample_boundary, _unit_rows, cone_criterion,
                                polygonalize)
-from lillab.scaling import ContractionFamily  # noqa: E402
+from lillab.scaling import (ContractionFamily, PolynomialDrift,  # noqa: E402
+                            derive_rescaling, eval_index)
 from lillab.sde import (OVERFLOW_GUARD, ExplosivePath,  # noqa: E402
                         LinearSpec, NoisePath, NumericalFailure, SdeSystem,
                         _philox, _row_path, alive, euler_batch, row_normals,
                         simulate_sde, trivial_domain)
 from test_controls import _blowup_problem, _decay_problem  # noqa: E402
+from test_examples import WRITTEN_DRIFTS  # noqa: E402
 from test_extremals import _registered_pairs  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -1221,3 +1229,123 @@ def test_contraction_round_trip(kind, dim, data):
     back = phi.apply_inverse(alpha, phi.apply(alpha, y))
     assert np.all(np.abs(back - y)
                   <= 4 * EPS * (np.abs(y) + np.abs(center)) + TINY)
+
+
+@SETTINGS
+@given(st.sampled_from(WRITTEN_DRIFTS),
+       st.lists(st.integers(1, 4), max_size=2), st.data())
+def test_derived_drifts_equal_the_written_ones(case, batch, data):
+    # states (d,), (B, d) and (w, B, d)
+    name, params, written = case
+    example = get_example(name, **params)
+    x = data.draw(hnp.arrays(float, (*batch, example.sde.dim_state),
+                             elements=st.floats(-1e200, 1e200)))
+    limit = example.limit_problem
+    derived = (example.sde.drift, limit.limit_drift, limit.drift_jacobian)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for got, want in zip(derived, written):
+            assert np.array_equal(got(x), want(x), equal_nan=True)
+
+
+@st.composite
+def monomial_tables(draw, reachable=True):
+    """(rows, sigma): d <= 5, monomials of degree 1 to 3, at least one
+    driven row. When reachable, each undriven row i gets a monomial in
+    coordinates that are driven or come before i, so every coordinate is
+    reached from the noise."""
+    d = draw(st.integers(1, 5))
+    driven = draw(st.lists(st.booleans(), min_size=d, max_size=d)
+                  .filter(any))
+
+    def monomial(pool):
+        js = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        return (draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0])),
+                tuple(js.count(j) for j in range(d)))
+
+    rows = [[monomial(range(d)) for _ in range(draw(st.integers(0, 3)))]
+            for _ in range(d)]
+    for i in range(d):
+        if reachable and not driven[i]:
+            pool = [j for j in range(d) if driven[j] or j < i]
+            rows[i].insert(draw(st.integers(0, len(rows[i]))),
+                           monomial(pool))
+    sigma = np.zeros((d, 2))
+    for i in np.flatnonzero(driven):
+        sigma[i, draw(st.integers(0, 1))] = draw(st.sampled_from([-1.0, 2.0]))
+    return rows, sigma
+
+
+def _weights(exps, index):
+    return tuple(sum(m * lk[n] for m, lk in zip(exps, index.exponents))
+                 for n in (0, 1))
+
+
+@SETTINGS
+@given(monomial_tables(), st.integers(0, 2**32 - 1))
+# x2' = x1 + x0^3 ties in l (x1 is (3, 1)) and keeps x0^3, of larger k
+@example(([[], [(1.0, (1, 0, 0))], [(1.0, (0, 1, 0)), (1.0, (3, 0, 0))]],
+          np.array([[1.0], [0.0], [0.0]])), 0)
+def test_derived_limit_is_the_principal_part(table, seed):
+    rows, sigma = table
+    d = len(rows)
+    index, limit = derive_rescaling(PolynomialDrift(d, rows), sigma)
+    for i, ((ell, k), row) in enumerate(zip(index.exponents, rows)):
+        kept = limit.rows[i]
+        assert bool(kept) == (not sigma[i].any())
+        for c, e in row:
+            w = _weights(e, index)
+            if (c, e) in kept:
+                assert w == (ell - 2, k)
+            else:
+                assert w[0] > ell - 2 or (w[0] == ell - 2 and w[1] < k)
+    # eps * L_i(alpha y) / alpha_i = L_i(y), to 1e-12 of the sum of the
+    # terms' magnitudes
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(0.25, 2.0, (4, d)) * rng.choice([-1.0, 1.0], (4, d))
+    magnitude = PolynomialDrift(d, [[(abs(c), e) for c, e in row]
+                                    for row in limit.rows])(np.abs(y))
+    for eps in (1e-3, 1e-6):
+        alpha = eval_index(index, eps)
+        # far past this scale alpha underflows and the identity says nothing
+        hypothesis.assume(alpha.min() > 1e-280)
+        scaled = eps * limit(alpha * y) / alpha
+        assert np.all(np.abs(scaled - limit(y)) <= 1e-12 * magnitude)
+
+
+@SETTINGS
+@given(monomial_tables(reachable=False), st.data())
+def test_unreachable_coordinates_raise(table, data):
+    rows, sigma = table
+    undriven = [i for i in range(len(rows)) if not sigma[i].any()]
+    hypothesis.assume(undriven)
+    lost = sorted(data.draw(st.sets(st.sampled_from(undriven), min_size=1)))
+    # rows of lost coordinates keep only monomials in a lost coordinate
+    rows = [[(c, e) for c, e in row if any(e[j] for j in lost)]
+            if i in lost else row for i, row in enumerate(rows)]
+    with pytest.raises(ValueError, match="reached from no") as info:
+        derive_rescaling(PolynomialDrift(len(rows), rows), sigma)
+    named = re.search(r"coordinates \[([\d, ]+)\]", str(info.value))[1]
+    assert set(lost) <= {int(i) for i in named.split(",")}
+
+
+@SETTINGS
+@given(monomial_tables(reachable=False), st.data())
+def test_jacobian_is_the_derivative_of_the_drift(table, data):
+    rows, _ = table
+    d = len(rows)
+    drift = PolynomialDrift(d, rows)
+    x = data.draw(hnp.arrays(float, (3, d), elements=st.floats(-2.0, 2.0)))
+    # the generated drift is the sum of its terms, rounded in another order
+    terms = [[c * np.prod(x ** np.array(e), axis=-1) for c, e in row]
+             for row in drift.rows]
+    for i, row in enumerate(terms):
+        total = sum(row, np.zeros(3))
+        magnitude = sum(map(np.abs, row), np.zeros(3))
+        assert np.all(np.abs(drift(x)[:, i] - total)
+                      <= 1e-12 * magnitude + 4 * TINY)
+    h = 1e-6
+    central = np.stack([(drift(x + s) - drift(x - s)) / (2 * h)
+                        for s in h * np.eye(d)], axis=-1)
+    jac = drift.jacobian(x)
+    assert jac.shape == (3, d, d)
+    assert np.allclose(jac, central, rtol=1e-6, atol=1e-6)
