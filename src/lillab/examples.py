@@ -87,8 +87,8 @@ def _example(name: str, params: dict, label: str, rows, sigma: np.ndarray,
     """The example dx = b(x) dt + sigma dW from x0, b the monomial table
     rows: its LinearSpec when b is linear, and the index and limit drift L
     of dy = L(y) dt + sigma u dt from derive_rescaling, worked out at 0
-    (so only a linear b may start elsewhere). extra goes to ExampleSystem,
-    whose contraction is diagonal unless extra names another."""
+    (so only a linear b may start elsewhere), and a diagonal contraction.
+    extra goes to ExampleSystem."""
     d = len(rows)
     drift = PolynomialDrift(d, rows)
     if np.any(x0) and drift.matrix is None:
@@ -102,10 +102,11 @@ def _example(name: str, params: dict, label: str, rows, sigma: np.ndarray,
                             drift_jacobian=limit_drift.jacobian,
                             constant_diffusion=sigma, x0=x0,
                             label=label + " limit")
-    extra.setdefault("contraction", ContractionFamily("diagonal", np.zeros(d)))
-    return ExampleSystem(name=name, params=params, sde=sde, index=index,
-                         limit_problem=limit, functionals=functionals,
-                         reference=reference, **extra)
+    return ExampleSystem(
+        name=name, params=params, sde=sde,
+        contraction=ContractionFamily("diagonal", np.zeros(d)), index=index,
+        limit_problem=limit, functionals=functionals, reference=reference,
+        **extra)
 
 
 def ik_reference_constant(d: int) -> float:
@@ -171,11 +172,7 @@ def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
     example = _example(
         "shifted_kolmogorov", {"x0": tuple(float(v) for v in x0)},
         f"shifted_kolmogorov(x0={tuple(x0)})", _chain_rows(2),
-        _unit_column(2, 1), x0, functionals, reference,
-        contraction=ContractionFamily(
-            "affine_detrended", x0, drift_vector=np.array([x0[1], 0.0])
-        ),
-    )
+        _unit_column(2, 1), x0, functionals, reference)
 
     def constant_family(eps: float) -> SdeSystem:
         # the detrended change of coordinates reproduces the original
@@ -188,7 +185,9 @@ def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
             label=f"shifted_kolmogorov rescaled(eps={eps:g})",
         )
 
-    return replace(example, _coefficients_override=constant_family)
+    return replace(example, contraction=ContractionFamily(
+        "affine_detrended", x0, drift_vector=np.array([x0[1], 0.0])),
+        _coefficients_override=constant_family)
 
 
 def _make_quadratic() -> ExampleSystem:
