@@ -124,6 +124,18 @@ def test_polygonalize_artifacts_equal_the_golden_files(tmp_path, golden, argv):
         assert (out / name).read_bytes() == (DATA / golden / name).read_bytes()
 
 
+def test_rescale_artifacts_equal_the_golden_files(tmp_path):
+    # the detrended rescaling of shifted_kolmogorov from (1, 1), exact
+    # sampler: a change to the contraction or its trend must show here
+    out = tmp_path / "rescale_shifted_exact"
+    assert run(["rescale", "--example", "shifted_kolmogorov", "--scheme",
+                "exact_linear", "--dt", "1e-2", "--seed", "7",
+                "--out", str(out)]) == 0
+    for name in ("rescaled.csv", "rescaled.json"):
+        assert (out / name).read_bytes() == \
+            (DATA / "rescale_shifted_exact" / name).read_bytes()
+
+
 @pytest.mark.parametrize("block", [lil._CSV_PATHS, 4])
 def test_lil_artifacts_equal_the_golden_files(tmp_path, monkeypatch, block):
     # lil.csv and lil.json are a file format: the files of 25 paths, written
