@@ -117,7 +117,6 @@ class LimitOdeProblem:
     x0: np.ndarray
     domain_contains: Callable[[np.ndarray], np.ndarray] = trivial_domain
     t_star: float = 1.0
-    label: str = ""
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)

@@ -1,10 +1,11 @@
 """Registry of benchmark systems with their scaling data and functionals.
 
 Each example is one monomial table of its drift plus sigma and x0, from
-which one builder (_example) makes the SDE, the asymptotic index and the
-limit control ODE (scaling.derive_rescaling finds the last two). Each
-entry bundles these with the contraction family, named path functionals,
-and reference constants with the method that produced them. Control-space
+which one builder (_example) makes the SDE, the asymptotic index, the
+limit control ODE (scaling.derive_rescaling finds the last two) and the
+contraction family around x0 with the trend b(x0). Each entry bundles
+these with named path functionals and reference constants with the
+method that produced them. Control-space
 functionals (J1/J2/J3/running_max) are also evaluable directly by
 quadrature via functional_value. lorenz96's sine-probe constant is such a
 quadrature value, stored as a literal so that building the example runs
@@ -14,7 +15,7 @@ none; a test recomputes it bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -23,7 +24,7 @@ import numpy as np
 from .controls import LimitOdeProblem, ControlGrid, linear_kernel_oracle
 from .extremals import RunningMaxAbsFunctional, TerminalLinearFunctional
 from .scaling import (AsymptoticIndex, ContractionFamily, PolynomialDrift,
-                      derive_rescaling, rate_scale, transformed_coefficients)
+                      derive_rescaling, transformed_coefficients)
 from .sde import LinearSpec, SdeSystem, _philox
 
 
@@ -71,40 +72,38 @@ class ExampleSystem:
     functionals: dict
     reference: dict
     probe_starts: Optional[Callable[[int], list]] = None
-    _coefficients_override: Optional[Callable[[float], SdeSystem]] = None
-
-    def rescaled_coefficients(self, eps: float) -> SdeSystem:
-        """The coefficient pair (b_eps, sigma_eps) of the rescaled process."""
-        if self._coefficients_override is not None:
-            return self._coefficients_override(eps)
-        return transformed_coefficients(self.sde, self.contraction,
-                                        self.index, eps)
 
 
-def _example(name: str, params: dict, label: str, rows, sigma: np.ndarray,
-             x0, functionals: dict, reference: dict,
-             **extra) -> ExampleSystem:
+def _example(name: str, params: dict, rows, sigma: np.ndarray, x0,
+             functionals: dict, reference: dict, **extra) -> ExampleSystem:
     """The example dx = b(x) dt + sigma dW from x0, b the monomial table
-    rows: its LinearSpec when b is linear, and the index and limit drift L
-    of dy = L(y) dt + sigma u dt from derive_rescaling, worked out at 0
-    (so only a linear b may start elsewhere), and a diagonal contraction.
-    extra goes to ExampleSystem."""
+    rows: its LinearSpec when b is linear, the index and limit drift L of
+    dy = L(y) dt + sigma u dt from derive_rescaling, worked out at 0 (so
+    only a linear b may start elsewhere), and the contraction around x0
+    with the trend v = b(x0). Its rescaled coefficients are autonomous and
+    tend to (L, sigma) only if v = L(x0) and b reads no coordinate that v
+    moves; otherwise ValueError. extra goes to ExampleSystem."""
     d = len(rows)
     drift = PolynomialDrift(d, rows)
     if np.any(x0) and drift.matrix is None:
         raise ValueError(f"{name}: a nonlinear drift is rescaled at 0 only")
     index, limit_drift = derive_rescaling(drift, sigma)
+    trend = drift(x0)
+    if (np.any(trend != limit_drift(x0))
+            or np.any(drift.jacobian(x0)[:, trend != 0.0])):
+        raise ValueError(f"{name}: no autonomous rescaling from x0: the "
+                         f"trend b(x0) = {trend} must be the limit drift "
+                         "there and move no coordinate that b reads")
     sde = SdeSystem(dim_state=d, dim_noise=sigma.shape[1], drift=drift,
-                    diffusion=_const_diffusion(sigma), label=label,
+                    diffusion=_const_diffusion(sigma),
                     linear=(None if drift.matrix is None
                             else LinearSpec(drift.matrix, sigma)))
     limit = LimitOdeProblem(limit_drift=limit_drift,
                             drift_jacobian=limit_drift.jacobian,
-                            constant_diffusion=sigma, x0=x0,
-                            label=label + " limit")
+                            constant_diffusion=sigma, x0=x0)
     return ExampleSystem(
         name=name, params=params, sde=sde,
-        contraction=ContractionFamily("diagonal", np.zeros(d)), index=index,
+        contraction=ContractionFamily(x0, trend), index=index,
         limit_problem=limit, functionals=functionals, reference=reference,
         **extra)
 
@@ -118,7 +117,7 @@ def _make_brownian(d: int = 1) -> ExampleSystem:
     w = np.zeros(d)
     w[0] = 1.0
     functionals = {
-        "terminal": TerminalLinearFunctional(w, label="terminal"),
+        "terminal": TerminalLinearFunctional(w),
         "running_max": RunningMaxAbsFunctional(0),
     }
     reference = {
@@ -127,8 +126,8 @@ def _make_brownian(d: int = 1) -> ExampleSystem:
         "terminal_min": {"value": -math.sqrt(2.0),
                          "method": "odd functional symmetry"},
     }
-    return _example("brownian", {"d": d}, f"brownian(d={d})", ((),) * d,
-                    np.eye(d), np.zeros(d), functionals, reference)
+    return _example("brownian", {"d": d}, ((),) * d, np.eye(d), np.zeros(d),
+                    functionals, reference)
 
 
 def _make_iterated_kolmogorov(d: int = 2) -> ExampleSystem:
@@ -138,7 +137,7 @@ def _make_iterated_kolmogorov(d: int = 2) -> ExampleSystem:
     w[0] = 1.0
     m = ik_reference_constant(d)
     functionals = {
-        "J1": TerminalLinearFunctional(w, label="J1"),
+        "J1": TerminalLinearFunctional(w),
         "running_max": RunningMaxAbsFunctional(0),
     }
     reference = {
@@ -147,8 +146,7 @@ def _make_iterated_kolmogorov(d: int = 2) -> ExampleSystem:
         "running_max_limsup": {"value": m, "method": "kernel oracle closed form"},
         "running_max_liminf": {"value": 0.0, "method": "degenerate infimum"},
     }
-    return _example("iterated_kolmogorov", {"d": d},
-                    f"iterated_kolmogorov(d={d})", _chain_rows(d),
+    return _example("iterated_kolmogorov", {"d": d}, _chain_rows(d),
                     _unit_column(d, d - 1), np.zeros(d), functionals,
                     reference)
 
@@ -159,9 +157,8 @@ def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
         raise ValueError("x0 must be a 2-vector")
     # detrended first coordinate: y1(1) - x1(0) - x2(0) = int_0^1 f
     functionals = {
-        "J1": TerminalLinearFunctional(
-            np.array([1.0, 0.0]), offset=-(x0[0] + x0[1]), label="J1"
-        ),
+        "J1": TerminalLinearFunctional(np.array([1.0, 0.0]),
+                                       offset=-(x0[0] + x0[1])),
         "running_max": RunningMaxAbsFunctional(0),
     }
     m = ik_reference_constant(2)
@@ -169,30 +166,14 @@ def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
         "J1_max": {"value": m, "method": "kernel oracle closed form"},
         "J1_min": {"value": -m, "method": "odd functional symmetry"},
     }
-    example = _example(
-        "shifted_kolmogorov", {"x0": tuple(float(v) for v in x0)},
-        f"shifted_kolmogorov(x0={tuple(x0)})", _chain_rows(2),
-        _unit_column(2, 1), x0, functionals, reference)
-
-    def constant_family(eps: float) -> SdeSystem:
-        # the detrended change of coordinates reproduces the original
-        # coefficient pair exactly at every eps, so the family is constant
-        rate_scale(eps)  # validate eps range
-        return SdeSystem(
-            dim_state=2, dim_noise=1,
-            drift=example.limit_problem.limit_drift,
-            diffusion=example.sde.diffusion,
-            label=f"shifted_kolmogorov rescaled(eps={eps:g})",
-        )
-
-    return replace(example, contraction=ContractionFamily(
-        "affine_detrended", x0, drift_vector=np.array([x0[1], 0.0])),
-        _coefficients_override=constant_family)
+    return _example("shifted_kolmogorov",
+                    {"x0": tuple(float(v) for v in x0)}, _chain_rows(2),
+                    _unit_column(2, 1), x0, functionals, reference)
 
 
 def _make_quadratic() -> ExampleSystem:
     functionals = {
-        "J2": TerminalLinearFunctional(np.array([1.0, 0.0]), label="J2"),
+        "J2": TerminalLinearFunctional(np.array([1.0, 0.0])),
         "running_max": RunningMaxAbsFunctional(0),
     }
     reference = {
@@ -202,8 +183,8 @@ def _make_quadratic() -> ExampleSystem:
     }
     # b(x) = (x0^2 - x1^2, 2 x0 x1), the complex square
     rows = (((1.0, _x(2, 0, 0)), (-1.0, _x(2, 1, 1))), ((2.0, _x(2, 0, 1)),))
-    return _example("quadratic", {}, "quadratic", rows, _unit_column(2, 1),
-                    np.zeros(2), functionals, reference)
+    return _example("quadratic", {}, rows, _unit_column(2, 1), np.zeros(2),
+                    functionals, reference)
 
 
 # Half energy (1/2) int |df/dt|^2 of the sine pair f = (sin 5t, sin t) on
@@ -228,9 +209,7 @@ def _make_lorenz96() -> ExampleSystem:
     sig[0, 0] = 1.0
     sig[1, 1] = 1.0
     functionals = {
-        "J3": TerminalLinearFunctional(
-            np.array([0.0, 0.0, 0.0, 0.0, 1.0]), label="J3"
-        ),
+        "J3": TerminalLinearFunctional(np.array([0.0, 0.0, 0.0, 0.0, 1.0])),
     }
     reference = {
         "J3_sine_probe": {"value": _SINE_PAIR_J3,
@@ -242,9 +221,8 @@ def _make_lorenz96() -> ExampleSystem:
     rows = tuple(((1.0, _x(5, (i + 1) % 5, (i - 1) % 5)),
                   (-1.0, _x(5, (i - 2) % 5, (i - 1) % 5)),
                   (-1.0, _x(5, i))) for i in range(5))
-    return _example("lorenz96", {}, "lorenz96(d=5)", rows, sig, np.zeros(5),
-                    functionals, reference,
-                    probe_starts=lorenz_probe_controls)
+    return _example("lorenz96", {}, rows, sig, np.zeros(5), functionals,
+                    reference, probe_starts=lorenz_probe_controls)
 
 
 _REGISTRY = {
@@ -332,7 +310,8 @@ def coefficient_deviation(example: ExampleSystem, eps: float,
                           points: np.ndarray) -> dict:
     """Sup deviation of (b_eps, sigma_eps) from the limit pair on sample
     points (n, d), each coefficient evaluated once on the whole cloud."""
-    res = example.rescaled_coefficients(eps)
+    res = transformed_coefficients(example.sde, example.contraction,
+                                   example.index, eps)
     limit = example.limit_problem
     y = np.asarray(points, dtype=float)
     drift_dev = np.max(np.abs(res.drift(y) - limit.limit_drift(y)))

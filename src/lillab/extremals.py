@@ -69,10 +69,9 @@ class _NodeFunctional:
 class TerminalLinearFunctional(_NodeFunctional):
     """F(g) = weights . g(t_end) + offset (linear in the terminal state)."""
 
-    def __init__(self, weights, offset: float = 0.0, label: str = ""):
+    def __init__(self, weights, offset: float = 0.0):
         self.weights = np.asarray(weights, dtype=float)
         self.offset = float(offset)
-        self.label = label
 
     def terminal_value(self, terminal: np.ndarray) -> np.ndarray:
         # a row sum, not a matmul: gemv rounds a row by the batch around it
@@ -87,7 +86,6 @@ class QuadraticMissFunctional(_NodeFunctional):
 
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
-        self.label = "terminal_miss_sq"
 
     def terminal_value(self, terminal: np.ndarray) -> np.ndarray:
         return np.sum((terminal - self.target) ** 2, axis=-1)
@@ -101,7 +99,6 @@ class RunningMaxAbsFunctional(_NodeFunctional):
 
     def __init__(self, coord: int = 0):
         self.coord = int(coord)
-        self.label = f"running_max_abs_x{self.coord + 1}"
 
     def accumulate(self, acc, states_node):
         cur = np.abs(states_node[:, self.coord])

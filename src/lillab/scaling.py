@@ -1,11 +1,12 @@
 """Small-time rescaling machinery: contraction families and asymptotic indices.
 
-A contraction family shrinks space around a center point by a positive
-multi-index alpha; an asymptotic index turns the time scale eps into the
-spatial multi-index alpha = psi(eps). Together they map a path x on [0, eps]
-to the rescaled path y_t = Phi_{psi(eps)}(x_{eps t}) on [0, 1], and an SDE to
-its rescaled coefficient family. For a polynomial drift, derive_rescaling
-finds the index and the limit drift from the drift's monomials.
+A contraction family (center, trend) shrinks space around a center point by
+a positive multi-index alpha, after removing a linear trend; an asymptotic
+index turns the time scale eps into the spatial multi-index alpha = psi(eps).
+Together they map a path x on [0, eps] to the rescaled path
+y_t = Phi_{psi(eps)}(x_{eps t}) on [0, 1], and an SDE to its rescaled
+coefficient family. For a polynomial drift, derive_rescaling finds the index
+and the limit drift from the drift's monomials.
 """
 
 from __future__ import annotations
@@ -189,10 +190,16 @@ def derive_rescaling(drift: PolynomialDrift, sigma):
     psi(eps) the rescaled drift eps * b_i(alpha * y) / alpha_i scales x^m
     by eps^((2 + m.l - l_i)/2) loglog(1/eps)^((m.k - k_i)/2), so the limit
     keeps exactly the monomials with (m.l, m.k) = (l_i - 2, k_i). A
-    coordinate left at l = inf is reached from no noise: ValueError.
+    coordinate left at l = inf is reached from no noise, and a constant
+    term c in an undriven row grows like eps * c / alpha_i = eps^(1 - l_i/2)
+    c: either raises ValueError naming the coordinate.
     """
     driven = np.any(np.asarray(sigma, dtype=float) != 0.0, axis=1)
     rows, d = drift.rows, drift.d
+    for i in np.flatnonzero(~driven):
+        if any(not any(e) for _, e in rows[i]):
+            raise ValueError(f"coordinate {i} has a constant drift term and "
+                             "no noise: its rescaled drift diverges")
 
     def weight(exps, w):
         return sum(m * w[j] for j, m in enumerate(exps) if m)
@@ -219,32 +226,33 @@ def derive_rescaling(drift: PolynomialDrift, sigma):
 
 @dataclass(frozen=True)
 class ContractionFamily:
-    """Family of space contractions indexed by positive alpha.
+    """Family of space contractions indexed by positive alpha, around a
+    center with a linear trend drift_vector (default 0).
 
-    kind "diagonal" and "shifted_diagonal": y -> center + (y - center) / alpha,
-    an affine bijection fixing the center (diagonal means center = 0).
-    kind "affine_detrended" additionally removes a deterministic linear trend
-    drift_vector * t before shrinking and restores it afterwards; the trend
-    only enters path rescaling, the spatial action at a fixed time matches the
-    shifted family.
+    At a fixed time the map is y -> center + (y - center) / alpha, an affine
+    bijection fixing the center. A nonzero trend v * t is removed before
+    shrinking and restored afterwards (see rescale_states and
+    transformed_coefficients). kind names the case: "diagonal" (center and
+    trend 0), "shifted_diagonal" (trend 0) or "affine_detrended".
     """
 
-    kind: str
     center: np.ndarray
     drift_vector: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in ("diagonal", "shifted_diagonal", "affine_detrended"):
-            raise ValueError(f"unknown contraction kind {self.kind!r}")
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if self.kind == "diagonal" and np.any(c != 0.0):
-            raise ValueError("diagonal kind requires center = 0")
         v = self.drift_vector
         v = np.zeros_like(c) if v is None else np.asarray(v, dtype=float)
         if v.shape != c.shape:
             raise ValueError("drift_vector must match center shape")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "drift_vector", v)
+
+    @property
+    def kind(self) -> str:
+        if np.any(self.drift_vector):
+            return "affine_detrended"
+        return "shifted_diagonal" if np.any(self.center) else "diagonal"
 
     @property
     def dim(self) -> int:
@@ -264,8 +272,8 @@ class ContractionFamily:
 def rescale_states(phi: ContractionFamily, alpha, eps: float, t, x):
     """States x at time eps * t mapped by Phi_alpha to rescaled time t.
 
-    t broadcasts over the leading axes of x. The trend center + t * v of the
-    affine_detrended kind is removed at scale eps and restored at scale 1.
+    t broadcasts over the leading axes of x. The trend center + t * v is
+    removed at scale eps and restored at scale 1.
     """
     t = np.reshape(t, np.shape(t) + (1,) * (np.ndim(x) - np.ndim(t)))
     base = phi.center + t * phi.drift_vector
@@ -295,28 +303,42 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
     """Coefficient family (b_eps, sigma_eps) of the rescaled process.
 
     For an affine contraction the generator term reduces to first order, so
+    at x = Phi^{-1}(y) = c + alpha (y - c), row by row with alpha = psi(eps),
 
-        b_eps(y)     = eps * drift(Phi^{-1} y) / alpha
-        sigma_eps(y) = sqrt(eps * loglog(1/eps)) * diffusion(Phi^{-1} y) / alpha
+        b_eps(y)     = eps * drift(x) / alpha
+        sigma_eps(y) = sqrt(eps * loglog(1/eps)) * diffusion(x) / alpha.
 
-    row by row, with alpha = psi(eps). The rescaled SDE is driven by
-    sigma_eps / sqrt(loglog(1/eps)); see rescaled_sde_system. Only the
-    diagonal kinds are accepted: the detrended family is time dependent and
-    has no autonomous coefficient transform. A trivial domain stays trivial,
-    so sde.alive skips the domain call.
+    The rescaled SDE is driven by sigma_eps / sqrt(loglog(1/eps)); see
+    rescaled_sde_system. A trend v keeps the family autonomous only for a
+    linear drift b with b(c) = v that reads no coordinate v moves, on a
+    trivial domain; then b_eps(y) = v + eps * drift(alpha (y - c)) / alpha,
+    the increment of b (forming b(x) - v cancels to 1e-12 at eps = 1e-8).
+    Any other trend raises ValueError. A trivial domain stays trivial, so
+    sde.alive skips the domain call.
     """
-    if phi.kind == "affine_detrended":
-        raise ValueError("transformed_coefficients requires a diagonal kind")
     alpha = eval_index(psi, eps)
     noise_gain = math.sqrt(eps * rate_scale(eps))
-    center = phi.center
+    center, trend = phi.center, phi.drift_vector
     center_alpha = center * alpha
 
     def pullback(y):
         return center + np.asarray(y, dtype=float) * alpha - center_alpha
 
-    def b_eps(y):
-        return eps * np.asarray(system.drift(pullback(y)), dtype=float) / alpha
+    if not np.any(trend):
+        def b_eps(y):
+            return eps * np.asarray(system.drift(pullback(y)),
+                                    dtype=float) / alpha
+    elif (system.linear is None or system.domain_contains is not trivial_domain
+          or np.any(system.drift(center) != trend)
+          or np.any(system.linear.a_matrix[:, trend != 0.0])):
+        raise ValueError("a trend needs a linear drift b on a trivial domain "
+                         "with b(center) = trend that reads no coordinate "
+                         "the trend moves")
+    else:
+        def b_eps(y):
+            x = (np.asarray(y, dtype=float) - center) * alpha
+            return trend + eps * np.asarray(system.drift(x),
+                                            dtype=float) / alpha
 
     def sigma_eps(y):
         sig = np.asarray(system.diffusion(pullback(y)), dtype=float)
@@ -333,7 +355,6 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
         domain_contains=(trivial_domain
                          if system.domain_contains is trivial_domain
                          else domain),
-        label=f"{system.label}|rescaled(eps={eps:g})",
     )
 
 
@@ -352,7 +373,6 @@ def rescaled_sde_system(system: SdeSystem, phi: ContractionFamily,
         drift=base.drift,
         diffusion=sigma,
         domain_contains=base.domain_contains,
-        label=base.label + "|driven",
     )
 
 

@@ -275,7 +275,6 @@ class SdeSystem:
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
     domain_contains: Callable[[np.ndarray], np.ndarray] = trivial_domain
-    label: str = ""
     linear: Optional[LinearSpec] = None
 
 

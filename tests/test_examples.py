@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lillab.examples import (describe_example, deviation_table,
+from lillab.examples import (_example, describe_example, deviation_table,
                              functional_value, get_example,
                              ik_reference_constant, list_examples,
                              lorenz_probe_controls)
+from lillab.scaling import transformed_coefficients
 
 
 def test_registry_contents():
@@ -123,10 +124,32 @@ def test_deviation_table_decreasing():
 
 def test_shifted_drift_matches_limit_at_center():
     sk = get_example("shifted_kolmogorov")
-    resc = sk.rescaled_coefficients(1e-4)
+    resc = transformed_coefficients(sk.sde, sk.contraction, sk.index, 1e-4)
     center = sk.contraction.center
     assert np.allclose(resc.drift(center),
                        sk.limit_problem.limit_drift(center), atol=1e-10)
+
+
+def test_contraction_kind_of_each_example():
+    kinds = {name: describe_example(name)["contraction_kind"]
+             for name in list_examples()}
+    assert kinds == {"brownian": "diagonal", "iterated_kolmogorov": "diagonal",
+                     "lorenz96": "diagonal", "quadratic": "diagonal",
+                     "shifted_kolmogorov": "affine_detrended"}
+    assert get_example("shifted_kolmogorov", x0=(2.0, 0.0)).contraction.kind \
+        == "shifted_diagonal"
+
+
+def test_the_builder_rejects_a_start_without_an_autonomous_rescaling():
+    sigma = np.array([[0.0], [1.0]])
+    # x0' = x0 + x1 from (0, 1): the trend (1, 0) moves x0, which b reads
+    with pytest.raises(ValueError, match="no autonomous rescaling"):
+        _example("t", {}, (((1.0, (1, 0)), (1.0, (0, 1))), ()), sigma,
+                 np.array([0.0, 1.0]), {}, {})
+    # x0' = x1 - x0 from (1, 1): no trend, but the limit drift there is (1, 0)
+    with pytest.raises(ValueError, match="no autonomous rescaling"):
+        _example("t", {}, (((1.0, (0, 1)), (-1.0, (1, 0))), ()), sigma,
+                 np.ones(2), {}, {})
 
 
 def test_example_sde_simulates():

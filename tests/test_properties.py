@@ -36,7 +36,9 @@ The registry's drifts, limit drifts and Jacobians are generated from
 monomial tables; they must equal the written-out ones of test_examples bit
 for bit, and on random tables the derived limit must be the
 weighted-homogeneous principal part and the Jacobian the drift's
-derivative.
+derivative; a constant term raises in an undriven row and scales away in
+a driven one. The shifted chain's contraction is derived from its start
+x0: center x0 and trend b(x0).
 """
 
 import re
@@ -1213,7 +1215,7 @@ def test_coarsen_rejects_a_factor_that_does_not_divide(n, factor):
 def test_contraction_round_trip(kind, dim, data):
     coords = hnp.arrays(float, dim, elements=st.floats(-1e3, 1e3))
     center = np.zeros(dim) if kind == "diagonal" else data.draw(coords)
-    phi = ContractionFamily(kind, center, data.draw(coords)
+    phi = ContractionFamily(center, data.draw(coords)
                             if kind == "affine_detrended" else None)
     y = data.draw(coords)
     alpha = np.exp(data.draw(hnp.arrays(float, dim,
@@ -1326,6 +1328,38 @@ def test_unreachable_coordinates_raise(table, data):
         derive_rescaling(PolynomialDrift(len(rows), rows), sigma)
     named = re.search(r"coordinates \[([\d, ]+)\]", str(info.value))[1]
     assert set(lost) <= {int(i) for i in named.split(",")}
+
+
+@SETTINGS
+@given(monomial_tables(), st.data())
+def test_constant_terms_raise_in_undriven_rows_only(table, data):
+    rows, sigma = table
+    d = len(rows)
+    index, _ = derive_rescaling(PolynomialDrift(d, rows), sigma)
+    lifted = data.draw(st.sets(st.integers(0, d - 1), min_size=1))
+    rows = [row + [(1.0, (0,) * d)] if i in lifted else row
+            for i, row in enumerate(rows)]
+    undriven = sorted(i for i in lifted if not sigma[i].any())
+    if undriven:
+        with pytest.raises(ValueError,
+                           match=f"coordinate {undriven[0]} has a constant"):
+            derive_rescaling(PolynomialDrift(d, rows), sigma)
+    else:
+        # a driven row's constant scales away: same index, no constant kept
+        again, limit = derive_rescaling(PolynomialDrift(d, rows), sigma)
+        assert again == index
+        assert all(any(e) for row in limit.rows for _, e in row)
+
+
+@SETTINGS
+@given(hnp.arrays(float, 2, elements=st.floats(-1e6, 1e6)))
+def test_shifted_contraction_is_derived_from_x0(x0):
+    # center x0 and trend b(x0) = (x0[1], 0), whose kind describe reports
+    phi = get_example("shifted_kolmogorov", x0=x0).contraction
+    assert np.array_equal(phi.center, x0)
+    assert np.array_equal(phi.drift_vector, [x0[1], 0.0])
+    assert phi.kind == ("affine_detrended" if x0[1] else
+                        "shifted_diagonal" if x0[0] else "diagonal")
 
 
 @SETTINGS

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lillab.examples import get_example
 from lillab.scaling import (EPS_CEILING, AsymptoticIndex, ContractionFamily,
-                            check_asymptotic_index, check_contraction_family,
-                            default_family_probes, driving_scale, eval_index,
+                            PolynomialDrift, check_asymptotic_index,
+                            check_contraction_family, default_family_probes,
+                            derive_rescaling, driving_scale, eval_index,
                             power_log_from_log, power_log_value, rate_scale,
                             rescale_path, rescaled_sde_system,
                             transformed_coefficients)
@@ -73,20 +75,20 @@ def test_index_ceiling_enforced():
 
 
 def test_contraction_center_fixed_point():
-    phi = ContractionFamily("shifted_diagonal", np.array([0.5, -1.0]))
+    phi = ContractionFamily(np.array([0.5, -1.0]))
     for alpha in ([1.0, 1.0], [0.2, 3.0], [1e-4, 1e-2]):
         out = phi.apply(np.array(alpha), phi.center)
         assert np.allclose(out, phi.center, atol=0)
 
 
 def test_contraction_identity_at_unit_index():
-    phi = ContractionFamily("diagonal", np.zeros(3))
+    phi = ContractionFamily(np.zeros(3))
     y = np.array([0.3, -1.2, 2.0])
     assert np.array_equal(phi.apply(np.ones(3), y), y)
 
 
 def test_contraction_inverse_round_trip():
-    phi = ContractionFamily("shifted_diagonal", np.array([1.0, 2.0]))
+    phi = ContractionFamily(np.array([1.0, 2.0]))
     rng = np.random.default_rng(3)
     for _ in range(20):
         y = rng.uniform(-3, 3, size=2)
@@ -97,7 +99,7 @@ def test_contraction_inverse_round_trip():
 
 def test_shifted_family_fixes_its_center_not_origin():
     center = np.array([1.0, 2.0])
-    phi = ContractionFamily("shifted_diagonal", center)
+    phi = ContractionFamily(center)
     alpha = np.array([0.1, 0.4])
     assert np.allclose(phi.apply(alpha, center), center)
     assert not np.allclose(phi.apply(alpha, np.zeros(2)), np.zeros(2))
@@ -210,14 +212,59 @@ def test_rescaled_systems_keep_the_trivial_domain(name):
         assert system.domain_contains is trivial_domain
 
 
-def test_transformed_coefficients_rejects_detrended():
+@pytest.mark.parametrize("k", range(2, 13))
+def test_shifted_kolmogorov_coefficients_are_the_limit_pair(k):
+    # the detrended family of a linear drift gives b_eps(y) = v + eps *
+    # b(alpha (y - c)) / alpha = L(y) up to the rounding of eps alpha_1 /
+    # alpha_0, whose relative error grows with |log eps| (alpha is an exp)
+    eps = 10.0 ** -k
     sk = get_example("shifted_kolmogorov")
-    with pytest.raises(ValueError):
-        transformed_coefficients(sk.sde, sk.contraction, sk.index, 1e-3)
+    y = np.random.default_rng(k).uniform(-2.0, 2.0, size=(4096, 2))
+    resc = transformed_coefficients(sk.sde, sk.contraction, sk.index, eps)
+    ulps = 4 + abs(math.log(eps))
+    limit = sk.limit_problem
+    assert np.all(np.abs(resc.drift(y) - limit.limit_drift(y))
+                  <= ulps * np.spacing(3.0))
+    assert np.all(np.abs(resc.diffusion(y) - limit.constant_diffusion)
+                  <= ulps * np.spacing(1.0))
+
+
+def test_transformed_coefficients_rejects_a_trend_it_cannot_transform():
+    sk = get_example("shifted_kolmogorov")
+    quad = get_example("quadratic")
+    ik3 = get_example("iterated_kolmogorov", d=3)
+    cases = [
+        # a nonlinear drift, with b(c) = v = (-1, 0) at c = (0, 1)
+        (quad, ContractionFamily(np.array([0.0, 1.0]), np.array([-1.0, 0.0]))),
+        # a domain
+        (replace(sk, sde=replace(sk.sde, domain_contains=lambda x:
+                                 x[..., 0] < 5.0)), sk.contraction),
+        # v != b(c)
+        (sk, ContractionFamily(np.ones(2), np.array([2.0, 0.0]))),
+        # b(c) = v = (0, 1, 0), but x0' = x1 reads the coordinate v moves
+        (ik3, ContractionFamily(np.array([0.0, 0.0, 1.0]),
+                                np.array([0.0, 1.0, 0.0]))),
+    ]
+    for example, phi in cases:
+        assert np.any(phi.drift_vector)
+        with pytest.raises(ValueError, match="a trend needs"):
+            transformed_coefficients(example.sde, phi, example.index, 1e-3)
+
+
+def test_a_constant_term_in_an_undriven_row_raises():
+    # x0' = 1 + x1 with x1 driven: eps * 1 / alpha_0 grows like eps^(-1/2)
+    drift = PolynomialDrift(2, (((1.0, (0, 0)), (1.0, (0, 1))), ()))
+    with pytest.raises(ValueError, match="coordinate 0 has a constant"):
+        derive_rescaling(drift, np.array([[0.0], [1.0]]))
+    # in a driven row it scales away: eps / sqrt(eps loglog) -> 0
+    drift = PolynomialDrift(2, (((1.0, (0, 1)),), ((1.0, (0, 0)),)))
+    index, limit = derive_rescaling(drift, np.array([[0.0], [1.0]]))
+    assert index.exponents == ((3, 1), (1, 1))
+    assert limit.rows == (((1.0, (0, 1)),), ())
 
 
 def test_family_checker_accepts_diagonal():
-    phi = ContractionFamily("diagonal", np.zeros(2))
+    phi = ContractionFamily(np.zeros(2))
     samples, alphas = default_family_probes(2, seed=1)
     report = check_contraction_family(phi, samples, alphas)
     assert report.passed

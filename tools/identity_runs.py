@@ -121,6 +121,8 @@ RUNS = [
     ("examples_describe_lorenz96_stdout", ["examples", "describe", "lorenz96"]),
     ("examples_describe_ik3", ["examples", "describe", "iterated_kolmogorov",
                                "--d", "3"]),
+    ("examples_describe_shifted", ["examples", "describe",
+                                   "shifted_kolmogorov"]),
     ("examples_describe_bad_parameter", ["examples", "describe",
                                          "iterated_kolmogorov", "--d", "1"]),
     ("examples_describe_unknown", ["examples", "describe", "nosuch"]),
