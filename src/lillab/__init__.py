@@ -3,9 +3,9 @@ degenerate stochastic systems: simulation, rescaling, variational limit
 objects, Monte Carlo scale sweeps, and boundary regularity certificates."""
 
 from .sde import (DEATH, ExplosivePath, LinearSpec, NoisePath, NumericalFailure,
-                  SdeSystem, brownian_path, path_distance, path_from_csv,
-                  path_from_json_dict, path_texts, path_to_csv,
-                  path_to_json_dict, simulate_sde)
+                  PolynomialDrift, SdeSystem, brownian_path, path_distance,
+                  path_from_csv, path_from_json_dict, path_texts,
+                  path_to_csv, path_to_json_dict, simulate_sde)
 from .scaling import (AsymptoticIndex, ContractionFamily, PropertyReport,
                       check_asymptotic_index, check_contraction_family,
                       driving_scale, eval_index, power_log_value, rate_scale,

@@ -2,9 +2,11 @@
 
 Controls are piecewise-constant derivatives u = df/dt on a uniform grid over
 [0, 1] with energy (1/2) int |u|^2. The limit ODE dg = limit_drift(g) dt +
-sigma u(t) dt, with a constant (d, k) matrix sigma, maps a control to a
-path; the energy recovery map inverts it per grid cell by least squares and
-prices unreachable paths at infinity.
+sigma u(t) dt, with a polynomial limit drift given as a monomial table and
+a constant (d, k) matrix sigma, maps a control to a path; the energy
+recovery map inverts it per grid cell by least squares and prices
+unreachable paths at infinity. The adjoint reads the drift's Jacobian from
+the same table.
 
 One windowed RK4 sweep (_rk4_window) integrates the control ODE for every
 caller, one step per control cell: it evaluates the stages of a whole window
@@ -21,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sde import (ExplosivePath, NumericalFailure, _expect_shape, _philox,
+from .sde import (ExplosivePath, NumericalFailure, PolynomialDrift, _philox,
                   _row_path, alive, trivial_domain)
 
 # The paper's unit energy ball {(1/2) int |u|^2 <= MAX_ENERGY}.
@@ -101,18 +103,14 @@ class ControlGrid:
 class LimitOdeProblem:
     """Deterministic control ODE dg = limit_drift(g) dt + sigma u dt.
 
-    limit_drift maps (..., d) -> (..., d) and drift_jacobian (..., d) ->
-    (..., d, d); constant_diffusion is sigma, a (d, k) array. Callbacks must
-    broadcast over leading axes: the integrator calls them on states
-    (w, B, d), a window of w cells of B rows, and raises ValueError at the
-    first stage when the result is not (w, B, d) or (w, B, d, d).
-    domain_contains maps (..., d) to bools (...) and is checked the same
-    way (see sde.alive). t_star <= 1 bounds the usable horizon. The state
-    dimension d is read from x0 and the control dimension k from sigma.
+    limit_drift is a PolynomialDrift on R^d, whose jacobian the adjoint
+    uses; constant_diffusion is sigma, a (d, k) array. domain_contains maps
+    (..., d) to bools (...) and raises ValueError on another shape (see
+    sde.alive). t_star <= 1 bounds the usable horizon. The state dimension
+    d is read from x0 and the control dimension k from sigma.
     """
 
-    limit_drift: Callable
-    drift_jacobian: Callable
+    limit_drift: PolynomialDrift
     constant_diffusion: np.ndarray
     x0: np.ndarray
     domain_contains: Callable[[np.ndarray], np.ndarray] = trivial_domain
@@ -121,7 +119,10 @@ class LimitOdeProblem:
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
         sig = np.asarray(self.constant_diffusion, dtype=float)
-        if x0.ndim != 1:
+        if not isinstance(self.limit_drift, PolynomialDrift):
+            raise TypeError("limit_drift must be a PolynomialDrift (a "
+                            "monomial table)")
+        if x0.shape != (self.limit_drift.d,):
             raise ValueError("x0 must be a state vector of shape (d,)")
         if sig.ndim != 2 or sig.shape[0] != x0.shape[0]:
             raise ValueError("constant_diffusion shape must be (d, k)")
@@ -160,9 +161,7 @@ def _control_rhs(problem: LimitOdeProblem, u: np.ndarray):
     forcing = u @ problem.constant_diffusion.T
 
     def rhs(stage, y):
-        b = np.asarray(problem.limit_drift(y), dtype=float)
-        _expect_shape("limit_drift", b, y.shape)
-        return b + forcing
+        return problem.limit_drift(y) + forcing
 
     return rhs
 
@@ -233,8 +232,8 @@ def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
     first_dead = len(widths) + 1. Dead rows are not stepped again. A window
     that does not settle within d + 1 passes (a drift that is not nilpotent)
     advances by its exact cells, and the rest of the call steps one cell per
-    window. Raises ValueError for an x0 that is not alive and for callbacks
-    that return the wrong shape.
+    window. Raises ValueError for an x0 that is not alive and for a
+    domain_contains that returns the wrong shape.
     """
     if not alive(problem.x0, problem.domain_contains):
         raise ValueError("x0 outside the domain")
@@ -328,8 +327,7 @@ def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath,
     g = path.states[:end]
     h = np.diff(path.times[:end])[:, None]
     mid = 0.5 * (g[:-1] + g[1:])
-    b = np.asarray(problem.limit_drift(mid), dtype=float)
-    _expect_shape("limit_drift", b, mid.shape)
+    b = problem.limit_drift(mid)
     sig = problem.constant_diffusion
     sig_pinv = np.linalg.pinv(sig, rcond=1e-12)
     u = (np.diff(g, axis=0) / h - b) @ sig_pinv.T

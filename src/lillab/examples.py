@@ -16,31 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .controls import LimitOdeProblem, ControlGrid, linear_kernel_oracle
 from .extremals import RunningMaxAbsFunctional, TerminalLinearFunctional
-from .scaling import (AsymptoticIndex, ContractionFamily, PolynomialDrift,
-                      derive_rescaling, transformed_coefficients)
-from .sde import LinearSpec, SdeSystem, _philox
-
-
-def _const_diffusion(sigma: np.ndarray) -> Callable:
-    """sigma broadcast over the batch axes of y, as a read-only view cached
-    per batch shape (euler_batch asks for it once per step)."""
-    sigma = np.asarray(sigma, dtype=float)
-
-    @lru_cache(maxsize=8)
-    def view(batch_shape):
-        return np.broadcast_to(sigma, batch_shape + sigma.shape)
-
-    def diffusion(y):
-        return view(np.shape(y)[:-1])
-
-    return diffusion
+from .scaling import (AsymptoticIndex, ContractionFamily, derive_rescaling,
+                      transformed_coefficients)
+from .sde import PolynomialDrift, SdeSystem, _philox
 
 
 def _unit_column(d: int, j: int) -> np.ndarray:
@@ -77,35 +61,29 @@ class ExampleSystem:
 def _example(name: str, params: dict, rows, sigma: np.ndarray, x0,
              functionals: dict, reference: dict, **extra) -> ExampleSystem:
     """The example dx = b(x) dt + sigma dW from x0, b the monomial table
-    rows: its LinearSpec when b is linear, the index and limit drift L of
-    dy = L(y) dt + sigma u dt from derive_rescaling, worked out at 0 (so
-    only a linear b may start elsewhere), and the contraction around x0
-    with the trend v = b(x0). Its rescaled coefficients are autonomous and
-    tend to (L, sigma) only if v = L(x0) and b reads no coordinate that v
-    moves; otherwise ValueError. extra goes to ExampleSystem."""
-    d = len(rows)
-    drift = PolynomialDrift(d, rows)
+    rows: the index and limit drift L of dy = L(y) dt + sigma u dt from
+    derive_rescaling, worked out at 0 (so only a linear b may start
+    elsewhere), and the contraction around x0 with the trend v, b(x0) in
+    the rows without noise and 0 in the others (a driven row's constant
+    scales away). Its rescaled coefficients are autonomous and tend to
+    (L, sigma) only if v = L(x0) and b reads no coordinate that v moves;
+    otherwise ValueError. extra goes to ExampleSystem."""
+    drift = PolynomialDrift(len(rows), rows)
     if np.any(x0) and drift.matrix is None:
         raise ValueError(f"{name}: a nonlinear drift is rescaled at 0 only")
     index, limit_drift = derive_rescaling(drift, sigma)
-    trend = drift(x0)
+    trend = np.where(np.any(sigma != 0.0, axis=1), 0.0, drift(x0))
     if (np.any(trend != limit_drift(x0))
             or np.any(drift.jacobian(x0)[:, trend != 0.0])):
         raise ValueError(f"{name}: no autonomous rescaling from x0: the "
-                         f"trend b(x0) = {trend} must be the limit drift "
-                         "there and move no coordinate that b reads")
-    sde = SdeSystem(dim_state=d, dim_noise=sigma.shape[1], drift=drift,
-                    diffusion=_const_diffusion(sigma),
-                    linear=(None if drift.matrix is None
-                            else LinearSpec(drift.matrix, sigma)))
-    limit = LimitOdeProblem(limit_drift=limit_drift,
-                            drift_jacobian=limit_drift.jacobian,
-                            constant_diffusion=sigma, x0=x0)
+                         f"trend {trend} (b(x0) in the rows without noise) "
+                         "must be the limit drift there and move no "
+                         "coordinate that b reads")
     return ExampleSystem(
-        name=name, params=params, sde=sde,
+        name=name, params=params, sde=SdeSystem(drift, sigma),
         contraction=ContractionFamily(x0, trend), index=index,
-        limit_problem=limit, functionals=functionals, reference=reference,
-        **extra)
+        limit_problem=LimitOdeProblem(limit_drift, sigma, x0),
+        functionals=functionals, reference=reference, **extra)
 
 
 def ik_reference_constant(d: int) -> float:
@@ -315,7 +293,7 @@ def coefficient_deviation(example: ExampleSystem, eps: float,
     limit = example.limit_problem
     y = np.asarray(points, dtype=float)
     drift_dev = np.max(np.abs(res.drift(y) - limit.limit_drift(y)))
-    diff_dev = np.max(np.abs(res.diffusion(y) - limit.constant_diffusion))
+    diff_dev = np.max(np.abs(res.sigma - limit.constant_diffusion))
     return {"eps": eps, "drift_deviation": float(drift_dev),
             "diffusion_deviation": float(diff_dev)}
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .controls import (MAX_ENERGY, ControlGrid, LimitOdeProblem, _integrate,
                        _node_states, _rk4_window, _window_cells)
-from .sde import ExplosivePath, _expect_shape
+from .sde import ExplosivePath
 
 _FD_STEP = 1e-6       # relative step of the central differences
 _TOL_VALUE = 1e-12    # relative gain below which an iteration stalls
@@ -109,13 +109,7 @@ class RunningMaxAbsFunctional(_NodeFunctional):
 
 
 # ---------------------------------------------------------------------------
-# Functional values and drift Jacobians on batches
-
-def _jacobian_batch(problem, y):
-    jac = np.asarray(problem.drift_jacobian(y), dtype=float)
-    _expect_shape("drift_jacobian", jac, y.shape + (problem.dim_state,))
-    return jac
-
+# Functional values on batches
 
 def _functional_values(problem, functional, u_batch):
     """Functional values for a batch of controls; nan on dead rows.
@@ -163,8 +157,8 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
     while end > 0:
         lo = max(0, end - cap)
         g = traj[lo : end + 1][::-1]
-        jac = _jacobian_batch(problem, g)
-        j_mid = _jacobian_batch(problem, 0.5 * (g[:-1] + g[1:]))
+        jac = problem.limit_drift.jacobian(g)
+        j_mid = problem.limit_drift.jacobian(0.5 * (g[:-1] + g[1:]))
         stage_jac = (jac[:-1], j_mid, j_mid, jac[1:])
         nodes, done = _rk4_window(
             lambda stage, y: np.einsum("...ij,...i->...j", stage_jac[stage], y),

@@ -153,7 +153,7 @@ def _range_basis(sigma: np.ndarray) -> np.ndarray:
 def sphere_criterion(system: SdeSystem, domain: DomainSpec, x,
                      tolerance: float = 1e-6,
                      boundary_tolerance: float = 1e-8) -> RegularityVerdict:
-    """Exterior sphere test: regular iff range(sigma(x)) crosses the normal.
+    """Exterior sphere test: regular iff range(sigma) crosses the normal.
 
     The caller asserts the exterior sphere condition at x (automatic for
     convex domains).  The test projects the outward unit normal onto the
@@ -162,7 +162,7 @@ def sphere_criterion(system: SdeSystem, domain: DomainSpec, x,
     """
     x = np.asarray(x, dtype=float)
     n = _boundary_normal(domain, x, boundary_tolerance)
-    basis = _range_basis(np.asarray(system.diffusion(x), dtype=float))
+    basis = _range_basis(system.sigma)
     score = float(np.linalg.norm(basis.T @ n))
     verdict = "regular" if score > tolerance else "inconclusive"
     return RegularityVerdict(
@@ -179,7 +179,7 @@ def cone_criterion(system: SdeSystem, domain: DomainSpec, x,
     """Exterior cone test via a max-margin linear program.
 
     cone_basis columns span Cone(x; x_1..x_d) = {x + sum lambda_i x_i,
-    lambda >= 0}.  Regular iff some w in range(sigma(x)) equals B lambda
+    lambda >= 0}.  Regular iff some w in range(sigma) equals B lambda
     with strictly positive coordinates; the LP maximizes min_i lambda_i
     under the scale normalization sum lambda = 1 and the verdict needs the
     attained margin >= tolerance (margins are O(1) after normalization, so
@@ -208,7 +208,7 @@ def cone_criterion(system: SdeSystem, domain: DomainSpec, x,
     if np.any(_implicit_values(domain, probes) < -boundary_tolerance):
         raise ValueError("cone ray enters the domain; not an exterior cone")
 
-    range_basis = _range_basis(np.asarray(system.diffusion(x), dtype=float))
+    range_basis = _range_basis(system.sigma)
     rank = range_basis.shape[1]
     if rank == 0:
         return RegularityVerdict(
@@ -289,20 +289,15 @@ def _energy_certificate(problem: LimitOdeProblem, z: np.ndarray,
                         t: float) -> Optional[dict]:
     """Unreachability bound for drift-free coordinates.
 
-    If coordinate i has limit_drift_i identically zero (probed on a sample
-    cloud) then x_i(t) - x0_i = int_0^t (sigma u)_i ds, and Cauchy-Schwarz
-    with the energy bound (1/2) int |u|^2 <= 1 gives
-    |x_i(t) - x0_i| <= |sigma_i| sqrt(2 t).  A target beyond that band is
-    unreachable regardless of optimizer outcome.
+    If coordinate i has no monomial in the limit drift's table then
+    x_i(t) - x0_i = int_0^t (sigma u)_i ds, and Cauchy-Schwarz with the
+    energy bound (1/2) int |u|^2 <= 1 gives |x_i(t) - x0_i| <= |sigma_i|
+    sqrt(2 t).  A target beyond that band is unreachable regardless of
+    optimizer outcome.
     """
     sigma = problem.constant_diffusion
-    rng = _philox(981127, 3)
-    cloud = rng.uniform(-2.0, 2.0, size=(128, problem.dim_state))
-    cloud = np.vstack([cloud, problem.x0[None, :], z[None, :]])
-    sup = np.max(np.abs(np.asarray(problem.limit_drift(cloud), dtype=float)),
-                 axis=0)
-    for i in range(problem.dim_state):
-        if sup[i] > 1e-12:
+    for i, row in enumerate(problem.limit_drift.rows):
+        if row:
             continue
         bound = float(np.linalg.norm(sigma[i])) * math.sqrt(2.0 * t)
         gap = abs(float(z[i] - problem.x0[i]))

@@ -5,20 +5,21 @@ a positive multi-index alpha, after removing a linear trend; an asymptotic
 index turns the time scale eps into the spatial multi-index alpha = psi(eps).
 Together they map a path x on [0, eps] to the rescaled path
 y_t = Phi_{psi(eps)}(x_{eps t}) on [0, 1], and an SDE to its rescaled
-coefficient family. For a polynomial drift, derive_rescaling finds the index
+coefficient family, itself a table system: each monomial is rescaled by
+its coefficient, and sigma by a row scale. derive_rescaling finds the index
 and the limit drift from the drift's monomials.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
-from .sde import ExplosivePath, SdeSystem, _philox, trivial_domain
+from .sde import (ExplosivePath, PolynomialDrift, SdeSystem, _philox,
+                  trivial_domain)
 
 # Validity ceiling for index evaluation: keeps the iterated logarithm
 # strictly above 1 so every power-log coordinate stays monotone near the edge.
@@ -87,95 +88,25 @@ class AsymptoticIndex:
 
 
 def eval_index(psi: AsymptoticIndex, eps: float) -> np.ndarray:
-    """Evaluate the multi-index at eps inside the validity window."""
+    """Evaluate the multi-index at eps inside the validity window.
+
+    Raises ValueError when a coordinate underflows below the smallest
+    normal float (np.finfo(float).tiny): a subnormal or zero alpha loses
+    its digits, and the rescaling divides by it.
+    """
     if not 0.0 < eps <= psi.eps_star:
         raise ValueError(
             f"eps={eps:g} outside validity window (0, {psi.eps_star:g}]"
         )
     log_eps = math.log(eps)
-    return np.array([power_log_from_log(l, k, log_eps) for l, k in psi.exponents])
-
-
-class PolynomialDrift:
-    """A polynomial vector field b on R^d, given as a table of monomials.
-
-    rows[i] is a tuple of (coef, exponents) pairs, and b_i(x) is the sum of
-    coef * prod_j x_j ** exponents[j] over them. Calling it maps states
-    (..., d) to (..., d); jacobian maps (..., d) to (..., d, d). matrix is
-    A when every monomial has degree 1 (b(x) = A x), else None.
-    """
-
-    def __init__(self, d: int, rows):
-        self.d = d
-        self.rows = tuple(tuple((float(c), tuple(int(m) for m in e))
-                                for c, e in row) for row in rows)
-        self._evaluate, self.jacobian, self.matrix = _compile(d, self.rows)
-
-    def __call__(self, x):
-        return self._evaluate(x)
-
-
-def _sum_source(terms) -> str:
-    """Source of the sum of coef * x^exps over terms, left to right, each
-    power a repeated product. The variable most terms share, when two or
-    more do, is pulled out of them at the place of the first, as in
-    (x1 - x3) * x4 - x0: the expression one would write, with its bits."""
-    shared = [sum(1 for _, e in terms if e[j])
-              for j in range(len(terms[0][1]))]
-    j = shared.index(max(shared))
-    pieces, group = [], []
-    for c, e in terms:
-        if shared[j] > 1 and e[j]:
-            if not group:
-                pieces.append(None)
-            group.append((c, e[:j] + (e[j] - 1,) + e[j + 1:]))
-            continue
-        factors = [f"x{i}" for i, m in enumerate(e) for _ in range(m)]
-        if abs(c) != 1.0 or not factors:
-            factors.insert(0, repr(abs(c)))
-        pieces.append((c < 0, " * ".join(factors)))
-    pieces = [(False, f"({_sum_source(group)}) * x{j}") if p is None else p
-              for p in pieces]
-    return ("-" if pieces[0][0] else "") + pieces[0][1] + "".join(
-        (" - " if neg else " + ") + text for neg, text in pieces[1:])
-
-
-def _function_source(name: str, alloc: str, entries) -> str:
-    """def name(x) that assigns each (target, terms) entry into out."""
-    used = sorted({j for _, terms in entries for _, e in terms
-                   for j, m in enumerate(e) if m})
-    return "\n    ".join(
-        [f"def {name}(x):", "x = np.asarray(x, dtype=float)"]
-        + [f"x{j} = x[..., {j}]" for j in used] + [f"out = {alloc}"]
-        + [f"out[{t}] = {_sum_source(terms)}" for t, terms in entries]
-        + ["return out"]) + "\n"
-
-
-@lru_cache(maxsize=64)
-def _compile(d: int, rows: tuple):
-    """(evaluate, jacobian, A) of a monomial table, run as straight-line
-    source generated once per table (as dataclasses writes __init__): an
-    interpreted loop over the terms costs 3-4x as much per call on
-    lorenz96. A linear table's Jacobian is a read-only broadcast view of
-    its A."""
-    source = _function_source(
-        "evaluate", "np.empty_like(x)" if all(rows) else "np.zeros_like(x)",
-        [(f"..., {i}", row) for i, row in enumerate(rows) if row])
-    source += _function_source("jacobian", f"np.zeros(x.shape + ({d},))", [
-        (f"..., {i}, {j}", terms) for i, row in enumerate(rows)
-        for j in range(d)
-        if (terms := [(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
-                      for c, e in row if e[j]])])
-    space = {"np": np}
-    exec(source, space)
-    evaluate, jacobian, a = space["evaluate"], space["jacobian"], None
-    if all(sum(e) == 1 for row in rows for _, e in row):
-        a = jacobian(np.zeros(d))
-        a.flags.writeable = False
-
-        def jacobian(x):
-            return np.broadcast_to(a, np.shape(x) + (d,))
-    return evaluate, jacobian, a
+    alpha = np.array([power_log_from_log(l, k, log_eps)
+                      for l, k in psi.exponents])
+    small = np.flatnonzero(alpha < np.finfo(float).tiny)
+    if small.size:
+        raise ValueError(
+            f"alpha underflows at eps={eps:g}: coordinate {small[0]} is "
+            f"{alpha[small[0]]:g}, below the smallest normal float")
+    return alpha
 
 
 def derive_rescaling(drift: PolynomialDrift, sigma):
@@ -300,80 +231,79 @@ def rescale_path(path: ExplosivePath, phi: ContractionFamily,
 
 def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
                              psi: AsymptoticIndex, eps: float) -> SdeSystem:
-    """Coefficient family (b_eps, sigma_eps) of the rescaled process.
+    """Rescaled coefficient family (b_eps, sigma_eps), as a table system.
 
     For an affine contraction the generator term reduces to first order, so
     at x = Phi^{-1}(y) = c + alpha (y - c), row by row with alpha = psi(eps),
 
-        b_eps(y)     = eps * drift(x) / alpha
-        sigma_eps(y) = sqrt(eps * loglog(1/eps)) * diffusion(x) / alpha.
+        b_eps(y)  = eps * b(x) / alpha
+        sigma_eps = sqrt(eps * loglog(1/eps)) * sigma / alpha.
 
     The rescaled SDE is driven by sigma_eps / sqrt(loglog(1/eps)); see
-    rescaled_sde_system. A trend v keeps the family autonomous only for a
-    linear drift b with b(c) = v that reads no coordinate v moves, on a
-    trivial domain; then b_eps(y) = v + eps * drift(alpha (y - c)) / alpha,
-    the increment of b (forming b(x) - v cancels to 1e-12 at eps = 1e-8).
-    Any other trend raises ValueError. A trivial domain stays trivial, so
-    sde.alive skips the domain call.
+    rescaled_sde_system. Around c = 0 with no trend, each monomial
+    coef * x^m of b_i becomes (coef * eps * alpha^m / alpha_i) * y^m. A
+    center or a trend v needs an affine b(x) = b(0) + A x, and then
+    b_eps(y) = v + eps * (b(c) - v) / alpha + eps * A alpha (y - c) / alpha:
+    the scaled A and one constant per row (forming v + eps * (b(x) - v) /
+    alpha instead cancels to 1e-12 at eps = 1e-8). The constant eps *
+    (b_i(c) - v_i) / alpha_i tends to 0 in a row with noise (Brownian
+    motion with drift); elsewhere it grows like eps^(1 - l_i/2), so b(c) != v
+    there raises ValueError, as do a nonlinear b with a center or trend and
+    a trend that moves a coordinate b reads or lies on a non-trivial domain.
+    A trivial domain stays trivial (sde.alive skips its call); any other is
+    evaluated at Phi^{-1}(y).
     """
     alpha = eval_index(psi, eps)
+    center, trend, drift = phi.center, phi.drift_vector, system.drift
+    gap = drift(center) - trend
+    off = np.flatnonzero((gap != 0.0) & ~np.any(system.sigma != 0.0, axis=1))
+    if off.size:
+        raise ValueError(f"the trend must be b(center) in the rows without "
+                         f"noise; coordinates {off.tolist()} differ")
+
+    def scaled(i, coef, exps):
+        # eps / alpha_i is finite (alpha >= tiny), and factors alpha_j < 1
+        # only shrink it toward the term's scale: no spurious overflow
+        out = coef * (eps / alpha[i])
+        for j, m in enumerate(exps):
+            for _ in range(m):
+                out *= alpha[j]
+        return out
+
+    rows = [[(scaled(i, c, e), e) for c, e in row]
+            for i, row in enumerate(drift.rows)]
+    if np.any(center) or np.any(trend):
+        if any(sum(e) > 1 for row in drift.rows for _, e in row):
+            raise ValueError("a center or a trend needs an affine drift")
+        if np.any(trend) and (
+                system.domain_contains is not trivial_domain
+                or np.any(drift.jacobian(center)[:, trend != 0.0])):
+            raise ValueError("a trend needs a trivial domain and a drift "
+                             "that reads no coordinate the trend moves")
+        shift = trend + eps * gap / alpha
+        rows = [[(c, e) for c, e in row if any(e)] for row in rows]
+        for i, row in enumerate(rows):
+            const = shift[i] - sum(c * center[e.index(1)] for c, e in row)
+            if const:
+                row.append((const, (0,) * drift.d))
+    domain = system.domain_contains
+    if domain is not trivial_domain:
+        center_alpha = center * alpha
+
+        def domain(y):
+            return system.domain_contains(
+                center + np.asarray(y, dtype=float) * alpha - center_alpha)
+
     noise_gain = math.sqrt(eps * rate_scale(eps))
-    center, trend = phi.center, phi.drift_vector
-    center_alpha = center * alpha
-
-    def pullback(y):
-        return center + np.asarray(y, dtype=float) * alpha - center_alpha
-
-    if not np.any(trend):
-        def b_eps(y):
-            return eps * np.asarray(system.drift(pullback(y)),
-                                    dtype=float) / alpha
-    elif (system.linear is None or system.domain_contains is not trivial_domain
-          or np.any(system.drift(center) != trend)
-          or np.any(system.linear.a_matrix[:, trend != 0.0])):
-        raise ValueError("a trend needs a linear drift b on a trivial domain "
-                         "with b(center) = trend that reads no coordinate "
-                         "the trend moves")
-    else:
-        def b_eps(y):
-            x = (np.asarray(y, dtype=float) - center) * alpha
-            return trend + eps * np.asarray(system.drift(x),
-                                            dtype=float) / alpha
-
-    def sigma_eps(y):
-        sig = np.asarray(system.diffusion(pullback(y)), dtype=float)
-        return noise_gain * sig / alpha[:, None]
-
-    def domain(y):
-        return system.domain_contains(pullback(y))
-
-    return SdeSystem(
-        dim_state=system.dim_state,
-        dim_noise=system.dim_noise,
-        drift=b_eps,
-        diffusion=sigma_eps,
-        domain_contains=(trivial_domain
-                         if system.domain_contains is trivial_domain
-                         else domain),
-    )
+    return SdeSystem(PolynomialDrift(drift.d, rows),
+                     noise_gain * system.sigma / alpha[:, None], domain)
 
 
 def rescaled_sde_system(system: SdeSystem, phi: ContractionFamily,
                         psi: AsymptoticIndex, eps: float) -> SdeSystem:
-    """Simulatable rescaled system: diffusion sigma_eps damped by 1/sqrt(loglog)."""
+    """Simulatable rescaled system: sigma_eps damped by 1/sqrt(loglog)."""
     base = transformed_coefficients(system, phi, psi, eps)
-    damp = driving_scale(eps)
-
-    def sigma(y):
-        return damp * base.diffusion(y)
-
-    return SdeSystem(
-        dim_state=base.dim_state,
-        dim_noise=base.dim_noise,
-        drift=base.drift,
-        diffusion=sigma,
-        domain_contains=base.domain_contains,
-    )
+    return replace(base, sigma=driving_scale(eps) * base.sigma)
 
 
 # ---------------------------------------------------------------------------

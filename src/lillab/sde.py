@@ -1,5 +1,8 @@
 """Explosive SDE systems, driving noise, and path simulation.
 
+A system is data: its drift is a polynomial given as a table of monomials
+(PolynomialDrift) and its noise a constant (d, k) matrix sigma; the state
+and noise dimensions and the linear representation are derived from them.
 State spaces are open subsets of R^d. Paths that leave the domain (or blow up
 to non-finite values) are killed at the first grid point outside and continue
 as a formal death state; distances to a dead time horizon are infinite.
@@ -10,7 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,14 +69,6 @@ def trivial_domain(x) -> bool:
     return True
 
 
-def _expect_shape(name: str, out: np.ndarray, shape: tuple) -> None:
-    if out.shape != shape:
-        raise ValueError(
-            f"{name} returned shape {out.shape}, expected {shape}: callbacks "
-            "must broadcast over leading axes"
-        )
-
-
 def alive(x, domain_contains) -> np.ndarray:
     """Which states x (..., d) are alive, as bools (...).
 
@@ -91,7 +87,10 @@ def alive(x, domain_contains) -> np.ndarray:
     ok = columns.max(axis=0).reshape(states.shape[:-1]) <= OVERFLOW_GUARD
     if domain_contains is not trivial_domain:
         inside = np.asarray(domain_contains(x), dtype=bool)
-        _expect_shape("domain_contains", inside, np.shape(ok))
+        if inside.shape != ok.shape:
+            raise ValueError(
+                f"domain_contains returned shape {inside.shape}, expected "
+                f"{ok.shape}: callbacks must broadcast over leading axes")
         ok = ok & inside
     return ok
 
@@ -253,29 +252,148 @@ def equilibrated_cholesky(cov: np.ndarray):
     raise NumericalFailure("covariance is not positive definite after jitter")
 
 
-@dataclass(frozen=True)
-class SdeSystem:
-    """SDE dx = drift(x) dt + diffusion(x) dB on an open domain of R^d.
+class PolynomialDrift:
+    """A polynomial vector field b on R^d, given as a table of monomials.
 
-    drift maps (..., d) -> (..., d) and diffusion (..., d) -> (..., d, k).
-    Callbacks must broadcast over leading axes: the Euler kernel calls them
-    on a batch (B, d) of states and raises ValueError at the first step when
-    the result is not (B, d) or (B, d, k). domain_contains maps (..., d)
-    to bools (...), True on the open set where the dynamics live, and is
-    checked the same way (see alive). The Euler kernel may call all three
-    on a row's states after its death, up to the end of the block of nodes
-    it classifies at once (see euler_batch), so they must not raise on
-    states outside the domain or non-finite ones; floating-point warnings
-    are suppressed there. linear carries the affine representation when one
-    exists (enables the exact transition sampler).
+    rows[i] is a tuple of (coef, exponents) pairs, and b_i(x) is the sum of
+    coef * prod_j x_j ** exponents[j] over them. Calling it maps states
+    (..., d) to (..., d); jacobian maps (..., d) to (..., d, d). matrix is
+    A when every monomial has degree 1 (b(x) = A x), else None. A
+    coefficient that is not finite raises ValueError.
     """
 
-    dim_state: int
-    dim_noise: int
-    drift: Callable[[np.ndarray], np.ndarray]
-    diffusion: Callable[[np.ndarray], np.ndarray]
+    def __init__(self, d: int, rows):
+        self.d = d
+        self.rows = tuple(tuple((float(c), tuple(int(m) for m in e))
+                                for c, e in row) for row in rows)
+        if not all(math.isfinite(c) for row in self.rows for c, _ in row):
+            raise ValueError("monomial coefficients must be finite")
+        self._evaluate, self.jacobian, self.matrix = _compile(d, self.rows)
+
+    def __call__(self, x):
+        return self._evaluate(x)
+
+
+def _sum_source(terms, names) -> str:
+    """Source of the sum of coef * x^exps over (coef, exps, tag) terms, left
+    to right, each power a repeated product. The variable most terms share,
+    when two or more do, is pulled out of them at the place of the first,
+    as in (x1 - x3) * x4 - x0: the expression one would write, with its
+    bits. A non-unit coefficient is k<n>, n its tag's place in names."""
+    shared = [sum(1 for _, e, _ in terms if e[j])
+              for j in range(len(terms[0][1]))]
+    j = shared.index(max(shared))
+    pieces, group = [], []
+    for c, e, tag in terms:
+        if shared[j] > 1 and e[j]:
+            if not group:
+                pieces.append(None)
+            group.append((c, e[:j] + (e[j] - 1,) + e[j + 1:], tag))
+            continue
+        factors = [f"x{i}" for i, m in enumerate(e) for _ in range(m)]
+        if abs(c) != 1.0 or not factors:
+            factors.insert(0, f"k{len(names)}")
+            names.append(tag)
+        pieces.append((c < 0, " * ".join(factors)))
+    pieces = [(False, f"({_sum_source(group, names)}) * x{j}")
+              if p is None else p for p in pieces]
+    return ("-" if pieces[0][0] else "") + pieces[0][1] + "".join(
+        (" - " if neg else " + ") + text for neg, text in pieces[1:])
+
+
+def _function_source(name: str, alloc: str, entries, names) -> str:
+    """def name(x) in make, assigning each (target, terms) entry to out."""
+    used = sorted({j for _, terms in entries for _, e, _ in terms
+                   for j, m in enumerate(e) if m})
+    return "\n        ".join(
+        [f"    def {name}(x):", "x = np.asarray(x, dtype=float)"]
+        + [f"x{j} = x[..., {j}]" for j in used] + [f"out = {alloc}"]
+        + [f"out[{t}] = {_sum_source(terms, names)}" for t, terms in entries]
+        + ["return out"]) + "\n"
+
+
+@lru_cache(maxsize=64)
+def _factory(d: int, shape: tuple):
+    """(make, tags) of a table shape (rows of (+-1 unit or +-2 other coef,
+    exponents)); make(k0, ...) -> (evaluate, jacobian) is source executed
+    once per shape (as dataclasses writes __init__), so rescaled tables
+    share it. k<n> is |m * coef| of term t of row i for tags[n] = (i, t, m)."""
+    names = []
+    body = _function_source(
+        "evaluate", "np.empty_like(x)" if all(shape) else "np.zeros_like(x)",
+        [(f"..., {i}", [(c, e, (i, t, 1)) for t, (c, e) in enumerate(row)])
+         for i, row in enumerate(shape) if row], names)
+    body += _function_source("jacobian", f"np.zeros(x.shape + ({d},))", [
+        (f"..., {i}, {j}", terms) for i, row in enumerate(shape)
+        for j in range(d)
+        if (terms := [(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:], (i, t, e[j]))
+                      for t, (c, e) in enumerate(row) if e[j]])], names)
+    space = {"np": np}
+    exec(f"def make({', '.join(f'k{n}' for n in range(len(names)))}):\n"
+         f"{body}    return evaluate, jacobian\n", space)
+    return space["make"], names
+
+
+def _compile(d: int, rows: tuple):
+    """(evaluate, jacobian, A) of a monomial table as straight-line source
+    (an interpreted loop over the terms costs 3-4x as much on lorenz96); a
+    linear table's Jacobian is a read-only broadcast view of its A."""
+    make, tags = _factory(d, tuple(
+        tuple(((-1.0 if c < 0 else 1.0) * (1.0 if abs(c) == 1.0 else 2.0), e)
+              for c, e in row) for row in rows))
+    evaluate, jacobian = make(*(abs(rows[i][t][0] * m) for i, t, m in tags))
+    if any(sum(e) != 1 for row in rows for _, e in row):
+        return evaluate, jacobian, None
+    a = jacobian(np.zeros(d))
+    a.flags.writeable = False
+    return evaluate, lambda x: np.broadcast_to(a, np.shape(x) + (d,)), a
+
+
+@dataclass(frozen=True, eq=False)
+class SdeSystem:
+    """SDE dx = drift(x) dt + sigma dB on an open domain of R^d.
+
+    drift is a PolynomialDrift on R^d and sigma a finite (d, k) array, read
+    only once stored; dim_state, dim_noise and linear are derived from
+    them, so a replace of either field keeps them in step. domain_contains
+    maps (..., d) to bools (...), True on the open set where the dynamics
+    live (see alive). The Euler kernel may call drift and domain_contains
+    on a row's states after its death, up to the end of the block of nodes
+    it classifies at once (see euler_batch), so domain_contains must not
+    raise on states outside the domain or non-finite ones; floating-point
+    warnings are suppressed there.
+    """
+
+    drift: PolynomialDrift
+    sigma: np.ndarray
     domain_contains: Callable[[np.ndarray], np.ndarray] = trivial_domain
-    linear: Optional[LinearSpec] = None
+
+    def __post_init__(self):
+        if not isinstance(self.drift, PolynomialDrift):
+            raise TypeError("drift must be a PolynomialDrift")
+        sigma = np.array(self.sigma, dtype=float)
+        if sigma.ndim != 2 or sigma.shape[0] != self.drift.d:
+            raise ValueError(f"sigma must have shape ({self.drift.d}, k), "
+                             f"not {sigma.shape}")
+        if not np.all(np.isfinite(sigma)):
+            raise ValueError("sigma must be finite")
+        sigma.flags.writeable = False
+        object.__setattr__(self, "sigma", sigma)
+
+    @property
+    def dim_state(self) -> int:
+        return self.drift.d
+
+    @property
+    def dim_noise(self) -> int:
+        return self.sigma.shape[1]
+
+    @property
+    def linear(self) -> Optional[LinearSpec]:
+        """The LinearSpec (A, sigma) when the drift is A x, else None;
+        it enables the exact transition sampler."""
+        a = self.drift.matrix
+        return None if a is None else LinearSpec(a, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -447,14 +565,6 @@ def path_distance(g: ExplosivePath, h: ExplosivePath, s: float) -> float:
     return float(np.max(np.linalg.norm(gv - hv, axis=1)))
 
 
-def _check_coeff(value: np.ndarray, what: str, state: np.ndarray, step: int):
-    if not np.all(np.isfinite(value)):
-        raise NumericalFailure(
-            f"{what} evaluated to non-finite values at step {step}",
-            state=state, step=step,
-        )
-
-
 def euler_batch(system: SdeSystem, x0, increments, dt: float):
     """Euler-Maruyama for a batch of B paths, each driven by its own noise.
 
@@ -468,18 +578,19 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
     classifies each block in one call. A row's nodes depend only on its own
     earlier nodes, so this finds the first dead node a check after every
     step would find, and the returned states are the same. Within the block
-    where a row dies, drift, diffusion and domain_contains are also called
-    on its states after its death (under np.errstate, so overflow and
-    invalid values raise no warning); rows dead in an earlier block are not
-    stepped again.
+    where a row dies, drift and domain_contains are also called on its
+    states after its death (under np.errstate, so overflow and invalid
+    values raise no warning); rows dead in an earlier block are not stepped
+    again. The noise term is einsum("bdk,bk->bd") of sigma broadcast over
+    the block's live rows and the step's increments.
 
-    Raises ValueError for an x0 row that is not alive and for callbacks that
-    return the wrong shape (drift and diffusion at the first step). When
-    a row first turns non-finite, drift and diffusion are evaluated again at
-    its last live state; a non-finite value there raises NumericalFailure
-    with that state and step, as a one-row run of the same row would. Rows
-    are checked in the order of their first dead node, the lowest row first
-    on ties, so the failure raised is the one of the earliest step.
+    Raises ValueError for an x0 row that is not alive and for a
+    domain_contains that returns the wrong shape. When a row first turns
+    non-finite, the drift is evaluated again at its last live state; a
+    non-finite value there raises NumericalFailure with that state and
+    step, as a one-row run of the same row would. Rows are checked in the
+    order of their first dead node, the lowest row first on ties, so the
+    failure raised is the one of the earliest step.
     """
     x = np.array(x0, dtype=float)
     inc = np.asarray(increments, dtype=float)
@@ -507,13 +618,11 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
                 block = np.empty((m, len(rows), system.dim_state))
                 noise = inc[rows, i0:i0 + m]
             start = x
+            sigma = np.broadcast_to(system.sigma,
+                                    (len(rows),) + system.sigma.shape)
             for j in range(m):
-                b = np.asarray(system.drift(x), dtype=float)
-                s = np.asarray(system.diffusion(x), dtype=float)
-                if i0 + j == 0:
-                    _expect_shape("drift", b, x.shape)
-                    _expect_shape("diffusion", s, x.shape + (system.dim_noise,))
-                x = x + b * dt + np.einsum("bdk,bk->bd", s, noise[:, j])
+                x = x + system.drift(x) * dt + np.einsum(
+                    "bdk,bk->bd", sigma, noise[:, j])
                 block[j] = x
             if len(rows) < batch:
                 states[i0 + 1:i0 + 1 + m, rows] = block
@@ -524,8 +633,11 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
                 first = np.argmin(ok[:, dead], axis=0)
                 for j, r in sorted(zip(first.tolist(), dead.tolist())):
                     if not np.all(np.isfinite(block[j, r])):
-                        last = block[j - 1, r] if j else start[r]
-                        _check_row_coefficients(system, last.copy(), i0 + j)
+                        last = (block[j - 1, r] if j else start[r]).copy()
+                        if not np.all(np.isfinite(system.drift(last))):
+                            raise NumericalFailure(
+                                "drift evaluated to non-finite values at "
+                                f"step {i0 + j}", state=last, step=i0 + j)
                 first_dead[rows[dead]] = i0 + 1 + first
                 rows = rows[~died]
                 if not len(rows):
@@ -536,14 +648,6 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
         last = states[first_dead - 1, np.arange(batch)]
         np.copyto(states, last, where=frozen[..., None])
     return states, first_dead
-
-
-def _check_row_coefficients(system: SdeSystem, state: np.ndarray, step: int):
-    """Raise NumericalFailure if drift or diffusion is non-finite at state."""
-    _check_coeff(np.asarray(system.drift(state), dtype=float), "drift",
-                 state, step)
-    _check_coeff(np.asarray(system.diffusion(state), dtype=float),
-                 "diffusion", state, step)
 
 
 def _row_path(times: np.ndarray, states: np.ndarray, first_dead: np.ndarray,
@@ -572,11 +676,11 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath,
         Initial state; must lie in the domain.
     noise : NoisePath
         For scheme "euler" this carries Brownian increments with
-        dim_noise = system.dim_noise. For scheme "exact_linear" the system
-        must declare `linear`, and the noise supplies one standard normal
-        d-vector per step (dim_noise = system.dim_state, increments scaled
-        by sqrt(dt) as usual); the step is an exact draw from the Gaussian
-        transition kernel.
+        dim_noise = system.dim_noise. For scheme "exact_linear" the drift
+        must be linear (system.linear is not None), and the noise supplies
+        one standard normal d-vector per step (dim_noise =
+        system.dim_state, increments scaled by sqrt(dt) as usual); the step
+        is an exact draw from the Gaussian transition kernel.
 
     Explosion is declared at the first grid point whose state is not alive
     (outside the domain, non-finite or beyond OVERFLOW_GUARD); later rows

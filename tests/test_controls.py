@@ -8,8 +8,7 @@ from lillab.controls import (ControlGrid, LimitOdeProblem, cramer_transform,
                              limit_set_distance, limit_set_sample,
                              linear_kernel_oracle, solve_control_ode)
 from lillab.examples import get_example
-from lillab.extremals import TerminalLinearFunctional, adjoint_gradient
-from lillab.sde import ExplosivePath
+from lillab.sde import ExplosivePath, PolynomialDrift
 
 
 def test_control_grid_energy_piecewise_exact():
@@ -129,8 +128,7 @@ def test_limit_set_distance_member_vs_outsider():
 def _blowup_problem(**changes):
     # scalar dy = y^2 dt + 0 du from y(0) = 2 blows up at t = 0.5
     problem = LimitOdeProblem(
-        limit_drift=lambda y: np.asarray(y) ** 2,
-        drift_jacobian=lambda y: 2.0 * np.asarray(y)[..., None],
+        limit_drift=PolynomialDrift(1, (((1.0, (2,)),),)),
         constant_diffusion=np.zeros((1, 1)),
         x0=np.array([2.0]),
     )
@@ -141,8 +139,7 @@ def _decay_problem(**changes):
     # scalar dy = -y dt + du from y(0) = 1: the drift acts on the driven
     # coordinate and never settles in a windowed sweep
     return replace(LimitOdeProblem(
-        limit_drift=lambda y: -np.asarray(y),
-        drift_jacobian=lambda y: -np.ones(np.shape(y) + (1,)),
+        limit_drift=PolynomialDrift(1, (((-1.0, (1,)),),)),
         constant_diffusion=np.ones((1, 1)),
         x0=np.array([1.0])), **changes)
 
@@ -158,21 +155,22 @@ def test_cramer_drift_in_a_driven_coordinate():
 
 
 def test_limit_problem_contract():
-    # sigma and the drift Jacobian are required; d comes from x0, k from sigma
-    drift = _blowup_problem().limit_drift
-    jac = _blowup_problem().drift_jacobian
+    # a table drift and sigma are required; d comes from x0 and the table,
+    # k from sigma
+    drift = PolynomialDrift(2, (((1.0, (0, 2)),), ()))
     with pytest.raises(TypeError):
-        LimitOdeProblem(limit_drift=drift, drift_jacobian=jac, x0=np.zeros(2))
-    with pytest.raises(TypeError):
-        LimitOdeProblem(limit_drift=drift, constant_diffusion=np.ones((2, 1)),
-                        x0=np.zeros(2))
+        LimitOdeProblem(limit_drift=drift, x0=np.zeros(2))
+    with pytest.raises(TypeError, match="PolynomialDrift"):
+        LimitOdeProblem(lambda y: y, np.ones((2, 1)), np.zeros(2))
     with pytest.raises(ValueError, match="constant_diffusion shape"):
-        LimitOdeProblem(drift, jac, np.ones((3, 1)), np.zeros(2))
+        LimitOdeProblem(drift, np.ones((3, 1)), np.zeros(2))
     with pytest.raises(ValueError, match="constant_diffusion shape"):
-        LimitOdeProblem(drift, jac, np.ones(2), np.zeros(2))
+        LimitOdeProblem(drift, np.ones(2), np.zeros(2))
     with pytest.raises(ValueError, match="x0 must be a state vector"):
-        LimitOdeProblem(drift, jac, np.ones((2, 1)), np.zeros((2, 1)))
-    problem = LimitOdeProblem(drift, jac, [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]],
+        LimitOdeProblem(drift, np.ones((2, 1)), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="x0 must be a state vector"):
+        LimitOdeProblem(drift, np.ones((3, 1)), np.zeros(3))
+    problem = LimitOdeProblem(drift, [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]],
                               [0.5, 0.0])
     assert (problem.dim_state, problem.dim_control) == (2, 3)
     assert problem.constant_diffusion.dtype == float
@@ -207,19 +205,10 @@ def test_exploded_path_keeps_the_time_grid():
     assert dead.horizon == pytest.approx(0.7, abs=1e-12)
 
 
-@pytest.mark.parametrize("name, bad", [
-    ("limit_drift", lambda y: np.zeros(1)),
-    ("drift_jacobian", lambda y: np.zeros((1, 1))),
-    ("domain_contains", lambda y: bool(np.all(y < 1e3))),
-])
-def test_callback_shapes_are_checked(name, bad):
-    # callbacks that ignore the batch axis are rejected at their first
-    # batch call
-    adjoint = name == "drift_jacobian"
-    problem = _blowup_problem(**{name: bad})
-    u = np.zeros((1, 8, 1))
-    with pytest.raises(ValueError, match=name + r" returned shape .* expected"):
-        if adjoint:
-            adjoint_gradient(problem, TerminalLinearFunctional([1.0]), u)
-        else:
-            solve_control_ode(problem, ControlGrid(u[0]))
+def test_domain_shape_is_checked():
+    # a domain_contains that ignores the batch axis is rejected at its
+    # first batch call (a table drift always broadcasts)
+    problem = _blowup_problem(domain_contains=lambda y: bool(np.all(y < 1e3)))
+    with pytest.raises(ValueError,
+                       match=r"domain_contains returned shape .* expected"):
+        solve_control_ode(problem, ControlGrid(np.zeros((8, 1))))

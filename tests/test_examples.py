@@ -7,7 +7,7 @@ from lillab.examples import (_example, describe_example, deviation_table,
                              functional_value, get_example,
                              ik_reference_constant, list_examples,
                              lorenz_probe_controls)
-from lillab.scaling import transformed_coefficients
+from lillab.scaling import eval_index, transformed_coefficients
 
 
 def test_registry_contents():
@@ -140,6 +140,25 @@ def test_contraction_kind_of_each_example():
         == "shifted_diagonal"
 
 
+def test_brownian_motion_with_drift_builds():
+    # x' = 0.5 with sigma = 1: the trend comes from the rows without noise
+    # only, so it is 0, and the driven row's constant eps * 0.5 / alpha of
+    # the rescaled table scales away
+    bm = _example("bm_drift", {}, (((0.5, (0,)),),), np.eye(1), np.zeros(1),
+                  {}, {})
+    assert not np.any(bm.contraction.drift_vector)
+    assert bm.index.exponents == ((1, 1),)
+    for eps in (1e-2, 1e-6):
+        resc = transformed_coefficients(bm.sde, bm.contraction, bm.index, eps)
+        alpha = eval_index(bm.index, eps)[0]
+        assert alpha == pytest.approx(math.sqrt(eps * math.log(-math.log(eps))))
+        assert resc.drift.rows == (((0.5 * (eps / alpha), (0,)),),)
+    rows = deviation_table(bm, [1e-2, 1e-4, 1e-6, 1e-8])
+    devs = [r["drift_deviation"] for r in rows]
+    assert all(b < a for a, b in zip(devs, devs[1:]))
+    assert max(r["diffusion_deviation"] for r in rows) <= 8 * np.spacing(1.0)
+
+
 def test_the_builder_rejects_a_start_without_an_autonomous_rescaling():
     sigma = np.array([[0.0], [1.0]])
     # x0' = x0 + x1 from (0, 1): the trend (1, 0) moves x0, which b reads
@@ -255,11 +274,26 @@ WRITTEN_DRIFTS = [
      for d in (2, 3, 5)]
 
 
+def _unit_column(d, j):
+    return np.eye(d)[:, j:j + 1]
+
+
+# the sigma of each linear example, written out
+WRITTEN_SIGMAS = {("brownian", 1): np.eye(1), ("brownian", 2): np.eye(2),
+                  ("shifted_kolmogorov", 2): _unit_column(2, 1)} | {
+    ("iterated_kolmogorov", d): _unit_column(d, d - 1) for d in (2, 3, 5)}
+
+
 def test_linear_tables_give_the_linear_spec():
+    # the derived LinearSpec is (A, sigma), as the builder stored it when
+    # linear was a field
     for name, params, (drift, _, _) in WRITTEN_DRIFTS:
-        linear = get_example(name, **params).sde.linear
+        sde = get_example(name, **params).sde
+        linear = sde.linear
         if name in ("quadratic", "lorenz96"):
             assert linear is None
         else:
             assert np.array_equal(linear.a_matrix,
                                   drift(np.eye(linear.dim)).T)
+            assert np.array_equal(linear.sigma,
+                                  WRITTEN_SIGMAS[name, sde.dim_state])

@@ -11,8 +11,9 @@ from lillab.examples import get_example
 from lillab.lil import (LilExperimentConfig, LilReport, run_lil_experiment,
                         running_extremes)
 from lillab.scaling import eval_index, rescale_path
-from lillab.sde import (LinearSpec, NoisePath, brownian_path, euler_batch,
-                        row_normals, simulate_sde)
+from lillab.sde import (LinearSpec, NoisePath, PolynomialDrift,
+                        brownian_path, euler_batch, row_normals,
+                        simulate_sde)
 
 SMALL = dict(j_min=0, j_max=6, n_paths=200)
 
@@ -282,8 +283,8 @@ def test_euler_explosions_are_masked_like_single_paths(functional):
     # nan exactly where the per-path simulation explodes, and the batched
     # evaluation of the frozen dead rows raises no floating-point warning
     quad = get_example("quadratic")
-    blowup = replace(quad, sde=replace(
-        quad.sde, drift=lambda x: 1e4 * x * np.abs(x) ** 2))
+    blowup = replace(quad, sde=replace(quad.sde, drift=PolynomialDrift(
+        2, (((1e4, (3, 0)),), ((1e4, (0, 3)),)))))
     config = LilExperimentConfig(j_min=0, j_max=6, n_paths=300,
                                  scheme="euler", dt_rel=0.05)
     with warnings.catch_warnings():

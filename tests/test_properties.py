@@ -38,9 +38,12 @@ for bit, and on random tables the derived limit must be the
 weighted-homogeneous principal part and the Jacobian the drift's
 derivative; a constant term raises in an undriven row and scales away in
 a driven one. The shifted chain's contraction is derived from its start
-x0: center x0 and trend b(x0).
+x0: center x0 and trend b(x0). transformed_coefficients builds the
+rescaled family as a table; the closures it replaced are kept here as its
+reference, matched within a stated ulp bound.
 """
 
+import math
 import re
 from dataclasses import replace
 from unittest import mock
@@ -61,7 +64,7 @@ from lillab.examples import get_example, list_examples  # noqa: E402
 from lillab.extremals import (QuadraticMissFunctional,  # noqa: E402
                               RunningMaxAbsFunctional,
                               TerminalLinearFunctional, _functional_values,
-                              _jacobian_batch, adjoint_gradient, fd_gradient,
+                              adjoint_gradient, fd_gradient,
                               is_terminal, node_values, optimize_extremal)
 from lillab.lil import (LilExperimentConfig, LilReport, _bridge,  # noqa: E402
                         _bridge_plan)
@@ -70,12 +73,14 @@ from lillab.regularity import (_CURVE_NODES, _SPHERE_SUBDIV,  # noqa: E402
                                _energy_certificate, _icosphere, _ray_roots,
                                _sample_boundary, _unit_rows, cone_criterion,
                                polygonalize)
-from lillab.scaling import (ContractionFamily, PolynomialDrift,  # noqa: E402
-                            derive_rescaling, eval_index)
+from lillab.scaling import (AsymptoticIndex,  # noqa: E402
+                            ContractionFamily, derive_rescaling, eval_index, rate_scale,
+                            transformed_coefficients)
 from lillab.sde import (OVERFLOW_GUARD, ExplosivePath,  # noqa: E402
-                        LinearSpec, NoisePath, NumericalFailure, SdeSystem,
-                        _philox, _row_path, alive, euler_batch, row_normals,
-                        simulate_sde, trivial_domain)
+                        LinearSpec, NoisePath, NumericalFailure,
+                        PolynomialDrift, SdeSystem, _philox, _row_path, alive,
+                        euler_batch, row_normals, simulate_sde,
+                        trivial_domain)
 from test_controls import _blowup_problem, _decay_problem  # noqa: E402
 from test_examples import WRITTEN_DRIFTS  # noqa: E402
 from test_extremals import _registered_pairs  # noqa: E402
@@ -244,7 +249,7 @@ def _reference_adjoint(problem, functional, u_batch):
     grad = np.zeros_like(u_batch)
 
     def jt_lam(y, vec):
-        return np.einsum("bij,bi->bj", _jacobian_batch(problem, y), vec)
+        return np.einsum("bij,bi->bj", problem.limit_drift.jacobian(y), vec)
 
     for cell in range(len(widths) - 1, -1, -1):
         h = widths[cell]
@@ -575,21 +580,19 @@ def _reference_euler(system, x0, inc, dt):
     """One row stepped with every check at every step: (states, explosion).
 
     The loop euler_batch replaced, kept as the reference: rows after the
-    explosion index are nan, and a non-finite coefficient at a live state
-    raises NumericalFailure before the step is taken.
+    explosion index are nan, and a non-finite drift at a live state raises
+    NumericalFailure before the step is taken.
     """
     states = np.full((len(inc) + 1, len(x0)), np.nan)
     states[0] = x = x0
     for i in range(len(inc)):
         with np.errstate(over="ignore", invalid="ignore"):
-            b = np.asarray(system.drift(x), dtype=float)
-            sig = np.asarray(system.diffusion(x), dtype=float)
-            for what, value in (("drift", b), ("diffusion", sig)):
-                if not np.all(np.isfinite(value)):
-                    raise NumericalFailure(
-                        f"{what} evaluated to non-finite values at step {i}",
-                        state=x, step=i)
-            x = x + b * dt + sig @ inc[i]
+            b = system.drift(x)
+            if not np.all(np.isfinite(b)):
+                raise NumericalFailure(
+                    f"drift evaluated to non-finite values at step {i}",
+                    state=x, step=i)
+            x = x + b * dt + system.sigma @ inc[i]
         if not _reference_alive(x, system.domain_contains):
             return states, i + 1
         states[i + 1] = x
@@ -649,29 +652,18 @@ def test_euler_batch_rows_equal_single_runs(case, block):
         assert path.explosion_index == explosion
 
 
-def _partly_singular(which):
-    # finite coefficients for x1 <= 1, nan beyond; drift -x/2, noise (1, 1/2)
-    sig = np.array([[1.0], [0.5]])
-
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        bad = x[..., :1] > 1.0 if which == "drift" else False
-        return np.where(bad, np.nan, -0.5 * x)
-
-    def diffusion(x):
-        x = np.asarray(x, dtype=float)
-        out = np.broadcast_to(sig, x.shape + (1,))
-        if which == "diffusion":
-            out = np.where(x[..., :1, None] > 1.0, np.nan, out)
-        return out
-
-    return SdeSystem(2, 1, drift, diffusion)
+# b_0 = 1e308 (x0^2 - x1^2) and noise (1, 1) from 0: the states stay on the
+# diagonal, where the drift is 0 while 1e308 x^2 is finite (|x| < 1.34) and
+# inf - inf = nan beyond, at a finite live state
+OVERFLOWING = SdeSystem(PolynomialDrift(2, (((1e308, (2, 0)),
+                                             (-1e308, (0, 2))), ())),
+                        np.ones((2, 1)))
 
 
 @SETTINGS
-@given(euler_cases, st.sampled_from(["drift", "diffusion"]), BLOCKS)
-def test_numerical_failure_matches_single_runs(case, which, block):
-    system = _partly_singular(which)
+@given(euler_cases, BLOCKS)
+def test_numerical_failure_matches_single_runs(case, block):
+    system = OVERFLOWING
     inc = _increments(case, 1)
     x0 = np.zeros((len(inc), 2))
     dt = case["dt"]
@@ -741,22 +733,20 @@ def test_euler_batch_all_rows_dead_mid_block(block):
     assert first_dead.tolist() == deaths
 
 
-@pytest.mark.parametrize("which", ["drift", "diffusion"])
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
-def test_numerical_failure_of_the_earliest_step_in_a_block(block, which):
-    # x1 > 1 makes the coefficient nan: a row that jumps past 1 at node s
+def test_numerical_failure_of_the_earliest_step_in_a_block(block):
+    # |x| > 1.34 makes the drift nan: a row that jumps there at node s
     # turns non-finite at node s + 1 and fails at step s. Rows 1 and 2 turn
     # non-finite at the first node of block 1, row 0 at its last node; row
     # 1 must win (row 0 when block = 1, where all three tie).
     n = 3 * block + 1
-    system = _partly_singular(which)
     inc = _jumps(n, [(2 * block - 1, 2.0), (block, 3.0), (block, 4.0)],
                  seed=0, scale=0.0)
     with mock.patch.object(sde, "_BLOCK", block):
         failure = _assert_euler_batch_matches_reference(
-            system, np.zeros((3, 2)), inc, 0.1)
+            OVERFLOWING, np.zeros((3, 2)), inc, 0.1)
     assert failure.step == block
-    assert failure.state.tolist() == ([3.0, 1.5] if block > 1 else [2.0, 1.0])
+    assert failure.state.tolist() == ([3.0, 3.0] if block > 1 else [2.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -1243,7 +1233,8 @@ def test_derived_drifts_equal_the_written_ones(case, batch, data):
     x = data.draw(hnp.arrays(float, (*batch, example.sde.dim_state),
                              elements=st.floats(-1e200, 1e200)))
     limit = example.limit_problem
-    derived = (example.sde.drift, limit.limit_drift, limit.drift_jacobian)
+    derived = (example.sde.drift, limit.limit_drift,
+               limit.limit_drift.jacobian)
     with np.errstate(over="ignore", invalid="ignore"):
         for got, want in zip(derived, written):
             assert np.array_equal(got(x), want(x), equal_nan=True)
@@ -1277,6 +1268,14 @@ def monomial_tables(draw, reachable=True):
     return rows, sigma
 
 
+def _index_or_reject(index, eps):
+    """eval_index, an underflowing alpha counting as an out-of-range draw."""
+    try:
+        return eval_index(index, eps)
+    except ValueError:
+        hypothesis.reject()
+
+
 def _weights(exps, index):
     return tuple(sum(m * lk[n] for m, lk in zip(exps, index.exponents))
                  for n in (0, 1))
@@ -1307,11 +1306,84 @@ def test_derived_limit_is_the_principal_part(table, seed):
     magnitude = PolynomialDrift(d, [[(abs(c), e) for c, e in row]
                                     for row in limit.rows])(np.abs(y))
     for eps in (1e-3, 1e-6):
-        alpha = eval_index(index, eps)
-        # far past this scale alpha underflows and the identity says nothing
+        # far past this scale alpha underflows (eval_index raises below the
+        # smallest normal float) and the identity says nothing
+        alpha = _index_or_reject(index, eps)
         hypothesis.assume(alpha.min() > 1e-280)
         scaled = eps * limit(alpha * y) / alpha
         assert np.all(np.abs(scaled - limit(y)) <= 1e-12 * magnitude)
+
+
+def _reference_transformed(system, phi, psi, eps):
+    """(b_eps, sigma_eps) as the closures transformed_coefficients returned
+    before it built a table, kept as its reference. b_eps(y) is eps *
+    b(c + alpha (y - c)) / alpha without a trend, and the increment trend +
+    eps * b(alpha (y - c)) / alpha of a linear b with b(c) = trend."""
+    alpha = eval_index(psi, eps)
+    center, trend = phi.center, phi.drift_vector
+
+    def b_eps(y):
+        y = np.asarray(y, dtype=float)
+        if np.any(trend):
+            return trend + eps * system.drift((y - center) * alpha) / alpha
+        return eps * system.drift(center + y * alpha - center * alpha) / alpha
+
+    gain = math.sqrt(eps * rate_scale(eps))
+    return b_eps, gain * system.sigma / alpha[:, None]
+
+
+@st.composite
+def rescaling_cases(draw):
+    """(system, phi, psi): a random table of monomial_tables around 0 with
+    its derived index, or a linear table around a drawn center c with the
+    trend b(c), b reading no coordinate b(c) moves, and a drawn index."""
+    rows, sigma = draw(monomial_tables())
+    d = len(rows)
+    if draw(st.booleans()):
+        index, _ = derive_rescaling(PolynomialDrift(d, rows), sigma)
+        return SdeSystem(PolynomialDrift(d, rows), sigma), \
+            ContractionFamily(np.zeros(d)), index
+    a = np.reshape(draw(st.lists(st.sampled_from([-2.0, 0.0, 0.5, 1.0, 3.0]),
+                                 min_size=d * d, max_size=d * d)), (d, d))
+    center = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d,
+                                    max_size=d)))
+    while True:   # zero the columns b reads that the trend moves
+        drift = PolynomialDrift(d, [[(a[i, j], tuple(np.eye(d, dtype=int)[j]))
+                                     for j in range(d) if a[i, j]]
+                                    for i in range(d)])
+        moved = drift(center) != 0.0
+        if not np.any(a[:, moved]):
+            break
+        a[:, moved] = 0.0
+    index = AsymptoticIndex(tuple(draw(st.tuples(st.integers(1, 7),
+                                                 st.integers(0, 3)))
+                                  for _ in range(d)))
+    return (SdeSystem(drift, sigma),
+            ContractionFamily(center, drift(center)), index)
+
+
+@SETTINGS
+@given(rescaling_cases(), st.sampled_from([1e-3, 1e-6, 1e-9]),
+       st.integers(0, 2**32 - 1))
+def test_table_coefficients_equal_the_closures(case, eps, seed):
+    # the table holds each term's coefficient eps alpha^m / alpha_i, and a
+    # center's affine constant; within 8 ulps of the sum of the absolute
+    # term values |v| + sum |coef| (|y| + |c|)^m, and sigma_eps bit for bit
+    system, phi, psi = case
+    alpha = _index_or_reject(psi, eps)
+    # the closures' products alpha^m y^m stay normal floats
+    hypothesis.assume(alpha.min() > 1e-90)
+    table = transformed_coefficients(system, phi, psi, eps)
+    b_eps, sigma_eps = _reference_transformed(system, phi, psi, eps)
+    assert np.array_equal(table.sigma, sigma_eps)
+    d = system.dim_state
+    y = np.random.default_rng(seed).uniform(-2.0, 2.0, (8, d))
+    terms = PolynomialDrift(d, [[(abs(c), e) for c, e in row if any(e)]
+                                for row in table.drift.rows])
+    magnitude = np.abs(phi.drift_vector) + terms(np.abs(y)
+                                                 + np.abs(phi.center))
+    assert np.all(np.abs(table.drift(y) - b_eps(y))
+                  <= 8 * EPS * magnitude + TINY)
 
 
 @SETTINGS

@@ -6,13 +6,13 @@ import pytest
 
 from lillab.examples import get_example
 from lillab.scaling import (EPS_CEILING, AsymptoticIndex, ContractionFamily,
-                            PolynomialDrift, check_asymptotic_index,
-                            check_contraction_family, default_family_probes,
-                            derive_rescaling, driving_scale, eval_index,
-                            power_log_from_log, power_log_value, rate_scale,
-                            rescale_path, rescaled_sde_system,
-                            transformed_coefficients)
-from lillab.sde import ExplosivePath, trivial_domain
+                            check_asymptotic_index, check_contraction_family,
+                            default_family_probes, derive_rescaling,
+                            driving_scale, eval_index, power_log_from_log,
+                            power_log_value, rate_scale, rescale_path,
+                            rescaled_sde_system, transformed_coefficients)
+from lillab.sde import (ExplosivePath, PolynomialDrift, SdeSystem, _factory,
+                        trivial_domain)
 
 
 def test_rate_scale_boundary():
@@ -185,16 +185,15 @@ def test_transformed_coefficients_brownian_identity_diffusion():
     resc = transformed_coefficients(br.sde, br.contraction, br.index, eps)
     y = np.array([0.7])
     assert np.allclose(resc.drift(y), 0.0, atol=0)
-    assert np.allclose(resc.diffusion(y), np.eye(1), rtol=1e-12)
+    assert np.allclose(resc.sigma, np.eye(1), rtol=1e-12)
 
 
 def test_rescaled_system_damps_driver():
     br = get_example("brownian")
     eps = 1e-4
     sim = rescaled_sde_system(br.sde, br.contraction, br.index, eps)
-    y = np.array([0.0])
     expect = 1.0 / math.sqrt(rate_scale(eps))
-    assert np.allclose(sim.diffusion(y), expect, rtol=1e-12)
+    assert np.allclose(sim.sigma, expect, rtol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["brownian", "iterated_kolmogorov",
@@ -212,6 +211,40 @@ def test_rescaled_systems_keep_the_trivial_domain(name):
         assert system.domain_contains is trivial_domain
 
 
+@pytest.mark.parametrize("name", ["brownian", "iterated_kolmogorov",
+                                  "quadratic", "lorenz96",
+                                  "shifted_kolmogorov"])
+def test_rescaled_families_are_tables(name):
+    # the rescaled drift keeps the monomials of b (a center adds one
+    # constant per row and drops b's), sigma_eps is a row scale of sigma,
+    # and a linear table around 0 stays linear
+    example = get_example(name)
+    eps = 1e-6
+    resc = transformed_coefficients(example.sde, example.contraction,
+                                    example.index, eps)
+    alpha = eval_index(example.index, eps)
+    assert isinstance(resc.drift, PolynomialDrift)
+    assert np.array_equal(resc.sigma, math.sqrt(eps * rate_scale(eps))
+                          * example.sde.sigma / alpha[:, None])
+    for row, written in zip(resc.drift.rows, example.sde.drift.rows):
+        assert [e for _, e in row if any(e)] == [e for _, e in written]
+    centered = np.any(example.contraction.center)
+    assert (resc.linear is None) == (example.sde.linear is None or centered)
+
+
+def test_a_family_rescaled_at_a_new_eps_compiles_nothing():
+    # the tables at each eps share one shape, so the generated source is
+    # executed once and every later eps only binds its coefficients
+    example = get_example("lorenz96")
+    transformed_coefficients(example.sde, example.contraction,
+                             example.index, 1e-3)
+    misses = _factory.cache_info().misses
+    for eps in (2e-3, 1e-5, 1e-9):
+        transformed_coefficients(example.sde, example.contraction,
+                                 example.index, eps)
+    assert _factory.cache_info().misses == misses
+
+
 @pytest.mark.parametrize("k", range(2, 13))
 def test_shifted_kolmogorov_coefficients_are_the_limit_pair(k):
     # the detrended family of a linear drift gives b_eps(y) = v + eps *
@@ -225,7 +258,7 @@ def test_shifted_kolmogorov_coefficients_are_the_limit_pair(k):
     limit = sk.limit_problem
     assert np.all(np.abs(resc.drift(y) - limit.limit_drift(y))
                   <= ulps * np.spacing(3.0))
-    assert np.all(np.abs(resc.diffusion(y) - limit.constant_diffusion)
+    assert np.all(np.abs(resc.sigma - limit.constant_diffusion)
                   <= ulps * np.spacing(1.0))
 
 
@@ -236,19 +269,61 @@ def test_transformed_coefficients_rejects_a_trend_it_cannot_transform():
     cases = [
         # a nonlinear drift, with b(c) = v = (-1, 0) at c = (0, 1)
         (quad, ContractionFamily(np.array([0.0, 1.0]), np.array([-1.0, 0.0]))),
+        # a nonlinear drift around a center, with no trend
+        (quad, ContractionFamily(np.array([0.0, 1.0]))),
         # a domain
         (replace(sk, sde=replace(sk.sde, domain_contains=lambda x:
                                  x[..., 0] < 5.0)), sk.contraction),
-        # v != b(c)
+        # v != b(c) in the row without noise: eps (b_0(c) - v_0) / alpha_0
+        # would grow without bound
         (sk, ContractionFamily(np.ones(2), np.array([2.0, 0.0]))),
         # b(c) = v = (0, 1, 0), but x0' = x1 reads the coordinate v moves
         (ik3, ContractionFamily(np.array([0.0, 0.0, 1.0]),
                                 np.array([0.0, 1.0, 0.0]))),
     ]
     for example, phi in cases:
-        assert np.any(phi.drift_vector)
-        with pytest.raises(ValueError, match="a trend needs"):
+        with pytest.raises(ValueError, match="needs an affine drift|a trend "
+                           "needs|trend must be b\\(center\\)"):
             transformed_coefficients(example.sde, phi, example.index, 1e-3)
+
+
+def test_a_trend_off_b_of_the_center_in_a_driven_row_scales_away():
+    # x0' = x1, x1' = 0.5 with x1 driven, around c = (0, 1) with the trend
+    # v = (1, 0) = b(c) in row 0 only: the driven row keeps the constant
+    # eps (b_1(c) - v_1) / alpha_1 = 0.5 sqrt(eps / loglog(1/eps)) -> 0
+    drift = PolynomialDrift(2, (((1.0, (0, 1)),), ((0.5, (0, 0)),)))
+    sigma = np.array([[0.0], [1.0]])
+    index, _ = derive_rescaling(drift, sigma)
+    c, v = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    consts = []
+    for eps in (1e-3, 1e-6, 1e-9):
+        resc = transformed_coefficients(SdeSystem(drift, sigma),
+                                        ContractionFamily(c, v), index, eps)
+        at_c = resc.drift(c)
+        assert at_c[0] == 1.0
+        assert at_c[1] == pytest.approx(0.5 * math.sqrt(eps
+                                                        / rate_scale(eps)))
+        consts.append(at_c[1])
+    assert consts[0] > consts[1] > consts[2] > 0.0
+    assert consts[2] < 1e-5
+    # the same constant in the row without noise would grow like
+    # eps^(-1/2), around c with the trend v as around 0 with none
+    lifted = SdeSystem(PolynomialDrift(2, (((1.0, (0, 1)), (0.5, (0, 0))),
+                                           ())), sigma)
+    for phi in (ContractionFamily(c, v), ContractionFamily(np.zeros(2))):
+        with pytest.raises(ValueError, match=r"coordinates \[0\] differ"):
+            transformed_coefficients(lifted, phi, index, 1e-3)
+
+
+def test_eval_index_raises_when_alpha_underflows():
+    # sqrt(1e-2^l) = 1e-l: normal at l = 307, subnormal at 310, 0 at 400
+    assert eval_index(AsymptoticIndex(((1, 1), (307, 0))), 1e-2)[1] \
+        == pytest.approx(1e-307)
+    for ell in (310, 400):
+        psi = AsymptoticIndex(((1, 1), (ell, 0)))
+        with pytest.raises(ValueError,
+                           match="alpha underflows at eps=0.01: coordinate 1"):
+            eval_index(psi, 1e-2)
 
 
 def test_a_constant_term_in_an_undriven_row_raises():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lillab.sde import (DEATH, ExplosivePath, LinearSpec, NoisePath,
-                        SdeSystem, alive, brownian_path,
+                        PolynomialDrift, SdeSystem, alive, brownian_path,
                         equilibrated_cholesky, euler_batch, path_distance,
                         path_from_csv, path_from_json_dict, path_texts,
                         path_to_csv, path_to_csv_string, path_to_json_dict,
@@ -339,27 +339,52 @@ def test_simulate_rejects_bad_start():
 
 
 def test_euler_batch_checks_callback_shapes():
-    # callbacks must broadcast over the batch axis; a single-vector drift
-    # or diffusion is named with the shape it should have returned
-    sig = np.array([[0.0], [1.0]])
-    x0 = np.zeros((3, 2))
-    inc = np.zeros((3, 4, 1))
-    flat_drift = SdeSystem(2, 1, drift=lambda x: np.zeros(2),
-                           diffusion=lambda x: sig)
-    with pytest.raises(ValueError, match=r"drift .*expected \(3, 2\)"):
-        euler_batch(flat_drift, x0, inc, 0.1)
-    flat_sigma = SdeSystem(2, 1, drift=lambda x: np.zeros_like(x),
-                           diffusion=lambda x: sig)
-    with pytest.raises(ValueError,
-                       match=r"diffusion .*expected \(3, 2, 1\)"):
-        euler_batch(flat_sigma, x0, inc, 0.1)
-    flat_domain = SdeSystem(2, 1, drift=lambda x: np.zeros_like(x),
-                            diffusion=lambda x: np.broadcast_to(
-                                sig, x.shape + (1,)),
-                            domain_contains=lambda x: bool(np.all(x < 1.0)))
+    # a table drift always broadcasts; a domain_contains that ignores the
+    # batch axis is named with the shape it should have returned
+    system = SdeSystem(PolynomialDrift(2, ((), ())), np.array([[0.0], [1.0]]),
+                       domain_contains=lambda x: bool(np.all(x < 1.0)))
     with pytest.raises(ValueError,
                        match=r"domain_contains .*expected \(3,\)"):
-        euler_batch(flat_domain, x0, inc, 0.1)
+        euler_batch(system, np.zeros((3, 2)), np.zeros((3, 4, 1)), 0.1)
+
+
+def test_sde_system_is_a_table_and_sigma():
+    drift = PolynomialDrift(2, (((1.0, (0, 1)),), ()))
+    with pytest.raises(TypeError, match="PolynomialDrift"):
+        SdeSystem(lambda x: np.zeros_like(x), np.ones((2, 1)))
+    for sigma in (np.ones(2), np.ones((3, 1)), np.ones((2, 1, 1))):
+        with pytest.raises(ValueError, match="sigma must have shape"):
+            SdeSystem(drift, sigma)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            SdeSystem(drift, [[0.0], [bad]])
+        # the generated source would spell it as an undefined name
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            PolynomialDrift(2, (((bad, (0, 1)),), ()))
+    sigma = np.array([[0.0, 1.0], [2.0, 0.0]])
+    system = SdeSystem(drift, sigma)
+    assert (system.dim_state, system.dim_noise) == (2, 2)
+    sigma[0, 0] = 5.0       # the system keeps its own read-only copy
+    assert system.sigma[0, 0] == 0.0
+    assert not system.sigma.flags.writeable
+
+
+def test_linear_follows_a_replaced_drift():
+    # linear is derived, so a new table never meets a stale LinearSpec
+    ik = get_example("iterated_kolmogorov", d=2).sde
+    assert np.array_equal(ik.linear.a_matrix, [[0.0, 1.0], [0.0, 0.0]])
+    turned = replace(ik, drift=PolynomialDrift(2, (((-1.0, (0, 1)),),
+                                                   ((2.0, (1, 0)),))))
+    assert np.array_equal(turned.linear.a_matrix, [[0.0, -1.0], [2.0, 0.0]])
+    assert turned.linear.sigma is turned.sigma
+    scaled = replace(ik, sigma=3.0 * ik.sigma)
+    assert np.array_equal(scaled.linear.sigma, [[0.0], [3.0]])
+    assert replace(ik) != ik    # systems compare by identity, not arrays
+    squared = replace(ik, drift=PolynomialDrift(2, (((1.0, (0, 2)),), ())))
+    assert squared.linear is None
+    with pytest.raises(ValueError, match="exact_linear requires"):
+        simulate_sde(squared, np.zeros(2), NoisePath(0, 0.1, np.zeros((2, 2))),
+                     scheme="exact_linear")
 
 
 def test_euler_batch_freezes_dead_rows():

@@ -147,6 +147,10 @@ RUNS = [
                                "--out", OUT]),
     ("lil_unknown_scheme", ["lil-verify", "--example", "brownian",
                             "--functional", "terminal", "--scheme", "rk4"]),
+    ("lil_ik33_alpha_underflows",  # alpha_0 < smallest normal float: exit 2
+     ["lil-verify", "--example", "iterated_kolmogorov", "--d", "33",
+      "--functional", "J1", "--scheme", "euler", "--paths", "4",
+      "--depth", "27", "--dt-rel", "0.1"]),
 ]
 
 
