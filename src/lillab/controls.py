@@ -6,7 +6,8 @@ sigma u(t) dt, with a polynomial limit drift given as a monomial table and
 a constant (d, k) matrix sigma, maps a control to a path; the energy
 recovery map inverts it per grid cell by least squares and prices
 unreachable paths at infinity. The adjoint reads the drift's Jacobian from
-the same table.
+the same table. A path that leaves the domain is killed as an SDE path is:
+its explosion_index marks the first node outside, and later states are nan.
 
 One windowed RK4 sweep (_rk4_window) integrates the control ODE for every
 caller, one step per control cell: it evaluates the stages of a whole window
@@ -23,15 +24,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sde import (ExplosivePath, NumericalFailure, PolynomialDrift, _philox,
-                  _row_path, alive, trivial_domain)
+from .sde import (ExplosivePath, PolynomialDrift, _philox, _row_path, alive,
+                  trivial_domain)
 
 # The paper's unit energy ball {(1/2) int |u|^2 <= MAX_ENERGY}.
 MAX_ENERGY = 1.0
 _BANDLIMITED_MODES = 6   # modes of ControlGrid.random_bandlimited
+_CRAMER_TOLERANCE = 1e-5  # off-range miss allowed, see cramer_transform
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlGrid:
     """Piecewise-constant control u on n_steps uniform cells of [0, 1].
 
@@ -60,25 +62,12 @@ class ControlGrid:
     def energy(self) -> float:
         return 0.5 * float(np.sum(self.values**2)) / self.n_steps
 
-    def f_values(self) -> np.ndarray:
-        """The primitive f(t_j) = int_0^{t_j} u on the n_steps+1 grid nodes."""
-        out = np.zeros((self.n_steps + 1, self.dim))
-        np.cumsum(self.values / self.n_steps, axis=0, out=out[1:])
-        return out
-
     def project(self) -> "ControlGrid":
         """Euclidean projection onto {energy <= MAX_ENERGY} (radial shrink)."""
         e = self.energy()
         if e <= MAX_ENERGY:
             return self
         return ControlGrid(self.values * math.sqrt(MAX_ENERGY / e))
-
-    @staticmethod
-    def from_function(fn, n_steps: int, dim: int = 1) -> "ControlGrid":
-        """Sample a callable u(t) at cell midpoints."""
-        mids = (np.arange(n_steps) + 0.5) / n_steps
-        vals = np.array([np.broadcast_to(fn(t), (dim,)) for t in mids], dtype=float)
-        return ControlGrid(vals)
 
     @staticmethod
     def random_bandlimited(n_steps: int, dim: int, seed: int, stream: int = 0,
@@ -99,7 +88,7 @@ class ControlGrid:
         return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitOdeProblem:
     """Deterministic control ODE dg = limit_drift(g) dt + sigma u dt.
 
@@ -287,11 +276,6 @@ def _node_states(problem: LimitOdeProblem, u_batch: np.ndarray):
     return widths, np.concatenate(blocks), first_dead
 
 
-def _times(widths: np.ndarray) -> np.ndarray:
-    """Node times 0, w_1, w_1 + w_2, ... of a grid with the given step widths."""
-    return np.concatenate([[0.0], np.cumsum(widths)])
-
-
 def solve_control_ode(problem: LimitOdeProblem, control: ControlGrid
                       ) -> ExplosivePath:
     """Integrate the control ODE with one classical RK4 step per control cell.
@@ -304,20 +288,19 @@ def solve_control_ode(problem: LimitOdeProblem, control: ControlGrid
     if control.dim != problem.dim_control:
         raise ValueError("control dimension does not match the problem")
     widths, states, first_dead = _node_states(problem, control.values[None])
-    return _row_path(_times(widths), states, first_dead, 0)
+    times = np.concatenate([[0.0], np.cumsum(widths)])
+    return _row_path(times, states, first_dead, 0)
 
 
-def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath,
-                     tolerance: float = 1e-5) -> float:
+def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath) -> float:
     """Minimal control energy needed to generate the path, or inf.
 
     Per grid cell the control is recovered by least squares
     u = sigma^+ (dg/dt - b(g_mid)) at the midpoint state, all cells at once.
     The path is unreachable, and the value inf, if one RK4 step of a cell's
     recovered control from its left node misses its right node outside the
-    range of sigma by more than tolerance * (1 + max |g|) per unit time.
-    Cells at or after explosion contribute zero (the control is frozen at
-    the cemetery).
+    range of sigma by more than _CRAMER_TOLERANCE * (1 + max |g|) per unit
+    time. Cells at or after the explosion index contribute zero.
     """
     if path.dim != problem.dim_state:
         raise ValueError("path dimension does not match the problem")
@@ -335,7 +318,7 @@ def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath,
                                    0.5 * h, h / 6.0)
     off_range = np.eye(len(sig)) - sig @ sig_pinv
     miss = float(np.max(np.abs((step - g[1:]) @ off_range.T) / h))
-    if not miss <= tolerance * (1.0 + float(np.max(np.abs(g)))):
+    if not miss <= _CRAMER_TOLERANCE * (1.0 + float(np.max(np.abs(g)))):
         return math.inf
     return 0.5 * float(np.sum(np.sum(u**2, axis=-1) * h[:, 0]))
 
@@ -361,42 +344,3 @@ def linear_kernel_oracle(kernel, n_quad: int = 4096,
     big_k = terminal_weight + tail
     norm_sq = float(simpson(big_k**2, x=s))
     return math.sqrt(2.0 * norm_sq)
-
-
-def limit_set_sample(problem: LimitOdeProblem, n_samples: int, seed: int,
-                     n_steps: int = 256, tolerance: float = 1e-3) -> list:
-    """Sample limit-set candidate paths from random feasible controls.
-
-    Each sample is the control ODE's path for a random band-limited control
-    projected into the unit energy ball, all integrated as one batch; the
-    recovered energy is asserted feasible up to tolerance.
-    """
-    u = np.empty((n_samples, n_steps, problem.dim_control))
-    for i in range(n_samples):
-        u[i] = ControlGrid.random_bandlimited(
-            n_steps, problem.dim_control, seed, stream=i
-        ).project().values
-    widths, states, first_dead = _node_states(problem, u)
-    times = _times(widths)
-    out = []
-    for i in range(n_samples):
-        path = _row_path(times, states, first_dead, i)
-        energy = cramer_transform(problem, path, tolerance=max(tolerance, 1e-5))
-        if not energy <= MAX_ENERGY + tolerance:
-            raise NumericalFailure(
-                f"sampled control produced energy {energy:g} > 1 + tolerance"
-            )
-        out.append(path)
-    return out
-
-
-def limit_set_distance(path: ExplosivePath, samples: list,
-                       t_star: Optional[float] = None) -> float:
-    """Distance from path to a sampled limit-set cloud (min uniform distance)."""
-    from .sde import path_distance
-
-    if not samples:
-        raise ValueError("empty sample list")
-    if t_star is None:
-        t_star = min(min(s.horizon for s in samples), path.horizon)
-    return min(path_distance(path, s, t_star) for s in samples)

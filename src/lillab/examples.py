@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .controls import LimitOdeProblem, ControlGrid, linear_kernel_oracle
+from .controls import LimitOdeProblem, ControlGrid
 from .extremals import RunningMaxAbsFunctional, TerminalLinearFunctional
 from .scaling import (AsymptoticIndex, ContractionFamily, derive_rescaling,
                       transformed_coefficients)
@@ -43,7 +43,7 @@ def _chain_rows(d: int) -> tuple:
     return tuple(((1.0, _x(d, i + 1)),) for i in range(d - 1)) + ((),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExampleSystem:
     """A registered benchmark: SDE + scaling data + limit problem + functionals."""
 
@@ -298,9 +298,14 @@ def coefficient_deviation(example: ExampleSystem, eps: float,
             "diffusion_deviation": float(diff_dev)}
 
 
-def deviation_table(example: ExampleSystem, eps_list, n_samples: int = 64,
-                    seed: int = 7, box: float = 1.5) -> list:
+_DEVIATION_POINTS = 64   # deviation_table's cloud: this many points,
+_DEVIATION_BOX = 1.5     # uniform on [-box, box]^d,
+_DEVIATION_SEED = 7      # drawn by Philox (seed, 11)
+
+
+def deviation_table(example: ExampleSystem, eps_list) -> list:
     """Coefficient deviation rows for each eps, on a shared random point cloud."""
-    rng = _philox(seed, 11)
-    points = rng.uniform(-box, box, size=(n_samples, example.sde.dim_state))
+    rng = _philox(_DEVIATION_SEED, 11)
+    points = rng.uniform(-_DEVIATION_BOX, _DEVIATION_BOX,
+                         size=(_DEVIATION_POINTS, example.sde.dim_state))
     return [coefficient_deviation(example, float(e), points) for e in eps_list]

@@ -224,14 +224,6 @@ class LilReport:
         }
 
 
-def running_extremes(values):
-    """Prefix maxima and minima of a nonempty sequence of reals."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("running_extremes needs a nonempty 1-d sequence")
-    return np.maximum.accumulate(values), np.minimum.accumulate(values)
-
-
 def _copied_cells(values, extremes):
     """Flat indices into values (B, L) of the cells that extremes (B, L)
     copy.

@@ -127,11 +127,13 @@ class RegularityVerdict:
         }
 
 
-def _boundary_normal(domain: DomainSpec, x: np.ndarray,
-                     boundary_tolerance: float) -> np.ndarray:
+_BOUNDARY_TOLERANCE = 1e-8   # |implicit_fn| / (1 + max |x_i|) on the boundary
+
+
+def _boundary_normal(domain: DomainSpec, x: np.ndarray) -> np.ndarray:
     val = float(domain.implicit_fn(x))
     scale = 1.0 + float(np.max(np.abs(x)))
-    if abs(val) > boundary_tolerance * scale:
+    if abs(val) > _BOUNDARY_TOLERANCE * scale:
         raise ValueError(
             f"point is not on the boundary (implicit_fn = {val:.3g})")
     grad = np.asarray(domain.gradient_fn(x), dtype=float)
@@ -151,8 +153,7 @@ def _range_basis(sigma: np.ndarray) -> np.ndarray:
 
 
 def sphere_criterion(system: SdeSystem, domain: DomainSpec, x,
-                     tolerance: float = 1e-6,
-                     boundary_tolerance: float = 1e-8) -> RegularityVerdict:
+                     tolerance: float = 1e-6) -> RegularityVerdict:
     """Exterior sphere test: regular iff range(sigma) crosses the normal.
 
     The caller asserts the exterior sphere condition at x (automatic for
@@ -161,7 +162,7 @@ def sphere_criterion(system: SdeSystem, domain: DomainSpec, x,
     certifies a noise direction with positive outward component.
     """
     x = np.asarray(x, dtype=float)
-    n = _boundary_normal(domain, x, boundary_tolerance)
+    n = _boundary_normal(domain, x)
     basis = _range_basis(system.sigma)
     score = float(np.linalg.norm(basis.T @ n))
     verdict = "regular" if score > tolerance else "inconclusive"
@@ -174,8 +175,7 @@ def sphere_criterion(system: SdeSystem, domain: DomainSpec, x,
 
 
 def cone_criterion(system: SdeSystem, domain: DomainSpec, x,
-                   cone_basis, tolerance: float = 1e-6,
-                   boundary_tolerance: float = 1e-8) -> RegularityVerdict:
+                   cone_basis, tolerance: float = 1e-6) -> RegularityVerdict:
     """Exterior cone test via a max-margin linear program.
 
     cone_basis columns span Cone(x; x_1..x_d) = {x + sum lambda_i x_i,
@@ -188,7 +188,7 @@ def cone_criterion(system: SdeSystem, domain: DomainSpec, x,
     rays rejects blatant violations with ValueError.
     """
     x = np.asarray(x, dtype=float)
-    _boundary_normal(domain, x, boundary_tolerance)  # validates the point
+    _boundary_normal(domain, x)  # validates the point
     basis_mat = np.asarray(cone_basis, dtype=float)
     d = domain.dim
     if basis_mat.shape != (d, d):
@@ -205,7 +205,7 @@ def cone_criterion(system: SdeSystem, domain: DomainSpec, x,
     w, nw = w[nw != 0.0], nw[nw != 0.0]
     steps = np.array([1e-6, 1e-3, 1e-1]) * diam / nw[:, None]
     probes = x + steps[:, :, None] * w[:, None, :]
-    if np.any(_implicit_values(domain, probes) < -boundary_tolerance):
+    if np.any(_implicit_values(domain, probes) < -_BOUNDARY_TOLERANCE):
         raise ValueError("cone ray enters the domain; not an exterior cone")
 
     range_basis = _range_basis(system.sigma)
@@ -729,15 +729,3 @@ def polygonalize(domain: DomainSpec, v, n: int, seed: int) -> PolygonApprox:
             last_err = err
     raise NumericalFailure(
         f"hull construction failed after {_HULL_RETRIES} seeds: {last_err}")
-
-
-def face_parallel_check(poly: PolygonApprox, v=None,
-                        tolerance: float = 1e-12) -> bool:
-    """True iff no facet hyperplane contains the direction v."""
-    if v is None:
-        audit = poly.parallel_audit
-    else:
-        v = np.asarray(v, dtype=float)
-        v = v / np.linalg.norm(v)
-        audit = np.abs(poly.facet_normals @ v)
-    return bool(np.all(audit > tolerance))

@@ -38,13 +38,9 @@ def driving_scale(eps: float) -> float:
     return 1.0 / math.sqrt(rate_scale(eps))
 
 
-def power_log_value(ell: int, k: int, eps: float) -> float:
-    """Closed form sqrt(eps^ell * loglog(1/eps)^k), no validity window applied."""
-    return power_log_from_log(ell, k, math.log(eps))
-
-
 def power_log_from_log(ell: int, k: int, log_eps: float) -> float:
-    """Same closed form from log(eps); stable for extremely small eps."""
+    """Closed form sqrt(eps^ell * loglog(1/eps)^k) from log(eps), no
+    validity window applied; stable for extremely small eps."""
     if log_eps >= -1.0:
         raise ValueError("requires eps < 1/e")
     log_big_l = math.log(math.log(-log_eps))
@@ -81,10 +77,6 @@ class AsymptoticIndex:
                     f"{self.eps_star:g}; shrink eps_star"
                 )
         object.__setattr__(self, "exponents", exps)
-
-    @property
-    def dim(self) -> int:
-        return len(self.exponents)
 
 
 def eval_index(psi: AsymptoticIndex, eps: float) -> np.ndarray:
@@ -155,7 +147,7 @@ def derive_rescaling(drift: PolynomialDrift, sigma):
     return AsymptoticIndex(tuple(zip(ell, k))), PolynomialDrift(d, limit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContractionFamily:
     """Family of space contractions indexed by positive alpha, around a
     center with a linear trend drift_vector (default 0).
@@ -184,10 +176,6 @@ class ContractionFamily:
         if np.any(self.drift_vector):
             return "affine_detrended"
         return "shifted_diagonal" if np.any(self.center) else "diagonal"
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
 
     def apply(self, alpha, y):
         alpha = np.asarray(alpha, dtype=float)
@@ -308,7 +296,7 @@ def rescaled_sde_system(system: SdeSystem, phi: ContractionFamily,
 
 # ---------------------------------------------------------------------------
 # Property checkers. These are statistical evidence on sampled probes, not
-# proofs; reports serialize to JSON.
+# proofs.
 
 @dataclass
 class PropertyReport:
@@ -317,28 +305,26 @@ class PropertyReport:
     worst: dict = field(default_factory=dict)
     table: list = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "property": self.name,
-            "passed": bool(self.passed),
-            "worst_sample": self.worst,
-            "table": self.table,
-        }
+
+_PROBE_SAMPLES = 64        # state pairs of default_family_probes,
+_PROBE_BOX = 2.0           # uniform on [-box, box]^d, and
+_PROBE_INDICES = 12        # its index pairs
+_FAMILY_TOLERANCE = 1e-9   # slack of each check_contraction_family property
 
 
-def default_family_probes(dim: int, seed: int = 0, n_samples: int = 64,
-                          n_alpha: int = 12, box: float = 2.0):
+def default_family_probes(dim: int, seed: int = 0):
     """Random (y, z) sample pairs and comparable (alpha, beta) index pairs."""
     rng = _philox(seed, 77)
-    samples = rng.uniform(-box, box, size=(n_samples, 2, dim))
-    beta = np.exp(rng.uniform(math.log(1e-3), 0.0, size=(n_alpha, dim)))
-    ratio = np.exp(rng.uniform(0.0, math.log(20.0), size=(n_alpha, dim)))
+    samples = rng.uniform(-_PROBE_BOX, _PROBE_BOX,
+                          size=(_PROBE_SAMPLES, 2, dim))
+    beta = np.exp(rng.uniform(math.log(1e-3), 0.0, size=(_PROBE_INDICES, dim)))
+    ratio = np.exp(rng.uniform(0.0, math.log(20.0),
+                               size=(_PROBE_INDICES, dim)))
     alphas = np.stack([beta * ratio, beta], axis=1)
     return samples, alphas
 
 
-def check_contraction_family(phi, sample_pairs, alpha_pairs,
-                             tolerance: float = 1e-9) -> PropertyReport:
+def check_contraction_family(phi, sample_pairs, alpha_pairs) -> PropertyReport:
     """Check the three contraction-family properties on sampled probes.
 
     (i) the center is fixed by every map; (ii) larger indices contract at
@@ -371,7 +357,7 @@ def check_contraction_family(phi, sample_pairs, alpha_pairs,
     for pair in alpha_pairs:
         for alpha in pair:
             drift = float(np.max(np.abs(phi.apply(alpha, center) - center)))
-            note("fixed_center", max(0.0, drift - tolerance),
+            note("fixed_center", max(0.0, drift - _FAMILY_TOLERANCE),
                  {"alpha": alpha.tolist(), "value": drift})
 
     # (ii) monotone contraction for comparable pairs
@@ -381,7 +367,7 @@ def check_contraction_family(phi, sample_pairs, alpha_pairs,
         for y, z in sample_pairs:
             da = float(np.linalg.norm(phi.apply(alpha, y) - phi.apply(alpha, z)))
             db = float(np.linalg.norm(phi.apply(beta, y) - phi.apply(beta, z)))
-            viol = da - db - tolerance * (1.0 + db)
+            viol = da - db - _FAMILY_TOLERANCE * (1.0 + db)
             note("monotone_contraction", max(0.0, viol),
                  {"alpha": alpha.tolist(), "beta": beta.tolist(), "gap": da - db})
 
@@ -394,7 +380,7 @@ def check_contraction_family(phi, sample_pairs, alpha_pairs,
             modulus = max(modulus, float(np.max(np.abs(back - y))))
         table.append({"index_deviation": delta, "modulus": modulus})
         if delta <= 0.5:
-            viol = modulus - (3.0 * delta * radius + tolerance)
+            viol = modulus - (3.0 * delta * radius + _FAMILY_TOLERANCE)
             note("composition_modulus", max(0.0, viol),
                  {"index_deviation": delta, "modulus": modulus})
 

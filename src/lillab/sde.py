@@ -3,9 +3,9 @@
 A system is data: its drift is a polynomial given as a table of monomials
 (PolynomialDrift) and its noise a constant (d, k) matrix sigma; the state
 and noise dimensions and the linear representation are derived from them.
-State spaces are open subsets of R^d. Paths that leave the domain (or blow up
-to non-finite values) are killed at the first grid point outside and continue
-as a formal death state; distances to a dead time horizon are infinite.
+State spaces are open subsets of R^d. A path that leaves the domain (or
+blows up to non-finite values) is killed at the first grid point outside:
+its explosion_index marks that node, and its states from there on are nan.
 """
 
 from __future__ import annotations
@@ -28,22 +28,6 @@ class NumericalFailure(RuntimeError):
         self.state = state
         self.step = step
 
-
-class _DeathState:
-    """Singleton marker for the cemetery state of an exploded path."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "DEATH"
-
-
-DEATH = _DeathState()
 
 # States with any coordinate beyond this magnitude count as having left every
 # compact subset of the domain: the path is killed, and its states from that
@@ -115,7 +99,7 @@ def _powers(h, n: int) -> np.ndarray:
     return (h[..., None] ** np.arange(n))[..., None, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSpec:
     """Linear SDE data dx = A x dt + sigma dW with constant sigma.
 
@@ -396,7 +380,7 @@ class SdeSystem:
         return None if a is None else LinearSpec(a, self.sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisePath:
     """Brownian increments on a uniform grid, reproducible from (seed, stream).
 
@@ -437,9 +421,6 @@ class NoisePath:
             raise ValueError("factor must divide the number of steps")
         blocks = self.increments.reshape(self.n_steps // factor, factor, self.dim_noise)
         return NoisePath(self.seed, self.dt * factor, blocks.sum(axis=1), self.path_index)
-
-    def negated(self) -> "NoisePath":
-        return NoisePath(self.seed, self.dt, -self.increments, self.path_index)
 
 
 def brownian_path(seed: int, dt: float, horizon: float, dim_noise: int = 1,
@@ -484,13 +465,13 @@ def row_normals(seed: int, stream: int, rows: range, count: int) -> np.ndarray:
     return u[:, :count]
 
 
-@dataclass
+@dataclass(eq=False)
 class ExplosivePath:
     """Piecewise-linear path on a uniform grid, possibly killed at a grid point.
 
     states rows at indices >= explosion_index are not meaningful (filled with
-    nan); queries there return DEATH. explosion_index = None means the path
-    stayed in the domain over the whole grid.
+    nan). explosion_index = None means the path stayed in the domain over
+    the whole grid.
     """
 
     times: np.ndarray
@@ -524,45 +505,6 @@ class ExplosivePath:
         if self.explosion_index is None:
             return math.inf
         return float(self.times[self.explosion_index])
-
-    def state_at(self, t: float):
-        """Linear interpolation on the grid; DEATH at or after explosion."""
-        if t < 0.0:
-            raise ValueError("t must be nonnegative")
-        if t >= self.explosion_time:
-            return DEATH
-        if t > self.horizon + 1e-12 * max(1.0, self.horizon):
-            raise ValueError("t beyond path horizon")
-        t = min(t, self.horizon)
-        return np.array(
-            [np.interp(t, self.times, self.states[:, j]) for j in range(self.dim)]
-        )
-
-
-def path_distance(g: ExplosivePath, h: ExplosivePath, s: float) -> float:
-    """Uniform distance sup_{u <= s} |g_u - h_u|, infinite past either explosion.
-
-    Both paths must cover [0, s] (either by their grid or by exploding before
-    s). Cross-grid comparison interpolates linearly onto the merged grid.
-    """
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
-    if g.dim != h.dim:
-        raise ValueError("dimension mismatch")
-    if s >= g.explosion_time or s >= h.explosion_time:
-        return math.inf
-    for p in (g, h):
-        if s > p.horizon + 1e-12 * max(1.0, s):
-            raise ValueError("path horizon does not cover [0, s]")
-    grid = np.union1d(g.times[g.times <= s], h.times[h.times <= s])
-    grid = np.union1d(grid, [s])
-    gv = np.column_stack(
-        [np.interp(grid, g.times, g.states[:, j]) for j in range(g.dim)]
-    )
-    hv = np.column_stack(
-        [np.interp(grid, h.times, h.states[:, j]) for j in range(h.dim)]
-    )
-    return float(np.max(np.linalg.norm(gv - hv, axis=1)))
 
 
 def euler_batch(system: SdeSystem, x0, increments, dt: float):
@@ -758,15 +700,6 @@ def path_texts(path: ExplosivePath) -> tuple:
     # json spells the non-finite floats that repr writes as inf and nan
     # Infinity and NaN; no other token of the text contains either word
     return csv_text, json_text.replace("inf", "Infinity").replace("nan", "NaN")
-
-
-def path_to_csv(path: ExplosivePath, fp) -> None:
-    text = path_texts(path)[0]
-    if isinstance(fp, (str, bytes)):
-        with open(fp, "w", newline="", encoding="utf-8") as out:
-            out.write(text)
-    else:
-        fp.write(text)
 
 
 def path_from_csv(fp) -> ExplosivePath:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lillab.controls import (ControlGrid, LimitOdeProblem, cramer_transform,
-                             limit_set_distance, limit_set_sample,
                              linear_kernel_oracle, solve_control_ode)
 from lillab.examples import get_example
 from lillab.sde import ExplosivePath, PolynomialDrift
@@ -32,15 +31,6 @@ def test_control_grid_projection():
     assert np.array_equal(small.project().values, small.values)
 
 
-def test_control_grid_f_values_integrates():
-    # f(t) = int_0^t u; constant u = 1 gives f(1) = 1
-    u = ControlGrid(np.ones((50, 1)))
-    f = u.f_values()
-    assert f.shape == (51, 1)
-    assert f[0, 0] == 0.0
-    assert f[-1, 0] == pytest.approx(1.0)
-
-
 def test_solve_control_ode_kolmogorov_closed_form():
     # constant control u=1: y2 = t, y1 = t^2/2
     ik = get_example("iterated_kolmogorov", d=2)
@@ -54,7 +44,8 @@ def test_solve_control_ode_kolmogorov_closed_form():
 def test_solve_control_ode_sinusoid():
     # u = cos(pi t): y2 = sin(pi t)/pi, y1 = (1 - cos(pi t))/pi^2
     ik = get_example("iterated_kolmogorov", d=2)
-    u = ControlGrid.from_function(lambda t: math.cos(math.pi * t), 512)
+    mids = (np.arange(512) + 0.5) / 512
+    u = ControlGrid(np.cos(math.pi * mids))
     path = solve_control_ode(ik.limit_problem, u)
     t = path.times
     assert np.allclose(path.states[:, 1], np.sin(math.pi * t) / math.pi,
@@ -107,22 +98,13 @@ def test_kernel_oracle_closed_forms():
     ("quadratic", 3, 16),
 ])
 def test_limit_set_samples_are_feasible(name, seed, n_steps):
+    # paths of random band-limited controls in the unit energy ball
     problem = get_example(name).limit_problem
-    samples = limit_set_sample(problem, 8, seed=seed, n_steps=n_steps)
-    assert len(samples) == 8
-    for path in samples:
-        lam = cramer_transform(problem, path)
+    for stream in range(8):
+        u = ControlGrid.random_bandlimited(n_steps, problem.dim_control,
+                                           seed, stream=stream).project()
+        lam = cramer_transform(problem, solve_control_ode(problem, u))
         assert lam <= 1.0 + 1e-3
-
-
-def test_limit_set_distance_member_vs_outsider():
-    ik = get_example("iterated_kolmogorov", d=2)
-    samples = limit_set_sample(ik.limit_problem, 32, seed=5, n_steps=128)
-    member = samples[0]
-    assert limit_set_distance(member, samples) == pytest.approx(0.0, abs=1e-12)
-    t = np.linspace(0.0, 1.0, 65)
-    far = ExplosivePath(t, np.column_stack([10.0 * t, np.zeros_like(t)]))
-    assert limit_set_distance(far, samples) > 1.0
 
 
 def _blowup_problem(**changes):
@@ -188,8 +170,6 @@ def test_control_ode_explosion_marks_path():
 
 def test_x0_outside_the_domain_is_rejected():
     problem = _blowup_problem(domain_contains=lambda y: y[..., 0] < 1.0)
-    with pytest.raises(ValueError, match="x0 outside the domain"):
-        limit_set_sample(problem, n_samples=2, seed=0, n_steps=8)
     with pytest.raises(ValueError, match="x0 outside the domain"):
         solve_control_ode(problem, ControlGrid(np.zeros((8, 1))))
 

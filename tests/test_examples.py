@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lillab.controls import ControlGrid
 from lillab.examples import (_example, describe_example, deviation_table,
                              functional_value, get_example,
                              ik_reference_constant, list_examples,
                              lorenz_probe_controls)
+from lillab.extremals import OptimizerConfig
 from lillab.scaling import eval_index, transformed_coefficients
+from lillab.sde import ExplosivePath, brownian_path
 
 
 def test_registry_contents():
@@ -297,3 +301,36 @@ def test_linear_tables_give_the_linear_spec():
                                   drift(np.eye(linear.dim)).T)
             assert np.array_equal(linear.sigma,
                                   WRITTEN_SIGMAS[name, sde.dim_state])
+
+
+def _array_holders():
+    """name -> (object, field, a value equal to the field's, held in new
+    arrays) for each dataclass that holds arrays, directly or in a tuple."""
+    ik = get_example("iterated_kolmogorov")
+    grid = ControlGrid(np.ones((4, 1)))
+    path = ExplosivePath(np.arange(3.0), np.zeros((3, 2)))
+    return {
+        "LinearSpec": (ik.sde.linear, "sigma", ik.sde.sigma.copy()),
+        "LimitOdeProblem": (ik.limit_problem, "x0",
+                            ik.limit_problem.x0.copy()),
+        "ContractionFamily": (ik.contraction, "center",
+                              ik.contraction.center.copy()),
+        "ControlGrid": (grid, "values", grid.values.copy()),
+        "NoisePath": (brownian_path(3, 0.25, 1.0), "increments",
+                      brownian_path(3, 0.25, 1.0).increments),
+        "ExplosivePath": (path, "states", path.states.copy()),
+        "ExampleSystem": (ik, "contraction", replace(
+            ik.contraction, center=ik.contraction.center.copy())),
+        "OptimizerConfig": (OptimizerConfig(extra_starts=(grid,)),
+                            "extra_starts", (ControlGrid(grid.values),)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_holders()))
+def test_array_holders_compare_by_identity_and_hash(name):
+    # a generated __eq__ compares the arrays inside a tuple and raises on
+    # more than one element; these classes compare by identity instead
+    obj, field, copy = _array_holders()[name]
+    assert (obj == replace(obj, **{field: copy})) is False
+    assert obj == obj
+    hash(obj)

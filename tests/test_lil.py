@@ -8,25 +8,13 @@ import pytest
 
 from lillab import lil
 from lillab.examples import get_example
-from lillab.lil import (LilExperimentConfig, LilReport, run_lil_experiment,
-                        running_extremes)
+from lillab.lil import LilExperimentConfig, LilReport, run_lil_experiment
 from lillab.scaling import eval_index, rescale_path
 from lillab.sde import (LinearSpec, NoisePath, PolynomialDrift,
                         brownian_path, euler_batch, row_normals,
                         simulate_sde)
 
 SMALL = dict(j_min=0, j_max=6, n_paths=200)
-
-
-def test_running_extremes():
-    vals = np.array([1.0, -2.0, 0.5, 3.0])
-    hi, lo = running_extremes(vals)
-    assert np.array_equal(hi, [1.0, 1.0, 1.0, 3.0])
-    assert np.array_equal(lo, [1.0, -2.0, -2.0, -2.0])
-    with pytest.raises(ValueError):
-        running_extremes(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        running_extremes(np.array([]))
 
 
 def test_config_validation():
@@ -336,7 +324,8 @@ def test_sign_symmetry_under_negated_noise():
     ik = get_example("iterated_kolmogorov", d=2)
     eps = 1e-3
     noise = brownian_path(77, dt=eps * 1e-3, horizon=eps, dim_noise=1)
-    for nz in (noise, noise.negated()):
+    negated = NoisePath(noise.seed, noise.dt, -noise.increments)
+    for nz in (noise, negated):
         path = simulate_sde(ik.sde, np.zeros(2), nz)
         resc = rescale_path(path, ik.contraction, ik.index, eps)
         val = ik.functionals["J1"].evaluate(resc)

@@ -7,8 +7,7 @@ import pytest
 from lillab import regularity
 from lillab.examples import get_example
 from lillab.extremals import OptimizerConfig
-from lillab.regularity import (DomainSpec, PolygonApprox, cone_criterion,
-                               face_parallel_check, polygonalize,
+from lillab.regularity import (DomainSpec, cone_criterion, polygonalize,
                                reach_target, sphere_criterion)
 from lillab.sde import NumericalFailure
 
@@ -146,6 +145,23 @@ def test_reach_certificate_band_is_sound():
     assert best <= band + 1e-9
 
 
+@pytest.mark.parametrize("target, max_iters, status", [
+    # |y1(1)| <= sqrt(2/3) on the energy ball, but y2 = 0.1 lies inside the
+    # drift-free coordinate's band, so no certificate fires: the miss decides
+    ((5.0, 0.1), 200, "unreachable"),
+    # reachable, but one iteration leaves the optimizer unconverged
+    ((0.2, 0.5), 1, "indeterminate"),
+])
+def test_reach_verdicts_without_a_certificate(target, max_iters, status):
+    ik = get_example("iterated_kolmogorov", d=2)
+    config = replace(regularity.REACH_CONFIG, max_iters=max_iters)
+    report = reach_target(ik.limit_problem, np.array(target), 1.0, config)
+    assert report.status == status
+    assert report.certificate is None and report.control is None
+    if status == "unreachable":   # every reachable y has |y1| <= sqrt(2/3)
+        assert report.miss >= 5.0 - math.sqrt(2.0 / 3.0)
+
+
 def test_reach_serialization():
     ik = get_example("iterated_kolmogorov", d=2)
     report = reach_target(ik.limit_problem, np.array([0.5, 1.0]), 1.0)
@@ -163,7 +179,6 @@ def test_polygonalize_disc():
     assert 0.0 <= poly.deficit
     assert poly.volume <= math.pi + 1e-12
     assert poly.max_halfspace_violation <= 1e-10
-    assert face_parallel_check(poly)
     assert np.all(poly.parallel_audit > 1e-12)
 
 
@@ -295,16 +310,10 @@ def test_scalar_only_implicit_fn_fails_loudly():
 def test_face_parallel_square_counterexample():
     # axis-aligned square: the two horizontal edges contain e1
     verts = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-    normals = np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]])
-    v = np.array([1.0, 0.0])
-    poly = PolygonApprox(
-        vertices=verts, hull_facets=[[0, 1], [1, 2], [2, 3], [3, 0]],
-        facet_normals=normals, volume=4.0, domain_volume=4.0, deficit=0.0,
-        direction=v, parallel_audit=np.abs(normals @ v),
-        max_halfspace_violation=0.0,
-    )
-    assert not face_parallel_check(poly)
+    poly = regularity._hull_from_points(verts, np.array([1.0, 0.0]), 4.0)
+    assert not np.all(poly.parallel_audit > 1e-12)
     flagged = np.sum(poly.parallel_audit <= 1e-12)
     assert flagged == 2
     # the same square audited against a generic direction passes
-    assert face_parallel_check(poly, np.array([0.3, 1.0]))
+    generic = regularity._hull_from_points(verts, np.array([0.3, 1.0]), 4.0)
+    assert np.all(generic.parallel_audit > 1e-12)

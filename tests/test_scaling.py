@@ -9,7 +9,7 @@ from lillab.scaling import (EPS_CEILING, AsymptoticIndex, ContractionFamily,
                             check_asymptotic_index, check_contraction_family,
                             default_family_probes, derive_rescaling,
                             driving_scale, eval_index, power_log_from_log,
-                            power_log_value, rate_scale, rescale_path,
+                            rate_scale, rescale_path,
                             rescaled_sde_system, transformed_coefficients)
 from lillab.sde import (ExplosivePath, PolynomialDrift, SdeSystem, _factory,
                         trivial_domain)
@@ -26,20 +26,20 @@ def test_rate_scale_boundary():
 def test_power_log_boundary_probe():
     # (l, k) = (1, 1) at eps just below e^{-e}: psi = sqrt(eps)
     eps = math.exp(-math.e) * (1.0 - 1e-12)
-    assert power_log_value(1, 1, eps) == pytest.approx(
+    assert power_log_from_log(1, 1, math.log(eps)) == pytest.approx(
         math.sqrt(eps), rel=1e-12)
 
 
 def test_power_log_k0_is_pure_diffusive():
     for eps in (1e-2, 1e-5, 1e-9):
-        assert power_log_value(1, 0, eps) == pytest.approx(
+        assert power_log_from_log(1, 0, math.log(eps)) == pytest.approx(
             math.sqrt(eps), rel=1e-14)
 
 
 def test_power_log_from_log_matches_direct():
     for ell, k in ((1, 1), (3, 1), (4, 2), (10, 4)):
         for eps in (1e-2, 1e-6, 1e-12):
-            direct = power_log_value(ell, k, eps)
+            direct = math.sqrt(eps**ell * math.log(math.log(1.0 / eps))**k)
             from_log = power_log_from_log(ell, k, math.log(eps))
             assert from_log == pytest.approx(direct, rel=1e-12)
     # usable far below float underflow of eps itself
@@ -211,6 +211,27 @@ def test_rescaled_systems_keep_the_trivial_domain(name):
         assert system.domain_contains is trivial_domain
 
 
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, 0.0)])
+def test_a_domain_is_pulled_back_to_the_rescaled_coordinates(center):
+    # y is in the rescaled domain iff c + alpha (y - c) is in the original
+    # one; around 0 and around a center where b(c) = 0, so the trend is 0
+    ik = get_example("iterated_kolmogorov")
+    system = replace(ik.sde, domain_contains=lambda x:
+                     x[..., 0] + 2.0 * x[..., 1] ** 2 < 0.31)
+    c = np.array(center)
+    eps = 1e-3
+    alpha = eval_index(ik.index, eps)
+    y = np.random.default_rng(5).uniform(-1.0, 1.0, (400, 2)) / alpha
+    for resc in (
+            transformed_coefficients(system, ContractionFamily(c), ik.index,
+                                     eps),
+            rescaled_sde_system(system, ContractionFamily(c), ik.index, eps)):
+        inside = resc.domain_contains(y)
+        assert np.array_equal(inside,
+                              system.domain_contains(c + alpha * (y - c)))
+        assert 0 < inside.sum() < len(y)
+
+
 @pytest.mark.parametrize("name", ["brownian", "iterated_kolmogorov",
                                   "quadratic", "lorenz96",
                                   "shifted_kolmogorov"])
@@ -343,9 +364,7 @@ def test_family_checker_accepts_diagonal():
     samples, alphas = default_family_probes(2, seed=1)
     report = check_contraction_family(phi, samples, alphas)
     assert report.passed
-    doc = report.to_json_dict()
-    assert doc["property"] == "contraction_family"
-    assert doc["passed"]
+    assert report.name == "contraction_family"
 
 
 def test_family_checker_rejects_amplifying_family():

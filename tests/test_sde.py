@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lillab.sde import (DEATH, ExplosivePath, LinearSpec, NoisePath,
-                        PolynomialDrift, SdeSystem, alive, brownian_path,
-                        equilibrated_cholesky, euler_batch, path_distance,
-                        path_from_csv, path_from_json_dict, path_texts,
-                        path_to_csv, path_to_csv_string, path_to_json_dict,
-                        simulate_sde, trivial_domain)
+from lillab.sde import (ExplosivePath, LinearSpec, NoisePath, PolynomialDrift,
+                        SdeSystem, alive, brownian_path,
+                        equilibrated_cholesky, euler_batch, path_from_csv,
+                        path_from_json_dict, path_texts, path_to_csv_string,
+                        path_to_json_dict, simulate_sde, trivial_domain)
 from lillab.examples import get_example
 
 
@@ -44,12 +43,6 @@ def test_noise_coarsen_sums_increments():
     # block sums, exactly
     blocks = noise.increments.reshape(10, 10, 2).sum(axis=1)
     assert np.allclose(coarse.increments, blocks, rtol=0, atol=0)
-
-
-def test_noise_negated():
-    noise = brownian_path(11, dt=0.01, horizon=0.2)
-    neg = noise.negated()
-    assert np.array_equal(neg.increments, -noise.increments)
 
 
 def test_ik2_exact_transition_covariance():
@@ -107,7 +100,6 @@ def test_quadratic_zero_noise_blowup_time():
     assert path.explosion_time == pytest.approx(0.5, abs=0.01)
     # dead rows are nan, not garbage
     assert np.all(np.isnan(path.states[path.explosion_index:]))
-    assert path.state_at(0.9) is DEATH
 
 
 def test_euler_strong_convergence_additive_noise():
@@ -141,35 +133,6 @@ def test_alive_on_a_batch_and_on_one_state():
     assert not alive(np.array([np.nan, 0.0]), below_one)
     assert not alive(np.array([1e120, 0.0]), below_one)
     assert not alive(np.array([2.0, 0.0]), below_one)
-
-
-def test_path_distance_basic():
-    t = np.linspace(0.0, 1.0, 11)
-    g = ExplosivePath(t, np.column_stack([t, t**2]))
-    h = ExplosivePath(t, np.column_stack([t, t**2 + 0.25]))
-    assert path_distance(g, g, 1.0) == 0.0
-    d = path_distance(g, h, 1.0)
-    assert d == pytest.approx(0.25)
-    assert path_distance(g, h, 1.0) == path_distance(h, g, 1.0)
-
-
-def test_path_distance_infinite_past_explosion():
-    t = np.linspace(0.0, 1.0, 11)
-    states = np.column_stack([t, t])
-    dead = states.copy()
-    dead[5:] = np.nan
-    g = ExplosivePath(t, states)
-    h = ExplosivePath(t, dead, explosion_index=5)
-    assert math.isinf(path_distance(g, h, 0.7))
-    assert path_distance(g, h, 0.3) == 0.0
-
-
-def test_path_distance_cross_grid_interpolation():
-    ta = np.linspace(0.0, 1.0, 5)
-    tb = np.linspace(0.0, 1.0, 101)
-    g = ExplosivePath(ta, np.column_stack([ta]))
-    h = ExplosivePath(tb, np.column_stack([tb]))
-    assert path_distance(g, h, 1.0) < 1e-14
 
 
 def test_csv_round_trip():
@@ -240,18 +203,6 @@ def test_path_texts_equal_the_reference_writers(path):
     assert csv_text == _reference_csv(path)
     assert json_text == _reference_json(path)
     assert path_to_csv_string(path) == csv_text
-    buf = io.StringIO()
-    path_to_csv(path, buf)
-    assert buf.getvalue() == csv_text
-
-
-def test_path_to_csv_writes_crlf_lines_to_a_file(tmp_path):
-    t = np.linspace(0.0, 0.5, 6)
-    x = np.array([0.0, -0.0, 5e-324, np.inf, 1.0, 2.0])
-    path = ExplosivePath(t, np.column_stack([t, x]), explosion_index=4)
-    path_to_csv(path, str(tmp_path / "p.csv"))
-    assert (tmp_path / "p.csv").read_bytes() == \
-        _reference_csv(path).encode()
 
 
 def test_equilibrated_cholesky_tiny_scales():

@@ -38,6 +38,11 @@ RUNS = [
     ("simulate_quadratic_explodes",
      ["simulate", "--example", "quadratic", "--start", "3,0", "--dt", "1e-3",
       "--out", OUT]),
+    ("simulate_quadratic_blows_up",  # dies at t = 0.13: empty fields, nulls
+     ["simulate", "--example", "quadratic", "--start", "30,0", "--dt", "1e-2",
+      "--out", OUT]),
+    ("simulate_quadratic_blows_up_stdout",  # the summary: explosion_time
+     ["simulate", "--example", "quadratic", "--start", "30,0", "--dt", "1e-2"]),
     ("simulate_lorenz96", ["simulate", "--example", "lorenz96", "--dt", "1e-3",
                            "--horizon", "0.5", "--out", OUT]),
     ("simulate_ik2_exact", ["simulate", "--example", "iterated_kolmogorov",
