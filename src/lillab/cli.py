@@ -14,8 +14,10 @@ flag > config file > LILLAB_SEED environment variable > built-in default.
 With --out DIR every run writes its data files plus a manifest.json echoing
 the resolved configuration, library versions, seed, wall time and its split
 into timings.compute_s (the subcommand's computation) and timings.write_s
-(writing the data files), and for optimize and regularity polygonalize
-the work counters (ExtremalResult.work, PolygonApprox.work) under counters;
+(writing the data files), for optimize and regularity polygonalize the
+work counters (ExtremalResult.work, PolygonApprox.work) under counters, and
+for simulate and rescale, whose data files are the path alone, the summary
+a run without --out prints (explosion, terminal state or alpha) under summary;
 data files are byte-identical across reruns of the same configuration and
 seed (the manifest's timing fields are the only exception, isolated there).
 
@@ -506,6 +508,10 @@ _HANDLERS = {
     "check": _run_check,
 }
 
+# The subcommands whose stdout summary no data file holds: with --out, the
+# manifest keeps it.
+_SUMMARY_IN_MANIFEST = ("simulate", "rescale")
+
 
 # ---------------------------------------------------------------------------
 
@@ -580,6 +586,8 @@ def run(argv=None) -> int:
     }
     if counters:
         manifest["counters"] = counters[0]
+    if ns.subcommand in _SUMMARY_IN_MANIFEST:
+        manifest["summary"] = summary
     _write_text(os.path.join(ns.out, "manifest.json"), _json_text(manifest))
     return code
 

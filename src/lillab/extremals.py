@@ -154,23 +154,27 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
     lam = np.empty_like(traj)
     lam[n] = functional.terminal_gradient(traj[n])
     end, cap = n, _window_cells(traj.shape[1], dim)
-    while end > 0:
-        lo = max(0, end - cap)
-        g = traj[lo : end + 1][::-1]
-        jac = problem.limit_drift.jacobian(g)
-        j_mid = problem.limit_drift.jacobian(0.5 * (g[:-1] + g[1:]))
-        stage_jac = (jac[:-1], j_mid, j_mid, jac[1:])
-        nodes, done = _rk4_window(
-            lambda stage, y: np.einsum("...ij,...i->...j", stage_jac[stage], y),
-            lam[end], widths[lo:end][::-1], dim + 1)
-        if done < end - lo:
-            cap = 1
-        lam[end - done : end + 1] = nodes[done::-1]
-        end -= done
-    grad = np.zeros_like(u_batch)
-    # += on zeros, as the per-cell loop did: -0.0 cell gradients become 0.0
-    grad[:, :n] += ((0.5 * widths)[:, None, None] * (lam[1:] + lam[:-1])
-                    @ problem.constant_diffusion).transpose(1, 0, 2)
+    # dead rows are swept along their frozen states, where lambda may
+    # overflow, as the forward sweep steps them; their gradient is zeroed
+    with np.errstate(over="ignore", invalid="ignore"):
+        while end > 0:
+            lo = max(0, end - cap)
+            g = traj[lo : end + 1][::-1]
+            jac = problem.limit_drift.jacobian(g)
+            j_mid = problem.limit_drift.jacobian(0.5 * (g[:-1] + g[1:]))
+            stage_jac = (jac[:-1], j_mid, j_mid, jac[1:])
+            nodes, done = _rk4_window(
+                lambda stage, y: np.einsum("...ij,...i->...j",
+                                           stage_jac[stage], y),
+                lam[end], widths[lo:end][::-1], dim + 1)
+            if done < end - lo:
+                cap = 1
+            lam[end - done : end + 1] = nodes[done::-1]
+            end -= done
+        grad = np.zeros_like(u_batch)
+        # += on zeros, as the per-cell loop did: -0.0 cell gradients become 0.0
+        grad[:, :n] += ((0.5 * widths)[:, None, None] * (lam[1:] + lam[:-1])
+                        @ problem.constant_diffusion).transpose(1, 0, 2)
     grad[first_dead <= n] = 0.0
     return grad
 

@@ -32,9 +32,9 @@ class NumericalFailure(RuntimeError):
 # States with any coordinate beyond this magnitude count as having left every
 # compact subset of the domain: the path is killed, and its states from that
 # node on are not returned (polynomial drifts up to cubic stay representable
-# at the guard). euler_batch kills once per block of nodes, so callbacks may
-# still see a dead row's states, overflowing ones included, up to the end of
-# that block; it evaluates them under np.errstate.
+# at the guard). euler_batch kills once per block of nodes, so domain_contains
+# may still see a dead row's states, overflowing ones included, up to the end
+# of that block; it evaluates them under np.errstate.
 OVERFLOW_GUARD = 1e100
 
 _UINT64_MASK = (1 << 64) - 1
@@ -43,6 +43,18 @@ _UINT64_MASK = (1 << 64) - 1
 # per block replaces one per step, whose fixed cost weighs most at small
 # batch sizes.
 _BLOCK = 256
+
+# Live rows up to which euler_batch steps each row on Python floats, one row
+# at a time; above it, one (B,) array per coordinate. The crossover lies at
+# 12 to 30 rows on the registered examples, and arrays at 6 to 8 rows (the
+# Monte Carlo shape) take twice as long per step as floats.
+_FLOAT_ROWS = 16
+
+# On arrays, a block holds at most this many state values (nodes x rows x
+# coordinates), fewer nodes than _BLOCK for large batches: its nodes then
+# stay in cache while they are stepped and copied into the states, and at
+# 2000 rows a step takes 35-45% less time than in blocks of _BLOCK nodes.
+_COLUMN_VALUES = 1 << 16
 
 
 def trivial_domain(x) -> bool:
@@ -252,7 +264,11 @@ class PolynomialDrift:
                                 for c, e in row) for row in rows)
         if not all(math.isfinite(c) for row in self.rows for c, _ in row):
             raise ValueError("monomial coefficients must be finite")
-        self._evaluate, self.jacobian, self.matrix = _compile(d, self.rows)
+        # the table's shape: each coefficient as +-1 when a unit, else +-2
+        self._shape = tuple(
+            tuple(((-1.0 if c < 0 else 1.0) * (1.0 if abs(c) == 1.0 else 2.0),
+                   e) for c, e in row) for row in self.rows)
+        self._evaluate, self.jacobian, self.matrix = _compile(self)
 
     def __call__(self, x):
         return self._evaluate(x)
@@ -285,6 +301,12 @@ def _sum_source(terms, names) -> str:
         (" - " if neg else " + ") + text for neg, text in pieces[1:])
 
 
+def _row_terms(i: int, row) -> list:
+    """The (coef, exps, tag) terms of row i of a table shape for _sum_source,
+    tag (i, t, 1) for term t: b_i as evaluate and the Euler step spell it."""
+    return [(c, e, (i, t, 1)) for t, (c, e) in enumerate(row)]
+
+
 def _function_source(name: str, alloc: str, entries, names) -> str:
     """def name(x) in make, assigning each (target, terms) entry to out."""
     used = sorted({j for _, terms in entries for _, e, _ in terms
@@ -305,7 +327,7 @@ def _factory(d: int, shape: tuple):
     names = []
     body = _function_source(
         "evaluate", "np.empty_like(x)" if all(shape) else "np.zeros_like(x)",
-        [(f"..., {i}", [(c, e, (i, t, 1)) for t, (c, e) in enumerate(row)])
+        [(f"..., {i}", _row_terms(i, row))
          for i, row in enumerate(shape) if row], names)
     body += _function_source("jacobian", f"np.zeros(x.shape + ({d},))", [
         (f"..., {i}, {j}", terms) for i, row in enumerate(shape)
@@ -318,19 +340,64 @@ def _factory(d: int, shape: tuple):
     return space["make"], names
 
 
-def _compile(d: int, rows: tuple):
+def _coefficients(rows: tuple, tags) -> list:
+    """The make arguments k<n> of a table: |m * coef| per tag (i, t, m)."""
+    return [abs(rows[i][t][0] * m) for i, t, m in tags]
+
+
+def _compile(drift: PolynomialDrift):
     """(evaluate, jacobian, A) of a monomial table as straight-line source
     (an interpreted loop over the terms costs 3-4x as much on lorenz96); a
     linear table's Jacobian is a read-only broadcast view of its A."""
-    make, tags = _factory(d, tuple(
-        tuple(((-1.0 if c < 0 else 1.0) * (1.0 if abs(c) == 1.0 else 2.0), e)
-              for c, e in row) for row in rows))
-    evaluate, jacobian = make(*(abs(rows[i][t][0] * m) for i, t, m in tags))
+    d, rows = drift.d, drift.rows
+    make, tags = _factory(d, drift._shape)
+    evaluate, jacobian = make(*_coefficients(rows, tags))
     if any(sum(e) != 1 for row in rows for _, e in row):
         return evaluate, jacobian, None
     a = jacobian(np.zeros(d))
     a.flags.writeable = False
     return evaluate, lambda x: np.broadcast_to(a, np.shape(x) + (d,)), a
+
+
+@lru_cache(maxsize=64)
+def _step_factory(d: int, shape: tuple, k: int):
+    """(make, tags) of the Euler step of a table shape (as in _factory) with
+    k noise columns. make(k0, ..., s0, ...) -> step binds the coefficients
+    k<n> of _factory's evaluate and sigma's entries s<i k + c>, zeros too.
+    step(x0, ..., noise, dt, extend) takes, for each (n0, ...) of noise,
+    x_i <- x_i + (b_i(x)) * dt + (0.0 + s<i k> * n0 + ... + s<i k + k-1> *
+    n<k-1>), the drift spelt as evaluate spells it and the noise summed left
+    to right, and passes the new (x0, ...) to extend. Its operators are the
+    same on Python floats and on numpy arrays, and none of them raises on
+    floats: overflow gives inf and inf - inf nan, as in numpy (there is no
+    **)."""
+    names = []
+    drifts = [_sum_source(_row_terms(i, row), names) if row else "0.0"
+              for i, row in enumerate(shape)]
+    xs = ", ".join(f"x{i}" for i in range(d)) + ","
+    steps = "".join(
+        f"\n                x{i} + ({b}) * dt + ("
+        + " + ".join(["0.0"] + [f"s{i * k + c} * n{c}" for c in range(k)])
+        + ")," for i, b in enumerate(drifts))
+    args = [f"k{n}" for n in range(len(names))] + [f"s{n}" for n in
+                                                   range(d * k)]
+    space = {}
+    exec(f"def make({', '.join(args)}):\n"
+         f"    def step({xs} noise, dt, extend):\n"
+         f"        for {', '.join(f'n{c}' for c in range(k))}, in noise:\n"
+         f"            {xs} = ({steps}\n            )\n"
+         f"            extend(({xs}))\n"
+         f"    return step\n", space)
+    return space["make"], names
+
+
+def _euler_step(system: SdeSystem):
+    """The generated Euler step of system (see _step_factory), bound to its
+    drift coefficients and sigma."""
+    drift = system.drift
+    make, tags = _step_factory(drift.d, drift._shape, system.dim_noise)
+    return make(*_coefficients(drift.rows, tags),
+                *system.sigma.ravel().tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,11 +408,13 @@ class SdeSystem:
     only once stored; dim_state, dim_noise and linear are derived from
     them, so a replace of either field keeps them in step. domain_contains
     maps (..., d) to bools (...), True on the open set where the dynamics
-    live (see alive). The Euler kernel may call drift and domain_contains
-    on a row's states after its death, up to the end of the block of nodes
-    it classifies at once (see euler_batch), so domain_contains must not
-    raise on states outside the domain or non-finite ones; floating-point
-    warnings are suppressed there.
+    live (see alive). The Euler kernel steps a row on after its death, up
+    to the end of the block of nodes it classifies at once (see
+    euler_batch), and of the callbacks only domain_contains sees those
+    states, so it must not raise on states outside the domain or
+    non-finite ones; floating-point warnings are suppressed there. The
+    drift is called again only to replay a failure at a row's last live
+    state.
     """
 
     drift: PolynomialDrift
@@ -516,19 +585,23 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
     at node j has first_dead = j and keeps its last live state from there
     on; rows that survive have first_dead = n + 1.
 
-    The live rows are stepped through blocks of _BLOCK nodes, and alive
-    classifies each block in one call. A row's nodes depend only on its own
-    earlier nodes, so this finds the first dead node a check after every
-    step would find, and the returned states are the same. Within the block
-    where a row dies, drift and domain_contains are also called on its
-    states after its death (under np.errstate, so overflow and invalid
-    values raise no warning); rows dead in an earlier block are not stepped
-    again. The noise term is einsum("bdk,bk->bd") of sigma broadcast over
-    the block's live rows and the step's increments.
+    Each step is the system's generated Euler step (see _step_factory):
+    x_i + (b_i(x)) * dt + (0.0 + sigma_i0 n0 + ...), the noise summed left
+    to right. It runs on Python floats, one row at a time, while at most
+    _FLOAT_ROWS rows are alive, and on one (B,) array per coordinate above
+    (under np.errstate, so overflow and invalid values raise no warning);
+    both give the same bits. The live rows are stepped through blocks of
+    _BLOCK nodes (on arrays, of at most _COLUMN_VALUES state values), and
+    alive classifies each block in one call. A row's nodes depend only on
+    its own earlier nodes, so this finds the first dead node a check after
+    every step would find, and the returned states are the same. A row
+    that dies within a block is stepped on to the block's end, and
+    domain_contains sees those states; rows dead in an earlier block are
+    not stepped again.
 
     Raises ValueError for an x0 row that is not alive and for a
     domain_contains that returns the wrong shape. When a row first turns
-    non-finite, the drift is evaluated again at its last live state; a
+    non-finite, the drift is called again, at its last live state; a
     non-finite value there raises NumericalFailure with that state and
     step, as a one-row run of the same row would. Rows are checked in the
     order of their first dead node, the lowest row first on ties, so the
@@ -545,29 +618,37 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
     domain = system.domain_contains
     if not alive(x, domain).all():
         raise ValueError("x0 must be a finite state inside the domain")
+    step, dt = _euler_step(system), float(dt)
     n = inc.shape[1]
     states = np.empty((n + 1, batch, system.dim_state))
     states[0] = x
     first_dead = np.full(batch, n + 1)
     rows = np.arange(batch)     # the rows alive at the start of the block
+    i0 = 0                      # the block's first step
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, n, _BLOCK):
+        while i0 < n and len(rows):
+            live = len(rows)
             m = min(_BLOCK, n - i0)
-            if len(rows) == batch:
-                block = states[i0 + 1:i0 + 1 + m]
-                noise = inc[:, i0:i0 + m]
+            if live > _FLOAT_ROWS:
+                m = min(m, max(1, _COLUMN_VALUES // (live * system.dim_state)))
+            # slices while every row lives: views, where an index array copies
+            every = slice(None) if live == batch else rows
+            noise = inc[every, i0:i0 + m]
+            if live <= _FLOAT_ROWS:
+                # one row's floats at a time: few float objects alive
+                block = np.empty((m, live, system.dim_state))
+                for r, x_r in enumerate(x.tolist()):
+                    path = []
+                    step(*x_r, noise[r].tolist(), dt, path.extend)
+                    block[:, r] = np.reshape(path, (m, -1))
             else:
-                block = np.empty((m, len(rows), system.dim_state))
-                noise = inc[rows, i0:i0 + m]
-            start = x
-            sigma = np.broadcast_to(system.sigma,
-                                    (len(rows),) + system.sigma.shape)
-            for j in range(m):
-                x = x + system.drift(x) * dt + np.einsum(
-                    "bdk,bk->bd", sigma, noise[:, j])
-                block[j] = x
-            if len(rows) < batch:
-                states[i0 + 1:i0 + 1 + m, rows] = block
+                nodes = []
+                step(*x.T, np.ascontiguousarray(noise.transpose(1, 2, 0)),
+                     dt, nodes.extend)
+                block = np.array(nodes).reshape(m, -1, live).transpose(0, 2, 1)
+            states[i0 + 1:i0 + 1 + m, every] = block
+            block = states[i0 + 1:i0 + 1 + m, every]
+            start, x = x, block[-1]
             ok = alive(block, domain)
             died = ~ok.all(axis=0)
             if died.any():
@@ -582,9 +663,8 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
                                 f"step {i0 + j}", state=last, step=i0 + j)
                 first_dead[rows[dead]] = i0 + 1 + first
                 rows = rows[~died]
-                if not len(rows):
-                    break
                 x = x[~died]
+            i0 += m
     if (first_dead <= n).any():
         frozen = np.arange(n + 1)[:, None] >= first_dead
         last = states[first_dead - 1, np.arange(batch)]

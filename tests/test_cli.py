@@ -3,17 +3,19 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lillab
-from lillab import lil
+from lillab import cli, lil
 from lillab.cli import _build_parser, run
 from lillab.examples import get_example, list_examples
-from lillab.scaling import rescale_path
-from lillab.sde import (brownian_path, path_from_csv, path_to_csv_string,
+from lillab.scaling import eval_index, rescale_path
+from lillab.sde import (NumericalFailure, PolynomialDrift, SdeSystem,
+                        brownian_path, path_from_csv, path_to_csv_string,
                         simulate_sde)
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -373,6 +375,51 @@ def test_rescale_exact_linear_draws_one_normal_per_state_coordinate(tmp_path):
     expected = rescale_path(path, ik.contraction, ik.index, 1e-4)
     assert (out / "rescaled.csv").read_bytes() == \
         path_to_csv_string(expected).encode()
+
+
+def test_simulate_and_rescale_keep_their_summary_in_the_manifest(
+        tmp_path, capsys):
+    # the summary a run without --out prints, and no data file holds
+    for argv in (["simulate", "--example", "quadratic", "--start", "30,0",
+                  "--dt", "1e-2"],
+                 ["simulate", "--example", "lorenz96", "--dt", "1e-2"],
+                 ["rescale", "--example", "quadratic", "--eps", "1e-2",
+                  "--dt", "1e-2"]):
+        assert run(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        out = tmp_path / "_".join(argv[:3])
+        assert run(argv + ["--out", str(out)]) == 0
+        assert read_json(out / "manifest.json")["summary"] == printed
+    exploded = read_json(tmp_path / "simulate_--example_quadratic"
+                         / "manifest.json")["summary"]
+    assert exploded["exploded"] and exploded["terminal"] is None
+    assert exploded["explosion_time"] == pytest.approx(0.13)
+    rescaled = read_json(tmp_path / "rescale_--example_quadratic"
+                         / "manifest.json")["summary"]
+    quadratic = get_example("quadratic")
+    assert rescaled["alpha"] == eval_index(quadratic.index, 1e-2).tolist()
+
+
+def test_numerical_failure_exit_4(tmp_path, monkeypatch, capsys):
+    # b_0 = 1e308 (x0^2 - x1^2), noise (1, 1): the path stays on the
+    # diagonal, where the drift is 0 until 1e308 x^2 overflows and
+    # inf - inf = nan at a finite live state
+    sde = SdeSystem(PolynomialDrift(2, (((1e308, (2, 0)),
+                                         (-1e308, (0, 2))), ())),
+                    np.ones((2, 1)))
+    example = replace(get_example("quadratic"), sde=sde)
+    monkeypatch.setattr(cli, "_example_from", lambda opts: example)
+    out = tmp_path / "sim"
+    code = run(["simulate", "--example", "quadratic", "--dt", "1e-2",
+                "--seed", "11", "--out", str(out)])
+    assert code == 4
+    with pytest.raises(NumericalFailure) as info:
+        simulate_sde(sde, np.zeros(2), brownian_path(11, 1e-2, 1.0))
+    assert info.value.step > 0
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": {"message": f"numerical failure: {info.value}",
+                             "exit_code": 4, "subcommand": "simulate"}}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

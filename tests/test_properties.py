@@ -8,8 +8,10 @@ loop are kept here as its references; every window size, from one cell to
 the whole grid, must reproduce them bit for bit, drifts that are not
 nilpotent included. The batched Euler kernel euler_batch is the only SDE
 Euler loop: simulate_sde is its one-row case and lil-verify runs it on all
-paths of a level; a per-step single-row loop is kept here as its reference,
-and every block size of its liveness check must reproduce it.
+paths of a level; a per-step single-row loop with the einsum noise sum is
+kept here as its reference, and the step generated from a monomial table
+must reproduce it on Python floats and on arrays, at every block size of
+its liveness check, on registered and on random tables.
 Rows of a batch must not influence each other, and on the iterated
 Kolmogorov chain RK4 is exact for piecewise-constant controls. The Cramer
 transform of a path the control ODE made is its control's energy. Both
@@ -251,18 +253,21 @@ def _reference_adjoint(problem, functional, u_batch):
     def jt_lam(y, vec):
         return np.einsum("bij,bi->bj", problem.limit_drift.jacobian(y), vec)
 
-    for cell in range(len(widths) - 1, -1, -1):
-        h = widths[cell]
-        g_hi = traj[cell + 1]
-        g_lo = traj[cell]
-        g_mid = 0.5 * (g_hi + g_lo)
-        lam_hi = lam
-        m1 = jt_lam(g_hi, lam)
-        m2 = jt_lam(g_mid, lam + 0.5 * h * m1)
-        m3 = jt_lam(g_mid, lam + 0.5 * h * m2)
-        m4 = jt_lam(g_lo, lam + h * m3)
-        lam = lam + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-        grad[:, cell, :] += 0.5 * h * (lam_hi + lam) @ sig_t.T
+    # dead rows' lambda may overflow along their frozen states, as in
+    # adjoint_gradient; their gradient is zeroed below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cell in range(len(widths) - 1, -1, -1):
+            h = widths[cell]
+            g_hi = traj[cell + 1]
+            g_lo = traj[cell]
+            g_mid = 0.5 * (g_hi + g_lo)
+            lam_hi = lam
+            m1 = jt_lam(g_hi, lam)
+            m2 = jt_lam(g_mid, lam + 0.5 * h * m1)
+            m3 = jt_lam(g_mid, lam + 0.5 * h * m2)
+            m4 = jt_lam(g_lo, lam + h * m3)
+            lam = lam + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+            grad[:, cell, :] += 0.5 * h * (lam_hi + lam) @ sig_t.T
     grad[first_dead < len(traj)] = 0.0
     return grad
 
@@ -287,7 +292,6 @@ def test_forward_sweep_equals_per_cell_loop(case, name, cells):
 
 # the blow-up rows die, and the backward sweep still carries their lambda
 # along the frozen states until it overflows; their gradient is then set to 0
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
 @pytest.mark.parametrize("name", sorted(NOT_NILPOTENT))
 def test_drifts_that_do_not_settle_step_one_cell_per_window(name):
     # the first window runs out of passes (d + 1 = 2) and advances by its
@@ -587,12 +591,25 @@ def test_csv_blocks_equal_the_per_cell_reference(block, paths, levels, data):
     assert report.to_csv_string() == "".join(blocks)
 
 
+def _reference_noise(sigma, dw):
+    """sigma dw as the Euler step sums it: for k <= 2 the einsum of the
+    loop euler_batch replaced, which the generated step equals bit for bit,
+    and for k >= 3 left to right from 0.0, the order it declares."""
+    if sigma.shape[1] <= 2:
+        return np.einsum("bdk,bk->bd", sigma[None], dw[None])[0]
+    total = 0.0
+    for column, w in zip(sigma.T, dw):
+        total = total + column * w
+    return total
+
+
 def _reference_euler(system, x0, inc, dt):
     """One row stepped with every check at every step: (states, explosion).
 
     The loop euler_batch replaced, kept as the reference: rows after the
     explosion index are nan, and a non-finite drift at a live state raises
-    NumericalFailure before the step is taken.
+    NumericalFailure before the step is taken. The noise term is
+    _reference_noise.
     """
     states = np.full((len(inc) + 1, len(x0)), np.nan)
     states[0] = x = x0
@@ -603,7 +620,7 @@ def _reference_euler(system, x0, inc, dt):
                 raise NumericalFailure(
                     f"drift evaluated to non-finite values at step {i}",
                     state=x, step=i)
-            x = x + b * dt + system.sigma @ inc[i]
+            x = x + b * dt + _reference_noise(system.sigma, inc[i])
         if not _reference_alive(x, system.domain_contains):
             return states, i + 1
         states[i + 1] = x
@@ -647,14 +664,26 @@ def _assert_euler_batch_matches_reference(system, x0, inc, dt):
 # euler_batch checks liveness once per block of sde._BLOCK nodes; small
 # blocks make the 1-64 step cases cross many block edges
 BLOCKS = st.sampled_from([1, 2, 3, 7, sde._BLOCK])
+# it steps rows on Python floats up to sde._FLOAT_ROWS live rows and on
+# arrays above, in blocks of at most sde._COLUMN_VALUES values; a layout
+# (_FLOAT_ROWS, _COLUMN_VALUES) runs every batch on arrays in blocks of
+# _BLOCK nodes, on arrays in blocks cut to 1-3 nodes, or on floats
+LAYOUTS = ((0, 1 << 20), (0, 7), (1 << 20, 1 << 20))
+KERNEL_LAYOUTS = st.sampled_from(LAYOUTS)
+
+
+def _kernel(block, layout):
+    float_rows, column_values = layout
+    return mock.patch.multiple(sde, _BLOCK=block, _FLOAT_ROWS=float_rows,
+                               _COLUMN_VALUES=column_values)
 
 
 @SETTINGS
-@given(euler_cases, BLOCKS)
-def test_euler_batch_rows_equal_single_runs(case, block):
+@given(euler_cases, BLOCKS, KERNEL_LAYOUTS)
+def test_euler_batch_rows_equal_single_runs(case, block, layout):
     system, x0, inc = _draw_euler(case)
     dt = case["dt"]
-    with mock.patch.object(sde, "_BLOCK", block):
+    with _kernel(block, layout):
         _assert_euler_batch_matches_reference(system, x0, inc, dt)
     for b in range(len(x0)):
         ref, explosion = _reference_euler(system, x0[b], inc[b], dt)
@@ -672,13 +701,13 @@ OVERFLOWING = SdeSystem(PolynomialDrift(2, (((1e308, (2, 0)),
 
 
 @SETTINGS
-@given(euler_cases, BLOCKS)
-def test_numerical_failure_matches_single_runs(case, block):
+@given(euler_cases, BLOCKS, KERNEL_LAYOUTS)
+def test_numerical_failure_matches_single_runs(case, block, layout):
     system = OVERFLOWING
     inc = _increments(case, 1)
     x0 = np.zeros((len(inc), 2))
     dt = case["dt"]
-    with mock.patch.object(sde, "_BLOCK", block):
+    with _kernel(block, layout):
         _assert_euler_batch_matches_reference(system, x0, inc, dt)
     for b in range(len(x0)):
         try:
@@ -722,10 +751,12 @@ def test_euler_batch_kills_each_row_once_across_blocks(block):
                      domain_contains=lambda x: x[..., 0] < 1.0)
     inc = _jumps(n, [(v, 2.0 if v else 0.0) for v in deaths], seed=m)
     x0 = np.zeros((len(deaths), 1))
-    with mock.patch.object(sde, "_BLOCK", m):
-        first_dead = _assert_euler_batch_matches_reference(system, x0, inc,
-                                                           0.1)
-    assert first_dead.tolist() == [n + 1 if v is None else v for v in deaths]
+    for layout in LAYOUTS:
+        with _kernel(m, layout):
+            first_dead = _assert_euler_batch_matches_reference(system, x0,
+                                                               inc, 0.1)
+        assert first_dead.tolist() == [n + 1 if v is None else v
+                                       for v in deaths]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
@@ -738,10 +769,11 @@ def test_euler_batch_all_rows_dead_mid_block(block):
     system = replace(get_example("brownian").sde,
                      domain_contains=lambda x: x[..., 0] < 1.0)
     inc = _jumps(n, [(v, 2.0) for v in deaths], seed=block)
-    with mock.patch.object(sde, "_BLOCK", block):
-        first_dead = _assert_euler_batch_matches_reference(
-            system, np.zeros((3, 1)), inc, 0.1)
-    assert first_dead.tolist() == deaths
+    for layout in LAYOUTS:
+        with _kernel(block, layout):
+            first_dead = _assert_euler_batch_matches_reference(
+                system, np.zeros((3, 1)), inc, 0.1)
+        assert first_dead.tolist() == deaths
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
@@ -753,11 +785,13 @@ def test_numerical_failure_of_the_earliest_step_in_a_block(block):
     n = 3 * block + 1
     inc = _jumps(n, [(2 * block - 1, 2.0), (block, 3.0), (block, 4.0)],
                  seed=0, scale=0.0)
-    with mock.patch.object(sde, "_BLOCK", block):
-        failure = _assert_euler_batch_matches_reference(
-            OVERFLOWING, np.zeros((3, 2)), inc, 0.1)
-    assert failure.step == block
-    assert failure.state.tolist() == ([3.0, 3.0] if block > 1 else [2.0, 2.0])
+    for layout in LAYOUTS:
+        with _kernel(block, layout):
+            failure = _assert_euler_batch_matches_reference(
+                OVERFLOWING, np.zeros((3, 2)), inc, 0.1)
+        assert failure.step == block
+        assert failure.state.tolist() == ([3.0, 3.0] if block > 1
+                                          else [2.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -1323,6 +1357,44 @@ def test_derived_limit_is_the_principal_part(table, seed):
         hypothesis.assume(alpha.min() > 1e-280)
         scaled = eps * limit(alpha * y) / alpha
         assert np.all(np.abs(scaled - limit(y)) <= 1e-12 * magnitude)
+
+
+@st.composite
+def euler_tables(draw):
+    """(system, x0, inc, dt): a table of monomial_tables, its coefficients
+    scaled by 1 or by 1e300 (so that drifts overflow), with sigma of 1 to 3
+    columns of several nonzero entries per row, signed zeros among the
+    rest, on a domain of DOMAINS; 1 to 6 rows start inside it, and their
+    increments hold up to three huge, infinite or nan entries."""
+    rows, _ = draw(monomial_tables())
+    d, k = len(rows), draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 1e300]))
+    sigma = np.reshape(draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -0.5, 3.0, 1e-3]),
+        min_size=d * k, max_size=d * k)), (d, k))
+    system = SdeSystem(
+        PolynomialDrift(d, [[(scale * c, e) for c, e in row] for row in rows]),
+        sigma, DOMAINS[draw(st.sampled_from(sorted(DOMAINS)))])
+    batch, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.uniform(-0.5, 0.5, (batch, d))   # inside every domain
+    inc = draw(st.sampled_from([0.1, 3.0])) * rng.standard_normal(
+        (batch, n, k))
+    for _ in range(draw(st.integers(0, 3))):
+        inc[draw(st.integers(0, batch - 1)), draw(st.integers(0, n - 1)),
+            draw(st.integers(0, k - 1))] = draw(st.sampled_from(
+                [1e3, -1e200, np.inf, -np.inf, np.nan]))
+    return system, x0, inc, draw(st.sampled_from([1e-3, 0.05, 0.5]))
+
+
+@SETTINGS
+@given(euler_tables(), BLOCKS, KERNEL_LAYOUTS)
+def test_generated_euler_step_equals_the_einsum_loop(case, block, layout):
+    # the step generated from the table, on floats and on arrays, against
+    # the per-step einsum loop (left to right for k >= 3) row by row
+    system, x0, inc, dt = case
+    with _kernel(block, layout):
+        _assert_euler_batch_matches_reference(system, x0, inc, dt)
 
 
 def _reference_transformed(system, phi, psi, eps):

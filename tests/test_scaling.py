@@ -12,7 +12,7 @@ from lillab.scaling import (EPS_CEILING, AsymptoticIndex, ContractionFamily,
                             rate_scale, rescale_path,
                             rescaled_sde_system, transformed_coefficients)
 from lillab.sde import (ExplosivePath, PolynomialDrift, SdeSystem, _factory,
-                        trivial_domain)
+                        _step_factory, euler_batch, trivial_domain)
 
 
 def test_rate_scale_boundary():
@@ -254,16 +254,24 @@ def test_rescaled_families_are_tables(name):
 
 
 def test_a_family_rescaled_at_a_new_eps_compiles_nothing():
-    # the tables at each eps share one shape, so the generated source is
-    # executed once and every later eps only binds its coefficients
+    # the tables at each eps share one shape, so the generated sources (the
+    # drift's and its Euler step's) are executed once and every later eps
+    # only binds its coefficients
     example = get_example("lorenz96")
-    transformed_coefficients(example.sde, example.contraction,
-                             example.index, 1e-3)
-    misses = _factory.cache_info().misses
+    x0 = example.contraction.center[None]
+    inc = np.zeros((1, 3, example.sde.dim_noise))
+
+    def step_at(eps):
+        euler_batch(transformed_coefficients(
+            example.sde, example.contraction, example.index, eps), x0, inc,
+            0.1)
+
+    step_at(1e-3)
+    misses = _factory.cache_info().misses, _step_factory.cache_info().misses
     for eps in (2e-3, 1e-5, 1e-9):
-        transformed_coefficients(example.sde, example.contraction,
-                                 example.index, eps)
-    assert _factory.cache_info().misses == misses
+        step_at(eps)
+    assert (_factory.cache_info().misses,
+            _step_factory.cache_info().misses) == misses
 
 
 @pytest.mark.parametrize("k", range(2, 13))
