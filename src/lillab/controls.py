@@ -1,13 +1,14 @@
 """Control grids, the limit control ODE, and energy recovery.
 
 Controls are piecewise-constant derivatives u = df/dt on a uniform grid over
-[0, 1] with energy (1/2) int |u|^2. The limit ODE dg = limit_drift(g) dt +
-sigma u(t) dt, with a polynomial limit drift given as a monomial table and
-a constant (d, k) matrix sigma, maps a control to a path; the energy
-recovery map inverts it per grid cell by least squares and prices
-unreachable paths at infinity. The adjoint reads the drift's Jacobian from
-the same table. A path that leaves the domain is killed as an SDE path is:
-its explosion_index marks the first node outside, and later states are nan.
+[0, 1] with energy (1/2) int |u|^2. The limit ODE dg = L(g) dt + sigma u(t)
+dt of an SdeSystem (L, sigma) (the limit system of the rescaling: a
+polynomial drift given as a monomial table and a constant (d, k) matrix
+sigma) maps a control to a path; the energy recovery map inverts it per
+grid cell by least squares and prices unreachable paths at infinity. The
+adjoint reads the drift's Jacobian from the same table. A path that leaves
+the system's domain is killed as an SDE path is: its explosion_index marks
+the first node outside, and later states are nan.
 
 One windowed RK4 sweep (_rk4_window) integrates the control ODE for every
 caller, one step per control cell: it evaluates the stages of a whole window
@@ -20,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .sde import (ExplosivePath, PolynomialDrift, _philox, _row_path, alive,
-                  trivial_domain)
+from .sde import ExplosivePath, SdeSystem, _philox, _row_path, alive
 
 # The paper's unit energy ball {(1/2) int |u|^2 <= MAX_ENERGY}.
 MAX_ENERGY = 1.0
@@ -90,43 +90,27 @@ class ControlGrid:
 
 @dataclass(frozen=True, eq=False)
 class LimitOdeProblem:
-    """Deterministic control ODE dg = limit_drift(g) dt + sigma u dt.
+    """Deterministic control ODE dg = L(g) dt + sigma u dt from x0.
 
-    limit_drift is a PolynomialDrift on R^d, whose jacobian the adjoint
-    uses; constant_diffusion is sigma, a (d, k) array. domain_contains maps
-    (..., d) to bools (...) and raises ValueError on another shape (see
-    sde.alive). t_star <= 1 bounds the usable horizon. The state dimension
-    d is read from x0 and the control dimension k from sigma.
+    system is the SdeSystem (L, sigma, domain): its drift's jacobian is
+    what the adjoint uses, its sigma maps the k controls to the d states,
+    and a path dies where it leaves its domain (see sde.alive). x0 is a
+    state vector of shape (d,), read only once stored, and t_star <= 1
+    bounds the usable horizon.
     """
 
-    limit_drift: PolynomialDrift
-    constant_diffusion: np.ndarray
+    system: SdeSystem
     x0: np.ndarray
-    domain_contains: Callable[[np.ndarray], np.ndarray] = trivial_domain
     t_star: float = 1.0
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        sig = np.asarray(self.constant_diffusion, dtype=float)
-        if not isinstance(self.limit_drift, PolynomialDrift):
-            raise TypeError("limit_drift must be a PolynomialDrift (a "
-                            "monomial table)")
-        if x0.shape != (self.limit_drift.d,):
+        x0 = np.array(self.x0, dtype=float)
+        if x0.shape != (self.system.dim_state,):
             raise ValueError("x0 must be a state vector of shape (d,)")
-        if sig.ndim != 2 or sig.shape[0] != x0.shape[0]:
-            raise ValueError("constant_diffusion shape must be (d, k)")
         if not 0.0 < self.t_star <= 1.0:
             raise ValueError("t_star must lie in (0, 1]")
+        x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "constant_diffusion", sig)
-
-    @property
-    def dim_state(self) -> int:
-        return self.x0.shape[0]
-
-    @property
-    def dim_control(self) -> int:
-        return self.constant_diffusion.shape[1]
 
 
 def _widths(t_star: float, n_steps: int) -> np.ndarray:
@@ -145,12 +129,13 @@ def _widths(t_star: float, n_steps: int) -> np.ndarray:
 
 
 def _control_rhs(problem: LimitOdeProblem, u: np.ndarray):
-    """The slopes y -> limit_drift(y) + sigma u of the control ODE at
-    controls u (..., k), as an rhs(stage, y) of _rk4_window."""
-    forcing = u @ problem.constant_diffusion.T
+    """The slopes y -> L(y) + sigma u of the control ODE at controls
+    u (..., k), as an rhs(stage, y) of _rk4_window."""
+    drift = problem.system.drift
+    forcing = u @ problem.system.sigma.T
 
     def rhs(stage, y):
-        return problem.limit_drift(y) + forcing
+        return drift(y) + forcing
 
     return rhs
 
@@ -224,10 +209,11 @@ def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
     window. Raises ValueError for an x0 that is not alive and for a
     domain_contains that returns the wrong shape.
     """
-    if not alive(problem.x0, problem.domain_contains):
+    domain = problem.system.domain_contains
+    if not alive(problem.x0, domain):
         raise ValueError("x0 outside the domain")
     batch, n_steps, _ = u_batch.shape
-    dim = problem.dim_state
+    dim = problem.system.dim_state
     widths = _widths(problem.t_star, n_steps)
     n = len(widths)
     x = np.broadcast_to(problem.x0, (batch, dim)).copy()
@@ -247,7 +233,7 @@ def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
             if done < len(u):
                 cap = 1
             new = nodes[1 : done + 1]
-            ok = alive(new, problem.domain_contains)
+            ok = alive(new, domain)
             first_bad = np.where(ok.all(axis=0), done, np.argmin(ok, axis=0))
             dies = first_bad < done
             if dies.any():
@@ -285,7 +271,7 @@ def solve_control_ode(problem: LimitOdeProblem, control: ControlGrid
     that node, matching the SDE explosion convention. This is the one-row
     case of the batched integrator the extremal optimizer uses.
     """
-    if control.dim != problem.dim_control:
+    if control.dim != problem.system.dim_noise:
         raise ValueError("control dimension does not match the problem")
     widths, states, first_dead = _node_states(problem, control.values[None])
     times = np.concatenate([[0.0], np.cumsum(widths)])
@@ -302,7 +288,7 @@ def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath) -> float:
     range of sigma by more than _CRAMER_TOLERANCE * (1 + max |g|) per unit
     time. Cells at or after the explosion index contribute zero.
     """
-    if path.dim != problem.dim_state:
+    if path.dim != problem.system.dim_state:
         raise ValueError("path dimension does not match the problem")
     end = path.explosion_index if path.explosion_index is not None else len(path.times)
     if end < 2:
@@ -310,8 +296,8 @@ def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath) -> float:
     g = path.states[:end]
     h = np.diff(path.times[:end])[:, None]
     mid = 0.5 * (g[:-1] + g[1:])
-    b = problem.limit_drift(mid)
-    sig = problem.constant_diffusion
+    b = problem.system.drift(mid)
+    sig = problem.system.sigma
     sig_pinv = np.linalg.pinv(sig, rcond=1e-12)
     u = (np.diff(g, axis=0) / h - b) @ sig_pinv.T
     step = g[:-1] + _rk4_increment(_control_rhs(problem, u), g[:-1], h,

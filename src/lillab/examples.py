@@ -2,10 +2,10 @@
 
 Each example is one monomial table of its drift plus sigma and x0, from
 which one builder (_example) makes the SDE, the asymptotic index, the
-limit control ODE (scaling.derive_rescaling finds the last two) and the
-contraction family around x0 with the trend b(x0). Each entry bundles
-these with named path functionals and reference constants with the
-method that produced them. Control-space
+limit system (scaling.derive_rescaling finds the two) with its control
+problem from x0, and the contraction family around x0 with the trend
+b(x0). Each entry bundles these with named path functionals and
+reference constants with the method that produced them. Control-space
 functionals (J1/J2/J3/running_max) are also evaluable directly by
 quadrature via functional_value. lorenz96's sine-probe constant is such a
 quadrature value, stored as a literal so that building the example runs
@@ -61,28 +61,28 @@ class ExampleSystem:
 def _example(name: str, params: dict, rows, sigma: np.ndarray, x0,
              functionals: dict, reference: dict, **extra) -> ExampleSystem:
     """The example dx = b(x) dt + sigma dW from x0, b the monomial table
-    rows: the index and limit drift L of dy = L(y) dt + sigma u dt from
-    derive_rescaling, worked out at 0 (so only a linear b may start
-    elsewhere), and the contraction around x0 with the trend v, b(x0) in
+    rows: the index and the limit system (L, sigma) of dy = L(y) dt +
+    sigma u dt from derive_rescaling, worked out at 0 (so only a linear b
+    may start elsewhere), and the contraction around x0 with the trend v, b(x0) in
     the rows without noise and 0 in the others (a driven row's constant
     scales away). Its rescaled coefficients are autonomous and tend to
     (L, sigma) only if v = L(x0) and b reads no coordinate that v moves;
     otherwise ValueError. extra goes to ExampleSystem."""
-    drift = PolynomialDrift(len(rows), rows)
-    if np.any(x0) and drift.matrix is None:
+    sde = SdeSystem(PolynomialDrift(len(rows), rows), sigma)
+    if np.any(x0) and sde.drift.matrix is None:
         raise ValueError(f"{name}: a nonlinear drift is rescaled at 0 only")
-    index, limit_drift = derive_rescaling(drift, sigma)
-    trend = np.where(np.any(sigma != 0.0, axis=1), 0.0, drift(x0))
-    if (np.any(trend != limit_drift(x0))
-            or np.any(drift.jacobian(x0)[:, trend != 0.0])):
+    index, limit = derive_rescaling(sde)
+    trend = np.where(np.any(sigma != 0.0, axis=1), 0.0, sde.drift(x0))
+    if (np.any(trend != limit.drift(x0))
+            or np.any(sde.drift.jacobian(x0)[:, trend != 0.0])):
         raise ValueError(f"{name}: no autonomous rescaling from x0: the "
                          f"trend {trend} (b(x0) in the rows without noise) "
                          "must be the limit drift there and move no "
                          "coordinate that b reads")
     return ExampleSystem(
-        name=name, params=params, sde=SdeSystem(drift, sigma),
+        name=name, params=params, sde=sde,
         contraction=ContractionFamily(x0, trend), index=index,
-        limit_problem=LimitOdeProblem(limit_drift, sigma, x0),
+        limit_problem=LimitOdeProblem(limit, x0),
         functionals=functionals, reference=reference, **extra)
 
 
@@ -92,6 +92,8 @@ def ik_reference_constant(d: int) -> float:
 
 
 def _make_brownian(d: int = 1) -> ExampleSystem:
+    if d < 1:
+        raise ValueError("brownian needs d >= 1")
     w = np.zeros(d)
     w[0] = 1.0
     functionals = {
@@ -286,14 +288,15 @@ def functional_value(name: str, f_samples, d: Optional[int] = None) -> float:
 
 def coefficient_deviation(example: ExampleSystem, eps: float,
                           points: np.ndarray) -> dict:
-    """Sup deviation of (b_eps, sigma_eps) from the limit pair on sample
-    points (n, d), each coefficient evaluated once on the whole cloud."""
+    """Sup deviation of the rescaled system (b_eps, sigma_eps) from the
+    limit system (L, sigma), field by field: the drifts on sample points
+    (n, d), each evaluated once on the whole cloud, and the sigmas."""
     res = transformed_coefficients(example.sde, example.contraction,
                                    example.index, eps)
-    limit = example.limit_problem
+    limit = example.limit_problem.system
     y = np.asarray(points, dtype=float)
-    drift_dev = np.max(np.abs(res.drift(y) - limit.limit_drift(y)))
-    diff_dev = np.max(np.abs(res.sigma - limit.constant_diffusion))
+    drift_dev = np.max(np.abs(res.drift(y) - limit.drift(y)))
+    diff_dev = np.max(np.abs(res.sigma - limit.sigma))
     return {"eps": eps, "drift_deviation": float(drift_dev),
             "diffusion_deviation": float(diff_dev)}
 

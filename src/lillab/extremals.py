@@ -24,7 +24,7 @@ import numpy as np
 
 from .controls import (MAX_ENERGY, ControlGrid, LimitOdeProblem, _integrate,
                        _node_states, _rk4_window, _window_cells)
-from .sde import ExplosivePath
+from .sde import ExplosivePath, NumericalFailure
 
 _FD_STEP = 1e-6       # relative step of the central differences
 _TOL_VALUE = 1e-12    # relative gain below which an iteration stalls
@@ -141,7 +141,8 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
     """dF/du via one forward and one backward RK4 sweep per batch row.
 
     Requires a terminal functional (is_terminal). The backward equation
-    lambda' = -J_b(g)^T lambda is integrated by _rk4_window over reversed
+    lambda' = -J_L(g)^T lambda of the system's drift L is integrated by
+    _rk4_window over reversed
     cells on the stored forward trajectory, with stage slopes J^T lambda at
     the cell's upper node, its midpoint (the mean of the two nodes, twice)
     and its lower node; the cell gradient is sigma^T times the trapezoidal
@@ -150,7 +151,7 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
     if not is_terminal(functional):
         raise ValueError("functional does not expose a terminal gradient")
     widths, traj, first_dead = _node_states(problem, u_batch)
-    n, dim = len(widths), problem.dim_state
+    n, dim = len(widths), problem.system.dim_state
     lam = np.empty_like(traj)
     lam[n] = functional.terminal_gradient(traj[n])
     end, cap = n, _window_cells(traj.shape[1], dim)
@@ -160,8 +161,8 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
         while end > 0:
             lo = max(0, end - cap)
             g = traj[lo : end + 1][::-1]
-            jac = problem.limit_drift.jacobian(g)
-            j_mid = problem.limit_drift.jacobian(0.5 * (g[:-1] + g[1:]))
+            jac = problem.system.drift.jacobian(g)
+            j_mid = problem.system.drift.jacobian(0.5 * (g[:-1] + g[1:]))
             stage_jac = (jac[:-1], j_mid, j_mid, jac[1:])
             nodes, done = _rk4_window(
                 lambda stage, y: np.einsum("...ij,...i->...j",
@@ -174,7 +175,7 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
         grad = np.zeros_like(u_batch)
         # += on zeros, as the per-cell loop did: -0.0 cell gradients become 0.0
         grad[:, :n] += ((0.5 * widths)[:, None, None] * (lam[1:] + lam[:-1])
-                        @ problem.constant_diffusion).transpose(1, 0, 2)
+                        @ problem.system.sigma).transpose(1, 0, 2)
     grad[first_dead <= n] = 0.0
     return grad
 
@@ -252,7 +253,7 @@ def _project_batch(u_batch: np.ndarray) -> np.ndarray:
 
 
 def _initial_bank(problem, config) -> np.ndarray:
-    n, k = config.n_steps, problem.dim_control
+    n, k = config.n_steps, problem.system.dim_noise
     starts = []
     for grid in config.extra_starts:
         if grid.n_steps != n or grid.dim != k:
@@ -303,7 +304,8 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     per round would give, bit for bit; the ladder only prices, in the same
     call, trials past the one accepted. After an iteration only the
     restarts whose control moved get a new gradient: an unmoved control
-    keeps the gradient bits it had.
+    keeps the gradient bits it had. A start whose path dies takes no step,
+    and when every start dies the search raises NumericalFailure.
 
     The reported value is recomputed at the returned control by the same
     batched integration as every candidate, and equals
@@ -342,6 +344,8 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     u = _project_batch(_initial_bank(problem, config))
     batch = u.shape[0]
     val = scores(u)
+    if not np.isfinite(val).any():   # a dead start takes no step (see good)
+        raise NumericalFailure(f"all {batch} optimizer starts die")
     step = np.full(batch, _STEP_INIT)
     active = np.ones(batch, dtype=bool)
     stall = np.zeros(batch, dtype=int)
@@ -367,8 +371,10 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
                     (count * rows.size,) + u.shape[1:]))
             cand_val = scores(cand)
             base = val[rows]
-            good = (cand_val.reshape(count, rows.size)
-                    > base + 1e-15 * (1.0 + np.abs(base)))
+            # a dead restart (base -inf) passes no rung: its threshold is inf
+            good = cand_val.reshape(count, rows.size) > np.add(
+                base, 1e-15 * (1.0 + np.abs(base)),
+                out=np.full_like(base, np.inf), where=base > -np.inf)
             hit = good.any(axis=0).nonzero()[0]
             # flat index of each hit's first passing rung in cand
             pick = good[:, hit].argmax(axis=0) * rows.size + hit

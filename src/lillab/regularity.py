@@ -33,7 +33,7 @@ class DomainSpec:
     """Open set V given implicitly: implicit_fn < 0 inside, = 0 on the boundary.
 
     implicit_fn maps points (..., d) to values (...), broadcasting over
-    leading axes like LimitOdeProblem.limit_drift: the boundary ray casts
+    leading axes like SdeSystem.domain_contains: the boundary ray casts
     and the cone probe call it once on a whole batch of points, and raise
     ValueError when the result does not have the batch's shape.
     gradient_fn returns an outward direction (unnormalized) on the boundary.
@@ -295,8 +295,8 @@ def _energy_certificate(problem: LimitOdeProblem, z: np.ndarray,
     sqrt(2 t).  A target beyond that band is unreachable regardless of
     optimizer outcome.
     """
-    sigma = problem.constant_diffusion
-    for i, row in enumerate(problem.limit_drift.rows):
+    sigma = problem.system.sigma
+    for i, row in enumerate(problem.system.drift.rows):
         if row:
             continue
         bound = float(np.linalg.norm(sigma[i])) * math.sqrt(2.0 * t)
@@ -326,7 +326,7 @@ def reach_target(problem: LimitOdeProblem, z, t: float,
     no matter what the optimizer returned.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape != (problem.dim_state,):
+    if z.shape != (problem.system.dim_state,):
         raise ValueError("target must be a state-space vector")
     if not np.all(np.isfinite(z)):
         raise ValueError("target must be finite")

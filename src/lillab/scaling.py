@@ -7,7 +7,7 @@ Together they map a path x on [0, eps] to the rescaled path
 y_t = Phi_{psi(eps)}(x_{eps t}) on [0, 1], and an SDE to its rescaled
 coefficient family, itself a table system: each monomial is rescaled by
 its coefficient, and sigma by a row scale. derive_rescaling finds the index
-and the limit drift from the drift's monomials.
+and the limit system (L, sigma) from the drift's monomials.
 """
 
 from __future__ import annotations
@@ -101,10 +101,10 @@ def eval_index(psi: AsymptoticIndex, eps: float) -> np.ndarray:
     return alpha
 
 
-def derive_rescaling(drift: PolynomialDrift, sigma):
-    """The asymptotic index and the limit drift of dx = b(x) dt + sigma dW
-    at x = 0 from the monomials of b, its weighted-homogeneous principal
-    part (Hermes 1991, SIAM Rev. 33:238).
+def derive_rescaling(system: SdeSystem):
+    """The asymptotic index and the limit system SdeSystem(L, sigma), on the
+    whole space, of dx = b(x) dt + sigma dW at x = 0: L is the
+    weighted-homogeneous principal part of b (Hermes 1991, SIAM Rev. 33:238).
 
     A coordinate whose row of sigma is nonzero gets (l, k) = (1, 1). Any
     other coordinate i gets l_i = 2 + min sum_j m_j l_j over the
@@ -117,8 +117,8 @@ def derive_rescaling(drift: PolynomialDrift, sigma):
     term c in an undriven row grows like eps * c / alpha_i = eps^(1 - l_i/2)
     c: either raises ValueError naming the coordinate.
     """
-    driven = np.any(np.asarray(sigma, dtype=float) != 0.0, axis=1)
-    rows, d = drift.rows, drift.d
+    driven = np.any(system.sigma != 0.0, axis=1)
+    rows, d = system.drift.rows, system.dim_state
     for i in np.flatnonzero(~driven):
         if any(not any(e) for _, e in rows[i]):
             raise ValueError(f"coordinate {i} has a constant drift term and "
@@ -144,7 +144,8 @@ def derive_rescaling(drift: PolynomialDrift, sigma):
     limit = [tuple((c, e) for c, e in row if any(e) and weight(e, ell)
                    == ell[i] - 2 and weight(e, k) == k[i])
              for i, row in enumerate(rows)]
-    return AsymptoticIndex(tuple(zip(ell, k))), PolynomialDrift(d, limit)
+    return (AsymptoticIndex(tuple(zip(ell, k))),
+            SdeSystem(PolynomialDrift(d, limit), system.sigma))
 
 
 @dataclass(frozen=True, eq=False)

@@ -435,6 +435,21 @@ def test_library_value_error_exit_2(argv, message, capsys):
                              "subcommand": argv[0]}}
 
 
+@pytest.mark.parametrize("argv", [
+    ["examples", "describe", "brownian"],
+    ["simulate", "--example", "brownian"],
+    ["optimize", "--example", "brownian", "--functional", "terminal"],
+    ["lil-verify", "--example", "brownian", "--functional", "terminal"],
+])
+def test_brownian_without_coordinates_exits_2(argv, capsys):
+    # d = 0 is a bad parameter, as d < 2 is for iterated_kolmogorov
+    assert run(argv + ["--d", "0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": {
+        "message": "bad example parameters: brownian needs d >= 1",
+        "exit_code": 2, "subcommand": argv[0]}}
+
+
 def test_regularity_reach_certifies_a_far_target(tmp_path):
     # the README call: |x2(1)| <= sqrt(2) on the energy ball, so x2 = 10
     # is out of reach whatever the optimizer returns

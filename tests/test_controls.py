@@ -7,7 +7,8 @@ import pytest
 from lillab.controls import (ControlGrid, LimitOdeProblem, cramer_transform,
                              linear_kernel_oracle, solve_control_ode)
 from lillab.examples import get_example
-from lillab.sde import ExplosivePath, PolynomialDrift
+from lillab.sde import (ExplosivePath, PolynomialDrift, SdeSystem,
+                        trivial_domain)
 
 
 def test_control_grid_energy_piecewise_exact():
@@ -101,28 +102,28 @@ def test_limit_set_samples_are_feasible(name, seed, n_steps):
     # paths of random band-limited controls in the unit energy ball
     problem = get_example(name).limit_problem
     for stream in range(8):
-        u = ControlGrid.random_bandlimited(n_steps, problem.dim_control,
+        u = ControlGrid.random_bandlimited(n_steps, problem.system.dim_noise,
                                            seed, stream=stream).project()
         lam = cramer_transform(problem, solve_control_ode(problem, u))
         assert lam <= 1.0 + 1e-3
 
 
-def _blowup_problem(**changes):
+def _blowup_problem(domain_contains=trivial_domain, **changes):
     # scalar dy = y^2 dt + 0 du from y(0) = 2 blows up at t = 0.5
     problem = LimitOdeProblem(
-        limit_drift=PolynomialDrift(1, (((1.0, (2,)),),)),
-        constant_diffusion=np.zeros((1, 1)),
+        system=SdeSystem(PolynomialDrift(1, (((1.0, (2,)),),)),
+                         np.zeros((1, 1)), domain_contains),
         x0=np.array([2.0]),
     )
     return replace(problem, **changes)
 
 
-def _decay_problem(**changes):
+def _decay_problem(domain_contains=trivial_domain, **changes):
     # scalar dy = -y dt + du from y(0) = 1: the drift acts on the driven
     # coordinate and never settles in a windowed sweep
     return replace(LimitOdeProblem(
-        limit_drift=PolynomialDrift(1, (((-1.0, (1,)),),)),
-        constant_diffusion=np.ones((1, 1)),
+        SdeSystem(PolynomialDrift(1, (((-1.0, (1,)),),)), np.ones((1, 1)),
+                  domain_contains),
         x0=np.array([1.0])), **changes)
 
 
@@ -137,28 +138,44 @@ def test_cramer_drift_in_a_driven_coordinate():
 
 
 def test_limit_problem_contract():
-    # a table drift and sigma are required; d comes from x0 and the table,
-    # k from sigma
+    # a system and x0 are required; the system checks its table drift and
+    # sigma, d comes from the table and k from sigma
     drift = PolynomialDrift(2, (((1.0, (0, 2)),), ()))
     with pytest.raises(TypeError):
-        LimitOdeProblem(limit_drift=drift, x0=np.zeros(2))
+        LimitOdeProblem(system=SdeSystem(drift, np.ones((2, 1))))
     with pytest.raises(TypeError, match="PolynomialDrift"):
-        LimitOdeProblem(lambda y: y, np.ones((2, 1)), np.zeros(2))
-    with pytest.raises(ValueError, match="constant_diffusion shape"):
-        LimitOdeProblem(drift, np.ones((3, 1)), np.zeros(2))
-    with pytest.raises(ValueError, match="constant_diffusion shape"):
-        LimitOdeProblem(drift, np.ones(2), np.zeros(2))
+        LimitOdeProblem(SdeSystem(lambda y: y, np.ones((2, 1))), np.zeros(2))
+    with pytest.raises(ValueError, match="sigma must have shape"):
+        LimitOdeProblem(SdeSystem(drift, np.ones((3, 1))), np.zeros(2))
+    with pytest.raises(ValueError, match="sigma must have shape"):
+        LimitOdeProblem(SdeSystem(drift, np.ones(2)), np.zeros(2))
     with pytest.raises(ValueError, match="x0 must be a state vector"):
-        LimitOdeProblem(drift, np.ones((2, 1)), np.zeros((2, 1)))
+        LimitOdeProblem(SdeSystem(drift, np.ones((2, 1))), np.zeros((2, 1)))
     with pytest.raises(ValueError, match="x0 must be a state vector"):
-        LimitOdeProblem(drift, np.ones((3, 1)), np.zeros(3))
-    problem = LimitOdeProblem(drift, [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]],
-                              [0.5, 0.0])
-    assert (problem.dim_state, problem.dim_control) == (2, 3)
-    assert problem.constant_diffusion.dtype == float
+        LimitOdeProblem(SdeSystem(drift, np.ones((2, 1))), np.zeros(3))
+    problem = LimitOdeProblem(
+        SdeSystem(drift, [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]), [0.5, 0.0])
+    assert (problem.system.dim_state, problem.system.dim_noise) == (2, 3)
+    assert problem.system.sigma.dtype == float
     assert problem.x0.dtype == float
     clipped = replace(problem, t_star=0.5)
-    assert (clipped.dim_state, clipped.dim_control) == (2, 3)
+    assert (clipped.system.dim_state, clipped.system.dim_noise) == (2, 3)
+
+
+def test_limit_problem_sigma_is_finite_and_read_only():
+    # the limit problem makes the checks of its SdeSystem: a nan sigma
+    # raises, and neither sigma nor x0 can change once the problem is built
+    drift = PolynomialDrift(2, (((1.0, (0, 1)),), ()))
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        LimitOdeProblem(SdeSystem(drift, [[0.0], [math.nan]]), np.zeros(2))
+    sigma, x0 = np.array([[0.0], [1.0]]), np.zeros(2)
+    problem = LimitOdeProblem(SdeSystem(drift, sigma), x0)
+    with pytest.raises(ValueError, match="read-only"):
+        problem.system.sigma[1, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        problem.x0[0] = 5.0
+    sigma[1, 0], x0[0] = 5.0, 5.0   # the problem holds copies of both
+    assert problem.system.sigma[1, 0] == 1.0 and problem.x0[0] == 0.0
 
 
 def test_control_ode_explosion_marks_path():

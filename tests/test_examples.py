@@ -126,12 +126,36 @@ def test_deviation_table_decreasing():
         assert devs[0] + 1e-13 >= devs[1] >= devs[2] - 1e-13
 
 
+@pytest.mark.parametrize("name, params, functional", [
+    *[("brownian", {"d": d}, "terminal") for d in (2, 3, 4, 5, 8)],
+    *[("iterated_kolmogorov", {"d": d}, "J1") for d in (2, 3, 4, 5, 8)],
+    ("shifted_kolmogorov", {}, "J1"),
+    ("shifted_kolmogorov", {"x0": (-2.0, 0.5)}, "J1"),
+])
+def test_gramian_oracle_gives_the_stored_maximum(name, params, functional):
+    # the sup of w . y(1) + offset over the energy ball of a linear limit
+    # dy = A y dt + sigma u dt is w P(1) x0 + offset + sqrt(2 w Q w), with
+    # P the propagator and Q = covariance(1) the controllability Gramian
+    example = get_example(name, **params)
+    problem, f = example.limit_problem, example.functionals[functional]
+    linear = problem.system.linear
+    w = f.weights
+    oracle = (w @ linear.propagator(1.0) @ problem.x0 + f.offset
+              + math.sqrt(2.0 * (w @ linear.covariance(1.0) @ w)))
+    assert oracle == example.reference[f"{functional}_max"]["value"]
+
+
+@pytest.mark.parametrize("name", ["quadratic", "lorenz96"])
+def test_nonlinear_limits_have_no_linear_spec(name):
+    assert get_example(name).limit_problem.system.linear is None
+
+
 def test_shifted_drift_matches_limit_at_center():
     sk = get_example("shifted_kolmogorov")
     resc = transformed_coefficients(sk.sde, sk.contraction, sk.index, 1e-4)
     center = sk.contraction.center
     assert np.allclose(resc.drift(center),
-                       sk.limit_problem.limit_drift(center), atol=1e-10)
+                       sk.limit_problem.system.drift(center), atol=1e-10)
 
 
 def test_contraction_kind_of_each_example():

@@ -1,16 +1,19 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from lillab import extremals
-from lillab.controls import ControlGrid, solve_control_ode
+from lillab.controls import ControlGrid, LimitOdeProblem, solve_control_ode
 from lillab.examples import get_example, list_examples
 from lillab.extremals import (OptimizerConfig, RunningMaxAbsFunctional,
                               TerminalLinearFunctional, _functional_values,
                               adjoint_gradient, fd_gradient, optimize_extremal)
+from lillab.sde import NumericalFailure, PolynomialDrift, SdeSystem
+from test_controls import _blowup_problem
 
 QUICK = OptimizerConfig(n_steps=256, n_restarts=6, max_iters=200)
 
@@ -215,7 +218,8 @@ def test_auto_gradient_is_the_adjoint_exactly_for_terminal_functionals(
     assert adjoint.called == terminal and fd.called == (not terminal)
     if not terminal:
         with pytest.raises(ValueError, match="terminal gradient"):
-            adjoint_gradient(problem, f, np.zeros((1, 8, problem.dim_control)))
+            adjoint_gradient(problem, f,
+                             np.zeros((1, 8, problem.system.dim_noise)))
 
 
 @pytest.mark.parametrize("name, functional", _registered_pairs())
@@ -235,3 +239,27 @@ def test_functional_without_values_is_rejected():
     config = OptimizerConfig(n_steps=16, n_restarts=2, max_iters=5)
     with pytest.raises(ValueError, match="terminal_value or accumulate"):
         optimize_extremal(ik.limit_problem, object(), "max", config)
+
+
+def test_every_start_dying_is_a_numerical_failure():
+    # y' = y^2 from y(0) = 2 blows up at t = 0.5 whatever the control
+    config = OptimizerConfig(n_steps=16, n_restarts=3, max_iters=5)
+    with pytest.raises(NumericalFailure, match="all 3 optimizer starts die"):
+        optimize_extremal(_blowup_problem(), TerminalLinearFunctional([1.0]),
+                          "max", config)
+
+
+def test_dead_starts_take_no_step_and_warn_nothing():
+    # y' = y^2 + u from y(0) = 1: the constant start u = +1.34 blows up at
+    # t = 0.74 and u = -1.34 settles; the dead start keeps its -inf value
+    problem = LimitOdeProblem(
+        SdeSystem(PolynomialDrift(1, (((1.0, (2,)),),)), np.ones((1, 1))),
+        np.array([1.0]))
+    config = OptimizerConfig(n_steps=16, n_restarts=2, max_iters=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = optimize_extremal(problem, TerminalLinearFunctional([1.0]),
+                                   "max", config)
+    assert result.restart_values[0] == -np.inf
+    assert np.isfinite(result.restart_values[1])
+    assert result.value == result.restart_values[1]

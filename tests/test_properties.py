@@ -112,7 +112,7 @@ def _controls(case, dim_control):
 def _draw(case):
     problem = replace(get_example(case["example"]).limit_problem,
                       t_star=case["t_star"])
-    return problem, _controls(case, problem.dim_control)
+    return problem, _controls(case, problem.system.dim_noise)
 
 
 @SETTINGS
@@ -169,7 +169,7 @@ def test_cramer_transform_is_the_energy_of_feasible_paths(name, n, stream):
     # a path the control ODE makes from u is priced at u's energy; the path
     # (t, 0) breaks y1' = y2 on IK(2) and y1' = -y2^2 on quadratic
     problem = get_example(name).limit_problem
-    u = ControlGrid.random_bandlimited(n, problem.dim_control, seed=11,
+    u = ControlGrid.random_bandlimited(n, problem.system.dim_noise, seed=11,
                                        stream=stream).project()
     lam = cramer_transform(problem, solve_control_ode(problem, u))
     assert np.isfinite(lam) and lam >= 0.0
@@ -195,15 +195,16 @@ def _sweep_problem(name, t_star):
     if name in NOT_NILPOTENT:
         return NOT_NILPOTENT[name](t_star=t_star)
     if name == "kolmogorov_in_ball":
-        return replace(get_example("iterated_kolmogorov").limit_problem,
-                       t_star=t_star,
-                       domain_contains=lambda y:
-                           np.linalg.norm(y, axis=-1) < 0.3)
+        ik = get_example("iterated_kolmogorov").limit_problem
+        return replace(ik, t_star=t_star, system=replace(
+            ik.system,
+            domain_contains=lambda y: np.linalg.norm(y, axis=-1) < 0.3))
     return replace(get_example(name).limit_problem, t_star=t_star)
 
 
 def _window(cells, problem, rows):
-    values = 2**62 if cells is None else cells * rows * problem.dim_state
+    d = problem.system.dim_state
+    values = 2**62 if cells is None else cells * rows * d
     return mock.patch.object(controls, "_WINDOW_VALUES", values)
 
 
@@ -211,18 +212,19 @@ def _reference_rk4(problem, u_batch):
     """The per-cell RK4 loop the windowed sweep replaced: (widths, states
     (n + 1, B, d), first_dead), with dead rows frozen at their last live
     state."""
-    if not problem.domain_contains(problem.x0):
+    system = problem.system
+    if not system.domain_contains(problem.x0):
         raise ValueError("x0 outside the domain")
     batch, n_steps, _ = u_batch.shape
     widths = _widths(problem.t_star, n_steps)
-    x = np.broadcast_to(problem.x0, (batch, problem.dim_state)).copy()
+    x = np.broadcast_to(problem.x0, (batch, system.dim_state)).copy()
     first_dead = np.full(batch, len(widths) + 1)
     alive = np.ones(batch, dtype=bool)
-    check_domain = problem.domain_contains is not trivial_domain
+    check_domain = system.domain_contains is not trivial_domain
     states = [x]
 
     def rhs(y, u):
-        return problem.limit_drift(y) + u @ problem.constant_diffusion.T
+        return system.drift(y) + u @ system.sigma.T
 
     with np.errstate(over="ignore", invalid="ignore"):
         for node, h in enumerate(widths, start=1):
@@ -235,7 +237,7 @@ def _reference_rk4(problem, u_batch):
             ok = np.max(np.abs(x_new), axis=1) <= OVERFLOW_GUARD
             if check_domain:
                 for b in np.nonzero(ok & alive)[0]:
-                    ok[b] = bool(problem.domain_contains(x_new[b]))
+                    ok[b] = bool(system.domain_contains(x_new[b]))
             first_dead[alive & ~ok] = node
             alive &= ok
             x = np.where(alive[:, None], x_new, x)
@@ -247,11 +249,11 @@ def _reference_adjoint(problem, functional, u_batch):
     """The per-cell backward loop adjoint_gradient replaced."""
     widths, traj, first_dead = _reference_rk4(problem, u_batch)
     lam = functional.terminal_gradient(traj[-1])
-    sig_t = problem.constant_diffusion.T
+    sig_t = problem.system.sigma.T
     grad = np.zeros_like(u_batch)
 
     def jt_lam(y, vec):
-        return np.einsum("bij,bi->bj", problem.limit_drift.jacobian(y), vec)
+        return np.einsum("bij,bi->bj", problem.system.drift.jacobian(y), vec)
 
     # dead rows' lambda may overflow along their frozen states, as in
     # adjoint_gradient; their gradient is zeroed below
@@ -279,7 +281,7 @@ WINDOW_CELLS = st.sampled_from([1, 3, None])
 @given(cases, st.sampled_from(SWEEP_PROBLEMS), WINDOW_CELLS)
 def test_forward_sweep_equals_per_cell_loop(case, name, cells):
     problem = _sweep_problem(name, case["t_star"])
-    u = _controls(case, problem.dim_control)
+    u = _controls(case, problem.system.dim_noise)
     widths, states, first_dead = _reference_rk4(problem, u)
     with _window(cells, problem, len(u)):
         w1, s1, d1 = _node_states(problem, u)
@@ -321,9 +323,10 @@ def test_drifts_that_do_not_settle_step_one_cell_per_window(name):
 def test_adjoint_equals_per_cell_loop(case, cells, linear):
     problem, u = _draw(case)
     rng = np.random.default_rng(case["seed"])
-    functional = (TerminalLinearFunctional(rng.standard_normal(problem.dim_state))
+    d = problem.system.dim_state
+    functional = (TerminalLinearFunctional(rng.standard_normal(d))
                   if linear else
-                  QuadraticMissFunctional(rng.standard_normal(problem.dim_state)))
+                  QuadraticMissFunctional(rng.standard_normal(d)))
     ref = _reference_adjoint(problem, functional, u)
     with _window(cells, problem, len(u)):
         grad = adjoint_gradient(problem, functional, u)
@@ -343,8 +346,8 @@ def test_adjoint_matches_fd_gradient(name, functional, cells):
     problem, f = example.limit_problem, example.functionals[functional]
     gaps = []
     for n in (32, 64):
-        u = ControlGrid.random_bandlimited(n, problem.dim_control, seed=10,
-                                           energy=0.7).values
+        u = ControlGrid.random_bandlimited(n, problem.system.dim_noise,
+                                           seed=10, energy=0.7).values
         with _window(cells, problem, 1):
             adj = adjoint_gradient(problem, f, u[None])[0]
         with _window(cells, problem, 2 * u.size):
@@ -1170,15 +1173,15 @@ def test_cone_probe_equals_per_ray_loop(d, seed):
 
 
 def _reference_energy_certificate(problem, z, t):
-    sigma = problem.constant_diffusion
+    sigma, d = problem.system.sigma, problem.system.dim_state
     rng = _philox(981127, 3)
-    cloud = rng.uniform(-2.0, 2.0, size=(128, problem.dim_state))
+    cloud = rng.uniform(-2.0, 2.0, size=(128, d))
     cloud = np.vstack([cloud, problem.x0[None, :], z[None, :]])
-    sup = np.zeros(problem.dim_state)
+    sup = np.zeros(d)
     for y in cloud:
-        sup = np.maximum(sup, np.abs(np.asarray(problem.limit_drift(y),
+        sup = np.maximum(sup, np.abs(np.asarray(problem.system.drift(y),
                                                 dtype=float)))
-    for i in range(problem.dim_state):
+    for i in range(d):
         if sup[i] > 1e-12:
             continue
         bound = float(np.linalg.norm(sigma[i])) * np.sqrt(2.0 * t)
@@ -1195,7 +1198,7 @@ def test_energy_certificate_equals_per_row_loop(name):
     problem = get_example(name).limit_problem
     rng = np.random.default_rng(7)
     for scale in (0.1, 1.0, 10.0, 100.0):
-        z = problem.x0 + scale * rng.standard_normal(problem.dim_state)
+        z = problem.x0 + scale * rng.standard_normal(problem.system.dim_state)
         for t in (0.25, 1.0):
             assert _energy_certificate(problem, z, t) \
                 == _reference_energy_certificate(problem, z, t)
@@ -1277,9 +1280,8 @@ def test_derived_drifts_equal_the_written_ones(case, batch, data):
     example = get_example(name, **params)
     x = data.draw(hnp.arrays(float, (*batch, example.sde.dim_state),
                              elements=st.floats(-1e200, 1e200)))
-    limit = example.limit_problem
-    derived = (example.sde.drift, limit.limit_drift,
-               limit.limit_drift.jacobian)
+    limit = example.limit_problem.system
+    derived = (example.sde.drift, limit.drift, limit.drift.jacobian)
     with np.errstate(over="ignore", invalid="ignore"):
         for got, want in zip(derived, written):
             assert np.array_equal(got(x), want(x), equal_nan=True)
@@ -1334,9 +1336,9 @@ def _weights(exps, index):
 def test_derived_limit_is_the_principal_part(table, seed):
     rows, sigma = table
     d = len(rows)
-    index, limit = derive_rescaling(PolynomialDrift(d, rows), sigma)
+    index, limit = derive_rescaling(SdeSystem(PolynomialDrift(d, rows), sigma))
     for i, ((ell, k), row) in enumerate(zip(index.exponents, rows)):
-        kept = limit.rows[i]
+        kept = limit.drift.rows[i]
         assert bool(kept) == (not sigma[i].any())
         for c, e in row:
             w = _weights(e, index)
@@ -1349,14 +1351,14 @@ def test_derived_limit_is_the_principal_part(table, seed):
     rng = np.random.default_rng(seed)
     y = rng.uniform(0.25, 2.0, (4, d)) * rng.choice([-1.0, 1.0], (4, d))
     magnitude = PolynomialDrift(d, [[(abs(c), e) for c, e in row]
-                                    for row in limit.rows])(np.abs(y))
+                                    for row in limit.drift.rows])(np.abs(y))
     for eps in (1e-3, 1e-6):
         # far past this scale alpha underflows (eval_index raises below the
         # smallest normal float) and the identity says nothing
         alpha = _index_or_reject(index, eps)
         hypothesis.assume(alpha.min() > 1e-280)
-        scaled = eps * limit(alpha * y) / alpha
-        assert np.all(np.abs(scaled - limit(y)) <= 1e-12 * magnitude)
+        scaled = eps * limit.drift(alpha * y) / alpha
+        assert np.all(np.abs(scaled - limit.drift(y)) <= 1e-12 * magnitude)
 
 
 @st.composite
@@ -1423,9 +1425,9 @@ def rescaling_cases(draw):
     rows, sigma = draw(monomial_tables())
     d = len(rows)
     if draw(st.booleans()):
-        index, _ = derive_rescaling(PolynomialDrift(d, rows), sigma)
-        return SdeSystem(PolynomialDrift(d, rows), sigma), \
-            ContractionFamily(np.zeros(d)), index
+        system = SdeSystem(PolynomialDrift(d, rows), sigma)
+        return system, ContractionFamily(np.zeros(d)), \
+            derive_rescaling(system)[0]
     a = np.reshape(draw(st.lists(st.sampled_from([-2.0, 0.0, 0.5, 1.0, 3.0]),
                                  min_size=d * d, max_size=d * d)), (d, d))
     center = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d,
@@ -1480,7 +1482,7 @@ def test_unreachable_coordinates_raise(table, data):
     rows = [[(c, e) for c, e in row if any(e[j] for j in lost)]
             if i in lost else row for i, row in enumerate(rows)]
     with pytest.raises(ValueError, match="reached from no") as info:
-        derive_rescaling(PolynomialDrift(len(rows), rows), sigma)
+        derive_rescaling(SdeSystem(PolynomialDrift(len(rows), rows), sigma))
     named = re.search(r"coordinates \[([\d, ]+)\]", str(info.value))[1]
     assert set(lost) <= {int(i) for i in named.split(",")}
 
@@ -1490,7 +1492,7 @@ def test_unreachable_coordinates_raise(table, data):
 def test_constant_terms_raise_in_undriven_rows_only(table, data):
     rows, sigma = table
     d = len(rows)
-    index, _ = derive_rescaling(PolynomialDrift(d, rows), sigma)
+    index, _ = derive_rescaling(SdeSystem(PolynomialDrift(d, rows), sigma))
     lifted = data.draw(st.sets(st.integers(0, d - 1), min_size=1))
     rows = [row + [(1.0, (0,) * d)] if i in lifted else row
             for i, row in enumerate(rows)]
@@ -1498,12 +1500,13 @@ def test_constant_terms_raise_in_undriven_rows_only(table, data):
     if undriven:
         with pytest.raises(ValueError,
                            match=f"coordinate {undriven[0]} has a constant"):
-            derive_rescaling(PolynomialDrift(d, rows), sigma)
+            derive_rescaling(SdeSystem(PolynomialDrift(d, rows), sigma))
     else:
         # a driven row's constant scales away: same index, no constant kept
-        again, limit = derive_rescaling(PolynomialDrift(d, rows), sigma)
+        again, limit = derive_rescaling(
+            SdeSystem(PolynomialDrift(d, rows), sigma))
         assert again == index
-        assert all(any(e) for row in limit.rows for _, e in row)
+        assert all(any(e) for row in limit.drift.rows for _, e in row)
 
 
 @SETTINGS

@@ -284,10 +284,10 @@ def test_shifted_kolmogorov_coefficients_are_the_limit_pair(k):
     y = np.random.default_rng(k).uniform(-2.0, 2.0, size=(4096, 2))
     resc = transformed_coefficients(sk.sde, sk.contraction, sk.index, eps)
     ulps = 4 + abs(math.log(eps))
-    limit = sk.limit_problem
-    assert np.all(np.abs(resc.drift(y) - limit.limit_drift(y))
+    limit = sk.limit_problem.system
+    assert np.all(np.abs(resc.drift(y) - limit.drift(y))
                   <= ulps * np.spacing(3.0))
-    assert np.all(np.abs(resc.sigma - limit.constant_diffusion)
+    assert np.all(np.abs(resc.sigma - limit.sigma)
                   <= ulps * np.spacing(1.0))
 
 
@@ -322,7 +322,7 @@ def test_a_trend_off_b_of_the_center_in_a_driven_row_scales_away():
     # eps (b_1(c) - v_1) / alpha_1 = 0.5 sqrt(eps / loglog(1/eps)) -> 0
     drift = PolynomialDrift(2, (((1.0, (0, 1)),), ((0.5, (0, 0)),)))
     sigma = np.array([[0.0], [1.0]])
-    index, _ = derive_rescaling(drift, sigma)
+    index, _ = derive_rescaling(SdeSystem(drift, sigma))
     c, v = np.array([0.0, 1.0]), np.array([1.0, 0.0])
     consts = []
     for eps in (1e-3, 1e-6, 1e-9):
@@ -359,12 +359,12 @@ def test_a_constant_term_in_an_undriven_row_raises():
     # x0' = 1 + x1 with x1 driven: eps * 1 / alpha_0 grows like eps^(-1/2)
     drift = PolynomialDrift(2, (((1.0, (0, 0)), (1.0, (0, 1))), ()))
     with pytest.raises(ValueError, match="coordinate 0 has a constant"):
-        derive_rescaling(drift, np.array([[0.0], [1.0]]))
+        derive_rescaling(SdeSystem(drift, np.array([[0.0], [1.0]])))
     # in a driven row it scales away: eps / sqrt(eps loglog) -> 0
     drift = PolynomialDrift(2, (((1.0, (0, 1)),), ((1.0, (0, 0)),)))
-    index, limit = derive_rescaling(drift, np.array([[0.0], [1.0]]))
+    index, limit = derive_rescaling(SdeSystem(drift, np.array([[0.0], [1.0]])))
     assert index.exponents == ((3, 1), (1, 1))
-    assert limit.rows == (((1.0, (0, 1)),), ())
+    assert limit.drift.rows == (((1.0, (0, 1)),), ())
 
 
 def test_family_checker_accepts_diagonal():

@@ -130,6 +130,8 @@ RUNS = [
                                    "shifted_kolmogorov"]),
     ("examples_describe_bad_parameter", ["examples", "describe",
                                          "iterated_kolmogorov", "--d", "1"]),
+    ("examples_describe_brownian_d0", ["examples", "describe", "brownian",
+                                       "--d", "0"]),
     ("examples_describe_unknown", ["examples", "describe", "nosuch"]),
     ("check", ["check", "--out", OUT]),
     # lil-verify
