@@ -304,8 +304,9 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     per round would give, bit for bit; the ladder only prices, in the same
     call, trials past the one accepted. After an iteration only the
     restarts whose control moved get a new gradient: an unmoved control
-    keeps the gradient bits it had. A start whose path dies takes no step,
-    and when every start dies the search raises NumericalFailure.
+    keeps the gradient bits it had. A start whose path dies is inactive from
+    the first iteration: it takes no step and prices no rung. When every
+    start dies the search raises NumericalFailure.
 
     The reported value is recomputed at the returned control by the same
     batched integration as every candidate, and equals
@@ -344,10 +345,10 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     u = _project_batch(_initial_bank(problem, config))
     batch = u.shape[0]
     val = scores(u)
-    if not np.isfinite(val).any():   # a dead start takes no step (see good)
+    active = np.isfinite(val)   # a dead start takes no step
+    if not active.any():
         raise NumericalFailure(f"all {batch} optimizer starts die")
     step = np.full(batch, _STEP_INIT)
-    active = np.ones(batch, dtype=bool)
     stall = np.zeros(batch, dtype=int)
 
     grad = gradients(u)
@@ -371,10 +372,8 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
                     (count * rows.size,) + u.shape[1:]))
             cand_val = scores(cand)
             base = val[rows]
-            # a dead restart (base -inf) passes no rung: its threshold is inf
-            good = cand_val.reshape(count, rows.size) > np.add(
-                base, 1e-15 * (1.0 + np.abs(base)),
-                out=np.full_like(base, np.inf), where=base > -np.inf)
+            good = cand_val.reshape(count, rows.size) > (
+                base + 1e-15 * (1.0 + np.abs(base)))
             hit = good.any(axis=0).nonzero()[0]
             # flat index of each hit's first passing rung in cand
             pick = good[:, hit].argmax(axis=0) * rows.size + hit

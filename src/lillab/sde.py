@@ -704,23 +704,25 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath,
         system.dim_state, increments scaled by sqrt(dt) as usual); the step
         is an exact draw from the Gaussian transition kernel.
 
-    Explosion is declared at the first grid point whose state is not alive
-    (outside the domain, non-finite or beyond OVERFLOW_GUARD); later rows
-    are nan. Non-finite coefficient values at an in-domain state raise
-    NumericalFailure. The "euler" scheme is the one-row case of euler_batch.
+    Both schemes are one-row cases of euler_batch. "euler" runs the system
+    itself; "exact_linear" runs, on the system's domain, the linear table
+    (P - I, N) of the transition (P, 0, N) = system.linear.bridge(dt) with
+    width 1 and the standard normals as increments, whose Euler step
+    x + (P - I) x * 1 + N z is the exact draw P x + N z. Explosion is
+    declared at the first grid point whose state is not alive (outside the
+    domain, non-finite or beyond OVERFLOW_GUARD); later rows are nan. An x0
+    that is not alive raises ValueError, and non-finite coefficient values
+    at an in-domain state raise NumericalFailure.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dim_state,):
         raise ValueError("x0 has wrong shape")
-    if not alive(x0, system.domain_contains):
-        raise ValueError("x0 must be a finite state inside the domain")
     n, dt = noise.n_steps, noise.dt
     times = dt * np.arange(n + 1)
     if scheme == "euler":
         if noise.dim_noise != system.dim_noise:
             raise ValueError("noise dimension does not match system.dim_noise")
-        states, first_dead = euler_batch(system, x0[None],
-                                         noise.increments[None], dt)
+        kernel, steps, width = system, noise.increments, dt
     elif scheme == "exact_linear":
         lin = system.linear
         if lin is None:
@@ -730,19 +732,16 @@ def simulate_sde(system: SdeSystem, x0, noise: NoisePath,
                 "exact_linear consumes one standard normal per state coordinate; "
                 "supply noise with dim_noise = dim_state"
             )
-        prop = lin.propagator(dt)
-        d_scale, chol = equilibrated_cholesky(lin.covariance(dt))
-        z = noise.standard_normals()
-        states = np.empty((n + 1, 1, system.dim_state))
-        states[0, 0] = x = x0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n):
-                x = prop @ x + d_scale * (chol @ z[i])
-                states[i + 1, 0] = x
-            ok = alive(states[1:], system.domain_contains)
-        first_dead = 1 + np.where(ok.all(axis=0), n, np.argmin(ok, axis=0))
+        prop, _, root = lin.bridge(dt)
+        unit = np.eye(system.dim_state, dtype=int).tolist()
+        rows = [[(c, unit[j]) for j, c in enumerate(row) if c]
+                for row in (prop - np.eye(system.dim_state)).tolist()]
+        kernel = SdeSystem(PolynomialDrift(system.dim_state, rows), root,
+                           system.domain_contains)
+        steps, width = noise.standard_normals(), 1.0
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    states, first_dead = euler_batch(kernel, x0[None], steps[None], width)
     return _row_path(times, states, first_dead, 0)
 
 

@@ -252,6 +252,7 @@ def test_every_start_dying_is_a_numerical_failure():
 def test_dead_starts_take_no_step_and_warn_nothing():
     # y' = y^2 + u from y(0) = 1: the constant start u = +1.34 blows up at
     # t = 0.74 and u = -1.34 settles; the dead start keeps its -inf value
+    # and prices no rung: the work counts the live start's ladders only
     problem = LimitOdeProblem(
         SdeSystem(PolynomialDrift(1, (((1.0, (2,)),),)), np.ones((1, 1))),
         np.array([1.0]))
@@ -263,3 +264,5 @@ def test_dead_starts_take_no_step_and_warn_nothing():
     assert result.restart_values[0] == -np.inf
     assert np.isfinite(result.restart_values[1])
     assert result.value == result.restart_values[1]
+    assert result.work["integrations"] == 39
+    assert result.work["integrated_rows"] == 198

@@ -14,10 +14,12 @@ must reproduce it on Python floats and on arrays, at every block size of
 its liveness check, on registered and on random tables.
 Rows of a batch must not influence each other, and on the iterated
 Kolmogorov chain RK4 is exact for piecewise-constant controls. The Cramer
-transform of a path the control ODE made is its control's energy. Both
-integrators and the exact-linear sampler kill states with one batched exit
-rule, sde.alive; the per-state rule and the max-reduction it replaced are
-kept here as its references and must agree row by row. Both LIL schemes
+transform of a path the control ODE made is its control's energy. The
+exact-linear sampler is the Euler step of its transition table; the
+per-step loop it replaced is kept here as its reference, matched within a
+stated ulp bound a step at a time. Both integrators kill states with one
+batched exit rule, sde.alive; the per-state rule and the max-reduction it
+replaced are kept here as its references and must agree row by row. Both LIL schemes
 refine one Gauss-Markov path per row onto every level grid (W for euler,
 the state for exact_linear); each level must see the same path, with the
 transition law, and any split of the rows must draw it bit for bit. Functional values
@@ -81,8 +83,8 @@ from lillab.scaling import (AsymptoticIndex,  # noqa: E402
 from lillab.sde import (OVERFLOW_GUARD, ExplosivePath,  # noqa: E402
                         LinearSpec, NoisePath, NumericalFailure,
                         PolynomialDrift, SdeSystem, _philox, _row_path, alive,
-                        euler_batch, row_normals, simulate_sde,
-                        trivial_domain)
+                        equilibrated_cholesky, euler_batch, row_normals,
+                        simulate_sde, trivial_domain)
 from test_controls import _blowup_problem, _decay_problem  # noqa: E402
 from test_examples import WRITTEN_DRIFTS  # noqa: E402
 from test_extremals import _registered_pairs  # noqa: E402
@@ -795,6 +797,103 @@ def test_numerical_failure_of_the_earliest_step_in_a_block(block):
         assert failure.step == block
         assert failure.state.tolist() == ([3.0, 3.0] if block > 1
                                           else [2.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# Exact linear sampler: simulate_sde's exact_linear scheme is the Euler step
+# x + (P - I) x * 1 + N z of the transition table (P - I, N), run by
+# euler_batch. The per-step loop x -> P x + D (L z) it replaced is kept as
+# its reference.
+
+def _reference_exact(system, x0, z, dt):
+    """The exact_linear loop with its own liveness pass: (states,
+    explosion_index), states after the first dead node stepped on."""
+    lin = system.linear
+    prop = lin.propagator(dt)
+    d_scale, chol = equilibrated_cholesky(lin.covariance(dt))
+    states = np.empty((len(z) + 1, len(x0)))
+    states[0] = x = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(z)):
+            x = prop @ x + d_scale * (chol @ z[i])
+            states[i + 1] = x
+        ok = alive(states[1:], system.domain_contains)
+    return states, None if ok.all() else 1 + int(np.argmin(ok))
+
+
+@st.composite
+def linear_cases(draw):
+    """(system, x0, noise, gap): a registered linear chain or a random
+    table with A strictly upper triangular (nilpotent) or dense (exp(A h)
+    by expm), sigma of 1 to 3 columns, on the whole space (gap None) or on
+    the half-space gap(x) = c x - b < 0 around x0."""
+    kind = draw(st.sampled_from(["brownian", "iterated_kolmogorov",
+                                 "shifted_kolmogorov", "nilpotent", "dense"]))
+    if kind in ("nilpotent", "dense"):
+        d, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        entries = st.floats(-2.0, 2.0)
+        a = np.reshape(draw(st.lists(entries, min_size=d * d,
+                                     max_size=d * d)), (d, d))
+        a = np.triu(a, 1) if kind == "nilpotent" else a
+        sigma = np.reshape(draw(st.lists(entries, min_size=d * k,
+                                         max_size=d * k)), (d, k))
+        unit = np.eye(d, dtype=int).tolist()
+        system = SdeSystem(PolynomialDrift(d, [
+            [(c, unit[j]) for j, c in enumerate(row) if c]
+            for row in a.tolist()]), sigma)
+    else:
+        extra = ({"d": draw(st.integers(2, 4))}
+                 if kind == "iterated_kolmogorov" else {})
+        system = get_example(kind, **extra).sde
+    d = system.dim_state
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.uniform(-1.0, 1.0, d)
+    gap = None
+    if draw(st.booleans()):
+        c = rng.standard_normal(d)
+        b = c @ x0 + draw(st.floats(0.01, 3.0))
+        gap = lambda x: x @ c - b   # noqa: E731
+        system = replace(system, domain_contains=lambda x: gap(x) < 0.0)
+    dt = draw(st.sampled_from([1e-3, 0.05, 0.5]))
+    inc = math.sqrt(dt) * rng.standard_normal((draw(st.integers(1, 64)), d))
+    return system, x0, NoisePath(0, dt, inc), gap
+
+
+@SETTINGS
+@given(linear_cases())
+def test_exact_linear_is_the_transition_loop(case):
+    # Each live node is the loop's step from the node before, within 4 ulp
+    # of the largest sum of term sizes |x| + |P| |x| + |N| |z| over the
+    # coordinates (the kernel adds x + (P - I) x + N z, the loop P x +
+    # D (L z)). Over a whole path these roundings add up, and a path that
+    # comes back near 0 is then off by many ulp of its own size. The path
+    # dies where the loop's does unless a loop state up to there lies
+    # within 1e-9 (relative) of the boundary or of OVERFLOW_GUARD.
+    system, x0, noise, gap = case
+    z, dt = noise.standard_normals(), noise.dt
+    try:
+        want, explosion = _reference_exact(system, x0, z, dt)
+    except NumericalFailure:
+        with pytest.raises(NumericalFailure):
+            simulate_sde(system, x0, noise, scheme="exact_linear")
+        return
+    path = simulate_sde(system, x0, noise, scheme="exact_linear")
+    prop, _, root = system.linear.bridge(dt)
+    end = path.explosion_index or len(z) + 1
+    for i in range(end - 1):
+        x = path.states[i]
+        step = _reference_exact(system, x, z[i:i + 1], dt)[0][1]
+        size = np.max(np.abs(x) + np.abs(prop) @ np.abs(x)
+                      + np.abs(root) @ np.abs(z[i]))
+        assert np.all(np.abs(path.states[i + 1] - step)
+                      <= 4 * np.spacing(size))
+    seen = want[1:(explosion or len(z)) + 1]
+    size = np.maximum(1.0, np.max(np.abs(seen), axis=-1))
+    near = np.abs(size / OVERFLOW_GUARD - 1.0) <= 1e-9
+    if gap is not None:
+        near |= np.abs(gap(seen)) <= 1e-9 * size
+    if not near.any():
+        assert path.explosion_index == explosion
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,20 @@ def test_simulate_rejects_bad_start():
         simulate_sde(ik.sde, np.zeros(3), noise)
 
 
+@pytest.mark.parametrize("scheme", ["euler", "exact_linear"])
+def test_simulate_rejects_a_start_that_is_not_alive(scheme):
+    # both schemes end in euler_batch, which checks x0 for them
+    ik = get_example("iterated_kolmogorov", d=2)
+    system = replace(ik.sde, domain_contains=lambda x: x[..., 0] < 1.0)
+    k = system.dim_state if scheme == "exact_linear" else system.dim_noise
+    noise = brownian_path(1, dt=0.1, horizon=0.2, dim_noise=k)
+    for x0 in ([np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0], [0.0, 1e101],
+               [1.0, 0.0], [3.0, 0.0]):
+        with pytest.raises(ValueError, match="x0 must be a finite state "
+                                             "inside the domain"):
+            simulate_sde(system, np.array(x0), noise, scheme=scheme)
+
+
 def test_euler_batch_checks_callback_shapes():
     # a table drift always broadcasts; a domain_contains that ignores the
     # batch axis is named with the shape it should have returned
