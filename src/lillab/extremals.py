@@ -1,10 +1,22 @@
 """Extremal values of path functionals over the unit energy ball.
 
-optimize_extremal runs projected gradient ascent/descent on the
-piecewise-constant control, with deterministic multi-start. The functional
-picks its gradient (is_terminal): a continuous adjoint sweep (one forward +
-one backward integration) for a terminal functional, central finite
-differences for a running one, which has no terminal gradient.
+optimize_extremal searches the piecewise-constant control along L-BFGS
+directions (the two-loop recursion of Nocedal & Wright, Numerical
+Optimization, ch. 7, batched over the restarts of a deterministic
+multi-start) with a monotone backtracking line search. The energy
+constraint picks the geometry restart by restart: where it is active (the
+control on the ball's edge, the gradient pointing out) the recursion runs in
+the tangent space of the sphere, each pair projected onto the tangent space
+where it is formed, the direction onto the current one, and the trials
+pulled back onto the ball by the radial projection (a Riemannian L-BFGS in
+the manner of Huang, Gallivan & Absil, SIAM J. Optim. 25 (2015) 1660);
+anywhere else it is plain Euclidean L-BFGS, so an extremum inside the ball
+is searched for as an unconstrained one. A restart without
+usable curvature pairs steps along the gradient, which is projected
+gradient ascent. The functional picks its gradient (is_terminal): a
+continuous adjoint sweep (one forward + one backward integration) for a
+terminal functional, central finite differences for a running one, which
+has no terminal gradient.
 
 Every control, single or batched, goes through the one windowed RK4 sweep of
 lillab.controls (solve_control_ode is its one-row case). Terminal and running
@@ -28,8 +40,14 @@ from .sde import ExplosivePath, NumericalFailure
 
 _FD_STEP = 1e-6       # relative step of the central differences
 _TOL_VALUE = 1e-12    # relative gain below which an iteration stalls
+_GAIN = 1e-15         # a trial passes when it gains _GAIN * (1 + |value|)
 _STEP_INIT = 1.0      # first line-search step of every restart
 _BACKTRACKS = 40      # trials per iteration: a step and its halvings
+_MEMORY = 10          # curvature pairs of the L-BFGS direction
+_BOUNDARY = 1.0 - 1e-9  # energy / MAX_ENERGY from which the ball's edge binds
+_CURVATURE = 1e-12    # a pair with s.y <= _CURVATURE |s| |y| is skipped,
+_NOISE = 1e-8         # and one with |y| <= _NOISE |rg|, a gradient change
+                      # at the level of finite-difference rounding
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +300,147 @@ def _ladder(total: int):
         priced += count
 
 
+class _Lbfgs:
+    """L-BFGS memory of the restarts of a search, and their directions.
+
+    Each restart keeps up to _MEMORY curvature pairs (s, y), newest first,
+    in a (batch, _MEMORY, 2, n * k) array, their 1 / s.y and s.y / y.y in a
+    (batch, _MEMORY, 2) one, and the point, (tangent) gradient and geometry
+    of its last direction. Every step runs on all rows at once, with
+    np.vecdot for the dot products (one per row, so a row's bits do not
+    depend on the rows around it); the two-loop recursion loops over the
+    memory slots, masked where a restart holds fewer pairs. A restart that
+    has stopped searching is carried along; its directions go unused.
+    """
+
+    def __init__(self, batch: int, size: int):
+        self.pairs = np.zeros((batch, _MEMORY, 2, size))
+        self.scales = np.zeros((batch, _MEMORY, 2))
+        self.count = np.zeros(batch, dtype=int)
+        self.u = np.zeros((batch, size))
+        self.rg = np.zeros((batch, size))
+        # geometry of the last direction: 0 none yet, 1 Euclidean, 2 tangent
+        self.geometry = np.zeros(batch, dtype=int)
+
+    def clear(self, rows) -> None:
+        """Forget the pairs of rows: their next direction is the gradient."""
+        self.count[rows] = 0
+
+    def directions(self, u_batch, grad, score):
+        """(direction, quasi) of every restart at its control u_batch with
+        ascent gradient grad; quasi is False where the direction is the
+        gradient itself.
+
+        A restart on the ball's edge whose gradient points outward (energy
+        >= _BOUNDARY * MAX_ENERGY and <u, grad> > 0) works in the tangent
+        space {v : <u, v> = 0}: its gradient, the pair it stores and its
+        direction are projected onto it. Any other restart works in the
+        Euclidean geometry. The pair s = u - u_old, y = rg_old - rg of the
+        (tangent) gradients rg is stored unless s.y <= _CURVATURE |s| |y| or
+        |y| <= _NOISE |rg|, and a change of geometry clears the memory.
+        Where the memory holds no pair, or the two-loop recursion's d gains
+        too little at first order for a full step to pass the line search
+        (<d, rg> <= _GAIN * (1 + |score|), score the restart's sgn * value),
+        the direction is the gradient.
+        """
+        dot = np.vecdot
+        u = u_batch.reshape(len(u_batch), -1)
+        g = grad.reshape(len(u_batch), -1)
+        uu = dot(u, u)
+        tangent = ((uu >= 2.0 * u_batch.shape[1] * _BOUNDARY * MAX_ENERGY)
+                   & (dot(u, g) > 0.0))
+        # 1 / <u, u> on tangent rows and 0 on the others, which project keeps
+        along = tangent / np.where(tangent, uu, 1.0)
+        onto_sphere = tangent.any()
+
+        def project(v):
+            """v (B, ..., n * k) less its part along u on tangent rows."""
+            if not onto_sphere:
+                return v
+            lead = (len(u),) + (1,) * (v.ndim - 2)
+            uv = u.reshape(lead + (-1,))
+            return v - (dot(v, uv) * along.reshape(lead))[..., None] * uv
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # (rg, s, P rg_old) in one projection; then y = P rg_old - rg
+            work = np.empty((len(u), 3, u.shape[1]))
+            work[:, 0] = g
+            np.subtract(u, self.u, out=work[:, 1])
+            work[:, 2] = self.rg
+            work = project(work)
+            rg, pair = work[:, 0], work[:, 1:]
+            pair[:, 1] -= rg
+            geometry = 1 + tangent
+            same = self.geometry == geometry
+            self.count *= same
+            sy = dot(pair[:, 0], pair[:, 1])
+            norms = dot(pair, pair)
+            new = (same
+                   & (sy > _CURVATURE * np.sqrt(norms[:, 0] * norms[:, 1]))
+                   & (norms[:, 1] > _NOISE**2 * dot(rg, rg)))
+            if new.any():
+                self.pairs = np.where(new[:, None, None, None], np.concatenate(
+                    (pair[:, None], self.pairs[:, :-1]), axis=1), self.pairs)
+                scales = np.stack((1.0 / sy, sy / norms[:, 1]), axis=1)
+                self.scales = np.where(new[:, None, None], np.concatenate(
+                    (scales[:, None], self.scales[:, :-1]), axis=1),
+                    self.scales)
+                self.count = np.where(new, np.minimum(self.count + 1, _MEMORY),
+                                      self.count)
+            self.u, self.rg, self.geometry = u.copy(), rg, geometry
+            top = int(self.count.max())
+            if top == 0:
+                return grad.copy(), np.zeros(len(u), dtype=bool)
+            # slots past a restart's count hold finite pairs, with rho = 0
+            rho = np.where(np.arange(top) < self.count[:, None],
+                           self.scales[:, :top, 0], 0.0)[..., None]
+            # the recursion on slot-major views (slot, row, n * k)
+            ss = self.pairs[:, :top, 0].transpose(1, 0, 2)
+            ys = self.pairs[:, :top, 1].transpose(1, 0, 2)
+            rho = rho.transpose(1, 0, 2)
+            q, alpha = rg.copy(), []
+            for s_r, y_i in zip(ss * rho, ys):
+                alpha.append(dot(s_r, q)[:, None])
+                q -= alpha[-1] * y_i
+            d = self.scales[:, 0, 1, None] * q
+            for a, y_r, s_i in zip(alpha[::-1], (ys * rho)[::-1], ss[::-1]):
+                d += (a - dot(y_r, d)[:, None]) * s_i
+            d = project(d)
+            quasi = ((self.count > 0) & np.isfinite(dot(d, d))
+                     & (dot(d, rg) > _GAIN * (1.0 + np.abs(score))))
+        return np.where(quasi[:, None], d, g).reshape(u_batch.shape), quasi
+
+
 def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
                       config: Optional[OptimizerConfig] = None) -> ExtremalResult:
     """Extremize a path functional over {energy <= MAX_ENERGY} controls.
 
-    Projected gradient ascent (sense "max") or descent ("min") with monotone
-    backtracking line search and deterministic multi-start. The gradient is
-    the adjoint sweep for a terminal functional and central finite
-    differences for a running one (is_terminal, which raises ValueError for
-    a functional that is neither).
+    Ascent (sense "max") or descent ("min") along an L-BFGS direction with
+    monotone backtracking line search and deterministic multi-start. The
+    gradient is the adjoint sweep for a terminal functional and central
+    finite differences for a running one (is_terminal, which raises
+    ValueError for a functional that is neither).
 
-    Each iteration a restart tries the step trial = step, trial / 2, ... (at
-    most _BACKTRACKS trials) along the projection arc and accepts the first
-    trial that raises its value; its next step is 1.5 times that one.
+    The direction (_Lbfgs.directions) is the two-loop recursion over the
+    last _MEMORY curvature pairs of each restart, in the geometry the
+    energy constraint gives it. On the ball's edge with a gradient that
+    points outward the constraint is active, and the recursion runs in the
+    tangent space of the sphere; anywhere else it is plain Euclidean
+    L-BFGS, so a maximiser inside the ball is searched for as an
+    unconstrained one. A restart with no pair yet, or whose recursion gives
+    a direction that gains too little at first order to pass the line
+    search, takes the gradient itself, which is projected gradient ascent.
+
+    Each iteration a restart tries the step trial = first, trial / 2, ...
+    (at most _BACKTRACKS trials) along the arc u + trial * direction,
+    projected onto the ball (_project_batch, which rescales a trial that
+    leaves it), and accepts the first trial that raises its value by
+    _GAIN * (1 + |value|). The first trial is 1 along a quasi-Newton
+    direction; along the gradient it
+    is 1.5 times the last accepted gradient step (_STEP_INIT at first). A
+    restart that finds no passing trial forgets its pairs, so that its
+    next iteration is a gradient step.
+
     A round of the search prices a ladder of consecutive halvings for every
     restart still searching in one batched integration, as many rungs as all
     earlier rounds together (1, 1, 2, 4, 8, 16, 8), and each restart takes
@@ -302,35 +448,66 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     on its own control, and the rungs are built by repeated halving, so
     every restart accepts the trial, value and step that trying one trial
     per round would give, bit for bit; the ladder only prices, in the same
-    call, trials past the one accepted. After an iteration only the
-    restarts whose control moved get a new gradient: an unmoved control
-    keeps the gradient bits it had. A start whose path dies is inactive from
-    the first iteration: it takes no step and prices no rung. When every
-    start dies the search raises NumericalFailure.
+    call, trials past the one accepted. A gradient step that found no
+    passing trial is not priced again from the same point: it would price
+    the same values. After an iteration only the restarts whose control
+    moved get a new gradient: an unmoved control keeps the gradient bits it
+    had. A restart stops after 4 iterations in a row without a relative
+    gain of _TOL_VALUE, or at max_iters. A start whose path dies is
+    inactive from the first iteration: it takes no step and prices no rung.
+    When every start dies the search raises NumericalFailure.
 
     The reported value is recomputed at the returned control by the same
     batched integration as every candidate, and equals
     functional.evaluate(solve_control_ode(problem, argext)) exactly.
     result.work counts the search's iterations, the integrations that priced
     its values (the start bank, the ladders and the returned control) and
-    their rows, and the gradient rows.
+    their rows, the gradient rows, and the restarts still searching when
+    max_iters ran out (restarts_at_cap).
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
     config = config or OptimizerConfig()
     sgn = 1.0 if sense == "max" else -1.0
-    terminal = is_terminal(functional)
     work = dict(iterations=0, integrations=0, integrated_rows=0,
-                gradient_rows=0)
+                gradient_rows=0, restarts_at_cap=0)
+    u, val, grad, active = _search(problem, functional, sgn, config, work)
 
-    def values(u_rows):
-        work["integrations"] += 1
-        work["integrated_rows"] += len(u_rows)
-        return _functional_values(problem, functional, u_rows)
+    best = int(np.argmax(val))
+    argext = ControlGrid(u[best]).project()
+    work["integrations"] += 1
+    work["integrated_rows"] += 1
+    final_value = _functional_values(problem, functional,
+                                     argext.values[None])[0]
+
+    # projected-gradient norm at the exit point, measured along the feasible set
+    probe = 1e-7
+    moved = _project_batch((u[best] + probe * grad[best])[None])[0]
+    pg_norm = float(np.linalg.norm(moved - u[best]) / probe)
+
+    return ExtremalResult(
+        value=float(final_value),
+        argext=argext,
+        sense=sense,
+        n_restarts_used=len(u),
+        convergence_flag=bool(not active[best]),
+        gradient_norm_at_exit=pg_norm,
+        restart_values=list(sgn * val),
+        work=work,
+    )
+
+
+def _search(problem, functional, sgn, config, work):
+    """The multi-start search of optimize_extremal for sgn * functional:
+    (controls, scores, ascent gradients, still searching) of every restart
+    when it ends, counting its work into work."""
+    terminal = is_terminal(functional)
 
     def scores(u_rows):
         """sgn times the values, -inf where nan: what the search raises."""
-        vals = sgn * values(u_rows)
+        work["integrations"] += 1
+        work["integrated_rows"] += len(u_rows)
+        vals = sgn * _functional_values(problem, functional, u_rows)
         return np.where(np.isnan(vals), -np.inf, vals)
 
     def gradients(u_rows):
@@ -350,17 +527,22 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
         raise NumericalFailure(f"all {batch} optimizer starts die")
     step = np.full(batch, _STEP_INIT)
     stall = np.zeros(batch, dtype=int)
+    lbfgs = _Lbfgs(batch, u[0].size)
+    # restarts whose gradient step from u found no passing rung
+    futile = np.zeros(batch, dtype=bool)
 
     grad = gradients(u)
     for _ in range(config.max_iters):
         if not np.any(active):
             break
         work["iterations"] += 1
+        direction, quasi = lbfgs.directions(u, grad, val)
         improved = np.zeros(batch, dtype=bool)
         gain = np.zeros(batch)
-        trial = step.copy()   # each restart's first unpriced rung
+        # each restart's first unpriced rung
+        trial = np.where(quasi, 1.0, step)
         for count in _ladder(_BACKTRACKS):
-            rows = (active & ~improved).nonzero()[0]
+            rows = (active & ~improved & ~futile).nonzero()[0]
             if not rows.size:
                 break
             rungs = np.empty((count, rows.size))
@@ -368,12 +550,12 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
             for j in range(1, count):
                 rungs[j] = rungs[j - 1] * 0.5
             cand = _project_batch(
-                (u[rows] + rungs[:, :, None, None] * grad[rows]).reshape(
+                (u[rows] + rungs[:, :, None, None] * direction[rows]).reshape(
                     (count * rows.size,) + u.shape[1:]))
             cand_val = scores(cand)
             base = val[rows]
             good = cand_val.reshape(count, rows.size) > (
-                base + 1e-15 * (1.0 + np.abs(base)))
+                base + _GAIN * (1.0 + np.abs(base)))
             hit = good.any(axis=0).nonzero()[0]
             # flat index of each hit's first passing rung in cand
             pick = good[:, hit].argmax(axis=0) * rows.size + hit
@@ -381,31 +563,16 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
             gain[took] = cand_val[pick] - base[hit]
             u[took] = cand[pick]
             val[took] = cand_val[pick]
-            step[took] = rungs.reshape(-1)[pick] * 1.5
+            step[took] = np.where(quasi[took], step[took],
+                                  rungs.reshape(-1)[pick] * 1.5)
             improved[took] = True
             trial[rows] = rungs[-1] * 0.5   # a hit leaves the search
+        lbfgs.clear(active & ~improved)
+        futile = active & ~improved & ~quasi
         rel_gain = gain / (1.0 + np.abs(val))
         stall = np.where(improved & (rel_gain >= _TOL_VALUE), 0, stall + 1)
         active &= stall < 4
         if np.any(active) and np.any(improved):
             grad[improved] = gradients(u[improved])
-
-    best = int(np.argmax(val))
-    argext = ControlGrid(u[best]).project()
-    final_value = values(argext.values[None])[0]
-
-    # projected-gradient norm at the exit point, measured along the feasible set
-    probe = 1e-7
-    moved = _project_batch((u[best] + probe * grad[best])[None])[0]
-    pg_norm = float(np.linalg.norm(moved - u[best]) / probe)
-
-    return ExtremalResult(
-        value=float(final_value),
-        argext=argext,
-        sense=sense,
-        n_restarts_used=batch,
-        convergence_flag=bool(not active[best]),
-        gradient_norm_at_exit=pg_norm,
-        restart_values=list(sgn * val),
-        work=work,
-    )
+    work["restarts_at_cap"] = int(np.sum(active))
+    return u, val, grad, active

@@ -349,21 +349,61 @@ def _bridge(plan, x0, normals):
         yield grid.pop()  # nor grid once the caller lets go of it
 
 
+def _level_steps(functional, config, t_star) -> int:
+    """Steps of every level grid: one for a terminal functional under
+    exact_linear, t_star / dt_rel otherwise."""
+    if config.scheme == "exact_linear" and is_terminal(functional):
+        return 1
+    return max(1, round(t_star / config.dt_rel))
+
+
+def _bridged(example, config):
+    """(spec, start) of the process _bridge refines: the state from the
+    contraction's center under exact_linear, W from 0 under euler."""
+    if config.scheme == "exact_linear":
+        return example.sde.linear, example.contraction.center
+    k = example.sde.dim_noise
+    return LinearSpec(np.zeros((k, k)), np.eye(k)), np.zeros(k)
+
+
+def _check_depth(example, functional, config) -> None:
+    """ValueError when the finest level lies past the float range: its grid
+    step is subnormal, or a diagonal entry of the bridged process's
+    transition covariance over that step is 0 or subnormal, where the
+    bridge factors would come out wrong with no error. An entry that is 0
+    over a unit step too (a coordinate the noise never reaches) is left be.
+    """
+    t_star = example.limit_problem.t_star
+    step = (float(config.eps_grid()[-1]) * t_star
+            / _level_steps(functional, config, t_star))
+    tiny = np.finfo(float).tiny
+    if not step >= tiny:
+        raise ValueError(
+            f"depth {config.j_max}: the finest grid step {step!r} is below "
+            f"the smallest normal float; lower the depth")
+    unit, variance = np.diagonal(_bridged(example, config)[0].covariance(
+        np.array([1.0, step])), axis1=-2, axis2=-1)
+    if np.any((unit > 0.0) & ~(variance >= tiny)):
+        raise ValueError(
+            f"depth {config.j_max}: the transition covariance over the "
+            f"finest grid step {step!r} has diagonal {variance.tolist()!r}, "
+            f"0 or below the smallest normal float; lower the depth")
+
+
 def _table(example, functional, config):
     """Values (n_paths, levels): chunks of rows run their levels coarse to
     fine, each one rescale_states and one node_values on the chunk's nodes
     (the last only for a terminal functional), nan where a row died. All
     but a terminal functional under exact_linear (one step) run dt_rel."""
-    sde, phi, k = example.sde, example.contraction, example.sde.dim_noise
+    sde, phi = example.sde, example.contraction
     js, eps, t_star = (config.j_grid(), config.eps_grid(),
                        example.limit_problem.t_star)
     exact = config.scheme == "exact_linear"
     last = -1 if is_terminal(functional) else 0
-    n_steps = 1 if exact and last else max(1, round(t_star / config.dt_rel))
+    n_steps = _level_steps(functional, config, t_star)
     grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
              for e in eps]
-    spec, start = ((sde.linear, phi.center) if exact else
-                   (LinearSpec(np.zeros((k, k)), np.eye(k)), np.zeros(k)))
+    spec, start = _bridged(example, config)
     plan = _bridge_plan(spec, grids)
     chunk = max(1, _CHUNK_NODES // (n_steps + 1 + 2 * max(p[0] for p in plan)))
     values = np.full((config.n_paths, len(eps)), np.nan)
@@ -400,7 +440,8 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     extremes are pathwise limsup/liminf estimates.  A table at a smaller
     j_max is a prefix of the deeper one.  Explosions enter the table as nan
     and only flag the report when their fraction exceeds the configured
-    threshold.
+    threshold. A grid deeper than the float range (see _check_depth)
+    raises ValueError before any path is drawn.
     """
     config = config or LilExperimentConfig()
     if functional_name not in example.functionals:
@@ -416,6 +457,7 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     is_terminal(functional)  # ValueError unless terminal or running
     if config.scheme == "exact_linear" and example.sde.linear is None:
         raise ValueError("exact_linear scheme needs a linear SDE representation")
+    _check_depth(example, functional, config)
     prefix = functional_name + "_"
     return LilReport(
         example_name=example.name,

@@ -330,7 +330,9 @@ def test_optimize_manifest_counts_the_search_work(tmp_path):
         assert "counters" not in (tmp_path / name / "result.json").read_text()
     assert counters[0] == counters[1]
     assert sorted(counters[0]) == ["gradient_rows", "integrated_rows",
-                                   "integrations", "iterations"]
+                                   "integrations", "iterations",
+                                   "restarts_at_cap"]
+    assert counters[0]["restarts_at_cap"] == 0
     assert counters[0]["iterations"] > 0
     assert counters[0]["gradient_rows"] >= 3
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from lillab import extremals
 from lillab.controls import ControlGrid, LimitOdeProblem, solve_control_ode
 from lillab.examples import get_example, list_examples
-from lillab.extremals import (OptimizerConfig, RunningMaxAbsFunctional,
+from lillab.extremals import (OptimizerConfig, QuadraticMissFunctional,
+                              RunningMaxAbsFunctional,
                               TerminalLinearFunctional, _functional_values,
                               adjoint_gradient, fd_gradient, optimize_extremal)
 from lillab.sde import NumericalFailure, PolynomialDrift, SdeSystem
@@ -264,5 +266,120 @@ def test_dead_starts_take_no_step_and_warn_nothing():
     assert result.restart_values[0] == -np.inf
     assert np.isfinite(result.restart_values[1])
     assert result.value == result.restart_values[1]
-    assert result.work["integrations"] == 39
-    assert result.work["integrated_rows"] == 198
+    assert result.work["integrations"] == 18
+    assert result.work["integrated_rows"] == 78
+
+
+# ---------------------------------------------------------------------------
+# The L-BFGS direction
+
+def _config(example, n_steps, n_restarts, **kwargs):
+    extra = (() if example.probe_starts is None
+             else tuple(example.probe_starts(n_steps)))
+    return OptimizerConfig(n_steps=n_steps, n_restarts=n_restarts,
+                           extra_starts=extra, **kwargs)
+
+
+def _off_stationary(u, grad):
+    """1 - |cos(u, grad)| per row: 0 where the energy constraint's
+    multiplier rule holds (Pontryagin stationarity on the sphere)."""
+    u, grad = (a.reshape(len(a), -1) for a in (u, grad))
+    cos = np.sum(u * grad, axis=1) / (np.linalg.norm(u, axis=1)
+                                      * np.linalg.norm(grad, axis=1))
+    return 1.0 - np.abs(cos)
+
+
+@pytest.mark.parametrize("name, kwargs, functional, sense", [
+    ("iterated_kolmogorov", {"d": 2}, "J1", "max"),
+    ("iterated_kolmogorov", {"d": 3}, "J1", "max"),
+    ("quadratic", {}, "J2", "min"),
+    ("brownian", {}, "terminal", "max"),
+])
+def test_the_argext_is_stationary_on_the_sphere(name, kwargs, functional,
+                                                sense):
+    example = get_example(name, **kwargs)
+    problem, f = example.limit_problem, example.functionals[functional]
+    result = optimize_extremal(problem, f, sense,
+                               _config(example, 64, 3))
+    u = result.argext.values[None]
+    assert _off_stationary(u, adjoint_gradient(problem, f, u))[0] <= 1e-9
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_every_lorenz_restart_ends_stationary(sense):
+    lz = get_example("lorenz96")
+    problem, f = lz.limit_problem, lz.functionals["J3"]
+    work = {key: 0 for key in ("iterations", "integrations",
+                               "integrated_rows", "gradient_rows")}
+    u, _, _, active = extremals._search(
+        problem, f, 1.0 if sense == "max" else -1.0, _config(lz, 64, 4), work)
+    assert not active.any()
+    assert np.all(_off_stationary(u, adjoint_gradient(problem, f, u)) <= 1e-7)
+
+
+# values of the projected-gradient search this one replaced, at 32 cells x 3
+# restarts and the default seed and max_iters
+PROJECTED_GRADIENT_VALUES = {
+    ("brownian", "running_max", "max"): 1.4142135623730947,
+    ("brownian", "running_max", "min"): 1.589686816417508e-10,
+    ("brownian", "terminal", "max"): 1.4142135623730945,
+    ("brownian", "terminal", "min"): -1.4142135623730945,
+    ("iterated_kolmogorov", "J1", "max"): 0.8163969048508207,
+    ("iterated_kolmogorov", "J1", "min"): -0.8163969048508207,
+    ("iterated_kolmogorov", "running_max", "max"): 0.8163969048508207,
+    ("iterated_kolmogorov", "running_max", "min"): 0.029835431234051364,
+    ("lorenz96", "J3", "max"): 0.01724135835747704,
+    ("lorenz96", "J3", "min"): -0.001142888096760706,
+    ("quadratic", "J2", "max"): -1.1881292125506062e-07,
+    ("quadratic", "J2", "min"): -0.8104067283330526,
+    ("quadratic", "running_max", "max"): 0.8104067283330528,
+    ("quadratic", "running_max", "min"): 7.727470806425053e-08,
+    ("shifted_kolmogorov", "J1", "max"): 0.816396904850822,
+    ("shifted_kolmogorov", "J1", "min"): -0.8163969048508213,
+    ("shifted_kolmogorov", "running_max", "max"): 2.8163969048508206,
+    ("shifted_kolmogorov", "running_max", "min"): 1.2223478983738914,
+}
+
+
+def test_the_pinned_values_cover_every_registered_pair():
+    assert sorted(PROJECTED_GRADIENT_VALUES) == sorted(
+        (name, functional, sense) for name, functional in _registered_pairs()
+        for sense in ("max", "min"))
+
+
+@pytest.mark.parametrize("name, functional, sense",
+                         sorted(PROJECTED_GRADIENT_VALUES))
+def test_no_registered_pair_ends_worse_than_projected_gradient(
+        name, functional, sense):
+    example = get_example(name)
+    result = optimize_extremal(example.limit_problem,
+                               example.functionals[functional], sense,
+                               _config(example, 32, 3))
+    old = PROJECTED_GRADIENT_VALUES[(name, functional, sense)]
+    sgn = 1.0 if sense == "max" else -1.0
+    assert sgn * result.value >= sgn * old - 1e-12 * abs(old)
+
+
+def test_the_interior_reach_minimum_takes_few_iterations():
+    # the benchmark's reach search: the miss |y(0.7) - z|^2 has its minimum
+    # inside the ball, where the direction is Euclidean L-BFGS
+    ik = get_example("iterated_kolmogorov", d=2)
+    problem = replace(ik.limit_problem, t_star=0.7)
+    result = optimize_extremal(
+        problem, QuadraticMissFunctional([0.1, 0.4]), "min",
+        OptimizerConfig(n_steps=32, n_restarts=3, max_iters=200))
+    assert result.work["iterations"] <= 20
+    assert result.value <= 1e-20
+    assert result.argext.energy() < 1.0
+
+
+def test_restarts_at_cap_counts_the_restarts_max_iters_stopped():
+    lz = get_example("lorenz96")
+    capped = optimize_extremal(lz.limit_problem, lz.functionals["J3"], "max",
+                               _config(lz, 32, 3, max_iters=2))
+    assert capped.work["iterations"] == 2
+    assert capped.work["restarts_at_cap"] > 0
+    ik = get_example("iterated_kolmogorov", d=2)
+    done = optimize_extremal(ik.limit_problem, ik.functionals["J1"], "max")
+    assert done.work["restarts_at_cap"] == 0
+    assert done.convergence_flag

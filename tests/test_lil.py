@@ -2,12 +2,14 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lillab import lil
 from lillab.examples import get_example
+from lillab.extremals import TerminalLinearFunctional
 from lillab.lil import LilExperimentConfig, LilReport, run_lil_experiment
 from lillab.scaling import eval_index, rescale_path
 from lillab.sde import (LinearSpec, NoisePath, PolynomialDrift,
@@ -423,3 +425,43 @@ def test_csv_refuses_an_extreme_that_copies_no_value(value, extreme):
     report.__dict__["running_max"] = np.array([[1.0, extreme]])
     with pytest.raises(RuntimeError, match="no earlier value"):
         report.csv_blocks()
+
+
+@pytest.mark.parametrize("name, functional, scheme, depth, message", [
+    # brownian: the finest step 1e-2 * 2^-1060 is subnormal
+    ("brownian", "terminal", "exact_linear", 1060, "grid step"),
+    ("brownian", "running_max", "euler", 1060, "grid step"),
+    # IK(2): the transition variance h^3 / 3 underflows from depth ~334 on
+    ("iterated_kolmogorov", "J1", "exact_linear", 400, "covariance"),
+    ("iterated_kolmogorov", "J1", "exact_linear", 340, "covariance"),
+])
+def test_a_grid_past_the_float_range_is_refused_before_any_work(
+        name, functional, scheme, depth, message, monkeypatch):
+    example = get_example(name)
+    config = LilExperimentConfig(j_max=depth, n_paths=2, scheme=scheme)
+    monkeypatch.setattr(lil, "_table", lambda *args: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=message):
+        run_lil_experiment(example, functional, config)
+
+
+@pytest.mark.parametrize("name, functional, depth", [
+    ("brownian", "terminal", 1000), ("iterated_kolmogorov", "J1", 330)])
+def test_the_deepest_grids_inside_the_float_range_still_run(
+        name, functional, depth):
+    report = run_lil_experiment(get_example(name), functional,
+                                LilExperimentConfig(j_max=depth, n_paths=3))
+    assert report.values.shape == (3, depth + 1)
+
+
+def test_a_coordinate_the_noise_never_reaches_is_not_a_depth_failure():
+    # x2 stays at 0: its transition variance is 0 at every step, which is
+    # no underflow; the depth check refuses only what the floats lose
+    spec = LinearSpec(np.zeros((2, 2)), np.array([[1.0], [0.0]]))
+    example = SimpleNamespace(
+        limit_problem=SimpleNamespace(t_star=1.0),
+        sde=SimpleNamespace(linear=spec, dim_noise=1),
+        contraction=SimpleNamespace(center=np.zeros(2)))
+    terminal = TerminalLinearFunctional([1.0, 0.0])
+    lil._check_depth(example, terminal, LilExperimentConfig(j_max=1000))
+    with pytest.raises(ValueError, match="grid step"):
+        lil._check_depth(example, terminal, LilExperimentConfig(j_max=1060))

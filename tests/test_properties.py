@@ -31,11 +31,13 @@ its references and must be matched bit for bit. LilReport.csv_blocks writes
 lil.csv in blocks of paths, formatting each value once; a writer that
 formats every cell of every column is kept here as its reference and must
 be matched byte for byte on both sides of a block boundary. The optimizer's
-line search prices ladders of step halvings in one batch and refreshes only
-moved restarts' gradients; the loop of one trial per round it replaced is
-kept here as its reference and must be matched bit for bit. Coarsening a
-noise path twice equals coarsening it once by the product, and the
-contractions and their inverses undo each other, to stated tolerances.
+line search prices ladders of step halvings in one batch, refreshes only
+moved restarts' gradients and skips a failed gradient step's repeat; the
+loop of one trial per round it replaced, stepping along the same L-BFGS
+directions, is kept here as its reference and must be matched bit for bit.
+Coarsening a noise path twice equals coarsening it once by the product,
+and the contractions and their inverses undo each other, to stated
+tolerances.
 The registry's drifts, limit drifts and Jacobians are generated from
 monomial tables; they must equal the written-out ones of test_examples bit
 for bit, and on random tables the derived limit must be the
@@ -362,10 +364,12 @@ def test_adjoint_matches_fd_gradient(name, functional, cells):
 
 
 # ---------------------------------------------------------------------------
-# Line search. optimize_extremal prices a ladder of step halvings per round
-# and recomputes gradients only for restarts that moved; the loop it
-# replaced, one trial per round (trial *= 0.5) and gradients for the whole
-# batch after every iteration, is kept here as its reference.
+# Line search. optimize_extremal prices a ladder of step halvings per round,
+# recomputes gradients only for restarts that moved and does not price a
+# failed gradient step again; the loop it replaced, one trial per round
+# (trial *= 0.5) and gradients for the whole batch after every iteration,
+# is kept here as its reference. Both step along the directions of the one
+# L-BFGS helper, extremals._Lbfgs.
 
 def _reference_optimize(problem, functional, sense, config):
     """The one-trial-per-round search: (result fields, number of times a
@@ -379,6 +383,7 @@ def _reference_optimize(problem, functional, sense, config):
     step = np.full(batch, extremals._STEP_INIT)
     active = np.ones(batch, dtype=bool)
     stall = np.zeros(batch, dtype=int)
+    lbfgs = extremals._Lbfgs(batch, u[0].size)
     exhausted = 0
 
     def gradients(u_now):
@@ -393,14 +398,16 @@ def _reference_optimize(problem, functional, sense, config):
     for _ in range(config.max_iters):
         if not np.any(active):
             break
+        direction, quasi = lbfgs.directions(u, grad, val)
         improved = np.zeros(batch, dtype=bool)
         gain = np.zeros(batch)
-        trial = step.copy()
+        trial = np.where(quasi, 1.0, step)
         for _back in range(40):
             pending = active & ~improved
             if not np.any(pending):
                 break
-            cand = extremals._project_batch(u + trial[:, None, None] * grad)
+            cand = extremals._project_batch(
+                u + trial[:, None, None] * direction)
             cand_val = np.full(batch, -np.inf)
             cand_val[pending] = sgn * _functional_values(
                 problem, functional, cand[pending])
@@ -409,10 +416,11 @@ def _reference_optimize(problem, functional, sense, config):
             gain[good] = cand_val[good] - val[good]
             u[good] = cand[good]
             val[good] = cand_val[good]
-            step[good] = trial[good] * 1.5
+            step[good & ~quasi] = trial[good & ~quasi] * 1.5
             improved |= good
             trial[pending & ~good] *= 0.5
         exhausted += int(np.sum(active & ~improved))
+        lbfgs.clear(active & ~improved)
         rel_gain = gain / (1.0 + np.abs(val))
         stall = np.where(improved & (rel_gain >= extremals._TOL_VALUE), 0,
                          stall + 1)
@@ -449,6 +457,11 @@ EXHAUSTING = {"pair": ("iterated_kolmogorov", "J1"), "sense": "max",
               "n_steps": 8, "restarts": 3, "max_iters": 60, "seed": 5}
 FD_DRAW = {"pair": ("brownian", "running_max"), "sense": "max",
            "n_steps": 12, "restarts": 3, "max_iters": 40, "seed": 11}
+# a quasi-Newton step that finds no passing trial, then a gradient step
+# that does: the search may skip only a failed gradient step's repeat
+GRADIENT_AFTER_QUASI = {"pair": ("quadratic", "J2"), "sense": "max",
+                        "n_steps": 14, "restarts": 4, "max_iters": 46,
+                        "seed": 3982098482}
 
 
 def _search(case):
@@ -472,6 +485,7 @@ def test_the_exhausting_draw_uses_up_every_halving():
 @given(search_cases)
 @example(EXHAUSTING)
 @example(FD_DRAW)
+@example(GRADIENT_AFTER_QUASI)
 def test_ladder_line_search_equals_one_trial_per_round(case):
     want, _ = _reference_optimize(*_search(case))
     got = optimize_extremal(*_search(case))

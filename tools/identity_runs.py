@@ -158,6 +158,12 @@ RUNS = [
      ["lil-verify", "--example", "iterated_kolmogorov", "--d", "33",
       "--functional", "J1", "--scheme", "euler", "--paths", "4",
       "--depth", "27", "--dt-rel", "0.1"]),
+    ("lil_brownian_depth_1060",  # subnormal finest grid step: exit 2
+     ["lil-verify", "--example", "brownian", "--functional", "terminal",
+      "--depth", "1060"]),
+    ("lil_ik2_depth_400",  # transition variance h^3/3 underflows: exit 2
+     ["lil-verify", "--example", "iterated_kolmogorov", "--functional", "J1",
+      "--depth", "400"]),
 ]
 
 
