@@ -44,7 +44,7 @@ import scipy
 from . import __version__
 from .controls import ControlGrid
 from .examples import describe_example, deviation_table, get_example, list_examples
-from .extremals import OptimizerConfig, is_terminal, optimize_extremal
+from .extremals import OptimizerConfig, optimize_extremal
 from .lil import LilExperimentConfig, run_lil_experiment
 from .regularity import (REACH_CONFIG, DomainSpec, cone_criterion,
                          polygonalize, reach_target, sphere_criterion)
@@ -120,8 +120,8 @@ _SPECS = {
         "restarts": (int, 16, "multistart count"),
         "max_iters": (int, 500, "ascent iteration cap"),
         "gradient": (str, "auto",
-                     "auto, or the gradient the functional takes "
-                     "(adjoint | fd)"),
+                     "auto | adjoint | fd, all alike: every functional "
+                     "takes the exact discrete adjoint"),
     },
     "lil-verify": {
         **_COMMON,
@@ -360,13 +360,10 @@ def _run_optimize(opts: dict, ns):
     functional = _functional_from(example, opts)
     if opts["sense"] not in ("max", "min"):
         raise CliError("--sense must be max or min", EXIT_CONFIG)
-    # the functional picks its gradient; --gradient only checks it
-    takes = "adjoint" if is_terminal(functional) else "fd"
-    if opts["gradient"] not in ("auto", takes):
-        raise CliError(
-            f"functional {opts['functional']!r} takes the {takes} gradient; "
-            f"--gradient must be auto or {takes}, not {opts['gradient']!r}",
-            EXIT_CONFIG)
+    # every functional takes the adjoint; --gradient selects nothing
+    if opts["gradient"] not in ("auto", "adjoint", "fd"):
+        raise CliError("--gradient must be auto, adjoint or fd, not "
+                       f"{opts['gradient']!r}", EXIT_CONFIG)
     extra = ()
     if example.probe_starts is not None:
         extra = tuple(example.probe_starts(opts["n_steps"]))

@@ -14,7 +14,9 @@ One windowed RK4 sweep (_rk4_window) integrates the control ODE for every
 caller, one step per control cell: it evaluates the stages of a whole window
 of cells at once and repeats until the nodes settle bit for bit, which the
 nilpotent limit drifts of the rescaling do after at most d + 1 passes. The
-extremal optimizer's adjoint runs the same sweep backward.
+extremal optimizer's adjoint runs the same sweep backward: the transposed
+RK4 step is an RK4 step of the adjoint equation, with the functional's
+node gradients as sources.
 """
 
 from __future__ import annotations
@@ -162,7 +164,8 @@ def _rk4_increment(rhs, y, h, half, sixth):
     return sixth * acc
 
 
-def _rk4_window(rhs, x: np.ndarray, widths: np.ndarray, passes: int):
+def _rk4_window(rhs, x: np.ndarray, widths: np.ndarray, passes: int,
+                sources: Optional[np.ndarray] = None):
     """Classical RK4 over a window of w cells at once, from exact states x (B, d).
 
     rhs(stage, y) returns the slopes of RK4 stage 0-3 at states y (w, B, d),
@@ -170,11 +173,13 @@ def _rk4_window(rhs, x: np.ndarray, widths: np.ndarray, passes: int):
     every cell from the nodes of the previous pass (at first, x everywhere)
     and rebuilds the nodes as np.cumsum of [x, (h/6)(k1 + 2k2 + 2k3 + k4)];
     cumsum adds in sequence, so a node computed from an exact node is
-    bitwise the per-cell loop's x + (h/6)(...). Node j is exact after j
-    passes, and a pass that gives back the previous nodes proves them all
-    exact: a nilpotent drift of depth L does so after L + 1 passes. Returns
-    (nodes (w + 1, B, d), number of leading cells whose end nodes are exact),
-    which is w unless passes ran out first.
+    bitwise the per-cell loop's x + (h/6)(...). sources (w, B, d), when
+    given, are added to the increments: cell j ends at its RK4 step plus
+    sources[j]. Node j is exact after j passes, and a pass that gives back
+    the previous nodes proves them all exact: a nilpotent drift of depth L
+    does so after L + 1 passes. Returns (nodes (w + 1, B, d), number of
+    leading cells whose end nodes are exact), which is w unless passes ran
+    out first.
     """
     w = len(widths)
     h = widths[:, None, None]
@@ -184,6 +189,8 @@ def _rk4_window(rhs, x: np.ndarray, widths: np.ndarray, passes: int):
     nodes = np.broadcast_to(x, steps.shape)
     for done in range(1, passes + 1):
         steps[1:] = _rk4_increment(rhs, nodes[:-1], h, half, sixth)
+        if sources is not None:
+            steps[1:] += sources
         new = np.cumsum(steps, axis=0)
         # the nan-aware comparison only where a nan can make the difference
         if (done >= w or (new == nodes).all() or (

@@ -13,16 +13,17 @@ the manner of Huang, Gallivan & Absil, SIAM J. Optim. 25 (2015) 1660);
 anywhere else it is plain Euclidean L-BFGS, so an extremum inside the ball
 is searched for as an unconstrained one. A restart without
 usable curvature pairs steps along the gradient, which is projected
-gradient ascent. The functional picks its gradient (is_terminal): a
-continuous adjoint sweep (one forward + one backward integration) for a
-terminal functional, central finite differences for a running one, which
-has no terminal gradient.
+gradient ascent. Every functional, terminal or running, takes one gradient:
+the exact discrete adjoint (adjoint_gradient), the transpose of the RK4
+steps that price its values, so the search differentiates the very
+functional its line search compares.
 
 Every control, single or batched, goes through the one windowed RK4 sweep of
 lillab.controls (solve_control_ode is its one-row case). Terminal and running
 functional values keep only the states of the current window; the adjoint
 runs the same sweep backward over reversed cells, on the node states the
-forward sweep stores for it.
+forward sweep stores for it. fd_gradient, central finite differences of the
+values, is kept as the adjoint's reference.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import (MAX_ENERGY, ControlGrid, LimitOdeProblem, _integrate,
-                       _node_states, _rk4_window, _window_cells)
+from .controls import (MAX_ENERGY, ControlGrid, LimitOdeProblem,
+                       _control_rhs, _integrate, _node_states, _rk4_window,
+                       _window_cells)
 from .sde import ExplosivePath, NumericalFailure
 
 _FD_STEP = 1e-6       # relative step of the central differences
@@ -45,9 +47,7 @@ _STEP_INIT = 1.0      # first line-search step of every restart
 _BACKTRACKS = 40      # trials per iteration: a step and its halvings
 _MEMORY = 10          # curvature pairs of the L-BFGS direction
 _BOUNDARY = 1.0 - 1e-9  # energy / MAX_ENERGY from which the ball's edge binds
-_CURVATURE = 1e-12    # a pair with s.y <= _CURVATURE |s| |y| is skipped,
-_NOISE = 1e-8         # and one with |y| <= _NOISE |rg|, a gradient change
-                      # at the level of finite-difference rounding
+_CURVATURE = 1e-12    # a pair with s.y <= _CURVATURE |s| |y| is skipped
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +57,11 @@ def is_terminal(functional) -> bool:
     """True for a terminal functional, False for a running one.
 
     A terminal functional (terminal_value, terminal_gradient) is read on the
-    last node only and takes the adjoint gradient; a running one (accumulate,
-    running_value) is folded over every node and takes finite differences.
-    A functional with neither raises ValueError.
+    last node only; a running one (accumulate, running_value,
+    running_gradient) is folded over every node. Both take the adjoint
+    gradient, whose node sources are terminal_gradient on the last node or
+    running_gradient on every node. A functional with neither raises
+    ValueError.
     """
     if hasattr(functional, "terminal_value"):
         return True
@@ -125,6 +127,16 @@ class RunningMaxAbsFunctional(_NodeFunctional):
     def running_value(self, acc) -> np.ndarray:
         return acc
 
+    def running_gradient(self, nodes: np.ndarray) -> np.ndarray:
+        """Gradient of the value in the node states (n, B, d): sign(g_coord)
+        at each row's first node of largest |g_coord|, 0 elsewhere."""
+        x = nodes[..., self.coord]
+        first = np.argmax(np.abs(x), axis=0)
+        rows = np.arange(nodes.shape[1])
+        grad = np.zeros_like(nodes)
+        grad[first, rows, self.coord] = np.sign(x[first, rows])
+        return grad
+
 
 # ---------------------------------------------------------------------------
 # Functional values on batches
@@ -156,51 +168,79 @@ def _functional_values(problem, functional, u_batch):
 
 def adjoint_gradient(problem: LimitOdeProblem, functional,
                      u_batch: np.ndarray) -> np.ndarray:
-    """dF/du via one forward and one backward RK4 sweep per batch row.
+    """dF/du of the discrete functional: the transpose of the forward RK4
+    sweep, one backward sweep per batch of rows.
 
-    Requires a terminal functional (is_terminal). The backward equation
-    lambda' = -J_L(g)^T lambda of the system's drift L is integrated by
-    _rk4_window over reversed
-    cells on the stored forward trajectory, with stage slopes J^T lambda at
-    the cell's upper node, its midpoint (the mean of the two nodes, twice)
-    and its lower node; the cell gradient is sigma^T times the trapezoidal
-    average of lambda.
+    The transpose of a classical RK4 step is an RK4 step of the adjoint
+    equation (Hager, Runge-Kutta methods in optimal control and the
+    transformed adjoint system, Numer. Math. 87 (2000) 247). Cell n steps
+    x_n to x_{n+1} through the stage states y1 = x_n, y2 = x_n + (h/2) k1,
+    y3 = x_n + (h/2) k2 and y4 = x_n + h k3; the backward step takes
+    lambda_{n+1} to lambda_n by an RK4 step of width h whose stage s has the
+    slope J(y_{4-s})^T mu at its stage argument mu, J the Jacobian of the
+    system's drift, plus the functional's gradient in node n as a source
+    (terminal_gradient on the last node, running_gradient on every node).
+    _rk4_window runs it over reversed cells with the Jacobians at the
+    forward stage states, recomputed from the stored nodes. The gradient of
+    cell n is sigma^T h (mu1 + 2 mu2 + 2 mu3 + mu4) / 6 over the stage
+    arguments of its backward step, so the result is the gradient of the
+    values _functional_values prices, up to rounding. Rows that die get a
+    zero gradient.
     """
-    if not is_terminal(functional):
-        raise ValueError("functional does not expose a terminal gradient")
     widths, traj, first_dead = _node_states(problem, u_batch)
-    n, dim = len(widths), problem.system.dim_state
-    lam = np.empty_like(traj)
-    lam[n] = functional.terminal_gradient(traj[n])
+    system = problem.system
+    n, dim = len(widths), system.dim_state
+    if is_terminal(functional):
+        sources = np.zeros_like(traj)
+        sources[n] = functional.terminal_gradient(traj[n])
+    else:
+        sources = functional.running_gradient(traj)
+    lam = sources[n]
+    # mu1 + 2 mu2 + 2 mu3 + mu4 of every cell's backward step
+    total = np.empty_like(traj[:n])
     end, cap = n, _window_cells(traj.shape[1], dim)
     # dead rows are swept along their frozen states, where lambda may
     # overflow, as the forward sweep steps them; their gradient is zeroed
     with np.errstate(over="ignore", invalid="ignore"):
+        forward = _control_rhs(problem, u_batch[:, :n].transpose(1, 0, 2))
+        h = widths[:, None, None]
+        y1 = traj[:-1]
+        y2 = y1 + 0.5 * h * forward(0, y1)
+        y3 = y1 + 0.5 * h * forward(1, y2)
+        y4 = y1 + h * forward(2, y3)
         while end > 0:
             lo = max(0, end - cap)
-            g = traj[lo : end + 1][::-1]
-            jac = problem.system.drift.jacobian(g)
-            j_mid = problem.system.drift.jacobian(0.5 * (g[:-1] + g[1:]))
-            stage_jac = (jac[:-1], j_mid, j_mid, jac[1:])
-            nodes, done = _rk4_window(
-                lambda stage, y: np.einsum("...ij,...i->...j",
-                                           stage_jac[stage], y),
-                lam[end], widths[lo:end][::-1], dim + 1)
+            jac = [system.drift.jacobian(y[lo:end][::-1])
+                   for y in (y4, y3, y2, y1)]
+            mu = [None] * 4
+
+            def backward(stage, y):
+                mu[stage] = y
+                return np.einsum("...ij,...i->...j", jac[stage], y)
+
+            nodes, done = _rk4_window(backward, lam, widths[lo:end][::-1],
+                                      dim + 1, sources[lo:end][::-1])
             if done < end - lo:
                 cap = 1
-            lam[end - done : end + 1] = nodes[done::-1]
+            lam = nodes[done]
+            # the last pass's stage arguments are exact on the exact cells
+            part = mu[0][:done] + 2.0 * mu[1][:done]
+            part += 2.0 * mu[2][:done]
+            part += mu[3][:done]
+            total[end - done : end] = part[::-1]
             end -= done
         grad = np.zeros_like(u_batch)
-        # += on zeros, as the per-cell loop did: -0.0 cell gradients become 0.0
-        grad[:, :n] += ((0.5 * widths)[:, None, None] * (lam[1:] + lam[:-1])
-                        @ problem.system.sigma).transpose(1, 0, 2)
+        # += on zeros, as the per-cell loop does: -0.0 cell gradients become 0.0
+        grad[:, :n] += ((widths / 6.0)[:, None, None] * total
+                        @ system.sigma).transpose(1, 0, 2)
     grad[first_dead <= n] = 0.0
     return grad
 
 
 def fd_gradient(problem: LimitOdeProblem, functional,
                 u: np.ndarray) -> np.ndarray:
-    """Central finite-difference gradient of the functional in the control."""
+    """Central finite-difference gradient of the functional in the control:
+    2 n k integrated rows, the reference adjoint_gradient is checked against."""
     n_steps, dim_k = u.shape
     m = n_steps * dim_k
     flat = u.reshape(-1)
@@ -336,8 +376,8 @@ class _Lbfgs:
         space {v : <u, v> = 0}: its gradient, the pair it stores and its
         direction are projected onto it. Any other restart works in the
         Euclidean geometry. The pair s = u - u_old, y = rg_old - rg of the
-        (tangent) gradients rg is stored unless s.y <= _CURVATURE |s| |y| or
-        |y| <= _NOISE |rg|, and a change of geometry clears the memory.
+        (tangent) gradients rg is stored unless s.y <= _CURVATURE |s| |y|,
+        and a change of geometry clears the memory.
         Where the memory holds no pair, or the two-loop recursion's d gains
         too little at first order for a full step to pass the line search
         (<d, rg> <= _GAIN * (1 + |score|), score the restart's sgn * value),
@@ -375,9 +415,7 @@ class _Lbfgs:
             self.count *= same
             sy = dot(pair[:, 0], pair[:, 1])
             norms = dot(pair, pair)
-            new = (same
-                   & (sy > _CURVATURE * np.sqrt(norms[:, 0] * norms[:, 1]))
-                   & (norms[:, 1] > _NOISE**2 * dot(rg, rg)))
+            new = same & (sy > _CURVATURE * np.sqrt(norms[:, 0] * norms[:, 1]))
             if new.any():
                 self.pairs = np.where(new[:, None, None, None], np.concatenate(
                     (pair[:, None], self.pairs[:, :-1]), axis=1), self.pairs)
@@ -417,9 +455,9 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
 
     Ascent (sense "max") or descent ("min") along an L-BFGS direction with
     monotone backtracking line search and deterministic multi-start. The
-    gradient is the adjoint sweep for a terminal functional and central
-    finite differences for a running one (is_terminal, which raises
-    ValueError for a functional that is neither).
+    gradient is the exact discrete adjoint (adjoint_gradient) for every
+    functional, terminal or running; one that is neither raises ValueError
+    (is_terminal).
 
     The direction (_Lbfgs.directions) is the two-loop recursion over the
     last _MEMORY curvature pairs of each restart, in the geometry the
@@ -501,8 +539,6 @@ def _search(problem, functional, sgn, config, work):
     """The multi-start search of optimize_extremal for sgn * functional:
     (controls, scores, ascent gradients, still searching) of every restart
     when it ends, counting its work into work."""
-    terminal = is_terminal(functional)
-
     def scores(u_rows):
         """sgn times the values, -inf where nan: what the search raises."""
         work["integrations"] += 1
@@ -512,12 +548,7 @@ def _search(problem, functional, sgn, config, work):
 
     def gradients(u_rows):
         work["gradient_rows"] += len(u_rows)
-        if terminal:
-            return sgn * adjoint_gradient(problem, functional, u_rows)
-        out = np.empty_like(u_rows)
-        for b in range(len(u_rows)):
-            out[b] = sgn * fd_gradient(problem, functional, u_rows[b])
-        return np.nan_to_num(out)
+        return sgn * adjoint_gradient(problem, functional, u_rows)
 
     u = _project_batch(_initial_bank(problem, config))
     batch = u.shape[0]

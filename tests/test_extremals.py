@@ -168,33 +168,23 @@ def _registered_pairs():
     ("iterated_kolmogorov", "J1"), ("brownian", "running_max")])
 def test_work_counts_the_integrations_and_gradient_rows(name, functional):
     # integrations count the search's own value batches (start bank, ladder
-    # rounds, returned control), not the fd gradient's; gradient_rows count
-    # the restarts each gradient call was given
+    # rounds, returned control); gradient_rows count the restarts each
+    # gradient call was given
     example = get_example(name)
     problem, f = example.limit_problem, example.functionals[functional]
     config = OptimizerConfig(n_steps=8, n_restarts=3, max_iters=30)
-    searched, gradient_rows, in_fd = [], [], []
+    searched, gradient_rows = [], []
 
     def values(problem, functional, u_batch):
-        if not in_fd:
-            searched.append(len(u_batch))
+        searched.append(len(u_batch))
         return _functional_values(problem, functional, u_batch)
 
     def adjoint(problem, functional, u_batch):
         gradient_rows.append(len(u_batch))
         return adjoint_gradient(problem, functional, u_batch)
 
-    def fd(problem, functional, u):
-        gradient_rows.append(1)
-        in_fd.append(True)
-        try:
-            return fd_gradient(problem, functional, u)
-        finally:
-            in_fd.pop()
-
     with mock.patch.object(extremals, "_functional_values", values), \
-            mock.patch.object(extremals, "adjoint_gradient", adjoint), \
-            mock.patch.object(extremals, "fd_gradient", fd):
+            mock.patch.object(extremals, "adjoint_gradient", adjoint):
         work = optimize_extremal(problem, f, "max", config).work
     assert work["integrations"] == len(searched)
     assert work["integrated_rows"] == sum(searched)
@@ -205,9 +195,8 @@ def test_work_counts_the_integrations_and_gradient_rows(name, functional):
 @pytest.mark.parametrize("name, functional", _registered_pairs())
 def test_auto_gradient_is_the_adjoint_exactly_for_terminal_functionals(
         name, functional):
-    # the functional picks its gradient: the adjoint when it has
-    # terminal_gradient and finite differences otherwise, and the adjoint
-    # of a running functional is refused
+    # every functional, terminal or running, takes the adjoint gradient;
+    # finite differences are only the tests' reference
     example = get_example(name)
     problem, f = example.limit_problem, example.functionals[functional]
     config = OptimizerConfig(n_steps=8, n_restarts=2, max_iters=2)
@@ -216,12 +205,7 @@ def test_auto_gradient_is_the_adjoint_exactly_for_terminal_functionals(
             mock.patch.object(extremals, "fd_gradient",
                               wraps=extremals.fd_gradient) as fd:
         optimize_extremal(problem, f, "max", config)
-    terminal = hasattr(f, "terminal_gradient")
-    assert adjoint.called == terminal and fd.called == (not terminal)
-    if not terminal:
-        with pytest.raises(ValueError, match="terminal gradient"):
-            adjoint_gradient(problem, f,
-                             np.zeros((1, 8, problem.system.dim_noise)))
+    assert adjoint.called and not fd.called
 
 
 @pytest.mark.parametrize("name, functional", _registered_pairs())
@@ -266,8 +250,8 @@ def test_dead_starts_take_no_step_and_warn_nothing():
     assert result.restart_values[0] == -np.inf
     assert np.isfinite(result.restart_values[1])
     assert result.value == result.restart_values[1]
-    assert result.work["integrations"] == 18
-    assert result.work["integrated_rows"] == 78
+    assert result.work["integrations"] == 17
+    assert result.work["integrated_rows"] == 62
 
 
 # ---------------------------------------------------------------------------
