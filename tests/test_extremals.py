@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from lillab import extremals
-from lillab.controls import ControlGrid, LimitOdeProblem, solve_control_ode
+from lillab.controls import (ControlGrid, LimitOdeProblem, _node_states,
+                             solve_control_ode)
 from lillab.examples import get_example, list_examples
 from lillab.extremals import (OptimizerConfig, QuadraticMissFunctional,
                               RunningMaxAbsFunctional,
@@ -167,23 +168,31 @@ def _registered_pairs():
 @pytest.mark.parametrize("name, functional", [
     ("iterated_kolmogorov", "J1"), ("brownian", "running_max")])
 def test_work_counts_the_integrations_and_gradient_rows(name, functional):
-    # integrations count the search's own value batches (start bank, ladder
-    # rounds, returned control); gradient_rows count the restarts each
-    # gradient call was given
+    # integrations count the search's own value batches (start bank and
+    # ladder rounds, priced on their node states, and the returned
+    # control); gradient_rows count the restarts each gradient call was
+    # given. Every gradient starts from the nodes that priced its controls,
+    # so the adjoint integrates nothing forward.
     example = get_example(name)
     problem, f = example.limit_problem, example.functionals[functional]
     config = OptimizerConfig(n_steps=8, n_restarts=3, max_iters=30)
     searched, gradient_rows = [], []
 
+    def nodes(problem, u_batch):
+        searched.append(len(u_batch))
+        return _node_states(problem, u_batch)
+
     def values(problem, functional, u_batch):
         searched.append(len(u_batch))
         return _functional_values(problem, functional, u_batch)
 
-    def adjoint(problem, functional, u_batch):
+    def adjoint(problem, functional, u_batch, *priced):
         gradient_rows.append(len(u_batch))
-        return adjoint_gradient(problem, functional, u_batch)
+        assert priced
+        return adjoint_gradient(problem, functional, u_batch, *priced)
 
-    with mock.patch.object(extremals, "_functional_values", values), \
+    with mock.patch.object(extremals, "_node_states", nodes), \
+            mock.patch.object(extremals, "_functional_values", values), \
             mock.patch.object(extremals, "adjoint_gradient", adjoint):
         work = optimize_extremal(problem, f, "max", config).work
     assert work["integrations"] == len(searched)

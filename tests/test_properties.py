@@ -357,6 +357,40 @@ def test_adjoint_equals_per_cell_loop(case, cells, kind):
     assert np.array_equal(grad, ref)
 
 
+# every registered pair, and IK(2)'s functionals on the ball problem, whose
+# rows at scale 3 leave the ball
+PRICED_PAIRS = _registered_pairs() + [
+    ("kolmogorov_in_ball", functional) for functional
+    in sorted(get_example("iterated_kolmogorov").functionals)]
+
+
+@pytest.mark.parametrize("name, key", PRICED_PAIRS)
+@SETTINGS
+@given(cases, WINDOW_CELLS, WINDOW_CELLS)
+@example({"example": "brownian", "scales": [3.0, 0.1, 1e60], "n_steps": 16,
+          "t_star": 1.0, "seed": 5}, 1, None)
+def test_adjoint_on_priced_nodes_equals_a_fresh_adjoint(name, key, case,
+                                                        priced_cells, cells):
+    # the search prices a batch of rungs, keeps the node states of the rows
+    # it accepts and sweeps backward from them: the nodes of a row do not
+    # depend on the batch or the windows that integrated it (the case's
+    # example is not used)
+    problem = _sweep_problem(name, case["t_star"])
+    functional = get_example("iterated_kolmogorov" if name
+                             == "kolmogorov_in_ball" else name).functionals[key]
+    u = _controls(case, problem.system.dim_noise)
+    rng = np.random.default_rng(case["seed"])
+    rows = np.sort(rng.choice(len(u), rng.integers(1, len(u) + 1),
+                              replace=False))
+    with _window(priced_cells, problem, len(u)):
+        _, states, first_dead = _node_states(problem, u)
+    with _window(cells, problem, len(rows)):
+        fresh = adjoint_gradient(problem, functional, u[rows])
+        grad = adjoint_gradient(problem, functional, u[rows],
+                                (states[:, rows], first_dead[rows]))
+    assert np.array_equal(grad, fresh)
+
+
 @pytest.mark.parametrize("cells", [1, 3, None])
 @pytest.mark.parametrize("name, functional", _registered_pairs())
 def test_adjoint_matches_fd_gradient(name, functional, cells):
@@ -380,7 +414,7 @@ def test_adjoint_matches_fd_gradient(name, functional, cells):
             adj = adjoint_gradient(problem, f, u[None])[0]
         with _window(cells, problem, 2 * u.size):
             fd = fd_gradient(problem, f, u)
-        assert np.max(np.abs(adj - fd)) <= 1e-6 * np.max(np.abs(fd))
+        assert np.max(np.abs(adj - fd)) <= 1e-8 * np.max(np.abs(fd))
 
 
 # ---------------------------------------------------------------------------
