@@ -14,8 +14,9 @@ flag > config file > LILLAB_SEED environment variable > built-in default.
 With --out DIR every run writes its data files plus a manifest.json echoing
 the resolved configuration, library versions, seed, wall time and its split
 into timings.compute_s (the subcommand's computation) and timings.write_s
-(writing the data files), for optimize and regularity polygonalize the
-work counters (ExtremalResult.work, PolygonApprox.work) under counters, and
+(writing the data files), for optimize, lil-verify and regularity
+polygonalize the work counters (ExtremalResult.work, LilReport.work,
+PolygonApprox.work) under counters, and
 for simulate and rescale, whose data files are the path alone, the summary
 a run without --out prints (explosion, terminal state or alpha) under summary;
 data files are byte-identical across reruns of the same configuration and
@@ -402,7 +403,7 @@ def _run_lil(opts: dict, ns):
     summary = report.to_json_dict()
     artifacts = [("lil.csv", report.csv_blocks()),
                  ("lil.json", _json_text(summary))]
-    return artifacts, summary, EXIT_OK
+    return artifacts, summary, EXIT_OK, report.work
 
 
 def _run_regularity(opts: dict, ns):

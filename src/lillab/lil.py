@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -26,7 +26,8 @@ import numpy as np
 from .examples import ExampleSystem
 from .extremals import is_terminal, node_values
 from .scaling import eval_index, rescale_states
-from .sde import LinearSpec, alive, euler_batch, row_normals
+from .sde import (_BLOCK, _COLUMN_VALUES, LinearSpec, alive, euler_batch,
+                  row_normals)
 
 
 # Row-nodes per chunk of rows in _table, so memory does not grow with paths:
@@ -105,6 +106,8 @@ class LilReport:
     config: LilExperimentConfig
     values: np.ndarray
     reference: dict
+    # run_lil_experiment's work counters (_table); no artifact holds them
+    work: dict = field(default_factory=dict)
 
     # every row is one driving path observed at every scale (module doc)
     noise_coupling = "consistent"
@@ -390,11 +393,21 @@ def _check_depth(example, functional, config) -> None:
             f"0 or below the smallest normal float; lower the depth")
 
 
-def _table(example, functional, config):
+def _table(example, functional, config, work):
     """Values (n_paths, levels): chunks of rows run their levels coarse to
     fine, each one rescale_states and one node_values on the chunk's nodes
     (the last only for a terminal functional), nan where a row died. All
-    but a terminal functional under exact_linear (one step) run dt_rel."""
+    but a terminal functional under exact_linear (one step) run dt_rel.
+
+    Under euler, consecutive levels of a chunk are stepped in one
+    euler_batch call, level-major, each row with its level's step: as many
+    levels as fit in one block of the kernel's array layout (_COLUMN_VALUES
+    values over min(n_steps, _BLOCK) nodes), split evenly. A few paths thus
+    run on the kernel's arrays in one call, not on floats in one call per
+    level, and chunks of a few hundred rows or more run one level a call.
+    work counts the levels run per chunk, the euler_batch calls and their
+    rows times steps.
+    """
     sde, phi = example.sde, example.contraction
     js, eps, t_star = (config.j_grid(), config.eps_grid(),
                        example.limit_problem.t_star)
@@ -406,26 +419,40 @@ def _table(example, functional, config):
     spec, start = _bridged(example, config)
     plan = _bridge_plan(spec, grids)
     chunk = max(1, _CHUNK_NODES // (n_steps + 1 + 2 * max(p[0] for p in plan)))
+    widths = np.array([times[1] for times in grids])
     values = np.full((config.n_paths, len(eps)), np.nan)
     for first in range(0, config.n_paths, chunk):
         rows = range(first, min(first + chunk, config.n_paths))
-        levels = _bridge(plan, np.broadcast_to(start, (len(rows), len(start))),
+        per = len(rows)
+        levels = _bridge(plan, np.broadcast_to(start, (per, len(start))),
                          lambda level, n: row_normals(config.seed, js[level],
                                                       rows, n))
-        for level, (times, e) in enumerate(zip(grids, eps)):
-            x = next(levels)  # not zip: its reused tuple would keep the last x
+        size = 1 if exact else max(1, _COLUMN_VALUES // min(n_steps, _BLOCK)
+                                   // (per * sde.dim_state))
+        for group in np.array_split(np.arange(len(eps)),
+                                    -(-len(eps) // size)):
             if exact:
+                x = next(levels)  # not zip: its reused tuple keeps the last x
                 dead = ~alive(x[1:], sde.domain_contains).all(axis=0)
-            else:  # x is W: keep only its increments while they are stepped
-                x = np.diff(x, axis=0).transpose(1, 0, 2)
+            else:  # W: keep only its increments while they are stepped,
+                # one level's without a copy (large chunks)
+                inc = [np.diff(next(levels), axis=0) for _ in group]
+                inc = inc[0] if len(inc) == 1 else np.concatenate(inc, axis=1)
                 x, first_dead = euler_batch(sde, np.broadcast_to(
-                    phi.center, (len(rows), sde.dim_state)), x, times[1])
+                    phi.center, (inc.shape[1], sde.dim_state)),
+                    inc.transpose(1, 0, 2), np.repeat(widths[group], per))
                 dead = first_dead <= n_steps
-            y = rescale_states(phi, eval_index(example.index, e), e,
-                               times[last:] / e, x[last:])
-            values[first:rows.stop, level] = np.where(
-                dead, np.nan, node_values(functional, y))
-            del x, y  # before the next level allocates its own
+                work["euler_calls"] += 1
+                work["euler_row_steps"] += inc.shape[1] * n_steps
+                del inc
+            for g, level in enumerate(group.tolist()):
+                part, e = slice(g * per, (g + 1) * per), eps[level]
+                y = rescale_states(phi, eval_index(example.index, e), e,
+                                   grids[level][last:] / e, x[last:, part])
+                values[first:rows.stop, level] = np.where(
+                    dead[part], np.nan, node_values(functional, y))
+            work["levels"] += len(group)
+            del x, y  # before the next group allocates its own
     return values
 
 
@@ -441,7 +468,10 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     j_max is a prefix of the deeper one.  Explosions enter the table as nan
     and only flag the report when their fraction exceeds the configured
     threshold. A grid deeper than the float range (see _check_depth)
-    raises ValueError before any path is drawn.
+    raises ValueError before any path is drawn. Of the levels that one
+    euler_batch call steps (see _table), a NumericalFailure is that of the
+    earliest failing step, the coarsest level's on ties. report.work holds
+    the counters of _table.
     """
     config = config or LilExperimentConfig()
     if functional_name not in example.functionals:
@@ -459,11 +489,13 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
         raise ValueError("exact_linear scheme needs a linear SDE representation")
     _check_depth(example, functional, config)
     prefix = functional_name + "_"
+    work = dict(levels=0, euler_calls=0, euler_row_steps=0)
     return LilReport(
         example_name=example.name,
         functional_name=functional_name,
         config=config,
-        values=_table(example, functional, config),
+        values=_table(example, functional, config, work),
         reference={k: v for k, v in example.reference.items()
                    if k.startswith(prefix)},
+        work=work,
     )

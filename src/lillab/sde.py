@@ -46,8 +46,9 @@ _BLOCK = 256
 
 # Live rows up to which euler_batch steps each row on Python floats, one row
 # at a time; above it, one (B,) array per coordinate. The crossover lies at
-# 12 to 30 rows on the registered examples, and arrays at 6 to 8 rows (the
-# Monte Carlo shape) take twice as long per step as floats.
+# 12 to 30 rows on the registered examples, and arrays at 6 to 8 rows take
+# twice as long per step as floats (lil-verify stacks the scales of a few
+# paths into one call, so that it runs on arrays).
 _FLOAT_ROWS = 16
 
 # On arrays, a block holds at most this many state values (nodes x rows x
@@ -576,18 +577,19 @@ class ExplosivePath:
         return float(self.times[self.explosion_index])
 
 
-def euler_batch(system: SdeSystem, x0, increments, dt: float):
+def euler_batch(system: SdeSystem, x0, increments, dt):
     """Euler-Maruyama for a batch of B paths, each driven by its own noise.
 
     x0 (B, d) holds the starting states and increments (B, n, k) the
-    Brownian increments of every row on a uniform grid of step dt. Returns
+    Brownian increments of every row on a uniform grid of step dt, a float
+    for every row or a (B,) array of one step per row. Returns
     (states (n + 1, B, d), first_dead (B,)). A row whose state is not alive
     at node j has first_dead = j and keeps its last live state from there
     on; rows that survive have first_dead = n + 1.
 
     Each step is the system's generated Euler step (see _step_factory):
-    x_i + (b_i(x)) * dt + (0.0 + sigma_i0 n0 + ...), the noise summed left
-    to right. It runs on Python floats, one row at a time, while at most
+    x_i + (b_i(x)) * dt + (0.0 + sigma_i0 n0 + ...), with the row's dt and
+    the noise summed left to right. It runs on Python floats, one row at a time, while at most
     _FLOAT_ROWS rows are alive, and on one (B,) array per coordinate above
     (under np.errstate, so overflow and invalid values raise no warning);
     both give the same bits. The live rows are stepped through blocks of
@@ -618,8 +620,11 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
     domain = system.domain_contains
     if not alive(x, domain).all():
         raise ValueError("x0 must be a finite state inside the domain")
-    step, dt = _euler_step(system), float(dt)
-    n = inc.shape[1]
+    h = np.asarray(dt, dtype=float)
+    if h.shape not in ((), (batch,)):
+        raise ValueError("dt must be a float or have shape (B,)")
+    h = np.broadcast_to(h, (batch,))    # the steps of the live rows
+    step, n = _euler_step(system), inc.shape[1]
     states = np.empty((n + 1, batch, system.dim_state))
     states[0] = x
     first_dead = np.full(batch, n + 1)
@@ -637,14 +642,14 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
             if live <= _FLOAT_ROWS:
                 # one row's floats at a time: few float objects alive
                 block = np.empty((m, live, system.dim_state))
-                for r, x_r in enumerate(x.tolist()):
+                for r, (x_r, h_r) in enumerate(zip(x.tolist(), h.tolist())):
                     path = []
-                    step(*x_r, noise[r].tolist(), dt, path.extend)
+                    step(*x_r, noise[r].tolist(), h_r, path.extend)
                     block[:, r] = np.reshape(path, (m, -1))
             else:
                 nodes = []
                 step(*x.T, np.ascontiguousarray(noise.transpose(1, 2, 0)),
-                     dt, nodes.extend)
+                     h, nodes.extend)
                 block = np.array(nodes).reshape(m, -1, live).transpose(0, 2, 1)
             states[i0 + 1:i0 + 1 + m, every] = block
             block = states[i0 + 1:i0 + 1 + m, every]
@@ -663,7 +668,7 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float):
                                 f"step {i0 + j}", state=last, step=i0 + j)
                 first_dead[rows[dead]] = i0 + 1 + first
                 rows = rows[~died]
-                x = x[~died]
+                x, h = x[~died], h[~died]
             i0 += m
     if (first_dead <= n).any():
         frozen = np.arange(n + 1)[:, None] >= first_dead

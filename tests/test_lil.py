@@ -12,9 +12,9 @@ from lillab.examples import get_example
 from lillab.extremals import TerminalLinearFunctional
 from lillab.lil import LilExperimentConfig, LilReport, run_lil_experiment
 from lillab.scaling import eval_index, rescale_path
-from lillab.sde import (LinearSpec, NoisePath, PolynomialDrift,
-                        brownian_path, euler_batch, row_normals,
-                        simulate_sde)
+from lillab.sde import (LinearSpec, NoisePath, NumericalFailure,
+                        PolynomialDrift, SdeSystem, brownian_path,
+                        euler_batch, row_normals, simulate_sde)
 
 SMALL = dict(j_min=0, j_max=6, n_paths=200)
 
@@ -167,34 +167,69 @@ def _bridged_w(config, grids, k, p):
         config.seed, config.j_grid()[level], range(p, p + 1), n))
 
 
-@pytest.mark.parametrize("rows_per_chunk", [None, 1, 2])
-def test_euler_table_matches_per_path_simulation(rows_per_chunk, monkeypatch):
-    # each level runs its paths in batches (all 3 at once, or chunks of 1 or
-    # 2 rows); the table must equal, bit for bit, one simulate_sde per
-    # (path, level) on that level's increments of the path's bridged W
-    quad = get_example("quadratic")
-    phi, psi = quad.contraction, quad.index
-    config = LilExperimentConfig(j_min=0, j_max=4, n_paths=3, scheme="euler")
-    t_star = quad.limit_problem.t_star
+def _check_euler_table(example, functional, config, rows_per_chunk,
+                       monkeypatch):
+    """Run the euler table with euler_batch recorded; assert that each call
+    holds whole levels of one chunk, coarse to fine, each row stepped with
+    its level's step, and that the table equals, bit for bit, one
+    simulate_sde per (path, level) on that level's increments of the path's
+    bridged W. Returns the rows of each call."""
+    phi, psi = example.contraction, example.index
+    t_star = example.limit_problem.t_star
     n_steps = max(1, round(t_star / config.dt_rel))
-    batches = []
+    calls = []
     monkeypatch.setattr(lil, "euler_batch", lambda sde, x0, inc, dt: (
-        batches.append(len(x0)) or euler_batch(sde, x0, inc, dt)))
+        calls.append(np.asarray(dt)) or euler_batch(sde, x0, inc, dt)))
     if rows_per_chunk is not None:
         _force_chunk_rows(monkeypatch, rows_per_chunk)
-    report = run_lil_experiment(quad, "J2", config)
-    assert max(batches) == (rows_per_chunk or config.n_paths)
+    report = run_lil_experiment(example, functional, config)
     grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
              for e in config.eps_grid()]
-    expected = np.empty((config.n_paths, 5))
+    chunk = rows_per_chunk or config.n_paths
+    chunks = [min(chunk, config.n_paths - first)
+              for first in range(0, config.n_paths, chunk)]
+    # the levels' steps differ, so each run of equal steps is one level
+    assert np.array_equal(np.concatenate(calls), np.concatenate(
+        [np.full(rows, times[1]) for rows in chunks for times in grids]))
+    ends = set(np.cumsum([len(dt) for dt in calls]).tolist())
+    assert set(np.cumsum([rows * len(grids) for rows in chunks]).tolist()) \
+        <= ends <= set(np.cumsum([rows for rows in chunks
+                                  for _ in grids]).tolist())
+    assert report.work == {"levels": len(chunks) * len(grids),
+                           "euler_calls": len(calls),
+                           "euler_row_steps": n_steps * config.n_paths
+                           * len(grids)}
+    expected = np.empty((config.n_paths, len(grids)))
     for p in range(config.n_paths):
-        levels = _bridged_w(config, grids, 1, p)
+        levels = _bridged_w(config, grids, example.sde.dim_noise, p)
         for level, (times, w) in enumerate(zip(grids, levels)):
             noise = NoisePath(config.seed, times[1], np.diff(w[:, 0], axis=0))
-            path = simulate_sde(quad.sde, phi.center, noise)
-            expected[p, level] = quad.functionals["J2"].evaluate(rescale_path(
-                path, phi, psi, float(config.eps_grid()[level])))
+            path = simulate_sde(example.sde, phi.center, noise)
+            expected[p, level] = example.functionals[functional].evaluate(
+                rescale_path(path, phi, psi, float(config.eps_grid()[level])))
     assert np.array_equal(report.values, expected)
+    return [len(dt) for dt in calls]
+
+
+@pytest.mark.parametrize("rows_per_chunk", [None, 1, 2])
+def test_euler_table_matches_per_path_simulation(rows_per_chunk, monkeypatch):
+    # chunks of all 3 rows, or of 1 or 2 rows, each stepping its 5 levels
+    # in one euler_batch call
+    config = LilExperimentConfig(j_min=0, j_max=4, n_paths=3, scheme="euler")
+    sizes = _check_euler_table(get_example("quadratic"), "J2", config,
+                               rows_per_chunk, monkeypatch)
+    chunk = rows_per_chunk or 3
+    assert sizes == [5 * min(chunk, 3 - first)
+                     for first in range(0, 3, chunk)]
+
+
+def test_euler_table_steps_level_groups(monkeypatch):
+    # lorenz96 at 6 paths and depth 27: 28 levels of 100 steps exceed one
+    # block of the kernel's array layout and run as two calls of 14 levels
+    config = LilExperimentConfig(j_min=0, j_max=27, n_paths=6, scheme="euler")
+    sizes = _check_euler_table(get_example("lorenz96"), "J3", config, None,
+                               monkeypatch)
+    assert sizes == [14 * 6, 14 * 6]
 
 
 def _per_path_table(example, functional_name, config):
@@ -283,6 +318,41 @@ def test_euler_explosions_are_masked_like_single_paths(functional):
     expected = _per_path_table(blowup, functional, config)
     assert 0 < report.explosion_count < report.values.size
     assert np.array_equal(report.values, expected, equal_nan=True)
+
+
+def test_stacked_levels_raise_the_failure_of_the_earliest_step():
+    # b_0 = 1e308 (x0^2 - x1^2) and noise 100 (1, 1) from 0: the states stay
+    # on the diagonal, and the drift turns nan at a live state once |x| >
+    # 1.34. Every level of this seed fails; the six levels run in one
+    # euler_batch call, which raises the failure of the earliest step (level
+    # 1, step 1), not that of the coarsest failing level (level 0, step 2),
+    # which a call per level would raise first.
+    quad = get_example("quadratic")
+    system = SdeSystem(PolynomialDrift(2, (((1e308, (2, 0)), (-1e308, (0, 2))),
+                                           ())), 100.0 * np.ones((2, 1)))
+    config = LilExperimentConfig(j_min=0, j_max=5, n_paths=3, scheme="euler",
+                                 seed=4)
+    t_star = quad.limit_problem.t_star
+    n_steps = max(1, round(t_star / config.dt_rel))
+    grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
+             for e in config.eps_grid()]
+    plan = lil._bridge_plan(LinearSpec(np.zeros((1, 1)), np.eye(1)), grids)
+    rows = range(config.n_paths)
+    levels = lil._bridge(plan, np.zeros((3, 1)), lambda level, n: row_normals(
+        config.seed, config.j_grid()[level], rows, n))
+    failures = []   # (step, level, failure) of one euler_batch per level
+    for level, (times, w) in enumerate(zip(grids, levels)):
+        with pytest.raises(NumericalFailure) as info:
+            euler_batch(system, np.zeros((3, 2)), np.diff(w, axis=0)
+                        .transpose(1, 0, 2), times[1])
+        failures.append((info.value.step, level, info.value))
+    assert [f[:2] for f in failures[:2]] == [(2, 0), (1, 1)]
+    expected = min(failures, key=lambda f: f[:2])[2]
+    with pytest.raises(NumericalFailure) as info:
+        run_lil_experiment(replace(quad, sde=system), "J2", config)
+    assert str(info.value) == str(expected)
+    assert info.value.step == expected.step
+    assert np.array_equal(info.value.state, expected.state)
 
 
 @pytest.mark.parametrize("scheme, name, functional", [

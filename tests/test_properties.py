@@ -7,11 +7,12 @@ backward over reversed cells. A per-cell RK4 loop and a per-cell backward
 loop are kept here as its references; every window size, from one cell to
 the whole grid, must reproduce them bit for bit, drifts that are not
 nilpotent included. The batched Euler kernel euler_batch is the only SDE
-Euler loop: simulate_sde is its one-row case and lil-verify runs it on all
-paths of a level; a per-step single-row loop with the einsum noise sum is
-kept here as its reference, and the step generated from a monomial table
-must reproduce it on Python floats and on arrays, at every block size of
-its liveness check, on registered and on random tables.
+Euler loop: simulate_sde is its one-row case and lil-verify runs it on the
+stacked levels of a chunk of paths, one step width per row, which must
+equal one call per row; a per-step single-row loop with the einsum noise
+sum is kept here as its reference, and the step generated from a monomial
+table must reproduce it on Python floats and on arrays, at every block
+size of its liveness check, on registered and on random tables.
 Rows of a batch must not influence each other, and on the iterated
 Kolmogorov chain RK4 is exact for piecewise-constant controls. The Cramer
 transform of a path the control ODE made is its control's energy. The
@@ -859,6 +860,69 @@ def test_numerical_failure_of_the_earliest_step_in_a_block(block):
         assert failure.step == block
         assert failure.state.tolist() == ([3.0, 3.0] if block > 1
                                           else [2.0, 2.0])
+
+
+# One step per row: lil-verify stacks the levels of a chunk into one
+# euler_batch call, each row with its level's step. Batches of 1 to 40 rows
+# run on floats, on arrays, and on arrays and then floats as rows die;
+# quadratic rows from x1 = 30 die within a few steps at the larger steps,
+# and OVERFLOWING rows fail, at different steps for different widths.
+dt_cases = st.fixed_dictionaries({
+    "system": st.sampled_from(list_examples() + ["quadratic_x1_below_1.5",
+                                                 "overflowing"]),
+    "rows": st.lists(st.tuples(st.sampled_from([0.1, 3.0, 1e60]),
+                               st.sampled_from([1e-3, 0.05, 0.3]),
+                               st.booleans()), min_size=1, max_size=40),
+    "n_steps": st.integers(1, 64),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def _draw_dt(case):
+    """(system, x0, increments, dt) of a dt_cases batch: row r scales its
+    noise by rows[r][0], steps rows[r][1] and, if rows[r][2] and the state
+    stays in the domain, starts at x1 = 30."""
+    scales, dt, far = (np.array(v) for v in zip(*case["rows"]))
+    if case["system"] == "overflowing":
+        system, center = OVERFLOWING, np.zeros(2)
+    else:
+        system, center = _sde(case["system"])
+    inc = _increments(dict(case, scales=scales), system.dim_noise)
+    x0 = np.repeat(center[None], len(scales), axis=0)
+    shifted = center + 30.0 * np.eye(len(center))[0]
+    if system is not OVERFLOWING and alive(shifted, system.domain_contains):
+        x0[far] = shifted
+    return system, x0, inc, dt
+
+
+@SETTINGS
+@given(dt_cases, BLOCKS)
+@example({"system": "quadratic", "n_steps": 40, "seed": 3,
+          "rows": [(0.1, [1e-3, 0.05, 0.3][r % 3], r % 2 == 0)
+                   for r in range(40)]}, sde._BLOCK)
+def test_euler_batch_per_row_dt_equals_one_call_per_row(case, block):
+    # states and first_dead bit for bit, or, when rows fail, the failure of
+    # the earliest step, the lowest row on ties
+    system, x0, inc, dt = _draw_dt(case)
+    singles, failures = [], []
+    with mock.patch.object(sde, "_BLOCK", block):
+        for b in range(len(x0)):
+            try:
+                singles.append(euler_batch(system, x0[b:b + 1], inc[b:b + 1],
+                                           float(dt[b])))
+            except NumericalFailure as exc:
+                failures.append((exc.step, b, exc))
+        if failures:
+            expected = min(failures, key=lambda t: t[:2])[2]
+            with pytest.raises(NumericalFailure) as info:
+                euler_batch(system, x0, inc, dt)
+            assert str(info.value) == str(expected)
+            assert np.array_equal(info.value.state, expected.state)
+            return
+        states, first_dead = euler_batch(system, x0, inc, dt)
+    for b, (single, dead) in enumerate(singles):
+        assert np.array_equal(states[:, b], single[:, 0])
+        assert first_dead[b] == dead[0]
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,14 @@ def test_euler_batch_checks_callback_shapes():
         euler_batch(system, np.zeros((3, 2)), np.zeros((3, 4, 1)), 0.1)
 
 
+def test_euler_batch_takes_a_float_or_one_step_per_row():
+    system = get_example("brownian").sde
+    for dt in (np.full(2, 0.1), np.full((3, 1), 0.1)):
+        with pytest.raises(ValueError, match=r"dt must be a float or have "
+                                             r"shape \(B,\)"):
+            euler_batch(system, np.zeros((3, 1)), np.zeros((3, 4, 1)), dt)
+
+
 def test_sde_system_is_a_table_and_sigma():
     drift = PolynomialDrift(2, (((1.0, (0, 1)),), ()))
     with pytest.raises(TypeError, match="PolynomialDrift"):

@@ -152,6 +152,15 @@ RUNS = [
                                "--functional", "J3", "--scheme", "euler",
                                "--paths", "100", "--depth", "6",
                                "--out", OUT]),
+    ("lil_quadratic_j2_euler_8_paths",  # 28 levels in one euler_batch call
+     ["lil-verify", "--example", "quadratic", "--functional", "J2",
+      "--scheme", "euler", "--paths", "8", "--depth", "27", "--out", OUT]),
+    ("lil_quadratic_j2_euler_2_paths",  # 12 rows, stepped on floats
+     ["lil-verify", "--example", "quadratic", "--functional", "J2",
+      "--scheme", "euler", "--paths", "2", "--depth", "5", "--out", OUT]),
+    ("lil_lorenz96_j3_euler_6_paths",  # two calls of 14 levels
+     ["lil-verify", "--example", "lorenz96", "--functional", "J3",
+      "--scheme", "euler", "--paths", "6", "--depth", "27", "--out", OUT]),
     ("lil_unknown_scheme", ["lil-verify", "--example", "brownian",
                             "--functional", "terminal", "--scheme", "rk4"]),
     ("lil_ik33_alpha_underflows",  # alpha_0 < smallest normal float: exit 2
