@@ -12,11 +12,11 @@ the first node outside, and later states are nan.
 
 One windowed RK4 sweep (_rk4_window) integrates the control ODE for every
 caller, one step per control cell: it evaluates the stages of a whole window
-of cells at once and repeats until the nodes settle bit for bit, which the
-nilpotent limit drifts of the rescaling do after at most d + 1 passes. The
-extremal optimizer's adjoint runs the same sweep backward: the transposed
-RK4 step is an RK4 step of the adjoint equation, with the functional's
-node gradients as sources.
+of cells at once, pass after pass, and the drift table's depth passes make
+every node exact (a limit drift reads lower coordinates only; a table with
+a cycle steps one cell per window). The extremal optimizer's adjoint runs
+the same sweep backward: the transposed RK4 step is an RK4 step of the
+adjoint equation, with the functional's node gradients as sources.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ def _control_rhs(problem: LimitOdeProblem, u: np.ndarray):
 _WINDOW_VALUES = 2 ** 11
 
 
-def _window_cells(rows: int, dim: int) -> int:
-    return max(1, _WINDOW_VALUES // max(1, rows * dim))
+def _window_cells(rows: int, dim: int, depth: Optional[int]) -> int:
+    return max(1, _WINDOW_VALUES // max(1, rows * dim)) if depth else 1
 
 
 def _rk4_increment(rhs, y, h, half, sixth):
@@ -165,7 +165,7 @@ def _rk4_increment(rhs, y, h, half, sixth):
 
 
 def _rk4_window(rhs, x: np.ndarray, widths: np.ndarray, passes: int,
-                sources: Optional[np.ndarray] = None):
+                sources: Optional[np.ndarray] = None) -> np.ndarray:
     """Classical RK4 over a window of w cells at once, from exact states x (B, d).
 
     rhs(stage, y) returns the slopes of RK4 stage 0-3 at states y (w, B, d),
@@ -175,11 +175,11 @@ def _rk4_window(rhs, x: np.ndarray, widths: np.ndarray, passes: int,
     cumsum adds in sequence, so a node computed from an exact node is
     bitwise the per-cell loop's x + (h/6)(...). sources (w, B, d), when
     given, are added to the increments: cell j ends at its RK4 step plus
-    sources[j]. Node j is exact after j passes, and a pass that gives back
-    the previous nodes proves them all exact: a nilpotent drift of depth L
-    does so after L + 1 passes. Returns (nodes (w + 1, B, d), number of
-    leading cells whose end nodes are exact), which is w unless passes ran
-    out first.
+    sources[j]. Node j is exact after j passes, and a coordinate at level l
+    of its table's chain (PolynomialDrift.depth) after l passes, since it
+    reads lower levels only; a pass that gives back the previous nodes
+    proves them all exact. Runs at most min(passes, w) passes, so passes
+    must be at least the depth, and returns the nodes (w + 1, B, d).
     """
     w = len(widths)
     h = widths[:, None, None]
@@ -187,18 +187,17 @@ def _rk4_window(rhs, x: np.ndarray, widths: np.ndarray, passes: int,
     steps = np.empty((w + 1,) + x.shape)
     steps[0] = x
     nodes = np.broadcast_to(x, steps.shape)
-    for done in range(1, passes + 1):
+    for left in reversed(range(min(passes, w))):   # passes after this one
         steps[1:] = _rk4_increment(rhs, nodes[:-1], h, half, sixth)
         if sources is not None:
             steps[1:] += sources
         new = np.cumsum(steps, axis=0)
         # the nan-aware comparison only where a nan can make the difference
-        if (done >= w or (new == nodes).all() or (
+        if (not left or (new == nodes).all() or (
                 np.isnan(new).any()
                 and np.array_equal(new, nodes, equal_nan=True))):
-            return new, w
+            return new
         nodes = new
-    return nodes, passes
 
 
 def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
@@ -211,10 +210,9 @@ def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
     whose state is not alive (see sde.alive) at node j has first_dead = j
     and keeps its last live state from there on; rows that survive have
     first_dead = len(widths) + 1. Dead rows are not stepped again. A window
-    that does not settle within d + 1 passes (a drift that is not nilpotent)
-    advances by its exact cells, and the rest of the call steps one cell per
-    window. Raises ValueError for an x0 that is not alive and for a
-    domain_contains that returns the wrong shape.
+    takes at most the drift's depth passes; a drift with a cycle steps one
+    cell per window. Raises ValueError for an x0 that is not alive and for
+    a domain_contains that returns the wrong shape.
     """
     domain = problem.system.domain_contains
     if not alive(problem.x0, domain):
@@ -228,18 +226,17 @@ def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
     live = np.arange(batch)
     if visit is not None:
         visit(x[None].copy())
-    start, cap = 0, _window_cells(batch, dim)
+    depth = problem.system.drift.depth
+    start, cap = 0, _window_cells(batch, dim, depth)
     with np.errstate(over="ignore", invalid="ignore"):
         while start < n and live.size:
             # a slice while every row lives: views, where an index array copies
             rows = live if live.size < batch else slice(None)
             cells = slice(start, min(n, start + cap))
             u = u_batch[rows, cells].transpose(1, 0, 2)
-            nodes, done = _rk4_window(_control_rhs(problem, u), x[rows],
-                                      widths[cells], dim + 1)
-            if done < len(u):
-                cap = 1
-            new = nodes[1 : done + 1]
+            nodes = _rk4_window(_control_rhs(problem, u), x[rows],
+                                widths[cells], depth or 1)
+            new, done = nodes[1:], len(u)
             ok = alive(new, domain)
             first_bad = np.where(ok.all(axis=0), done, np.argmin(ok, axis=0))
             dies = first_bad < done

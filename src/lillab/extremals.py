@@ -185,9 +185,10 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
     _rk4_window runs it over reversed cells with the Jacobians at the
     forward stage states, recomputed from the stored nodes. The gradient of
     cell n is sigma^T h (mu1 + 2 mu2 + 2 mu3 + mu4) / 6 over the stage
-    arguments of its backward step, so the result is the gradient of the
-    values _functional_values prices, up to rounding. Rows that die get a
-    zero gradient.
+    arguments of its last pass, which the sweep runs from exact nodes by
+    taking one pass past the drift's depth. The result is the gradient of
+    the values _functional_values prices, up to rounding. Rows that die get
+    a zero gradient.
 
     priced, when given, is (node states (n + 1, B, d), first_dead (B,)) of
     an integration of u_batch, as _node_states returns them; the sweep then
@@ -210,7 +211,8 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
     lam = sources[n]
     # mu1 + 2 mu2 + 2 mu3 + mu4 of every cell's backward step
     total = np.empty_like(traj[:n])
-    end, cap = n, _window_cells(traj.shape[1], dim)
+    depth = system.drift.depth
+    cap = _window_cells(traj.shape[1], dim, depth)
     # dead rows are swept along their frozen states, where lambda may
     # overflow, as the forward sweep steps them; their gradient is zeroed
     with np.errstate(over="ignore", invalid="ignore"):
@@ -220,7 +222,7 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
         y2 = y1 + 0.5 * h * forward(0, y1)
         y3 = y1 + 0.5 * h * forward(1, y2)
         y4 = y1 + h * forward(2, y3)
-        while end > 0:
+        for end in range(n, 0, -cap):
             lo = max(0, end - cap)
             jac = [system.drift.jacobian(y[lo:end][::-1])
                    for y in (y4, y3, y2, y1)]
@@ -230,17 +232,12 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
                 mu[stage] = y
                 return np.einsum("...ij,...i->...j", jac[stage], y)
 
-            nodes, done = _rk4_window(backward, lam, widths[lo:end][::-1],
-                                      dim + 1, sources[lo:end][::-1])
-            if done < end - lo:
-                cap = 1
-            lam = nodes[done]
-            # the last pass's stage arguments are exact on the exact cells
-            part = mu[0][:done] + 2.0 * mu[1][:done]
-            part += 2.0 * mu[2][:done]
-            part += mu[3][:done]
-            total[end - done : end] = part[::-1]
-            end -= done
+            lam = _rk4_window(backward, lam, widths[lo:end][::-1],
+                              (depth or 1) + 1, sources[lo:end][::-1])[-1]
+            part = mu[0] + 2.0 * mu[1]
+            part += 2.0 * mu[2]
+            part += mu[3]
+            total[lo:end] = part[::-1]
         grad = np.zeros_like(u_batch)
         # += on zeros, as the per-cell loop does: -0.0 cell gradients become 0.0
         grad[:, :n] += ((widths / 6.0)[:, None, None] * total

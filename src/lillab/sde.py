@@ -255,16 +255,29 @@ class PolynomialDrift:
     rows[i] is a tuple of (coef, exponents) pairs, and b_i(x) is the sum of
     coef * prod_j x_j ** exponents[j] over them. Calling it maps states
     (..., d) to (..., d); jacobian maps (..., d) to (..., d, d). matrix is
-    A when every monomial has degree 1 (b(x) = A x), else None. A
-    coefficient that is not finite raises ValueError.
+    A when every monomial has degree 1 (b(x) = A x), else None. depth is
+    the number of coordinates in the longest chain of "b_i reads x_j" (an
+    exponent of x_j above 0), or None on a cycle (see controls._rk4_window).
+    rows other than d rows of (finite coef, d non-negative int exponents)
+    raise ValueError.
     """
 
     def __init__(self, d: int, rows):
         self.d = d
-        self.rows = tuple(tuple((float(c), tuple(int(m) for m in e))
-                                for c, e in row) for row in rows)
-        if not all(math.isfinite(c) for row in self.rows for c, _ in row):
-            raise ValueError("monomial coefficients must be finite")
+        rows = [[(float(c), tuple(e)) for c, e in row] for row in rows]
+        if len(rows) != d or any(not math.isfinite(c) or len(e) != d
+                                 or any(m != int(m) or m < 0 for m in e)
+                                 for row in rows for c, e in row):
+            raise ValueError(f"{d} rows of monomials: coefficients must be "
+                             f"finite, exponents {d} non-negative ints")
+        self.rows = tuple(tuple((c, tuple(map(int, e))) for c, e in row)
+                          for row in rows)
+        level = [1] * d   # on a cycle, levels climb past d within d rounds
+        for _ in range(d):
+            level = [1 + max((level[j] for _, e in row for j, m in enumerate(e)
+                              if m), default=0) for row in self.rows]
+        top = max(level, default=0)
+        self.depth = top if top <= d else None
         # the table's shape: each coefficient as +-1 when a unit, else +-2
         self._shape = tuple(
             tuple(((-1.0 if c < 0 else 1.0) * (1.0 if abs(c) == 1.0 else 2.0),

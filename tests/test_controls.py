@@ -6,7 +6,7 @@ import pytest
 
 from lillab.controls import (ControlGrid, LimitOdeProblem, cramer_transform,
                              linear_kernel_oracle, solve_control_ode)
-from lillab.examples import get_example
+from lillab.examples import get_example, list_examples
 from lillab.sde import (ExplosivePath, PolynomialDrift, SdeSystem,
                         trivial_domain)
 
@@ -125,6 +125,41 @@ def _decay_problem(domain_contains=trivial_domain, **changes):
         SdeSystem(PolynomialDrift(1, (((-1.0, (1,)),),)), np.ones((1, 1)),
                   domain_contains),
         x0=np.array([1.0])), **changes)
+
+
+# The RK4 sweep's pass count: the longest chain of coordinates in "row i
+# reads x_j", worked out by hand for each registered limit drift
+LIMIT_DEPTHS = {"brownian": 1, "iterated_kolmogorov": 2, "lorenz96": 4,
+                "quadratic": 2, "shifted_kolmogorov": 2}
+
+
+def test_depth_of_the_registered_limit_drifts():
+    assert sorted(LIMIT_DEPTHS) == list_examples()
+    for name, depth in LIMIT_DEPTHS.items():
+        assert get_example(name).limit_problem.system.drift.depth == depth
+    for d in range(2, 6):   # x1' = x2, ..., x_d' = u
+        ik = get_example("iterated_kolmogorov", d=d)
+        assert ik.limit_problem.system.drift.depth == d
+
+
+def test_depth_is_none_on_a_cycle():
+    for problem in (_decay_problem(), _blowup_problem()):   # x reads x
+        assert problem.system.drift.depth is None
+    swap = PolynomialDrift(2, (((1.0, (0, 1)),), ((-1.0, (1, 0)),)))
+    assert swap.depth is None
+
+
+def test_a_constant_row_is_chain_level_one():
+    assert PolynomialDrift(1, (((2.0, (0,)),),)).depth == 1
+    assert PolynomialDrift(1, ((),)).depth == 1
+    # x0' = x1^2 x2 and x2' = 3 read no further: a chain of two, from x2
+    drift = PolynomialDrift(3, (((1.0, (0, 2, 1)),), (), ((3.0, (0, 0, 0)),)))
+    assert drift.depth == 2
+    # x1 reads the constant row x2 and x0 reads x1: a chain of three
+    drift = PolynomialDrift(3, (((1.0, (0, 1, 0)),),
+                                ((1.0, (0, 0, 1)), (0.5, (0, 0, 0))),
+                                ((-1.0, (0, 0, 0)),)))
+    assert drift.depth == 3
 
 
 def test_cramer_drift_in_a_driven_coordinate():

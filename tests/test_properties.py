@@ -6,8 +6,9 @@ the optimizer runs it on batches of controls, and adjoint_gradient runs it
 backward over reversed cells. A per-cell RK4 loop and a per-cell backward
 loop are kept here as its references; every window size, from one cell to
 the whole grid, must reproduce them bit for bit, drifts that are not
-nilpotent included. The batched Euler kernel euler_batch is the only SDE
-Euler loop: simulate_sde is its one-row case and lil-verify runs it on the
+nilpotent included, and on random acyclic tables a window takes at most
+the table's depth passes forward and one more backward. The batched Euler
+kernel euler_batch is the only SDE Euler loop: simulate_sde is its one-row case and lil-verify runs it on the
 stacked levels of a chunk of paths, one step width per row, which must
 equal one call per row; a per-step single-row loop with the einsum noise
 sum is kept here as its reference, and the step generated from a monomial
@@ -64,9 +65,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lillab import controls, extremals, lil, regularity, sde  # noqa: E402
-from lillab.controls import (ControlGrid, _integrate,  # noqa: E402
-                             _node_states, _widths, cramer_transform,
-                             solve_control_ode)
+from lillab.controls import (ControlGrid, LimitOdeProblem,  # noqa: E402
+                             _integrate, _node_states, _widths,
+                             cramer_transform, solve_control_ode)
 from lillab.examples import get_example, list_examples  # noqa: E402
 from lillab.extremals import (QuadraticMissFunctional,  # noqa: E402
                               RunningMaxAbsFunctional,
@@ -318,16 +319,15 @@ def test_forward_sweep_equals_per_cell_loop(case, name, cells):
 # along the frozen states until it overflows; their gradient is then set to 0
 @pytest.mark.parametrize("name", sorted(NOT_NILPOTENT))
 def test_drifts_that_do_not_settle_step_one_cell_per_window(name):
-    # the first window runs out of passes (d + 1 = 2) and advances by its
-    # exact cells; every later window is one cell, forward in the control
-    # ODE and backward in the adjoint
+    # a table with a cycle has no depth: every window is one cell, forward
+    # in the control ODE and backward in the adjoint
     problem = NOT_NILPOTENT[name]()
     u = np.random.default_rng(3).standard_normal((4, 64, 1))
     with mock.patch.object(controls, "_rk4_window",
                            wraps=controls._rk4_window) as spy:
         widths, states, first_dead = _node_states(problem, u)
     cells = [len(call.args[2]) for call in spy.call_args_list]
-    assert cells[0] > 2 and set(cells[1:]) == {1}
+    assert set(cells) == {1}
     ref = _reference_rk4(problem, u)
     assert np.array_equal(states, ref[1])
     assert np.array_equal(first_dead, ref[2])
@@ -336,26 +336,103 @@ def test_drifts_that_do_not_settle_step_one_cell_per_window(name):
                            wraps=extremals._rk4_window) as spy:
         grad = adjoint_gradient(problem, functional, u)
     cells = [len(call.args[2]) for call in spy.call_args_list]
-    assert cells[0] > 2 and set(cells[1:]) == {1}
+    assert set(cells) == {1}
     assert np.array_equal(grad, _reference_adjoint(problem, functional, u))
 
 
+FUNCTIONAL_KINDS = st.sampled_from(["linear", "miss", "running_max"])
+
+
+def _functional(kind, d, seed):
+    """A functional of the given kind on R^d with random weights or index."""
+    rng = np.random.default_rng(seed)
+    return {"linear": lambda: TerminalLinearFunctional(
+                rng.standard_normal(d)),
+            "miss": lambda: QuadraticMissFunctional(rng.standard_normal(d)),
+            "running_max": lambda: RunningMaxAbsFunctional(
+                int(rng.integers(d)))}[kind]()
+
+
 @SETTINGS
-@given(cases, WINDOW_CELLS, st.sampled_from(["linear", "miss", "running_max"]))
+@given(cases, WINDOW_CELLS, FUNCTIONAL_KINDS)
 def test_adjoint_equals_per_cell_loop(case, cells, kind):
     problem, u = _draw(case)
-    rng = np.random.default_rng(case["seed"])
-    d = problem.system.dim_state
-    functional = {"linear": lambda: TerminalLinearFunctional(
-                      rng.standard_normal(d)),
-                  "miss": lambda: QuadraticMissFunctional(
-                      rng.standard_normal(d)),
-                  "running_max": lambda: RunningMaxAbsFunctional(
-                      int(rng.integers(d)))}[kind]()
+    functional = _functional(kind, problem.system.dim_state, case["seed"])
     ref = _reference_adjoint(problem, functional, u)
     with _window(cells, problem, len(u)):
         grad = adjoint_gradient(problem, functional, u)
     assert np.array_equal(grad, ref)
+
+
+@st.composite
+def acyclic_problems(draw):
+    """(problem, chain): a control ODE whose table (d <= 5, monomials of
+    degree 0 to 2) reads along a random order of the coordinates, each row
+    only coordinates before its own, so that the chain does not follow the
+    index; chain is its longest chain of coordinates, counted along the
+    order."""
+    d = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(d)))
+    rows, level = [()] * d, [0] * d
+    for place, i in enumerate(order):
+        reads = [draw(st.lists(st.sampled_from(order[:place]), max_size=2))
+                 if place else [] for _ in range(draw(st.integers(0, 3)))]
+        rows[i] = [(draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0])),
+                    tuple(js.count(j) for j in range(d))) for js in reads]
+        level[i] = 1 + max((level[j] for js in reads for j in js), default=0)
+    k = draw(st.integers(1, 2))
+    sigma = draw(hnp.arrays(float, (d, k), elements=st.sampled_from(
+        [-1.0, 0.0, 2.0])))
+    x0 = draw(hnp.arrays(float, d, elements=st.floats(-1.0, 1.0)))
+    return LimitOdeProblem(SdeSystem(PolynomialDrift(d, rows), sigma),
+                           x0), max(level)
+
+
+# x2 -> x0 -> x4 -> x1 -> x3: a chain through all five coordinates
+CHAIN_OF_FIVE = LimitOdeProblem(SdeSystem(PolynomialDrift(5, (
+    ((1.0, (0, 0, 2, 0, 0)),), ((-1.0, (0, 0, 0, 0, 1)),),
+    ((0.5, (0, 0, 0, 0, 0)),),
+    ((1.0, (0, 1, 0, 0, 0)), (3.0, (0, 0, 0, 0, 0))),
+    ((-2.0, (1, 0, 1, 0, 0)),))), np.eye(5)[:, [2]]), np.full(5, 0.5))
+
+
+@SETTINGS
+@given(cases, acyclic_problems(), WINDOW_CELLS, FUNCTIONAL_KINDS)
+@example({"example": "brownian", "scales": [3.0, 1e60, 0.1], "n_steps": 16,
+          "t_star": 1.0, "seed": 5}, (CHAIN_OF_FIVE, 5), 3, "running_max")
+def test_sweeps_of_acyclic_tables_take_their_depth_in_passes(
+        case, drawn, cells, kind):
+    # the forward sweep needs depth passes a window, the backward one more
+    # for exact stage arguments; a row at scale 1e60 overflows and dies
+    problem, chain = drawn
+    problem = replace(problem, t_star=case["t_star"])
+    depth = problem.system.drift.depth
+    assert depth == chain
+    u = _controls(case, problem.system.dim_noise)
+    functional = _functional(kind, problem.system.dim_state, case["seed"])
+    increment = mock.Mock(wraps=controls._rk4_increment)
+    window = controls._rk4_window
+    passes = {controls: [], extremals: []}
+
+    def counted(module):
+        def run(*args):
+            before = increment.call_count
+            nodes = window(*args)
+            passes[module].append(increment.call_count - before)
+            return nodes
+        return mock.patch.object(module, "_rk4_window", run)
+
+    with _window(cells, problem, len(u)), counted(controls), \
+            counted(extremals), \
+            mock.patch.object(controls, "_rk4_increment", increment):
+        _, states, first_dead = _node_states(problem, u)
+        grad = adjoint_gradient(problem, functional, u)
+    _, ref_states, ref_dead = _reference_rk4(problem, u)
+    assert np.array_equal(states, ref_states)
+    assert np.array_equal(first_dead, ref_dead)
+    assert np.array_equal(grad, _reference_adjoint(problem, functional, u))
+    assert max(passes[controls], default=0) <= depth
+    assert max(passes[extremals], default=0) <= depth + 1
 
 
 # every registered pair, and IK(2)'s functionals on the ball problem, whose

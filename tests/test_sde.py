@@ -342,6 +342,18 @@ def test_sde_system_is_a_table_and_sigma():
     assert not system.sigma.flags.writeable
 
 
+@pytest.mark.parametrize("rows", [
+    ((),),                                  # a row missing
+    (((1.0, (0, -1)),), ()),                # a negative exponent
+    (((1.0, (0, 1, 0)),), ()),              # three exponents on R^2
+    (((1.0, (1,)),), ()),                   # one exponent on R^2
+    (((1.0, (0.5, 0)),), ()),               # an exponent that is no int
+], ids=["missing_row", "negative", "too_long", "too_short", "fractional"])
+def test_polynomial_drift_refuses_malformed_tables(rows):
+    with pytest.raises(ValueError, match="2 rows of monomials"):
+        PolynomialDrift(2, rows)
+
+
 def test_linear_follows_a_replaced_drift():
     # linear is derived, so a new table never meets a stale LinearSpec
     ik = get_example("iterated_kolmogorov", d=2).sde

@@ -71,6 +71,13 @@ RUNS = [
     ("optimize_ik2_j1", ["optimize", "--example", "iterated_kolmogorov",
                          "--functional", "J1", "--n-steps", "128",
                          "--restarts", "4", "--out", OUT]),
+    # chains of depth 3 and 4: the RK4 sweep's pass count follows the table
+    ("optimize_ik3_j1", ["optimize", "--example", "iterated_kolmogorov",
+                         "--d", "3", "--functional", "J1", "--n-steps", "64",
+                         "--restarts", "3", "--out", OUT]),
+    ("optimize_ik4_j1", ["optimize", "--example", "iterated_kolmogorov",
+                         "--d", "4", "--functional", "J1", "--n-steps", "64",
+                         "--restarts", "3", "--out", OUT]),
     ("optimize_quadratic_j2_min",
      ["optimize", "--example", "quadratic", "--functional", "J2",
       "--sense", "min", "--n-steps", "128", "--restarts", "4", "--out", OUT]),
