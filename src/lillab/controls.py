@@ -14,9 +14,12 @@ One windowed RK4 sweep (_rk4_window) integrates the control ODE for every
 caller, one step per control cell: it evaluates the stages of a whole window
 of cells at once, pass after pass, and the drift table's depth passes make
 every node exact (a limit drift reads lower coordinates only; a table with
-a cycle steps one cell per window). The extremal optimizer's adjoint runs
-the same sweep backward: the transposed RK4 step is an RK4 step of the
-adjoint equation, with the functional's node gradients as sources.
+a cycle steps one cell per window). _integrate runs it over a batch of
+controls and returns every node (n + 1, B, d); every control path and
+functional value of the package is read from those nodes. The extremal
+optimizer's adjoint runs the same sweep backward: the transposed RK4 step
+is an RK4 step of the adjoint equation, with the functional's node
+gradients as sources.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .sde import ExplosivePath, SdeSystem, _philox, _row_path, alive
+from .sde import (ExplosivePath, SdeSystem, _freeze, _philox, _row_path,
+                  alive)
 
 # The paper's unit energy ball {(1/2) int |u|^2 <= MAX_ENERGY}.
 MAX_ENERGY = 1.0
@@ -200,19 +204,17 @@ def _rk4_window(rhs, x: np.ndarray, widths: np.ndarray, passes: int,
         nodes = new
 
 
-def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
+def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray):
     """Integrate the control ODE for a batch of controls u_batch (B, n_steps, k).
 
     One classical RK4 step per control cell (see _widths), taken a window of
-    cells at a time by _rk4_window and kept only for the current window;
-    visit, when given, is called with the states (m, B, d) of consecutive
-    nodes, from x0 on. Returns (widths, terminal states, first_dead). A row
-    whose state is not alive (see sde.alive) at node j has first_dead = j
-    and keeps its last live state from there on; rows that survive have
-    first_dead = len(widths) + 1. Dead rows are not stepped again. A window
-    takes at most the drift's depth passes; a drift with a cycle steps one
-    cell per window. Raises ValueError for an x0 that is not alive and for
-    a domain_contains that returns the wrong shape.
+    cells at a time by _rk4_window. Returns (widths, states (n + 1, B, d),
+    first_dead). A row whose state is not alive (see sde.alive) at node j
+    has first_dead = j and keeps its last live state from there on; rows
+    that survive have first_dead = len(widths) + 1. Dead rows are not
+    stepped again. A window takes at most the drift's depth passes; a drift
+    with a cycle steps one cell per window. Raises ValueError for an x0 that
+    is not alive and for a domain_contains that returns the wrong shape.
     """
     domain = problem.system.domain_contains
     if not alive(problem.x0, domain):
@@ -221,49 +223,28 @@ def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray, visit=None):
     dim = problem.system.dim_state
     widths = _widths(problem.t_star, n_steps)
     n = len(widths)
-    x = np.broadcast_to(problem.x0, (batch, dim)).copy()
+    states = np.empty((n + 1, batch, dim))
+    states[0] = problem.x0
     first_dead = np.full(batch, n + 1)
     live = np.arange(batch)
-    if visit is not None:
-        visit(x[None].copy())
     depth = problem.system.drift.depth
     start, cap = 0, _window_cells(batch, dim, depth)
     with np.errstate(over="ignore", invalid="ignore"):
         while start < n and live.size:
             # a slice while every row lives: views, where an index array copies
             rows = live if live.size < batch else slice(None)
-            cells = slice(start, min(n, start + cap))
-            u = u_batch[rows, cells].transpose(1, 0, 2)
-            nodes = _rk4_window(_control_rhs(problem, u), x[rows],
-                                widths[cells], depth or 1)
-            new, done = nodes[1:], len(u)
+            end = min(n, start + cap)
+            u = u_batch[rows, start:end].transpose(1, 0, 2)
+            new = _rk4_window(_control_rhs(problem, u), states[start, rows],
+                              widths[start:end], depth or 1)[1:]
+            states[start + 1:end + 1, rows] = new
             ok = alive(new, domain)
-            first_bad = np.where(ok.all(axis=0), done, np.argmin(ok, axis=0))
-            dies = first_bad < done
-            if dies.any():
-                # freeze each dying row at its last live state
-                np.copyto(new, nodes[first_bad, np.arange(live.size)],
-                          where=(np.arange(done)[:, None] >= first_bad)[..., None])
-                first_dead[live[dies]] = start + 1 + first_bad[dies]
-            if visit is not None:
-                block = new
-                if live.size < batch:
-                    block = np.repeat(x[None], done, axis=0)
-                    block[:, live] = new
-                visit(block)
-            x[rows] = new[-1]
+            dies = ~ok.all(axis=0)
+            first_dead[live[dies]] = start + 1 + np.argmin(ok[:, dies], axis=0)
             live = live[~dies]
-            start += done
-    if visit is not None and start < n:
-        visit(np.broadcast_to(x, (n - start, batch, dim)))  # every row is frozen
-    return widths, x, first_dead
-
-
-def _node_states(problem: LimitOdeProblem, u_batch: np.ndarray):
-    """_integrate keeping every node: (widths, states (n_nodes, B, d), first_dead)."""
-    blocks = []
-    widths, _, first_dead = _integrate(problem, u_batch, blocks.append)
-    return widths, np.concatenate(blocks), first_dead
+            start = end
+    _freeze(states, first_dead)
+    return widths, states, first_dead
 
 
 def solve_control_ode(problem: LimitOdeProblem, control: ControlGrid
@@ -277,7 +258,7 @@ def solve_control_ode(problem: LimitOdeProblem, control: ControlGrid
     """
     if control.dim != problem.system.dim_noise:
         raise ValueError("control dimension does not match the problem")
-    widths, states, first_dead = _node_states(problem, control.values[None])
+    widths, states, first_dead = _integrate(problem, control.values[None])
     times = np.concatenate([[0.0], np.cumsum(widths)])
     return _row_path(times, states, first_dead, 0)
 

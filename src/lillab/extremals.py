@@ -19,13 +19,12 @@ steps that price its values, so the search differentiates the very
 functional its line search compares.
 
 Every control, single or batched, goes through the one windowed RK4 sweep of
-lillab.controls (solve_control_ode is its one-row case). The search prices
-each batch of controls on its node states (n + 1, B, d) and keeps those of
-every restart's accepted control; the adjoint runs the same sweep backward
-over reversed cells from them, so no gradient integrates its controls
-forward again. _functional_values keeps only the states of the current
-window; it prices the returned control and fd_gradient's rows, central
-finite differences kept as the adjoint's reference.
+lillab.controls, which returns its node states (n + 1, B, d); _values reads
+the functional on them for the search, the returned control and
+fd_gradient's rows (central finite differences kept as the adjoint's
+reference). The search keeps the nodes of every restart's accepted control,
+and the adjoint runs the same sweep backward over reversed cells from them,
+so no gradient integrates its controls forward again.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .controls import (MAX_ENERGY, ControlGrid, LimitOdeProblem,
-                       _control_rhs, _integrate, _node_states, _rk4_window,
-                       _widths, _window_cells)
+                       _control_rhs, _integrate, _rk4_window, _widths,
+                       _window_cells)
 from .sde import ExplosivePath, NumericalFailure
 
 _FD_STEP = 1e-4       # relative step of the central differences
@@ -143,26 +142,14 @@ class RunningMaxAbsFunctional(_NodeFunctional):
 # ---------------------------------------------------------------------------
 # Functional values on batches
 
-def _functional_values(problem, functional, u_batch):
-    """Functional values for a batch of controls; nan on dead rows.
-
-    Terminal and running functionals keep only the current states (B, d).
-    """
-    if is_terminal(functional):
-        widths, terminal, first_dead = _integrate(problem, u_batch)
-        vals = functional.terminal_value(terminal)
-    else:
-        acc = None
-
-        def fold(block):
-            nonlocal acc
-            acc = reduce(functional.accumulate, block, acc)
-
-        widths, _, first_dead = _integrate(problem, u_batch, fold)
-        vals = functional.running_value(acc)
-    vals = np.asarray(vals, dtype=float)
+def _values(problem, functional, u_batch):
+    """(values, node states, first_dead) of a batch of controls: node_values
+    on the nodes _integrate returns, nan on dead rows."""
+    widths, states, first_dead = _integrate(problem, u_batch)
+    # a copy: a functional may return a view of the nodes
+    vals = np.array(node_values(functional, states), dtype=float)
     vals[first_dead <= len(widths)] = np.nan
-    return vals
+    return vals, states, first_dead
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +174,17 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
     cell n is sigma^T h (mu1 + 2 mu2 + 2 mu3 + mu4) / 6 over the stage
     arguments of its last pass, which the sweep runs from exact nodes by
     taking one pass past the drift's depth. The result is the gradient of
-    the values _functional_values prices, up to rounding. Rows that die get
-    a zero gradient.
+    the values _values prices, up to rounding. Rows that die get a zero
+    gradient.
 
     priced, when given, is (node states (n + 1, B, d), first_dead (B,)) of
-    an integration of u_batch, as _node_states returns them; the sweep then
+    an integration of u_batch, as _integrate returns them; the sweep then
     starts from those nodes and integrates nothing forward. A row's nodes do
     not depend on the batch or the windows it was integrated in, so the
     gradient has the bits it has without priced.
     """
     if priced is None:
-        widths, traj, first_dead = _node_states(problem, u_batch)
+        widths, traj, first_dead = _integrate(problem, u_batch)
     else:
         traj, first_dead = priced
         widths = _widths(problem.t_star, u_batch.shape[1])
@@ -249,7 +236,9 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
 def fd_gradient(problem: LimitOdeProblem, functional,
                 u: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of the functional in the control:
-    2 n k integrated rows, the reference adjoint_gradient is checked against."""
+    2 n k integrated rows, the reference adjoint_gradient is checked against.
+    It holds the node states (n + 1, 2 n k, d) of those rows: one call on
+    lorenz96 at 1024 cells peaks at 237 MB."""
     n_steps, dim_k = u.shape
     m = n_steps * dim_k
     flat = u.reshape(-1)
@@ -258,8 +247,7 @@ def fd_gradient(problem: LimitOdeProblem, functional,
     idx = np.arange(m)
     pert[2 * idx, idx] += h
     pert[2 * idx + 1, idx] -= h
-    vals = _functional_values(problem, functional,
-                              pert.reshape(2 * m, n_steps, dim_k))
+    vals = _values(problem, functional, pert.reshape(2 * m, n_steps, dim_k))[0]
     grad = (vals[0::2] - vals[1::2]) / (2.0 * h)
     return grad.reshape(n_steps, dim_k)
 
@@ -530,8 +518,7 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     argext = ControlGrid(u[best]).project()
     work["integrations"] += 1
     work["integrated_rows"] += 1
-    final_value = _functional_values(problem, functional,
-                                     argext.values[None])[0]
+    final_value = _values(problem, functional, argext.values[None])[0][0]
 
     # projected-gradient norm at the exit point, measured along the feasible set
     probe = 1e-7
@@ -559,9 +546,9 @@ def _search(problem, functional, sgn, config, work):
         -inf where nan, is what the search raises."""
         work["integrations"] += 1
         work["integrated_rows"] += len(u_rows)
-        widths, states, first_dead = _node_states(problem, u_rows)
-        vals = sgn * np.asarray(node_values(functional, states), dtype=float)
-        vals[(first_dead <= len(widths)) | np.isnan(vals)] = -np.inf
+        vals, states, first_dead = _values(problem, functional, u_rows)
+        vals *= sgn
+        vals[np.isnan(vals)] = -np.inf
         return vals, states, first_dead
 
     def gradients(u_rows, states, first_dead):

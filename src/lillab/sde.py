@@ -683,11 +683,17 @@ def euler_batch(system: SdeSystem, x0, increments, dt):
                 rows = rows[~died]
                 x, h = x[~died], h[~died]
             i0 += m
-    if (first_dead <= n).any():
-        frozen = np.arange(n + 1)[:, None] >= first_dead
-        last = states[first_dead - 1, np.arange(batch)]
-        np.copyto(states, last, where=frozen[..., None])
+    _freeze(states, first_dead)
     return states, first_dead
+
+
+def _freeze(states: np.ndarray, first_dead: np.ndarray) -> None:
+    """Hold each row of states (n + 1, B, d) at its last live state from its
+    first_dead node on, in place; rows with first_dead = n + 1 are kept."""
+    if (first_dead < len(states)).any():
+        frozen = np.arange(len(states))[:, None] >= first_dead
+        last = states[first_dead - 1, np.arange(states.shape[1])]
+        np.copyto(states, last, where=frozen[..., None])
 
 
 def _row_path(times: np.ndarray, states: np.ndarray, first_dead: np.ndarray,

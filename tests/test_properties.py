@@ -66,13 +66,13 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lillab import controls, extremals, lil, regularity, sde  # noqa: E402
 from lillab.controls import (ControlGrid, LimitOdeProblem,  # noqa: E402
-                             _integrate, _node_states, _widths,
-                             cramer_transform, solve_control_ode)
+                             _integrate, _widths, cramer_transform,
+                             solve_control_ode)
 from lillab.examples import get_example, list_examples  # noqa: E402
 from lillab.extremals import (QuadraticMissFunctional,  # noqa: E402
                               RunningMaxAbsFunctional,
-                              TerminalLinearFunctional, _functional_values,
-                              adjoint_gradient, fd_gradient,
+                              TerminalLinearFunctional, adjoint_gradient,
+                              fd_gradient,
                               is_terminal, node_values, optimize_extremal)
 from lillab.lil import (LilExperimentConfig, LilReport, _bridge,  # noqa: E402
                         _bridge_plan)
@@ -125,12 +125,9 @@ def _draw(case):
 @given(cases)
 def test_batched_rows_equal_single_row_runs(case):
     problem, u = _draw(case)
-    widths, states, first_dead = _node_states(problem, u)
-    _, terminal, dead = _integrate(problem, u)
-    assert np.array_equal(terminal, states[-1])
-    assert np.array_equal(dead, first_dead)
+    widths, states, first_dead = _integrate(problem, u)
     for b in range(u.shape[0]):
-        w1, s1, d1 = _node_states(problem, u[b : b + 1])
+        w1, s1, d1 = _integrate(problem, u[b : b + 1])
         assert np.array_equal(w1, widths)
         assert np.array_equal(s1[:, 0], states[:, b])
         assert d1[0] == first_dead[b]
@@ -140,7 +137,7 @@ def test_batched_rows_equal_single_row_runs(case):
 @given(cases)
 def test_solve_control_ode_is_row_zero(case):
     problem, u = _draw(case)
-    widths, states, first_dead = _node_states(problem, u)
+    widths, states, first_dead = _integrate(problem, u)
     path = solve_control_ode(problem, ControlGrid(u[0]))
     end = first_dead[0]
     times = np.concatenate([[0.0], np.cumsum(widths)])
@@ -158,7 +155,7 @@ def test_kolmogorov_matches_exact_recursion(case):
     case = dict(case, example="iterated_kolmogorov",
                 scales=[3.0] * len(case["scales"]))
     problem, u = _draw(case)
-    widths, states, first_dead = _node_states(problem, u)
+    widths, states, first_dead = _integrate(problem, u)
     assert np.all(first_dead == len(widths) + 1)
     x = np.zeros((u.shape[0], 2))
     for j, h in enumerate(widths):
@@ -307,12 +304,10 @@ def test_forward_sweep_equals_per_cell_loop(case, name, cells):
     u = _controls(case, problem.system.dim_noise)
     widths, states, first_dead = _reference_rk4(problem, u)
     with _window(cells, problem, len(u)):
-        w1, s1, d1 = _node_states(problem, u)
-        _, terminal, d2 = _integrate(problem, u)
+        w1, s1, d1 = _integrate(problem, u)
     assert np.array_equal(w1, widths)
     assert np.array_equal(s1, states)
-    assert np.array_equal(d1, first_dead) and np.array_equal(d2, first_dead)
-    assert np.array_equal(terminal, states[-1])
+    assert np.array_equal(d1, first_dead)
 
 
 # the blow-up rows die, and the backward sweep still carries their lambda
@@ -325,7 +320,7 @@ def test_drifts_that_do_not_settle_step_one_cell_per_window(name):
     u = np.random.default_rng(3).standard_normal((4, 64, 1))
     with mock.patch.object(controls, "_rk4_window",
                            wraps=controls._rk4_window) as spy:
-        widths, states, first_dead = _node_states(problem, u)
+        widths, states, first_dead = _integrate(problem, u)
     cells = [len(call.args[2]) for call in spy.call_args_list]
     assert set(cells) == {1}
     ref = _reference_rk4(problem, u)
@@ -425,7 +420,7 @@ def test_sweeps_of_acyclic_tables_take_their_depth_in_passes(
     with _window(cells, problem, len(u)), counted(controls), \
             counted(extremals), \
             mock.patch.object(controls, "_rk4_increment", increment):
-        _, states, first_dead = _node_states(problem, u)
+        _, states, first_dead = _integrate(problem, u)
         grad = adjoint_gradient(problem, functional, u)
     _, ref_states, ref_dead = _reference_rk4(problem, u)
     assert np.array_equal(states, ref_states)
@@ -461,7 +456,7 @@ def test_adjoint_on_priced_nodes_equals_a_fresh_adjoint(name, key, case,
     rows = np.sort(rng.choice(len(u), rng.integers(1, len(u) + 1),
                               replace=False))
     with _window(priced_cells, problem, len(u)):
-        _, states, first_dead = _node_states(problem, u)
+        _, states, first_dead = _integrate(problem, u)
     with _window(cells, problem, len(rows)):
         fresh = adjoint_gradient(problem, functional, u[rows])
         grad = adjoint_gradient(problem, functional, u[rows],
@@ -485,8 +480,8 @@ def test_adjoint_matches_fd_gradient(name, functional, cells):
                                            seed=10, stream=2,
                                            energy=0.7).values
         if not is_terminal(f):
-            top = np.sort(np.abs(_node_states(problem, u[None])[1][:, 0,
-                                                                    f.coord]))
+            nodes = _integrate(problem, u[None])[1]
+            top = np.sort(np.abs(nodes[:, 0, f.coord]))
             assert top[-1] - top[-2] > 1e-6 * top[-1]
         with _window(cells, problem, 1):
             adj = adjoint_gradient(problem, f, u[None])[0]
@@ -509,7 +504,7 @@ def _reference_optimize(problem, functional, sense, config):
     sgn = 1.0 if sense == "max" else -1.0
     u = extremals._project_batch(extremals._initial_bank(problem, config))
     batch = u.shape[0]
-    val = sgn * _functional_values(problem, functional, u)
+    val = sgn * extremals._values(problem, functional, u)[0]
     val = np.where(np.isnan(val), -np.inf, val)
     step = np.full(batch, extremals._STEP_INIT)
     active = np.ones(batch, dtype=bool)
@@ -535,8 +530,8 @@ def _reference_optimize(problem, functional, sense, config):
             cand = extremals._project_batch(
                 u + trial[:, None, None] * direction)
             cand_val = np.full(batch, -np.inf)
-            cand_val[pending] = sgn * _functional_values(
-                problem, functional, cand[pending])
+            cand_val[pending] = sgn * extremals._values(
+                problem, functional, cand[pending])[0]
             cand_val = np.where(np.isnan(cand_val), -np.inf, cand_val)
             good = pending & (cand_val > val + 1e-15 * (1.0 + np.abs(val)))
             gain[good] = cand_val[good] - val[good]
@@ -556,7 +551,8 @@ def _reference_optimize(problem, functional, sense, config):
 
     best = int(np.argmax(val))
     argext = ControlGrid(u[best]).project()
-    final_value = _functional_values(problem, functional, argext.values[None])[0]
+    final_value = extremals._values(problem, functional,
+                                    argext.values[None])[0][0]
     probe = 1e-7
     moved = extremals._project_batch((u[best] + probe * grad[best])[None])[0]
     return dict(
