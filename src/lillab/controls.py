@@ -10,16 +10,17 @@ adjoint reads the drift's Jacobian from the same table. A path that leaves
 the system's domain is killed as an SDE path is: its explosion_index marks
 the first node outside, and later states are nan.
 
-One windowed RK4 sweep (_rk4_window) integrates the control ODE for every
-caller, one step per control cell: it evaluates the stages of a whole window
-of cells at once, pass after pass, and the drift table's depth passes make
-every node exact (a limit drift reads lower coordinates only; a table with
-a cycle steps one cell per window). _integrate runs it over a batch of
-controls and returns every node (n + 1, B, d); every control path and
-functional value of the package is read from those nodes. The extremal
-optimizer's adjoint runs the same sweep backward: the transposed RK4 step
-is an RK4 step of the adjoint equation, with the functional's node
-gradients as sources.
+One coordinate sweep (_integrate) integrates the control ODE for every
+caller, one classical RK4 step per control cell. A limit drift is graded:
+each row reads only coordinates before it in the drift's chain, so the
+sweep takes one coordinate at a time in chain order, the four stage slopes
+of every cell at once, then its nodes as a cumulative sum and its stage
+states from them (_coordinate_sweep), in chunks of rows. It returns every
+node (n + 1, B, d); every control path and functional value of the package
+is read from those nodes. The extremal optimizer's adjoint runs the
+transposed sweep in reverse chain order: the transposed RK4 step is an RK4
+step of the adjoint equation, with the functional's node gradients as
+sources.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class LimitOdeProblem:
     what the adjoint uses, its sigma maps the k controls to the d states,
     and a path dies where it leaves its domain (see sde.alive). x0 is a
     state vector of shape (d,), read only once stored, and t_star <= 1
-    bounds the usable horizon.
+    bounds the usable horizon. A drift in which "b_i reads x_j" has a
+    cycle raises ValueError naming it; a limit drift has none.
     """
 
     system: SdeSystem
@@ -115,6 +117,10 @@ class LimitOdeProblem:
             raise ValueError("x0 must be a state vector of shape (d,)")
         if not 0.0 < self.t_star <= 1.0:
             raise ValueError("t_star must lie in (0, 1]")
+        if cycle := self.system.drift.cycle:
+            walk = " -> ".join(f"x{j}" for j in cycle + cycle[:1])
+            raise ValueError(f"the drift reads {walk} in a cycle; the "
+                             "control ODE needs a graded one")
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
 
@@ -134,115 +140,87 @@ def _widths(t_star: float, n_steps: int) -> np.ndarray:
     return np.asarray(widths)
 
 
-def _control_rhs(problem: LimitOdeProblem, u: np.ndarray):
-    """The slopes y -> L(y) + sigma u of the control ODE at controls
-    u (..., k), as an rhs(stage, y) of _rk4_window."""
-    drift = problem.system.drift
-    forcing = u @ problem.system.sigma.T
-
-    def rhs(stage, y):
-        return drift(y) + forcing
-
-    return rhs
+# Rows x cells of one chunk of the sweeps; a chunk has at least one row.
+_CHUNK_CELLS = 2 ** 12
 
 
-# Values (cells x rows x d) of one RK4 window; a window has at least one cell.
-_WINDOW_VALUES = 2 ** 11
+def _chunks(batch: int, cells: int) -> list:
+    """Slices cutting batch rows of `cells` cells into the sweeps' chunks."""
+    size = max(1, _CHUNK_CELLS // max(1, cells))
+    return [slice(lo, min(lo + size, batch)) for lo in range(0, batch, size)]
 
 
-def _window_cells(rows: int, dim: int, depth: Optional[int]) -> int:
-    return max(1, _WINDOW_VALUES // max(1, rows * dim)) if depth else 1
+def _weighted(k1, k2, k3, k4):
+    """k1 + 2 k2 + 2 k3 + k4, summed in that order."""
+    return k1 + 2.0 * k2 + 2.0 * k3 + k4
 
 
-def _rk4_increment(rhs, y, h, half, sixth):
-    """sixth (k1 + 2 k2 + 2 k3 + k4), the increment of one classical RK4
-    step from states y with rhs(stage, y) as in _rk4_window; the widths h,
-    half = h / 2 and sixth = h / 6 broadcast against y."""
-    k = rhs(0, y)
-    acc = k.copy()   # k1 + 2 k2 + 2 k3 + k4, summed in that order
-    k = rhs(1, y + half * k)
-    acc += 2.0 * k
-    k = rhs(2, y + half * k)
-    acc += 2.0 * k
-    acc += rhs(3, y + h * k)
-    return sixth * acc
+def _rk4_stages(problem: LimitOdeProblem, u, y, h):
+    """(y2, y3, y4, increment) of one classical RK4 step of the control ODE
+    at controls u (..., k) and widths h from states y, with the slopes
+    k = L(y) + sigma u: y2 = y + (h/2) k1, y3 = y + (h/2) k2, y4 = y + h k3
+    and (h/6)(k1 + 2 k2 + 2 k3 + k4)."""
+    drift, forcing = problem.system.drift, u @ problem.system.sigma.T
+    k1 = drift(y) + forcing
+    y2 = y + 0.5 * h * k1
+    k2 = drift(y2) + forcing
+    y3 = y + 0.5 * h * k2
+    k3 = drift(y3) + forcing
+    y4 = y + h * k3
+    return y2, y3, y4, (h / 6.0) * _weighted(k1, k2, k3, drift(y4) + forcing)
 
 
-def _rk4_window(rhs, x: np.ndarray, widths: np.ndarray, passes: int,
-                sources: Optional[np.ndarray] = None) -> np.ndarray:
-    """Classical RK4 over a window of w cells at once, from exact states x (B, d).
-
-    rhs(stage, y) returns the slopes of RK4 stage 0-3 at states y (w, B, d),
-    one entry per cell of the window. Each pass evaluates the four stages of
-    every cell from the nodes of the previous pass (at first, x everywhere)
-    and rebuilds the nodes as np.cumsum of [x, (h/6)(k1 + 2k2 + 2k3 + k4)];
-    cumsum adds in sequence, so a node computed from an exact node is
-    bitwise the per-cell loop's x + (h/6)(...). sources (w, B, d), when
-    given, are added to the increments: cell j ends at its RK4 step plus
-    sources[j]. Node j is exact after j passes, and a coordinate at level l
-    of its table's chain (PolynomialDrift.depth) after l passes, since it
-    reads lower levels only; a pass that gives back the previous nodes
-    proves them all exact. Runs at most min(passes, w) passes, so passes
-    must be at least the depth, and returns the nodes (w + 1, B, d).
-    """
-    w = len(widths)
-    h = widths[:, None, None]
-    half, sixth = 0.5 * h, h / 6.0
-    steps = np.empty((w + 1,) + x.shape)
-    steps[0] = x
-    nodes = np.broadcast_to(x, steps.shape)
-    for left in reversed(range(min(passes, w))):   # passes after this one
-        steps[1:] = _rk4_increment(rhs, nodes[:-1], h, half, sixth)
-        if sources is not None:
-            steps[1:] += sources
-        new = np.cumsum(steps, axis=0)
-        # the nan-aware comparison only where a nan can make the difference
-        if (not left or (new == nodes).all() or (
-                np.isnan(new).any()
-                and np.array_equal(new, nodes, equal_nan=True))):
-            return new
-        nodes = new
+def _coordinate_sweep(start, slopes, h, source=None):
+    """One coordinate of an RK4 sweep over every cell of a chunk at once,
+    from its four stage slopes (cells, rows), which read other coordinates
+    only, and the widths h (cells, 1): its nodes (cells + 1, rows), the
+    np.cumsum of [start, (h/6)(k1 + 2 k2 + 2 k3 + k4) + source], which adds
+    in sequence as a per-cell loop does, and its stage states [y1, y2, y3,
+    y4] at the cells' left nodes y1, as _rk4_stages forms them."""
+    steps = np.empty((len(h) + 1,) + np.shape(slopes[0])[1:])
+    steps[0] = start
+    np.multiply(h / 6.0, _weighted(*slopes), out=steps[1:])
+    if source is not None:
+        steps[1:] += source
+    nodes = np.cumsum(steps, axis=0, out=steps)
+    y = nodes[:-1]
+    return nodes, [y, y + 0.5 * h * slopes[0], y + 0.5 * h * slopes[1],
+                   y + h * slopes[2]]
 
 
 def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray):
     """Integrate the control ODE for a batch of controls u_batch (B, n_steps, k).
 
-    One classical RK4 step per control cell (see _widths), taken a window of
-    cells at a time by _rk4_window. Returns (widths, states (n + 1, B, d),
-    first_dead). A row whose state is not alive (see sde.alive) at node j
-    has first_dead = j and keeps its last live state from there on; rows
-    that survive have first_dead = len(widths) + 1. Dead rows are not
-    stepped again. A window takes at most the drift's depth passes; a drift
-    with a cycle steps one cell per window. Raises ValueError for an x0 that
-    is not alive and for a domain_contains that returns the wrong shape.
+    One classical RK4 step per control cell (see _widths), in chunks of
+    rows (_chunks), a chunk one coordinate at a time along the drift's
+    chain (_coordinate_sweep): a coordinate's slopes read only coordinates
+    before it. Returns (widths, states (n + 1, B, d), first_dead). A row
+    whose state is not alive (see sde.alive) at node j has first_dead = j
+    and keeps its last live state from there on; rows that survive have
+    first_dead = len(widths) + 1. Raises ValueError for an x0 that is not
+    alive and for a domain_contains that returns the wrong shape.
     """
-    domain = problem.system.domain_contains
-    if not alive(problem.x0, domain):
+    system, drift = problem.system, problem.system.drift
+    if not alive(problem.x0, system.domain_contains):
         raise ValueError("x0 outside the domain")
-    batch, n_steps, _ = u_batch.shape
-    dim = problem.system.dim_state
-    widths = _widths(problem.t_star, n_steps)
-    n = len(widths)
-    states = np.empty((n + 1, batch, dim))
-    states[0] = problem.x0
-    first_dead = np.full(batch, n + 1)
-    live = np.arange(batch)
-    depth = problem.system.drift.depth
-    start, cap = 0, _window_cells(batch, dim, depth)
+    widths = _widths(problem.t_star, u_batch.shape[1])
+    n, h = len(widths), widths[:, None]
+    states = np.empty((n + 1, len(u_batch), drift.d))
+    first_dead = np.full(len(u_batch), n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        while start < n and live.size:
-            # a slice while every row lives: views, where an index array copies
-            rows = live if live.size < batch else slice(None)
-            end = min(n, start + cap)
-            u = u_batch[rows, start:end].transpose(1, 0, 2)
-            new = _rk4_window(_control_rhs(problem, u), states[start, rows],
-                              widths[start:end], depth or 1)[1:]
-            states[start + 1:end + 1, rows] = new
-            ok = alive(new, domain)
-            dies = ~ok.all(axis=0)
-            first_dead[live[dies]] = start + 1 + np.argmin(ok[:, dies], axis=0)
-            live = live[~dies]
-            start = end
+        for rows in _chunks(len(u_batch), n):
+            forcing = u_batch[rows, :n].transpose(1, 0, 2) @ system.sigma.T
+            # stage states y1..y4 of every coordinate swept so far
+            stages = [[None] * drift.d for _ in range(4)]
+            for i in drift.chain:
+                b, f = drift.components[i], forcing[..., i]
+                states[:, rows, i], own = _coordinate_sweep(
+                    problem.x0[i], [b(*stage) + f for stage in stages], h)
+                for stage, y in zip(stages, own):
+                    stage[i] = y
+            del stages, own, y, f   # before the next chunk forms its own
+            ok = alive(states[:, rows], system.domain_contains)
+            first_dead[rows] = np.where(ok.all(axis=0), n + 1, ok.argmin(0))
     _freeze(states, first_dead)
     return widths, states, first_dead
 
@@ -285,8 +263,7 @@ def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath) -> float:
     sig = problem.system.sigma
     sig_pinv = np.linalg.pinv(sig, rcond=1e-12)
     u = (np.diff(g, axis=0) / h - b) @ sig_pinv.T
-    step = g[:-1] + _rk4_increment(_control_rhs(problem, u), g[:-1], h,
-                                   0.5 * h, h / 6.0)
+    step = g[:-1] + _rk4_stages(problem, u, g[:-1], h)[-1]
     off_range = np.eye(len(sig)) - sig @ sig_pinv
     miss = float(np.max(np.abs((step - g[1:]) @ off_range.T) / h))
     if not miss <= _CRAMER_TOLERANCE * (1.0 + float(np.max(np.abs(g)))):

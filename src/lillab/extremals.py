@@ -18,13 +18,14 @@ the exact discrete adjoint (adjoint_gradient), the transpose of the RK4
 steps that price its values, so the search differentiates the very
 functional its line search compares.
 
-Every control, single or batched, goes through the one windowed RK4 sweep of
+Every control, single or batched, goes through the one coordinate sweep of
 lillab.controls, which returns its node states (n + 1, B, d); _values reads
 the functional on them for the search, the returned control and
 fd_gradient's rows (central finite differences kept as the adjoint's
 reference). The search keeps the nodes of every restart's accepted control,
-and the adjoint runs the same sweep backward over reversed cells from them,
-so no gradient integrates its controls forward again.
+and the adjoint sweeps backward from them, one coordinate at a time in
+reverse chain order over reversed cells, so no gradient integrates its
+controls forward again.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import (MAX_ENERGY, ControlGrid, LimitOdeProblem,
-                       _control_rhs, _integrate, _rk4_window, _widths,
-                       _window_cells)
+from .controls import (MAX_ENERGY, ControlGrid, LimitOdeProblem, _chunks,
+                       _coordinate_sweep, _integrate, _rk4_stages, _weighted,
+                       _widths)
 from .sde import ExplosivePath, NumericalFailure
 
 _FD_STEP = 1e-4       # relative step of the central differences
@@ -158,29 +159,27 @@ def _values(problem, functional, u_batch):
 def adjoint_gradient(problem: LimitOdeProblem, functional,
                      u_batch: np.ndarray, priced=None) -> np.ndarray:
     """dF/du of the discrete functional: the transpose of the forward RK4
-    sweep, one backward sweep per batch of rows.
+    sweep, run backward in the forward sweep's row chunks.
 
     The transpose of a classical RK4 step is an RK4 step of the adjoint
     equation (Hager, Runge-Kutta methods in optimal control and the
     transformed adjoint system, Numer. Math. 87 (2000) 247). Cell n steps
-    x_n to x_{n+1} through the stage states y1 = x_n, y2 = x_n + (h/2) k1,
-    y3 = x_n + (h/2) k2 and y4 = x_n + h k3; the backward step takes
-    lambda_{n+1} to lambda_n by an RK4 step of width h whose stage s has the
-    slope J(y_{4-s})^T mu at its stage argument mu, J the Jacobian of the
-    system's drift, plus the functional's gradient in node n as a source
-    (terminal_gradient on the last node, running_gradient on every node).
-    _rk4_window runs it over reversed cells with the Jacobians at the
-    forward stage states, recomputed from the stored nodes. The gradient of
-    cell n is sigma^T h (mu1 + 2 mu2 + 2 mu3 + mu4) / 6 over the stage
-    arguments of its last pass, which the sweep runs from exact nodes by
-    taking one pass past the drift's depth. The result is the gradient of
-    the values _values prices, up to rounding. Rows that die get a zero
-    gradient.
+    x_n to x_{n+1} through the stage states y1 = x_n, y2, y3 and y4
+    (_rk4_stages); the backward step takes lambda_{n+1} to lambda_n by an
+    RK4 step of width h whose stage s has the slope J(y_{4-s})^T mu at its
+    stage argument mu, J the drift's Jacobian, plus the functional's
+    gradient in node n as a source (terminal_gradient on the last node,
+    running_gradient on every node). (J^T mu)_j sums J_ij mu_i over the
+    rows i that read x_j, which come after j in the drift's chain, so the
+    sweep takes one coordinate at a time in reverse chain order over
+    reversed cells (_coordinate_sweep). The gradient of cell n is sigma^T h
+    (mu1 + 2 mu2 + 2 mu3 + mu4) / 6: the gradient of the values _values
+    prices, up to rounding. Rows that die get a zero gradient.
 
     priced, when given, is (node states (n + 1, B, d), first_dead (B,)) of
     an integration of u_batch, as _integrate returns them; the sweep then
     starts from those nodes and integrates nothing forward. A row's nodes do
-    not depend on the batch or the windows it was integrated in, so the
+    not depend on the batch or the chunks it was integrated in, so the
     gradient has the bits it has without priced.
     """
     if priced is None:
@@ -189,46 +188,45 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
         traj, first_dead = priced
         widths = _widths(problem.t_star, u_batch.shape[1])
     system = problem.system
-    n, dim = len(widths), system.dim_state
-    if is_terminal(functional):
-        sources = np.zeros_like(traj)
-        sources[n] = functional.terminal_gradient(traj[n])
-    else:
-        sources = functional.running_gradient(traj)
-    lam = sources[n]
+    drift, n = system.drift, len(widths)
+    h_back = widths[::-1, None]
     # mu1 + 2 mu2 + 2 mu3 + mu4 of every cell's backward step
     total = np.empty_like(traj[:n])
-    depth = system.drift.depth
-    cap = _window_cells(traj.shape[1], dim, depth)
     # dead rows are swept along their frozen states, where lambda may
     # overflow, as the forward sweep steps them; their gradient is zeroed
     with np.errstate(over="ignore", invalid="ignore"):
-        forward = _control_rhs(problem, u_batch[:, :n].transpose(1, 0, 2))
-        h = widths[:, None, None]
-        y1 = traj[:-1]
-        y2 = y1 + 0.5 * h * forward(0, y1)
-        y3 = y1 + 0.5 * h * forward(1, y2)
-        y4 = y1 + h * forward(2, y3)
-        for end in range(n, 0, -cap):
-            lo = max(0, end - cap)
-            jac = [system.drift.jacobian(y[lo:end][::-1])
-                   for y in (y4, y3, y2, y1)]
-            mu = [None] * 4
-
-            def backward(stage, y):
-                mu[stage] = y
-                return np.einsum("...ij,...i->...j", jac[stage], y)
-
-            lam = _rk4_window(backward, lam, widths[lo:end][::-1],
-                              (depth or 1) + 1, sources[lo:end][::-1])[-1]
-            part = mu[0] + 2.0 * mu[1]
-            part += 2.0 * mu[2]
-            part += mu[3]
-            total[lo:end] = part[::-1]
+        for rows in _chunks(len(u_batch), n):
+            nodes = traj[:, rows]
+            if is_terminal(functional):
+                sources = np.zeros_like(nodes)
+                sources[n] = functional.terminal_gradient(nodes[n])
+            else:
+                sources = functional.running_gradient(nodes)
+            y1 = nodes[:-1]
+            y2, y3, y4, _ = _rk4_stages(
+                problem, u_batch[rows, :n].transpose(1, 0, 2), y1,
+                widths[:, None, None])
+            # over reversed cells: stage s reads J(y_{4-s})
+            jac = [drift.jacobian(y[::-1]) for y in (y4, y3, y2, y1)]
+            # stage arguments mu1..mu4 of every coordinate swept so far
+            stages = [[None] * drift.d for _ in range(4)]
+            for j in reversed(drift.chain):
+                slopes = [sum((jac_s[..., i, j] * mu[i] for i in range(drift.d)
+                               if j in drift.reads[i]), np.zeros(y1.shape[:-1]))
+                          for jac_s, mu in zip(jac, stages)]
+                _, own = _coordinate_sweep(sources[n, :, j], slopes, h_back,
+                                           sources[:n][::-1, :, j])
+                for stage, arg in zip(stages, own):
+                    stage[j] = arg
+                total[:, rows, j] = _weighted(*own)[::-1]
+            del sources, y2, y3, y4, jac, stages, slopes, own, arg
+        # per cell a product over the whole batch, as the per-cell loop takes
+        # it (a matmul may round a row by the rows beside it); += on zeros,
+        # as that loop does, turns -0.0 cell gradients into 0.0
+        total *= (widths / 6.0)[:, None, None]
         grad = np.zeros_like(u_batch)
-        # += on zeros, as the per-cell loop does: -0.0 cell gradients become 0.0
-        grad[:, :n] += ((widths / 6.0)[:, None, None] * total
-                        @ system.sigma).transpose(1, 0, 2)
+        for cells in _chunks(n, len(u_batch)):
+            grad[:, cells] += (total[cells] @ system.sigma).transpose(1, 0, 2)
     grad[first_dead <= n] = 0.0
     return grad
 

@@ -255,11 +255,14 @@ class PolynomialDrift:
     rows[i] is a tuple of (coef, exponents) pairs, and b_i(x) is the sum of
     coef * prod_j x_j ** exponents[j] over them. Calling it maps states
     (..., d) to (..., d); jacobian maps (..., d) to (..., d, d). matrix is
-    A when every monomial has degree 1 (b(x) = A x), else None. depth is
-    the number of coordinates in the longest chain of "b_i reads x_j" (an
-    exponent of x_j above 0), or None on a cycle (see controls._rk4_window).
-    rows other than d rows of (finite coef, d non-negative int exponents)
-    raise ValueError.
+    A when every monomial has degree 1 (b(x) = A x), else None. reads[i]
+    lists the coordinates b_i reads (an exponent of x_j above 0). depth is
+    the number of coordinates in the longest chain of "b_i reads x_j" and
+    chain orders them, each after those it reads; on a cycle both are None
+    and cycle is one (each coordinate reads the next), else (). The
+    components[i](x0, ..., x<d-1>) give b_i on coordinate arrays, with the
+    bits of the call. rows other than d rows of (finite coef, d
+    non-negative int exponents) raise ValueError.
     """
 
     def __init__(self, d: int, rows):
@@ -272,17 +275,30 @@ class PolynomialDrift:
                              f"finite, exponents {d} non-negative ints")
         self.rows = tuple(tuple((c, tuple(map(int, e))) for c, e in row)
                           for row in rows)
-        level = [1] * d   # on a cycle, levels climb past d within d rounds
-        for _ in range(d):
-            level = [1 + max((level[j] for _, e in row for j, m in enumerate(e)
-                              if m), default=0) for row in self.rows]
-        top = max(level, default=0)
-        self.depth = top if top <= d else None
+        self.reads = tuple(tuple(j for j in range(d)
+                                 if any(e[j] for _, e in row))
+                           for row in self.rows)
+        # peel off, a level at a time, the coordinates that read only peeled
+        # ones; what is left reaches a cycle, and each of it reads some of it
+        chain, left, self.depth, self.cycle = [], set(range(d)), 0, ()
+        while ready := [i for i in sorted(left)
+                        if left.isdisjoint(self.reads[i])]:
+            chain += ready
+            left -= set(ready)
+            self.depth += 1
+        self.chain = tuple(chain)
+        if left:   # a walk among them comes back to where it has been
+            walk = [min(left)]
+            while (i := min(left & set(self.reads[walk[-1]]))) not in walk:
+                walk.append(i)
+            self.depth = self.chain = None
+            self.cycle = tuple(walk[walk.index(i):])
         # the table's shape: each coefficient as +-1 when a unit, else +-2
         self._shape = tuple(
             tuple(((-1.0 if c < 0 else 1.0) * (1.0 if abs(c) == 1.0 else 2.0),
                    e) for c, e in row) for row in self.rows)
-        self._evaluate, self.jacobian, self.matrix = _compile(self)
+        (self._evaluate, self.jacobian, self.components,
+         self.matrix) = _compile(self)
 
     def __call__(self, x):
         return self._evaluate(x)
@@ -321,36 +337,43 @@ def _row_terms(i: int, row) -> list:
     return [(c, e, (i, t, 1)) for t, (c, e) in enumerate(row)]
 
 
-def _function_source(name: str, alloc: str, entries, names) -> str:
-    """def name(x) in make, assigning each (target, terms) entry to out."""
-    used = sorted({j for _, terms in entries for _, e, _ in terms
+def _function_source(name: str, alloc: str, entries) -> str:
+    """def name(x) in make, assigning each (target, terms, sum) entry to out."""
+    used = sorted({j for _, terms, _ in entries for _, e, _ in terms
                    for j, m in enumerate(e) if m})
     return "\n        ".join(
         [f"    def {name}(x):", "x = np.asarray(x, dtype=float)"]
         + [f"x{j} = x[..., {j}]" for j in used] + [f"out = {alloc}"]
-        + [f"out[{t}] = {_sum_source(terms, names)}" for t, terms in entries]
+        + [f"out[{t}] = {text}" for t, _, text in entries]
         + ["return out"]) + "\n"
 
 
 @lru_cache(maxsize=64)
 def _factory(d: int, shape: tuple):
     """(make, tags) of a table shape (rows of (+-1 unit or +-2 other coef,
-    exponents)); make(k0, ...) -> (evaluate, jacobian) is source executed
-    once per shape (as dataclasses writes __init__), so rescaled tables
-    share it. k<n> is |m * coef| of term t of row i for tags[n] = (i, t, m)."""
+    exponents)); make(k0, ...) -> (evaluate, jacobian, components) is source
+    executed once per shape (as dataclasses writes __init__), so rescaled
+    tables share it; components b<i> spell evaluate's columns. k<n> is
+    |m * coef| of term t of row i for tags[n] = (i, t, m)."""
     names = []
+    rows = [_sum_source(_row_terms(i, row), names) if row else "0.0"
+            for i, row in enumerate(shape)]
     body = _function_source(
         "evaluate", "np.empty_like(x)" if all(shape) else "np.zeros_like(x)",
-        [(f"..., {i}", _row_terms(i, row))
-         for i, row in enumerate(shape) if row], names)
+        [(f"..., {i}", _row_terms(i, row), rows[i])
+         for i, row in enumerate(shape) if row])
     body += _function_source("jacobian", f"np.zeros(x.shape + ({d},))", [
-        (f"..., {i}, {j}", terms) for i, row in enumerate(shape)
-        for j in range(d)
+        (f"..., {i}, {j}", terms, _sum_source(terms, names))
+        for i, row in enumerate(shape) for j in range(d)
         if (terms := [(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:], (i, t, e[j]))
-                      for t, (c, e) in enumerate(row) if e[j]])], names)
+                      for t, (c, e) in enumerate(row) if e[j]])])
+    xs = ", ".join(f"x{j}" for j in range(d))
+    body += "".join(f"    def b{i}({xs}):\n        return {text}\n"
+                    for i, text in enumerate(rows))
     space = {"np": np}
     exec(f"def make({', '.join(f'k{n}' for n in range(len(names)))}):\n"
-         f"{body}    return evaluate, jacobian\n", space)
+         f"{body}    return evaluate, jacobian, "
+         f"({''.join(f'b{i}, ' for i in range(d))})\n", space)
     return space["make"], names
 
 
@@ -360,17 +383,18 @@ def _coefficients(rows: tuple, tags) -> list:
 
 
 def _compile(drift: PolynomialDrift):
-    """(evaluate, jacobian, A) of a monomial table as straight-line source
+    """(evaluate, jacobian, components, A) of a monomial table as source
     (an interpreted loop over the terms costs 3-4x as much on lorenz96); a
     linear table's Jacobian is a read-only broadcast view of its A."""
     d, rows = drift.d, drift.rows
     make, tags = _factory(d, drift._shape)
-    evaluate, jacobian = make(*_coefficients(rows, tags))
+    evaluate, jacobian, components = make(*_coefficients(rows, tags))
     if any(sum(e) != 1 for row in rows for _, e in row):
-        return evaluate, jacobian, None
+        return evaluate, jacobian, components, None
     a = jacobian(np.zeros(d))
     a.flags.writeable = False
-    return evaluate, lambda x: np.broadcast_to(a, np.shape(x) + (d,)), a
+    return (evaluate, lambda x: np.broadcast_to(a, np.shape(x) + (d,)),
+            components, a)
 
 
 @lru_cache(maxsize=64)

@@ -7,8 +7,7 @@ import pytest
 from lillab.controls import (ControlGrid, LimitOdeProblem, cramer_transform,
                              linear_kernel_oracle, solve_control_ode)
 from lillab.examples import get_example, list_examples
-from lillab.sde import (ExplosivePath, PolynomialDrift, SdeSystem,
-                        trivial_domain)
+from lillab.sde import ExplosivePath, PolynomialDrift, SdeSystem
 
 
 def test_control_grid_energy_piecewise_exact():
@@ -108,27 +107,25 @@ def test_limit_set_samples_are_feasible(name, seed, n_steps):
         assert lam <= 1.0 + 1e-3
 
 
-def _blowup_problem(domain_contains=trivial_domain, **changes):
-    # scalar dy = y^2 dt + 0 du from y(0) = 2 blows up at t = 0.5
-    problem = LimitOdeProblem(
-        system=SdeSystem(PolynomialDrift(1, (((1.0, (2,)),),)),
-                         np.zeros((1, 1)), domain_contains),
-        x0=np.array([2.0]),
-    )
-    return replace(problem, **changes)
-
-
-def _decay_problem(domain_contains=trivial_domain, **changes):
-    # scalar dy = -y dt + du from y(0) = 1: the drift acts on the driven
-    # coordinate and never settles in a windowed sweep
+def _exit_problem(domain_contains=lambda y: y[..., 0] < 0.5, **changes):
+    # scalar dy = 1 dt + 0 du from y(0) = 0 leaves {y < 0.5} at t = 0.5
+    # whatever the control
     return replace(LimitOdeProblem(
-        SdeSystem(PolynomialDrift(1, (((-1.0, (1,)),),)), np.ones((1, 1)),
+        SdeSystem(PolynomialDrift(1, (((1.0, (0,)),),)), np.zeros((1, 1)),
                   domain_contains),
-        x0=np.array([1.0])), **changes)
+        x0=np.zeros(1)), **changes)
 
 
-# The RK4 sweep's pass count: the longest chain of coordinates in "row i
-# reads x_j", worked out by hand for each registered limit drift
+def _driven_problem(**changes):
+    # y0' = u, y1' = y0^2 + u from 0: the drift acts on a driven coordinate,
+    # and y1 overflows at a control scale of 1e60
+    return replace(LimitOdeProblem(
+        SdeSystem(PolynomialDrift(2, ((), ((1.0, (2, 0)),))), np.ones((2, 1))),
+        x0=np.zeros(2)), **changes)
+
+
+# The longest chain of coordinates in "row i reads x_j", worked out by hand
+# for each registered limit drift
 LIMIT_DEPTHS = {"brownian": 1, "iterated_kolmogorov": 2, "lorenz96": 4,
                 "quadratic": 2, "shifted_kolmogorov": 2}
 
@@ -143,10 +140,24 @@ def test_depth_of_the_registered_limit_drifts():
 
 
 def test_depth_is_none_on_a_cycle():
-    for problem in (_decay_problem(), _blowup_problem()):   # x reads x
-        assert problem.system.drift.depth is None
+    for rows in ((((1.0, (2,)),),), (((-1.0, (1,)),),)):   # x reads x
+        drift = PolynomialDrift(1, rows)
+        assert drift.depth is None and drift.chain is None
     swap = PolynomialDrift(2, (((1.0, (0, 1)),), ((-1.0, (1, 0)),)))
-    assert swap.depth is None
+    assert swap.depth is None and swap.chain is None
+
+
+def test_a_limit_problem_rejects_a_cycle():
+    # the sweeps integrate along the chain, which a cycle does not have
+    for d, rows, cycle in (
+            (1, (((1.0, (2,)),),), "x0 -> x0"),
+            (2, (((1.0, (0, 1)),), ((-1.0, (1, 0)),)), "x0 -> x1 -> x0"),
+            # x0 reads x1, which is on the cycle x1 -> x2 -> x1
+            (3, (((1.0, (0, 1, 0)),), ((1.0, (0, 0, 1)),),
+                 ((1.0, (0, 1, 0)),)), "x1 -> x2 -> x1")):
+        system = SdeSystem(PolynomialDrift(d, rows), np.ones((d, 1)))
+        with pytest.raises(ValueError, match=f"reads {cycle} in a cycle"):
+            LimitOdeProblem(system, np.zeros(d))
 
 
 def test_a_constant_row_is_chain_level_one():
@@ -165,7 +176,7 @@ def test_a_constant_row_is_chain_level_one():
 def test_cramer_drift_in_a_driven_coordinate():
     # the midpoint recovery of u is O(h^2) off, but sigma can absorb that
     # miss, so the path stays feasible and its energy converges
-    problem = _decay_problem()
+    problem = _driven_problem()
     for n, gap in ((16, 1e-3), (256, 1e-5)):
         u = ControlGrid.random_bandlimited(n, 1, seed=11).project()
         lam = cramer_transform(problem, solve_control_ode(problem, u))
@@ -215,13 +226,20 @@ def test_limit_problem_sigma_is_finite_and_read_only():
 
 def test_control_ode_explosion_marks_path():
     u = ControlGrid(np.zeros((4096, 1)))
-    path = solve_control_ode(_blowup_problem(), u)
-    assert path.explosion_index is not None
-    assert path.explosion_time == pytest.approx(0.5, abs=0.02)
+    path = solve_control_ode(_exit_problem(), u)
+    assert path.explosion_index == 2048
+    assert path.explosion_time == 0.5
+    # a control of 1e60 in cell 100 overflows y1 at node 101
+    u.values[100] = 1e60
+    path = solve_control_ode(_driven_problem(), u)
+    assert path.explosion_index == 101
+    assert path.explosion_time == pytest.approx(101 / 4096, abs=1e-15)
+    assert np.all(np.isfinite(path.states[:101]))
+    assert np.all(np.isnan(path.states[101:]))
 
 
 def test_x0_outside_the_domain_is_rejected():
-    problem = _blowup_problem(domain_contains=lambda y: y[..., 0] < 1.0)
+    problem = _exit_problem(x0=np.ones(1))
     with pytest.raises(ValueError, match="x0 outside the domain"):
         solve_control_ode(problem, ControlGrid(np.zeros((8, 1))))
 
@@ -230,8 +248,8 @@ def test_exploded_path_keeps_the_time_grid():
     # t_star = 0.7 ends in a partial cell of the 64-cell grid; a path that
     # dies before it must still end at t_star, like a surviving path
     u = ControlGrid(np.zeros((64, 1)))
-    dead = solve_control_ode(_blowup_problem(t_star=0.7), u)
-    alive = solve_control_ode(_blowup_problem(t_star=0.7, x0=np.zeros(1)), u)
+    dead = solve_control_ode(_exit_problem(t_star=0.7), u)
+    alive = solve_control_ode(_exit_problem(t_star=0.7, x0=-np.ones(1)), u)
     assert dead.explosion_index is not None and alive.explosion_index is None
     assert np.array_equal(dead.times, alive.times)
     assert dead.horizon == pytest.approx(0.7, abs=1e-12)
@@ -240,7 +258,7 @@ def test_exploded_path_keeps_the_time_grid():
 def test_domain_shape_is_checked():
     # a domain_contains that ignores the batch axis is rejected at its
     # first batch call (a table drift always broadcasts)
-    problem = _blowup_problem(domain_contains=lambda y: bool(np.all(y < 1e3)))
+    problem = _exit_problem(domain_contains=lambda y: bool(np.all(y < 1e3)))
     with pytest.raises(ValueError,
                        match=r"domain_contains returned shape .* expected"):
         solve_control_ode(problem, ControlGrid(np.zeros((8, 1))))

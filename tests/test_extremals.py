@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 
 from lillab import extremals
-from lillab.controls import (ControlGrid, LimitOdeProblem, _integrate,
-                             solve_control_ode)
+from lillab.controls import ControlGrid, _integrate, solve_control_ode
 from lillab.examples import get_example, list_examples
 from lillab.extremals import (OptimizerConfig, QuadraticMissFunctional,
                               RunningMaxAbsFunctional,
                               TerminalLinearFunctional, adjoint_gradient,
                               fd_gradient, optimize_extremal)
-from lillab.sde import NumericalFailure, PolynomialDrift, SdeSystem
-from test_controls import _blowup_problem
+from lillab.sde import NumericalFailure
+from test_controls import _exit_problem
 
 QUICK = OptimizerConfig(n_steps=256, n_restarts=6, max_iters=200)
 
@@ -147,7 +146,7 @@ def test_probe_start_improves_lorenz_min():
 @pytest.mark.parametrize("name", ["brownian", "lorenz96"])
 def test_integrate_holds_little_beside_the_nodes(name):
     # the nodes go straight into the (n + 1, B, d) array _integrate returns;
-    # windows, stages and liveness checks add little on top of it
+    # a chunk's stages and liveness checks add little on top of it
     problem = get_example(name).limit_problem
     u = np.full((256, 1024, problem.system.dim_noise), 0.5)
     tracemalloc.start()
@@ -158,6 +157,28 @@ def test_integrate_holds_little_beside_the_nodes(name):
         tracemalloc.stop()
     assert np.all(np.isfinite(states))
     assert peak < 1.25 * states.nbytes
+
+
+@pytest.mark.parametrize("name", ["brownian", "lorenz96"])
+def test_adjoint_holds_little_beside_the_nodes(name):
+    # the backward sweep takes the rows in the forward sweep's chunks, so
+    # beside the gradient it returns (1.0x the nodes on brownian, 0.4x on
+    # lorenz96) and the stage sums of the batch (1.0x) it holds one chunk's
+    # stages and Jacobians. Measured: 2.10x and 1.46x the nodes; the bound
+    # leaves 24% on brownian. A sweep that forms the stage states of the
+    # whole batch at once holds 7.8-9.1x.
+    problem = get_example(name).limit_problem
+    u = np.full((256, 1024, problem.system.dim_noise), 0.5)
+    _, states, first_dead = _integrate(problem, u)
+    functional = TerminalLinearFunctional(np.ones(problem.system.dim_state))
+    tracemalloc.start()
+    try:
+        grad = adjoint_gradient(problem, functional, u, (states, first_dead))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(grad))
+    assert peak < 2.6 * states.nbytes
 
 
 def _registered_pairs():
@@ -232,30 +253,33 @@ def test_functional_without_values_is_rejected():
 
 
 def test_every_start_dying_is_a_numerical_failure():
-    # y' = y^2 from y(0) = 2 blows up at t = 0.5 whatever the control
+    # y' = 1 from y(0) = 0 leaves {y < 0.5} at t = 0.5 whatever the control
     config = OptimizerConfig(n_steps=16, n_restarts=3, max_iters=5)
     with pytest.raises(NumericalFailure, match="all 3 optimizer starts die"):
-        optimize_extremal(_blowup_problem(), TerminalLinearFunctional([1.0]),
+        optimize_extremal(_exit_problem(), TerminalLinearFunctional([1.0]),
                           "max", config)
 
 
 def test_dead_starts_take_no_step_and_warn_nothing():
-    # y' = y^2 + u from y(0) = 1: the constant start u = +1.34 blows up at
-    # t = 0.74 and u = -1.34 settles; the dead start keeps its -inf value
-    # and prices no rung: the work counts the live start's ladders only
-    problem = LimitOdeProblem(
-        SdeSystem(PolynomialDrift(1, (((1.0, (2,)),),)), np.ones((1, 1))),
-        np.array([1.0]))
+    # y' = u from y(0) = 0 in {y < 0.5}: the constant start u = +1.34
+    # leaves at t = 0.37 and u = -1.34 stays inside; the dead start keeps
+    # its -inf value and prices no rung: every ladder batch holds the live
+    # start's rungs only (1, 1, 1, 1, 2, 4, 8, 16, 8), between the start
+    # bank and the returned control
+    br = get_example("brownian").limit_problem
+    problem = replace(br, system=replace(
+        br.system, domain_contains=lambda y: y[..., 0] < 0.5))
     config = OptimizerConfig(n_steps=16, n_restarts=2, max_iters=20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = optimize_extremal(problem, TerminalLinearFunctional([1.0]),
+        result = optimize_extremal(problem, TerminalLinearFunctional([-1.0]),
                                    "max", config)
     assert result.restart_values[0] == -np.inf
-    assert np.isfinite(result.restart_values[1])
+    assert result.restart_values[1] == pytest.approx(math.sqrt(2.0))
     assert result.value == result.restart_values[1]
-    assert result.work["integrations"] == 17
-    assert result.work["integrated_rows"] == 62
+    assert result.convergence_flag
+    assert result.work["integrations"] == 11
+    assert result.work["integrated_rows"] == 2 + 42 + 1
 
 
 # ---------------------------------------------------------------------------

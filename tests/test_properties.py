@@ -1,13 +1,14 @@
 """Property tests of the batched integrators (needs hypothesis).
 
-The windowed RK4 sweep (controls._rk4_window) is the only integrator of the
-limit control ODE and of its adjoint: solve_control_ode is its one-row case,
-the optimizer runs it on batches of controls, and adjoint_gradient runs it
-backward over reversed cells. A per-cell RK4 loop and a per-cell backward
-loop are kept here as its references; every window size, from one cell to
-the whole grid, must reproduce them bit for bit, drifts that are not
-nilpotent included, and on random acyclic tables a window takes at most
-the table's depth passes forward and one more backward. The batched Euler
+The coordinate sweep (controls._integrate) is the only integrator of the
+limit control ODE: it steps one coordinate at a time along the drift's
+chain, every cell of a chunk of rows at once; solve_control_ode is its
+one-row case and the optimizer runs it on batches of controls.
+adjoint_gradient runs its transpose in reverse chain order. A per-cell RK4
+loop and a per-cell backward loop are kept here as its references; row
+chunks of one row, three rows and the whole batch must reproduce them bit
+for bit, on the registered limit problems, on graded problems whose rows
+leave a domain or overflow, and on random acyclic tables. The batched Euler
 kernel euler_batch is the only SDE Euler loop: simulate_sde is its one-row case and lil-verify runs it on the
 stacked levels of a chunk of paths, one step width per row, which must
 equal one call per row; a per-step single-row loop with the einsum noise
@@ -89,7 +90,7 @@ from lillab.sde import (OVERFLOW_GUARD, ExplosivePath,  # noqa: E402
                         PolynomialDrift, SdeSystem, _philox, _row_path, alive,
                         equilibrated_cholesky, euler_batch, row_normals,
                         simulate_sde, trivial_domain)
-from test_controls import _blowup_problem, _decay_problem  # noqa: E402
+from test_controls import _driven_problem, _exit_problem  # noqa: E402
 from test_examples import WRITTEN_DRIFTS  # noqa: E402
 from test_extremals import _registered_pairs  # noqa: E402
 
@@ -184,19 +185,19 @@ def test_cramer_transform_is_the_energy_of_feasible_paths(name, n, stream):
 
 
 # ---------------------------------------------------------------------------
-# Windowed RK4 sweep against per-cell loops. The window holds cells x B x d
-# values: one cell, three cells or the whole grid. Besides the registered
-# (nilpotent) examples: IK(2) in the ball |y| < 0.3, which rows leave, and
-# two drifts that never settle, y' = y^2 (blows up at t = 0.5 from
-# y(0) = 2) and y' = -y + u.
+# Coordinate sweeps against per-cell loops. A chunk holds one row, three
+# rows or the whole batch. Besides the registered limit problems: IK(2) in
+# the ball |y| < 0.3, which rows leave, y' = 1 in {y < 0.5}, which every row
+# leaves at t = 0.5, and y0' = u, y1' = y0^2 + u, whose rows at scale 1e60
+# overflow.
 
-NOT_NILPOTENT = {"blowup": _blowup_problem, "decay": _decay_problem}
-SWEEP_PROBLEMS = sorted(NOT_NILPOTENT) + ["kolmogorov_in_ball"] + list_examples()
+DYING = {"exit": _exit_problem, "driven": _driven_problem}
+SWEEP_PROBLEMS = sorted(DYING) + ["kolmogorov_in_ball"] + list_examples()
 
 
 def _sweep_problem(name, t_star):
-    if name in NOT_NILPOTENT:
-        return NOT_NILPOTENT[name](t_star=t_star)
+    if name in DYING:
+        return DYING[name](t_star=t_star)
     if name == "kolmogorov_in_ball":
         ik = get_example("iterated_kolmogorov").limit_problem
         return replace(ik, t_star=t_star, system=replace(
@@ -205,14 +206,16 @@ def _sweep_problem(name, t_star):
     return replace(get_example(name).limit_problem, t_star=t_star)
 
 
-def _window(cells, problem, rows):
-    d = problem.system.dim_state
-    values = 2**62 if cells is None else cells * rows * d
-    return mock.patch.object(controls, "_WINDOW_VALUES", values)
+def _chunk(rows, problem, n_steps):
+    """Row chunks of `rows` rows (None: the whole batch) for the sweeps of
+    problem over n_steps control cells."""
+    cells = max(1, len(_widths(problem.t_star, n_steps)))
+    return mock.patch.object(controls, "_CHUNK_CELLS",
+                             2**62 if rows is None else rows * cells)
 
 
 def _reference_rk4(problem, u_batch):
-    """The per-cell RK4 loop the windowed sweep replaced: (widths, states
+    """The per-cell RK4 loop the coordinate sweep replaced: (widths, states
     (n + 1, B, d), first_dead), with dead rows frozen at their last live
     state."""
     system = problem.system
@@ -250,7 +253,7 @@ def _reference_rk4(problem, u_batch):
 
 def _reference_adjoint(problem, functional, u_batch):
     """The per-cell loop of the transposed RK4 step that adjoint_gradient
-    sweeps in windows: the forward stage states y1..y4 of the cell, an RK4
+    sweeps a coordinate at a time: the forward stage states y1..y4 of the cell, an RK4
     step of lambda with the slopes J(y4)^T, J(y3)^T, J(y2)^T, J(y1)^T plus
     the node's source, and the cell gradient from its stage arguments."""
     widths, traj, first_dead = _reference_rk4(problem, u_batch)
@@ -294,45 +297,20 @@ def _reference_adjoint(problem, functional, u_batch):
     return grad
 
 
-WINDOW_CELLS = st.sampled_from([1, 3, None])
+CHUNK_ROWS = st.sampled_from([1, 3, None])
 
 
 @SETTINGS
-@given(cases, st.sampled_from(SWEEP_PROBLEMS), WINDOW_CELLS)
-def test_forward_sweep_equals_per_cell_loop(case, name, cells):
+@given(cases, st.sampled_from(SWEEP_PROBLEMS), CHUNK_ROWS)
+def test_forward_sweep_equals_per_cell_loop(case, name, rows):
     problem = _sweep_problem(name, case["t_star"])
     u = _controls(case, problem.system.dim_noise)
     widths, states, first_dead = _reference_rk4(problem, u)
-    with _window(cells, problem, len(u)):
+    with _chunk(rows, problem, case["n_steps"]):
         w1, s1, d1 = _integrate(problem, u)
     assert np.array_equal(w1, widths)
     assert np.array_equal(s1, states)
     assert np.array_equal(d1, first_dead)
-
-
-# the blow-up rows die, and the backward sweep still carries their lambda
-# along the frozen states until it overflows; their gradient is then set to 0
-@pytest.mark.parametrize("name", sorted(NOT_NILPOTENT))
-def test_drifts_that_do_not_settle_step_one_cell_per_window(name):
-    # a table with a cycle has no depth: every window is one cell, forward
-    # in the control ODE and backward in the adjoint
-    problem = NOT_NILPOTENT[name]()
-    u = np.random.default_rng(3).standard_normal((4, 64, 1))
-    with mock.patch.object(controls, "_rk4_window",
-                           wraps=controls._rk4_window) as spy:
-        widths, states, first_dead = _integrate(problem, u)
-    cells = [len(call.args[2]) for call in spy.call_args_list]
-    assert set(cells) == {1}
-    ref = _reference_rk4(problem, u)
-    assert np.array_equal(states, ref[1])
-    assert np.array_equal(first_dead, ref[2])
-    functional = TerminalLinearFunctional(np.ones(1))
-    with mock.patch.object(extremals, "_rk4_window",
-                           wraps=extremals._rk4_window) as spy:
-        grad = adjoint_gradient(problem, functional, u)
-    cells = [len(call.args[2]) for call in spy.call_args_list]
-    assert set(cells) == {1}
-    assert np.array_equal(grad, _reference_adjoint(problem, functional, u))
 
 
 FUNCTIONAL_KINDS = st.sampled_from(["linear", "miss", "running_max"])
@@ -348,13 +326,16 @@ def _functional(kind, d, seed):
                 int(rng.integers(d)))}[kind]()
 
 
+# the rows that die are swept backward along their frozen states, where
+# lambda may overflow; their gradient is then set to 0
 @SETTINGS
-@given(cases, WINDOW_CELLS, FUNCTIONAL_KINDS)
-def test_adjoint_equals_per_cell_loop(case, cells, kind):
-    problem, u = _draw(case)
+@given(cases, st.sampled_from(SWEEP_PROBLEMS), CHUNK_ROWS, FUNCTIONAL_KINDS)
+def test_adjoint_equals_per_cell_loop(case, name, rows, kind):
+    problem = _sweep_problem(name, case["t_star"])
+    u = _controls(case, problem.system.dim_noise)
     functional = _functional(kind, problem.system.dim_state, case["seed"])
     ref = _reference_adjoint(problem, functional, u)
-    with _window(cells, problem, len(u)):
+    with _chunk(rows, problem, case["n_steps"]):
         grad = adjoint_gradient(problem, functional, u)
     assert np.array_equal(grad, ref)
 
@@ -392,42 +373,28 @@ CHAIN_OF_FIVE = LimitOdeProblem(SdeSystem(PolynomialDrift(5, (
 
 
 @SETTINGS
-@given(cases, acyclic_problems(), WINDOW_CELLS, FUNCTIONAL_KINDS)
+@given(cases, acyclic_problems(), CHUNK_ROWS, FUNCTIONAL_KINDS)
 @example({"example": "brownian", "scales": [3.0, 1e60, 0.1], "n_steps": 16,
-          "t_star": 1.0, "seed": 5}, (CHAIN_OF_FIVE, 5), 3, "running_max")
-def test_sweeps_of_acyclic_tables_take_their_depth_in_passes(
-        case, drawn, cells, kind):
-    # the forward sweep needs depth passes a window, the backward one more
-    # for exact stage arguments; a row at scale 1e60 overflows and dies
+          "t_star": 1.0, "seed": 5}, (CHAIN_OF_FIVE, 5), 1, "running_max")
+def test_sweeps_of_acyclic_tables_equal_per_cell_loops(case, drawn, rows,
+                                                       kind):
+    # the chain puts each coordinate after those its row reads, whatever
+    # their index; a row at scale 1e60 overflows and dies
     problem, chain = drawn
     problem = replace(problem, t_star=case["t_star"])
-    depth = problem.system.drift.depth
-    assert depth == chain
+    drift = problem.system.drift
+    assert drift.depth == chain
+    for place, i in enumerate(drift.chain):
+        assert set(drift.reads[i]) <= set(drift.chain[:place])
     u = _controls(case, problem.system.dim_noise)
     functional = _functional(kind, problem.system.dim_state, case["seed"])
-    increment = mock.Mock(wraps=controls._rk4_increment)
-    window = controls._rk4_window
-    passes = {controls: [], extremals: []}
-
-    def counted(module):
-        def run(*args):
-            before = increment.call_count
-            nodes = window(*args)
-            passes[module].append(increment.call_count - before)
-            return nodes
-        return mock.patch.object(module, "_rk4_window", run)
-
-    with _window(cells, problem, len(u)), counted(controls), \
-            counted(extremals), \
-            mock.patch.object(controls, "_rk4_increment", increment):
+    with _chunk(rows, problem, case["n_steps"]):
         _, states, first_dead = _integrate(problem, u)
         grad = adjoint_gradient(problem, functional, u)
     _, ref_states, ref_dead = _reference_rk4(problem, u)
     assert np.array_equal(states, ref_states)
     assert np.array_equal(first_dead, ref_dead)
     assert np.array_equal(grad, _reference_adjoint(problem, functional, u))
-    assert max(passes[controls], default=0) <= depth
-    assert max(passes[extremals], default=0) <= depth + 1
 
 
 # every registered pair, and IK(2)'s functionals on the ball problem, whose
@@ -439,14 +406,14 @@ PRICED_PAIRS = _registered_pairs() + [
 
 @pytest.mark.parametrize("name, key", PRICED_PAIRS)
 @SETTINGS
-@given(cases, WINDOW_CELLS, WINDOW_CELLS)
+@given(cases, CHUNK_ROWS, CHUNK_ROWS)
 @example({"example": "brownian", "scales": [3.0, 0.1, 1e60], "n_steps": 16,
           "t_star": 1.0, "seed": 5}, 1, None)
 def test_adjoint_on_priced_nodes_equals_a_fresh_adjoint(name, key, case,
-                                                        priced_cells, cells):
+                                                        priced_rows, chunk):
     # the search prices a batch of rungs, keeps the node states of the rows
     # it accepts and sweeps backward from them: the nodes of a row do not
-    # depend on the batch or the windows that integrated it (the case's
+    # depend on the batch or the chunks that integrated it (the case's
     # example is not used)
     problem = _sweep_problem(name, case["t_star"])
     functional = get_example("iterated_kolmogorov" if name
@@ -455,18 +422,18 @@ def test_adjoint_on_priced_nodes_equals_a_fresh_adjoint(name, key, case,
     rng = np.random.default_rng(case["seed"])
     rows = np.sort(rng.choice(len(u), rng.integers(1, len(u) + 1),
                               replace=False))
-    with _window(priced_cells, problem, len(u)):
+    with _chunk(priced_rows, problem, case["n_steps"]):
         _, states, first_dead = _integrate(problem, u)
-    with _window(cells, problem, len(rows)):
+    with _chunk(chunk, problem, case["n_steps"]):
         fresh = adjoint_gradient(problem, functional, u[rows])
         grad = adjoint_gradient(problem, functional, u[rows],
                                 (states[:, rows], first_dead[rows]))
     assert np.array_equal(grad, fresh)
 
 
-@pytest.mark.parametrize("cells", [1, 3, None])
+@pytest.mark.parametrize("rows", [1, 3, None])
 @pytest.mark.parametrize("name, functional", _registered_pairs())
-def test_adjoint_matches_fd_gradient(name, functional, cells):
+def test_adjoint_matches_fd_gradient(name, functional, rows):
     # the adjoint is the transpose of the RK4 steps that price the values,
     # so on every registered pair it is the gradient of the discrete
     # functional up to the rounding of the central differences. Stream 2
@@ -483,9 +450,8 @@ def test_adjoint_matches_fd_gradient(name, functional, cells):
             nodes = _integrate(problem, u[None])[1]
             top = np.sort(np.abs(nodes[:, 0, f.coord]))
             assert top[-1] - top[-2] > 1e-6 * top[-1]
-        with _window(cells, problem, 1):
+        with _chunk(rows, problem, n):
             adj = adjoint_gradient(problem, f, u[None])[0]
-        with _window(cells, problem, 2 * u.size):
             fd = fd_gradient(problem, f, u)
         assert np.max(np.abs(adj - fd)) <= 1e-8 * np.max(np.abs(fd))
 
@@ -1635,6 +1601,7 @@ def test_derived_limit_is_the_principal_part(table, seed):
     rows, sigma = table
     d = len(rows)
     index, limit = derive_rescaling(SdeSystem(PolynomialDrift(d, rows), sigma))
+    assert limit.drift.depth is not None
     for i, ((ell, k), row) in enumerate(zip(index.exponents, rows)):
         kept = limit.drift.rows[i]
         assert bool(kept) == (not sigma[i].any())

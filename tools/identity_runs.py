@@ -71,7 +71,7 @@ RUNS = [
     ("optimize_ik2_j1", ["optimize", "--example", "iterated_kolmogorov",
                          "--functional", "J1", "--n-steps", "128",
                          "--restarts", "4", "--out", OUT]),
-    # chains of depth 3 and 4: the RK4 sweep's pass count follows the table
+    # chains of depth 3 and 4: the sweep steps one coordinate after another
     ("optimize_ik3_j1", ["optimize", "--example", "iterated_kolmogorov",
                          "--d", "3", "--functional", "J1", "--n-steps", "64",
                          "--restarts", "3", "--out", OUT]),
@@ -85,6 +85,10 @@ RUNS = [
                               "--functional", "J3", "--sense", "min",
                               "--n-steps", "64", "--restarts", "4",
                               "--out", OUT]),
+    ("optimize_lorenz96_j3_1024",  # its ladder batches span many row chunks
+     ["optimize", "--example", "lorenz96", "--functional", "J3",
+      "--n-steps", "1024", "--restarts", "4", "--max-iters", "20",
+      "--out", OUT]),
     ("optimize_lorenz96_j3_stdout", ["optimize", "--example", "lorenz96",
                                      "--functional", "J3", "--n-steps", "64",
                                      "--restarts", "2"]),
