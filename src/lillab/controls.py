@@ -155,19 +155,30 @@ def _weighted(k1, k2, k3, k4):
     return k1 + 2.0 * k2 + 2.0 * k3 + k4
 
 
+def _forcing(u, sigma):
+    """sigma u of controls u (..., k) as (..., d): 0.0 plus the products
+    u_c sigma_ic in column order, elementwise, so a row's bits do not
+    depend on the rows beside it (a matmul takes BLAS dot, gemv or gemm by
+    the shape, and they round differently)."""
+    out = np.zeros(np.shape(u)[:-1] + sigma.shape[:1])
+    for c in range(sigma.shape[1]):
+        out += u[..., c, None] * sigma[:, c]
+    return out
+
+
 def _rk4_stages(problem: LimitOdeProblem, u, y, h):
-    """(y2, y3, y4, increment) of one classical RK4 step of the control ODE
-    at controls u (..., k) and widths h from states y, with the slopes
-    k = L(y) + sigma u: y2 = y + (h/2) k1, y3 = y + (h/2) k2, y4 = y + h k3
-    and (h/6)(k1 + 2 k2 + 2 k3 + k4)."""
-    drift, forcing = problem.system.drift, u @ problem.system.sigma.T
+    """([y, y2, y3, y4], [k1, k2, k3], forcing) of one classical RK4 step
+    of the control ODE at controls u (..., k) and widths h from states y:
+    the stage states y2 = y + (h/2) k1, y3 = y + (h/2) k2, y4 = y + h k3 of
+    the slopes k = L(y) + sigma u, and forcing = sigma u. The step's
+    increment is (h/6)(k1 + 2 k2 + 2 k3 + k4), k4 the slope at y4."""
+    drift, forcing = problem.system.drift, _forcing(u, problem.system.sigma)
     k1 = drift(y) + forcing
     y2 = y + 0.5 * h * k1
     k2 = drift(y2) + forcing
     y3 = y + 0.5 * h * k2
     k3 = drift(y3) + forcing
-    y4 = y + h * k3
-    return y2, y3, y4, (h / 6.0) * _weighted(k1, k2, k3, drift(y4) + forcing)
+    return [y, y2, y3, y + h * k3], [k1, k2, k3], forcing
 
 
 def _coordinate_sweep(start, slopes, h, source=None):
@@ -209,7 +220,8 @@ def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray):
     first_dead = np.full(len(u_batch), n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _chunks(len(u_batch), n):
-            forcing = u_batch[rows, :n].transpose(1, 0, 2) @ system.sigma.T
+            forcing = _forcing(u_batch[rows, :n].transpose(1, 0, 2),
+                               system.sigma)
             # stage states y1..y4 of every coordinate swept so far
             stages = [[None] * drift.d for _ in range(4)]
             for i in drift.chain:
@@ -263,7 +275,9 @@ def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath) -> float:
     sig = problem.system.sigma
     sig_pinv = np.linalg.pinv(sig, rcond=1e-12)
     u = (np.diff(g, axis=0) / h - b) @ sig_pinv.T
-    step = g[:-1] + _rk4_stages(problem, u, g[:-1], h)[-1]
+    (*_, y4), slopes, forcing = _rk4_stages(problem, u, g[:-1], h)
+    step = g[:-1] + (h / 6.0) * _weighted(*slopes, problem.system.drift(y4)
+                                          + forcing)
     off_range = np.eye(len(sig)) - sig @ sig_pinv
     miss = float(np.max(np.abs((step - g[1:]) @ off_range.T) / h))
     if not miss <= _CRAMER_TOLERANCE * (1.0 + float(np.max(np.abs(g)))):

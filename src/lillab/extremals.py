@@ -1,6 +1,16 @@
 """Extremal values of path functionals over the unit energy ball.
 
-optimize_extremal searches the piecewise-constant control along L-BFGS
+optimize_extremal solves two kinds of pair exactly. The limit system is
+weighted-homogeneous (Hermes, SIAM Rev. 33 (1991) 238) and RK4 commutes
+with its dilation u -> s u, y_i -> s^q_i y_i (SdeSystem.degrees), so a
+terminal linear functional from x0 = 0 is homogeneous of the degree of the
+coordinates it weights. At degree 1, or on a linear drift from any x0, it
+is affine in u, and its extremum over the ball lies along one adjoint
+gradient ("closed_form"); at degree 2 it is a quadratic form, whose
+extremum is an eigenpair of the matrix the unit controls' adjoint
+gradients give ("eigen"). Every other pair is searched ("search").
+
+The search steps the piecewise-constant control along L-BFGS
 directions (the two-loop recursion of Nocedal & Wright, Numerical
 Optimization, ch. 7, batched over the restarts of a deterministic
 multi-start) with a monotone backtracking line search. The energy
@@ -38,9 +48,9 @@ from typing import Optional
 import numpy as np
 
 from .controls import (MAX_ENERGY, ControlGrid, LimitOdeProblem, _chunks,
-                       _coordinate_sweep, _integrate, _rk4_stages, _weighted,
-                       _widths)
-from .sde import ExplosivePath, NumericalFailure
+                       _coordinate_sweep, _forcing, _integrate, _rk4_stages,
+                       _weighted, _widths)
+from .sde import ExplosivePath, NumericalFailure, trivial_domain
 
 _FD_STEP = 1e-4       # relative step of the central differences
 _TOL_VALUE = 1e-12    # relative gain below which an iteration stalls
@@ -203,11 +213,11 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
             else:
                 sources = functional.running_gradient(nodes)
             y1 = nodes[:-1]
-            y2, y3, y4, _ = _rk4_stages(
+            forward = _rk4_stages(
                 problem, u_batch[rows, :n].transpose(1, 0, 2), y1,
-                widths[:, None, None])
+                widths[:, None, None])[0]
             # over reversed cells: stage s reads J(y_{4-s})
-            jac = [drift.jacobian(y[::-1]) for y in (y4, y3, y2, y1)]
+            jac = [drift.jacobian(y[::-1]) for y in forward[::-1]]
             # stage arguments mu1..mu4 of every coordinate swept so far
             stages = [[None] * drift.d for _ in range(4)]
             for j in reversed(drift.chain):
@@ -219,14 +229,14 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
                 for stage, arg in zip(stages, own):
                     stage[j] = arg
                 total[:, rows, j] = _weighted(*own)[::-1]
-            del sources, y2, y3, y4, jac, stages, slopes, own, arg
-        # per cell a product over the whole batch, as the per-cell loop takes
-        # it (a matmul may round a row by the rows beside it); += on zeros,
-        # as that loop does, turns -0.0 cell gradients into 0.0
+            del sources, forward, jac, stages, slopes, own, arg
         total *= (widths / 6.0)[:, None, None]
         grad = np.zeros_like(u_batch)
+        # sigma^T total summed as _forcing sums sigma u: a row's bits do not
+        # depend on its batch, and -0.0 cell gradients turn into 0.0
         for cells in _chunks(n, len(u_batch)):
-            grad[:, cells] += (total[cells] @ system.sigma).transpose(1, 0, 2)
+            grad[:, cells] = _forcing(total[cells],
+                                      system.sigma.T).transpose(1, 0, 2)
     grad[first_dead <= n] = 0.0
     return grad
 
@@ -280,6 +290,7 @@ class ExtremalResult:
     convergence_flag: bool
     gradient_norm_at_exit: float
     restart_values: list = field(default_factory=list)
+    method: str = "search"   # or "closed_form", "eigen": see optimize_extremal
     # iterations, integrations, integrated_rows, gradient_rows; kept out of
     # to_json_dict, so the result's data artifacts do not depend on it
     work: dict = field(default_factory=dict)
@@ -288,6 +299,7 @@ class ExtremalResult:
         return {
             "value": self.value,
             "sense": self.sense,
+            "method": self.method,
             "n_restarts_used": self.n_restarts_used,
             "convergence_flag": bool(self.convergence_flag),
             "gradient_norm_at_exit": self.gradient_norm_at_exit,
@@ -448,6 +460,13 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
                       config: Optional[OptimizerConfig] = None) -> ExtremalResult:
     """Extremize a path functional over {energy <= MAX_ENERGY} controls.
 
+    A pair _exact_method names is solved without a search (_exact_argext):
+    "closed_form" for a functional affine in the control, "eigen" for a
+    quadratic form. Its result has n_restarts_used 1, restart_values
+    [value], convergence_flag True and 0 iterations; config's restarts,
+    max_iters, seed and extra_starts do not enter it, only n_steps. Every
+    other pair is searched, method "search":
+
     Ascent (sense "max") or descent ("min") along an L-BFGS direction with
     monotone backtracking line search and deterministic multi-start. The
     gradient is the exact discrete adjoint (adjoint_gradient) for every
@@ -498,11 +517,12 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
 
     The reported value is recomputed at the returned control by the same
     batched integration as every candidate, and equals
-    functional.evaluate(solve_control_ode(problem, argext)) exactly.
+    functional.evaluate(solve_control_ode(problem, argext)) exactly; so is
+    an exact pair's, whose exit gradient is swept back from those nodes.
     result.work counts the search's iterations, the integrations that priced
-    its values (the start bank, the ladders and the returned control) and
-    their rows, the gradient rows, and the restarts still searching when
-    max_iters ran out (restarts_at_cap).
+    its values (the start bank, the ladders, or an exact pair's unit batch,
+    and the returned control) and their rows, the gradient rows, and the
+    restarts still searching when max_iters ran out (restarts_at_cap).
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -510,29 +530,106 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     sgn = 1.0 if sense == "max" else -1.0
     work = dict(iterations=0, integrations=0, integrated_rows=0,
                 gradient_rows=0, restarts_at_cap=0)
-    u, val, grad, active = _search(problem, functional, sgn, config, work)
-
-    best = int(np.argmax(val))
-    argext = ControlGrid(u[best]).project()
+    exact = _exact_argext(problem, functional, sgn, config.n_steps, work)
+    if exact is None:
+        method = "search"
+        u, val, grad, active = _search(problem, functional, sgn, config, work)
+        best = int(np.argmax(val))
+        u_exit, grad_exit = u[best], grad[best]
+        restart_values, converged = list(sgn * val), not active[best]
+    else:
+        method, u_exit = exact
+    argext = ControlGrid(u_exit).project()
     work["integrations"] += 1
     work["integrated_rows"] += 1
-    final_value = _values(problem, functional, argext.values[None])[0][0]
+    final, nodes, dead = _values(problem, functional, argext.values[None])
+    if exact is not None:
+        u_exit = argext.values
+        work["gradient_rows"] += 1
+        grad_exit = sgn * adjoint_gradient(problem, functional, u_exit[None],
+                                           (nodes, dead))[0]
+        restart_values, converged = [float(final[0])], True
 
     # projected-gradient norm at the exit point, measured along the feasible set
     probe = 1e-7
-    moved = _project_batch((u[best] + probe * grad[best])[None])[0]
-    pg_norm = float(np.linalg.norm(moved - u[best]) / probe)
+    moved = _project_batch((u_exit + probe * grad_exit)[None])[0]
+    pg_norm = float(np.linalg.norm(moved - u_exit) / probe)
 
     return ExtremalResult(
-        value=float(final_value),
+        value=float(final[0]),
         argext=argext,
         sense=sense,
-        n_restarts_used=len(u),
-        convergence_flag=bool(not active[best]),
+        n_restarts_used=len(restart_values),
+        convergence_flag=bool(converged),
         gradient_norm_at_exit=pg_norm,
-        restart_values=list(sgn * val),
+        restart_values=restart_values,
+        method=method,
         work=work,
     )
+
+
+def _exact_method(problem, functional):
+    """"closed_form", "eigen" or None (the search) for the pair.
+
+    Both need a TerminalLinearFunctional on the trivial domain. RK4 commutes
+    with the dilation u -> s u, y_i -> s^q_i y_i of the control degrees q
+    (SdeSystem.degrees), so from x0 = 0 a coordinate of degree q is a
+    homogeneous polynomial of degree q in u. The functional is affine in u
+    on a linear drift (from any x0), or from x0 = 0 when every coordinate
+    it weights has degree 1: "closed_form". From x0 = 0 with every weighted
+    coordinate of degree 2 it is J(0) plus a quadratic form: "eigen".
+    """
+    system = problem.system
+    if (not isinstance(functional, TerminalLinearFunctional)
+            or system.domain_contains is not trivial_domain):
+        return None
+    if system.drift.matrix is not None:
+        return "closed_form"
+    if np.any(problem.x0) or system.degrees is None:
+        return None
+    weighted = {system.degrees[i] for i in np.flatnonzero(functional.weights)}
+    return {1: "closed_form", 2: "eigen"}.get(
+        weighted.pop() if len(weighted) == 1 else None)
+
+
+def _exact_argext(problem, functional, sgn, n_steps, work):
+    """(method, control (n_steps, k)) maximizing sgn * functional over the
+    ball |u|^2 <= r^2 = 2 n_steps MAX_ENERGY, or None where _exact_method
+    gives none or a priced row dies: the search takes those.
+
+    closed_form: J(u) = J(0) + g.u, g the adjoint gradient at u = 0, so the
+    control is sgn r g / |g|, or 0 where g = 0.
+    eigen: J(u) = J(0) + u.H u, so the gradient at the unit control e_i is
+    2 H e_i. H comes from the n k unit controls, priced in one batch, and
+    is symmetrized. The control is r v for the top eigenpair (lam, v) of
+    sgn H where lam > 0, else 0; v's largest entry is made positive, so
+    the result does not depend on LAPACK's choice of sign.
+    """
+    method = _exact_method(problem, functional)
+    if method is None:
+        return None
+    k = problem.system.dim_noise
+    radius = math.sqrt(2.0 * n_steps * MAX_ENERGY)
+    units = (np.zeros((1, n_steps, k)) if method == "closed_form" else
+             np.eye(n_steps * k).reshape(-1, n_steps, k))
+    work["integrations"] += 1
+    work["integrated_rows"] += len(units)
+    vals, nodes, dead = _values(problem, functional, units)
+    if np.isnan(vals).any():
+        return None
+    work["gradient_rows"] += len(units)
+    grads = adjoint_gradient(problem, functional, units,
+                             (nodes, dead)).reshape(len(units), -1)
+    if method == "closed_form":
+        g = sgn * grads[0]
+        norm = np.linalg.norm(g)
+        u = g * (radius / norm) if norm > 0.0 else np.zeros_like(g)
+    else:
+        lam, vecs = np.linalg.eigh(sgn * 0.25 * (grads + grads.T))
+        v = vecs[:, -1]
+        v *= np.sign(v[np.argmax(np.abs(v))])
+        u = radius * v if lam[-1] > 0.0 else np.zeros_like(v)
+    return method, u.reshape(n_steps, k)
 
 
 def _search(problem, functional, sgn, config, work):

@@ -2,7 +2,8 @@
 
 A system is data: its drift is a polynomial given as a table of monomials
 (PolynomialDrift) and its noise a constant (d, k) matrix sigma; the state
-and noise dimensions and the linear representation are derived from them.
+and noise dimensions, the linear representation and the control degrees
+are derived from them.
 State spaces are open subsets of R^d. A path that leaves the domain (or
 blows up to non-finite values) is killed at the first grid point outside:
 its explosion_index marks that node, and its states from there on are nan.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -303,6 +304,24 @@ class PolynomialDrift:
     def __call__(self, x):
         return self._evaluate(x)
 
+    def degrees(self, noisy) -> Optional[tuple]:
+        """Control degrees q of the table driven where noisy[i]: under
+        u -> s u the control ODE's coordinates scale as y_i -> s^q_i y_i.
+        In chain order, q_i is 1 in a driven row and otherwise the common
+        weighted degree sum_j e_j q_j of the row's monomials (0 for a row
+        with neither); None on a cycle, or where a row mixes degrees (a
+        driven row counts its noise as degree 1)."""
+        if self.chain is None:
+            return None
+        q = [0] * self.d
+        for i in self.chain:
+            own = {sum(m * q[j] for j, m in enumerate(e))
+                   for _, e in self.rows[i]} | ({1} if noisy[i] else set())
+            if len(own) > 1:
+                return None
+            q[i] = own.pop() if own else 0
+        return tuple(q)
+
 
 def _sum_source(terms, names) -> str:
     """Source of the sum of coef * x^exps over (coef, exps, tag) terms, left
@@ -443,13 +462,14 @@ class SdeSystem:
     """SDE dx = drift(x) dt + sigma dB on an open domain of R^d.
 
     drift is a PolynomialDrift on R^d and sigma a finite (d, k) array, read
-    only once stored; dim_state, dim_noise and linear are derived from
-    them, so a replace of either field keeps them in step. domain_contains
-    maps (..., d) to bools (...), True on the open set where the dynamics
-    live (see alive). The Euler kernel steps a row on after its death, up
-    to the end of the block of nodes it classifies at once (see
-    euler_batch), and of the callbacks only domain_contains sees those
-    states, so it must not raise on states outside the domain or
+    only once stored; dim_state, dim_noise, linear and the control degrees
+    (drift.degrees of the rows sigma drives, derived once here) follow
+    from them, so a replace of either field keeps them in step.
+    domain_contains maps (..., d) to bools (...), True on the open set
+    where the dynamics live (see alive). The Euler kernel steps a row on
+    after its death, up to the end of the block of nodes it classifies at
+    once (see euler_batch), and of the callbacks only domain_contains sees
+    those states, so it must not raise on states outside the domain or
     non-finite ones; floating-point warnings are suppressed there. The
     drift is called again only to replay a failure at a row's last live
     state.
@@ -458,6 +478,7 @@ class SdeSystem:
     drift: PolynomialDrift
     sigma: np.ndarray
     domain_contains: Callable[[np.ndarray], np.ndarray] = trivial_domain
+    degrees: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.drift, PolynomialDrift):
@@ -470,6 +491,8 @@ class SdeSystem:
             raise ValueError("sigma must be finite")
         sigma.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "degrees",
+                           self.drift.degrees(np.any(sigma != 0.0, axis=1)))
 
     @property
     def dim_state(self) -> int:

@@ -294,10 +294,30 @@ def test_optimize_reference_value(tmp_path):
 
 
 def test_optimize_nonconvergence_exit_5(tmp_path):
-    code = run(["optimize", "--example", "quadratic", "--functional", "J2",
+    # on a searched pair: an exact one ignores --max-iters
+    code = run(["optimize", "--example", "lorenz96", "--functional", "J3",
                 "--sense", "min", "--n-steps", "64", "--restarts", "2",
                 "--max-iters", "1", "--out", str(tmp_path / "nc")])
     assert code == 5
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_quadratic_j2_is_solved_exactly_at_the_defaults(tmp_path, sense):
+    # the degenerate supremum is 0.0 at u = 0, where the search ran into
+    # --max-iters; the infimum is the top eigenpair's -8/pi^2 + O(n^-2)
+    out = tmp_path / sense
+    assert run(["optimize", "--example", "quadratic", "--functional", "J2",
+                "--sense", sense, "--out", str(out)]) == 0
+    doc = read_json(out / "result.json")
+    assert doc["method"] == "eigen" and doc["convergence_flag"]
+    assert doc["n_restarts_used"] == 1
+    assert doc["restart_values"] == [doc["value"]]
+    if sense == "max":
+        assert doc["value"] == 0.0 and doc["energy"] == 0.0
+        assert not any(np.any(u) for u in doc["argext"])
+    else:
+        assert doc["value"] == pytest.approx(-8.0 / np.pi ** 2, rel=1e-6)
+        assert doc["energy"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_optimize_refuses_a_gradient_the_functional_does_not_take(capsys):
@@ -331,9 +351,10 @@ def test_optimize_fd_on_a_running_functional_is_auto(tmp_path, capsys,
 
 
 def test_optimize_manifest_counts_the_search_work(tmp_path):
-    # the work counters go to manifest.json only, and reruns count the same
-    argv = ["optimize", "--example", "iterated_kolmogorov", "--functional",
-            "J1", "--n-steps", "16", "--restarts", "3", "--seed", "7"]
+    # the work counters go to manifest.json only, and reruns count the same;
+    # on a searched pair, since an exact one counts no iterations
+    argv = ["optimize", "--example", "lorenz96", "--functional", "J3",
+            "--n-steps", "16", "--restarts", "3", "--seed", "7"]
     counters = []
     for name in ("a", "b"):
         assert run(argv + ["--out", str(tmp_path / name)]) == 0
@@ -599,14 +620,18 @@ def loaded_after_runs(runs, cwd):
 
 
 def test_common_runs_load_no_scipy_subpackage(tmp_path):
-    # the paper's examples simulate and optimize on numpy alone
+    # the paper's examples simulate and optimize on numpy alone, the
+    # eigen-decomposition of an exact degree-2 pair included
     doc = loaded_after_runs(
         [["simulate", "--example", "quadratic", "--dt", "1e-2",
           "--out", "sim"],
          ["optimize", "--example", "lorenz96", "--functional", "J3",
-          "--n-steps", "32", "--restarts", "2", "--out", "opt"]], tmp_path)
-    assert doc == {"codes": [0, 0], "loaded": []}
+          "--n-steps", "32", "--restarts", "2", "--out", "opt"],
+         ["optimize", "--example", "quadratic", "--functional", "J2",
+          "--sense", "min", "--n-steps", "32", "--out", "eig"]], tmp_path)
+    assert doc == {"codes": [0, 0, 0], "loaded": []}
     assert read_json(tmp_path / "opt" / "result.json")["value"] > 0.0
+    assert read_json(tmp_path / "eig" / "result.json")["method"] == "eigen"
 
 
 def test_polygonalize_loads_scipy_spatial_when_it_runs(tmp_path):

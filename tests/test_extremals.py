@@ -115,13 +115,14 @@ def test_same_seed_same_result():
 
 
 def test_extra_starts_must_match_grid():
-    ik = get_example("iterated_kolmogorov", d=2)
+    # on a searched pair: an exact one builds no start bank
+    br = get_example("brownian")
     bad = ControlGrid(np.ones((32, 1)))   # wrong n_steps
     config = OptimizerConfig(n_steps=64, n_restarts=2, max_iters=50,
                              extra_starts=(bad,))
     with pytest.raises(ValueError):
-        optimize_extremal(ik.limit_problem, ik.functionals["J1"], "max",
-                          config)
+        optimize_extremal(br.limit_problem, br.functionals["running_max"],
+                          "max", config)
 
 
 def test_bad_sense_rejected():
@@ -187,13 +188,16 @@ def _registered_pairs():
 
 
 @pytest.mark.parametrize("name, functional", [
-    ("iterated_kolmogorov", "J1"), ("brownian", "running_max")])
+    ("iterated_kolmogorov", "J1"), ("brownian", "running_max"),
+    ("lorenz96", "J3"), ("quadratic", "J2")])
 def test_work_counts_the_integrations_and_gradient_rows(name, functional):
     # integrations count the search's own value batches (start bank and
     # ladder rounds, priced on their node states, and the returned
     # control); gradient_rows count the restarts each gradient call was
     # given. Every gradient starts from the nodes that priced its controls,
-    # so the adjoint integrates nothing forward.
+    # so the adjoint integrates nothing forward. An exact pair (IK(2)/J1,
+    # quadratic/J2) counts its unit batch and the returned control, and no
+    # iteration.
     example = get_example(name)
     problem, f = example.limit_problem, example.functionals[functional]
     config = OptimizerConfig(n_steps=8, n_restarts=3, max_iters=30)
@@ -210,11 +214,15 @@ def test_work_counts_the_integrations_and_gradient_rows(name, functional):
 
     with mock.patch.object(extremals, "_integrate", integrate), \
             mock.patch.object(extremals, "adjoint_gradient", adjoint):
-        work = optimize_extremal(problem, f, "max", config).work
+        result = optimize_extremal(problem, f, "max", config)
+    work = result.work
     assert work["integrations"] == len(searched)
     assert work["integrated_rows"] == sum(searched)
     assert work["gradient_rows"] == sum(gradient_rows)
-    assert 0 < work["iterations"] <= config.max_iters
+    if result.method == "search":
+        assert 0 < work["iterations"] <= config.max_iters
+    else:
+        assert work["iterations"] == 0 and len(searched) == 2
 
 
 @pytest.mark.parametrize("name, functional", _registered_pairs())
@@ -258,6 +266,17 @@ def test_every_start_dying_is_a_numerical_failure():
     with pytest.raises(NumericalFailure, match="all 3 optimizer starts die"):
         optimize_extremal(_exit_problem(), TerminalLinearFunctional([1.0]),
                           "max", config)
+
+
+def test_an_exact_pair_whose_rows_die_is_searched():
+    # a linear drift is solved in closed form, but from x0 = x1 = 1e100 the
+    # chain x0' = x1 passes the overflow guard at the first node, so its
+    # value is nan at every control and the search reports it
+    ik = get_example("iterated_kolmogorov")
+    problem = replace(ik.limit_problem, x0=np.full(2, 1e100))
+    config = OptimizerConfig(n_steps=16, n_restarts=3, max_iters=5)
+    with pytest.raises(NumericalFailure, match="all 3 optimizer starts die"):
+        optimize_extremal(problem, ik.functionals["J1"], "max", config)
 
 
 def test_dead_starts_take_no_step_and_warn_nothing():
@@ -395,3 +414,102 @@ def test_restarts_at_cap_counts_the_restarts_max_iters_stopped():
     done = optimize_extremal(ik.limit_problem, ik.functionals["J1"], "max")
     assert done.work["restarts_at_cap"] == 0
     assert done.convergence_flag
+
+
+# ---------------------------------------------------------------------------
+# Exact optima of degree-1 and degree-2 pairs
+
+@pytest.mark.parametrize("name, kwargs, functional, degree, method", [
+    ("iterated_kolmogorov", {"d": 2}, "J1", 1, "closed_form"),
+    ("iterated_kolmogorov", {"d": 3}, "J1", 1, "closed_form"),
+    ("iterated_kolmogorov", {"d": 4}, "J1", 1, "closed_form"),
+    ("shifted_kolmogorov", {}, "J1", 1, "closed_form"),
+    ("brownian", {}, "terminal", 1, "closed_form"),
+    ("quadratic", {}, "J2", 2, "eigen"),
+    ("lorenz96", {}, "J3", 4, None),
+])
+def test_the_weighted_coordinates_degree_picks_the_method(
+        name, kwargs, functional, degree, method):
+    example = get_example(name, **kwargs)
+    problem, f = example.limit_problem, example.functionals[functional]
+    assert {problem.system.degrees[i]
+            for i in np.flatnonzero(f.weights)} == {degree}
+    assert extremals._exact_method(problem, f) == method
+
+
+def test_running_functionals_and_domains_are_searched():
+    ik = get_example("iterated_kolmogorov")
+    problem = ik.limit_problem
+    assert extremals._exact_method(problem, ik.functionals["running_max"]) \
+        is None
+    assert extremals._exact_method(
+        problem, QuadraticMissFunctional([0.1, 0.4])) is None
+    ball = replace(problem, system=replace(
+        problem.system, domain_contains=lambda y: np.abs(y).max(-1) < 3.0))
+    assert extremals._exact_method(ball, ik.functionals["J1"]) is None
+
+
+EXACT_PAIRS = [(name, kwargs, functional, sense)
+               for name, kwargs, functional in [
+                   ("iterated_kolmogorov", {"d": 2}, "J1"),
+                   ("iterated_kolmogorov", {"d": 3}, "J1"),
+                   ("iterated_kolmogorov", {"d": 4}, "J1"),
+                   ("shifted_kolmogorov", {}, "J1")]
+               for sense in ("max", "min")] + [
+    ("quadratic", {}, "J2", "min")]
+
+
+@pytest.mark.parametrize("name, kwargs, functional, sense", EXACT_PAIRS)
+def test_the_exact_optimum_is_the_searched_one(name, kwargs, functional,
+                                               sense):
+    # the search, run on the same pair at 256 cells, reaches the exact value
+    # and never passes it
+    example = get_example(name, **kwargs)
+    problem, f = example.limit_problem, example.functionals[functional]
+    config = _config(example, 256, 16)
+    exact = optimize_extremal(problem, f, sense, config)
+    assert exact.method != "search" and exact.convergence_flag
+    assert exact.n_restarts_used == 1
+    assert exact.restart_values == [exact.value]
+    assert exact.work["iterations"] == 0
+    assert exact.argext.energy() == pytest.approx(1.0, abs=1e-12)
+    sgn = 1.0 if sense == "max" else -1.0
+    work = dict(iterations=0, integrations=0, integrated_rows=0,
+                gradient_rows=0)
+    searched = sgn * np.max(extremals._search(problem, f, sgn, config,
+                                              work)[1])
+    scale = abs(exact.value)
+    assert abs(searched - exact.value) <= 1e-9 * scale
+    assert sgn * (searched - exact.value) <= 1e-12 * scale
+
+
+def test_the_quadratic_form_is_symmetric():
+    # the adjoint gradients of the unit controls are the columns of 2 H
+    quad = get_example("quadratic")
+    n = 256
+    h = 0.5 * adjoint_gradient(quad.limit_problem, quad.functionals["J2"],
+                               np.eye(n)[:, :, None])[..., 0]
+    assert np.max(np.abs(h - h.T)) <= 1e-12 * np.max(np.abs(h))
+    assert np.all(np.linalg.eigvalsh(h + h.T) < 0.0)   # J2 <= 0
+
+
+def test_the_quadratic_supremum_is_zero_at_u_zero():
+    quad = get_example("quadratic")
+    result = optimize_extremal(quad.limit_problem, quad.functionals["J2"],
+                               "max", OptimizerConfig(n_steps=64))
+    assert result.method == "eigen" and result.convergence_flag
+    assert result.value == 0.0
+    assert not np.any(result.argext.values)
+    assert result.gradient_norm_at_exit == 0.0
+
+
+def test_exact_pairs_ignore_the_search_settings():
+    ik = get_example("iterated_kolmogorov", d=3)
+    problem, f = ik.limit_problem, ik.functionals["J1"]
+    a = optimize_extremal(problem, f, "max", OptimizerConfig(n_steps=32))
+    b = optimize_extremal(problem, f, "max", OptimizerConfig(
+        n_steps=32, n_restarts=2, max_iters=1, seed=5))
+    assert a.to_json_dict() == b.to_json_dict()
+    assert a.work == b.work == dict(
+        iterations=0, integrations=2, integrated_rows=2, gradient_rows=2,
+        restarts_at_cap=0)

@@ -400,3 +400,29 @@ def test_exact_linear_path_dies_at_its_first_node_outside_the_domain():
                         scheme="exact_linear")
     assert free.explosion_index is None
     assert np.array_equal(free.states[:3], path.states[:3])
+
+
+@pytest.mark.parametrize("rows, sigma, degrees", [
+    # x0' = x1 x2 reads two driven coordinates: degree 2
+    ((((1.0, (0, 1, 1)),), (), ()), [[0.0], [1.0], [1.0]], (2, 1, 1)),
+    # an undriven row without monomials stays at its start: degree 0
+    ((((1.0, (0, 1)),), ()), [[0.0], [0.0]], (0, 0)),
+    # the chain runs against the index: x1' = x0^3, x0 driven
+    (((), ((2.0, (3, 0)),)), [[1.0], [0.0]], (1, 3)),
+    # x0' = x1^2 + x1 mixes degrees 2 and 1
+    ((((1.0, (0, 2)), (1.0, (0, 1))), ()), [[0.0], [1.0]], None),
+    # a driven row with a quadratic term mixes its noise's degree 1 with 2
+    (((), ((1.0, (2, 0)),)), [[1.0], [1.0]], None),
+    # a cycle has no chain to derive along
+    ((((1.0, (0, 1)),), ((1.0, (1, 0)),)), [[0.0], [1.0]], None),
+])
+def test_control_degrees_follow_the_chain(rows, sigma, degrees):
+    system = SdeSystem(PolynomialDrift(len(rows), rows), np.array(sigma))
+    assert system.degrees == degrees
+
+
+def test_a_replaced_sigma_derives_its_degrees_again():
+    system = SdeSystem(PolynomialDrift(3, (((1.0, (0, 1, 1)),), (), ())),
+                       np.array([[0.0], [1.0], [1.0]]))
+    assert replace(system, sigma=np.array([[0.0], [0.0], [1.0]])).degrees \
+        == (1, 0, 1)

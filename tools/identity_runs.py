@@ -81,6 +81,9 @@ RUNS = [
     ("optimize_quadratic_j2_min",
      ["optimize", "--example", "quadratic", "--functional", "J2",
       "--sense", "min", "--n-steps", "128", "--restarts", "4", "--out", OUT]),
+    ("optimize_quadratic_j2_max",  # the degenerate supremum 0, at u = 0
+     ["optimize", "--example", "quadratic", "--functional", "J2",
+      "--n-steps", "128", "--restarts", "4", "--out", OUT]),
     ("optimize_lorenz96_j3", ["optimize", "--example", "lorenz96",
                               "--functional", "J3", "--sense", "min",
                               "--n-steps", "64", "--restarts", "4",
