@@ -6,21 +6,22 @@ dt of an SdeSystem (L, sigma) (the limit system of the rescaling: a
 polynomial drift given as a monomial table and a constant (d, k) matrix
 sigma) maps a control to a path; the energy recovery map inverts it per
 grid cell by least squares and prices unreachable paths at infinity. The
-adjoint reads the drift's Jacobian from the same table. A path that leaves
-the system's domain is killed as an SDE path is: its explosion_index marks
-the first node outside, and later states are nan.
+adjoint reads the drift's Jacobian entries (drift.partials) from the same
+table. A path that leaves the system's domain is killed as an SDE path is:
+its explosion_index marks the first node outside, and later states are nan.
 
-One coordinate sweep (_integrate) integrates the control ODE for every
-caller, one classical RK4 step per control cell. A limit drift is graded:
-each row reads only coordinates before it in the drift's chain, so the
-sweep takes one coordinate at a time in chain order, the four stage slopes
-of every cell at once, then its nodes as a cumulative sum and its stage
-states from them (_coordinate_sweep), in chunks of rows. It returns every
-node (n + 1, B, d); every control path and functional value of the package
-is read from those nodes. The extremal optimizer's adjoint runs the
-transposed sweep in reverse chain order: the transposed RK4 step is an RK4
-step of the adjoint equation, with the functional's node gradients as
-sources.
+One sweep (_rk4_cells) forms the classical RK4 steps of the control ODE,
+one per control cell, for every caller. A limit drift is graded: each row
+reads only coordinates before it in the drift's chain, so the sweep takes
+one coordinate at a time in chain order, the stage slopes of every cell at
+once (drift.components). From x0 it takes the nodes as a cumulative sum
+and the stage states from them (_coordinate_sweep): _integrate runs it so,
+in chunks of rows, and returns every node (n + 1, B, d); every control path
+and functional value of the package is read from those nodes. From given
+left nodes it forms each cell's stage states, for the adjoint, or its
+increment, for the Cramer transform. The adjoint runs the transposed
+sweep in reverse chain order: the transposed RK4 step is an RK4 step of
+the adjoint equation, with the functional's node gradients as sources.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class ControlGrid:
 class LimitOdeProblem:
     """Deterministic control ODE dg = L(g) dt + sigma u dt from x0.
 
-    system is the SdeSystem (L, sigma, domain): its drift's jacobian is
+    system is the SdeSystem (L, sigma, domain): its drift's partials are
     what the adjoint uses, its sigma maps the k controls to the d states,
     and a path dies where it leaves its domain (see sde.alive). x0 is a
     state vector of shape (d,), read only once stored, and t_star <= 1
@@ -160,25 +161,18 @@ def _forcing(u, sigma):
     u_c sigma_ic in column order, elementwise, so a row's bits do not
     depend on the rows beside it (a matmul takes BLAS dot, gemv or gemm by
     the shape, and they round differently)."""
-    out = np.zeros(np.shape(u)[:-1] + sigma.shape[:1])
-    for c in range(sigma.shape[1]):
+    out = u[..., 0, None] * sigma[:, 0]
+    out += 0.0   # p + 0.0 is 0.0 + p in IEEE arithmetic, -0.0 too
+    for c in range(1, sigma.shape[1]):
         out += u[..., c, None] * sigma[:, c]
     return out
 
 
-def _rk4_stages(problem: LimitOdeProblem, u, y, h):
-    """([y, y2, y3, y4], [k1, k2, k3], forcing) of one classical RK4 step
-    of the control ODE at controls u (..., k) and widths h from states y:
-    the stage states y2 = y + (h/2) k1, y3 = y + (h/2) k2, y4 = y + h k3 of
-    the slopes k = L(y) + sigma u, and forcing = sigma u. The step's
-    increment is (h/6)(k1 + 2 k2 + 2 k3 + k4), k4 the slope at y4."""
-    drift, forcing = problem.system.drift, _forcing(u, problem.system.sigma)
-    k1 = drift(y) + forcing
-    y2 = y + 0.5 * h * k1
-    k2 = drift(y2) + forcing
-    y3 = y + 0.5 * h * k2
-    k3 = drift(y3) + forcing
-    return [y, y2, y3, y + h * k3], [k1, k2, k3], forcing
+def _stage_states(y, slopes, h):
+    """[y1, y2, y3, y4] of RK4 steps of widths h from left nodes y1 = y with
+    slopes k1, k2, k3: y2 = y + (h/2) k1, y3 = y + (h/2) k2, y4 = y + h k3."""
+    return [y, y + 0.5 * h * slopes[0], y + 0.5 * h * slopes[1],
+            y + h * slopes[2]]
 
 
 def _coordinate_sweep(start, slopes, h, source=None):
@@ -186,17 +180,41 @@ def _coordinate_sweep(start, slopes, h, source=None):
     from its four stage slopes (cells, rows), which read other coordinates
     only, and the widths h (cells, 1): its nodes (cells + 1, rows), the
     np.cumsum of [start, (h/6)(k1 + 2 k2 + 2 k3 + k4) + source], which adds
-    in sequence as a per-cell loop does, and its stage states [y1, y2, y3,
-    y4] at the cells' left nodes y1, as _rk4_stages forms them."""
+    in sequence as a per-cell loop does, and its _stage_states at the
+    cells' left nodes."""
     steps = np.empty((len(h) + 1,) + np.shape(slopes[0])[1:])
     steps[0] = start
     np.multiply(h / 6.0, _weighted(*slopes), out=steps[1:])
     if source is not None:
         steps[1:] += source
     nodes = np.cumsum(steps, axis=0, out=steps)
-    y = nodes[:-1]
-    return nodes, [y, y + 0.5 * h * slopes[0], y + 0.5 * h * slopes[1],
-                   y + h * slopes[2]]
+    return nodes, _stage_states(nodes[:-1], slopes, h)
+
+
+def _rk4_cells(problem: LimitOdeProblem, u, h, out=None, left=None):
+    """The stage states [y1, y2, y3, y4] (each a list of d coordinates
+    (cells, rows)) of one RK4 step of the control ODE per cell at controls
+    u (cells, rows, k) and widths h (cells, 1), one coordinate at a time
+    along the drift's chain: the slopes b_i(y) + (sigma u)_i read only
+    coordinates before i. Without left the cells chain from x0 and out
+    (cells + 1, rows, d) receives the nodes (_coordinate_sweep); with left
+    nodes (cells, rows, d), out (cells, rows, d) receives the increments
+    (h/6)(k1 + 2 k2 + 2 k3 + k4), and without out k4 is not formed."""
+    drift = problem.system.drift
+    forcing = _forcing(u, problem.system.sigma)
+    stages = [[None] * drift.d for _ in range(4)]
+    for i in drift.chain:
+        b, f = drift.components[i], forcing[..., i]
+        slopes = [b(*y) + f for y in stages[:3 if out is None else 4]]
+        if left is None:
+            out[..., i], own = _coordinate_sweep(problem.x0[i], slopes, h)
+        else:
+            own = _stage_states(left[..., i], slopes, h)
+            if out is not None:
+                np.multiply(h / 6.0, _weighted(*slopes), out=out[..., i])
+        for stage, y in zip(stages, own):
+            stage[i] = y
+    return stages
 
 
 def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray):
@@ -204,33 +222,24 @@ def _integrate(problem: LimitOdeProblem, u_batch: np.ndarray):
 
     One classical RK4 step per control cell (see _widths), in chunks of
     rows (_chunks), a chunk one coordinate at a time along the drift's
-    chain (_coordinate_sweep): a coordinate's slopes read only coordinates
-    before it. Returns (widths, states (n + 1, B, d), first_dead). A row
-    whose state is not alive (see sde.alive) at node j has first_dead = j
-    and keeps its last live state from there on; rows that survive have
-    first_dead = len(widths) + 1. Raises ValueError for an x0 that is not
-    alive and for a domain_contains that returns the wrong shape.
+    chain (_rk4_cells). Returns (widths, states (n + 1, B, d), first_dead).
+    A row whose state is not alive (see sde.alive) at node j has
+    first_dead = j and keeps its last live state from there on; rows that
+    survive have first_dead = len(widths) + 1. Raises ValueError for an x0
+    that is not alive and for a domain_contains that returns the wrong
+    shape.
     """
-    system, drift = problem.system, problem.system.drift
+    system = problem.system
     if not alive(problem.x0, system.domain_contains):
         raise ValueError("x0 outside the domain")
     widths = _widths(problem.t_star, u_batch.shape[1])
-    n, h = len(widths), widths[:, None]
-    states = np.empty((n + 1, len(u_batch), drift.d))
+    n = len(widths)
+    states = np.empty((n + 1, len(u_batch), system.dim_state))
     first_dead = np.full(len(u_batch), n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _chunks(len(u_batch), n):
-            forcing = _forcing(u_batch[rows, :n].transpose(1, 0, 2),
-                               system.sigma)
-            # stage states y1..y4 of every coordinate swept so far
-            stages = [[None] * drift.d for _ in range(4)]
-            for i in drift.chain:
-                b, f = drift.components[i], forcing[..., i]
-                states[:, rows, i], own = _coordinate_sweep(
-                    problem.x0[i], [b(*stage) + f for stage in stages], h)
-                for stage, y in zip(stages, own):
-                    stage[i] = y
-            del stages, own, y, f   # before the next chunk forms its own
+            _rk4_cells(problem, u_batch[rows, :n].transpose(1, 0, 2),
+                       widths[:, None], states[:, rows])
             ok = alive(states[:, rows], system.domain_contains)
             first_dead[rows] = np.where(ok.all(axis=0), n + 1, ok.argmin(0))
     _freeze(states, first_dead)
@@ -275,9 +284,9 @@ def cramer_transform(problem: LimitOdeProblem, path: ExplosivePath) -> float:
     sig = problem.system.sigma
     sig_pinv = np.linalg.pinv(sig, rcond=1e-12)
     u = (np.diff(g, axis=0) / h - b) @ sig_pinv.T
-    (*_, y4), slopes, forcing = _rk4_stages(problem, u, g[:-1], h)
-    step = g[:-1] + (h / 6.0) * _weighted(*slopes, problem.system.drift(y4)
-                                          + forcing)
+    step = np.empty_like(g[1:, None])
+    _rk4_cells(problem, u[:, None], h, step, left=g[:-1, None])
+    step = g[:-1] + step[:, 0]
     off_range = np.eye(len(sig)) - sig @ sig_pinv
     miss = float(np.max(np.abs((step - g[1:]) @ off_range.T) / h))
     if not miss <= _CRAMER_TOLERANCE * (1.0 + float(np.max(np.abs(g)))):

@@ -23,10 +23,10 @@ the manner of Huang, Gallivan & Absil, SIAM J. Optim. 25 (2015) 1660);
 anywhere else it is plain Euclidean L-BFGS, so an extremum inside the ball
 is searched for as an unconstrained one. A restart without
 usable curvature pairs steps along the gradient, which is projected
-gradient ascent. Every functional, terminal or running, takes one gradient:
-the exact discrete adjoint (adjoint_gradient), the transpose of the RK4
-steps that price its values, so the search differentiates the very
-functional its line search compares.
+gradient ascent. Every functional (terminal or running: terminal, values
+and gradient of node states) takes one gradient: the exact discrete adjoint
+(adjoint_gradient), the transpose of the RK4 steps that price its values,
+so the search differentiates the very functional its line search compares.
 
 Every control, single or batched, goes through the one coordinate sweep of
 lillab.controls, which returns its node states (n + 1, B, d); _values reads
@@ -42,15 +42,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Optional
 
 import numpy as np
 
 from .controls import (MAX_ENERGY, ControlGrid, LimitOdeProblem, _chunks,
-                       _coordinate_sweep, _forcing, _integrate, _rk4_stages,
+                       _coordinate_sweep, _forcing, _integrate, _rk4_cells,
                        _weighted, _widths)
-from .sde import ExplosivePath, NumericalFailure, trivial_domain
+from .sde import NumericalFailure, trivial_domain
 
 _FD_STEP = 1e-4       # relative step of the central differences
 _TOL_VALUE = 1e-12    # relative gain below which an iteration stalls
@@ -65,40 +64,31 @@ _CURVATURE = 1e-12    # a pair with s.y <= _CURVATURE |s| |y| is skipped
 # ---------------------------------------------------------------------------
 # Path functionals
 
-def is_terminal(functional) -> bool:
-    """True for a terminal functional, False for a running one.
-
-    A terminal functional (terminal_value, terminal_gradient) is read on the
-    last node only; a running one (accumulate, running_value,
-    running_gradient) is folded over every node. Both take the adjoint
-    gradient, whose node sources are terminal_gradient on the last node or
-    running_gradient on every node. A functional with neither raises
-    ValueError.
-    """
-    if hasattr(functional, "terminal_value"):
-        return True
-    if hasattr(functional, "accumulate"):
-        return False
-    raise ValueError("functional needs terminal_value or accumulate")
+def _require_functional(functional) -> None:
+    """ValueError unless functional has terminal (a bool: it reads the last
+    node only), values(nodes (n, B, d)) -> (B,) and gradient(nodes) -> (n,
+    B, d), the values' gradient in the nodes (the adjoint's sources)."""
+    missing = [name for name in ("terminal", "values", "gradient")
+               if not hasattr(functional, name)]
+    if missing:
+        raise ValueError(f"not a functional: no {', '.join(missing)}")
 
 
-def node_values(functional, nodes: np.ndarray) -> np.ndarray:
-    """Values on node states (n, B, d): terminal_value of the last node, or
-    accumulate folded over all nodes, then running_value. No death mask."""
-    if is_terminal(functional):
-        return functional.terminal_value(nodes[-1])
-    return functional.running_value(reduce(functional.accumulate, nodes, None))
+class _TerminalFunctional:
+    """Reads the last node only, by terminal_value and terminal_gradient."""
+
+    terminal = True
+
+    def values(self, nodes: np.ndarray) -> np.ndarray:
+        return self.terminal_value(nodes[-1])
+
+    def gradient(self, nodes: np.ndarray) -> np.ndarray:
+        grad = np.zeros_like(nodes)
+        grad[-1] = self.terminal_gradient(nodes[-1])
+        return grad
 
 
-class _NodeFunctional:
-    def evaluate(self, path: ExplosivePath) -> float:
-        """One-row case of node_values; nan once the path has exploded."""
-        if path.explosion_index is not None:
-            return math.nan
-        return float(node_values(self, path.states[:, None])[0])
-
-
-class TerminalLinearFunctional(_NodeFunctional):
+class TerminalLinearFunctional(_TerminalFunctional):
     """F(g) = weights . g(t_end) + offset (linear in the terminal state)."""
 
     def __init__(self, weights, offset: float = 0.0):
@@ -113,7 +103,7 @@ class TerminalLinearFunctional(_NodeFunctional):
         return np.broadcast_to(self.weights, terminal.shape).copy()
 
 
-class QuadraticMissFunctional(_NodeFunctional):
+class QuadraticMissFunctional(_TerminalFunctional):
     """F(g) = |g(t_end) - target|^2, for reachability searches."""
 
     def __init__(self, target):
@@ -126,22 +116,19 @@ class QuadraticMissFunctional(_NodeFunctional):
         return 2.0 * (terminal - self.target)
 
 
-class RunningMaxAbsFunctional(_NodeFunctional):
-    """F(g) = max_t |g_coord(t)| over the grid (no terminal gradient)."""
+class RunningMaxAbsFunctional:
+    """F(g) = max_t |g_coord(t)| over the grid nodes."""
+
+    terminal = False
 
     def __init__(self, coord: int = 0):
         self.coord = int(coord)
 
-    def accumulate(self, acc, states_node):
-        cur = np.abs(states_node[:, self.coord])
-        return cur if acc is None else np.maximum(acc, cur)
+    def values(self, nodes: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(nodes[..., self.coord]), axis=0)
 
-    def running_value(self, acc) -> np.ndarray:
-        return acc
-
-    def running_gradient(self, nodes: np.ndarray) -> np.ndarray:
-        """Gradient of the value in the node states (n, B, d): sign(g_coord)
-        at each row's first node of largest |g_coord|, 0 elsewhere."""
+    def gradient(self, nodes: np.ndarray) -> np.ndarray:
+        """sign(g_coord) at a row's first node of largest |g_coord|, else 0."""
         x = nodes[..., self.coord]
         first = np.argmax(np.abs(x), axis=0)
         rows = np.arange(nodes.shape[1])
@@ -150,15 +137,12 @@ class RunningMaxAbsFunctional(_NodeFunctional):
         return grad
 
 
-# ---------------------------------------------------------------------------
-# Functional values on batches
-
 def _values(problem, functional, u_batch):
-    """(values, node states, first_dead) of a batch of controls: node_values
-    on the nodes _integrate returns, nan on dead rows."""
+    """(values, node states, first_dead) of a batch of controls: the
+    functional's values on the nodes _integrate returns, nan on dead rows."""
     widths, states, first_dead = _integrate(problem, u_batch)
     # a copy: a functional may return a view of the nodes
-    vals = np.array(node_values(functional, states), dtype=float)
+    vals = np.array(functional.values(states), dtype=float)
     vals[first_dead <= len(widths)] = np.nan
     return vals, states, first_dead
 
@@ -174,17 +158,18 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
     The transpose of a classical RK4 step is an RK4 step of the adjoint
     equation (Hager, Runge-Kutta methods in optimal control and the
     transformed adjoint system, Numer. Math. 87 (2000) 247). Cell n steps
-    x_n to x_{n+1} through the stage states y1 = x_n, y2, y3 and y4
-    (_rk4_stages); the backward step takes lambda_{n+1} to lambda_n by an
-    RK4 step of width h whose stage s has the slope J(y_{4-s})^T mu at its
-    stage argument mu, J the drift's Jacobian, plus the functional's
-    gradient in node n as a source (terminal_gradient on the last node,
-    running_gradient on every node). (J^T mu)_j sums J_ij mu_i over the
-    rows i that read x_j, which come after j in the drift's chain, so the
-    sweep takes one coordinate at a time in reverse chain order over
-    reversed cells (_coordinate_sweep). The gradient of cell n is sigma^T h
-    (mu1 + 2 mu2 + 2 mu3 + mu4) / 6: the gradient of the values _values
-    prices, up to rounding. Rows that die get a zero gradient.
+    x_n to x_{n+1} through the stage states y1 = x_n, y2, y3 and y4, which
+    the forward sweep forms again from the nodes (_rk4_cells); the backward
+    step takes lambda_{n+1} to lambda_n by an RK4 step of width h whose
+    stage s has the slope J(y_{4-s})^T mu at its stage argument mu, J the
+    drift's Jacobian, plus the functional's gradient in node n as a source
+    (functional.gradient). (J^T mu)_j sums J_ij mu_i over the rows i that
+    read x_j, in increasing i from zeros, each J_ij from drift.partials;
+    those rows come after j in the drift's chain, so the sweep takes one
+    coordinate at a time in reverse chain order over reversed cells
+    (_coordinate_sweep). The gradient of cell n is sigma^T h (mu1 + 2 mu2 +
+    2 mu3 + mu4) / 6: the gradient of the values _values prices, up to
+    rounding. Rows that die get a zero gradient.
 
     priced, when given, is (node states (n + 1, B, d), first_dead (B,)) of
     an integration of u_batch, as _integrate returns them; the sweep then
@@ -198,8 +183,9 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
         traj, first_dead = priced
         widths = _widths(problem.t_star, u_batch.shape[1])
     system = problem.system
-    drift, n = system.drift, len(widths)
-    h_back = widths[::-1, None]
+    drift, n, h = system.drift, len(widths), widths[:, None]
+    readers = [[i for i in range(drift.d) if j in drift.reads[i]]
+               for j in range(drift.d)]
     # mu1 + 2 mu2 + 2 mu3 + mu4 of every cell's backward step
     total = np.empty_like(traj[:n])
     # dead rows are swept along their frozen states, where lambda may
@@ -207,29 +193,24 @@ def adjoint_gradient(problem: LimitOdeProblem, functional,
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _chunks(len(u_batch), n):
             nodes = traj[:, rows]
-            if is_terminal(functional):
-                sources = np.zeros_like(nodes)
-                sources[n] = functional.terminal_gradient(nodes[n])
-            else:
-                sources = functional.running_gradient(nodes)
-            y1 = nodes[:-1]
-            forward = _rk4_stages(
-                problem, u_batch[rows, :n].transpose(1, 0, 2), y1,
-                widths[:, None, None])[0]
+            sources = functional.gradient(nodes)
+            forward = _rk4_cells(problem, u_batch[rows, :n].transpose(1, 0, 2),
+                                 h, left=nodes[:-1])
             # over reversed cells: stage s reads J(y_{4-s})
-            jac = [drift.jacobian(y[::-1]) for y in forward[::-1]]
+            backward = [[y[::-1] for y in stage] for stage in forward[::-1]]
             # stage arguments mu1..mu4 of every coordinate swept so far
             stages = [[None] * drift.d for _ in range(4)]
+            zeros = np.zeros((n, nodes.shape[1]))
             for j in reversed(drift.chain):
-                slopes = [sum((jac_s[..., i, j] * mu[i] for i in range(drift.d)
-                               if j in drift.reads[i]), np.zeros(y1.shape[:-1]))
-                          for jac_s, mu in zip(jac, stages)]
-                _, own = _coordinate_sweep(sources[n, :, j], slopes, h_back,
+                slopes = [sum((drift.partials[i][j](*y) * mu[i]
+                               for i in readers[j]), zeros)
+                          for y, mu in zip(backward, stages)]
+                _, own = _coordinate_sweep(sources[n, :, j], slopes, h[::-1],
                                            sources[:n][::-1, :, j])
                 for stage, arg in zip(stages, own):
                     stage[j] = arg
                 total[:, rows, j] = _weighted(*own)[::-1]
-            del sources, forward, jac, stages, slopes, own, arg
+            del sources, forward, backward, stages, slopes, own, arg
         total *= (widths / 6.0)[:, None, None]
         grad = np.zeros_like(u_batch)
         # sigma^T total summed as _forcing sums sigma u: a row's bits do not
@@ -470,8 +451,8 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     Ascent (sense "max") or descent ("min") along an L-BFGS direction with
     monotone backtracking line search and deterministic multi-start. The
     gradient is the exact discrete adjoint (adjoint_gradient) for every
-    functional, terminal or running; one that is neither raises ValueError
-    (is_terminal).
+    functional, terminal or running; an object that is not a functional
+    raises ValueError (_require_functional).
 
     The direction (_Lbfgs.directions) is the two-loop recursion over the
     last _MEMORY curvature pairs of each restart, in the geometry the
@@ -516,9 +497,9 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     the largest round of lorenz96 at 1024 cells and 16 restarts.
 
     The reported value is recomputed at the returned control by the same
-    batched integration as every candidate, and equals
-    functional.evaluate(solve_control_ode(problem, argext)) exactly; so is
-    an exact pair's, whose exit gradient is swept back from those nodes.
+    batched integration as every candidate, and equals functional.values
+    on the nodes of solve_control_ode(problem, argext) exactly; so is an
+    exact pair's, whose exit gradient is swept back from those nodes.
     result.work counts the search's iterations, the integrations that priced
     its values (the start bank, the ladders, or an exact pair's unit batch,
     and the returned control) and their rows, the gradient rows, and the
@@ -526,6 +507,7 @@ def optimize_extremal(problem: LimitOdeProblem, functional, sense: str,
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
+    _require_functional(functional)
     config = config or OptimizerConfig()
     sgn = 1.0 if sense == "max" else -1.0
     work = dict(iterations=0, integrations=0, integrated_rows=0,
@@ -600,32 +582,39 @@ def _exact_argext(problem, functional, sgn, n_steps, work):
     closed_form: J(u) = J(0) + g.u, g the adjoint gradient at u = 0, so the
     control is sgn r g / |g|, or 0 where g = 0.
     eigen: J(u) = J(0) + u.H u, so the gradient at the unit control e_i is
-    2 H e_i. H comes from the n k unit controls, priced in one batch, and
-    is symmetrized. The control is r v for the top eigenpair (lam, v) of
-    sgn H where lam > 0, else 0; v's largest entry is made positive, so
-    the result does not depend on LAPACK's choice of sign.
+    2 H e_i. H comes from the n k unit controls, priced in row chunks
+    (_chunks), and is symmetrized in place. The control is r v for the top
+    eigenpair (lam, v) of sgn H where lam > 0, else 0; v's largest entry is
+    made positive, so the result does not depend on LAPACK's choice of
+    sign.
     """
     method = _exact_method(problem, functional)
     if method is None:
         return None
     k = problem.system.dim_noise
     radius = math.sqrt(2.0 * n_steps * MAX_ENERGY)
-    units = (np.zeros((1, n_steps, k)) if method == "closed_form" else
-             np.eye(n_steps * k).reshape(-1, n_steps, k))
+    size = 1 if method == "closed_form" else n_steps * k
     work["integrations"] += 1
-    work["integrated_rows"] += len(units)
-    vals, nodes, dead = _values(problem, functional, units)
-    if np.isnan(vals).any():
-        return None
-    work["gradient_rows"] += len(units)
-    grads = adjoint_gradient(problem, functional, units,
-                             (nodes, dead)).reshape(len(units), -1)
+    grads = np.empty((size, n_steps * k))
+    for rows in _chunks(size, n_steps):
+        units = (np.zeros((1, n_steps * k)) if method == "closed_form" else
+                 np.eye(rows.stop - rows.start, n_steps * k, rows.start)
+                 ).reshape(-1, n_steps, k)
+        work["integrated_rows"] += len(units)
+        vals, nodes, dead = _values(problem, functional, units)
+        if np.isnan(vals).any():
+            return None
+        grads[rows] = adjoint_gradient(problem, functional, units,
+                                       (nodes, dead)).reshape(len(units), -1)
+    work["gradient_rows"] += size
     if method == "closed_form":
         g = sgn * grads[0]
         norm = np.linalg.norm(g)
         u = g * (radius / norm) if norm > 0.0 else np.zeros_like(g)
     else:
-        lam, vecs = np.linalg.eigh(sgn * 0.25 * (grads + grads.T))
+        grads += grads.T
+        grads *= sgn * 0.25
+        lam, vecs = np.linalg.eigh(grads)
         v = vecs[:, -1]
         v *= np.sign(v[np.argmax(np.abs(v))])
         u = radius * v if lam[-1] > 0.0 else np.zeros_like(v)

@@ -2,7 +2,7 @@
 
 Each sampled driving path is observed at scales eps_j = eps0 * c^j; a
 registered functional is evaluated on the rescaled states of a whole level
-at once (scaling.rescale_states, extremals.node_values), and per-path
+at once (scaling.rescale_states, the functional's values), and per-path
 running extremes track the empirical limsup/liminf.  Convergence to the
 extremal constants is loglog slow, so reports carry bracket statistics
 calibrated by pilot runs; see the acceptance tests for the brackets.
@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .examples import ExampleSystem
-from .extremals import is_terminal, node_values
+from .extremals import _require_functional
 from .scaling import eval_index, rescale_states
 from .sde import (_BLOCK, _COLUMN_VALUES, LinearSpec, alive, euler_batch,
                   row_normals)
@@ -355,7 +355,7 @@ def _bridge(plan, x0, normals):
 def _level_steps(functional, config, t_star) -> int:
     """Steps of every level grid: one for a terminal functional under
     exact_linear, t_star / dt_rel otherwise."""
-    if config.scheme == "exact_linear" and is_terminal(functional):
+    if config.scheme == "exact_linear" and functional.terminal:
         return 1
     return max(1, round(t_star / config.dt_rel))
 
@@ -395,9 +395,9 @@ def _check_depth(example, functional, config) -> None:
 
 def _table(example, functional, config, work):
     """Values (n_paths, levels): chunks of rows run their levels coarse to
-    fine, each one rescale_states and one node_values on the chunk's nodes
-    (the last only for a terminal functional), nan where a row died. All
-    but a terminal functional under exact_linear (one step) run dt_rel.
+    fine, each one rescale_states and one functional.values on the chunk's
+    nodes (the last only for a terminal functional), nan where a row died.
+    All but a terminal functional under exact_linear (one step) run dt_rel.
 
     Under euler, consecutive levels of a chunk are stepped in one
     euler_batch call, level-major, each row with its level's step: as many
@@ -412,7 +412,7 @@ def _table(example, functional, config, work):
     js, eps, t_star = (config.j_grid(), config.eps_grid(),
                        example.limit_problem.t_star)
     exact = config.scheme == "exact_linear"
-    last = -1 if is_terminal(functional) else 0
+    last = -1 if functional.terminal else 0
     n_steps = _level_steps(functional, config, t_star)
     grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
              for e in eps]
@@ -450,7 +450,7 @@ def _table(example, functional, config, work):
                 y = rescale_states(phi, eval_index(example.index, e), e,
                                    grids[level][last:] / e, x[last:, part])
                 values[first:rows.stop, level] = np.where(
-                    dead[part], np.nan, node_values(functional, y))
+                    dead[part], np.nan, functional.values(y))
             work["levels"] += len(group)
             del x, y  # before the next group allocates its own
     return values
@@ -484,7 +484,7 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     # fail early if either end of the grid leaves the index validity window
     eval_index(example.index, float(eps[0]))
     eval_index(example.index, float(eps[-1]))
-    is_terminal(functional)  # ValueError unless terminal or running
+    _require_functional(functional)
     if config.scheme == "exact_linear" and example.sde.linear is None:
         raise ValueError("exact_linear scheme needs a linear SDE representation")
     _check_depth(example, functional, config)

@@ -266,7 +266,8 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
             raise ValueError("a center or a trend needs an affine drift")
         if np.any(trend) and (
                 system.domain_contains is not trivial_domain
-                or np.any(drift.jacobian(center)[:, trend != 0.0])):
+                or any(partial(*center) for row in drift.partials
+                       for j, partial in row.items() if trend[j])):
             raise ValueError("a trend needs a trivial domain and a drift "
                              "that reads no coordinate the trend moves")
         shift = trend + eps * gap / alpha

@@ -1,9 +1,9 @@
 """Explosive SDE systems, driving noise, and path simulation.
 
 A system is data: its drift is a polynomial given as a table of monomials
-(PolynomialDrift) and its noise a constant (d, k) matrix sigma; the state
-and noise dimensions, the linear representation and the control degrees
-are derived from them.
+(PolynomialDrift, whose rows and Jacobian entries are generated from it)
+and its noise a constant (d, k) matrix sigma; the dimensions, the linear
+representation and the control degrees are derived from them.
 State spaces are open subsets of R^d. A path that leaves the domain (or
 blows up to non-finite values) is killed at the first grid point outside:
 its explosion_index marks that node, and its states from there on are nan.
@@ -255,14 +255,15 @@ class PolynomialDrift:
 
     rows[i] is a tuple of (coef, exponents) pairs, and b_i(x) is the sum of
     coef * prod_j x_j ** exponents[j] over them. Calling it maps states
-    (..., d) to (..., d); jacobian maps (..., d) to (..., d, d). matrix is
-    A when every monomial has degree 1 (b(x) = A x), else None. reads[i]
-    lists the coordinates b_i reads (an exponent of x_j above 0). depth is
-    the number of coordinates in the longest chain of "b_i reads x_j" and
-    chain orders them, each after those it reads; on a cycle both are None
-    and cycle is one (each coordinate reads the next), else (). The
-    components[i](x0, ..., x<d-1>) give b_i on coordinate arrays, with the
-    bits of the call. rows other than d rows of (finite coef, d
+    (..., d) to (..., d). reads[i] lists the coordinates b_i reads (an
+    exponent of x_j above 0). depth is the number of coordinates in the
+    longest chain of "b_i reads x_j" and chain orders them, each after
+    those it reads; on a cycle both are None and cycle is one (each
+    coordinate reads the next), else (). On coordinate arrays (x0, ...,
+    x<d-1>), components[i] gives b_i with the bits of the call, and
+    partials[i][j], for each j in reads[i], the Jacobian entry db_i/dx_j.
+    matrix is A, the partials at 0, when every monomial has degree 1 (b(x)
+    = A x), else None. rows other than d rows of (finite coef, d
     non-negative int exponents) raise ValueError.
     """
 
@@ -298,7 +299,7 @@ class PolynomialDrift:
         self._shape = tuple(
             tuple(((-1.0 if c < 0 else 1.0) * (1.0 if abs(c) == 1.0 else 2.0),
                    e) for c, e in row) for row in self.rows)
-        (self._evaluate, self.jacobian, self.components,
+        (self._evaluate, self.partials, self.components,
          self.matrix) = _compile(self)
 
     def __call__(self, x):
@@ -352,46 +353,36 @@ def _sum_source(terms, names) -> str:
 
 def _row_terms(i: int, row) -> list:
     """The (coef, exps, tag) terms of row i of a table shape for _sum_source,
-    tag (i, t, 1) for term t: b_i as evaluate and the Euler step spell it."""
+    tag (i, t, 1) for term t: b_i as components and the Euler step spell it."""
     return [(c, e, (i, t, 1)) for t, (c, e) in enumerate(row)]
-
-
-def _function_source(name: str, alloc: str, entries) -> str:
-    """def name(x) in make, assigning each (target, terms, sum) entry to out."""
-    used = sorted({j for _, terms, _ in entries for _, e, _ in terms
-                   for j, m in enumerate(e) if m})
-    return "\n        ".join(
-        [f"    def {name}(x):", "x = np.asarray(x, dtype=float)"]
-        + [f"x{j} = x[..., {j}]" for j in used] + [f"out = {alloc}"]
-        + [f"out[{t}] = {text}" for t, _, text in entries]
-        + ["return out"]) + "\n"
 
 
 @lru_cache(maxsize=64)
 def _factory(d: int, shape: tuple):
     """(make, tags) of a table shape (rows of (+-1 unit or +-2 other coef,
-    exponents)); make(k0, ...) -> (evaluate, jacobian, components) is source
-    executed once per shape (as dataclasses writes __init__), so rescaled
-    tables share it; components b<i> spell evaluate's columns. k<n> is
-    |m * coef| of term t of row i for tags[n] = (i, t, m)."""
+    exponents)); make(k0, ...) -> (partials, components) is source executed
+    once per shape (as dataclasses writes __init__), so rescaled tables
+    share it: b<i>(x0, ..., x<d-1>) is row i and p<i>_<j> its derivative in
+    x<j>, for each x<j> it reads. k<n> is |m * coef| of term t of row i for
+    tags[n] = (i, t, m)."""
     names = []
     rows = [_sum_source(_row_terms(i, row), names) if row else "0.0"
             for i, row in enumerate(shape)]
-    body = _function_source(
-        "evaluate", "np.empty_like(x)" if all(shape) else "np.zeros_like(x)",
-        [(f"..., {i}", _row_terms(i, row), rows[i])
-         for i, row in enumerate(shape) if row])
-    body += _function_source("jacobian", f"np.zeros(x.shape + ({d},))", [
-        (f"..., {i}, {j}", terms, _sum_source(terms, names))
-        for i, row in enumerate(shape) for j in range(d)
-        if (terms := [(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:], (i, t, e[j]))
-                      for t, (c, e) in enumerate(row) if e[j]])])
+    partials = [[(j, _sum_source(terms, names)) for j in range(d)
+                 if (terms := [(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:],
+                                (i, t, e[j]))
+                               for t, (c, e) in enumerate(row) if e[j]])]
+                for i, row in enumerate(shape)]
     xs = ", ".join(f"x{j}" for j in range(d))
-    body += "".join(f"    def b{i}({xs}):\n        return {text}\n"
-                    for i, text in enumerate(rows))
-    space = {"np": np}
+    body = "".join(f"    def {name}({xs}):\n        return {text}\n" for
+                   name, text in [(f"b{i}", t) for i, t in enumerate(rows)]
+                   + [(f"p{i}_{j}", t) for i, row in enumerate(partials)
+                      for j, t in row])
+    dicts = "".join("{" + "".join(f"{j}: p{i}_{j}, " for j, _ in row) + "}, "
+                    for i, row in enumerate(partials))
+    space = {}
     exec(f"def make({', '.join(f'k{n}' for n in range(len(names)))}):\n"
-         f"{body}    return evaluate, jacobian, "
+         f"{body}    return ({dicts}), "
          f"({''.join(f'b{i}, ' for i in range(d))})\n", space)
     return space["make"], names
 
@@ -402,18 +393,26 @@ def _coefficients(rows: tuple, tags) -> list:
 
 
 def _compile(drift: PolynomialDrift):
-    """(evaluate, jacobian, components, A) of a monomial table as source
-    (an interpreted loop over the terms costs 3-4x as much on lorenz96); a
-    linear table's Jacobian is a read-only broadcast view of its A."""
+    """(evaluate, partials, components, A) of a monomial table as source
+    (an interpreted loop over the terms costs 3-4x as much on lorenz96);
+    evaluate writes column i with components[i]."""
     d, rows = drift.d, drift.rows
     make, tags = _factory(d, drift._shape)
-    evaluate, jacobian, components = make(*_coefficients(rows, tags))
+    partials, components = make(*_coefficients(rows, tags))
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        out, coords = np.empty_like(x), np.moveaxis(x, -1, 0)
+        for i, b in enumerate(components):
+            out[..., i] = b(*coords)
+        return out
+
     if any(sum(e) != 1 for row in rows for _, e in row):
-        return evaluate, jacobian, components, None
-    a = jacobian(np.zeros(d))
+        return evaluate, partials, components, None
+    a = np.array([[row[j](*np.zeros(d)) if j in row else 0.0
+                   for j in range(d)] for row in partials])
     a.flags.writeable = False
-    return (evaluate, lambda x: np.broadcast_to(a, np.shape(x) + (d,)),
-            components, a)
+    return evaluate, partials, components, a
 
 
 @lru_cache(maxsize=64)

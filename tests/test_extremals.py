@@ -20,6 +20,14 @@ from test_controls import _exit_problem
 QUICK = OptimizerConfig(n_steps=256, n_restarts=6, max_iters=200)
 
 
+def path_value(functional, path):
+    """The functional's value on the nodes of one path, nan once it has
+    exploded."""
+    if path.explosion_index is not None:
+        return math.nan
+    return float(functional.values(path.states[:, None])[0])
+
+
 def test_brownian_terminal_sup():
     br = get_example("brownian")
     result = optimize_extremal(br.limit_problem, br.functionals["terminal"],
@@ -165,8 +173,8 @@ def test_adjoint_holds_little_beside_the_nodes(name):
     # the backward sweep takes the rows in the forward sweep's chunks, so
     # beside the gradient it returns (1.0x the nodes on brownian, 0.4x on
     # lorenz96) and the stage sums of the batch (1.0x) it holds one chunk's
-    # stages and Jacobians. Measured: 2.10x and 1.46x the nodes; the bound
-    # leaves 24% on brownian. A sweep that forms the stage states of the
+    # stages and Jacobian entries. Measured: 2.07x and 1.45x the nodes; the
+    # bound leaves 26% on brownian. A sweep that forms the stage states of the
     # whole batch at once holds 7.8-9.1x.
     problem = get_example(name).limit_problem
     u = np.full((256, 1024, problem.system.dim_noise), 0.5)
@@ -180,6 +188,24 @@ def test_adjoint_holds_little_beside_the_nodes(name):
         tracemalloc.stop()
     assert np.all(np.isfinite(grad))
     assert peak < 2.6 * states.nbytes
+
+
+def test_the_eigen_path_holds_little_beside_the_gradient_matrix():
+    # the n k unit controls are priced in row chunks and H is symmetrized in
+    # place, so beside G (8 (n k)^2 bytes) only a copy of G for G += G.T or
+    # eigh's eigenvectors and one chunk's nodes are held. Measured: 16.9 MB,
+    # 2.0x G; pricing every unit control at once held 50.6 MB, 6.0x.
+    quadratic = get_example("quadratic")
+    problem = quadratic.limit_problem
+    tracemalloc.start()
+    try:
+        result = optimize_extremal(problem, quadratic.functionals["J2"], "min",
+                                   OptimizerConfig(n_steps=1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.method == "eigen"
+    assert peak <= 3 * 8 * (1024 * problem.system.dim_noise) ** 2
 
 
 def _registered_pairs():
@@ -249,15 +275,29 @@ def test_reported_value_is_the_functional_of_the_returned_control(
     config = OptimizerConfig(n_steps=16, n_restarts=3, max_iters=10)
     for sense in ("max", "min"):
         result = optimize_extremal(problem, f, sense, config)
-        assert result.value == f.evaluate(solve_control_ode(problem,
-                                                            result.argext))
+        assert result.value == path_value(
+            f, solve_control_ode(problem, result.argext))
 
 
 def test_functional_without_values_is_rejected():
     ik = get_example("iterated_kolmogorov", d=2)
     config = OptimizerConfig(n_steps=16, n_restarts=2, max_iters=5)
-    with pytest.raises(ValueError, match="terminal_value or accumulate"):
+    with pytest.raises(ValueError, match="no terminal, values, gradient$"):
         optimize_extremal(ik.limit_problem, object(), "max", config)
+
+
+def test_the_rejection_names_what_a_functional_lacks():
+    class Terminal:
+        terminal = True
+
+        def values(self, nodes):
+            return nodes[-1, :, 0]
+
+    with pytest.raises(ValueError, match="not a functional: no gradient$"):
+        extremals._require_functional(Terminal())
+    for name in list_examples():
+        for functional in get_example(name).functionals.values():
+            extremals._require_functional(functional)
 
 
 def test_every_start_dying_is_a_numerical_failure():

@@ -15,6 +15,7 @@ from lillab.scaling import eval_index, rescale_path
 from lillab.sde import (LinearSpec, NoisePath, NumericalFailure,
                         PolynomialDrift, SdeSystem, brownian_path,
                         euler_batch, row_normals, simulate_sde)
+from test_extremals import path_value
 
 SMALL = dict(j_min=0, j_max=6, n_paths=200)
 
@@ -114,10 +115,10 @@ def test_trivial_single_level_single_path():
 
 
 @pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
-def test_functional_needs_terminal_value_or_accumulate(scheme):
+def test_a_functional_needs_terminal_values_and_gradient(scheme):
     br = get_example("brownian")
     custom = replace(br, functionals=dict(br.functionals, custom=object()))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no terminal, values, gradient$"):
         run_lil_experiment(custom, "custom", LilExperimentConfig(
             j_min=0, j_max=1, n_paths=2, scheme=scheme))
 
@@ -205,7 +206,8 @@ def _check_euler_table(example, functional, config, rows_per_chunk,
         for level, (times, w) in enumerate(zip(grids, levels)):
             noise = NoisePath(config.seed, times[1], np.diff(w[:, 0], axis=0))
             path = simulate_sde(example.sde, phi.center, noise)
-            expected[p, level] = example.functionals[functional].evaluate(
+            expected[p, level] = path_value(
+                example.functionals[functional],
                 rescale_path(path, phi, psi, float(config.eps_grid()[level])))
     assert np.array_equal(report.values, expected)
     return [len(dt) for dt in calls]
@@ -400,7 +402,7 @@ def test_sign_symmetry_under_negated_noise():
     for nz in (noise, negated):
         path = simulate_sde(ik.sde, np.zeros(2), nz)
         resc = rescale_path(path, ik.contraction, ik.index, eps)
-        val = ik.functionals["J1"].evaluate(resc)
+        val = path_value(ik.functionals["J1"], resc)
         if nz is noise:
             base = val
         else:

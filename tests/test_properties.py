@@ -15,6 +15,8 @@ equal one call per row; a per-step single-row loop with the einsum noise
 sum is kept here as its reference, and the step generated from a monomial
 table must reproduce it on Python floats and on arrays, at every block
 size of its liveness check, on registered and on random tables.
+From the sweep's own nodes, the increments the sweep forms from given left
+nodes step each live node to the next bit for bit.
 Rows of a batch must not influence each other, and on the iterated
 Kolmogorov chain RK4 is exact for piecewise-constant controls. The Cramer
 transform of a path the control ODE made is its control's energy. The
@@ -26,8 +28,9 @@ replaced are kept here as its references and must agree row by row. Both LIL sch
 refine one Gauss-Markov path per row onto every level grid (W for euler,
 the state for exact_linear); each level must see the same path, with the
 transition law, and any split of the rows must draw it bit for bit. Functional values
-on a batch of node states (node_values, masked at first_dead) equal each row's
-evaluate. Boundary rays are solved by one lockstep Brent iteration
+on a batch of node states (values, masked at first_dead) equal each row's
+values, and a terminal functional's gradient is 0 off the last node.
+Boundary rays are solved by one lockstep Brent iteration
 (regularity._ray_roots); per-ray brentq, the per-row sampling loop, the
 per-face icosphere subdivision and the per-ray cone probe are kept here as
 its references and must be matched bit for bit. LilReport.csv_blocks writes
@@ -41,11 +44,11 @@ directions, is kept here as its reference and must be matched bit for bit.
 Coarsening a noise path twice equals coarsening it once by the product,
 and the contractions and their inverses undo each other, to stated
 tolerances.
-The registry's drifts, limit drifts and Jacobians are generated from
-monomial tables; they must equal the written-out ones of test_examples bit
-for bit, and on random tables the derived limit must be the
-weighted-homogeneous principal part and the Jacobian the drift's
-derivative; a constant term raises in an undriven row and scales away in
+The registry's drifts, limit drifts and Jacobian entries (partials) are
+generated from monomial tables; they must equal the written-out ones of
+test_examples bit for bit, and on random tables the derived limit must be
+the weighted-homogeneous principal part and the partials the drift's
+derivatives; a constant term raises in an undriven row and scales away in
 a driven one. The shifted chain's contraction is derived from its start
 x0: center x0 and trend b(x0). transformed_coefficients builds the
 rescaled family as a table; the closures it replaced are kept here as its
@@ -73,8 +76,7 @@ from lillab.examples import get_example, list_examples  # noqa: E402
 from lillab.extremals import (QuadraticMissFunctional,  # noqa: E402
                               RunningMaxAbsFunctional,
                               TerminalLinearFunctional, adjoint_gradient,
-                              fd_gradient,
-                              is_terminal, node_values, optimize_extremal)
+                              fd_gradient, optimize_extremal)
 from lillab.lil import (LilExperimentConfig, LilReport, _bridge,  # noqa: E402
                         _bridge_plan)
 from lillab.regularity import (_CURVE_NODES, _SPHERE_SUBDIV,  # noqa: E402
@@ -92,7 +94,7 @@ from lillab.sde import (OVERFLOW_GUARD, ExplosivePath,  # noqa: E402
                         simulate_sde, trivial_domain)
 from test_controls import _driven_problem, _exit_problem  # noqa: E402
 from test_examples import WRITTEN_DRIFTS  # noqa: E402
-from test_extremals import _registered_pairs  # noqa: E402
+from test_extremals import _registered_pairs, path_value  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
 
@@ -214,6 +216,19 @@ def _chunk(rows, problem, n_steps):
                              2**62 if rows is None else rows * cells)
 
 
+def _jacobian(drift):
+    """The dense Jacobian of drift, states (..., d) to (..., d, d): each
+    entry a partial, zero where the row does not read the coordinate."""
+    def jacobian(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape + (drift.d,))
+        for i, row in enumerate(drift.partials):
+            for j, partial in row.items():
+                out[..., i, j] = partial(*np.moveaxis(x, -1, 0))
+        return out
+    return jacobian
+
+
 def _reference_rk4(problem, u_batch):
     """The per-cell RK4 loop the coordinate sweep replaced: (widths, states
     (n + 1, B, d), first_dead), with dead rows frozen at their last live
@@ -259,11 +274,7 @@ def _reference_adjoint(problem, functional, u_batch):
     widths, traj, first_dead = _reference_rk4(problem, u_batch)
     system = problem.system
     n = len(widths)
-    if is_terminal(functional):
-        sources = np.zeros_like(traj)
-        sources[n] = functional.terminal_gradient(traj[n])
-    else:
-        sources = functional.running_gradient(traj)
+    sources = functional.gradient(traj)
     lam = sources[n]
     grad = np.zeros_like(u_batch)
 
@@ -271,7 +282,7 @@ def _reference_adjoint(problem, functional, u_batch):
         return system.drift(y) + u @ system.sigma.T
 
     def jt_lam(y, vec):
-        return np.einsum("bij,bi->bj", system.drift.jacobian(y), vec)
+        return np.einsum("bij,bi->bj", _jacobian(system.drift)(y), vec)
 
     def sigma_t(vec):
         """sigma^T vec: 0.0 plus the products over the state rows in order,
@@ -405,6 +416,25 @@ def test_sweeps_of_acyclic_tables_equal_per_cell_loops(case, drawn, rows,
     assert np.array_equal(grad, _reference_adjoint(problem, functional, u))
 
 
+@SETTINGS
+@given(cases, acyclic_problems(), CHUNK_ROWS)
+def test_increments_from_the_nodes_reach_the_next_node(case, drawn, rows):
+    # the sweep from given left nodes forms each cell's increment as the
+    # sweep from x0 does, which sums them in sequence: every node up to a
+    # row's death is its left node plus that increment, bit for bit
+    problem = replace(drawn[0], t_star=case["t_star"])
+    u = _controls(case, problem.system.dim_noise)
+    with _chunk(rows, problem, case["n_steps"]):
+        widths, states, first_dead = _integrate(problem, u)
+    n = len(widths)
+    step = np.empty_like(states[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        controls._rk4_cells(problem, u[:, :n].transpose(1, 0, 2),
+                            widths[:, None], step, left=states[:-1])
+    live = np.arange(1, n + 1)[:, None] < first_dead
+    assert np.array_equal((states[:-1] + step)[live], states[1:][live])
+
+
 # every registered pair, and IK(2)'s functionals on the ball problem, whose
 # rows at scale 3 leave the ball
 PRICED_PAIRS = _registered_pairs() + [
@@ -454,7 +484,7 @@ def test_adjoint_matches_fd_gradient(name, functional, rows):
         u = ControlGrid.random_bandlimited(n, problem.system.dim_noise,
                                            seed=10, stream=2,
                                            energy=0.7).values
-        if not is_terminal(f):
+        if not f.terminal:
             nodes = _integrate(problem, u[None])[1]
             top = np.sort(np.abs(nodes[:, 0, f.coord]))
             assert top[-1] - top[-2] > 1e-6 * top[-1]
@@ -496,7 +526,7 @@ def test_rows_keep_their_bits_under_an_inexact_sigma(seed, batch, n_steps,
 
 def _terminal_pairs():
     return [(name, key) for name, key in _registered_pairs()
-            if is_terminal(get_example(name).functionals[key])]
+            if get_example(name).functionals[key].terminal]
 
 
 @pytest.mark.parametrize("name, key", _terminal_pairs())
@@ -1210,28 +1240,52 @@ def test_bridged_states_have_the_transition_covariance():
 
 
 # ---------------------------------------------------------------------------
-# Functional values on node states: node_values over a batch (n, B, d),
-# masked where first_dead < n, is each row's evaluate on its ExplosivePath.
+# Functional values on node states: values over a batch (n, B, d), masked
+# where first_dead < n, is each row's value on its ExplosivePath; a terminal
+# functional reads the last node only.
+
+def _node_functionals(rng, d):
+    return (TerminalLinearFunctional(rng.standard_normal(d),
+                                     offset=rng.standard_normal()),
+            QuadraticMissFunctional(rng.standard_normal(d)),
+            RunningMaxAbsFunctional(int(rng.integers(d))))
+
 
 @SETTINGS
 @given(st.integers(1, 16), st.integers(1, 8), st.integers(1, 6),
        st.integers(0, 2**32 - 1))
-def test_node_values_equal_single_row_evaluate(n, batch, d, seed):
+def test_batched_values_equal_single_row_values(n, batch, d, seed):
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((n, batch, d)) * 10.0 ** rng.integers(
         -3, 4, size=(1, batch, 1))
     first_dead = rng.integers(1, n, size=batch, endpoint=True)
     times = np.linspace(0.0, rng.uniform(0.1, 2.0), n)
-    for functional in (
-            TerminalLinearFunctional(rng.standard_normal(d),
-                                     offset=rng.standard_normal()),
-            QuadraticMissFunctional(rng.standard_normal(d)),
-            RunningMaxAbsFunctional(int(rng.integers(d)))):
-        vals = np.where(first_dead < n, np.nan,
-                        node_values(functional, states))
-        rows = [functional.evaluate(_row_path(times, states, first_dead, b))
+    for functional in _node_functionals(rng, d):
+        vals = np.where(first_dead < n, np.nan, functional.values(states))
+        rows = [path_value(functional,
+                           _row_path(times, states, first_dead, b))
                 for b in range(batch)]
         assert np.array_equal(vals, rows, equal_nan=True)
+
+
+@SETTINGS
+@given(st.integers(1, 16), st.integers(1, 8), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_terminal_gradients_vanish_off_the_last_node(n, batch, d, seed):
+    rng = np.random.default_rng(seed)
+    nodes = rng.standard_normal((n, batch, d))
+    for functional in _node_functionals(rng, d):
+        grad = functional.gradient(nodes)
+        assert grad.shape == nodes.shape
+        if functional.terminal:
+            assert not grad[:-1].any()
+            assert np.array_equal(grad[-1],
+                                  functional.terminal_gradient(nodes[-1]))
+            assert np.array_equal(functional.values(nodes),
+                                  functional.terminal_value(nodes[-1]))
+        else:   # the sign at each row's first node of largest |x_coord|
+            assert np.array_equal(np.abs(grad).sum(axis=(0, 2)),
+                                  np.ones(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -1608,7 +1662,7 @@ def test_derived_drifts_equal_the_written_ones(case, batch, data):
     x = data.draw(hnp.arrays(float, (*batch, example.sde.dim_state),
                              elements=st.floats(-1e200, 1e200)))
     limit = example.limit_problem.system
-    derived = (example.sde.drift, limit.drift, limit.drift.jacobian)
+    derived = (example.sde.drift, limit.drift, _jacobian(limit.drift))
     with np.errstate(over="ignore", invalid="ignore"):
         for got, want in zip(derived, written):
             assert np.array_equal(got(x), want(x), equal_nan=True)
@@ -1850,7 +1904,7 @@ def test_shifted_contraction_is_derived_from_x0(x0):
 
 @SETTINGS
 @given(monomial_tables(reachable=False), st.data())
-def test_jacobian_is_the_derivative_of_the_drift(table, data):
+def test_partials_are_the_derivatives_of_the_drift(table, data):
     rows, _ = table
     d = len(rows)
     drift = PolynomialDrift(d, rows)
@@ -1866,6 +1920,15 @@ def test_jacobian_is_the_derivative_of_the_drift(table, data):
     h = 1e-6
     central = np.stack([(drift(x + s) - drift(x - s)) / (2 * h)
                         for s in h * np.eye(d)], axis=-1)
-    jac = drift.jacobian(x)
+    for i in range(d):
+        assert tuple(drift.partials[i]) == drift.reads[i]
+    jac = _jacobian(drift)(x)
     assert jac.shape == (3, d, d)
     assert np.allclose(jac, central, rtol=1e-6, atol=1e-6)
+    # the degree-1 terms alone make a linear table, whose matrix is its
+    # partials at 0
+    linear = PolynomialDrift(d, [[(c, e) for c, e in row if sum(e) == 1]
+                                 for row in rows])
+    assert drift.matrix is None or drift.rows == linear.rows
+    assert np.array_equal(linear.matrix, _jacobian(linear)(np.zeros(d)))
+    assert not linear.matrix.flags.writeable

@@ -159,6 +159,9 @@ RUNS = [
                                 "--functional", "J2", "--scheme", "euler",
                                 "--paths", "200", "--depth", "10",
                                 "--out", OUT]),
+    ("lil_ik2_running_max_exact",  # the exact scheme on a running functional
+     ["lil-verify", "--example", "iterated_kolmogorov", "--functional",
+      "running_max", "--paths", "100", "--depth", "8", "--out", OUT]),
     ("lil_ik2_j1_exact_600_paths",  # blocks of 256, 256 and 88 paths
      ["lil-verify", "--example", "iterated_kolmogorov", "--functional", "J1",
       "--paths", "600", "--depth", "9", "--out", OUT]),
