@@ -2,15 +2,17 @@
 
 Each sampled driving path is observed at scales eps_j = eps0 * c^j; a
 registered functional is evaluated on the rescaled states of a whole level
-at once (scaling.rescale_states, the functional's values), and per-path
-running extremes track the empirical limsup/liminf.  Convergence to the
-extremal constants is loglog slow, so reports carry bracket statistics
-calibrated by pilot runs; see the acceptance tests for the brackets.
+at once, and per-path running extremes track the empirical limsup/liminf.
+Convergence to the extremal constants is loglog slow, so reports carry
+bracket statistics calibrated by pilot runs; see the acceptance tests.
 
-Noise coupling across scales (noise_coupling = "consistent"): each row is
-one Gauss-Markov path, refined coarse to fine onto every level grid by one
-bridge (_bridge).  exact_linear bridges the state of a linear system and
-takes it as the states; euler bridges W and steps it with sde.euler_batch.
+Every level is computed in its own units: time s = t / eps_j and the
+deviation Z = X - center - t trend from 0, read as center + s trend + Z /
+alpha. Each row is one Gauss-Markov path, refined coarse to fine onto
+every level grid by one bridge (_bridge; noise_coupling = "consistent").
+exact_linear bridges Z / eps^(l/2) and has no depth ceiling (eps_j prints
+0.0 past 5e-324); euler bridges W / sqrt(eps) and steps Z with
+sde.euler_batch, and refuses a subnormal finest step.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import numpy as np
 
 from .examples import ExampleSystem
 from .extremals import _require_functional
-from .scaling import eval_index, rescale_states
+from .scaling import eval_index
 from .sde import (_BLOCK, _COLUMN_VALUES, LinearSpec, alive, euler_batch,
-                  row_normals)
+                  row_normals, trivial_domain)
 
 
 # Row-nodes per chunk of rows in _table, so memory does not grow with paths:
@@ -36,9 +38,8 @@ from .sde import (_BLOCK, _COLUMN_VALUES, LinearSpec, alive, euler_batch,
 # normals, a step's output, gather and product, and the known values that
 # stay live beside the level's nodes).
 _CHUNK_NODES = 1 << 20
-# New times per stacked spec.bridge call: a whole table of one-step levels at
-# once, a bounded transient on fine grids.
-_BRIDGE_TIMES = 256
+# New times per spec.bridge call: bounds its temporaries on fine grids.
+_PASS_TIMES = 256
 # Paths per block of lil.csv text (LilReport.csv_blocks).
 _CSV_PATHS = 256
 
@@ -272,22 +273,28 @@ def _csv_lines(values, copied, keys):
         yield "".join(fields)
 
 
-def _bridge_plan(spec, grids):
-    """Per level (size, at_known, at_grid, keep, steps): what _bridge does.
+def _bridge_plan(specs, grid, c):
+    """Per level (size, at_known, at_grid, keep, steps): what _bridge does,
+    in each level's own time, on grid with specs[j] the process of level j.
 
-    A level merges its grid into the known times (within 1e-9 steps of a
-    known time is that time: grids need not nest). A new last time steps
+    A level knows the previous level's times up to c * grid[-1] and the
+    first beyond, divided by c (0 at the first), and merges grid into them
+    (within 1e-9 steps of a known time is that time). A new last time steps
     forward; the others come in passes, the middle new time of each known
-    interval given its two known neighbours, independent given the known
-    values. Each step is [new, left, right, from_a, from_b, noise] (right
-    = left and from_b = 0 forward). The times up to the next grid's horizon
-    and the first beyond stay known (0 after the last level).
+    interval given its two known neighbours. Each step is [new, left,
+    right, from_a, from_b, noise] (right = left, from_b = 0 forward). A
+    level whose known times and spec equal the previous level's shares its
+    entry: at c = 1/2, every level from 1 on shares level 1's.
     """
-    plan, known, pending = [], np.zeros(1), []
-    for times, nxt in zip(grids, grids[1:] + [grids[0][:1]]):
-        at = np.interp(times, known, np.arange(len(known)))
+    plan, known, horizon = [], np.zeros(1), c * grid[-1]
+    for spec in specs:
+        if plan and np.array_equal(known, seen) and all(map(
+                np.array_equal, (spec.a_matrix, spec.sigma), shared)):
+            plan.append(plan[-1])
+            continue
+        at = np.interp(grid, known, np.arange(len(known)))
         near = known[np.rint(at).astype(int)]
-        times = np.where(abs(times - near) <= 1e-9 * times[1], near, times)
+        times = np.where(abs(grid - near) <= 1e-9 * grid[1], near, grid)
         merged = np.union1d(known, times)
         pos, end, steps = np.arange(len(merged)), len(merged), []
         done = np.zeros(end, dtype=bool)
@@ -301,25 +308,19 @@ def _bridge_plan(spec, grids):
                     merged[new] - merged[left[new]])])
             else:
                 new = np.flatnonzero(~done & (pos == (left + right) // 2))
-                steps.append([new, left[new], right[new]])
-                pending.append((steps[-1], merged[new] - merged[left[new]],
-                                merged[right[new]] - merged[new]))
+                a = merged[new] - merged[left[new]]
+                b = merged[right[new]] - merged[new]
+                steps.append([new, left[new], right[new], *map(
+                    np.concatenate, zip(*(spec.bridge(
+                        a[i:i + _PASS_TIMES], b[i:i + _PASS_TIMES])
+                        for i in range(0, len(new), _PASS_TIMES))))])
             done[new] = True
-        keep = np.searchsorted(merged, nxt[-1]) + 1
+        keep = np.searchsorted(merged, horizon) + 1
         plan.append((end, np.searchsorted(merged, known), slice(None)
                      if len(times) == end else np.searchsorted(merged, times),
                      keep, steps))  # a grid of every merged time is a view
-        known = merged[:keep]
-    if pending:  # the bridge factors of every level, in stacked calls
-        steps, left, right = zip(*pending)
-        left, right = np.concatenate(left), np.concatenate(right)
-        factors = np.empty((3, len(left), spec.dim, spec.dim))
-        for i in range(0, len(left), _BRIDGE_TIMES):
-            factors[:, i:i + _BRIDGE_TIMES] = spec.bridge(
-                left[i:i + _BRIDGE_TIMES], right[i:i + _BRIDGE_TIMES])
-        cut = np.cumsum([len(step[0]) for step in steps])[:-1]
-        for step, f in zip(steps, np.split(factors, cut, axis=1)):
-            step += list(f)
+        seen, shared = known, (spec.a_matrix, spec.sigma)
+        known = merged[:keep] / c
     return plan
 
 
@@ -330,11 +331,12 @@ def _apply(mat, x, out):
         out += mat[..., None, :, j] * x[..., j, None]
 
 
-def _bridge(plan, x0, normals):
-    """Yield, for plan = _bridge_plan(spec, grids), the process from x0
-    (B, d) at time 0 on each grid, (n + 1, B, d), coarse first.
-    normals(level, count) gives (B, count) standard normals, which the new
-    times take in step order, coordinate fastest."""
+def _bridge(plan, grow, x0, normals):
+    """Yield, for plan = _bridge_plan(specs, grid, c), the process from x0
+    (B, d) at time 0 on each level's grid, (n + 1, B, d), coarse first, in
+    that level's units: the known values of a level are those of the level
+    before times grow (d,). normals(level, count) gives (B, count) standard
+    normals, which the new times take in step order, coordinate fastest."""
     known = np.asarray(x0, dtype=float)[None]
     for level, (size, at_known, at_grid, keep, steps) in enumerate(plan):
         n_new, (batch, dim) = sum(len(s[0]) for s in steps), known.shape[1:]
@@ -347,7 +349,7 @@ def _bridge(plan, x0, normals):
             _apply(from_a, x[left], out)
             _apply(from_b, x[right], out)
             x[new], z = out, z[:, len(new):]
-        grid, known = [x[at_grid]], x[:keep].copy()
+        grid, known = [x[at_grid]], x[:keep] * grow
         del x, z, out  # hold no merged-grid array while the caller uses grid,
         yield grid.pop()  # nor grid once the caller lets go of it
 
@@ -360,53 +362,34 @@ def _level_steps(functional, config, t_star) -> int:
     return max(1, round(t_star / config.dt_rel))
 
 
-def _bridged(example, config):
-    """(spec, start) of the process _bridge refines: the state from the
-    contraction's center under exact_linear, W from 0 under euler."""
-    if config.scheme == "exact_linear":
-        return example.sde.linear, example.contraction.center
-    k = example.sde.dim_noise
-    return LinearSpec(np.zeros((k, k)), np.eye(k)), np.zeros(k)
-
-
-def _check_depth(example, functional, config) -> None:
-    """ValueError when the finest level lies past the float range: its grid
-    step is subnormal, or a diagonal entry of the bridged process's
-    transition covariance over that step is 0 or subnormal, where the
-    bridge factors would come out wrong with no error. An entry that is 0
-    over a unit step too (a coordinate the noise never reaches) is left be.
-    """
-    t_star = example.limit_problem.t_star
-    step = (float(config.eps_grid()[-1]) * t_star
-            / _level_steps(functional, config, t_star))
-    tiny = np.finfo(float).tiny
-    if not step >= tiny:
-        raise ValueError(
-            f"depth {config.j_max}: the finest grid step {step!r} is below "
-            f"the smallest normal float; lower the depth")
-    unit, variance = np.diagonal(_bridged(example, config)[0].covariance(
-        np.array([1.0, step])), axis1=-2, axis2=-1)
-    if np.any((unit > 0.0) & ~(variance >= tiny)):
-        raise ValueError(
-            f"depth {config.j_max}: the transition covariance over the "
-            f"finest grid step {step!r} has diagonal {variance.tolist()!r}, "
-            f"0 or below the smallest normal float; lower the depth")
+def _level_spec(spec, ell, log_eps):
+    """The LinearSpec of Z / eps^(l/2) in time t / eps, Z that of spec:
+    A_im eps^(1 + (l_m - l_i)/2) and sigma_i eps^((1 - l_i)/2) where
+    nonzero, every power 0 (the same bits) on a homogeneous chain."""
+    def scaled(entries, power):
+        out, nonzero = np.zeros_like(entries), entries != 0.0
+        out[nonzero] = entries[nonzero] * np.exp(power[nonzero] * log_eps)
+        return out
+    return LinearSpec(
+        scaled(spec.a_matrix, 1.0 + (ell[None, :] - ell[:, None]) / 2.0),
+        scaled(spec.sigma, np.broadcast_to((1.0 - ell[:, None]) / 2.0,
+                                           spec.sigma.shape)))
 
 
 def _table(example, functional, config, work):
     """Values (n_paths, levels): chunks of rows run their levels coarse to
-    fine, each one rescale_states and one functional.values on the chunk's
-    nodes (the last only for a terminal functional), nan where a row died.
-    All but a terminal functional under exact_linear (one step) run dt_rel.
+    fine, each one functional.values of center + s trend + Z / scale on
+    the chunk's nodes (the last only for a terminal functional), nan where
+    a row died. exact_linear bridges Z / eps^(l/2), scale
+    loglog(1/eps)^(k/2); euler steps sqrt(eps) dW from 0, scale alpha.
 
     Under euler, consecutive levels of a chunk are stepped in one
     euler_batch call, level-major, each row with its level's step: as many
     levels as fit in one block of the kernel's array layout (_COLUMN_VALUES
-    values over min(n_steps, _BLOCK) nodes), split evenly. A few paths thus
-    run on the kernel's arrays in one call, not on floats in one call per
-    level, and chunks of a few hundred rows or more run one level a call.
-    work counts the levels run per chunk, the euler_batch calls and their
-    rows times steps.
+    values over min(n_steps, _BLOCK) nodes), split evenly, so that a few
+    paths run on the kernel's arrays. work counts the bridge plan entries,
+    the levels run per chunk, the euler_batch calls and their rows times
+    steps.
     """
     sde, phi = example.sde, example.contraction
     js, eps, t_star = (config.j_grid(), config.eps_grid(),
@@ -414,45 +397,56 @@ def _table(example, functional, config, work):
     exact = config.scheme == "exact_linear"
     last = -1 if functional.terminal else 0
     n_steps = _level_steps(functional, config, t_star)
-    grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
-             for e in eps]
-    spec, start = _bridged(example, config)
-    plan = _bridge_plan(spec, grids)
+    grid = (t_star / n_steps) * np.arange(n_steps + 1)
+    log_eps = math.log(config.eps0) + js * math.log(config.c)
+    ell, k = np.array(example.index.exponents, dtype=float).T
+    if exact:
+        specs = [_level_spec(sde.linear, ell, e) for e in log_eps]
+        scale = np.exp(0.5 * k * np.log(np.log(-log_eps))[:, None])
+    else:
+        ell, dim = np.ones(sde.dim_noise), sde.dim_noise
+        specs = [LinearSpec(np.zeros((dim, dim)), np.eye(dim))] * len(js)
+        scale = [eval_index(example.index, float(e)) for e in eps]
+        widths, roots = eps * t_star / n_steps, np.sqrt(eps)
+    plan = _bridge_plan(specs, grid, config.c)
+    work["bridge_plans"] = len({id(entry) for entry in plan})
+    grow = config.c ** (-0.5 * ell)
+    base = phi.center + grid[last:, None, None] * phi.drift_vector
     chunk = max(1, _CHUNK_NODES // (n_steps + 1 + 2 * max(p[0] for p in plan)))
-    widths = np.array([times[1] for times in grids])
     values = np.full((config.n_paths, len(eps)), np.nan)
     for first in range(0, config.n_paths, chunk):
         rows = range(first, min(first + chunk, config.n_paths))
         per = len(rows)
-        levels = _bridge(plan, np.broadcast_to(start, (per, len(start))),
+        levels = _bridge(plan, grow, np.zeros((per, len(ell))),
                          lambda level, n: row_normals(config.seed, js[level],
                                                       rows, n))
         size = 1 if exact else max(1, _COLUMN_VALUES // min(n_steps, _BLOCK)
                                    // (per * sde.dim_state))
         for group in np.array_split(np.arange(len(eps)),
                                     -(-len(eps) // size)):
-            if exact:
-                x = next(levels)  # not zip: its reused tuple keeps the last x
-                dead = ~alive(x[1:], sde.domain_contains).all(axis=0)
-            else:  # W: keep only its increments while they are stepped,
-                # one level's without a copy (large chunks)
-                inc = [np.diff(next(levels), axis=0) for _ in group]
+            if exact:  # the domain holds X = eps^(l/2) Z
+                z = next(levels)  # not zip: its reused tuple keeps the last z
+                dead = ~alive(z[1:] * np.exp(0.5 * ell * log_eps[group[0]]),
+                              sde.domain_contains).all(axis=0)
+            else:  # sqrt(eps) dW: keep only the increments while they are
+                # stepped, one level's without a copy (large chunks)
+                inc = [np.diff(next(levels), axis=0) * roots[level]
+                       for level in group]
                 inc = inc[0] if len(inc) == 1 else np.concatenate(inc, axis=1)
-                x, first_dead = euler_batch(sde, np.broadcast_to(
-                    phi.center, (inc.shape[1], sde.dim_state)),
+                z, first_dead = euler_batch(
+                    sde, np.zeros((inc.shape[1], sde.dim_state)),
                     inc.transpose(1, 0, 2), np.repeat(widths[group], per))
                 dead = first_dead <= n_steps
                 work["euler_calls"] += 1
                 work["euler_row_steps"] += inc.shape[1] * n_steps
                 del inc
             for g, level in enumerate(group.tolist()):
-                part, e = slice(g * per, (g + 1) * per), eps[level]
-                y = rescale_states(phi, eval_index(example.index, e), e,
-                                   grids[level][last:] / e, x[last:, part])
+                part = slice(g * per, (g + 1) * per)
+                y = base + z[last:, part] / scale[level]
                 values[first:rows.stop, level] = np.where(
                     dead[part], np.nan, functional.values(y))
             work["levels"] += len(group)
-            del x, y  # before the next group allocates its own
+            del z, y  # before the next group allocates its own
     return values
 
 
@@ -462,16 +456,17 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     """Run the grid experiment and return its table as a LilReport.
 
     Deterministic given (config, seed).  Each row is one driving path seen at
-    every scale: the exact_linear scheme refines the Gaussian state and the
-    euler scheme the Brownian path, both coarse to fine, so the running
-    extremes are pathwise limsup/liminf estimates.  A table at a smaller
-    j_max is a prefix of the deeper one.  Explosions enter the table as nan
-    and only flag the report when their fraction exceeds the configured
-    threshold. A grid deeper than the float range (see _check_depth)
-    raises ValueError before any path is drawn. Of the levels that one
-    euler_batch call steps (see _table), a NumericalFailure is that of the
-    earliest failing step, the coarsest level's on ties. report.work holds
-    the counters of _table.
+    every scale: the exact_linear scheme refines the Gaussian deviation from
+    the center and the euler scheme the Brownian path, both coarse to fine,
+    so the running extremes are pathwise limsup/liminf estimates.  A table
+    at a smaller j_max is a prefix of the deeper one.  Explosions enter the
+    table as nan and only flag the report when their fraction exceeds the
+    configured threshold. ValueError before any path is drawn: under euler
+    for a subnormal finest step or alpha (eval_index), and for a center or
+    trend whose deviation Z = X - center - t trend does not follow the
+    example's SDE from 0. Of the levels that one euler_batch call steps
+    (see _table), a NumericalFailure is that of the earliest failing step,
+    the coarsest level's on ties. report.work holds the counters of _table.
     """
     config = config or LilExperimentConfig()
     if functional_name not in example.functionals:
@@ -480,16 +475,28 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
             f"{example.name!r}; have {sorted(example.functionals)}"
         )
     functional = example.functionals[functional_name]
-    eps = config.eps_grid()
-    # fail early if either end of the grid leaves the index validity window
-    eval_index(example.index, float(eps[0]))
-    eval_index(example.index, float(eps[-1]))
+    # fail early if the grid leaves the index validity window
+    eval_index(example.index, float(config.eps_grid()[0]))
     _require_functional(functional)
     if config.scheme == "exact_linear" and example.sde.linear is None:
         raise ValueError("exact_linear scheme needs a linear SDE representation")
-    _check_depth(example, functional, config)
+    t_star = example.limit_problem.t_star
+    step = (float(config.eps_grid()[-1]) * t_star
+            / _level_steps(functional, config, t_star))
+    if config.scheme == "euler" and not step >= np.finfo(float).tiny:
+        raise ValueError(f"depth {config.j_max}: the finest grid step "
+                         f"{step!r} is subnormal; lower the depth")
+    phi, sde = example.contraction, example.sde
+    if (np.any(phi.center) or np.any(phi.drift_vector)) and (
+            sde.domain_contains is not trivial_domain
+            or sde.drift.matrix is None
+            or np.any(sde.drift(phi.center) != phi.drift_vector)
+            or np.any(sde.drift(phi.drift_vector))):  # Z would leave the SDE
+        raise ValueError("a center or a trend needs a trivial domain and a "
+                         "linear drift b with b(center) = trend and "
+                         "b(trend) = 0")
     prefix = functional_name + "_"
-    work = dict(levels=0, euler_calls=0, euler_row_steps=0)
+    work = dict(bridge_plans=0, levels=0, euler_calls=0, euler_row_steps=0)
     return LilReport(
         example_name=example.name,
         functional_name=functional_name,

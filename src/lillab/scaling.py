@@ -155,7 +155,7 @@ class ContractionFamily:
 
     At a fixed time the map is y -> center + (y - center) / alpha, an affine
     bijection fixing the center. A nonzero trend v * t is removed before
-    shrinking and restored afterwards (see rescale_states and
+    shrinking and restored afterwards (see rescale_path and
     transformed_coefficients). kind names the case: "diagonal" (center and
     trend 0), "shifted_diagonal" (trend 0) or "affine_detrended".
     """
@@ -189,29 +189,20 @@ class ContractionFamily:
         return self.center + (y - self.center) * alpha
 
 
-def rescale_states(phi: ContractionFamily, alpha, eps: float, t, x):
-    """States x at time eps * t mapped by Phi_alpha to rescaled time t.
-
-    t broadcasts over the leading axes of x. The trend center + t * v is
-    removed at scale eps and restored at scale 1.
-    """
-    t = np.reshape(t, np.shape(t) + (1,) * (np.ndim(x) - np.ndim(t)))
-    base = phi.center + t * phi.drift_vector
-    inner = x - phi.center - (eps * t) * phi.drift_vector
-    return base + inner / alpha
-
-
 def rescale_path(path: ExplosivePath, phi: ContractionFamily,
                  psi: AsymptoticIndex, eps: float) -> ExplosivePath:
     """Map x on [0, horizon] to y_t = Phi_{psi(eps)}(x_{eps t}) on [0, horizon/eps].
 
-    Every node goes through rescale_states. Explosion carries over at the
-    same grid index.
+    The trend center + t * v is removed at scale eps and restored at scale
+    1: y_t = center + t v + (x_{eps t} - center - eps t v) / alpha.
+    Explosion carries over at the same grid index.
     """
     t_out = path.times / eps
+    t = t_out[:, None]
     with np.errstate(invalid="ignore"):
-        states = rescale_states(phi, eval_index(psi, eps), eps, t_out,
-                                path.states)
+        states = (phi.center + t * phi.drift_vector
+                  + (path.states - phi.center - (eps * t) * phi.drift_vector)
+                  / eval_index(psi, eps))
     if path.explosion_index is not None:
         states[path.explosion_index:] = np.nan
     return ExplosivePath(times=t_out, states=states,

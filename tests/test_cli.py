@@ -350,6 +350,18 @@ def test_optimize_fd_on_a_running_functional_is_auto(tmp_path, capsys,
                 == (outs["fd"] / name).read_bytes())
 
 
+def test_lil_manifest_counts_the_bridge_plans(tmp_path):
+    # at c = 1/2 every level from 1 on shares level 1's bridge plan entry
+    out = tmp_path / "lil"
+    assert run(["lil-verify", "--example", "brownian", "--functional",
+                "running_max", "--scheme", "euler", "--depth", "27",
+                "--paths", "4", "--out", str(out)]) == 0
+    counters = read_json(out / "manifest.json")["counters"]
+    assert counters["bridge_plans"] == 2
+    assert counters["levels"] == 28
+    assert "bridge_plans" not in (out / "lil.json").read_text()
+
+
 def test_optimize_manifest_counts_the_search_work(tmp_path):
     # the work counters go to manifest.json only, and reruns count the same;
     # on a searched pair, since an exact one counts no iterations

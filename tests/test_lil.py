@@ -2,14 +2,12 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lillab import lil
 from lillab.examples import get_example
-from lillab.extremals import TerminalLinearFunctional
 from lillab.lil import LilExperimentConfig, LilReport, run_lil_experiment
 from lillab.scaling import eval_index, rescale_path
 from lillab.sde import (LinearSpec, NoisePath, NumericalFailure,
@@ -125,9 +123,11 @@ def test_a_functional_needs_terminal_values_and_gradient(scheme):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_both_schemes_bridge_one_path(d):
-    # exact_linear bridges brownian's state and euler bridges W, with the
-    # same law and normals, and euler's x_1 = 0 + 0 dt + 1.0 W_1: the
-    # one-step terminal tables agree bit for bit, and exact_linear takes
+    # exact_linear bridges brownian's state / sqrt(eps) and euler bridges
+    # W / sqrt(eps), the same process with the same normals, and euler's x_1
+    # = 0 + 0 dt + 1.0 sqrt(eps) W_1: the one-step terminal tables differ
+    # only in how each reads its level's units (exact_linear divides by
+    # loglog(1/eps)^(1/2), euler by alpha), and exact_linear takes
     # running_max, equal to euler's up to the rounding of the Euler sum
     br = get_example("brownian", d=d)
 
@@ -136,7 +136,7 @@ def test_both_schemes_bridge_one_path(d):
             j_min=0, j_max=8, n_paths=50, scheme=scheme, dt_rel=dt_rel)).values
             for scheme in ("exact_linear", "euler")]
 
-    assert np.array_equal(*tables("terminal", 1.0))
+    assert np.allclose(*tables("terminal", 1.0), rtol=1e-14, atol=0.0)
     assert np.allclose(*tables("running_max", 1e-2), rtol=1e-12, atol=0.0)
 
 
@@ -151,65 +151,99 @@ def _force_chunk_rows(monkeypatch, rows):
     level's n_steps + 1 nodes and twice the largest merged bridge grid."""
     make_plan = lil._bridge_plan
 
-    def plan(spec, grids):
-        levels = make_plan(spec, grids)
+    def plan(specs, grid, c):
+        levels = make_plan(specs, grid, c)
         monkeypatch.setattr(lil, "_CHUNK_NODES", rows * (
-            len(grids[0]) + 2 * max(level[0] for level in levels)))
+            len(grid) + 2 * max(level[0] for level in levels)))
         return levels
 
     monkeypatch.setattr(lil, "_bridge_plan", plan)
 
 
-def _bridged_w(config, grids, k, p):
-    """W (n + 1, 1, k) of path p on every level grid, as the euler scheme
-    bridges it."""
-    plan = lil._bridge_plan(LinearSpec(np.zeros((k, k)), np.eye(k)), grids)
-    return lil._bridge(plan, np.zeros((1, k)), lambda level, n: row_normals(
-        config.seed, config.j_grid()[level], range(p, p + 1), n))
+def _bridged_w(config, grid, k, rows):
+    """W / sqrt(eps_j), (n + 1, len(rows), k), of the paths `rows` on every
+    level's rescaled grid, as the euler scheme bridges it."""
+    plan = lil._bridge_plan([LinearSpec(np.zeros((k, k)), np.eye(k))]
+                            * len(config.j_grid()), grid, config.c)
+    return lil._bridge(plan, config.c ** (-0.5 * np.ones(k)),
+                       np.zeros((len(rows), k)),
+                       lambda level, n: row_normals(
+                           config.seed, config.j_grid()[level], rows, n))
+
+
+def _level_grid(example, config):
+    """(n_steps, every level's rescaled grid) of the euler scheme."""
+    t_star = example.limit_problem.t_star
+    n_steps = max(1, round(t_star / config.dt_rel))
+    return n_steps, (t_star / n_steps) * np.arange(n_steps + 1)
+
+
+def _per_path_table(example, functional_name, config):
+    """Euler LIL table from one simulate_sde per (path, level).
+
+    Each level steps the deviation from the center, from 0, on sqrt(eps)
+    times that level's increments of the path's bridged W / sqrt(eps); the
+    functional is written out on center + s trend + Z / alpha at the
+    rescaled node times s: weights . y(end) + offset for a terminal linear
+    one, max |y_1| for running_max, nan once the path exploded.
+    """
+    phi, psi = example.contraction, example.index
+    functional = example.functionals[functional_name]
+    t_star = example.limit_problem.t_star
+    n_steps, grid = _level_grid(example, config)
+    expected = np.empty((config.n_paths, len(config.j_grid())))
+    for p in range(config.n_paths):
+        levels = _bridged_w(config, grid, example.sde.dim_noise,
+                            range(p, p + 1))
+        for level, (eps, w) in enumerate(zip(config.eps_grid(), levels)):
+            noise = NoisePath(config.seed, eps * t_star / n_steps,
+                              np.diff(w[:, 0], axis=0) * np.sqrt(eps))
+            path = simulate_sde(example.sde, np.zeros(example.sde.dim_state),
+                                noise)
+            y = (phi.center + grid[:, None] * phi.drift_vector
+                 + path.states / eval_index(psi, eps))
+            if path.explosion_index is not None:
+                expected[p, level] = math.nan
+            elif functional_name == "running_max":
+                expected[p, level] = np.max(np.abs(y[:, 0]))
+            else:
+                expected[p, level] = (functional.weights @ y[-1]
+                                      + functional.offset)
+    return expected
 
 
 def _check_euler_table(example, functional, config, rows_per_chunk,
                        monkeypatch):
     """Run the euler table with euler_batch recorded; assert that each call
     holds whole levels of one chunk, coarse to fine, each row stepped with
-    its level's step, and that the table equals, bit for bit, one
-    simulate_sde per (path, level) on that level's increments of the path's
-    bridged W. Returns the rows of each call."""
-    phi, psi = example.contraction, example.index
+    its level's step, and that the table equals, bit for bit, the
+    per-path simulation (_per_path_table). Returns the rows of each call."""
     t_star = example.limit_problem.t_star
-    n_steps = max(1, round(t_star / config.dt_rel))
+    n_steps, grid = _level_grid(example, config)
     calls = []
     monkeypatch.setattr(lil, "euler_batch", lambda sde, x0, inc, dt: (
         calls.append(np.asarray(dt)) or euler_batch(sde, x0, inc, dt)))
     if rows_per_chunk is not None:
         _force_chunk_rows(monkeypatch, rows_per_chunk)
     report = run_lil_experiment(example, functional, config)
-    grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
-             for e in config.eps_grid()]
+    steps = config.eps_grid() * t_star / n_steps
     chunk = rows_per_chunk or config.n_paths
     chunks = [min(chunk, config.n_paths - first)
               for first in range(0, config.n_paths, chunk)]
     # the levels' steps differ, so each run of equal steps is one level
     assert np.array_equal(np.concatenate(calls), np.concatenate(
-        [np.full(rows, times[1]) for rows in chunks for times in grids]))
+        [np.full(rows, step) for rows in chunks for step in steps]))
     ends = set(np.cumsum([len(dt) for dt in calls]).tolist())
-    assert set(np.cumsum([rows * len(grids) for rows in chunks]).tolist()) \
+    assert set(np.cumsum([rows * len(steps) for rows in chunks]).tolist()) \
         <= ends <= set(np.cumsum([rows for rows in chunks
-                                  for _ in grids]).tolist())
-    assert report.work == {"levels": len(chunks) * len(grids),
+                                  for _ in steps]).tolist())
+    assert report.work == {"bridge_plans": 2,
+                           "levels": len(chunks) * len(steps),
                            "euler_calls": len(calls),
                            "euler_row_steps": n_steps * config.n_paths
-                           * len(grids)}
-    expected = np.empty((config.n_paths, len(grids)))
-    for p in range(config.n_paths):
-        levels = _bridged_w(config, grids, example.sde.dim_noise, p)
-        for level, (times, w) in enumerate(zip(grids, levels)):
-            noise = NoisePath(config.seed, times[1], np.diff(w[:, 0], axis=0))
-            path = simulate_sde(example.sde, phi.center, noise)
-            expected[p, level] = path_value(
-                example.functionals[functional],
-                rescale_path(path, phi, psi, float(config.eps_grid()[level])))
-    assert np.array_equal(report.values, expected)
+                           * len(steps)}
+    assert np.array_equal(report.values,
+                          _per_path_table(example, functional, config))
     return [len(dt) for dt in calls]
 
 
@@ -234,37 +268,6 @@ def test_euler_table_steps_level_groups(monkeypatch):
     assert sizes == [14 * 6, 14 * 6]
 
 
-def _per_path_table(example, functional_name, config):
-    """Euler LIL table from one simulate_sde + rescale_path per (path, level).
-
-    Each level steps that level's increments of the path's bridged W; the
-    functional is written out on the rescaled states: weights . y(end) +
-    offset for a terminal linear one, max |y_1| for running_max, nan once
-    the path exploded.
-    """
-    phi, psi = example.contraction, example.index
-    functional = example.functionals[functional_name]
-    t_star = example.limit_problem.t_star
-    n_steps = max(1, round(t_star / config.dt_rel))
-    grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
-             for e in config.eps_grid()]
-    expected = np.empty((config.n_paths, len(grids)))
-    for p in range(config.n_paths):
-        levels = _bridged_w(config, grids, example.sde.dim_noise, p)
-        for level, (times, w) in enumerate(zip(grids, levels)):
-            noise = NoisePath(config.seed, times[1], np.diff(w[:, 0], axis=0))
-            path = simulate_sde(example.sde, phi.center, noise)
-            y = rescale_path(path, phi, psi, float(config.eps_grid()[level]))
-            if y.explosion_index is not None:
-                expected[p, level] = math.nan
-            elif functional_name == "running_max":
-                expected[p, level] = np.max(np.abs(y.states[:, 0]))
-            else:
-                expected[p, level] = (functional.weights @ y.states[-1]
-                                      + functional.offset)
-    return expected
-
-
 @pytest.mark.parametrize("rows_per_chunk", [None, 1, 2])
 @pytest.mark.parametrize("name, functional", [
     ("quadratic", "running_max"), ("brownian", "running_max"),
@@ -274,7 +277,7 @@ def test_euler_running_and_detrended_tables_match_per_path_simulation(
     # a running functional folds over every rescaled node (quadratic's x1
     # falls monotonically, so brownian is the case where the maximum is not
     # at the last node); shifted_kolmogorov is the affine_detrended kind,
-    # whose rescaling depends on the node time
+    # whose values center + s trend + Z / alpha depend on the node time
     example = get_example(name)
     config = LilExperimentConfig(j_min=0, j_max=4, n_paths=3, scheme="euler")
     if rows_per_chunk is not None:
@@ -335,18 +338,14 @@ def test_stacked_levels_raise_the_failure_of_the_earliest_step():
     config = LilExperimentConfig(j_min=0, j_max=5, n_paths=3, scheme="euler",
                                  seed=4)
     t_star = quad.limit_problem.t_star
-    n_steps = max(1, round(t_star / config.dt_rel))
-    grids = [(float(e) * t_star / n_steps) * np.arange(n_steps + 1)
-             for e in config.eps_grid()]
-    plan = lil._bridge_plan(LinearSpec(np.zeros((1, 1)), np.eye(1)), grids)
-    rows = range(config.n_paths)
-    levels = lil._bridge(plan, np.zeros((3, 1)), lambda level, n: row_normals(
-        config.seed, config.j_grid()[level], rows, n))
+    n_steps, grid = _level_grid(quad, config)
+    levels = _bridged_w(config, grid, 1, range(config.n_paths))
     failures = []   # (step, level, failure) of one euler_batch per level
-    for level, (times, w) in enumerate(zip(grids, levels)):
+    for level, (eps, w) in enumerate(zip(config.eps_grid(), levels)):
         with pytest.raises(NumericalFailure) as info:
-            euler_batch(system, np.zeros((3, 2)), np.diff(w, axis=0)
-                        .transpose(1, 0, 2), times[1])
+            euler_batch(system, np.zeros((3, 2)), (np.diff(w, axis=0)
+                        * np.sqrt(eps)).transpose(1, 0, 2),
+                        eps * t_star / n_steps)
         failures.append((info.value.step, level, info.value))
     assert [f[:2] for f in failures[:2]] == [(2, 0), (1, 1)]
     expected = min(failures, key=lambda f: f[:2])[2]
@@ -499,41 +498,77 @@ def test_csv_refuses_an_extreme_that_copies_no_value(value, extreme):
         report.csv_blocks()
 
 
-@pytest.mark.parametrize("name, functional, scheme, depth, message", [
-    # brownian: the finest step 1e-2 * 2^-1060 is subnormal
-    ("brownian", "terminal", "exact_linear", 1060, "grid step"),
-    ("brownian", "running_max", "euler", 1060, "grid step"),
-    # IK(2): the transition variance h^3 / 3 underflows from depth ~334 on
-    ("iterated_kolmogorov", "J1", "exact_linear", 400, "covariance"),
-    ("iterated_kolmogorov", "J1", "exact_linear", 340, "covariance"),
-])
-def test_a_grid_past_the_float_range_is_refused_before_any_work(
-        name, functional, scheme, depth, message, monkeypatch):
-    example = get_example(name)
-    config = LilExperimentConfig(j_max=depth, n_paths=2, scheme=scheme)
+def test_euler_refuses_a_subnormal_finest_step_before_any_work(
+        monkeypatch):
+    # brownian at depth 1060: the finest step 1e-2 * 2^-1060 / 100 is
+    # subnormal; exact_linear has no such step (below)
+    config = LilExperimentConfig(j_max=1060, n_paths=2, scheme="euler")
     monkeypatch.setattr(lil, "_table", lambda *args: pytest.fail("ran"))
-    with pytest.raises(ValueError, match=message):
-        run_lil_experiment(example, functional, config)
-
-
-@pytest.mark.parametrize("name, functional, depth", [
-    ("brownian", "terminal", 1000), ("iterated_kolmogorov", "J1", 330)])
-def test_the_deepest_grids_inside_the_float_range_still_run(
-        name, functional, depth):
-    report = run_lil_experiment(get_example(name), functional,
-                                LilExperimentConfig(j_max=depth, n_paths=3))
-    assert report.values.shape == (3, depth + 1)
-
-
-def test_a_coordinate_the_noise_never_reaches_is_not_a_depth_failure():
-    # x2 stays at 0: its transition variance is 0 at every step, which is
-    # no underflow; the depth check refuses only what the floats lose
-    spec = LinearSpec(np.zeros((2, 2)), np.array([[1.0], [0.0]]))
-    example = SimpleNamespace(
-        limit_problem=SimpleNamespace(t_star=1.0),
-        sde=SimpleNamespace(linear=spec, dim_noise=1),
-        contraction=SimpleNamespace(center=np.zeros(2)))
-    terminal = TerminalLinearFunctional([1.0, 0.0])
-    lil._check_depth(example, terminal, LilExperimentConfig(j_max=1000))
     with pytest.raises(ValueError, match="grid step"):
-        lil._check_depth(example, terminal, LilExperimentConfig(j_max=1060))
+        run_lil_experiment(get_example("brownian"), "running_max", config)
+
+
+@pytest.mark.parametrize("name, functional", [
+    ("brownian", "terminal"), ("iterated_kolmogorov", "J1")])
+def test_a_shallow_exact_table_is_a_prefix_of_one_at_depth_2000(
+        name, functional):
+    # every level is computed in its own units, so depth 2000 (eps down to
+    # 0.0 in floats) runs, and its first 28 levels have the bits of depth 27
+    example = get_example(name)
+    shallow, deep = (run_lil_experiment(example, functional,
+                                        LilExperimentConfig(j_max=depth,
+                                                            n_paths=20))
+                     for depth in (27, 2000))
+    assert deep.values.shape == (20, 2001)
+    assert np.array_equal(shallow.values, deep.values[:, :28])
+
+
+def test_exact_ik2_levels_keep_their_law_at_depth_2000():
+    # J1 = Z_1(1) / eps^(3/2) / L_j^(1/2), Z_1(1) ~ N(0, eps^3 / 3): its
+    # std is 1 / sqrt(3 L_j), L_j = loglog(1/eps_j), within 4 standard
+    # errors of a sample std at every level
+    config = LilExperimentConfig(j_max=2000, n_paths=2000)
+    report = run_lil_experiment(get_example("iterated_kolmogorov"), "J1",
+                                config)
+    assert np.all(np.isfinite(report.values))
+    log_eps = math.log(config.eps0) + config.j_grid() * math.log(config.c)
+    want = 1.0 / np.sqrt(3.0 * np.log(-log_eps))
+    got = report.values.std(axis=0)
+    assert np.all(np.abs(got / want - 1.0)
+                  < 4.0 / math.sqrt(2 * (config.n_paths - 1)))
+
+
+@pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
+@pytest.mark.parametrize("depth", [27, 60])
+def test_the_detrended_example_is_iterated_kolmogorov(scheme, depth):
+    # shifted_kolmogorov is IK(2) from (1, 1) with the trend (1, 0): its
+    # deviation from the center is IK(2)'s state, so the tables agree up to
+    # the rounding of center + s trend - (x0_1 + x0_2)
+    config = LilExperimentConfig(j_max=depth, n_paths=40, scheme=scheme)
+    shifted, ik = (run_lil_experiment(get_example(name), "J1", config).values
+                   for name in ("shifted_kolmogorov", "iterated_kolmogorov"))
+    assert np.max(np.abs(shifted - ik)) <= 1e-14
+
+
+@pytest.mark.parametrize("depth", [27, 2000])
+def test_levels_past_the_first_share_one_bridge_plan_at_c_one_half(depth):
+    report = run_lil_experiment(get_example("brownian"), "terminal",
+                                LilExperimentConfig(j_max=depth, n_paths=2))
+    assert report.work["bridge_plans"] == 2
+
+
+@pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
+def test_a_center_the_deviation_does_not_follow_is_refused(scheme,
+                                                           monkeypatch):
+    # Z = X - center - t trend follows the example's SDE only where b is
+    # linear with b(center) = trend, b(trend) = 0 and the domain trivial
+    shifted = get_example("shifted_kolmogorov")
+    driven = replace(shifted, sde=SdeSystem(PolynomialDrift(
+        2, (((1.0, (0, 1)),), ((1.0, (1, 0)),))), shifted.sde.sigma))
+    bounded = replace(shifted, sde=replace(
+        shifted.sde, domain_contains=lambda x: x[..., 0] < 5.0))
+    config = LilExperimentConfig(j_max=2, n_paths=2, scheme=scheme)
+    monkeypatch.setattr(lil, "_table", lambda *args: pytest.fail("ran"))
+    for example in (driven, bounded):
+        with pytest.raises(ValueError, match="a trivial domain and a linear"):
+            run_lil_experiment(example, "J1", config)

@@ -1155,36 +1155,49 @@ def test_exact_linear_is_the_transition_loop(case):
 
 
 # ---------------------------------------------------------------------------
-# Bridge refinement: a Gauss-Markov process on the grids eps_j * [0, 1] of n
-# steps, eps_j = c^j. Grids nest for c = 1/2 only; c = 0.6 and 0.75 share
-# some times, a generic c shares only 0.
+# Bridge refinement: a Gauss-Markov process on the grid [0, 1] of n steps
+# at every level, each level in its own units: times of level j are those
+# of level j - 1 divided by c, and values those of level j - 1 times
+# c^(-l/2), so that a self-similar process keeps one spec. Grids nest for
+# c = 1/2 only; c = 0.6 and 0.75 share some times, a generic c shares only 0.
 
 def _brownian_spec(k):
     return LinearSpec(np.zeros((k, k)), np.eye(k))
 
 
-def _bridge_levels(spec, c, n, rows, n_levels=6):
-    grids = [(c ** j / n) * np.arange(n + 1) for j in range(n_levels)]
-    return grids, list(_bridge(_bridge_plan(spec, grids),
-                               np.zeros((len(rows), spec.dim)),
-                               lambda level, n: row_normals(5, level, rows, n)))
+def _bridge_levels(spec, ell, c, n, rows, n_levels=6):
+    grid = (1.0 / n) * np.arange(n + 1)
+    return grid, list(_bridge(_bridge_plan([spec] * n_levels, grid, c),
+                              c ** (-0.5 * np.asarray(ell, dtype=float)),
+                              np.zeros((len(rows), spec.dim)),
+                              lambda level, n: row_normals(5, level, rows, n)))
+
+
+def _ik_levels(d):
+    """IK(d)'s spec, the same at every level, and its l exponents."""
+    ik = get_example("iterated_kolmogorov", d=d)
+    return ik.sde.linear, [l for l, _ in ik.index.exponents]
 
 
 @SETTINGS
 @given(st.one_of(st.sampled_from([0.5, 0.6, 0.75]), st.floats(0.1, 0.9)),
        st.integers(1, 64), st.sampled_from([1, 2]))
 def test_bridge_levels_see_one_path(c, n, k):
-    grids, ws = _bridge_levels(_brownian_spec(k), c, n, range(3))
-    for a, (times, w) in enumerate(zip(grids, ws)):
+    # a time a level shares with a later one holds the same value there,
+    # carried into each level's units as the bridge carries it
+    grow = c ** (-0.5 * np.ones(k))
+    grid, ws = _bridge_levels(_brownian_spec(k), np.ones(k), c, n, range(3))
+    for a, w in enumerate(ws):
         assert w.shape == (n + 1, 3, k)
         assert np.all(w[0] == 0.0)
         assert np.allclose(np.diff(w, axis=0).sum(axis=0), w[-1],
                            rtol=0.0, atol=1e-12)
-        for b in range(a + 1, len(grids)):
-            shared = np.abs(times[:, None] - grids[b][None, :]) \
-                <= 1e-9 * grids[b][1]
+        times, seen = grid, w
+        for b in range(a + 1, len(ws)):
+            times, seen = times / c, seen * grow
+            shared = np.abs(times[:, None] - grid[None, :]) <= 1e-9 * grid[1]
             at_a, at_b = np.nonzero(shared)
-            assert np.array_equal(w[at_a], ws[b][at_b])
+            assert np.array_equal(seen[at_a], ws[b][at_b])
 
 
 @SETTINGS
@@ -1194,11 +1207,10 @@ def test_bridge_levels_see_one_path(c, n, k):
 def test_bridge_rows_split_anywhere_reproduce_the_full_draw(c, n, d, cuts):
     # each row draws from its own block of the level's Philox counter, so
     # chunks of rows give the full draw bit for bit
-    spec = (get_example("iterated_kolmogorov", d=d).sde.linear if d > 1
-            else _brownian_spec(1))
-    _, full = _bridge_levels(spec, c, n, range(10))
+    spec, ell = _ik_levels(d) if d > 1 else (_brownian_spec(1), [1])
+    _, full = _bridge_levels(spec, ell, c, n, range(10))
     edges = [0] + sorted(set(cuts)) + [10]
-    parts = [_bridge_levels(spec, c, n, range(lo, hi))[1]
+    parts = [_bridge_levels(spec, ell, c, n, range(lo, hi))[1]
              for lo, hi in zip(edges, edges[1:]) if lo < hi]
     for level, x in enumerate(full):
         assert np.array_equal(
@@ -1207,34 +1219,37 @@ def test_bridge_rows_split_anywhere_reproduce_the_full_draw(c, n, d, cuts):
 
 def test_bridge_increments_are_brownian():
     # c = 0.7: the grids do not nest, so most times are bridged from both
-    # sides. Increment variance is dt_j at every step, and the ends of
-    # adjacent levels covary as W(h_j) W(h_j+1) does, E = h_j+1.
-    grids, ws = _bridge_levels(_brownian_spec(2), 0.7, 8, range(4000))
-    for times, w in zip(grids, ws):
+    # sides. W / sqrt(c^j) is a Brownian motion at every level: increment
+    # variance 1/8 at every step, and the ends of adjacent levels covary as
+    # W(1) W(c) / sqrt(c) does, E = sqrt(c).
+    grid, ws = _bridge_levels(_brownian_spec(2), np.ones(2), 0.7, 8,
+                              range(4000))
+    for w in ws:
         var = np.diff(w, axis=0).var(axis=1)
-        assert np.allclose(var / times[1], 1.0, rtol=0.0, atol=0.1)
-    for a in range(len(grids) - 1):
+        assert np.allclose(var / grid[1], 1.0, rtol=0.0, atol=0.1)
+    for a in range(len(ws) - 1):
         cov = np.mean(ws[a][-1] * ws[a + 1][-1], axis=0)
-        assert np.allclose(cov / grids[a + 1][-1], 1.0, rtol=0.0, atol=0.1)
+        assert np.allclose(cov / math.sqrt(0.7), 1.0, rtol=0.0, atol=0.1)
 
 
 def test_bridged_states_have_the_transition_covariance():
-    # IK(2) from 0 at c = 0.7: every node's covariance is C(t), and the
-    # ends of adjacent levels covary as Phi(h_j - h_j+1) C(h_j+1), both in
-    # sqrt(diag) units, where C(t) spans t^3 to t
-    spec = get_example("iterated_kolmogorov", d=2).sde.linear
-    grids, xs = _bridge_levels(spec, 0.7, 8, range(4000))
-    for times, x in zip(grids, xs):
-        for t, node in zip(times[1:], x[1:]):
+    # IK(2) from 0 at c = 0.7, whose spec is the same in every level's
+    # units: every node's covariance is C(s), and the ends of adjacent
+    # levels covary as Phi(1 - c) C(c) diag(c^(-l/2)), both in sqrt(diag)
+    # units, where C(s) spans s^3 to s
+    spec, ell = _ik_levels(2)
+    grid, xs = _bridge_levels(spec, ell, 0.7, 8, range(4000))
+    for x in xs:
+        for t, node in zip(grid[1:], x[1:]):
             scale = np.sqrt(np.diag(spec.covariance(t)))
             got = node.T @ node / len(node) / np.outer(scale, scale)
             assert np.allclose(got, spec.covariance(t)
                                / np.outer(scale, scale), rtol=0.0, atol=0.1)
-    for a in range(len(grids) - 1):
-        s, t = grids[a + 1][-1], grids[a][-1]
-        want = spec.propagator(t - s) @ spec.covariance(s)
-        scale = np.outer(np.sqrt(np.diag(spec.covariance(t))),
-                         np.sqrt(np.diag(spec.covariance(s))))
+    want = (spec.propagator(0.3) @ spec.covariance(0.7)
+            * 0.7 ** (-0.5 * np.array(ell)))
+    scale = np.sqrt(np.diag(spec.covariance(1.0)))
+    scale = np.outer(scale, scale)
+    for a in range(len(xs) - 1):
         got = xs[a][-1].T @ xs[a + 1][-1] / 4000
         assert np.allclose(got / scale, want / scale, rtol=0.0, atol=0.1)
 

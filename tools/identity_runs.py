@@ -184,12 +184,20 @@ RUNS = [
      ["lil-verify", "--example", "iterated_kolmogorov", "--d", "33",
       "--functional", "J1", "--scheme", "euler", "--paths", "4",
       "--depth", "27", "--dt-rel", "0.1"]),
-    ("lil_brownian_depth_1060",  # subnormal finest grid step: exit 2
+    ("lil_brownian_depth_1060",  # eps_j prints 0.0 past 5e-324; exact
+     # levels run in their own units, so they have no depth ceiling
      ["lil-verify", "--example", "brownian", "--functional", "terminal",
       "--depth", "1060"]),
-    ("lil_ik2_depth_400",  # transition variance h^3/3 underflows: exit 2
+    ("lil_ik2_depth_400",  # h^3/3 would underflow in absolute units
      ["lil-verify", "--example", "iterated_kolmogorov", "--functional", "J1",
       "--depth", "400"]),
+    ("lil_shifted_j1_euler",  # the deviation from the center, stepped from 0
+     ["lil-verify", "--example", "shifted_kolmogorov", "--functional", "J1",
+      "--scheme", "euler", "--paths", "400", "--out", OUT]),
+    ("lil_brownian_running_max_euler_depth_1060",  # subnormal finest Euler
+     # step: exit 2
+     ["lil-verify", "--example", "brownian", "--functional", "running_max",
+      "--scheme", "euler", "--depth", "1060"]),
 ]
 
 
