@@ -27,9 +27,9 @@ import numpy as np
 
 from .examples import ExampleSystem
 from .extremals import _require_functional
-from .scaling import eval_index
+from .scaling import eval_index, require_autonomous
 from .sde import (_BLOCK, _COLUMN_VALUES, LinearSpec, alive, euler_batch,
-                  row_normals, trivial_domain)
+                  row_normals)
 
 
 # Row-nodes per chunk of rows in _table, so memory does not grow with paths:
@@ -39,7 +39,7 @@ from .sde import (_BLOCK, _COLUMN_VALUES, LinearSpec, alive, euler_batch,
 # stay live beside the level's nodes).
 _CHUNK_NODES = 1 << 20
 # New times per spec.bridge call: bounds its temporaries on fine grids.
-_PASS_TIMES = 256
+_BRIDGE_TIMES = 256
 # Paths per block of lil.csv text (LilReport.csv_blocks).
 _CSV_PATHS = 256
 
@@ -312,8 +312,8 @@ def _bridge_plan(specs, grid, c):
                 b = merged[right[new]] - merged[new]
                 steps.append([new, left[new], right[new], *map(
                     np.concatenate, zip(*(spec.bridge(
-                        a[i:i + _PASS_TIMES], b[i:i + _PASS_TIMES])
-                        for i in range(0, len(new), _PASS_TIMES))))])
+                        a[i:i + _BRIDGE_TIMES], b[i:i + _BRIDGE_TIMES])
+                        for i in range(0, len(new), _BRIDGE_TIMES))))])
             done[new] = True
         keep = np.searchsorted(merged, horizon) + 1
         plan.append((end, np.searchsorted(merged, known), slice(None)
@@ -470,10 +470,9 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     """
     config = config or LilExperimentConfig()
     if functional_name not in example.functionals:
-        raise KeyError(
-            f"functional {functional_name!r} not registered on example "
-            f"{example.name!r}; have {sorted(example.functionals)}"
-        )
+        raise KeyError(f"functional {functional_name!r} not registered on "
+                       f"example {example.name!r}; have "
+                       f"{sorted(example.functionals)}")
     functional = example.functionals[functional_name]
     # fail early if the grid leaves the index validity window
     eval_index(example.index, float(config.eps_grid()[0]))
@@ -486,23 +485,9 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     if config.scheme == "euler" and not step >= np.finfo(float).tiny:
         raise ValueError(f"depth {config.j_max}: the finest grid step "
                          f"{step!r} is subnormal; lower the depth")
-    phi, sde = example.contraction, example.sde
-    if (np.any(phi.center) or np.any(phi.drift_vector)) and (
-            sde.domain_contains is not trivial_domain
-            or sde.drift.matrix is None
-            or np.any(sde.drift(phi.center) != phi.drift_vector)
-            or np.any(sde.drift(phi.drift_vector))):  # Z would leave the SDE
-        raise ValueError("a center or a trend needs a trivial domain and a "
-                         "linear drift b with b(center) = trend and "
-                         "b(trend) = 0")
-    prefix = functional_name + "_"
+    require_autonomous(example.sde, example.contraction, deviation=True)
     work = dict(bridge_plans=0, levels=0, euler_calls=0, euler_row_steps=0)
-    return LilReport(
-        example_name=example.name,
-        functional_name=functional_name,
-        config=config,
-        values=_table(example, functional, config, work),
-        reference={k: v for k, v in example.reference.items()
-                   if k.startswith(prefix)},
-        work=work,
-    )
+    values = _table(example, functional, config, work)
+    return LilReport(example.name, functional_name, config, values, {
+        k: v for k, v in example.reference.items()
+        if k.startswith(functional_name + "_")}, work)

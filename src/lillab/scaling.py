@@ -189,6 +189,35 @@ class ContractionFamily:
         return self.center + (y - self.center) * alpha
 
 
+def require_autonomous(system: SdeSystem, phi: ContractionFamily,
+                       deviation: bool = False) -> None:
+    """ValueError unless system rescales around phi to an autonomous SDE
+    (b(center) = trend in the rows without noise; with a center or trend,
+    an affine b, and a trend on a trivial domain moving no coordinate b
+    reads) and, with deviation, Z = X - center - t trend follows system
+    from 0 (a center or trend then needs a linear b, b(center) = trend in
+    every row and a trivial domain)."""
+    center, trend, drift = phi.center, phi.drift_vector, system.drift
+    gap = drift(center) - trend
+    off = np.flatnonzero((gap != 0.0) & ~np.any(system.sigma != 0.0, axis=1))
+    if off.size:
+        raise ValueError(f"the trend must be b(center) in the rows without "
+                         f"noise; coordinates {off.tolist()} differ")
+    if not (np.any(center) or np.any(trend)):
+        return
+    if any(sum(e) > 1 for row in drift.rows for _, e in row):
+        raise ValueError("a center or a trend needs an affine drift")
+    trivial = system.domain_contains is trivial_domain
+    if np.any(trend) and (not trivial or any(
+            partial(*center) for row in drift.partials
+            for j, partial in row.items() if trend[j])):
+        raise ValueError("a trend needs a trivial domain and a drift "
+                         "that reads no coordinate the trend moves")
+    if deviation and (np.any(gap) or drift.matrix is None or not trivial):
+        raise ValueError("its deviation needs a trivial domain and a linear "
+                         "drift b with b(center) = trend")
+
+
 def rescale_path(path: ExplosivePath, phi: ContractionFamily,
                  psi: AsymptoticIndex, eps: float) -> ExplosivePath:
     """Map x on [0, horizon] to y_t = Phi_{psi(eps)}(x_{eps t}) on [0, horizon/eps].
@@ -228,18 +257,13 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
     alpha instead cancels to 1e-12 at eps = 1e-8). The constant eps *
     (b_i(c) - v_i) / alpha_i tends to 0 in a row with noise (Brownian
     motion with drift); elsewhere it grows like eps^(1 - l_i/2), so b(c) != v
-    there raises ValueError, as do a nonlinear b with a center or trend and
-    a trend that moves a coordinate b reads or lies on a non-trivial domain.
+    there raises ValueError (require_autonomous).
     A trivial domain stays trivial (sde.alive skips its call); any other is
     evaluated at Phi^{-1}(y).
     """
+    require_autonomous(system, phi)
     alpha = eval_index(psi, eps)
     center, trend, drift = phi.center, phi.drift_vector, system.drift
-    gap = drift(center) - trend
-    off = np.flatnonzero((gap != 0.0) & ~np.any(system.sigma != 0.0, axis=1))
-    if off.size:
-        raise ValueError(f"the trend must be b(center) in the rows without "
-                         f"noise; coordinates {off.tolist()} differ")
 
     def scaled(i, coef, exps):
         # eps / alpha_i is finite (alpha >= tiny), and factors alpha_j < 1
@@ -253,15 +277,7 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
     rows = [[(scaled(i, c, e), e) for c, e in row]
             for i, row in enumerate(drift.rows)]
     if np.any(center) or np.any(trend):
-        if any(sum(e) > 1 for row in drift.rows for _, e in row):
-            raise ValueError("a center or a trend needs an affine drift")
-        if np.any(trend) and (
-                system.domain_contains is not trivial_domain
-                or any(partial(*center) for row in drift.partials
-                       for j, partial in row.items() if trend[j])):
-            raise ValueError("a trend needs a trivial domain and a drift "
-                             "that reads no coordinate the trend moves")
-        shift = trend + eps * gap / alpha
+        shift = trend + eps * (drift(center) - trend) / alpha
         rows = [[(c, e) for c, e in row if any(e)] for row in rows]
         for i, row in enumerate(rows):
             const = shift[i] - sum(c * center[e.index(1)] for c, e in row)

@@ -9,7 +9,7 @@ import pytest
 from lillab import lil
 from lillab.examples import get_example
 from lillab.lil import LilExperimentConfig, LilReport, run_lil_experiment
-from lillab.scaling import eval_index, rescale_path
+from lillab.scaling import ContractionFamily, eval_index, rescale_path
 from lillab.sde import (LinearSpec, NoisePath, NumericalFailure,
                         PolynomialDrift, SdeSystem, brownian_path,
                         euler_batch, row_normals, simulate_sde)
@@ -124,12 +124,24 @@ def test_a_functional_needs_terminal_values_and_gradient(scheme):
 @pytest.mark.parametrize("d", [1, 2])
 def test_both_schemes_bridge_one_path(d):
     # exact_linear bridges brownian's state / sqrt(eps) and euler bridges
-    # W / sqrt(eps), the same process with the same normals, and euler's x_1
-    # = 0 + 0 dt + 1.0 sqrt(eps) W_1: the one-step terminal tables differ
-    # only in how each reads its level's units (exact_linear divides by
-    # loglog(1/eps)^(1/2), euler by alpha), and exact_linear takes
-    # running_max, equal to euler's up to the rounding of the Euler sum
+    # W / sqrt(eps): every power of brownian's level specs is 0, so both
+    # bridge the same levels bit for bit, and euler's x_1 = 0 + 0 dt + 1.0
+    # sqrt(eps) W_1: the one-step terminal tables differ only in how each
+    # reads its level's units (exact_linear divides by loglog(1/eps)^(1/2),
+    # euler by alpha), and exact_linear takes running_max, equal to euler's
+    # up to the rounding of the Euler sum
     br = get_example("brownian", d=d)
+    config = LilExperimentConfig(j_min=0, j_max=8, n_paths=50)
+    grid = np.array([0.0, br.limit_problem.t_star])
+    log_eps = math.log(config.eps0) + config.j_grid() * math.log(config.c)
+    ell = np.array(br.index.exponents, dtype=float)[:, 0]
+    plan = lil._bridge_plan([lil._level_spec(br.sde.linear, ell, e)
+                             for e in log_eps], grid, config.c)
+    state = lil._bridge(plan, config.c ** (-0.5 * ell), np.zeros((50, d)),
+                        lambda level, n: row_normals(
+                            config.seed, config.j_grid()[level], range(50), n))
+    w = _bridged_w(config, grid, d, range(50))
+    assert all(np.array_equal(*levels) for levels in zip(state, w, strict=True))
 
     def tables(functional, dt_rel):
         return [run_lil_experiment(br, functional, LilExperimentConfig(
@@ -561,12 +573,15 @@ def test_levels_past_the_first_share_one_bridge_plan_at_c_one_half(depth):
 def test_a_center_the_deviation_does_not_follow_is_refused(scheme,
                                                            monkeypatch):
     # Z = X - center - t trend follows the example's SDE only where b is
-    # linear with b(center) = trend, b(trend) = 0 and the domain trivial
+    # linear with b(center) = trend and the domain trivial: b = (x1, x1)
+    # gives b(center) = (1, 1) against the trend (1, 0) in the driven row,
+    # and a center (1, 0) with no trend lies on a bounded domain
     shifted = get_example("shifted_kolmogorov")
     driven = replace(shifted, sde=SdeSystem(PolynomialDrift(
-        2, (((1.0, (0, 1)),), ((1.0, (1, 0)),))), shifted.sde.sigma))
+        2, (((1.0, (0, 1)),), ((1.0, (0, 1)),))), shifted.sde.sigma))
     bounded = replace(shifted, sde=replace(
-        shifted.sde, domain_contains=lambda x: x[..., 0] < 5.0))
+        shifted.sde, domain_contains=lambda x: x[..., 0] < 5.0),
+        contraction=ContractionFamily(np.array([1.0, 0.0])))
     config = LilExperimentConfig(j_max=2, n_paths=2, scheme=scheme)
     monkeypatch.setattr(lil, "_table", lambda *args: pytest.fail("ran"))
     for example in (driven, bounded):
