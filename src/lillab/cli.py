@@ -342,7 +342,8 @@ def _run_simulate(opts: dict, ns):
 def _run_rescale(opts: dict, ns):
     example = _example_from(opts)
     eps = opts["eps"]
-    path = _simulated(example, opts, example.contraction.center,
+    # the deviation from the center follows the SDE from 0 (rescale_path)
+    path = _simulated(example, opts, np.zeros(example.sde.dim_state),
                       eps * opts["dt"], eps * opts["horizon"])
     rescaled = rescale_path(path, example.contraction, example.index, eps)
     summary = {

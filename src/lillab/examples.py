@@ -3,8 +3,9 @@
 Each example is one monomial table of its drift plus sigma and x0, from
 which one builder (_example) makes the SDE, the asymptotic index, the
 limit system (scaling.derive_rescaling finds the two) with its control
-problem from x0, and the contraction family around x0 with the trend
-b(x0). Each entry bundles these with named path functionals and
+problem from 0, and the contraction family around x0 with the trend b(x0).
+The limit problem is that of the deviation X - x0 - t b(x0), which follows
+the SDE from 0. Each entry bundles these with named path functionals and
 reference constants with the method that produced them. Control-space
 functionals (J1/J2/J3/running_max) are also evaluable directly by
 quadrature via functional_value. lorenz96's sine-probe constant is such a
@@ -23,7 +24,7 @@ import numpy as np
 from .controls import LimitOdeProblem, ControlGrid
 from .extremals import RunningMaxAbsFunctional, TerminalLinearFunctional
 from .scaling import (AsymptoticIndex, ContractionFamily, derive_rescaling,
-                      transformed_coefficients)
+                      require_autonomous, transformed_coefficients)
 from .sde import PolynomialDrift, SdeSystem, _philox
 
 
@@ -61,29 +62,21 @@ class ExampleSystem:
 def _example(name: str, params: dict, rows, sigma: np.ndarray, x0,
              functionals: dict, reference: dict, **extra) -> ExampleSystem:
     """The example dx = b(x) dt + sigma dW from x0, b the monomial table
-    rows: the index and the limit system (L, sigma) of dy = L(y) dt +
-    sigma u dt from derive_rescaling, worked out at 0 (so only a linear b
-    may start elsewhere), and the contraction around x0 with the trend v, b(x0) in
-    the rows without noise and 0 in the others (a driven row's constant
-    scales away). Its rescaled coefficients are autonomous and tend to
-    (L, sigma) only if v = L(x0) and b reads no coordinate that v moves;
-    otherwise ValueError. extra goes to ExampleSystem."""
+    rows: the contraction around x0 with the trend v, b(x0) in the rows
+    without noise and 0 in the others (a driven row's constant scales
+    away), the index and the limit system (L, sigma) of dy = L(y) dt +
+    sigma u dt from derive_rescaling, and the limit problem from 0, that of
+    the deviation X - x0 - t v. ValueError unless that deviation follows
+    the SDE from 0 (scaling.require_autonomous). extra goes to
+    ExampleSystem."""
     sde = SdeSystem(PolynomialDrift(len(rows), rows), sigma)
-    if np.any(x0) and sde.drift.matrix is None:
-        raise ValueError(f"{name}: a nonlinear drift is rescaled at 0 only")
-    index, limit = derive_rescaling(sde)
     trend = np.where(np.any(sigma != 0.0, axis=1), 0.0, sde.drift(x0))
-    if (np.any(trend != limit.drift(x0))
-            or (np.any(trend)
-                and np.any(sde.drift.matrix[:, trend != 0.0]))):
-        raise ValueError(f"{name}: no autonomous rescaling from x0: the "
-                         f"trend {trend} (b(x0) in the rows without noise) "
-                         "must be the limit drift there and move no "
-                         "coordinate that b reads")
+    contraction = ContractionFamily(x0, trend)
+    require_autonomous(sde, contraction)
+    index, limit = derive_rescaling(sde)
     return ExampleSystem(
-        name=name, params=params, sde=sde,
-        contraction=ContractionFamily(x0, trend), index=index,
-        limit_problem=LimitOdeProblem(limit, x0),
+        name=name, params=params, sde=sde, contraction=contraction,
+        index=index, limit_problem=LimitOdeProblem(limit, np.zeros(len(rows))),
         functionals=functionals, reference=reference, **extra)
 
 
@@ -136,10 +129,8 @@ def _make_shifted_kolmogorov(x0=(1.0, 1.0)) -> ExampleSystem:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,):
         raise ValueError("x0 must be a 2-vector")
-    # detrended first coordinate: y1(1) - x1(0) - x2(0) = int_0^1 f
     functionals = {
-        "J1": TerminalLinearFunctional(np.array([1.0, 0.0]),
-                                       offset=-(x0[0] + x0[1])),
+        "J1": TerminalLinearFunctional(np.array([1.0, 0.0])),
         "running_max": RunningMaxAbsFunctional(0),
     }
     m = ik_reference_constant(2)

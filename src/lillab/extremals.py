@@ -89,15 +89,14 @@ class _TerminalFunctional:
 
 
 class TerminalLinearFunctional(_TerminalFunctional):
-    """F(g) = weights . g(t_end) + offset (linear in the terminal state)."""
+    """F(g) = weights . g(t_end) (linear in the terminal state)."""
 
-    def __init__(self, weights, offset: float = 0.0):
+    def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
-        self.offset = float(offset)
 
     def terminal_value(self, terminal: np.ndarray) -> np.ndarray:
         # a row sum, not a matmul: gemv rounds a row by the batch around it
-        return np.sum(terminal * self.weights, axis=-1) + self.offset
+        return np.sum(terminal * self.weights, axis=-1)
 
     def terminal_gradient(self, terminal: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.weights, terminal.shape).copy()

@@ -7,9 +7,10 @@ Convergence to the extremal constants is loglog slow, so reports carry
 bracket statistics calibrated by pilot runs; see the acceptance tests.
 
 Every level is computed in its own units: time s = t / eps_j and the
-deviation Z = X - center - t trend from 0, read as center + s trend + Z /
-alpha. Each row is one Gauss-Markov path, refined coarse to fine onto
-every level grid by one bridge (_bridge; noise_coupling = "consistent").
+deviation Z = X - center - t trend, which follows the SDE from 0; the
+functional reads Z / alpha, the frame of the limit problem. Each row is
+one Gauss-Markov path, refined coarse to fine onto every level grid by
+one bridge (_bridge; noise_coupling = "consistent").
 exact_linear bridges Z / eps^(l/2) and has no depth ceiling (eps_j prints
 0.0 past 5e-324); euler bridges W / sqrt(eps) and steps Z with
 sde.euler_batch, and refuses a subnormal finest step.
@@ -362,26 +363,35 @@ def _level_steps(functional, config, t_star) -> int:
     return max(1, round(t_star / config.dt_rel))
 
 
-def _level_spec(spec, ell, log_eps):
-    """The LinearSpec of Z / eps^(l/2) in time t / eps, Z that of spec:
-    A_im eps^(1 + (l_m - l_i)/2) and sigma_i eps^((1 - l_i)/2) where
-    nonzero, every power 0 (the same bits) on a homogeneous chain."""
-    def scaled(entries, power):
+def _level_specs(spec, ell, log_eps):
+    """The LinearSpec of Z / eps^(l/2) in time t / eps at each of log_eps,
+    Z that of spec: A_im eps^(1 + (l_m - l_i)/2) and sigma_i eps^((1 -
+    l_i)/2) where nonzero. Where every such power is 0 (a homogeneous
+    chain) the levels share one spec, built once with the same bits."""
+    a_power = 1.0 + (ell[None, :] - ell[:, None]) / 2.0
+    s_power = np.broadcast_to((1.0 - ell[:, None]) / 2.0, spec.sigma.shape)
+
+    def scaled(entries, power, log):
         out, nonzero = np.zeros_like(entries), entries != 0.0
-        out[nonzero] = entries[nonzero] * np.exp(power[nonzero] * log_eps)
+        out[nonzero] = entries[nonzero] * np.exp(power[nonzero] * log)
         return out
-    return LinearSpec(
-        scaled(spec.a_matrix, 1.0 + (ell[None, :] - ell[:, None]) / 2.0),
-        scaled(spec.sigma, np.broadcast_to((1.0 - ell[:, None]) / 2.0,
-                                           spec.sigma.shape)))
+
+    def level(log):
+        return LinearSpec(scaled(spec.a_matrix, a_power, log),
+                          scaled(spec.sigma, s_power, log))
+
+    if (np.any(a_power[spec.a_matrix != 0.0])
+            or np.any(s_power[spec.sigma != 0.0])):
+        return [level(log) for log in log_eps]
+    return [level(log_eps[0])] * len(log_eps)
 
 
 def _table(example, functional, config, work):
     """Values (n_paths, levels): chunks of rows run their levels coarse to
-    fine, each one functional.values of center + s trend + Z / scale on
-    the chunk's nodes (the last only for a terminal functional), nan where
-    a row died. exact_linear bridges Z / eps^(l/2), scale
-    loglog(1/eps)^(k/2); euler steps sqrt(eps) dW from 0, scale alpha.
+    fine, each one functional.values of Z / scale on the chunk's nodes
+    (the last only for a terminal functional), nan where a row died.
+    exact_linear bridges Z / eps^(l/2), scale loglog(1/eps)^(k/2); euler
+    steps sqrt(eps) dW from 0, scale alpha.
 
     Under euler, consecutive levels of a chunk are stepped in one
     euler_batch call, level-major, each row with its level's step: as many
@@ -391,7 +401,7 @@ def _table(example, functional, config, work):
     the levels run per chunk, the euler_batch calls and their rows times
     steps.
     """
-    sde, phi = example.sde, example.contraction
+    sde = example.sde
     js, eps, t_star = (config.j_grid(), config.eps_grid(),
                        example.limit_problem.t_star)
     exact = config.scheme == "exact_linear"
@@ -401,7 +411,7 @@ def _table(example, functional, config, work):
     log_eps = math.log(config.eps0) + js * math.log(config.c)
     ell, k = np.array(example.index.exponents, dtype=float).T
     if exact:
-        specs = [_level_spec(sde.linear, ell, e) for e in log_eps]
+        specs = _level_specs(sde.linear, ell, log_eps)
         scale = np.exp(0.5 * k * np.log(np.log(-log_eps))[:, None])
     else:
         ell, dim = np.ones(sde.dim_noise), sde.dim_noise
@@ -411,7 +421,6 @@ def _table(example, functional, config, work):
     plan = _bridge_plan(specs, grid, config.c)
     work["bridge_plans"] = len({id(entry) for entry in plan})
     grow = config.c ** (-0.5 * ell)
-    base = phi.center + grid[last:, None, None] * phi.drift_vector
     chunk = max(1, _CHUNK_NODES // (n_steps + 1 + 2 * max(p[0] for p in plan)))
     values = np.full((config.n_paths, len(eps)), np.nan)
     for first in range(0, config.n_paths, chunk):
@@ -442,7 +451,7 @@ def _table(example, functional, config, work):
                 del inc
             for g, level in enumerate(group.tolist()):
                 part = slice(g * per, (g + 1) * per)
-                y = base + z[last:, part] / scale[level]
+                y = z[last:, part] / scale[level]
                 values[first:rows.stop, level] = np.where(
                     dead[part], np.nan, functional.values(y))
             work["levels"] += len(group)
@@ -485,7 +494,7 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     if config.scheme == "euler" and not step >= np.finfo(float).tiny:
         raise ValueError(f"depth {config.j_max}: the finest grid step "
                          f"{step!r} is subnormal; lower the depth")
-    require_autonomous(example.sde, example.contraction, deviation=True)
+    require_autonomous(example.sde, example.contraction)
     work = dict(bridge_plans=0, levels=0, euler_calls=0, euler_row_steps=0)
     values = _table(example, functional, config, work)
     return LilReport(example.name, functional_name, config, values, {

@@ -1,13 +1,14 @@
 """Small-time rescaling machinery: contraction families and asymptotic indices.
 
-A contraction family (center, trend) shrinks space around a center point by
-a positive multi-index alpha, after removing a linear trend; an asymptotic
-index turns the time scale eps into the spatial multi-index alpha = psi(eps).
-Together they map a path x on [0, eps] to the rescaled path
-y_t = Phi_{psi(eps)}(x_{eps t}) on [0, 1], and an SDE to its rescaled
-coefficient family, itself a table system: each monomial is rescaled by
-its coefficient, and sigma by a row scale. derive_rescaling finds the index
-and the limit system (L, sigma) from the drift's monomials.
+A contraction family (center, trend) names the deviation Z = X - center -
+t trend of a solution X from its start; an asymptotic index turns the time
+scale eps into the spatial multi-index alpha = psi(eps). Every rescaling
+works on Z, which follows the SDE itself from 0 (require_autonomous):
+rescale_path maps a deviation path on [0, eps] to y_s = center + s trend +
+Z_{eps s} / alpha on [0, 1], and transformed_coefficients maps the SDE to
+its rescaled coefficient family, itself a table system: each monomial is
+rescaled by its coefficient, and sigma by a row scale. derive_rescaling
+finds the index and the limit system (L, sigma) from the drift's monomials.
 """
 
 from __future__ import annotations
@@ -155,9 +156,9 @@ class ContractionFamily:
 
     At a fixed time the map is y -> center + (y - center) / alpha, an affine
     bijection fixing the center. A nonzero trend v * t is removed before
-    shrinking and restored afterwards (see rescale_path and
-    transformed_coefficients). kind names the case: "diagonal" (center and
-    trend 0), "shifted_diagonal" (trend 0) or "affine_detrended".
+    shrinking and restored afterwards (see rescale_path). kind names the
+    case: "diagonal" (center and trend 0), "shifted_diagonal" (trend 0) or
+    "affine_detrended".
     """
 
     center: np.ndarray
@@ -189,49 +190,38 @@ class ContractionFamily:
         return self.center + (y - self.center) * alpha
 
 
-def require_autonomous(system: SdeSystem, phi: ContractionFamily,
-                       deviation: bool = False) -> None:
-    """ValueError unless system rescales around phi to an autonomous SDE
-    (b(center) = trend in the rows without noise; with a center or trend,
-    an affine b, and a trend on a trivial domain moving no coordinate b
-    reads) and, with deviation, Z = X - center - t trend follows system
-    from 0 (a center or trend then needs a linear b, b(center) = trend in
-    every row and a trivial domain)."""
+def require_autonomous(system: SdeSystem, phi: ContractionFamily) -> None:
+    """ValueError unless Z = X - center - t trend follows system from 0 and
+    rescales to an autonomous SDE: b(center) = trend in the rows without
+    noise, and with a center or a trend a linear b with b(center) = trend in
+    every row, a trend that moves no coordinate b reads, and a trivial
+    domain."""
     center, trend, drift = phi.center, phi.drift_vector, system.drift
     gap = drift(center) - trend
     off = np.flatnonzero((gap != 0.0) & ~np.any(system.sigma != 0.0, axis=1))
     if off.size:
         raise ValueError(f"the trend must be b(center) in the rows without "
                          f"noise; coordinates {off.tolist()} differ")
-    if not (np.any(center) or np.any(trend)):
-        return
-    if any(sum(e) > 1 for row in drift.rows for _, e in row):
-        raise ValueError("a center or a trend needs an affine drift")
-    trivial = system.domain_contains is trivial_domain
-    if np.any(trend) and (not trivial or any(
-            partial(*center) for row in drift.partials
-            for j, partial in row.items() if trend[j])):
-        raise ValueError("a trend needs a trivial domain and a drift "
-                         "that reads no coordinate the trend moves")
-    if deviation and (np.any(gap) or drift.matrix is None or not trivial):
-        raise ValueError("its deviation needs a trivial domain and a linear "
-                         "drift b with b(center) = trend")
+    if (np.any(center) or np.any(trend)) and (
+            drift.matrix is None or np.any(gap)
+            or np.any(drift.matrix[:, trend != 0.0])
+            or system.domain_contains is not trivial_domain):
+        raise ValueError("a center or a trend needs a trivial domain and a "
+                         "linear drift b with b(center) = trend that reads "
+                         "no coordinate the trend moves")
 
 
 def rescale_path(path: ExplosivePath, phi: ContractionFamily,
                  psi: AsymptoticIndex, eps: float) -> ExplosivePath:
-    """Map x on [0, horizon] to y_t = Phi_{psi(eps)}(x_{eps t}) on [0, horizon/eps].
-
-    The trend center + t * v is removed at scale eps and restored at scale
-    1: y_t = center + t v + (x_{eps t} - center - eps t v) / alpha.
-    Explosion carries over at the same grid index.
+    """Map the deviation Z = X - center - t trend on [0, horizon], a path of
+    the SDE from 0, to y_s = center + s trend + Z_{eps s} / alpha on [0,
+    horizon / eps], alpha = psi(eps): the one place that adds the center
+    back. Explosion carries over at the same grid index.
     """
     t_out = path.times / eps
-    t = t_out[:, None]
     with np.errstate(invalid="ignore"):
-        states = (phi.center + t * phi.drift_vector
-                  + (path.states - phi.center - (eps * t) * phi.drift_vector)
-                  / eval_index(psi, eps))
+        states = (phi.center + t_out[:, None] * phi.drift_vector
+                  + path.states / eval_index(psi, eps))
     if path.explosion_index is not None:
         states[path.explosion_index:] = np.nan
     return ExplosivePath(times=t_out, states=states,
@@ -240,30 +230,23 @@ def rescale_path(path: ExplosivePath, phi: ContractionFamily,
 
 def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
                              psi: AsymptoticIndex, eps: float) -> SdeSystem:
-    """Rescaled coefficient family (b_eps, sigma_eps), as a table system.
+    """Rescaled coefficient family (b_eps, sigma_eps) of the deviation Z =
+    X - center - t trend, which follows system from 0 (require_autonomous),
+    as a table system. Row by row with alpha = psi(eps),
 
-    For an affine contraction the generator term reduces to first order, so
-    at x = Phi^{-1}(y) = c + alpha (y - c), row by row with alpha = psi(eps),
+        b_eps(y)  = eps * b(alpha y) / alpha
+        sigma_eps = sqrt(eps * loglog(1/eps)) * sigma / alpha,
 
-        b_eps(y)  = eps * b(x) / alpha
-        sigma_eps = sqrt(eps * loglog(1/eps)) * sigma / alpha.
-
-    The rescaled SDE is driven by sigma_eps / sqrt(loglog(1/eps)); see
-    rescaled_sde_system. Around c = 0 with no trend, each monomial
-    coef * x^m of b_i becomes (coef * eps * alpha^m / alpha_i) * y^m. A
-    center or a trend v needs an affine b(x) = b(0) + A x, and then
-    b_eps(y) = v + eps * (b(c) - v) / alpha + eps * A alpha (y - c) / alpha:
-    the scaled A and one constant per row (forming v + eps * (b(x) - v) /
-    alpha instead cancels to 1e-12 at eps = 1e-8). The constant eps *
-    (b_i(c) - v_i) / alpha_i tends to 0 in a row with noise (Brownian
-    motion with drift); elsewhere it grows like eps^(1 - l_i/2), so b(c) != v
-    there raises ValueError (require_autonomous).
-    A trivial domain stays trivial (sde.alive skips its call); any other is
-    evaluated at Phi^{-1}(y).
+    so each monomial coef * x^m of b_i becomes (coef * eps * alpha^m /
+    alpha_i) * y^m. The rescaled SDE is driven by sigma_eps /
+    sqrt(loglog(1/eps)); see rescaled_sde_system. A constant of b tends to
+    0 in a row with noise (Brownian motion with drift); elsewhere it grows
+    like eps^(1 - l_i/2) and raises ValueError. A trivial domain stays
+    trivial (sde.alive skips its call); any other is evaluated at alpha y.
     """
     require_autonomous(system, phi)
     alpha = eval_index(psi, eps)
-    center, trend, drift = phi.center, phi.drift_vector, system.drift
+    drift = system.drift
 
     def scaled(i, coef, exps):
         # eps / alpha_i is finite (alpha >= tiny), and factors alpha_j < 1
@@ -276,20 +259,10 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
 
     rows = [[(scaled(i, c, e), e) for c, e in row]
             for i, row in enumerate(drift.rows)]
-    if np.any(center) or np.any(trend):
-        shift = trend + eps * (drift(center) - trend) / alpha
-        rows = [[(c, e) for c, e in row if any(e)] for row in rows]
-        for i, row in enumerate(rows):
-            const = shift[i] - sum(c * center[e.index(1)] for c, e in row)
-            if const:
-                row.append((const, (0,) * drift.d))
     domain = system.domain_contains
     if domain is not trivial_domain:
-        center_alpha = center * alpha
-
         def domain(y):
-            return system.domain_contains(
-                center + np.asarray(y, dtype=float) * alpha - center_alpha)
+            return system.domain_contains(np.asarray(y, dtype=float) * alpha)
 
     noise_gain = math.sqrt(eps * rate_scale(eps))
     return SdeSystem(PolynomialDrift(drift.d, rows),

@@ -135,7 +135,7 @@ def test_polygonalize_artifacts_equal_the_golden_files(tmp_path, golden, argv):
 
 
 def test_rescale_artifacts_equal_the_golden_files(tmp_path):
-    # the detrended rescaling of shifted_kolmogorov from (1, 1), exact
+    # the detrended rescaling of shifted_kolmogorov around (1, 1), exact
     # sampler: a change to the contraction or its trend must show here
     out = tmp_path / "rescale_shifted_exact"
     assert run(["rescale", "--example", "shifted_kolmogorov", "--scheme",
@@ -144,6 +144,26 @@ def test_rescale_artifacts_equal_the_golden_files(tmp_path):
     for name in ("rescaled.csv", "rescaled.json"):
         assert (out / name).read_bytes() == \
             (DATA / "rescale_shifted_exact" / name).read_bytes()
+
+
+@pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
+def test_the_detrended_rescale_is_iterated_kolmogorov(tmp_path, scheme):
+    # rescale steps the deviation from the center from 0, which for
+    # shifted_kolmogorov is IK(2)'s path on the same noise, and adds center
+    # + s trend back: less that, the two outputs agree at eps 1e-8, where
+    # subtracting the center from a path near it would keep few digits
+    states = {}
+    for name in ("shifted_kolmogorov", "iterated_kolmogorov"):
+        out = tmp_path / name
+        assert run(["rescale", "--example", name, "--scheme", scheme,
+                    "--eps", "1e-8", "--seed", "7", "--out", str(out)]) == 0
+        doc = json.loads((out / "rescaled.json").read_text())
+        states[name] = np.array(doc["times"]), np.array(doc["states"])
+    phi = get_example("shifted_kolmogorov").contraction
+    times, shifted = states["shifted_kolmogorov"]
+    deviation = shifted - phi.center - np.outer(times, phi.drift_vector)
+    assert np.max(np.abs(deviation - states["iterated_kolmogorov"][1])) \
+        <= 1e-12
 
 
 @pytest.mark.parametrize("block", [lil._CSV_PATHS, 4])
@@ -417,8 +437,7 @@ def test_rescale_exact_linear_draws_one_normal_per_state_coordinate(tmp_path):
                 "--seed", "5", "--out", str(out)]) == 0
     ik = get_example("iterated_kolmogorov", d=2)
     noise = brownian_path(5, dt=1e-4 * 1e-2, horizon=1e-4 * 1.0, dim_noise=2)
-    path = simulate_sde(ik.sde, ik.contraction.center, noise,
-                        scheme="exact_linear")
+    path = simulate_sde(ik.sde, np.zeros(2), noise, scheme="exact_linear")
     expected = rescale_path(path, ik.contraction, ik.index, 1e-4)
     assert (out / "rescaled.csv").read_bytes() == \
         path_to_csv_string(expected).encode()

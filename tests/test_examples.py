@@ -133,15 +133,14 @@ def test_deviation_table_decreasing():
     ("shifted_kolmogorov", {"x0": (-2.0, 0.5)}, "J1"),
 ])
 def test_gramian_oracle_gives_the_stored_maximum(name, params, functional):
-    # the sup of w . y(1) + offset over the energy ball of a linear limit
-    # dy = A y dt + sigma u dt is w P(1) x0 + offset + sqrt(2 w Q w), with
-    # P the propagator and Q = covariance(1) the controllability Gramian
+    # the sup of w . y(1) over the energy ball of a linear limit dy = A y
+    # dt + sigma u dt from 0 is sqrt(2 w Q w), with Q = covariance(1) the
+    # controllability Gramian
     example = get_example(name, **params)
     problem, f = example.limit_problem, example.functionals[functional]
-    linear = problem.system.linear
+    assert not np.any(problem.x0)
     w = f.weights
-    oracle = (w @ linear.propagator(1.0) @ problem.x0 + f.offset
-              + math.sqrt(2.0 * (w @ linear.covariance(1.0) @ w)))
+    oracle = math.sqrt(2.0 * (w @ problem.system.linear.covariance(1.0) @ w))
     assert oracle == example.reference[f"{functional}_max"]["value"]
 
 
@@ -190,13 +189,19 @@ def test_brownian_motion_with_drift_builds():
 def test_the_builder_rejects_a_start_without_an_autonomous_rescaling():
     sigma = np.array([[0.0], [1.0]])
     # x0' = x0 + x1 from (0, 1): the trend (1, 0) moves x0, which b reads
-    with pytest.raises(ValueError, match="no autonomous rescaling"):
+    with pytest.raises(ValueError, match="reads no coordinate the trend"):
         _example("t", {}, (((1.0, (1, 0)), (1.0, (0, 1))), ()), sigma,
                  np.array([0.0, 1.0]), {}, {})
-    # x0' = x1 - x0 from (1, 1): no trend, but the limit drift there is (1, 0)
-    with pytest.raises(ValueError, match="no autonomous rescaling"):
-        _example("t", {}, (((1.0, (0, 1)), (-1.0, (1, 0))), ()), sigma,
-                 np.ones(2), {}, {})
+    # x0' = x1^2 from (0, 1): a start away from 0 needs a linear drift
+    with pytest.raises(ValueError, match="a linear drift"):
+        _example("t", {}, (((1.0, (0, 2)),), ()), sigma,
+                 np.array([0.0, 1.0]), {}, {})
+    # x0' = x1 - x0 from (1, 1): b(x0) = 0, no trend, and the deviation
+    # X - x0 follows the SDE from 0, the start of the limit problem
+    built = _example("t", {}, (((1.0, (0, 1)), (-1.0, (1, 0))), ()), sigma,
+                     np.ones(2), {}, {})
+    assert not np.any(built.contraction.drift_vector)
+    assert not np.any(built.limit_problem.x0)
 
 
 def test_example_sde_simulates():

@@ -135,8 +135,8 @@ def test_both_schemes_bridge_one_path(d):
     grid = np.array([0.0, br.limit_problem.t_star])
     log_eps = math.log(config.eps0) + config.j_grid() * math.log(config.c)
     ell = np.array(br.index.exponents, dtype=float)[:, 0]
-    plan = lil._bridge_plan([lil._level_spec(br.sde.linear, ell, e)
-                             for e in log_eps], grid, config.c)
+    plan = lil._bridge_plan(lil._level_specs(br.sde.linear, ell, log_eps),
+                            grid, config.c)
     state = lil._bridge(plan, config.c ** (-0.5 * ell), np.zeros((50, d)),
                         lambda level, n: row_normals(
                             config.seed, config.j_grid()[level], range(50), n))
@@ -195,11 +195,11 @@ def _per_path_table(example, functional_name, config):
 
     Each level steps the deviation from the center, from 0, on sqrt(eps)
     times that level's increments of the path's bridged W / sqrt(eps); the
-    functional is written out on center + s trend + Z / alpha at the
-    rescaled node times s: weights . y(end) + offset for a terminal linear
-    one, max |y_1| for running_max, nan once the path exploded.
+    functional is written out on y = Z / alpha: weights . y(end) for a
+    terminal linear one, max |y_1| for running_max, nan once the path
+    exploded.
     """
-    phi, psi = example.contraction, example.index
+    psi = example.index
     functional = example.functionals[functional_name]
     t_star = example.limit_problem.t_star
     n_steps, grid = _level_grid(example, config)
@@ -212,15 +212,13 @@ def _per_path_table(example, functional_name, config):
                               np.diff(w[:, 0], axis=0) * np.sqrt(eps))
             path = simulate_sde(example.sde, np.zeros(example.sde.dim_state),
                                 noise)
-            y = (phi.center + grid[:, None] * phi.drift_vector
-                 + path.states / eval_index(psi, eps))
+            y = path.states / eval_index(psi, eps)
             if path.explosion_index is not None:
                 expected[p, level] = math.nan
             elif functional_name == "running_max":
                 expected[p, level] = np.max(np.abs(y[:, 0]))
             else:
-                expected[p, level] = (functional.weights @ y[-1]
-                                      + functional.offset)
+                expected[p, level] = functional.weights @ y[-1]
     return expected
 
 
@@ -289,7 +287,7 @@ def test_euler_running_and_detrended_tables_match_per_path_simulation(
     # a running functional folds over every rescaled node (quadratic's x1
     # falls monotonically, so brownian is the case where the maximum is not
     # at the last node); shifted_kolmogorov is the affine_detrended kind,
-    # whose values center + s trend + Z / alpha depend on the node time
+    # whose functional reads its deviation Z / alpha
     example = get_example(name)
     config = LilExperimentConfig(j_min=0, j_max=4, n_paths=3, scheme="euler")
     if rows_per_chunk is not None:
@@ -554,12 +552,32 @@ def test_exact_ik2_levels_keep_their_law_at_depth_2000():
 @pytest.mark.parametrize("depth", [27, 60])
 def test_the_detrended_example_is_iterated_kolmogorov(scheme, depth):
     # shifted_kolmogorov is IK(2) from (1, 1) with the trend (1, 0): its
-    # deviation from the center is IK(2)'s state, so the tables agree up to
-    # the rounding of center + s trend - (x0_1 + x0_2)
+    # deviation from the center is IK(2)'s state, and J1 reads it, so the
+    # tables agree bit for bit
     config = LilExperimentConfig(j_max=depth, n_paths=40, scheme=scheme)
     shifted, ik = (run_lil_experiment(get_example(name), "J1", config).values
                    for name in ("shifted_kolmogorov", "iterated_kolmogorov"))
-    assert np.max(np.abs(shifted - ik)) <= 1e-14
+    assert np.array_equal(shifted, ik)
+
+
+def test_level_specs_are_built_once_where_every_power_is_0():
+    # IK(3)'s powers are all 0: every level shares one spec, with the bits
+    # of (A, sigma); in the damped chain x0' = x1, x1' = -x1 (l = (3, 1))
+    # the damping's power is 1, so each level has its own spec
+    log_eps = math.log(1e-2) + np.arange(6) * math.log(0.5)
+    linear = get_example("iterated_kolmogorov", d=3).sde.linear
+    specs = lil._level_specs(linear, np.array([5.0, 3.0, 1.0]), log_eps)
+    assert len(specs) == 6 and all(spec is specs[0] for spec in specs)
+    assert np.array_equal(specs[0].a_matrix, linear.a_matrix)
+    assert np.array_equal(specs[0].sigma, linear.sigma)
+    damped = LinearSpec(np.array([[0.0, 1.0], [0.0, -1.0]]),
+                        np.array([[0.0], [1.0]]))
+    specs = lil._level_specs(damped, np.array([3.0, 1.0]), log_eps)
+    assert len({id(spec) for spec in specs}) == 6
+    assert [spec.a_matrix[1, 1] for spec in specs] == \
+        (-np.exp(log_eps)).tolist()
+    for spec in specs:
+        assert spec.a_matrix[0, 1] == 1.0 and spec.sigma[1, 0] == 1.0
 
 
 @pytest.mark.parametrize("depth", [27, 2000])

@@ -142,18 +142,22 @@ def test_rescale_path_carries_explosion():
 
 
 def test_shifted_kolmogorov_detrended_rescale():
-    # the affine_detrended family removes the linear trend at the original
-    # scale and restores it at the rescaled one; the trend itself must
-    # survive the rescale exactly
+    # rescale_path takes the deviation Z = X - center - t trend and adds
+    # center + s trend back at the rescaled time s: a path that keeps to
+    # the trend (Z = 0) rescales to the trend itself, bit for bit, and
+    # Z / alpha rides on it
     sk = get_example("shifted_kolmogorov")
     eps = 1e-4
     t = np.linspace(0.0, eps, 17)
-    center = sk.contraction.center
-    trend = center + np.outer(t, sk.contraction.drift_vector)
-    path = ExplosivePath(t, trend)
-    out = rescale_path(path, sk.contraction, sk.index, eps)
-    expect = center + np.outer(t / eps, sk.contraction.drift_vector)
-    assert np.allclose(out.states, expect, rtol=1e-10, atol=1e-12)
+    phi = sk.contraction
+    trend = phi.center + np.outer(t / eps, phi.drift_vector)
+    out = rescale_path(ExplosivePath(t, np.zeros((17, 2))), phi, sk.index,
+                       eps)
+    assert np.array_equal(out.states, trend)
+    z = np.column_stack([t**2, np.sin(t / eps)])
+    out = rescale_path(ExplosivePath(t, z), phi, sk.index, eps)
+    assert np.array_equal(out.states,
+                          trend + z / eval_index(sk.index, eps))
 
 
 def test_transformed_coefficients_linear_invariance():
@@ -211,24 +215,20 @@ def test_rescaled_systems_keep_the_trivial_domain(name):
         assert system.domain_contains is trivial_domain
 
 
-@pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, 0.0)])
-def test_a_domain_is_pulled_back_to_the_rescaled_coordinates(center):
-    # y is in the rescaled domain iff c + alpha (y - c) is in the original
-    # one; around 0 and around a center where b(c) = 0, so the trend is 0
+def test_a_domain_is_pulled_back_to_the_rescaled_coordinates():
+    # y is in the rescaled domain iff alpha y is in the original one (a
+    # domain is rescaled around 0 only: require_autonomous)
     ik = get_example("iterated_kolmogorov")
     system = replace(ik.sde, domain_contains=lambda x:
                      x[..., 0] + 2.0 * x[..., 1] ** 2 < 0.31)
-    c = np.array(center)
     eps = 1e-3
     alpha = eval_index(ik.index, eps)
     y = np.random.default_rng(5).uniform(-1.0, 1.0, (400, 2)) / alpha
     for resc in (
-            transformed_coefficients(system, ContractionFamily(c), ik.index,
-                                     eps),
-            rescaled_sde_system(system, ContractionFamily(c), ik.index, eps)):
+            transformed_coefficients(system, ik.contraction, ik.index, eps),
+            rescaled_sde_system(system, ik.contraction, ik.index, eps)):
         inside = resc.domain_contains(y)
-        assert np.array_equal(inside,
-                              system.domain_contains(c + alpha * (y - c)))
+        assert np.array_equal(inside, system.domain_contains(alpha * y))
         assert 0 < inside.sum() < len(y)
 
 
@@ -236,9 +236,9 @@ def test_a_domain_is_pulled_back_to_the_rescaled_coordinates(center):
                                   "quadratic", "lorenz96",
                                   "shifted_kolmogorov"])
 def test_rescaled_families_are_tables(name):
-    # the rescaled drift keeps the monomials of b (a center adds one
-    # constant per row and drops b's), sigma_eps is a row scale of sigma,
-    # and a linear table around 0 stays linear
+    # the rescaled drift of the deviation keeps the monomials of b, around
+    # any center, sigma_eps is a row scale of sigma, and a linear table
+    # stays linear
     example = get_example(name)
     eps = 1e-6
     resc = transformed_coefficients(example.sde, example.contraction,
@@ -248,9 +248,8 @@ def test_rescaled_families_are_tables(name):
     assert np.array_equal(resc.sigma, math.sqrt(eps * rate_scale(eps))
                           * example.sde.sigma / alpha[:, None])
     for row, written in zip(resc.drift.rows, example.sde.drift.rows):
-        assert [e for _, e in row if any(e)] == [e for _, e in written]
-    centered = np.any(example.contraction.center)
-    assert (resc.linear is None) == (example.sde.linear is None or centered)
+        assert [e for _, e in row] == [e for _, e in written]
+    assert (resc.linear is None) == (example.sde.linear is None)
 
 
 def test_a_family_rescaled_at_a_new_eps_compiles_nothing():
@@ -276,9 +275,9 @@ def test_a_family_rescaled_at_a_new_eps_compiles_nothing():
 
 @pytest.mark.parametrize("k", range(2, 13))
 def test_shifted_kolmogorov_coefficients_are_the_limit_pair(k):
-    # the detrended family of a linear drift gives b_eps(y) = v + eps *
-    # b(alpha (y - c)) / alpha = L(y) up to the rounding of eps alpha_1 /
-    # alpha_0, whose relative error grows with |log eps| (alpha is an exp)
+    # the deviation of a linear drift has b_eps(y) = eps * b(alpha y) /
+    # alpha = L(y) up to the rounding of eps alpha_1 / alpha_0, whose
+    # relative error grows with |log eps| (alpha is an exp)
     eps = 10.0 ** -k
     sk = get_example("shifted_kolmogorov")
     y = np.random.default_rng(k).uniform(-2.0, 2.0, size=(4096, 2))
@@ -311,30 +310,24 @@ def test_transformed_coefficients_rejects_a_trend_it_cannot_transform():
                                 np.array([0.0, 1.0, 0.0]))),
     ]
     for example, phi in cases:
-        with pytest.raises(ValueError, match="needs an affine drift|a trend "
-                           "needs|trend must be b\\(center\\)"):
+        with pytest.raises(ValueError, match="a center or a trend needs|"
+                           "trend must be b\\(center\\)"):
             transformed_coefficients(example.sde, phi, example.index, 1e-3)
 
 
-def test_a_trend_off_b_of_the_center_in_a_driven_row_scales_away():
+def test_a_trend_off_b_of_the_center_is_refused():
     # x0' = x1, x1' = 0.5 with x1 driven, around c = (0, 1) with the trend
-    # v = (1, 0) = b(c) in row 0 only: the driven row keeps the constant
-    # eps (b_1(c) - v_1) / alpha_1 = 0.5 sqrt(eps / loglog(1/eps)) -> 0
+    # v = (1, 0) = b(c) in row 0 only: X - c - t v would drift by b_1(c) -
+    # v_1 = 0.5 in the driven row, and b is not linear, so the deviation
+    # does not follow the SDE from 0 (around 0 the driven row's constant
+    # scales away: test_brownian_motion_with_drift_builds)
     drift = PolynomialDrift(2, (((1.0, (0, 1)),), ((0.5, (0, 0)),)))
     sigma = np.array([[0.0], [1.0]])
     index, _ = derive_rescaling(SdeSystem(drift, sigma))
     c, v = np.array([0.0, 1.0]), np.array([1.0, 0.0])
-    consts = []
-    for eps in (1e-3, 1e-6, 1e-9):
-        resc = transformed_coefficients(SdeSystem(drift, sigma),
-                                        ContractionFamily(c, v), index, eps)
-        at_c = resc.drift(c)
-        assert at_c[0] == 1.0
-        assert at_c[1] == pytest.approx(0.5 * math.sqrt(eps
-                                                        / rate_scale(eps)))
-        consts.append(at_c[1])
-    assert consts[0] > consts[1] > consts[2] > 0.0
-    assert consts[2] < 1e-5
+    with pytest.raises(ValueError, match="a center or a trend needs"):
+        transformed_coefficients(SdeSystem(drift, sigma),
+                                 ContractionFamily(c, v), index, 1e-3)
     # the same constant in the row without noise would grow like
     # eps^(-1/2), around c with the trend v as around 0 with none
     lifted = SdeSystem(PolynomialDrift(2, (((1.0, (0, 1)), (0.5, (0, 0))),
