@@ -6,14 +6,13 @@ at once, and per-path running extremes track the empirical limsup/liminf.
 Convergence to the extremal constants is loglog slow, so reports carry
 bracket statistics calibrated by pilot runs; see the acceptance tests.
 
-Every level is computed in its own units: time s = t / eps_j and the
-deviation Z = X - center - t trend, which follows the SDE from 0; the
-functional reads Z / alpha, the frame of the limit problem. Each row is
-one Gauss-Markov path, refined coarse to fine onto every level grid by
-one bridge (_bridge; noise_coupling = "consistent").
-exact_linear bridges Z / eps^(l/2) and has no depth ceiling (eps_j prints
-0.0 past 5e-324); euler bridges W / sqrt(eps) and steps Z with
-sde.euler_batch, and refuses a subnormal finest step.
+Both schemes compute every level in its own units, time t / eps_j and
+state Y = Z / eps_j^(l/2) of the deviation Z = X - center - t trend, and
+read Y / loglog(1/eps_j)^(k/2) = Z / alpha, the limit problem's frame. Each
+row is one Gauss-Markov path, refined coarse to fine onto every level
+grid by one bridge (_bridge; noise_coupling = "consistent"): exact_linear
+bridges Y, euler bridges W / sqrt(eps) and steps Y with sde.euler_batch.
+Neither has a depth ceiling (eps_j prints 0.0 past 5e-324).
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ import numpy as np
 
 from .examples import ExampleSystem
 from .extremals import _require_functional
-from .scaling import eval_index, require_autonomous
-from .sde import (_BLOCK, _COLUMN_VALUES, LinearSpec, alive, euler_batch,
-                  row_normals)
+from .scaling import require_autonomous, rescaling_powers
+from .sde import (_BLOCK, _COLUMN_VALUES, LinearSpec, SdeSystem, alive,
+                  euler_batch, row_normals)
 
 
 # Row-nodes per chunk of rows in _table, so memory does not grow with paths:
@@ -49,9 +48,9 @@ _CSV_PATHS = 256
 class LilExperimentConfig:
     """Geometric grid eps_j = eps0 * c^j for j in [j_min, j_max].
 
-    dt_rel is the per-scale step eps_j * dt_rel of every path (every scale
-    resolves the same number of steps per unit rescaled time) except for a
-    terminal functional under exact_linear, which needs one step per scale.
+    dt_rel is the step of every level in its own time t / eps_j, except
+    for a terminal functional under exact_linear, which needs one step per
+    scale.
     A report whose explosion fraction exceeds explosion_flag_threshold is
     flagged, not failed.
     """
@@ -355,100 +354,75 @@ def _bridge(plan, grow, x0, normals):
         yield grid.pop()  # nor grid once the caller lets go of it
 
 
-def _level_steps(functional, config, t_star) -> int:
-    """Steps of every level grid: one for a terminal functional under
-    exact_linear, t_star / dt_rel otherwise."""
-    if config.scheme == "exact_linear" and functional.terminal:
-        return 1
-    return max(1, round(t_star / config.dt_rel))
-
-
-def _level_specs(spec, ell, log_eps):
-    """The LinearSpec of Z / eps^(l/2) in time t / eps at each of log_eps,
-    Z that of spec: A_im eps^(1 + (l_m - l_i)/2) and sigma_i eps^((1 -
-    l_i)/2) where nonzero. Where every such power is 0 (a homogeneous
-    chain) the levels share one spec, built once with the same bits."""
-    a_power = 1.0 + (ell[None, :] - ell[:, None]) / 2.0
-    s_power = np.broadcast_to((1.0 - ell[:, None]) / 2.0, spec.sigma.shape)
-
-    def scaled(entries, power, log):
-        out, nonzero = np.zeros_like(entries), entries != 0.0
-        out[nonzero] = entries[nonzero] * np.exp(power[nonzero] * log)
-        return out
-
-    def level(log):
-        return LinearSpec(scaled(spec.a_matrix, a_power, log),
-                          scaled(spec.sigma, s_power, log))
-
-    if (np.any(a_power[spec.a_matrix != 0.0])
-            or np.any(s_power[spec.sigma != 0.0])):
-        return [level(log) for log in log_eps]
-    return [level(log_eps[0])] * len(log_eps)
-
-
 def _table(example, functional, config, work):
     """Values (n_paths, levels): chunks of rows run their levels coarse to
-    fine, each one functional.values of Z / scale on the chunk's nodes
-    (the last only for a terminal functional), nan where a row died.
-    exact_linear bridges Z / eps^(l/2), scale loglog(1/eps)^(k/2); euler
-    steps sqrt(eps) dW from 0, scale alpha.
+    fine, each one functional.values of Y / loglog(1/eps)^(k/2) on the
+    chunk's nodes (the last only for a terminal functional), nan where a
+    row died or X = eps^(l/2) Y left the domain. Y follows the example's
+    SDE with each monomial times its gain eps^p (scaling.rescaling_powers)
+    and sigma as it is (l = 1 where noise drives); under euler every level
+    steps the width t_star / n_steps.
 
     Under euler, consecutive levels of a chunk are stepped in one
-    euler_batch call, level-major, each row with its level's step: as many
-    levels as fit in one block of the kernel's array layout (_COLUMN_VALUES
-    values over min(n_steps, _BLOCK) nodes), split evenly, so that a few
-    paths run on the kernel's arrays. work counts the bridge plan entries,
-    the levels run per chunk, the euler_batch calls and their rows times
-    steps.
+    euler_batch call, level-major, each row with its level's gains: as
+    many levels as fit in one block of the kernel's array layout
+    (_COLUMN_VALUES values over min(n_steps, _BLOCK) nodes), split evenly,
+    so that a few paths run on the kernel's arrays. work counts the bridge
+    plan entries, the levels run per chunk, the euler_batch calls and their
+    rows times steps.
     """
     sde = example.sde
-    js, eps, t_star = (config.j_grid(), config.eps_grid(),
-                       example.limit_problem.t_star)
+    js, t_star = config.j_grid(), example.limit_problem.t_star
     exact = config.scheme == "exact_linear"
     last = -1 if functional.terminal else 0
-    n_steps = _level_steps(functional, config, t_star)
+    n_steps = 1 if exact and functional.terminal else max(
+        1, round(t_star / config.dt_rel))
     grid = (t_star / n_steps) * np.arange(n_steps + 1)
     log_eps = math.log(config.eps0) + js * math.log(config.c)
     ell, k = np.array(example.index.exponents, dtype=float).T
-    if exact:
-        specs = _level_specs(sde.linear, ell, log_eps)
-        scale = np.exp(0.5 * k * np.log(np.log(-log_eps))[:, None])
+    scale = np.exp(0.5 * k * np.log(np.log(-log_eps))[:, None])
+    (powers, _), _ = rescaling_powers(sde, example.index)
+    gains = np.exp(powers * log_eps[:, None])   # 1.0 where a power is 0
+    if exact:   # one spec for a homogeneous chain, whose powers are all 0
+        grow = config.c ** (-0.5 * ell)
+        specs = [LinearSpec(sde.drift.scaled(g).matrix, sde.sigma) for g in
+                 gains] if powers.any() else [sde.linear] * len(js)
     else:
-        ell, dim = np.ones(sde.dim_noise), sde.dim_noise
+        grow, dim = config.c ** (-0.5 * np.ones(sde.dim_noise)), sde.dim_noise
         specs = [LinearSpec(np.zeros((dim, dim)), np.eye(dim))] * len(js)
-        scale = [eval_index(example.index, float(e)) for e in eps]
-        widths, roots = eps * t_star / n_steps, np.sqrt(eps)
+        kernel = SdeSystem(sde.drift, sde.sigma)   # the domain is tested on X
     plan = _bridge_plan(specs, grid, config.c)
     work["bridge_plans"] = len({id(entry) for entry in plan})
-    grow = config.c ** (-0.5 * ell)
     chunk = max(1, _CHUNK_NODES // (n_steps + 1 + 2 * max(p[0] for p in plan)))
-    values = np.full((config.n_paths, len(eps)), np.nan)
+    values = np.full((config.n_paths, len(js)), np.nan)
     for first in range(0, config.n_paths, chunk):
         rows = range(first, min(first + chunk, config.n_paths))
         per = len(rows)
-        levels = _bridge(plan, grow, np.zeros((per, len(ell))),
+        levels = _bridge(plan, grow, np.zeros((per, len(grow))),
                          lambda level, n: row_normals(config.seed, js[level],
                                                       rows, n))
         size = 1 if exact else max(1, _COLUMN_VALUES // min(n_steps, _BLOCK)
                                    // (per * sde.dim_state))
-        for group in np.array_split(np.arange(len(eps)),
-                                    -(-len(eps) // size)):
-            if exact:  # the domain holds X = eps^(l/2) Z
+        for group in np.array_split(np.arange(len(js)),
+                                    -(-len(js) // size)):
+            if exact:
                 z = next(levels)  # not zip: its reused tuple keeps the last z
-                dead = ~alive(z[1:] * np.exp(0.5 * ell * log_eps[group[0]]),
-                              sde.domain_contains).all(axis=0)
-            else:  # sqrt(eps) dW: keep only the increments while they are
-                # stepped, one level's without a copy (large chunks)
-                inc = [np.diff(next(levels), axis=0) * roots[level]
-                       for level in group]
+                dead = False
+            else:  # keep only the increments while they are stepped, one
+                # level's without a copy (large chunks)
+                inc = [np.diff(next(levels), axis=0) for _ in group]
                 inc = inc[0] if len(inc) == 1 else np.concatenate(inc, axis=1)
                 z, first_dead = euler_batch(
-                    sde, np.zeros((inc.shape[1], sde.dim_state)),
-                    inc.transpose(1, 0, 2), np.repeat(widths[group], per))
+                    kernel, np.zeros((inc.shape[1], sde.dim_state)),
+                    inc.transpose(1, 0, 2), t_star / n_steps,
+                    np.repeat(gains[group], per, axis=0))
                 dead = first_dead <= n_steps
                 work["euler_calls"] += 1
                 work["euler_row_steps"] += inc.shape[1] * n_steps
                 del inc
+            dead = dead | ~alive(z[1:] * np.repeat(np.exp(  # X = eps^(l/2) Y
+                0.5 * ell * log_eps[group, None]), per, axis=0),
+                sde.domain_contains).all(axis=0)
             for g, level in enumerate(group.tolist()):
                 part = slice(g * per, (g + 1) * per)
                 y = z[last:, part] / scale[level]
@@ -470,12 +444,13 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     so the running extremes are pathwise limsup/liminf estimates.  A table
     at a smaller j_max is a prefix of the deeper one.  Explosions enter the
     table as nan and only flag the report when their fraction exceeds the
-    configured threshold. ValueError before any path is drawn: under euler
-    for a subnormal finest step or alpha (eval_index), and for a center or
-    trend whose deviation Z = X - center - t trend does not follow the
-    example's SDE from 0. Of the levels that one euler_batch call steps
-    (see _table), a NumericalFailure is that of the earliest failing step,
-    the coarsest level's on ties. report.work holds the counters of _table.
+    configured threshold. ValueError before any path is drawn: for a first
+    level outside the index's window (tested on log eps0 + j_min log c),
+    for an index with l != 1 in a driven row, and for a center or trend
+    whose deviation Z = X - center - t trend does not follow the example's
+    SDE from 0. Of the levels that one euler_batch call steps (see _table),
+    a NumericalFailure is that of the earliest failing step, the coarsest
+    level's on ties. report.work holds the counters of _table.
     """
     config = config or LilExperimentConfig()
     if functional_name not in example.functionals:
@@ -483,17 +458,16 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
                        f"example {example.name!r}; have "
                        f"{sorted(example.functionals)}")
     functional = example.functionals[functional_name]
-    # fail early if the grid leaves the index validity window
-    eval_index(example.index, float(config.eps_grid()[0]))
+    if math.log(config.eps0) + config.j_min * math.log(config.c) > math.log(
+            example.index.eps_star):   # eps0 c^j_min may be 0.0 in floats
+        raise ValueError(f"eps={config.eps_grid()[0]:g} outside validity "
+                         f"window (0, {example.index.eps_star:g}]")
     _require_functional(functional)
     if config.scheme == "exact_linear" and example.sde.linear is None:
         raise ValueError("exact_linear scheme needs a linear SDE representation")
-    t_star = example.limit_problem.t_star
-    step = (float(config.eps_grid()[-1]) * t_star
-            / _level_steps(functional, config, t_star))
-    if config.scheme == "euler" and not step >= np.finfo(float).tiny:
-        raise ValueError(f"depth {config.j_max}: the finest grid step "
-                         f"{step!r} is subnormal; lower the depth")
+    if np.any(rescaling_powers(example.sde, example.index)[1][0]):
+        raise ValueError("every row that noise drives needs l = 1 in the "
+                         "index, as derive_rescaling gives")
     require_autonomous(example.sde, example.contraction)
     work = dict(bridge_plans=0, levels=0, euler_calls=0, euler_row_steps=0)
     values = _table(example, functional, config, work)

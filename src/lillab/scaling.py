@@ -6,8 +6,8 @@ scale eps into the spatial multi-index alpha = psi(eps). Every rescaling
 works on Z, which follows the SDE itself from 0 (require_autonomous):
 rescale_path maps a deviation path on [0, eps] to y_s = center + s trend +
 Z_{eps s} / alpha on [0, 1], and transformed_coefficients maps the SDE to
-its rescaled coefficient family, itself a table system: each monomial is
-rescaled by its coefficient, and sigma by a row scale. derive_rescaling
+its rescaled coefficient family, itself a table system, each coefficient
+scaled by powers of eps and loglog(1/eps) (rescaling_powers). derive_rescaling
 finds the index and the limit system (L, sigma) from the drift's monomials.
 """
 
@@ -85,7 +85,7 @@ def eval_index(psi: AsymptoticIndex, eps: float) -> np.ndarray:
 
     Raises ValueError when a coordinate underflows below the smallest
     normal float (np.finfo(float).tiny): a subnormal or zero alpha loses
-    its digits, and the rescaling divides by it.
+    its digits, and rescale_path divides by it.
     """
     if not 0.0 < eps <= psi.eps_star:
         raise ValueError(
@@ -110,11 +110,9 @@ def derive_rescaling(system: SdeSystem):
     A coordinate whose row of sigma is nonzero gets (l, k) = (1, 1). Any
     other coordinate i gets l_i = 2 + min sum_j m_j l_j over the
     non-constant monomials x^m of b_i (the least fixed point, relaxed from
-    l = inf) and k_i = max sum_j m_j k_j over the minimizers. At alpha =
-    psi(eps) the rescaled drift eps * b_i(alpha * y) / alpha_i scales x^m
-    by eps^((2 + m.l - l_i)/2) loglog(1/eps)^((m.k - k_i)/2), so the limit
-    keeps exactly the monomials with (m.l, m.k) = (l_i - 2, k_i). A
-    coordinate left at l = inf is reached from no noise, and a constant
+    l = inf) and k_i = max sum_j m_j k_j over the minimizers. The limit
+    keeps exactly the monomials whose powers (rescaling_powers) are p = q =
+    0. A coordinate left at l = inf is reached from no noise, and a constant
     term c in an undriven row grows like eps * c / alpha_i = eps^(1 - l_i/2)
     c: either raises ValueError naming the coordinate.
     """
@@ -142,11 +140,28 @@ def derive_rescaling(system: SdeSystem):
     for i in sorted(np.flatnonzero(~driven), key=ell.__getitem__):
         k[i] = max(weight(e, k) for _, e in rows[i]
                    if any(e) and weight(e, ell) == ell[i] - 2)
-    limit = [tuple((c, e) for c, e in row if any(e) and weight(e, ell)
-                   == ell[i] - 2 and weight(e, k) == k[i])
-             for i, row in enumerate(rows)]
-    return (AsymptoticIndex(tuple(zip(ell, k))),
-            SdeSystem(PolynomialDrift(d, limit), system.sigma))
+    index = AsymptoticIndex(tuple(zip(ell, k)))
+    (p, q), _ = rescaling_powers(system, index)
+    kept = iter(((p == 0.0) & (q == 0.0)).tolist())
+    limit = [[term for term in row if next(kept)] for row in rows]
+    return index, SdeSystem(PolynomialDrift(d, limit), system.sigma)
+
+
+def rescaling_powers(system: SdeSystem, psi: AsymptoticIndex):
+    """((p, q), (p_sigma, q_sigma)): the powers of eps and loglog(1/eps)
+    that y = Z / alpha, alpha = psi(eps), in time t / eps puts on system's
+    coefficients. The monomial coef * x^m of b_i (one per monomial, row by
+    row in table order) takes p = 1 + (m.l - l_i)/2 and q = (m.k - k_i)/2,
+    a driven row i of sigma (1 - l_i)/2 and (1 - k_i)/2, a row of zeros 0.
+    Under derive_rescaling's index the sigma powers are 0 and the limit
+    keeps the monomials with p = q = 0; every other has p > 0, or p = 0
+    and q < 0."""
+    ell, k = np.array(psi.exponents, dtype=float).T
+    rows, driven = system.drift.rows, np.any(system.sigma != 0.0, axis=1)
+    i = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    m = np.array([e for row in rows for _, e in row]).reshape(len(i), len(k))
+    return ((1.0 + (m @ ell - ell[i]) / 2.0, (m @ k - k[i]) / 2.0),
+            (driven * (1.0 - ell) / 2.0, driven * (1.0 - k) / 2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,36 +252,30 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
         b_eps(y)  = eps * b(alpha y) / alpha
         sigma_eps = sqrt(eps * loglog(1/eps)) * sigma / alpha,
 
-    so each monomial coef * x^m of b_i becomes (coef * eps * alpha^m /
-    alpha_i) * y^m. The rescaled SDE is driven by sigma_eps /
-    sqrt(loglog(1/eps)); see rescaled_sde_system. A constant of b tends to
-    0 in a row with noise (Brownian motion with drift); elsewhere it grows
-    like eps^(1 - l_i/2) and raises ValueError. A trivial domain stays
-    trivial (sde.alive skips its call); any other is evaluated at alpha y.
+    so each coefficient is scaled by exp(p log eps + q log loglog(1/eps))
+    (rescaling_powers): exactly 1 where p = q = 0, so that the limit's
+    monomials and sigma under derive_rescaling's index keep their bits,
+    and alpha is formed only to pull back a non-trivial domain. The
+    rescaled SDE is driven by sigma_eps / sqrt(loglog(1/eps)); see
+    rescaled_sde_system. A constant of b tends to 0 in a row with noise
+    (Brownian motion with drift); elsewhere it grows like eps^(1 - l_i/2)
+    and raises ValueError. A trivial domain stays trivial (sde.alive skips
+    its call); any other is evaluated at alpha y.
     """
     require_autonomous(system, phi)
-    alpha = eval_index(psi, eps)
-    drift = system.drift
-
-    def scaled(i, coef, exps):
-        # eps / alpha_i is finite (alpha >= tiny), and factors alpha_j < 1
-        # only shrink it toward the term's scale: no spurious overflow
-        out = coef * (eps / alpha[i])
-        for j, m in enumerate(exps):
-            for _ in range(m):
-                out *= alpha[j]
-        return out
-
-    rows = [[(scaled(i, c, e), e) for c, e in row]
-            for i, row in enumerate(drift.rows)]
+    log_eps, log_big_l = math.log(eps), math.log(rate_scale(eps))
+    (p, q), (p_sigma, q_sigma) = rescaling_powers(system, psi)
     domain = system.domain_contains
     if domain is not trivial_domain:
+        alpha = eval_index(psi, eps)
+
         def domain(y):
             return system.domain_contains(np.asarray(y, dtype=float) * alpha)
 
-    noise_gain = math.sqrt(eps * rate_scale(eps))
-    return SdeSystem(PolynomialDrift(drift.d, rows),
-                     noise_gain * system.sigma / alpha[:, None], domain)
+    return SdeSystem(
+        system.drift.scaled(np.exp(p * log_eps + q * log_big_l)),
+        system.sigma * np.exp(p_sigma * log_eps
+                              + q_sigma * log_big_l)[:, None], domain)
 
 
 def rescaled_sde_system(system: SdeSystem, phi: ContractionFamily,

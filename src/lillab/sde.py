@@ -255,16 +255,16 @@ class PolynomialDrift:
 
     rows[i] is a tuple of (coef, exponents) pairs, and b_i(x) is the sum of
     coef * prod_j x_j ** exponents[j] over them. Calling it maps states
-    (..., d) to (..., d). reads[i] lists the coordinates b_i reads (an
-    exponent of x_j above 0). depth is the number of coordinates in the
-    longest chain of "b_i reads x_j" and chain orders them, each after
-    those it reads; on a cycle both are None and cycle is one (each
-    coordinate reads the next), else (). On coordinate arrays (x0, ...,
-    x<d-1>), components[i] gives b_i with the bits of the call, and
-    partials[i][j], for each j in reads[i], the Jacobian entry db_i/dx_j.
-    matrix is A, the partials at 0, when every monomial has degree 1 (b(x)
-    = A x), else None. rows other than d rows of (finite coef, d
-    non-negative int exponents) raise ValueError.
+    (..., d) to (..., d). n_monomials counts the monomials. reads[i] lists
+    the coordinates b_i reads (an exponent of x_j above 0). depth is the
+    number of coordinates in the longest chain of "b_i reads x_j" and chain
+    orders them, each after those it reads; on a cycle both are None and
+    cycle is one (each coordinate reads the next), else (). On coordinate
+    arrays (x0, ..., x<d-1>), components[i] gives b_i with the bits of the
+    call, and partials[i][j], for each j in reads[i], the Jacobian entry
+    db_i/dx_j. matrix is A, the partials at 0, when every monomial has
+    degree 1 (b(x) = A x), else None. rows other than d rows of (finite
+    coef, d non-negative int exponents) raise ValueError.
     """
 
     def __init__(self, d: int, rows):
@@ -277,6 +277,7 @@ class PolynomialDrift:
                              f"finite, exponents {d} non-negative ints")
         self.rows = tuple(tuple((c, tuple(map(int, e))) for c, e in row)
                           for row in rows)
+        self.n_monomials = sum(map(len, self.rows))
         self.reads = tuple(tuple(j for j in range(d)
                                  if any(e[j] for _, e in row))
                            for row in self.rows)
@@ -304,6 +305,12 @@ class PolynomialDrift:
 
     def __call__(self, x):
         return self._evaluate(x)
+
+    def scaled(self, gains) -> "PolynomialDrift":
+        """The table with coefficients times gains, row by row in order."""
+        gains = iter(np.reshape(gains, self.n_monomials).tolist())
+        return PolynomialDrift(self.d, [[(c * next(gains), e) for c, e in row]
+                                        for row in self.rows])
 
     def degrees(self, noisy) -> Optional[tuple]:
         """Control degrees q of the table driven where noisy[i]: under
@@ -445,15 +452,6 @@ def _step_factory(d: int, shape: tuple, k: int):
          f"            extend(({xs}))\n"
          f"    return step\n", space)
     return space["make"], names
-
-
-def _euler_step(system: SdeSystem):
-    """The generated Euler step of system (see _step_factory), bound to its
-    drift coefficients and sigma."""
-    drift = system.drift
-    make, tags = _step_factory(drift.d, drift._shape, system.dim_noise)
-    return make(*_coefficients(drift.rows, tags),
-                *system.sigma.ravel().tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -636,29 +634,30 @@ class ExplosivePath:
         return float(self.times[self.explosion_index])
 
 
-def euler_batch(system: SdeSystem, x0, increments, dt):
+def euler_batch(system: SdeSystem, x0, increments, dt: float, gains=None):
     """Euler-Maruyama for a batch of B paths, each driven by its own noise.
 
     x0 (B, d) holds the starting states and increments (B, n, k) the
-    Brownian increments of every row on a uniform grid of step dt, a float
-    for every row or a (B,) array of one step per row. Returns
-    (states (n + 1, B, d), first_dead (B,)). A row whose state is not alive
-    at node j has first_dead = j and keeps its last live state from there
-    on; rows that survive have first_dead = n + 1.
+    Brownian increments of every row on a uniform grid of step dt, a float;
+    row b runs the table drift.scaled(gains[b]) (gains (B, monomials),
+    finite and non-negative, default 1.0). Returns (states (n + 1, B, d),
+    first_dead (B,)). A row whose state is not alive at node j has
+    first_dead = j and keeps its last live state from there on; rows that
+    survive have first_dead = n + 1.
 
     Each step is the system's generated Euler step (see _step_factory):
-    x_i + (b_i(x)) * dt + (0.0 + sigma_i0 n0 + ...), with the row's dt and
-    the noise summed left to right. It runs on Python floats, one row at a time, while at most
-    _FLOAT_ROWS rows are alive, and on one (B,) array per coordinate above
-    (under np.errstate, so overflow and invalid values raise no warning);
-    both give the same bits. The live rows are stepped through blocks of
-    _BLOCK nodes (on arrays, of at most _COLUMN_VALUES state values), and
-    alive classifies each block in one call. A row's nodes depend only on
-    its own earlier nodes, so this finds the first dead node a check after
-    every step would find, and the returned states are the same. A row
-    that dies within a block is stepped on to the block's end, and
-    domain_contains sees those states; rows dead in an earlier block are
-    not stepped again.
+    x_i + (b_i(x)) * dt + (0.0 + sigma_i0 n0 + ...), with the noise summed
+    left to right. It runs on Python floats, one row at a time, while at
+    most _FLOAT_ROWS rows are alive, and on one (B,) array per coordinate
+    and coefficient above (under np.errstate, so overflow and invalid
+    values raise no warning); both give the same bits. The live
+    rows are stepped through blocks of _BLOCK nodes (on arrays, of at most
+    _COLUMN_VALUES state values), and alive classifies each block in one
+    call. A row's nodes depend only on its own earlier nodes, so this
+    finds the first dead node a check after every step would find, and the
+    returned states are the same. A row that dies within a block is
+    stepped on to the block's end, and domain_contains sees those states;
+    rows dead in an earlier block are not stepped again.
 
     Raises ValueError for an x0 row that is not alive and for a
     domain_contains that returns the wrong shape. When a row first turns
@@ -679,11 +678,24 @@ def euler_batch(system: SdeSystem, x0, increments, dt):
     domain = system.domain_contains
     if not alive(x, domain).all():
         raise ValueError("x0 must be a finite state inside the domain")
-    h = np.asarray(dt, dtype=float)
-    if h.shape not in ((), (batch,)):
-        raise ValueError("dt must be a float or have shape (B,)")
-    h = np.broadcast_to(h, (batch,))    # the steps of the live rows
-    step, n = _euler_step(system), inc.shape[1]
+    table = system.drift
+    gains = np.ones((batch, table.n_monomials)) if gains is None \
+        else np.asarray(gains, dtype=float)
+    if gains.shape != (batch, table.n_monomials) \
+            or not np.all((gains >= 0.0) & (gains < np.inf)):
+        raise ValueError("gains must be finite, non-negative and of shape "
+                         "(B, monomials)")
+    # the generated step, each monomial whose gains are not all 1.0 taken
+    # as non-unit, binds |coef * gain| (tags, B) and sigma's entries
+    varies = iter(np.any(gains != 1.0, axis=0).tolist())
+    make, tags = _step_factory(table.d, tuple(tuple(
+        (math.copysign(2.0, s) if next(varies) else s, e) for s, e in row)
+        for row in table._shape), system.dim_noise)
+    at = [sum(map(len, table.rows[:i])) + t for i, t, _ in tags]
+    coefficients = np.array(_coefficients(table.rows, tags))[:, None] \
+        * gains.T[at]
+    sigma = system.sigma.ravel().tolist()
+    dt, n = float(dt), inc.shape[1]
     states = np.empty((n + 1, batch, system.dim_state))
     states[0] = x
     first_dead = np.full(batch, n + 1)
@@ -701,14 +713,17 @@ def euler_batch(system: SdeSystem, x0, increments, dt):
             if live <= _FLOAT_ROWS:
                 # one row's floats at a time: few float objects alive
                 block = np.empty((m, live, system.dim_state))
-                for r, (x_r, h_r) in enumerate(zip(x.tolist(), h.tolist())):
+                for r, (x_r, k_r) in enumerate(zip(
+                        x.tolist(), coefficients[:, every].T.tolist())):
                     path = []
-                    step(*x_r, noise[r].tolist(), h_r, path.extend)
+                    make(*k_r, *sigma)(*x_r, noise[r].tolist(), dt,
+                                       path.extend)
                     block[:, r] = np.reshape(path, (m, -1))
             else:
                 nodes = []
-                step(*x.T, np.ascontiguousarray(noise.transpose(1, 2, 0)),
-                     h, nodes.extend)
+                make(*coefficients[:, every], *sigma)(
+                    *x.T, np.ascontiguousarray(noise.transpose(1, 2, 0)),
+                    dt, nodes.extend)
                 block = np.array(nodes).reshape(m, -1, live).transpose(0, 2, 1)
             states[i0 + 1:i0 + 1 + m, every] = block
             block = states[i0 + 1:i0 + 1 + m, every]
@@ -721,13 +736,14 @@ def euler_batch(system: SdeSystem, x0, increments, dt):
                 for j, r in sorted(zip(first.tolist(), dead.tolist())):
                     if not np.all(np.isfinite(block[j, r])):
                         last = (block[j - 1, r] if j else start[r]).copy()
-                        if not np.all(np.isfinite(system.drift(last))):
+                        if not np.all(np.isfinite(
+                                table.scaled(gains[rows[r]])(last))):
                             raise NumericalFailure(
                                 "drift evaluated to non-finite values at "
                                 f"step {i0 + j}", state=last, step=i0 + j)
                 first_dead[rows[dead]] = i0 + 1 + first
                 rows = rows[~died]
-                x, h = x[~died], h[~died]
+                x = x[~died]
             i0 += m
     _freeze(states, first_dead)
     return states, first_dead

@@ -289,6 +289,21 @@ def test_lil_verify_trivial_single_row(tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
+def test_lil_verify_starts_where_eps_is_0_in_floats(tmp_path, scheme):
+    # eps0 c^1100 prints 0.0; the window is tested on log eps0 + j_min log
+    # c, so the run starts there, and a first level above eps_star exits 2
+    argv = ["lil-verify", "--example", "brownian", "--functional", "terminal",
+            "--scheme", scheme, "--paths", "10"]
+    out = tmp_path / scheme
+    assert run(argv + ["--j-min", "1100", "--depth", "1102",
+                       "--out", str(out)]) == 0
+    assert read_json(out / "lil.json")["eps_values"] == [0.0] * 3
+    table = np.loadtxt(out / "lil.csv", delimiter=",", skiprows=1)
+    assert table.shape == (30, 6) and np.all(np.isfinite(table))
+    assert run(argv + ["--eps0", "0.02", "--depth", "2"]) == 2
+
+
 def test_lil_verify_exact_scheme_takes_running_max(tmp_path):
     out = tmp_path / "rmax"
     assert run(["lil-verify", "--scheme", "exact_linear", "--functional",

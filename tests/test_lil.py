@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from lillab import lil
-from lillab.examples import get_example
+from lillab.examples import _example, get_example
+from lillab.extremals import TerminalLinearFunctional
 from lillab.lil import LilExperimentConfig, LilReport, run_lil_experiment
-from lillab.scaling import ContractionFamily, eval_index, rescale_path
+from lillab.scaling import (ContractionFamily, derive_rescaling, eval_index,
+                            rescale_path, rescaling_powers)
 from lillab.sde import (LinearSpec, NoisePath, NumericalFailure,
                         PolynomialDrift, SdeSystem, brownian_path,
-                        euler_batch, row_normals, simulate_sde)
+                        euler_batch, row_normals, simulate_sde,
+                        trivial_domain)
 from test_extremals import path_value
 
 SMALL = dict(j_min=0, j_max=6, n_paths=200)
@@ -124,19 +127,19 @@ def test_a_functional_needs_terminal_values_and_gradient(scheme):
 @pytest.mark.parametrize("d", [1, 2])
 def test_both_schemes_bridge_one_path(d):
     # exact_linear bridges brownian's state / sqrt(eps) and euler bridges
-    # W / sqrt(eps): every power of brownian's level specs is 0, so both
-    # bridge the same levels bit for bit, and euler's x_1 = 0 + 0 dt + 1.0
-    # sqrt(eps) W_1: the one-step terminal tables differ only in how each
-    # reads its level's units (exact_linear divides by loglog(1/eps)^(1/2),
-    # euler by alpha), and exact_linear takes running_max, equal to euler's
-    # up to the rounding of the Euler sum
+    # W / sqrt(eps): brownian has no monomials to gain a power, so both
+    # bridge the same levels bit for bit, and euler's y_1 = 0 + 0.0 dt +
+    # (0.0 + 1.0 W_1) in each level's units: the one-step terminal tables
+    # are equal bit for bit (both read y / loglog(1/eps)^(1/2)), and
+    # exact_linear takes running_max, equal to euler's up to the rounding
+    # of the Euler sum
     br = get_example("brownian", d=d)
     config = LilExperimentConfig(j_min=0, j_max=8, n_paths=50)
     grid = np.array([0.0, br.limit_problem.t_star])
     log_eps = math.log(config.eps0) + config.j_grid() * math.log(config.c)
+    assert br.sde.drift.n_monomials == 0
     ell = np.array(br.index.exponents, dtype=float)[:, 0]
-    plan = lil._bridge_plan(lil._level_specs(br.sde.linear, ell, log_eps),
-                            grid, config.c)
+    plan = lil._bridge_plan([br.sde.linear] * len(log_eps), grid, config.c)
     state = lil._bridge(plan, config.c ** (-0.5 * ell), np.zeros((50, d)),
                         lambda level, n: row_normals(
                             config.seed, config.j_grid()[level], range(50), n))
@@ -148,7 +151,7 @@ def test_both_schemes_bridge_one_path(d):
             j_min=0, j_max=8, n_paths=50, scheme=scheme, dt_rel=dt_rel)).values
             for scheme in ("exact_linear", "euler")]
 
-    assert np.allclose(*tables("terminal", 1.0), rtol=1e-14, atol=0.0)
+    assert np.array_equal(*tables("terminal", 1.0))
     assert np.allclose(*tables("running_max", 1e-2), rtol=1e-12, atol=0.0)
 
 
@@ -190,29 +193,49 @@ def _level_grid(example, config):
     return n_steps, (t_star / n_steps) * np.arange(n_steps + 1)
 
 
+def _log_eps(config):
+    return math.log(config.eps0) + config.j_grid() * math.log(config.c)
+
+
+def _gains(example, config):
+    """(levels, monomials): the gain eps_j^p = exp(p log eps_j), p = 1 +
+    (m.l - l_i)/2, of each monomial coef x^m of row i at each level."""
+    ell = np.array(example.index.exponents, dtype=float)[:, 0]
+    p = np.array([1.0 + (np.dot(e, ell) - ell[i]) / 2.0
+                  for i, row in enumerate(example.sde.drift.rows)
+                  for _, e in row])
+    return np.exp(p * _log_eps(config)[:, None])
+
+
 def _per_path_table(example, functional_name, config):
     """Euler LIL table from one simulate_sde per (path, level).
 
-    Each level steps the deviation from the center, from 0, on sqrt(eps)
-    times that level's increments of the path's bridged W / sqrt(eps); the
-    functional is written out on y = Z / alpha: weights . y(end) for a
+    Level j steps, from 0 and at width t_star / n_steps, its own system
+    in time t / eps_j and Y = Z / eps_j^(l/2): the example's table with
+    each monomial times its gain (_gains), sigma as it is, on the domain
+    pulled back to Y (X = eps_j^(l/2) Y), driven by that level's
+    increments of the path's bridged W / sqrt(eps). The functional is
+    written out on Y / loglog(1/eps_j)^(k/2): weights . y(end) for a
     terminal linear one, max |y_1| for running_max, nan once the path
     exploded.
     """
-    psi = example.index
-    functional = example.functionals[functional_name]
-    t_star = example.limit_problem.t_star
+    sde, functional = example.sde, example.functionals[functional_name]
     n_steps, grid = _level_grid(example, config)
+    ell, k = np.array(example.index.exponents, dtype=float).T
     expected = np.empty((config.n_paths, len(config.j_grid())))
     for p in range(config.n_paths):
-        levels = _bridged_w(config, grid, example.sde.dim_noise,
-                            range(p, p + 1))
-        for level, (eps, w) in enumerate(zip(config.eps_grid(), levels)):
-            noise = NoisePath(config.seed, eps * t_star / n_steps,
-                              np.diff(w[:, 0], axis=0) * np.sqrt(eps))
-            path = simulate_sde(example.sde, np.zeros(example.sde.dim_state),
-                                noise)
-            y = path.states / eval_index(psi, eps)
+        levels = _bridged_w(config, grid, sde.dim_noise, range(p, p + 1))
+        for level, (log, gains, w) in enumerate(zip(
+                _log_eps(config), _gains(example, config), levels)):
+            domain = sde.domain_contains
+            if domain is not trivial_domain:
+                def domain(y, shrink=np.exp(0.5 * ell * log)):
+                    return sde.domain_contains(y * shrink)
+            system = SdeSystem(sde.drift.scaled(gains), sde.sigma, domain)
+            path = simulate_sde(system, np.zeros(sde.dim_state), NoisePath(
+                config.seed, example.limit_problem.t_star / n_steps,
+                np.diff(w[:, 0], axis=0)))
+            y = path.states / np.exp(0.5 * k * np.log(np.log(-log)))
             if path.explosion_index is not None:
                 expected[p, level] = math.nan
             elif functional_name == "running_max":
@@ -225,36 +248,40 @@ def _per_path_table(example, functional_name, config):
 def _check_euler_table(example, functional, config, rows_per_chunk,
                        monkeypatch):
     """Run the euler table with euler_batch recorded; assert that each call
-    holds whole levels of one chunk, coarse to fine, each row stepped with
-    its level's step, and that the table equals, bit for bit, the
-    per-path simulation (_per_path_table). Returns the rows of each call."""
+    holds whole levels of one chunk, coarse to fine, each row with its
+    level's gains, all at one width, and that the table equals, bit for
+    bit, the per-path simulation (_per_path_table). Returns the rows of
+    each call."""
     t_star = example.limit_problem.t_star
     n_steps, grid = _level_grid(example, config)
     calls = []
-    monkeypatch.setattr(lil, "euler_batch", lambda sde, x0, inc, dt: (
-        calls.append(np.asarray(dt)) or euler_batch(sde, x0, inc, dt)))
+    monkeypatch.setattr(lil, "euler_batch", lambda sde, x0, inc, dt, gains: (
+        calls.append((dt, gains)) or euler_batch(sde, x0, inc, dt, gains)))
     if rows_per_chunk is not None:
         _force_chunk_rows(monkeypatch, rows_per_chunk)
     report = run_lil_experiment(example, functional, config)
-    steps = config.eps_grid() * t_star / n_steps
+    widths, gains = zip(*calls)
+    assert set(widths) == {t_star / n_steps}
+    levels = _gains(example, config)
     chunk = rows_per_chunk or config.n_paths
     chunks = [min(chunk, config.n_paths - first)
               for first in range(0, config.n_paths, chunk)]
-    # the levels' steps differ, so each run of equal steps is one level
-    assert np.array_equal(np.concatenate(calls), np.concatenate(
-        [np.full(rows, step) for rows in chunks for step in steps]))
-    ends = set(np.cumsum([len(dt) for dt in calls]).tolist())
-    assert set(np.cumsum([rows * len(steps) for rows in chunks]).tolist()) \
+    # the levels' gains differ, so each run of equal gains is one level
+    assert np.array_equal(np.concatenate(gains), np.concatenate(
+        [np.repeat(level[None], rows, axis=0) for rows in chunks
+         for level in levels]))
+    ends = set(np.cumsum([len(g) for g in gains]).tolist())
+    assert set(np.cumsum([rows * len(levels) for rows in chunks]).tolist()) \
         <= ends <= set(np.cumsum([rows for rows in chunks
-                                  for _ in steps]).tolist())
+                                  for _ in levels]).tolist())
     assert report.work == {"bridge_plans": 2,
-                           "levels": len(chunks) * len(steps),
+                           "levels": len(chunks) * len(levels),
                            "euler_calls": len(calls),
                            "euler_row_steps": n_steps * config.n_paths
-                           * len(steps)}
+                           * len(levels)}
     assert np.array_equal(report.values,
                           _per_path_table(example, functional, config))
-    return [len(dt) for dt in calls]
+    return [len(g) for g in gains]
 
 
 @pytest.mark.parametrize("rows_per_chunk", [None, 1, 2])
@@ -336,34 +363,52 @@ def test_euler_explosions_are_masked_like_single_paths(functional):
 
 
 def test_stacked_levels_raise_the_failure_of_the_earliest_step():
-    # b_0 = 1e308 (x0^2 - x1^2) and noise 100 (1, 1) from 0: the states stay
-    # on the diagonal, and the drift turns nan at a live state once |x| >
-    # 1.34. Every level of this seed fails; the six levels run in one
-    # euler_batch call, which raises the failure of the earliest step (level
-    # 1, step 1), not that of the coarsest failing level (level 0, step 2),
-    # which a call per level would raise first.
-    quad = get_example("quadratic")
-    system = SdeSystem(PolynomialDrift(2, (((1e308, (2, 0)), (-1e308, (0, 2))),
-                                           ())), 100.0 * np.ones((2, 1)))
+    # b_0 = 1e308 (x1^2 - x2^2) and noise 10 (0, 1, 1) from 0: derive_rescaling
+    # gives l = (4, 1, 1), so both monomials keep the gain 1 at every level;
+    # the states stay on x1 = x2, and the drift turns nan at a live state
+    # once |x1| > 1.34. Every level of this seed fails; the six levels run
+    # in one euler_batch call, which raises the failure of the earliest
+    # step (level 1, step 1), not that of the coarsest failing level (level
+    # 0, step 2), which a call per level would raise first.
+    example = _example("overflowing", {}, (
+        ((1e308, (0, 2, 0)), (-1e308, (0, 0, 2))), (), ()),
+        10.0 * np.array([[0.0], [1.0], [1.0]]), np.zeros(3),
+        {"J": TerminalLinearFunctional(np.array([1.0, 0.0, 0.0]))}, {})
+    assert example.index == derive_rescaling(example.sde)[0]
+    assert example.index.exponents == ((4, 2), (1, 1), (1, 1))
     config = LilExperimentConfig(j_min=0, j_max=5, n_paths=3, scheme="euler",
                                  seed=4)
-    t_star = quad.limit_problem.t_star
-    n_steps, grid = _level_grid(quad, config)
+    assert np.all(_gains(example, config) == 1.0)
+    n_steps, grid = _level_grid(example, config)
     levels = _bridged_w(config, grid, 1, range(config.n_paths))
     failures = []   # (step, level, failure) of one euler_batch per level
-    for level, (eps, w) in enumerate(zip(config.eps_grid(), levels)):
+    for level, w in enumerate(levels):
         with pytest.raises(NumericalFailure) as info:
-            euler_batch(system, np.zeros((3, 2)), (np.diff(w, axis=0)
-                        * np.sqrt(eps)).transpose(1, 0, 2),
-                        eps * t_star / n_steps)
+            euler_batch(example.sde, np.zeros((3, 3)),
+                        np.diff(w, axis=0).transpose(1, 0, 2),
+                        example.limit_problem.t_star / n_steps)
         failures.append((info.value.step, level, info.value))
     assert [f[:2] for f in failures[:2]] == [(2, 0), (1, 1)]
     expected = min(failures, key=lambda f: f[:2])[2]
     with pytest.raises(NumericalFailure) as info:
-        run_lil_experiment(replace(quad, sde=system), "J2", config)
+        run_lil_experiment(example, "J", config)
     assert str(info.value) == str(expected)
     assert info.value.step == expected.step
     assert np.array_equal(info.value.state, expected.state)
+
+
+def test_an_index_with_l_other_than_1_on_a_driven_row_is_refused(
+        monkeypatch):
+    # each level keeps sigma as it is, which holds where every row noise
+    # drives has l = 1 (derive_rescaling's index): IK(2)'s index with noise
+    # on its undriven row 0 (l = 3) is refused before any work
+    ik = get_example("iterated_kolmogorov")
+    noisy = replace(ik, sde=replace(ik.sde, sigma=np.ones((2, 1))))
+    monkeypatch.setattr(lil, "_table", lambda *args: pytest.fail("ran"))
+    for scheme in ("exact_linear", "euler"):
+        with pytest.raises(ValueError, match="needs l = 1"):
+            run_lil_experiment(noisy, "J1", LilExperimentConfig(
+                j_max=2, n_paths=2, scheme=scheme))
 
 
 @pytest.mark.parametrize("scheme, name, functional", [
@@ -508,14 +553,44 @@ def test_csv_refuses_an_extreme_that_copies_no_value(value, extreme):
         report.csv_blocks()
 
 
-def test_euler_refuses_a_subnormal_finest_step_before_any_work(
-        monkeypatch):
-    # brownian at depth 1060: the finest step 1e-2 * 2^-1060 / 100 is
-    # subnormal; exact_linear has no such step (below)
-    config = LilExperimentConfig(j_max=1060, n_paths=2, scheme="euler")
-    monkeypatch.setattr(lil, "_table", lambda *args: pytest.fail("ran"))
-    with pytest.raises(ValueError, match="grid step"):
-        run_lil_experiment(get_example("brownian"), "running_max", config)
+@pytest.mark.parametrize("name, functional, depth", [
+    ("lorenz96", "J3", 400), ("brownian", "running_max", 2000)])
+def test_a_shallow_euler_table_is_a_prefix_of_a_deep_one(name, functional,
+                                                         depth):
+    # every Euler level steps in its own units, so neither a step width nor
+    # alpha underflows: lorenz96/J3 at depth 400 (alpha in absolute units
+    # underflows from depth 199) and brownian at depth 2000 (the finest
+    # absolute step is subnormal from depth 1009) are finite at every
+    # level, and their first 28 levels have the bits of depth 27
+    example = get_example(name)
+    shallow, deep = (run_lil_experiment(example, functional,
+                                        LilExperimentConfig(
+                                            j_max=j_max, n_paths=4,
+                                            scheme="euler", dt_rel=0.1))
+                     for j_max in (27, depth))
+    assert deep.values.shape == (4, depth + 1)
+    assert np.all(np.isfinite(deep.values))
+    assert np.array_equal(shallow.values, deep.values[:, :28])
+
+
+def test_euler_rows_die_where_x_leaves_the_domain():
+    # brownian on x < 0.05: a row dies at the levels where X = eps_j^(1/2) Y
+    # leaves the domain at a node, as one run per path on the domain pulled
+    # back to Y finds, and every other cell keeps the bits of the run on the
+    # whole space (rows die mostly at the first levels: X leaves where Y
+    # reaches 0.05 / sqrt(eps_j), 0.5 at level 0 and 4 at level 6)
+    br = get_example("brownian")
+    bounded = replace(br, sde=replace(
+        br.sde, domain_contains=lambda x: x[..., 0] < 0.05))
+    config = LilExperimentConfig(j_min=0, j_max=6, n_paths=40, scheme="euler")
+    report = run_lil_experiment(bounded, "running_max", config)
+    assert 0 < report.explosion_count < report.values.size
+    assert np.array_equal(report.values,
+                          _per_path_table(bounded, "running_max", config),
+                          equal_nan=True)
+    free = run_lil_experiment(br, "running_max", config).values
+    live = ~np.isnan(report.values)
+    assert np.array_equal(report.values[live], free[live])
 
 
 @pytest.mark.parametrize("name, functional", [
@@ -560,24 +635,32 @@ def test_the_detrended_example_is_iterated_kolmogorov(scheme, depth):
     assert np.array_equal(shifted, ik)
 
 
-def test_level_specs_are_built_once_where_every_power_is_0():
-    # IK(3)'s powers are all 0: every level shares one spec, with the bits
-    # of (A, sigma); in the damped chain x0' = x1, x1' = -x1 (l = (3, 1))
-    # the damping's power is 1, so each level has its own spec
-    log_eps = math.log(1e-2) + np.arange(6) * math.log(0.5)
-    linear = get_example("iterated_kolmogorov", d=3).sde.linear
-    specs = lil._level_specs(linear, np.array([5.0, 3.0, 1.0]), log_eps)
-    assert len(specs) == 6 and all(spec is specs[0] for spec in specs)
-    assert np.array_equal(specs[0].a_matrix, linear.a_matrix)
-    assert np.array_equal(specs[0].sigma, linear.sigma)
-    damped = LinearSpec(np.array([[0.0, 1.0], [0.0, -1.0]]),
-                        np.array([[0.0], [1.0]]))
-    specs = lil._level_specs(damped, np.array([3.0, 1.0]), log_eps)
-    assert len({id(spec) for spec in specs}) == 6
+def test_levels_share_one_spec_where_every_power_is_0(monkeypatch):
+    # IK(3)'s powers are all 0: every level keeps the table's coefficients,
+    # and at c = 1/2 the exact levels from 1 on share one bridge plan entry;
+    # in the damped chain x0' = x1, x1' = -x1 (l = (3, 1)) the damping's
+    # power is 1, so level j bridges its own spec, with A_11 = -eps_j
+    config = LilExperimentConfig(j_max=5, n_paths=20)
+    ik3 = get_example("iterated_kolmogorov", d=3)
+    assert not rescaling_powers(ik3.sde, ik3.index)[0][0].any()
+    assert run_lil_experiment(ik3, "J1", config).work["bridge_plans"] == 2
+    damped = _example("damped", {}, (((1.0, (0, 1)),), ((-1.0, (0, 1)),)),
+                      np.array([[0.0], [1.0]]), np.zeros(2),
+                      {"J": TerminalLinearFunctional(np.array([1.0, 0.0]))},
+                      {})
+    assert damped.index.exponents == ((3, 1), (1, 1))
+    (p, q), _ = rescaling_powers(damped.sde, damped.index)
+    assert (p.tolist(), q.tolist()) == ([0.0, 1.0], [0.0, 0.0])
+    specs, make_plan = [], lil._bridge_plan
+    monkeypatch.setattr(lil, "_bridge_plan", lambda levels, grid, c: (
+        specs.extend(levels) or make_plan(levels, grid, c)))
+    report = run_lil_experiment(damped, "J", config)
+    assert np.all(np.isfinite(report.values))
+    assert report.work["bridge_plans"] == 6
     assert [spec.a_matrix[1, 1] for spec in specs] == \
-        (-np.exp(log_eps)).tolist()
-    for spec in specs:
-        assert spec.a_matrix[0, 1] == 1.0 and spec.sigma[1, 0] == 1.0
+        (-np.exp(_log_eps(config))).tolist()
+    assert all(spec.a_matrix[0, 1] == 1.0 and spec.sigma[1, 0] == 1.0
+               for spec in specs)
 
 
 @pytest.mark.parametrize("depth", [27, 2000])

@@ -998,27 +998,30 @@ def test_numerical_failure_of_the_earliest_step_in_a_block(block):
                                           else [2.0, 2.0])
 
 
-# One step per row: lil-verify stacks the levels of a chunk into one
-# euler_batch call, each row with its level's step. Batches of 1 to 40 rows
-# run on floats, on arrays, and on arrays and then floats as rows die;
-# quadratic rows from x1 = 30 die within a few steps at the larger steps,
-# and OVERFLOWING rows fail, at different steps for different widths.
-dt_cases = st.fixed_dictionaries({
+# Per-row gains: lil-verify stacks the levels of a chunk into one
+# euler_batch call, each row with its level's gain on every monomial.
+# Batches of 1 to 40 rows run on floats, on arrays, and on arrays and then
+# floats as rows die; quadratic rows from x1 = 30 die within a few steps,
+# and OVERFLOWING rows fail, at different steps for different gains. Row r
+# scales monomial m by rows[r][1] ** (m % 3), so the first monomial of each
+# row of three keeps the gain 1.0, exactly.
+gain_cases = st.fixed_dictionaries({
     "system": st.sampled_from(list_examples() + ["quadratic_x1_below_1.5",
                                                  "overflowing"]),
     "rows": st.lists(st.tuples(st.sampled_from([0.1, 3.0, 1e60]),
-                               st.sampled_from([1e-3, 0.05, 0.3]),
+                               st.sampled_from([1.0, 0.5, 1e-3, 0.0]),
                                st.booleans()), min_size=1, max_size=40),
     "n_steps": st.integers(1, 64),
+    "dt": st.sampled_from([1e-3, 0.05, 0.3]),
     "seed": st.integers(0, 2**32 - 1),
 })
 
 
-def _draw_dt(case):
-    """(system, x0, increments, dt) of a dt_cases batch: row r scales its
-    noise by rows[r][0], steps rows[r][1] and, if rows[r][2] and the state
-    stays in the domain, starts at x1 = 30."""
-    scales, dt, far = (np.array(v) for v in zip(*case["rows"]))
+def _draw_gains(case):
+    """(system, x0, increments, gains) of a gain_cases batch: row r scales
+    its noise by rows[r][0], monomial m by rows[r][1] ** (m % 3) and, if
+    rows[r][2] and the state stays in the domain, starts at x1 = 30."""
+    scales, base, far = (np.array(v) for v in zip(*case["rows"]))
     if case["system"] == "overflowing":
         system, center = OVERFLOWING, np.zeros(2)
     else:
@@ -1028,34 +1031,38 @@ def _draw_dt(case):
     shifted = center + 30.0 * np.eye(len(center))[0]
     if system is not OVERFLOWING and alive(shifted, system.domain_contains):
         x0[far] = shifted
-    return system, x0, inc, dt
+    gains = base[:, None] ** (np.arange(system.drift.n_monomials) % 3)
+    return system, x0, inc, gains
 
 
 @SETTINGS
-@given(dt_cases, BLOCKS)
-@example({"system": "quadratic", "n_steps": 40, "seed": 3,
-          "rows": [(0.1, [1e-3, 0.05, 0.3][r % 3], r % 2 == 0)
+@given(gain_cases, BLOCKS)
+@example({"system": "quadratic", "n_steps": 40, "seed": 3, "dt": 0.05,
+          "rows": [(0.1, [1.0, 0.5, 1e-3][r % 3], r % 2 == 0)
                    for r in range(40)]}, sde._BLOCK)
-def test_euler_batch_per_row_dt_equals_one_call_per_row(case, block):
-    # states and first_dead bit for bit, or, when rows fail, the failure of
+def test_euler_batch_per_row_gains_equal_one_call_per_row(case, block):
+    # states and first_dead bit for bit against one call per row on the
+    # table scaled by the row's gains, or, when rows fail, the failure of
     # the earliest step, the lowest row on ties
-    system, x0, inc, dt = _draw_dt(case)
+    system, x0, inc, gains = _draw_gains(case)
+    dt = case["dt"]
     singles, failures = [], []
     with mock.patch.object(sde, "_BLOCK", block):
         for b in range(len(x0)):
+            row = replace(system, drift=system.drift.scaled(gains[b]))
             try:
-                singles.append(euler_batch(system, x0[b:b + 1], inc[b:b + 1],
-                                           float(dt[b])))
+                singles.append(euler_batch(row, x0[b:b + 1], inc[b:b + 1],
+                                           dt))
             except NumericalFailure as exc:
                 failures.append((exc.step, b, exc))
         if failures:
             expected = min(failures, key=lambda t: t[:2])[2]
             with pytest.raises(NumericalFailure) as info:
-                euler_batch(system, x0, inc, dt)
+                euler_batch(system, x0, inc, dt, gains)
             assert str(info.value) == str(expected)
             assert np.array_equal(info.value.state, expected.state)
             return
-        states, first_dead = euler_batch(system, x0, inc, dt)
+        states, first_dead = euler_batch(system, x0, inc, dt, gains)
     for b, (single, dead) in enumerate(singles):
         assert np.array_equal(states[:, b], single[:, 0])
         assert first_dead[b] == dead[0]
@@ -1847,20 +1854,44 @@ def rescaling_cases(draw):
 @given(rescaling_cases(), st.sampled_from([1e-3, 1e-6, 1e-9]),
        st.integers(0, 2**32 - 1))
 def test_table_coefficients_equal_the_closures(case, eps, seed):
-    # the table holds each term's coefficient eps alpha^m / alpha_i, around
-    # any center; within 8 ulps of the sum of the absolute term values sum
-    # |coef| |y|^m, and sigma_eps bit for bit
+    # around any center, the table holds each term's coefficient coef *
+    # exp(p log eps + q log L), L = loglog(1/eps), p = 1 + (m.l - l_i)/2 and
+    # q = (m.k - k_i)/2, and sigma_eps scales row i that noise drives by
+    # exp(p log eps + q log L), p = (1 - l_i)/2 and q = (1 - k_i)/2, bit for
+    # bit. Both equal the closures' eps alpha^m / alpha_i and sqrt(eps L) /
+    # alpha_i up to rounding: table and closure each exponentiate a rounded
+    # argument, so the bound is 8 ulps of each term's magnitude |coef|
+    # |y|^m times 1 + the sum of the magnitudes of the arguments the two
+    # exponentiate, (1 + (m.l + l_i)/2) |log eps| + (m.k + k_i)/2 |log L|
+    # (for sigma (1 + l_i)/2 |log eps| + (1 + k_i)/2 |log L|)
     system, phi, psi = case
     alpha = _index_or_reject(psi, eps)
     # the closure's products alpha^m y^m stay normal floats
     hypothesis.assume(alpha.min() > 1e-90)
     table = transformed_coefficients(system, phi, psi, eps)
     b_eps, sigma_eps = _reference_transformed(system, psi, eps)
-    assert np.array_equal(table.sigma, sigma_eps)
+    ell, k = np.array(psi.exponents, dtype=float).T
+    log_eps, log_big_l = math.log(eps), math.log(rate_scale(eps))
+    driven = np.any(system.sigma != 0.0, axis=1)
+    row_gain = np.exp(np.where(driven, (1.0 - ell) / 2.0, 0.0) * log_eps
+                      + np.where(driven, (1.0 - k) / 2.0, 0.0) * log_big_l)
+    assert np.array_equal(table.sigma, system.sigma * row_gain[:, None])
+    gains = [np.exp(np.array([(1.0 + (np.dot(e, ell) - ell[i]) / 2.0)
+                              * log_eps + (np.dot(e, k) - k[i]) / 2.0
+                              * log_big_l for _, e in row]))
+             for i, row in enumerate(system.drift.rows)]
+    assert table.drift.rows == tuple(
+        tuple((c * g, e) for (c, e), g in zip(row, gain.tolist()))
+        for row, gain in zip(system.drift.rows, gains))
+    cond = (1.0 + ell) / 2.0 * abs(log_eps) + (1.0 + k) / 2.0 * abs(log_big_l)
+    assert np.all(np.abs(table.sigma - sigma_eps)
+                  <= 8 * EPS * (1.0 + cond[:, None]) * np.abs(sigma_eps))
     d = system.dim_state
     y = np.random.default_rng(seed).uniform(-2.0, 2.0, (8, d))
-    terms = PolynomialDrift(d, [[(abs(c), e) for c, e in row]
-                                for row in table.drift.rows])
+    terms = PolynomialDrift(d, [[(abs(c) * (
+        1.0 + (1.0 + (np.dot(e, ell) + ell[i]) / 2.0) * abs(log_eps)
+        + (np.dot(e, k) + k[i]) / 2.0 * abs(log_big_l)), e) for c, e in row]
+        for i, row in enumerate(table.drift.rows)])
     magnitude = terms(np.abs(y))
     assert np.all(np.abs(table.drift(y) - b_eps(y))
                   <= 8 * EPS * magnitude + TINY)

@@ -313,12 +313,24 @@ def test_euler_batch_checks_callback_shapes():
         euler_batch(system, np.zeros((3, 2)), np.zeros((3, 4, 1)), 0.1)
 
 
-def test_euler_batch_takes_a_float_or_one_step_per_row():
-    system = get_example("brownian").sde
-    for dt in (np.full(2, 0.1), np.full((3, 1), 0.1)):
-        with pytest.raises(ValueError, match=r"dt must be a float or have "
-                                             r"shape \(B,\)"):
-            euler_batch(system, np.zeros((3, 1)), np.zeros((3, 4, 1)), dt)
+def test_euler_batch_takes_one_float_step_and_per_row_gains():
+    # one step for every row; gains hold a finite, non-negative gain per row
+    # and monomial of the table (quadratic has three)
+    system = get_example("quadratic").sde
+    x0, inc = np.zeros((3, 2)), np.zeros((3, 4, 1))
+    for dt in (np.full(3, 0.1), np.full((3, 1), 0.1)):
+        with pytest.raises(TypeError):
+            euler_batch(system, x0, inc, dt)
+    assert system.drift.n_monomials == 3
+    message = r"gains must be finite, non-negative and of shape \(B, mono"
+    for shape in ((3,), (2, 3), (3, 4), (3, 3, 1)):
+        with pytest.raises(ValueError, match=message):
+            euler_batch(system, x0, inc, 0.1, np.ones(shape))
+    for bad in (-1.0, np.inf, np.nan):
+        gains = np.ones((3, 3))
+        gains[1, 2] = bad
+        with pytest.raises(ValueError, match=message):
+            euler_batch(system, x0, inc, 0.1, gains)
 
 
 def test_sde_system_is_a_table_and_sigma():

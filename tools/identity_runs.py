@@ -180,10 +180,12 @@ RUNS = [
       "--scheme", "euler", "--paths", "6", "--depth", "27", "--out", OUT]),
     ("lil_unknown_scheme", ["lil-verify", "--example", "brownian",
                             "--functional", "terminal", "--scheme", "rk4"]),
-    ("lil_ik33_alpha_underflows",  # alpha_0 < smallest normal float: exit 2
+    ("lil_ik33_j1_euler",  # alpha_0 would be below the smallest normal
+     # float; each level is stepped in its own units and reads
+     # loglog(1/eps)^(k/2) only
      ["lil-verify", "--example", "iterated_kolmogorov", "--d", "33",
       "--functional", "J1", "--scheme", "euler", "--paths", "4",
-      "--depth", "27", "--dt-rel", "0.1"]),
+      "--depth", "27", "--dt-rel", "0.1", "--out", OUT]),
     ("lil_brownian_depth_1060",  # eps_j prints 0.0 past 5e-324; exact
      # levels run in their own units, so they have no depth ceiling
      ["lil-verify", "--example", "brownian", "--functional", "terminal",
@@ -194,10 +196,13 @@ RUNS = [
     ("lil_shifted_j1_euler",  # the deviation from the center, stepped from 0
      ["lil-verify", "--example", "shifted_kolmogorov", "--functional", "J1",
       "--scheme", "euler", "--paths", "400", "--out", OUT]),
-    ("lil_brownian_running_max_euler_depth_1060",  # subnormal finest Euler
-     # step: exit 2
+    ("lil_brownian_running_max_euler_depth_1060_20_paths",  # the finest
+     # absolute step would be subnormal; every level steps t_star / n_steps
      ["lil-verify", "--example", "brownian", "--functional", "running_max",
-      "--scheme", "euler", "--depth", "1060"]),
+      "--scheme", "euler", "--paths", "20", "--depth", "1060", "--out", OUT]),
+    ("lil_lorenz96_j3_euler_depth_400",  # alpha would underflow from 199
+     ["lil-verify", "--example", "lorenz96", "--functional", "J3",
+      "--scheme", "euler", "--paths", "20", "--depth", "400", "--out", OUT]),
 ]
 
 
