@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -28,8 +28,8 @@ import numpy as np
 from .examples import ExampleSystem
 from .extremals import _require_functional
 from .scaling import require_autonomous, rescaling_powers
-from .sde import (_BLOCK, _COLUMN_VALUES, LinearSpec, SdeSystem, alive,
-                  euler_batch, row_normals)
+from .sde import (_BLOCK, _COLUMN_VALUES, LinearSpec, alive, euler_batch,
+                  row_normals, trivial_domain)
 
 
 # Row-nodes per chunk of rows in _table, so memory does not grow with paths:
@@ -48,11 +48,10 @@ _CSV_PATHS = 256
 class LilExperimentConfig:
     """Geometric grid eps_j = eps0 * c^j for j in [j_min, j_max].
 
-    dt_rel is the step of every level in its own time t / eps_j, except
-    for a terminal functional under exact_linear, which needs one step per
-    scale.
-    A report whose explosion fraction exceeds explosion_flag_threshold is
-    flagged, not failed.
+    dt_rel is the step of every level in its own time t / eps_j (one step
+    for a terminal functional under exact_linear). A report whose
+    explosion fraction exceeds explosion_flag_threshold is flagged, not
+    failed.
     """
 
     c: float = 0.5
@@ -360,18 +359,16 @@ def _table(example, functional, config, work):
     chunk's nodes (the last only for a terminal functional), nan where a
     row died or X = eps^(l/2) Y left the domain. Y follows the example's
     SDE with each monomial times its gain eps^p (scaling.rescaling_powers)
-    and sigma as it is (l = 1 where noise drives); under euler every level
-    steps the width t_star / n_steps.
-
-    Under euler, consecutive levels of a chunk are stepped in one
-    euler_batch call, level-major, each row with its level's gains: as
-    many levels as fit in one block of the kernel's array layout
-    (_COLUMN_VALUES values over min(n_steps, _BLOCK) nodes), split evenly,
-    so that a few paths run on the kernel's arrays. work counts the bridge
-    plan entries, the levels run per chunk, the euler_batch calls and their
-    rows times steps.
+    and sigma as it is; euler steps it at the width t_star / n_steps on
+    the domain pulled back to Y, on the whole space several consecutive
+    levels of a chunk per euler_batch call, level-major, each row with its
+    level's gains: as many as fit in one block of the kernel's array
+    layout (_COLUMN_VALUES values over min(n_steps, _BLOCK) nodes), split
+    evenly, so that a few paths run on the kernel's arrays. work counts
+    the bridge plan entries, the levels run per chunk, the euler_batch
+    calls and their rows times steps.
     """
-    sde = example.sde
+    sde, domain = example.sde, example.sde.domain_contains
     js, t_star = config.j_grid(), example.limit_problem.t_star
     exact = config.scheme == "exact_linear"
     last = -1 if functional.terminal else 0
@@ -381,7 +378,7 @@ def _table(example, functional, config, work):
     log_eps = math.log(config.eps0) + js * math.log(config.c)
     ell, k = np.array(example.index.exponents, dtype=float).T
     scale = np.exp(0.5 * k * np.log(np.log(-log_eps))[:, None])
-    (powers, _), _ = rescaling_powers(sde, example.index)
+    powers, _ = rescaling_powers(sde, example.index)
     gains = np.exp(powers * log_eps[:, None])   # 1.0 where a power is 0
     if exact:   # one spec for a homogeneous chain, whose powers are all 0
         grow = config.c ** (-0.5 * ell)
@@ -390,7 +387,6 @@ def _table(example, functional, config, work):
     else:
         grow, dim = config.c ** (-0.5 * np.ones(sde.dim_noise)), sde.dim_noise
         specs = [LinearSpec(np.zeros((dim, dim)), np.eye(dim))] * len(js)
-        kernel = SdeSystem(sde.drift, sde.sigma)   # the domain is tested on X
     plan = _bridge_plan(specs, grid, config.c)
     work["bridge_plans"] = len({id(entry) for entry in plan})
     chunk = max(1, _CHUNK_NODES // (n_steps + 1 + 2 * max(p[0] for p in plan)))
@@ -401,28 +397,28 @@ def _table(example, functional, config, work):
         levels = _bridge(plan, grow, np.zeros((per, len(grow))),
                          lambda level, n: row_normals(config.seed, js[level],
                                                       rows, n))
-        size = 1 if exact else max(1, _COLUMN_VALUES // min(n_steps, _BLOCK)
-                                   // (per * sde.dim_state))
+        size = 1 if exact or domain is not trivial_domain else max(
+            1, _COLUMN_VALUES // min(n_steps, _BLOCK) // (per * sde.dim_state))
         for group in np.array_split(np.arange(len(js)),
                                     -(-len(js) // size)):
+            root = np.exp(0.5 * ell * log_eps[group[0]])   # X = eps^(l/2) Y
             if exact:
                 z = next(levels)  # not zip: its reused tuple keeps the last z
-                dead = False
+                dead = ~alive(z[1:] * root, domain).all(axis=0)
             else:  # keep only the increments while they are stepped, one
                 # level's without a copy (large chunks)
                 inc = [np.diff(next(levels), axis=0) for _ in group]
                 inc = inc[0] if len(inc) == 1 else np.concatenate(inc, axis=1)
                 z, first_dead = euler_batch(
-                    kernel, np.zeros((inc.shape[1], sde.dim_state)),
+                    sde if domain is trivial_domain else replace(
+                        sde, domain_contains=lambda y: domain(y * root)),
+                    np.zeros((inc.shape[1], sde.dim_state)),
                     inc.transpose(1, 0, 2), t_star / n_steps,
                     np.repeat(gains[group], per, axis=0))
                 dead = first_dead <= n_steps
                 work["euler_calls"] += 1
                 work["euler_row_steps"] += inc.shape[1] * n_steps
                 del inc
-            dead = dead | ~alive(z[1:] * np.repeat(np.exp(  # X = eps^(l/2) Y
-                0.5 * ell * log_eps[group, None]), per, axis=0),
-                sde.domain_contains).all(axis=0)
             for g, level in enumerate(group.tolist()):
                 part = slice(g * per, (g + 1) * per)
                 y = z[last:, part] / scale[level]
@@ -446,10 +442,11 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     table as nan and only flag the report when their fraction exceeds the
     configured threshold. ValueError before any path is drawn: for a first
     level outside the index's window (tested on log eps0 + j_min log c),
-    for an index with l != 1 in a driven row, and for a center or trend
-    whose deviation Z = X - center - t trend does not follow the example's
-    SDE from 0. Of the levels that one euler_batch call steps (see _table),
-    a NumericalFailure is that of the earliest failing step, the coarsest
+    for an index with l != 1 in a driven row, for a domain without the
+    start 0 of the deviation, and for a center or trend whose deviation Z
+    = X - center - t trend does not follow the example's SDE from 0. Of
+    the levels that one euler_batch call steps (see _table), a
+    NumericalFailure is that of the earliest failing step, the coarsest
     level's on ties. report.work holds the counters of _table.
     """
     config = config or LilExperimentConfig()
@@ -465,10 +462,14 @@ def run_lil_experiment(example: ExampleSystem, functional_name: str,
     _require_functional(functional)
     if config.scheme == "exact_linear" and example.sde.linear is None:
         raise ValueError("exact_linear scheme needs a linear SDE representation")
-    if np.any(rescaling_powers(example.sde, example.index)[1][0]):
+    if any(ell != 1 for (ell, _), row in zip(example.index.exponents,
+                                             example.sde.sigma) if row.any()):
         raise ValueError("every row that noise drives needs l = 1 in the "
                          "index, as derive_rescaling gives")
     require_autonomous(example.sde, example.contraction)
+    if not alive(np.zeros((1, example.sde.dim_state)),
+                 example.sde.domain_contains).all():
+        raise ValueError("the deviation starts at 0, outside the domain")
     work = dict(bridge_plans=0, levels=0, euler_calls=0, euler_row_steps=0)
     values = _table(example, functional, config, work)
     return LilReport(example.name, functional_name, config, values, {

@@ -6,8 +6,8 @@ scale eps into the spatial multi-index alpha = psi(eps). Every rescaling
 works on Z, which follows the SDE itself from 0 (require_autonomous):
 rescale_path maps a deviation path on [0, eps] to y_s = center + s trend +
 Z_{eps s} / alpha on [0, 1], and transformed_coefficients maps the SDE to
-its rescaled coefficient family, itself a table system, each coefficient
-scaled by powers of eps and loglog(1/eps) (rescaling_powers). derive_rescaling
+its rescaled coefficient family, itself a table system: each monomial is
+rescaled by its coefficient, and sigma by a row scale. derive_rescaling
 finds the index and the limit system (L, sigma) from the drift's monomials.
 """
 
@@ -85,7 +85,7 @@ def eval_index(psi: AsymptoticIndex, eps: float) -> np.ndarray:
 
     Raises ValueError when a coordinate underflows below the smallest
     normal float (np.finfo(float).tiny): a subnormal or zero alpha loses
-    its digits, and rescale_path divides by it.
+    its digits, and the rescaling divides by it.
     """
     if not 0.0 < eps <= psi.eps_star:
         raise ValueError(
@@ -141,27 +141,22 @@ def derive_rescaling(system: SdeSystem):
         k[i] = max(weight(e, k) for _, e in rows[i]
                    if any(e) and weight(e, ell) == ell[i] - 2)
     index = AsymptoticIndex(tuple(zip(ell, k)))
-    (p, q), _ = rescaling_powers(system, index)
+    p, q = rescaling_powers(system, index)
     kept = iter(((p == 0.0) & (q == 0.0)).tolist())
     limit = [[term for term in row if next(kept)] for row in rows]
     return index, SdeSystem(PolynomialDrift(d, limit), system.sigma)
 
 
 def rescaling_powers(system: SdeSystem, psi: AsymptoticIndex):
-    """((p, q), (p_sigma, q_sigma)): the powers of eps and loglog(1/eps)
-    that y = Z / alpha, alpha = psi(eps), in time t / eps puts on system's
-    coefficients. The monomial coef * x^m of b_i (one per monomial, row by
-    row in table order) takes p = 1 + (m.l - l_i)/2 and q = (m.k - k_i)/2,
-    a driven row i of sigma (1 - l_i)/2 and (1 - k_i)/2, a row of zeros 0.
-    Under derive_rescaling's index the sigma powers are 0 and the limit
-    keeps the monomials with p = q = 0; every other has p > 0, or p = 0
-    and q < 0."""
+    """(p, q): the powers of eps and loglog(1/eps) that y = Z / alpha,
+    alpha = psi(eps), in time t / eps puts on each monomial coef * x^m of
+    b_i, row by row in table order: p = 1 + (m.l - l_i)/2, q = (m.k -
+    k_i)/2. Under derive_rescaling's index, p > 0 or p = 0 and q <= 0."""
     ell, k = np.array(psi.exponents, dtype=float).T
-    rows, driven = system.drift.rows, np.any(system.sigma != 0.0, axis=1)
+    rows = system.drift.rows
     i = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
     m = np.array([e for row in rows for _, e in row]).reshape(len(i), len(k))
-    return ((1.0 + (m @ ell - ell[i]) / 2.0, (m @ k - k[i]) / 2.0),
-            (driven * (1.0 - ell) / 2.0, driven * (1.0 - k) / 2.0))
+    return 1.0 + (m @ ell - ell[i]) / 2.0, (m @ k - k[i]) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,30 +247,28 @@ def transformed_coefficients(system: SdeSystem, phi: ContractionFamily,
         b_eps(y)  = eps * b(alpha y) / alpha
         sigma_eps = sqrt(eps * loglog(1/eps)) * sigma / alpha,
 
-    so each coefficient is scaled by exp(p log eps + q log loglog(1/eps))
-    (rescaling_powers): exactly 1 where p = q = 0, so that the limit's
-    monomials and sigma under derive_rescaling's index keep their bits,
-    and alpha is formed only to pull back a non-trivial domain. The
-    rescaled SDE is driven by sigma_eps / sqrt(loglog(1/eps)); see
-    rescaled_sde_system. A constant of b tends to 0 in a row with noise
-    (Brownian motion with drift); elsewhere it grows like eps^(1 - l_i/2)
-    and raises ValueError. A trivial domain stays trivial (sde.alive skips
-    its call); any other is evaluated at alpha y.
+    so each monomial coef * x^m of b_i becomes (coef * eps * alpha^m /
+    alpha_i) * y^m. The rescaled SDE is driven by sigma_eps /
+    sqrt(loglog(1/eps)); see rescaled_sde_system. A constant of b tends to
+    0 in a row with noise (Brownian motion with drift); elsewhere it grows
+    like eps^(1 - l_i/2) and raises ValueError. A trivial domain stays
+    trivial (sde.alive skips its call); any other is evaluated at alpha y.
     """
     require_autonomous(system, phi)
-    log_eps, log_big_l = math.log(eps), math.log(rate_scale(eps))
-    (p, q), (p_sigma, q_sigma) = rescaling_powers(system, psi)
+    alpha = eval_index(psi, eps)
+    drift = system.drift
+    # eps / alpha_i is finite (alpha >= tiny), and factors alpha_j < 1 only
+    # shrink it toward the term's scale: no spurious overflow
+    rows = [[(math.prod(np.repeat(alpha, e), start=c * (eps / alpha[i])), e)
+             for c, e in row] for i, row in enumerate(drift.rows)]
     domain = system.domain_contains
     if domain is not trivial_domain:
-        alpha = eval_index(psi, eps)
-
         def domain(y):
             return system.domain_contains(np.asarray(y, dtype=float) * alpha)
 
-    return SdeSystem(
-        system.drift.scaled(np.exp(p * log_eps + q * log_big_l)),
-        system.sigma * np.exp(p_sigma * log_eps
-                              + q_sigma * log_big_l)[:, None], domain)
+    noise_gain = math.sqrt(eps * rate_scale(eps))
+    return SdeSystem(PolynomialDrift(drift.d, rows),
+                     noise_gain * system.sigma / alpha[:, None], domain)
 
 
 def rescaled_sde_system(system: SdeSystem, phi: ContractionFamily,

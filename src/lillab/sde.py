@@ -648,16 +648,17 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float, gains=None):
     Each step is the system's generated Euler step (see _step_factory):
     x_i + (b_i(x)) * dt + (0.0 + sigma_i0 n0 + ...), with the noise summed
     left to right. It runs on Python floats, one row at a time, while at
-    most _FLOAT_ROWS rows are alive, and on one (B,) array per coordinate
-    and coefficient above (under np.errstate, so overflow and invalid
-    values raise no warning); both give the same bits. The live
-    rows are stepped through blocks of _BLOCK nodes (on arrays, of at most
-    _COLUMN_VALUES state values), and alive classifies each block in one
-    call. A row's nodes depend only on its own earlier nodes, so this
-    finds the first dead node a check after every step would find, and the
-    returned states are the same. A row that dies within a block is
-    stepped on to the block's end, and domain_contains sees those states;
-    rows dead in an earlier block are not stepped again.
+    most _FLOAT_ROWS rows are alive, and above on one (B,) array per
+    coordinate and per coefficient that differs between rows (under
+    np.errstate, so overflow and invalid values raise no warning); both
+    give the same bits. The live rows are stepped through blocks of _BLOCK
+    nodes (on arrays, of at most _COLUMN_VALUES state values), and alive
+    classifies each block in one call. A row's nodes depend only on its
+    own earlier nodes, so this finds the first dead node a check after
+    every step would find, and the returned states are the same. A row
+    that dies within a block is stepped on to the block's end, and
+    domain_contains sees those states; rows dead in an earlier block are
+    not stepped again.
 
     Raises ValueError for an x0 row that is not alive and for a
     domain_contains that returns the wrong shape. When a row first turns
@@ -686,7 +687,8 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float, gains=None):
         raise ValueError("gains must be finite, non-negative and of shape "
                          "(B, monomials)")
     # the generated step, each monomial whose gains are not all 1.0 taken
-    # as non-unit, binds |coef * gain| (tags, B) and sigma's entries
+    # as non-unit, binds |coef * gain| (tags, B), one float for a tag whose
+    # rows share it, and sigma's entries
     varies = iter(np.any(gains != 1.0, axis=0).tolist())
     make, tags = _step_factory(table.d, tuple(tuple(
         (math.copysign(2.0, s) if next(varies) else s, e) for s, e in row)
@@ -694,6 +696,8 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float, gains=None):
     at = [sum(map(len, table.rows[:i])) + t for i, t, _ in tags]
     coefficients = np.array(_coefficients(table.rows, tags))[:, None] \
         * gains.T[at]
+    shared = [float(k[0]) if batch and np.all(k == k[0]) else None
+              for k in coefficients]
     sigma = system.sigma.ravel().tolist()
     dt, n = float(dt), inc.shape[1]
     states = np.empty((n + 1, batch, system.dim_state))
@@ -721,7 +725,8 @@ def euler_batch(system: SdeSystem, x0, increments, dt: float, gains=None):
                     block[:, r] = np.reshape(path, (m, -1))
             else:
                 nodes = []
-                make(*coefficients[:, every], *sigma)(
+                make(*[k[every] if s is None else s for k, s in zip(
+                    coefficients, shared)], *sigma)(
                     *x.T, np.ascontiguousarray(noise.transpose(1, 2, 0)),
                     dt, nodes.extend)
                 block = np.array(nodes).reshape(m, -1, live).transpose(0, 2, 1)

@@ -8,7 +8,8 @@ import pytest
 
 from lillab import lil
 from lillab.examples import _example, get_example
-from lillab.extremals import TerminalLinearFunctional
+from lillab.extremals import (RunningMaxAbsFunctional,
+                              TerminalLinearFunctional)
 from lillab.lil import LilExperimentConfig, LilReport, run_lil_experiment
 from lillab.scaling import (ContractionFamily, derive_rescaling, eval_index,
                             rescale_path, rescaling_powers)
@@ -593,6 +594,39 @@ def test_euler_rows_die_where_x_leaves_the_domain():
     assert np.array_equal(report.values[live], free[live])
 
 
+def test_euler_rows_stop_where_x_leaves_the_domain_before_they_overflow():
+    # dx = 1e6 x^4 dt + dB overflows at the first levels on the whole space
+    # (NumericalFailure); x^4 >= 0 drives every explosion up, so on x <
+    # 0.05 a row stops where X leaves the domain, well before Y overflows,
+    # and the table is the per-path one, nan on those rows
+    quartic = _example("quartic", {}, (((1e6, (4,)),),), np.eye(1),
+                       np.zeros(1),
+                       {"running_max": RunningMaxAbsFunctional(0)}, {})
+    config = LilExperimentConfig(j_min=0, j_max=6, n_paths=20,
+                                 scheme="euler")
+    with pytest.raises(NumericalFailure):
+        run_lil_experiment(quartic, "running_max", config)
+    bounded = replace(quartic, sde=replace(
+        quartic.sde, domain_contains=lambda x: x[..., 0] < 0.05))
+    report = run_lil_experiment(bounded, "running_max", config)
+    assert 0 < report.explosion_count < report.values.size
+    assert np.array_equal(report.values,
+                          _per_path_table(bounded, "running_max", config),
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("scheme", ["exact_linear", "euler"])
+def test_a_domain_without_the_start_is_refused_before_any_work(
+        scheme, monkeypatch):
+    br = get_example("brownian")
+    bounded = replace(br, sde=replace(
+        br.sde, domain_contains=lambda x: x[..., 0] > 0.5))
+    monkeypatch.setattr(lil, "_table", lambda *args: pytest.fail("ran"))
+    with pytest.raises(ValueError, match="starts at 0, outside the domain"):
+        run_lil_experiment(bounded, "running_max", LilExperimentConfig(
+            j_max=2, n_paths=2, scheme=scheme))
+
+
 @pytest.mark.parametrize("name, functional", [
     ("brownian", "terminal"), ("iterated_kolmogorov", "J1")])
 def test_a_shallow_exact_table_is_a_prefix_of_one_at_depth_2000(
@@ -642,14 +676,14 @@ def test_levels_share_one_spec_where_every_power_is_0(monkeypatch):
     # power is 1, so level j bridges its own spec, with A_11 = -eps_j
     config = LilExperimentConfig(j_max=5, n_paths=20)
     ik3 = get_example("iterated_kolmogorov", d=3)
-    assert not rescaling_powers(ik3.sde, ik3.index)[0][0].any()
+    assert not rescaling_powers(ik3.sde, ik3.index)[0].any()
     assert run_lil_experiment(ik3, "J1", config).work["bridge_plans"] == 2
     damped = _example("damped", {}, (((1.0, (0, 1)),), ((-1.0, (0, 1)),)),
                       np.array([[0.0], [1.0]]), np.zeros(2),
                       {"J": TerminalLinearFunctional(np.array([1.0, 0.0]))},
                       {})
     assert damped.index.exponents == ((3, 1), (1, 1))
-    (p, q), _ = rescaling_powers(damped.sde, damped.index)
+    p, q = rescaling_powers(damped.sde, damped.index)
     assert (p.tolist(), q.tolist()) == ([0.0, 1.0], [0.0, 0.0])
     specs, make_plan = [], lil._bridge_plan
     monkeypatch.setattr(lil, "_bridge_plan", lambda levels, grid, c: (

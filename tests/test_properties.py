@@ -1854,44 +1854,20 @@ def rescaling_cases(draw):
 @given(rescaling_cases(), st.sampled_from([1e-3, 1e-6, 1e-9]),
        st.integers(0, 2**32 - 1))
 def test_table_coefficients_equal_the_closures(case, eps, seed):
-    # around any center, the table holds each term's coefficient coef *
-    # exp(p log eps + q log L), L = loglog(1/eps), p = 1 + (m.l - l_i)/2 and
-    # q = (m.k - k_i)/2, and sigma_eps scales row i that noise drives by
-    # exp(p log eps + q log L), p = (1 - l_i)/2 and q = (1 - k_i)/2, bit for
-    # bit. Both equal the closures' eps alpha^m / alpha_i and sqrt(eps L) /
-    # alpha_i up to rounding: table and closure each exponentiate a rounded
-    # argument, so the bound is 8 ulps of each term's magnitude |coef|
-    # |y|^m times 1 + the sum of the magnitudes of the arguments the two
-    # exponentiate, (1 + (m.l + l_i)/2) |log eps| + (m.k + k_i)/2 |log L|
-    # (for sigma (1 + l_i)/2 |log eps| + (1 + k_i)/2 |log L|)
+    # the table holds each term's coefficient eps alpha^m / alpha_i, around
+    # any center; within 8 ulps of the sum of the absolute term values sum
+    # |coef| |y|^m, and sigma_eps bit for bit
     system, phi, psi = case
     alpha = _index_or_reject(psi, eps)
     # the closure's products alpha^m y^m stay normal floats
     hypothesis.assume(alpha.min() > 1e-90)
     table = transformed_coefficients(system, phi, psi, eps)
     b_eps, sigma_eps = _reference_transformed(system, psi, eps)
-    ell, k = np.array(psi.exponents, dtype=float).T
-    log_eps, log_big_l = math.log(eps), math.log(rate_scale(eps))
-    driven = np.any(system.sigma != 0.0, axis=1)
-    row_gain = np.exp(np.where(driven, (1.0 - ell) / 2.0, 0.0) * log_eps
-                      + np.where(driven, (1.0 - k) / 2.0, 0.0) * log_big_l)
-    assert np.array_equal(table.sigma, system.sigma * row_gain[:, None])
-    gains = [np.exp(np.array([(1.0 + (np.dot(e, ell) - ell[i]) / 2.0)
-                              * log_eps + (np.dot(e, k) - k[i]) / 2.0
-                              * log_big_l for _, e in row]))
-             for i, row in enumerate(system.drift.rows)]
-    assert table.drift.rows == tuple(
-        tuple((c * g, e) for (c, e), g in zip(row, gain.tolist()))
-        for row, gain in zip(system.drift.rows, gains))
-    cond = (1.0 + ell) / 2.0 * abs(log_eps) + (1.0 + k) / 2.0 * abs(log_big_l)
-    assert np.all(np.abs(table.sigma - sigma_eps)
-                  <= 8 * EPS * (1.0 + cond[:, None]) * np.abs(sigma_eps))
+    assert np.array_equal(table.sigma, sigma_eps)
     d = system.dim_state
     y = np.random.default_rng(seed).uniform(-2.0, 2.0, (8, d))
-    terms = PolynomialDrift(d, [[(abs(c) * (
-        1.0 + (1.0 + (np.dot(e, ell) + ell[i]) / 2.0) * abs(log_eps)
-        + (np.dot(e, k) + k[i]) / 2.0 * abs(log_big_l)), e) for c, e in row]
-        for i, row in enumerate(table.drift.rows)])
+    terms = PolynomialDrift(d, [[(abs(c), e) for c, e in row]
+                                for row in table.drift.rows])
     magnitude = terms(np.abs(y))
     assert np.all(np.abs(table.drift(y) - b_eps(y))
                   <= 8 * EPS * magnitude + TINY)
